@@ -1,6 +1,6 @@
 """Batch front-end.
 
-    memwave <experiment> --config run.json [--out DIR] [--workers N] [--grid-h H]
+    memwave <experiment> --config run.json [--out DIR] [--grid-h H]
     memwave report <artifact-dir>
 
 Each run writes its artifacts under  {out}/{experiment}-{hash}/  where
@@ -127,11 +127,11 @@ def _spectrum(cfg, count):
     return pairs, alpha, gamma
 
 
-def _responses_for(cfg, T, count, workers, grid_h, grid_count=None):
+def _responses_for(cfg, T, count, grid_h, grid_count=None):
     pairs, alpha, gamma = _spectrum(cfg, count)
     grid = _grid_for(cfg, T, grid_count or count, grid_h)
     kernel = normalize(cfg.kernel, grid)
-    responses = compute_responses(kernel, pairs, workers=workers)
+    responses = compute_responses(kernel, pairs)
     return pairs, kernel, responses
 
 
@@ -146,7 +146,7 @@ def _resolve_target(cfg):
 
 # ---------------------------------------------------------------- commands
 
-def _run_spectrum(cfg, adir, workers, grid_h):
+def _run_spectrum(cfg, adir, grid_h):
     pairs, alpha, gamma = _spectrum(cfg, cfg.N_modes)
     diag = trace_diagnostics(pairs, cfg.domain.gamma_weights())
     rows = [(p.index, p.lambda_sq, p.beta.real, p.beta.imag,
@@ -163,9 +163,9 @@ def _run_spectrum(cfg, adir, workers, grid_h):
     return 0
 
 
-def _run_responses(cfg, adir, workers, grid_h):
+def _run_responses(cfg, adir, grid_h):
     pairs, kernel, responses = _responses_for(
-        cfg, cfg.T, cfg.N_modes, workers, grid_h)
+        cfg, cfg.T, cfg.N_modes, grid_h)
     refined = {p.index: refined_S(kernel, p)
                for p in pairs if not p.in_J}
     # fit over the asymptotic window only; the first few modes sit in the
@@ -188,18 +188,18 @@ def _run_responses(cfg, adir, workers, grid_h):
     return 0
 
 
-def _family(cfg, workers, grid_h, T=None):
+def _family(cfg, grid_h, T=None):
     # tune the grid for the largest mode any later stage will touch, so a
     # synthesized control and its verification live on the same grid
     T = T if T is not None else cfg.T
     pairs, kernel, responses = _responses_for(
-        cfg, T, cfg.K, workers, grid_h, grid_count=max(cfg.K, cfg.K_sim))
+        cfg, T, cfg.K, grid_h, grid_count=max(cfg.K, cfg.K_sim))
     fam = viscoelastic_family([responses[p.index] for p in pairs])
     return pairs, kernel, responses, fam
 
 
-def _run_gram(cfg, adir, workers, grid_h):
-    pairs, kernel, responses, fam = _family(cfg, workers, grid_h)
+def _run_gram(cfg, adir, grid_h):
+    pairs, kernel, responses, fam = _family(cfg, grid_h)
     rep = gram(fam)
     _write_csv(os.path.join(adir, "gram_abs.csv"),
                [f"k{j}" for j in range(rep.gram.shape[1])],
@@ -212,8 +212,8 @@ def _run_gram(cfg, adir, workers, grid_h):
     return 0
 
 
-def _run_synthesize(cfg, adir, workers, grid_h):
-    pairs, kernel, responses, fam = _family(cfg, workers, grid_h)
+def _run_synthesize(cfg, adir, grid_h):
+    pairs, kernel, responses, fam = _family(cfg, grid_h)
     target = _resolve_target(cfg)
     problem = build_moment_problem(fam, target)
     control = synthesize(problem)
@@ -250,10 +250,10 @@ def _find_prior_synthesis(out_root, setup_hash):
     return None
 
 
-def _run_verify(cfg, adir, workers, grid_h, out_root):
+def _run_verify(cfg, adir, grid_h, out_root):
     count = max(cfg.K, cfg.K_sim)
     sim_pairs, kernel, sim_resp = _responses_for(
-        cfg, cfg.T, count, workers, grid_h, grid_count=count)
+        cfg, cfg.T, count, grid_h, grid_count=count)
     fam = viscoelastic_family([sim_resp[n] for n in range(1, cfg.K + 1)])
     prior = _find_prior_synthesis(out_root, _setup_hash(cfg))
     target = _resolve_target(cfg)
@@ -287,7 +287,7 @@ def _run_verify(cfg, adir, workers, grid_h, out_root):
     return 0 if verdict == "PASS" else 5
 
 
-def _run_sweep(cfg, adir, workers, grid_h):
+def _run_sweep(cfg, adir, grid_h):
     alpha, gamma = _alpha_of(cfg)
     pairs_tel = compute_eigenpairs(cfg.domain, cfg.K, cfg.domain.c)
     pairs_vis = compute_eigenpairs(cfg.domain, cfg.K, alpha)
@@ -299,7 +299,7 @@ def _run_sweep(cfg, adir, workers, grid_h):
                                  steps=grid.steps)
         m_tel.append(gram(fam_t).m_N)
         kernel = normalize(cfg.kernel, grid)
-        resp = compute_responses(kernel, pairs_vis, workers=workers)
+        resp = compute_responses(kernel, pairs_vis)
         fam_v = viscoelastic_family([resp[p.index] for p in pairs_vis])
         m_vis.append(gram(fam_v).m_N)
     _write_csv(os.path.join(adir, "sweep.csv"),
@@ -420,7 +420,6 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--grid-h", type=float, default=None, dest="grid_h")
     rp = sub.add_parser("report")
     rp.add_argument("path", help="artifact directory to summarize")
@@ -437,9 +436,9 @@ def main(argv=None) -> int:
         out_root = _resolve_out(args.out, cfg.out)
         adir = _artifact_dir(out_root, cfg)
         if experiment == "verify":
-            code = _run_verify(cfg, adir, args.workers, args.grid_h, out_root)
+            code = _run_verify(cfg, adir, args.grid_h, out_root)
         else:
-            code = _RUNNERS[experiment](cfg, adir, args.workers, args.grid_h)
+            code = _RUNNERS[experiment](cfg, adir, args.grid_h)
         if code == 0:
             print(f"ok: artifacts in {adir}")
         else:

@@ -143,7 +143,7 @@ def viscoelastic_family(responses: Sequence[ModeResponse]) -> SequenceFamily:
     if any(r.n <= 0 for r in rs):
         raise ConfigError("pass positive-index responses; negatives are built here")
     steps = len(rs[0].z) - 1
-    grid = TimeGrid(steps * rs[0]._h, steps)
+    grid = TimeGrid(steps * rs[0]._h, steps, rs[0]._h)
     members = _signed_members([r.Z for r in rs], [r.psi for r in rs])
     return SequenceFamily(members, _signed_index([r.n for r in rs]),
                           "viscoelastic", grid)

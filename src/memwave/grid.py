@@ -2,15 +2,17 @@
 
 Every run owns exactly one (step, horizon) grid and all modules share
 it; cross-grid interpolation is deliberately unsupported.  Grids are
-always built from an integer step count so that h = T/steps holds
-exactly and restrictions to a shorter horizon reuse the same sample
-times bit for bit.
+always built from an integer step count, and the step is carried as a
+field: a fresh grid takes h = T/steps, a restriction or extension
+inherits its parent's h, so shorter horizons reuse the same step and
+the same sample times bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -24,39 +26,44 @@ MAX_STEPS = 20_000_000
 class TimeGrid:
     T: float
     steps: int
+    h: Optional[float] = None    # defaults to T / steps
 
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0):
             raise ConfigError(f"horizon must be positive and finite, got {self.T}")
         if not (2 <= self.steps <= MAX_STEPS):
             raise ConfigError(f"step count {self.steps} outside [2, {MAX_STEPS}]")
-
-    @property
-    def h(self) -> float:
-        return self.T / self.steps
+        if self.h is None:
+            object.__setattr__(self, "h", self.T / self.steps)
+        elif not abs(self.h * self.steps - self.T) <= 1e-12 * self.T:
+            raise ConfigError(f"step {self.h!r} does not divide horizon "
+                              f"{self.T!r} into {self.steps} steps")
 
     @property
     def t(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.steps + 1)
+        """Samples j*h, with the last one pinned to T exactly."""
+        t = np.arange(self.steps + 1) * self.h
+        t[-1] = self.T
+        return t
 
     def __len__(self) -> int:
         return self.steps + 1
 
     def restrict(self, steps: int) -> "TimeGrid":
-        """Sub-grid [0, steps*h] with identical step size.
-
-        steps*h is recomputed as a product, not a fresh division, so the
-        restricted grid's h equals self.h exactly.
-        """
+        """Sub-grid [0, steps*h] carrying self.h, so its step and its
+        sample times equal the parent's bit for bit (a fresh division
+        steps*h/steps can miss h by one ulp)."""
         if not (2 <= steps <= self.steps):
             raise ConfigError(f"cannot restrict {self.steps}-step grid to {steps}")
-        return TimeGrid(steps * self.h, steps)
+        if steps == self.steps:
+            return self
+        return TimeGrid(steps * self.h, steps, self.h)
 
     def extend(self, factor: int = 2) -> "TimeGrid":
         """Longer grid with the same step size (factor times the steps)."""
         if factor < 1:
             raise ConfigError("extension factor must be >= 1")
-        return TimeGrid(self.T * factor, self.steps * factor)
+        return TimeGrid(self.T * factor, self.steps * factor, self.h)
 
 
 def make_grid(T: float, h: float) -> TimeGrid:

@@ -21,11 +21,16 @@ E(t) = exp(2*gamma*t):
 The third derivative of N (hence M'' for tabulated input) is only
 needed by the refined closeness diagnostics; closed-form families
 supply it exactly.
+
+For every closed-form family N is also a short exact sum of terms
+c t^p exp(r t) (kernel_terms); the modal marches use those terms to
+carry their memory sums by recursion instead of re-summing the history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -88,9 +93,15 @@ class NormalizedKernel:
     N1: np.ndarray      # exp(-alpha t) N'
     N1p: np.ndarray
     N1pp: np.ndarray
-    L: np.ndarray       # resolvent kernel of N1
     grid: TimeGrid
     spec: KernelSpec = field(repr=False, default=None)
+    # exact (c, p, r) terms of N = sum c t^p exp(r t); None for tabulated
+    terms: Optional[tuple] = None
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        """Resolvent kernel of N1, an O(m^2) march run on first read."""
+        return resolvent(self.N1, self.grid)
 
     @property
     def h(self) -> float:
@@ -103,15 +114,46 @@ class NormalizedKernel:
     def restrict(self, steps: int) -> "NormalizedKernel":
         """Restriction to the first `steps` intervals of the same grid.
 
-        All stored fields are either pointwise in t or causal marches,
-        so restriction is exact (the resolvent on [0, T'] is the slice
-        of the resolvent on [0, T]).
+        All stored fields are pointwise in t and the terms do not depend
+        on the horizon, so restriction is exact; the lazy resolvent is a
+        causal march, so computing it on the restriction gives the slice
+        of the resolvent on [0, T].
         """
         g = self.grid.restrict(steps)
         k = steps + 1
         return NormalizedKernel(self.gamma, self.alpha, self.N[:k], self.Np[:k],
                                 self.N1[:k], self.N1p[:k], self.N1pp[:k],
-                                self.L[:k], g, self.spec)
+                                g, self.spec, self.terms)
+
+
+def kernel_terms(spec: KernelSpec, gamma: float) -> Optional[tuple]:
+    """Exact terms (c, p, r) with N(t) = sum c t^p exp(r t), or None.
+
+    N = exp(2 gamma t) (1 + int_0^t M), so an exponential rate b > 0
+    gives -a/b at rate 2 gamma - b plus a/b at rate 2 gamma, rate zero
+    gives a t at rate 2 gamma, and a polynomial coefficient a_j gives
+    a_j/(j+1) t^(j+1) at rate 2 gamma.  Terms with equal (p, r) are
+    merged.  Tabulated kernels have no terms.
+    """
+    r0 = 2.0 * gamma
+    acc = {(0, r0): 1.0}
+
+    def add(c, p, r):
+        acc[(p, r)] = acc.get((p, r), 0.0) + c
+
+    if spec.family == "exponential_sum":
+        for a, b in zip(spec.coefficients, spec.rates):
+            if b == 0:
+                add(float(a), 1, r0)
+            else:
+                add(a / b, 0, r0)
+                add(-a / b, 0, r0 - b)
+    elif spec.family == "polynomial":
+        for j, a in enumerate(spec.coefficients):
+            add(a / (j + 1), j + 1, r0)
+    elif spec.family != "zero":
+        return None
+    return tuple((c, p, r) for (p, r), c in acc.items() if c != 0.0)
 
 
 def _closed_form_m(spec: KernelSpec, t: np.ndarray):
@@ -238,5 +280,5 @@ def normalize(spec: KernelSpec, grid: TimeGrid) -> NormalizedKernel:
     N1p = Em * (Npp - alpha * Np)
     N1pp = Em * (Nppp - 2.0 * alpha * Npp + alpha ** 2 * Np)
 
-    L = resolvent(N1, grid)
-    return NormalizedKernel(gamma, alpha, N, Np, N1, N1p, N1pp, L, grid, spec)
+    return NormalizedKernel(gamma, alpha, N, Np, N1, N1p, N1pp, grid, spec,
+                            kernel_terms(spec, gamma))

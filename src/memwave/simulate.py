@@ -131,22 +131,21 @@ def simulate_march(kernel: NormalizedKernel, pairs: Sequence[EigenPair],
     K = K if K is not None else max(abs(n) for n in control.index_set)
     h = kernel.h
     by_index = {p.index: p for p in pairs}
+    missing = [n for n in range(1, K_sim + 1) if n not in by_index]
+    if missing:
+        raise ConfigError(f"simulation needs eigenpair {missing[0]}")
+    sim = [by_index[n] for n in range(1, K_sim + 1)]
+    lam_sq = np.array([p.lambda_sq for p in sim])
+    beta = np.array([p.beta.real for p in sim])
+    H = np.stack([convolve(kernel.N, _mode_forcing(p.trace, control, gw, length), h)
+                  for p in sim], axis=1)
+    th = march_modal(kernel, lam_sq, kernel.alpha, y0=0.0, forcing=-H,
+                     label=f"(sim modes 1..{K_sim})")
     theta, theta_t = {}, {}
-    lam_sq = np.empty(K_sim)
-    beta = np.empty(K_sim)
     for n in range(1, K_sim + 1):
-        if n not in by_index:
-            raise ConfigError(f"simulation needs eigenpair {n}")
-        p = by_index[n]
-        F = _mode_forcing(p.trace, control, gw, length)
-        H = convolve(kernel.N, F, h)
-        th = march_modal(kernel, p.lambda_sq, kernel.alpha, y0=0.0,
-                         forcing=-H, label=f"(sim mode {n})")
-        theta[n] = th
-        theta_t[n] = 2.0 * kernel.alpha * th \
-            - p.lambda_sq * convolve(kernel.N, th, h) - H
-        lam_sq[n - 1] = p.lambda_sq
-        beta[n - 1] = p.beta.real
+        theta[n] = th[:, n - 1].copy()
+        theta_t[n] = 2.0 * kernel.alpha * theta[n] \
+            - lam_sq[n - 1] * convolve(kernel.N, theta[n], h) - H[:, n - 1]
     return _finalize(theta, theta_t, K, K_sim, lam_sq, beta, kernel.gamma,
                      kernel.grid, "march", trajectories)
 

@@ -13,11 +13,22 @@ trapezoid rule of the equivalent second-order form, so it is
 unconditionally stable at any step for the memoryless limit and remains
 stable at the default grids for the smooth kernels supported here.
 
+Cost model for a march of m steps over K modes.  A closed-form kernel is
+an exact sum of a few terms c t^p exp(r t) (kernels.kernel_terms), so
+the product-trapezoid history sum obeys an exact linear recurrence in a
+handful of states per rate: O(m K terms) work, with one Python time loop
+advancing every mode of a call together.  A tabulated kernel has no
+terms and keeps the direct history sum, O(m^2 K), one matrix-vector
+product per step.  The discretisation is the same either way; only the
+rounding differs.
+
 Z is additionally assembled by the variation-of-constants identity
 Z = z + N'*z + i beta (N*z), and the two routes are cross-checked; the
 assembled route is the one stored on ModeResponse because the forward
 simulator shares its discrete ingredients, which keeps the synthesis /
-verification loop exactly consistent.
+verification loop exactly consistent.  The assembly uses FFT
+convolutions of the sampled kernel, never the recurrence, so the check
+stays independent of the march.
 
 The refined small-residual route (refined_S / comparator_profile) exists
 because the marched phase error grows like T beta^3 h^2 / 12 and would
@@ -29,7 +40,6 @@ accumulate with beta.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,7 +89,7 @@ class ModeResponse:
         Npz = self.Npz[:k]
         factor = 1j if self.in_J else 1j * self.beta
         Z = z + Npz + factor * Nz
-        t = np.linspace(0.0, steps * self._h, k)
+        t = np.arange(k) * self._h
         S = np.exp(-self._alpha * t) * Z
         return replace(self, z=z, Z=Z, S=S, G=self.G[:k], K=self.K[:k],
                        Nz=Nz, Npz=Npz)
@@ -90,43 +100,129 @@ def growth_envelope(alpha: float, T: float) -> float:
     return math.exp(min((abs(2.0 * alpha) + 1.0) * T, 500.0))
 
 
-def march_modal(kernel: NormalizedKernel, lam_sq: float, alpha: float,
+def _recursion_groups(terms, h, scale, const):
+    """Recurrence data for the history sum, one group per kernel rate r.
+
+    A group carries S_q = sum_{k<j} ((j-k) h)^q rho^(j-k) y_k for
+    q = 0..p_max with rho = exp(r h), and advances them by the exact
+    binomial rule S_q <- rho sum_{i<=q} C(q,i) h^(q-i) (S_i + [i=0] y_j),
+    whose weights W[q][i] are all positive.  The term c t^p exp(r t)
+    contributes scale c h S_p to the scaled history sum.  `const` turns
+    a number into the march's operand type.
+    Returns [(W, [(p, scale c h)], states)].
+    """
+    by_rate = {}
+    for c, p, r in terms:
+        by_rate.setdefault(r, []).append((p, c * h))
+    groups = []
+    for r, chs in by_rate.items():
+        rho = math.exp(r * h)
+        top = max(p for p, _ in chs)
+        W = [[const(rho * math.comb(q, i) * h ** (q - i)) for i in range(q + 1)]
+             for q in range(top + 1)]
+        groups.append((W, [(p, scale * const(ch)) for p, ch in chs],
+                       [const(0.0)] * (top + 1)))
+    return groups
+
+
+def march_modal(kernel: NormalizedKernel, lam_sq, alpha: float,
                 y0=1.0, forcing: np.ndarray = None, label: str = "") -> np.ndarray:
     """Implicit-trapezoid / product-trapezoid march of the modal equation.
 
     Solves y' = 2 alpha y - lam_sq (N * y) + forcing with y(0) = y0.
-    Raises ConvergenceError when the solution leaves the Gronwall
-    envelope, which at these grids only happens for invalid input
-    (a non-normalized kernel or a degenerate step).
+    lam_sq is a scalar, or a (K,) array marched as one batch of modes
+    with forcing of shape (m+1, K); the result is time-major, (m+1,) or
+    (m+1, K).  The step body uses plain arithmetic only, so a single
+    mode runs on Python scalars and a batch on (K,) arrays.  Raises
+    ConvergenceError at the first step whose value is not finite or
+    leaves the Gronwall envelope, which at these grids only happens for
+    invalid input (a non-normalized kernel, a degenerate step or a
+    non-finite forcing).
     """
-    N = kernel.N
     h = kernel.h
     m = kernel.grid.steps
-    N0 = N[0]
-    D = 1.0 - alpha * h + lam_sq * h * h * N0 / 4.0
-    if not D > 1e-12:
-        raise ConvergenceError(f"degenerate implicit step (D={D:.3e}) {label}")
+    N = kernel.N
+    N0 = float(N[0])
+    lam = np.asarray(lam_sq, dtype=float)
+    batch = lam.shape
+    if len(batch) > 1:
+        raise ConfigError(f"lam_sq must be a scalar or a 1-D array, got {batch}")
+    if not batch:
+        lam = float(lam)
+    if forcing is not None and forcing.shape != (m + 1,) + batch:
+        raise ConfigError(f"forcing shape {forcing.shape} does not match "
+                          f"{(m + 1,) + batch}")
+    D = 1.0 - alpha * h + lam * h * h * N0 / 4.0
+    if not np.all(D > 1e-12):
+        raise ConvergenceError(
+            f"degenerate implicit step (D={np.min(D):.3e}) {label}")
     bound = growth_envelope(alpha, kernel.grid.T) * (1.0 + 1e-9)
 
-    complex_run = np.iscomplexobj(forcing) or isinstance(y0, complex)
-    y = np.empty(m + 1, dtype=complex if complex_run else float)
-    y[0] = y0
-    I_prev = 0.0
-    for j in range(1, m + 1):
-        if j > 1:
-            P = h * (0.5 * N[j] * y[0] + np.dot(N[j - 1:0:-1], y[1:j]))
-        else:
-            P = h * 0.5 * N[1] * y[0]
-        rhs = y[j - 1] * (1.0 + alpha * h) - 0.5 * lam_sq * h * (I_prev + P)
+    dtype = complex if np.iscomplexobj(forcing) or isinstance(y0, complex) \
+        else float
+    Y = np.empty((m + 1,) + batch, dtype=dtype)
+    Y[0] = y0
+    # Operands share one type: Python numbers for a single mode, (K,)
+    # arrays of the run's dtype for a batch (mixed-type numpy operations
+    # cost a cast per step).
+    if batch:
+        def const(v):
+            return np.full(batch, v, dtype=dtype)
+    else:
+        def const(v):
+            return dtype(v)
+    # The trapezoid step over D reads y_j = A y_{j-1} - (I_{j-1} + P_j) + F_j
+    # with I the memory integral and P_j its history part
+    # h (N_j y_0 / 2 + sum_{0<k<j} N_{j-k} y_k), both scaled by
+    # B = lam_sq h / (2 D).
+    A = const((1.0 + alpha * h) / D)
+    B = const(0.5 * lam * h / D)
+    Be0 = B * const(0.5 * h * N0)
+    groups = None if kernel.terms is None else \
+        _recursion_groups(kernel.terms, h, B, const)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = None
         if forcing is not None:
-            rhs = rhs + 0.5 * h * (forcing[j - 1] + forcing[j])
-        y[j] = rhs / D
-        I_prev = P + 0.5 * h * N0 * y[j]
-        if abs(y[j]) > bound:
-            raise ConvergenceError(
-                f"modal march left the Gronwall envelope at t={j * h:.4g} "
-                f"(|y|={abs(y[j]):.3e} > {bound:.3e}); step too large {label}")
-    return y
+            F = 0.5 * h * (forcing[:-1] + forcing[1:]) / D
+            if not batch:
+                F = F.tolist()
+        y = const(y0)
+        u = const(0.5 * y0)  # y_0 enters the history with trapezoid weight 1/2
+        I_prev = const(0.0)
+        for j in range(1, m + 1):
+            if groups is None:
+                P = B * (h * (0.5 * N[j] * y0 + np.dot(N[j - 1:0:-1], Y[1:j])))
+            else:
+                P = None
+                for W, chs, st in groups:
+                    st[0] = st[0] + u
+                    for q in range(len(st) - 1, -1, -1):
+                        acc = W[q][0] * st[0]
+                        for i in range(1, q + 1):
+                            acc = acc + W[q][i] * st[i]
+                        st[q] = acc
+                    for p, ch in chs:
+                        term = ch * st[p]
+                        P = term if P is None else P + term
+            y = A * y - (I_prev + P)
+            if F is not None:
+                y = y + F[j - 1]
+            I_prev = P + Be0 * y
+            Y[j] = y
+            u = y
+
+    bad = ~(np.abs(Y) <= bound)
+    if bad.any():
+        rows = bad.reshape(m + 1, -1)
+        j = int(np.argmax(rows.any(axis=1)))
+        col = int(np.argmax(rows[j]))
+        where = f" in batch column {col}" if batch else ""
+        value = abs(Y.reshape(m + 1, -1)[j, col])
+        raise ConvergenceError(
+            f"modal march left the Gronwall envelope at step {j} "
+            f"(t={j * h:.4g}){where}: |y|={value:.3e}, bound {bound:.3e}; "
+            f"non-finite input or step too large {label}")
+    return Y
 
 
 def solve_z(kernel: NormalizedKernel, lambda_sq: float,
@@ -157,19 +253,19 @@ def _consistency_tol(kernel: NormalizedKernel, pair: EigenPair) -> float:
     return 10.0 * C * kernel.h ** 2
 
 
-def solve_Z(kernel: NormalizedKernel, pair: EigenPair,
-            return_march: bool = False):
-    """Forced modal response Z by two independent routes.
+def _march_Z(kernel: NormalizedKernel, pair: EigenPair) -> np.ndarray:
+    return march_modal(kernel, pair.lambda_sq, kernel.alpha, y0=1.0,
+                       forcing=forcing_K(kernel, pair),
+                       label=f"(mode {pair.index})")
 
-    Marches the forced equation directly, assembles the
-    variation-of-constants identity from z, and cross-checks the two;
-    disagreement beyond the scheme allowance flags a quadrature bug.
-    Returns the assembled route (plus the marched one on request).
+
+def _assemble_Z(kernel: NormalizedKernel, pair: EigenPair, z: np.ndarray,
+                Z_march: np.ndarray):
+    """Variation-of-constants Z from z, checked against the marched Z.
+
+    Returns (Z_voc, N*z, N'*z); disagreement beyond the scheme
+    allowance flags a quadrature bug.
     """
-    K = forcing_K(kernel, pair)
-    Z_march = march_modal(kernel, pair.lambda_sq, kernel.alpha, y0=1.0,
-                          forcing=K, label=f"(mode {pair.index})")
-    z = solve_z(kernel, pair.lambda_sq)
     Nz = convolve(kernel.N, z, kernel.h)
     Npz = convolve(kernel.Np, z, kernel.h)
     factor = 1j if pair.in_J else 1j * pair.beta
@@ -180,6 +276,20 @@ def solve_Z(kernel: NormalizedKernel, pair: EigenPair,
         raise InternalConsistencyError(
             f"Z routes disagree on mode {pair.index}: gap {gap:.3e} "
             f"exceeds allowance {tol:.3e}")
+    return Z_voc, Nz, Npz
+
+
+def solve_Z(kernel: NormalizedKernel, pair: EigenPair,
+            return_march: bool = False):
+    """Forced modal response Z by two independent routes.
+
+    Marches the forced equation directly, assembles the
+    variation-of-constants identity from z, and cross-checks the two.
+    Returns the assembled route (plus the marched one on request).
+    """
+    Z_march = _march_Z(kernel, pair)
+    z = solve_z(kernel, pair.lambda_sq)
+    Z_voc, Nz, Npz = _assemble_Z(kernel, pair, z, Z_march)
     if return_march:
         return Z_voc, Z_march, z, Nz, Npz
     return Z_voc
@@ -198,24 +308,39 @@ def build_S_G(kernel: NormalizedKernel, pair: EigenPair, Z: np.ndarray):
     return S, G
 
 
-def compute_response(kernel: NormalizedKernel, pair: EigenPair) -> ModeResponse:
-    K = forcing_K(kernel, pair)
-    Z, _Zm, z, Nz, Npz = solve_Z(kernel, pair, return_march=True)
+def _response(kernel: NormalizedKernel, pair: EigenPair, z: np.ndarray,
+              Z_march: np.ndarray) -> ModeResponse:
+    Z, Nz, Npz = _assemble_Z(kernel, pair, z, Z_march)
     S, G = build_S_G(kernel, pair, Z)
-    return ModeResponse(pair.index, z, Z, S, G, K,
+    return ModeResponse(pair.index, z, Z, S, G, forcing_K(kernel, pair),
                         lambda_sq=pair.lambda_sq, beta=pair.beta,
                         psi=pair.psi, trace=pair.trace, in_J=pair.in_J,
                         Nz=Nz, Npz=Npz, _h=kernel.h, _alpha=kernel.alpha)
 
 
-def compute_responses(kernel: NormalizedKernel, pairs, workers: int = 1) -> dict:
-    """ModeResponse per positive index; mode-parallel, index-ordered merge."""
-    if workers <= 1:
-        rs = [compute_response(kernel, p) for p in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            rs = list(ex.map(lambda p: compute_response(kernel, p), pairs))
-    return {r.n: r for r in rs}
+def compute_response(kernel: NormalizedKernel, pair: EigenPair) -> ModeResponse:
+    return _response(kernel, pair, solve_z(kernel, pair.lambda_sq),
+                     _march_Z(kernel, pair))
+
+
+def compute_responses(kernel: NormalizedKernel, pairs) -> dict:
+    """ModeResponse per positive index, every mode marched in one batch.
+
+    One z march and one Z march advance all modes together; the
+    variation-of-constants assembly and its two-route check then run
+    per mode exactly as in compute_response.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return {}
+    lam = np.array([p.lambda_sq for p in pairs])
+    label = f"(modes {', '.join(str(p.index) for p in pairs)})"
+    z = march_modal(kernel, lam, kernel.alpha, y0=1.0, label=label)
+    K = np.stack([forcing_K(kernel, p) for p in pairs], axis=1)
+    Z_march = march_modal(kernel, lam, kernel.alpha, y0=1.0, forcing=K,
+                          label=label)
+    return {p.index: _response(kernel, p, z[:, i].copy(), Z_march[:, i])
+            for i, p in enumerate(pairs)}
 
 
 def refined_S(kernel: NormalizedKernel, pair: EigenPair) -> np.ndarray:

@@ -68,3 +68,12 @@ def test_grid_endpoint_is_exact(T, steps):
     assert g.t[0] == 0.0
     assert g.t[-1] == pytest.approx(T, rel=1e-15)
     assert len(g.t) == steps + 1
+
+
+@given(st.floats(0.1, 50.0), st.floats(1e-3, 1.0), st.data())
+def test_restrict_keeps_step_and_samples(T, h, data):
+    g = make_grid(T, h)
+    k = data.draw(st.integers(2, g.steps))
+    r = g.restrict(k)
+    assert r.h == g.h
+    assert np.array_equal(r.t, g.t[:k + 1])

@@ -3,6 +3,7 @@ import pytest
 
 from memwave import (ConfigError, KernelSpec, NormalizedKernel, TimeGrid,
                      convolve, make_grid, normalize, resolvent)
+from memwave.kernels import kernel_terms
 
 # closed forms used as oracles below (single decaying exponential M = e^{-t}):
 #   gamma = -1/2, N(t) = 2 e^{-t} - e^{-2t}
@@ -103,6 +104,37 @@ def test_restrict_slices_every_field(exp_kernel):
     assert r.grid.steps == 500
     for name in ("N", "Np", "N1", "N1p", "N1pp", "L"):
         assert np.array_equal(getattr(r, name), getattr(exp_kernel, name)[:501]), name
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec("zero", c=0.3),
+    KernelSpec("exponential_sum", coefficients=(1.0, 0.5, 0.3, -0.2),
+               rates=(1.0, 1.0, 0.0, 2.5)),
+    KernelSpec("polynomial", coefficients=(1.0, -0.5, 0.2)),
+])
+def test_kernel_terms_reproduce_N(spec, grid):
+    ker = normalize(spec, grid)
+    t = grid.t
+    N = sum(c * t ** p * np.exp(r * t) for c, p, r in ker.terms)
+    assert np.max(np.abs(N - ker.N)) < 1e-13
+    # equal (power, rate) pairs are merged
+    assert len({(p, r) for _, p, r in ker.terms}) == len(ker.terms)
+    assert ker.restrict(100).terms == ker.terms
+
+
+def test_kernel_terms_families():
+    assert kernel_terms(KernelSpec("zero"), 0.0) == ((1.0, 0, 0.0),)
+    # M = 2 e^{-t} + e^{-t}: gamma = -1.5, N = 4 e^{-3t} - 3 e^{-4t}
+    spec = KernelSpec("exponential_sum", coefficients=(2.0, 1.0),
+                      rates=(1.0, 1.0))
+    assert kernel_terms(spec, -1.5) == ((4.0, 0, -3.0), (-3.0, 0, -4.0))
+    assert kernel_terms(KernelSpec("tabulated", samples=np.ones(3)), 0.0) is None
+
+
+def test_resolvent_is_lazy(exp_kernel):
+    ker = exp_kernel.restrict(300)
+    assert "L" not in vars(ker)
+    assert np.array_equal(ker.L, exp_kernel.L[:301])
 
 
 def test_tabulated_kernel_matches_closed_form(grid):

@@ -4,7 +4,8 @@ import pytest
 from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
                      asymptotic_residual, comparator_profile,
                      compute_eigenpairs, compute_response, compute_responses,
-                     make_grid, normalize, refined_S, solve_Z, solve_z)
+                     forcing_K, make_grid, march_modal, normalize, refined_S,
+                     solve_Z, solve_z)
 
 PI = np.pi
 
@@ -133,12 +134,88 @@ def test_restriction_matches_fresh_computation(memory_kernel):
     assert np.max(np.abs(sliced.S - fresh.S)) < 1e-13
 
 
-def test_parallel_workers_deterministic(memory_kernel):
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 6, alpha=-0.5)
-    seq = compute_responses(memory_kernel, pairs, workers=1)
-    par = compute_responses(memory_kernel, pairs, workers=3)
-    for n in seq:
-        assert np.array_equal(seq[n].Z, par[n].Z)
+def test_batch_independence(memory_kernel):
+    # a mode's result must not depend on which other modes share its batch
+    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 12, alpha=-0.5)
+    some = [pairs[1], pairs[6], pairs[10]]
+    big = compute_responses(memory_kernel, pairs)
+    small = compute_responses(memory_kernel, some)
+    march = {}
+    for batch in (pairs, some):
+        lam = np.array([p.lambda_sq for p in batch])
+        K = np.stack([forcing_K(memory_kernel, p) for p in batch], axis=1)
+        Zm = march_modal(memory_kernel, lam, memory_kernel.alpha, forcing=K)
+        march[len(batch)] = {p.index: Zm[:, i] for i, p in enumerate(batch)}
+    for p in some:
+        n = p.index
+        assert np.array_equal(big[n].z, small[n].z)
+        assert np.array_equal(big[n].Z, small[n].Z)
+        assert np.array_equal(march[12][n], march[3][n])
+        Zv, Zm, z, *_ = solve_Z(memory_kernel, p, return_march=True)
+        assert np.max(np.abs(big[n].z - z)) <= 1e-14 * np.max(np.abs(z))
+        assert np.max(np.abs(big[n].Z - Zv)) <= 1e-14 * np.max(np.abs(Zv))
+        assert np.max(np.abs(march[12][n] - Zm)) <= 1e-14 * np.max(np.abs(Zm))
+
+
+# ------------------------------------------- recursion against the direct sum
+
+
+def direct_march(kernel, lam_sq, alpha, y0=1.0, forcing=None):
+    """Reference march: the product-trapezoid history re-summed at every
+    step, O(m^2), with no use of the kernel's exact terms."""
+    N, h, m = kernel.N, kernel.h, kernel.grid.steps
+    D = 1.0 - alpha * h + lam_sq * h * h * N[0] / 4.0
+    y = np.empty(m + 1, dtype=complex if np.iscomplexobj(forcing) else float)
+    y[0] = y0
+    I_prev = 0.0
+    for j in range(1, m + 1):
+        P = h * (0.5 * N[j] * y[0] + np.dot(N[j - 1:0:-1], y[1:j]))
+        rhs = y[j - 1] * (1.0 + alpha * h) - 0.5 * lam_sq * h * (I_prev + P)
+        if forcing is not None:
+            rhs = rhs + 0.5 * h * (forcing[j - 1] + forcing[j])
+        y[j] = rhs / D
+        I_prev = P + 0.5 * h * N[0] * y[j]
+    return y
+
+
+def _tabulated_exp(grid):
+    m = np.exp(-grid.t)
+    return KernelSpec("tabulated", samples=m, samples_d1=-m, samples_d2=m)
+
+
+ORACLE_KERNELS = {
+    "zero": lambda g: KernelSpec("zero", c=0.5),
+    # repeated rate 1 and a rate-0 term, which gives t exp(2 gamma t)
+    "exponential_sum": lambda g: KernelSpec(
+        "exponential_sum", coefficients=(1.0, 0.5, 0.3), rates=(1.0, 1.0, 0.0)),
+    # degree 2 gives a t^3 exp(2 gamma t) term
+    "polynomial": lambda g: KernelSpec("polynomial",
+                                       coefficients=(1.0, -0.5, 0.2)),
+    "tabulated": _tabulated_exp,
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_KERNELS))
+def test_march_matches_direct_sum(family):
+    grid = make_grid(2.0, 1e-3)
+    ker = normalize(ORACLE_KERNELS[family](grid), grid)
+    if family == "exponential_sum":
+        assert (0.3, 1, 2.0 * ker.gamma) in ker.terms
+    if family == "polynomial":
+        assert max(p for _, p, _ in ker.terms) == 3
+    lam = 9.0
+    z = march_modal(ker, lam, ker.alpha)
+    ref = direct_march(ker, lam, ker.alpha)
+    assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
+    forcing = ker.Np + 3j * ker.N
+    Z = march_modal(ker, lam, ker.alpha, forcing=forcing)
+    ref = direct_march(ker, lam, ker.alpha, forcing=forcing)
+    assert np.max(np.abs(Z - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # a batch column is the same march as the single mode
+    lams = np.array([1.0, lam, 25.0])
+    Zb = march_modal(ker, lams, ker.alpha,
+                     forcing=np.repeat(forcing[:, None], 3, axis=1))
+    assert np.max(np.abs(Zb[:, 1] - Z)) <= 1e-14 * np.max(np.abs(Z))
 
 
 # ------------------------------------------------------- refined S and G
@@ -180,7 +257,7 @@ def test_comparator_reduces_to_exponential_without_memory():
 
 def test_asymptotic_residual_slope(memory_kernel):
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 40, alpha=-0.5)
-    resp = compute_responses(memory_kernel, pairs, workers=4)
+    resp = compute_responses(memory_kernel, pairs)
     refined = {p.index: refined_S(memory_kernel, p) for p in pairs}
     fit = asymptotic_residual([resp[n] for n in range(5, 41)],
                               surrogate=refined)
@@ -204,8 +281,18 @@ def test_march_envelope_tripwire():
         solve_z(ker, -100.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_march_rejects_nonfinite_forcing(bad):
+    ker = zero_kernel(1.0, 1e-3)
+    with pytest.raises(ConvergenceError, match="step 1 "):
+        march_modal(ker, 1.0, 0.0, forcing=np.full(1001, bad))
+    forcing = np.zeros((1001, 3))
+    forcing[500:, 2] = bad
+    with pytest.raises(ConvergenceError, match="step 500 .* column 2"):
+        march_modal(ker, np.array([1.0, 4.0, 9.0]), 0.0, forcing=forcing)
+
+
 def test_forced_zero_forcing_matches_homogeneous(memory_kernel):
-    from memwave import march_modal
     lam = 9.0
     y_h = solve_z(memory_kernel, lam)
     y_f = march_modal(memory_kernel, lam, memory_kernel.alpha, y0=1.0,
