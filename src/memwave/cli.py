@@ -5,8 +5,19 @@
 
 Each run writes its artifacts under  {out}/{experiment}-{hash}/  where
 hash is the config hash; reruns of the same config land in the same
-directory with byte-identical contents.  Output root resolution order:
---out flag, config "out" key, $MEMWAVE_OUT, ./memwave-out.
+directory with byte-identical contents.  The directory is created by the
+first artifact written, so a run that fails before writing leaves none.
+Output root resolution order: --out flag, config "out" key,
+$MEMWAVE_OUT, ./memwave-out.
+
+Artifacts hold finite numbers only: a NaN or Inf headed for a CSV or
+JSON file stops the run with a convergence error naming the file.
+
+sweep-t marches once.  The step is the configured one (T_min's auto step
+under "auto"), shrunk so that it divides the horizon spacing; the kernel,
+the responses and both families are built on one grid to the last
+horizon and restricted exactly to every shorter one, and the artifacts
+report the horizons computed, k*h.
 
 Exit codes: 0 success, 2 config, 3 convergence, 4 not controllable,
 5 internal inconsistency.  Anything else crashing is a plain 1.
@@ -16,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -24,8 +36,8 @@ import numpy as np
 from . import config as cfgmod
 from .control import (TargetState, build_moment_problem, synthesize,
                       telegraph_family, viscoelastic_family)
-from .errors import ConfigError, MemwaveError
-from .grid import auto_step, make_grid
+from .errors import ConfigError, ConvergenceError, MemwaveError
+from .grid import TimeGrid, auto_step, make_grid
 from .kernels import normalize
 from .riesz import gram
 from .simulate import (achieved_coefficients, route_gap,
@@ -44,9 +56,7 @@ def _resolve_out(flag_out, cfg_out):
 
 
 def _artifact_dir(out_root, cfg):
-    path = os.path.join(out_root, f"{cfg.experiment.lower()}-{cfg.hash}")
-    os.makedirs(path, exist_ok=True)
-    return path
+    return os.path.join(out_root, f"{cfg.experiment.lower()}-{cfg.hash}")
 
 
 def _jsonable(obj):
@@ -65,19 +75,33 @@ def _jsonable(obj):
     return obj
 
 
+def _non_finite(path):
+    return ConvergenceError(
+        f"non-finite value (NaN or Inf) headed for {path}; nothing written")
+
+
 def _write_json(path, payload, cfg_hash):
     payload = dict(payload)
     payload["config_hash"] = cfg_hash
+    try:
+        text = json.dumps(_jsonable(payload), sort_keys=True, indent=2,
+                          allow_nan=False)
+    except ValueError:
+        raise _non_finite(path) from None
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path, columns, rows, cfg_hash):
+    data = np.asarray(list(rows), dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise _non_finite(path)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg_hash}\n")
         fh.write("# " + ",".join(columns) + "\n")
-        for row in rows:
+        for row in data:
             fh.write(",".join("%.17g" % float(v) for v in row) + "\n")
 
 
@@ -92,14 +116,6 @@ def _read_csv(path):
 
 
 # ---------------------------------------------------------------- pipeline
-
-def _setup_hash(cfg):
-    """Hash over the physics part of the config only, so a verify run can
-    locate the artifact of the matching synthesize run."""
-    raw = {k: v for k, v in cfg.raw.items()
-           if k not in ("experiment", "out")}
-    return cfgmod.config_hash(raw)
-
 
 def _alpha_of(cfg):
     gamma = -0.5 * cfg.kernel.m0()
@@ -194,21 +210,22 @@ def _family(cfg, grid_h, T=None):
     T = T if T is not None else cfg.T
     pairs, kernel, responses = _responses_for(
         cfg, T, cfg.K, grid_h, grid_count=max(cfg.K, cfg.K_sim))
-    fam = viscoelastic_family([responses[p.index] for p in pairs])
+    fam = viscoelastic_family([responses[p.index] for p in pairs],
+                              cfg.domain.gamma_weights())
     return pairs, kernel, responses, fam
 
 
 def _run_gram(cfg, adir, grid_h):
     pairs, kernel, responses, fam = _family(cfg, grid_h)
     rep = gram(fam)
-    _write_csv(os.path.join(adir, "gram_abs.csv"),
-               [f"k{j}" for j in range(rep.gram.shape[1])],
-               np.abs(rep.gram), cfg.hash)
     _write_json(os.path.join(adir, "gram.json"), {
         "T": cfg.T, "members": fam.count,
         "frame_lower": rep.m_N, "frame_upper": rep.M_N,
         "condition": rep.cond,
     }, cfg.hash)
+    _write_csv(os.path.join(adir, "gram_abs.csv"),
+               [f"k{j}" for j in range(rep.gram.shape[1])],
+               np.abs(rep.gram), cfg.hash)
     return 0
 
 
@@ -226,7 +243,6 @@ def _run_synthesize(cfg, adir, grid_h):
                zip(control.index_set, control.coefficients.real,
                    control.coefficients.imag), cfg.hash)
     _write_json(os.path.join(adir, "synthesis.json"), {
-        "setup_hash": _setup_hash(cfg),
         "index_set": list(control.index_set),
         "residual_max": control.residual_max,
         "imag_max": control.imag_max,
@@ -238,34 +254,14 @@ def _run_synthesize(cfg, adir, grid_h):
     return 0
 
 
-def _find_prior_synthesis(out_root, setup_hash):
-    if not os.path.isdir(out_root):
-        return None
-    for entry in sorted(os.listdir(out_root)):
-        meta = os.path.join(out_root, entry, "synthesis.json")
-        if entry.startswith("synthesize-") and os.path.exists(meta):
-            with open(meta) as fh:
-                if json.load(fh).get("setup_hash") == setup_hash:
-                    return os.path.join(out_root, entry)
-    return None
-
-
-def _run_verify(cfg, adir, grid_h, out_root):
+def _run_verify(cfg, adir, grid_h):
     count = max(cfg.K, cfg.K_sim)
     sim_pairs, kernel, sim_resp = _responses_for(
         cfg, cfg.T, count, grid_h, grid_count=count)
-    fam = viscoelastic_family([sim_resp[n] for n in range(1, cfg.K + 1)])
-    prior = _find_prior_synthesis(out_root, _setup_hash(cfg))
-    target = _resolve_target(cfg)
-    problem = build_moment_problem(fam, target)
-    control = synthesize(problem)
-    source = "recomputed"
-    if prior is not None:
-        _, data = _read_csv(os.path.join(prior, "control.csv"))
-        if data.shape[0] == control.f.shape[1] and np.allclose(
-                data[:, 1:].T, control.f, atol=1e-12):
-            source = prior
     gw = cfg.domain.gamma_weights()
+    fam = viscoelastic_family([sim_resp[n] for n in range(1, cfg.K + 1)], gw)
+    target = _resolve_target(cfg)
+    control = synthesize(build_moment_problem(fam, target))
     conv = simulate_convolution(sim_resp, kernel, control, cfg.K_sim,
                                 gamma_weights=gw, K=cfg.K)
     march = simulate_march(kernel, sim_pairs, control, cfg.K_sim,
@@ -281,33 +277,52 @@ def _run_verify(cfg, adir, grid_h, out_root):
         "achieved_error": err, "tolerance": tol,
         "route_gap": gap,
         "tail_energy": conv.tail_energy,
-        "control_source": source,
         "K": cfg.K, "K_sim": cfg.K_sim, "T": cfg.T,
     }, cfg.hash)
     return 0 if verdict == "PASS" else 5
 
 
+def _sweep_grid(cfg, grid_h):
+    """One grid for the whole sweep and the step count of each horizon.
+
+    The step is the configured one (under "auto", the step T_min would
+    get, the finest of any horizon), shrunk to spacing / ceil(spacing / h)
+    so that every horizon falls on a grid point when T_min is a multiple
+    of the spacing, and within h/2 of one otherwise.
+    """
+    horizons = cfg.sweep.horizons()
+    h = grid_h if grid_h is not None else cfg.h
+    if h == "auto":
+        h = auto_step(cfg.sweep.T_min, _beta_max_estimate(cfg, cfg.K))
+    h = float(h)
+    if not 0.0 < h < math.inf:
+        raise ConfigError(f"step must be positive and finite, got {h}")
+    if len(horizons) > 1:
+        spacing = (cfg.sweep.T_max - cfg.sweep.T_min) / (len(horizons) - 1)
+        h = spacing / math.ceil(spacing / h)
+    steps = [round(T / h) for T in horizons]
+    return TimeGrid(steps[-1] * h, steps[-1], h), steps
+
+
 def _run_sweep(cfg, adir, grid_h):
     alpha, gamma = _alpha_of(cfg)
+    gw = cfg.domain.gamma_weights()
+    grid, steps = _sweep_grid(cfg, grid_h)
     pairs_tel = compute_eigenpairs(cfg.domain, cfg.K, cfg.domain.c)
+    fam_t = telegraph_family(pairs_tel, cfg.domain.c, grid.T,
+                             steps=grid.steps, gamma_weights=gw)
     pairs_vis = compute_eigenpairs(cfg.domain, cfg.K, alpha)
-    horizons = cfg.sweep.horizons()
-    m_tel, m_vis = [], []
-    for T in horizons:
-        grid = _grid_for(cfg, float(T), cfg.K, grid_h)
-        fam_t = telegraph_family(pairs_tel, cfg.domain.c, float(T),
-                                 steps=grid.steps)
-        m_tel.append(gram(fam_t).m_N)
-        kernel = normalize(cfg.kernel, grid)
-        resp = compute_responses(kernel, pairs_vis)
-        fam_v = viscoelastic_family([resp[p.index] for p in pairs_vis])
-        m_vis.append(gram(fam_v).m_N)
+    resp = compute_responses(normalize(cfg.kernel, grid), pairs_vis)
+    fam_v = viscoelastic_family([resp[p.index] for p in pairs_vis], gw)
+    horizons = [k * grid.h for k in steps]
+    m_tel = [gram(fam_t.restrict(k)).m_N for k in steps]
+    m_vis = [gram(fam_v.restrict(k)).m_N for k in steps]
     _write_csv(os.path.join(adir, "sweep.csv"),
                ["T", "m_N_telegraph", "m_N_visco"],
                zip(horizons, m_tel, m_vis), cfg.hash)
     _write_json(os.path.join(adir, "sweep.json"), {
         "T": horizons, "m_N_telegraph": m_tel, "m_N_visco": m_vis,
-        "K": cfg.K, "members": 2 * cfg.K,
+        "K": cfg.K, "members": 2 * cfg.K, "grid_h": grid.h,
     }, cfg.hash)
     return 0
 
@@ -406,6 +421,7 @@ _RUNNERS = {
     "responses": _run_responses,
     "gram": _run_gram,
     "synthesize": _run_synthesize,
+    "verify": _run_verify,
     "sweep-T": _run_sweep,
 }
 
@@ -435,10 +451,7 @@ def main(argv=None) -> int:
         cfg = cfgmod.load(args.config, experiment)
         out_root = _resolve_out(args.out, cfg.out)
         adir = _artifact_dir(out_root, cfg)
-        if experiment == "verify":
-            code = _run_verify(cfg, adir, args.grid_h, out_root)
-        else:
-            code = _RUNNERS[experiment](cfg, adir, args.grid_h)
+        code = _RUNNERS[experiment](cfg, adir, args.grid_h)
         if code == 0:
             print(f"ok: artifacts in {adir}")
         else:

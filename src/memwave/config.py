@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -97,6 +98,8 @@ def _number(doc, key, default=None, required=False, integer=False, low=None):
     val = doc[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{key} must be a number, got {val!r}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{key} must be finite, got {val!r}")
     if integer:
         if int(val) != val:
             raise ConfigError(f"{key} must be an integer, got {val!r}")
@@ -106,22 +109,28 @@ def _number(doc, key, default=None, required=False, integer=False, low=None):
     return val
 
 
+def _numbers(values, path) -> tuple:
+    """A list-valued key, every entry checked as _number checks a scalar."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{path} must be a list")
+    return tuple(_number({path: v}, path, required=True) for v in values)
+
+
 def _build_domain(doc: dict) -> DomainSpec:
     sec = doc.get("domain")
     if not isinstance(sec, dict):
         raise ConfigError("config needs a 'domain' section")
     if "geometry" not in sec or "lengths" not in sec:
         raise ConfigError("domain section needs 'geometry' and 'lengths'")
-    lengths = sec["lengths"]
-    if not isinstance(lengths, (list, tuple)):
-        raise ConfigError("domain.lengths must be a list")
+    lengths = tuple(float(l) for l in _numbers(sec["lengths"],
+                                               "domain.lengths"))
     # the config surface supports constant coefficients only; variable
     # a(x), q(x) are a library-level feature (callables cannot be JSON)
     a = _number(sec, "a", default=1.0, low=0.0)
     q = _number(sec, "q", default=0.0)
     c = _number(sec, "c", default=0.0)
     gamma = tuple(sec.get("gamma_subset", ("right",)))
-    return DomainSpec(sec["geometry"], tuple(float(l) for l in lengths),
+    return DomainSpec(sec["geometry"], lengths,
                       a=a, q=q, c=c, gamma_subset=gamma)
 
 
@@ -137,10 +146,12 @@ def _build_kernel(doc: dict, c: float) -> KernelSpec:
             f"kernel.c={kc} contradicts domain.c={c}; set it in one place")
     def arr(key):
         v = sec.get(key)
-        return None if v is None else np.asarray(v, dtype=float)
+        return None if v is None else np.asarray(
+            _numbers(v, f"kernel.{key}"), dtype=float)
     return KernelSpec(sec["family"], c=c,
-                      coefficients=tuple(sec.get("coefficients", ())),
-                      rates=tuple(sec.get("rates", ())),
+                      coefficients=_numbers(sec.get("coefficients", ()),
+                                            "kernel.coefficients"),
+                      rates=_numbers(sec.get("rates", ()), "kernel.rates"),
                       samples=arr("samples"),
                       samples_d1=arr("samples_d1"),
                       samples_d2=arr("samples_d2"))
@@ -152,8 +163,8 @@ def _build_target(doc: dict, K: int):
         return tgt
     if not isinstance(tgt, dict):
         raise ConfigError("target must be 'random' or an object with xi, eta")
-    xi = np.asarray(tgt.get("xi", ()), dtype=float)
-    eta = np.asarray(tgt.get("eta", ()), dtype=float)
+    xi = np.asarray(_numbers(tgt.get("xi", ()), "target.xi"), dtype=float)
+    eta = np.asarray(_numbers(tgt.get("eta", ()), "target.eta"), dtype=float)
     if xi.shape != (K,) or eta.shape != (K,):
         raise ConfigError(
             f"target.xi and target.eta must each list K={K} numbers")
@@ -204,8 +215,12 @@ def from_dict(doc: dict, experiment: Optional[str] = None) -> RunConfig:
         sweep = SweepSpec(_number(sec, "T_min", required=True, low=0.0),
                           _number(sec, "T_max", required=True, low=0.0),
                           _number(sec, "steps", required=True, integer=True,
-                                  low=1))
-        if not sweep.T_min < sweep.T_max:
+                                  low=0))
+        if sweep.steps == 1 and sweep.T_min != sweep.T_max:
+            raise ConfigError(
+                "a one-horizon sweep needs T_min == T_max, got "
+                f"[{sweep.T_min}, {sweep.T_max}]")
+        if sweep.steps > 1 and not sweep.T_min < sweep.T_max:
             raise ConfigError(
                 f"sweep needs T_min < T_max, got [{sweep.T_min}, {sweep.T_max}]")
     if exp == "sweep-T" and sweep is None:
@@ -224,10 +239,14 @@ def from_dict(doc: dict, experiment: Optional[str] = None) -> RunConfig:
                      target, sweep, out, seed, raw=doc)
 
 
+def _reject_constant(token):
+    raise ConfigError(f"config holds the non-finite number {token}")
+
+
 def load(path: str, experiment: Optional[str] = None) -> RunConfig:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:

@@ -112,14 +112,16 @@ def _signed_index(indices):
 
 def telegraph_family(pairs: Sequence[EigenPair], c: float, T: float,
                      gamma_param: Optional[float] = None,
-                     steps: int = None) -> SequenceFamily:
+                     steps: int = None,
+                     gamma_weights=None) -> SequenceFamily:
     """Memoryless comparator family on [0, T].
 
     Off the degenerate set the time profile is
     exp(i beta t) + (gp/beta) sin(beta t); on it, 1 + (gp + i) t against
     the unscaled trace.  gp defaults to the velocity coefficient c; any
     other value (zero included) spans the same space, and gp = 0 gives
-    pure exponentials.
+    pure exponentials.  gamma_weights are the boundary quadrature
+    weights (DomainSpec.gamma_weights; ones by default).
     """
     gp = c if gamma_param is None else gamma_param
     grid = make_grid(T, 1e-3) if steps is None else TimeGrid(T, steps)
@@ -134,11 +136,16 @@ def telegraph_family(pairs: Sequence[EigenPair], c: float, T: float,
         psis.append(p.psi)
     members = _signed_members(profiles, psis)
     return SequenceFamily(members, _signed_index([p.index for p in pairs]),
-                          "telegraph", grid)
+                          "telegraph", grid, gamma_weights)
 
 
-def viscoelastic_family(responses: Sequence[ModeResponse]) -> SequenceFamily:
-    """Family of modal responses against their trace profiles, Z_n psi_n."""
+def viscoelastic_family(responses: Sequence[ModeResponse],
+                        gamma_weights=None) -> SequenceFamily:
+    """Family of modal responses against their trace profiles, Z_n psi_n.
+
+    gamma_weights are the boundary quadrature weights the simulator
+    pairs the control with (DomainSpec.gamma_weights; ones by default).
+    """
     rs = sorted(responses, key=lambda r: r.n)
     if any(r.n <= 0 for r in rs):
         raise ConfigError("pass positive-index responses; negatives are built here")
@@ -146,7 +153,7 @@ def viscoelastic_family(responses: Sequence[ModeResponse]) -> SequenceFamily:
     grid = TimeGrid(steps * rs[0]._h, steps, rs[0]._h)
     members = _signed_members([r.Z for r in rs], [r.psi for r in rs])
     return SequenceFamily(members, _signed_index([r.n for r in rs]),
-                          "viscoelastic", grid)
+                          "viscoelastic", grid, gamma_weights)
 
 
 def s_family(kernel: NormalizedKernel, pairs: Sequence[EigenPair]) -> SequenceFamily:

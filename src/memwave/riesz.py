@@ -84,6 +84,14 @@ class SequenceFamily:
         return SequenceFamily(self.members[pos], tuple(self.index_set[p] for p in pos),
                               label or self.label, self.grid, self.gamma_weights)
 
+    def restrict(self, steps: int) -> "SequenceFamily":
+        """The family on [0, steps*h] of the same grid.  Members are causal
+        in t (marched responses, or closed forms sampled on the grid), so
+        slicing is the family a fresh build on the shorter grid gives."""
+        grid = self.grid.restrict(steps)
+        return SequenceFamily(self.members[:, :, :steps + 1], self.index_set,
+                              self.label, grid, self.gamma_weights)
+
 
 @dataclass(frozen=True)
 class GramReport:

@@ -60,6 +60,19 @@ def test_numbers_reject_bools_and_fractions():
         from_dict(base(K=2.5))
     with pytest.raises(ConfigError):
         from_dict(base(T="soon", experiment="gram"))
+    with pytest.raises(ConfigError):
+        from_dict(base(K=float("inf")))                  # e.g. "K": 1e400
+    for lengths in ([float("nan")], ["x"], [True], [None], PI):
+        with pytest.raises(ConfigError):
+            from_dict(base(domain={"geometry": "interval",
+                                   "lengths": lengths}))
+    for bad in (["a"], [float("nan")]):
+        with pytest.raises(ConfigError):
+            from_dict(base(kernel={"family": "exponential_sum",
+                                   "coefficients": bad, "rates": [1.0]}))
+        with pytest.raises(ConfigError):
+            from_dict(base("synthesize", T=2.0, K=1,
+                           target={"xi": bad, "eta": [0.0]}))
 
 
 def test_sweep_validation():
@@ -68,9 +81,15 @@ def test_sweep_validation():
     with pytest.raises(ConfigError):
         from_dict(base("sweep-T",
                        sweep={"T_min": 2.0, "T_max": 1.0, "steps": 3}))
+    with pytest.raises(ConfigError):
+        from_dict(base("sweep-T",
+                       sweep={"T_min": 1.0, "T_max": 2.0, "steps": 1}))
     cfg = from_dict(base("sweep-T",
                          sweep={"T_min": 1.0, "T_max": 2.0, "steps": 3}))
     assert np.allclose(cfg.sweep.horizons(), [1.0, 1.5, 2.0])
+    cfg = from_dict(base("sweep-T",
+                         sweep={"T_min": 2.0, "T_max": 2.0, "steps": 1}))
+    assert np.allclose(cfg.sweep.horizons(), [2.0])
 
 
 def test_target_validation():
@@ -170,6 +189,9 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["spectrum", "--config", str(tmp_path / "missing.json")]) == 2
     assert run(tmp_path, base("spectrum"), command="gram", out=tmp_path) == 2
+    sweep = base("sweep-T", sweep={"T_min": 1.0, "T_max": 2.0, "steps": 3})
+    assert run(tmp_path, sweep, command="sweep-t", out=tmp_path,
+               grid_h=0.0) == 2
 
 
 def test_cli_not_controllable_exit_four(tmp_path, capsys):
@@ -178,9 +200,37 @@ def test_cli_not_controllable_exit_four(tmp_path, capsys):
                        "coefficients": [1.0], "rates": [1.0]})
     assert run(tmp_path, doc, out=tmp_path / "store", grid_h=5e-3) == 4
     assert "m_N" in capsys.readouterr().err
+    # the artifact directory is made by the first write; none happened
+    assert not (tmp_path / "store").exists()
 
 
-def test_cli_verify_uses_prior_synthesis(tmp_path):
+@pytest.mark.parametrize("command,doc", [
+    ("spectrum", base(K=float("inf"))),
+    ("sweep-t", base(sweep={"T_min": 1.0, "T_max": float("inf"),
+                            "steps": 3})),
+    ("spectrum", {"domain": {"geometry": "interval",
+                             "lengths": [float("nan")]}}),
+], ids=["K-inf", "sweep-T_max-inf", "lengths-nan"])
+def test_cli_non_finite_config_exits_two(tmp_path, capsys, command, doc):
+    assert run(tmp_path, doc, command=command, out=tmp_path / "store") == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+
+
+def test_cli_non_finite_artifact_exits_three(tmp_path, capsys):
+    # a huge kernel coefficient overflows the normalization; the Gram
+    # collapses and its condition is infinite, which no artifact may hold
+    doc = base("gram", T=2.5 * PI, K=3,
+               kernel={"family": "exponential_sum",
+                       "coefficients": [1e6], "rates": [1.0]})
+    with np.errstate(all="ignore"):
+        code = run(tmp_path, doc, out=tmp_path / "store", grid_h=1e-2)
+    assert code == 3
+    assert "gram.json" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+
+
+def test_cli_synthesize_then_verify_passes(tmp_path):
     store = tmp_path / "store"
     common = dict(T=2.5 * PI, K=3, K_sim=6, target="random", seed=3,
                   kernel={"family": "exponential_sum",
@@ -195,19 +245,35 @@ def test_cli_verify_uses_prior_synthesis(tmp_path):
     assert syn["imag_max"] <= 1e-12
 
     assert run(tmp_path, vdoc, out=store, grid_h=5e-3, name="v.json") == 0
-    verdict = json.loads(
-        (store / f"verify-{config_hash(vdoc)}" / "verdict.json").read_text())
+    vdir = store / f"verify-{config_hash(vdoc)}"
+    verdict = json.loads((vdir / "verdict.json").read_text())
     assert verdict["verdict"] == "PASS"
     assert verdict["achieved_error"] <= verdict["tolerance"]
-    assert verdict["control_source"] == str(sdir)
-
-    # with no synthesize artifact in reach the control is recomputed
+    # verify synthesizes its own control: what else lies under the output
+    # root does not reach its artifacts
     assert run(tmp_path, vdoc, out=tmp_path / "fresh", grid_h=5e-3,
                name="v2.json") == 0
-    verdict2 = json.loads(
-        (tmp_path / "fresh" / f"verify-{config_hash(vdoc)}" /
-         "verdict.json").read_text())
-    assert verdict2["control_source"] == "recomputed"
+    fresh = tmp_path / "fresh" / f"verify-{config_hash(vdoc)}"
+    assert (fresh / "verdict.json").read_bytes() == \
+        (vdir / "verdict.json").read_bytes()
+
+
+def test_cli_rectangle_round_trip_passes(tmp_path):
+    # the family pairs the control with the same boundary quadrature
+    # weights as the simulator, so the rectangle's 257-node edge verifies
+    common = dict(T=2.5 * PI, K=2, K_sim=4, target="random", seed=1,
+                  domain={"geometry": "rectangle", "lengths": [PI, PI],
+                          "gamma_subset": ["right"]},
+                  kernel={"family": "exponential_sum",
+                          "coefficients": [1.0], "rates": [1.0]})
+    store = tmp_path / "store"
+    sdoc, vdoc = base("synthesize", **common), base("verify", **common)
+    assert run(tmp_path, sdoc, out=store, grid_h=2e-2, name="s.json") == 0
+    assert run(tmp_path, vdoc, out=store, grid_h=2e-2, name="v.json") == 0
+    verdict = json.loads((store / f"verify-{config_hash(vdoc)}" /
+                          "verdict.json").read_text())
+    assert verdict["verdict"] == "PASS"
+    assert verdict["achieved_error"] <= verdict["tolerance"]
 
 
 def test_cli_sweep_and_report(tmp_path, capsys):

@@ -227,3 +227,15 @@ def test_subfamily_keeps_grid_and_labels():
     assert sub.count == 3
     assert sub.index_set == (1, -2, 3)
     assert sub.grid is fam.grid
+
+
+def test_restrict_slices_members_and_keeps_step():
+    fam = fourier_family(3, 2 * PI, steps=400)
+    short = fam.restrict(300)
+    assert short.grid == fam.grid.restrict(300)
+    assert short.grid.h == fam.grid.h and short.index_set == fam.index_set
+    fresh = np.exp(1j * np.outer(np.array(fam.index_set), short.grid.t))
+    assert np.array_equal(short.members[:, 0, :], fresh)
+    assert fam.restrict(400).grid is fam.grid
+    with pytest.raises(ConfigError):
+        fam.restrict(401)
