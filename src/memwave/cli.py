@@ -98,11 +98,13 @@ def _write_csv(path, columns, rows, cfg_hash):
     if not np.all(np.isfinite(data)):
         raise _non_finite(path)
     os.makedirs(os.path.dirname(path), exist_ok=True)
+    # one format string per row, applied to Python floats (no numpy
+    # scalars); "%.17g" round-trips every double
+    row_fmt = ",".join(["%.17g"] * data.shape[-1]) + "\n"
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg_hash}\n")
         fh.write("# " + ",".join(columns) + "\n")
-        for row in data:
-            fh.write(",".join("%.17g" % float(v) for v in row) + "\n")
+        fh.writelines(row_fmt % tuple(row) for row in data.tolist())
 
 
 def _read_csv(path):

@@ -18,7 +18,9 @@ writing g = sum a_k conj(m_k), the constraints become Gram . a = c with
 the Hermitian Gram G_{nk} = <m_n, m_k> (second argument conjugated).
 Solving by Cholesky and assembling g gives the unique minimum-norm
 solution; any admissible perturbation is orthogonal to the span and can
-only increase the norm, which the seeded spot-check verifies.
+only increase the norm, which the seeded spot-check verifies.  Members
+are kept as factors psi_n (x) Z_n (see riesz); g is the one dense
+(nodes, steps+1) array, built once from them.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ class ControlSignal:
     norm: float
     grid: TimeGrid
     index_set: tuple
-    f_complex: np.ndarray = None   # pre-realness solution, for diagnostics
 
     @property
     def residual_max(self) -> float:
@@ -97,13 +98,10 @@ def _interleave(items):
     return out
 
 
-def _signed_members(profiles: Sequence[np.ndarray], psis: Sequence[np.ndarray]):
-    """Members over (+1, -1, +2, -2, ...) with conjugate negatives."""
-    members = []
-    for prof, psi in zip(profiles, psis):
-        m = np.outer(np.asarray(psi, dtype=complex), prof)
-        members.append((m, np.conj(m)))
-    return np.array(_interleave(members))
+def _signed(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Rows over (+1, -1, +2, -2, ...) with conjugate negatives."""
+    rows = [np.asarray(r, dtype=complex) for r in rows]
+    return np.array(_interleave((r, np.conj(r)) for r in rows))
 
 
 def _signed_index(indices):
@@ -134,9 +132,8 @@ def telegraph_family(pairs: Sequence[EigenPair], c: float, T: float,
             b = p.beta
             profiles.append(np.exp(1j * b * t) + (gp / b) * np.sin(b * t))
         psis.append(p.psi)
-    members = _signed_members(profiles, psis)
-    return SequenceFamily(members, _signed_index([p.index for p in pairs]),
-                          "telegraph", grid, gamma_weights)
+    return SequenceFamily(_signed(profiles), _signed_index([p.index for p in pairs]),
+                          "telegraph", grid, gamma_weights, _signed(psis))
 
 
 def viscoelastic_family(responses: Sequence[ModeResponse],
@@ -151,24 +148,24 @@ def viscoelastic_family(responses: Sequence[ModeResponse],
         raise ConfigError("pass positive-index responses; negatives are built here")
     steps = len(rs[0].z) - 1
     grid = TimeGrid(steps * rs[0]._h, steps, rs[0]._h)
-    members = _signed_members([r.Z for r in rs], [r.psi for r in rs])
-    return SequenceFamily(members, _signed_index([r.n for r in rs]),
-                          "viscoelastic", grid, gamma_weights)
+    return SequenceFamily(_signed([r.Z for r in rs]), _signed_index([r.n for r in rs]),
+                          "viscoelastic", grid, gamma_weights,
+                          _signed([r.psi for r in rs]))
 
 
 def s_family(kernel: NormalizedKernel, pairs: Sequence[EigenPair]) -> SequenceFamily:
     """Positive-index family S_n psi_n via the mode-uniform route."""
-    members = [np.outer(p.psi, refined_S(kernel, p)) for p in pairs]
-    return SequenceFamily(np.array(members), tuple(p.index for p in pairs),
-                          "s-refined", kernel.grid)
+    return SequenceFamily(np.array([refined_S(kernel, p) for p in pairs]),
+                          tuple(p.index for p in pairs), "s-refined",
+                          kernel.grid, psi=np.array([p.psi for p in pairs]))
 
 
 def comparator_family(kernel: NormalizedKernel,
                       pairs: Sequence[EigenPair]) -> SequenceFamily:
     """Positive-index transformed-exponential comparator, C_n psi_n."""
-    members = [np.outer(p.psi, comparator_profile(kernel, p)) for p in pairs]
-    return SequenceFamily(np.array(members), tuple(p.index for p in pairs),
-                          "comparator", kernel.grid)
+    return SequenceFamily(np.array([comparator_profile(kernel, p) for p in pairs]),
+                          tuple(p.index for p in pairs), "comparator",
+                          kernel.grid, psi=np.array([p.psi for p in pairs]))
 
 
 def build_moment_problem(family: SequenceFamily, target: TargetState,
@@ -208,7 +205,7 @@ def synthesize(problem: MomentProblem,
             f"m_N={rep.m_N:.3e}, condition={rep.cond:.3e} (cap {condition_cap:.1e})",
             frame_lower=rep.m_N, condition=rep.cond)
     a = cho_solve(cho_factor(rep.gram), problem.rhs)
-    g = np.tensordot(a, np.conj(fam.members), axes=(0, 0))
+    g = fam.combination(a, conjugate=True)
     residual = np.abs(fam.pairing(g) - problem.rhs)
     rhs_scale = max(1.0, float(np.max(np.abs(problem.rhs))))
     if float(np.max(residual)) > 1e-6 * max(1.0, rep.cond) * rhs_scale:
@@ -224,15 +221,13 @@ def synthesize(problem: MomentProblem,
             f"synthesized control is not real (sup imag {imag_max:.3e}); "
             "rhs extension inconsistent with member conjugation")
 
-    wv = fam.weight_vector()
-    norm = float(np.sqrt(np.real(np.sum((g.reshape(-1) * wv) * np.conj(g.reshape(-1))))))
+    norm = float(np.sqrt(fam.dense_norm_sq(g)))
 
     if spot_check_seed is not None and spot_check_dirs > 0:
         _min_norm_spot_check(fam, rep, g, norm, spot_check_seed, spot_check_dirs)
 
     return ControlSignal(np.real(f).copy(), a, residual, imag_max,
-                         rep.cond, rep.m_N, norm, fam.grid, fam.index_set,
-                         f_complex=f.copy())
+                         rep.cond, rep.m_N, norm, fam.grid, fam.index_set)
 
 
 def _min_norm_spot_check(fam: SequenceFamily, rep, g, norm,
@@ -245,20 +240,17 @@ def _min_norm_spot_check(fam: SequenceFamily, rep, g, norm,
     and by Pythagoras can only add norm.
     """
     rng = np.random.default_rng(seed)
-    wv = fam.weight_vector()
-    gf = g.reshape(-1)
     for _ in range(dirs):
-        v = rng.standard_normal(gf.shape)
-        x = np.linalg.solve(rep.gram, fam.pairing(v))
-        v_par = np.tensordot(x, np.conj(fam.flat()), axes=(0, 0))
-        v_perp = v - v_par
+        v = rng.standard_normal(g.shape)
+        moments_v = fam.pairing(v)
+        x = np.linalg.solve(rep.gram, moments_v)
+        v_perp = v - fam.combination(x, conjugate=True)
         moments = np.max(np.abs(fam.pairing(v_perp)))
-        vnorm = np.sqrt(np.real(np.sum((v_perp * wv) * np.conj(v_perp))))
-        if moments > 1e-7 * (1.0 + float(np.max(np.abs(fam.pairing(v))))) * rep.cond:
+        vnorm = np.sqrt(fam.dense_norm_sq(v_perp))
+        if moments > 1e-7 * (1.0 + float(np.max(np.abs(moments_v)))) * rep.cond:
             raise InternalConsistencyError(
                 f"span projection left residual moments {moments:.3e}")
-        perturbed = np.sqrt(np.real(np.sum(((gf + v_perp) * wv)
-                                           * np.conj(gf + v_perp))))
+        perturbed = np.sqrt(fam.dense_norm_sq(g + v_perp))
         if perturbed < norm * (1.0 - 1e-9) - 1e-12 and vnorm > 0:
             raise InternalConsistencyError(
                 "minimum-norm violated by a span-orthogonal perturbation")

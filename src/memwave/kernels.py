@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 from .grid import TimeGrid
 
 KERNEL_FAMILIES = ("zero", "exponential_sum", "polynomial", "tabulated")
@@ -133,7 +133,9 @@ def kernel_terms(spec: KernelSpec, gamma: float) -> Optional[tuple]:
     gives -a/b at rate 2 gamma - b plus a/b at rate 2 gamma, rate zero
     gives a t at rate 2 gamma, and a polynomial coefficient a_j gives
     a_j/(j+1) t^(j+1) at rate 2 gamma.  Terms with equal (p, r) are
-    merged.  Tabulated kernels have no terms.
+    merged.  Tabulated kernels have no terms.  A rate too small to
+    separate 2 gamma - b from 2 gamma in floating point takes the rate
+    zero limit, so the pair of terms does not cancel to nothing.
     """
     r0 = 2.0 * gamma
     acc = {(0, r0): 1.0}
@@ -143,7 +145,7 @@ def kernel_terms(spec: KernelSpec, gamma: float) -> Optional[tuple]:
 
     if spec.family == "exponential_sum":
         for a, b in zip(spec.coefficients, spec.rates):
-            if b == 0:
+            if r0 - b == r0:
                 add(float(a), 1, r0)
             else:
                 add(a / b, 0, r0)
@@ -266,19 +268,32 @@ def normalize(spec: KernelSpec, grid: TimeGrid) -> NormalizedKernel:
     gamma = -0.5 * m0
     alpha = spec.c + gamma
 
-    Nt = 1.0 + I
-    E2 = np.exp(2.0 * gamma * t)
-    N = E2 * Nt
-    # 2*gamma + M(0) = 0 exactly, so Np[0] is an exact zero
-    Np = E2 * (2.0 * gamma * Nt + M)
-    Npp = E2 * (4.0 * gamma ** 2 * Nt + 4.0 * gamma * M + Mp)
-    Nppp = E2 * (8.0 * gamma ** 3 * Nt + 12.0 * gamma ** 2 * M + 6.0 * gamma * Mp + Mpp)
+    # a large kernel coefficient overflows the exponentials (exp(-alpha t)
+    # with alpha ~ -M(0)/2); the finite check below reports it instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        Nt = 1.0 + I
+        E2 = np.exp(2.0 * gamma * t)
+        N = E2 * Nt
+        # 2*gamma + M(0) = 0 exactly, so Np[0] is an exact zero
+        Np = E2 * (2.0 * gamma * Nt + M)
+        Npp = E2 * (4.0 * gamma ** 2 * Nt + 4.0 * gamma * M + Mp)
+        Nppp = E2 * (8.0 * gamma ** 3 * Nt + 12.0 * gamma ** 2 * M
+                     + 6.0 * gamma * Mp + Mpp)
 
-    Em = np.exp(-alpha * t)
-    N1 = Em * Np
-    N1[0] = 0.0
-    N1p = Em * (Npp - alpha * Np)
-    N1pp = Em * (Nppp - 2.0 * alpha * Npp + alpha ** 2 * Np)
+        Em = np.exp(-alpha * t)
+        N1 = Em * Np
+        N1[0] = 0.0
+        N1p = Em * (Npp - alpha * Np)
+        N1pp = Em * (Nppp - 2.0 * alpha * Npp + alpha ** 2 * Np)
+
+    for name, values in (("N", N), ("Np", Np), ("N1", N1), ("N1p", N1p),
+                         ("N1pp", N1pp)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ConvergenceError(
+                f"normalize: kernel field {name} is not finite from step "
+                f"{bad[0]} (t = {t[bad[0]]:.6g}); gamma = {gamma:.6g}, "
+                f"alpha = {alpha:.6g}: the exponential rescaling overflows")
 
     return NormalizedKernel(gamma, alpha, N, Np, N1, N1p, N1pp, grid, spec,
                             kernel_terms(spec, gamma))

@@ -10,6 +10,21 @@ on the eigenvalue computation.
 
 Inner-product convention: the second argument is conjugated.  Stated
 once here, used everywhere.
+
+Separable representation.  Every member is rank one, a boundary trace
+times a time profile, m_k(x, t) = psi_k(x) Z_k(t), so a family keeps
+the two factors, psi (count, nodes) and profiles (count, steps+1), and
+never the dense (count, nodes, steps+1) outer products.  The weighted
+inner product over the boundary cylinder splits with them:
+
+    Gram_nk         = (sum_x w_x psi_n conj psi_k) * (sum_t w_t Z_n conj Z_k)
+    int m_k g       = sum_t ((psi w_x) @ g)_kt Z_kt w_t
+    sum_k a_k m_k   = (psi.T * a) @ profiles
+
+The Gram is the entrywise (Hadamard) product of a boundary Gram and a
+time Gram; a dense grid function g (nodes, steps+1) is made only where
+one is needed, for the synthesized control.  One-node families (the
+interval) take psi = 1.
 """
 
 from __future__ import annotations
@@ -20,7 +35,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigvalsh
 
-from .errors import ConfigError, InternalConsistencyError, NotControllableError
+from .errors import (ConfigError, ConvergenceError, InternalConsistencyError,
+                     NotControllableError)
 from .grid import TimeGrid, trapezoid_weights
 from .spectral import EigenPair
 
@@ -29,68 +45,99 @@ CONDITION_CAP = 1e8
 
 @dataclass(frozen=True)
 class SequenceFamily:
-    """Indexed family of Gamma-valued grid functions on [0, T]."""
+    """Indexed family of separable Gamma-valued grid functions on [0, T].
 
-    members: np.ndarray          # (count, nodes, steps+1) complex
-    index_set: tuple             # signed indices aligned with members
+    Member k is psi[k] (x) profiles[k]; psi defaults to ones (count, 1),
+    a one-node family.  gamma_weights are the boundary quadrature
+    weights (ones by default).
+    """
+
+    profiles: np.ndarray         # (count, steps+1) complex time profiles
+    index_set: tuple             # signed indices aligned with the rows
     label: str
     grid: TimeGrid
     gamma_weights: np.ndarray = None
+    psi: np.ndarray = None       # (count, nodes) complex boundary traces
 
     def __post_init__(self):
-        m = np.asarray(self.members, dtype=complex)
-        if m.ndim == 2:
-            m = m[:, None, :]
-        if m.ndim != 3 or m.shape[2] != self.grid.steps + 1:
-            raise ConfigError(f"member array shape {m.shape} does not match grid")
-        if m.shape[0] != len(self.index_set):
+        z = np.asarray(self.profiles, dtype=complex)
+        if z.ndim != 2 or z.shape[1] != self.grid.steps + 1:
+            raise ConfigError(f"profile array shape {z.shape} does not match grid")
+        if z.shape[0] != len(self.index_set):
             raise ConfigError("index_set length does not match member count")
-        object.__setattr__(self, "members", m)
+        psi = (np.ones((z.shape[0], 1), dtype=complex) if self.psi is None
+               else np.asarray(self.psi, dtype=complex))
+        if psi.ndim != 2 or psi.shape[0] != z.shape[0]:
+            raise ConfigError(f"trace array shape {psi.shape} does not match "
+                              f"{z.shape[0]} members")
         gw = self.gamma_weights
-        gw = np.ones(m.shape[1]) if gw is None else np.asarray(gw, dtype=float)
-        if gw.shape != (m.shape[1],):
+        gw = np.ones(psi.shape[1]) if gw is None else np.asarray(gw, dtype=float)
+        if gw.shape != (psi.shape[1],):
             raise ConfigError("gamma_weights shape does not match member nodes")
+        object.__setattr__(self, "profiles", z)
+        object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "gamma_weights", gw)
 
     @property
     def count(self) -> int:
-        return self.members.shape[0]
+        return self.profiles.shape[0]
 
-    def flat(self) -> np.ndarray:
-        """Members flattened over (node, time) with quadrature weights
-        pre-multiplied into a parallel weight vector."""
-        return self.members.reshape(self.count, -1)
+    @property
+    def members(self) -> np.ndarray:
+        """Dense (count, nodes, steps+1) members, built on every read.
 
-    def weight_vector(self) -> np.ndarray:
+        For inspection only: nothing in the pipeline needs them.
+        """
+        return self.psi[:, :, None] * self.profiles[:, None, :]
+
+    def _dense(self, g: np.ndarray) -> np.ndarray:
+        return np.asarray(g).reshape(self.psi.shape[1], self.grid.steps + 1)
+
+    def _pair(self, g, psi, profiles) -> np.ndarray:
         wt = trapezoid_weights(self.grid)
-        return np.outer(self.gamma_weights, wt).reshape(-1)
+        return (((psi * self.gamma_weights) @ self._dense(g)) * profiles) @ wt
 
     def norms_sq(self) -> np.ndarray:
-        A = self.flat()
-        return np.real(np.sum((A * self.weight_vector()) * np.conj(A), axis=1))
+        wt = trapezoid_weights(self.grid)
+        return ((np.abs(self.psi) ** 2 @ self.gamma_weights)
+                * (np.abs(self.profiles) ** 2 @ wt))
 
     def inner_against(self, g: np.ndarray) -> np.ndarray:
         """<g, member_k> for every k (second argument conjugated)."""
-        gf = np.asarray(g, dtype=complex).reshape(-1)
-        return (np.conj(self.flat()) * self.weight_vector()) @ gf
+        return self._pair(g, np.conj(self.psi), np.conj(self.profiles))
 
     def pairing(self, g: np.ndarray) -> np.ndarray:
         """Bilinear integrals int member_k * g (no conjugation)."""
-        gf = np.asarray(g, dtype=complex).reshape(-1)
-        return (self.flat() * self.weight_vector()) @ gf
+        return self._pair(g, self.psi, self.profiles)
+
+    def combination(self, coefficients: np.ndarray,
+                    conjugate: bool = False) -> np.ndarray:
+        """Dense (nodes, steps+1) sum_k a_k member_k, or with conjugate
+        set, sum_k a_k conj(member_k)."""
+        a = np.asarray(coefficients)
+        if conjugate:
+            return (np.conj(self.psi).T * a) @ np.conj(self.profiles)
+        return (self.psi.T * a) @ self.profiles
+
+    def dense_norm_sq(self, g: np.ndarray) -> float:
+        """Weighted L2 norm squared of a dense (nodes, steps+1) g."""
+        g = self._dense(g)
+        return float(self.gamma_weights
+                     @ (np.real(g * np.conj(g)) @ trapezoid_weights(self.grid)))
 
     def subfamily(self, positions: Sequence[int], label: str = None) -> "SequenceFamily":
         pos = list(positions)
-        return SequenceFamily(self.members[pos], tuple(self.index_set[p] for p in pos),
-                              label or self.label, self.grid, self.gamma_weights)
+        return SequenceFamily(self.profiles[pos], tuple(self.index_set[p] for p in pos),
+                              label or self.label, self.grid, self.gamma_weights,
+                              self.psi[pos])
 
     def restrict(self, steps: int) -> "SequenceFamily":
-        """The family on [0, steps*h] of the same grid.  Members are causal
+        """The family on [0, steps*h] of the same grid.  Profiles are causal
         in t (marched responses, or closed forms sampled on the grid), so
         slicing is the family a fresh build on the shorter grid gives."""
         grid = self.grid.restrict(steps)
-        return SequenceFamily(self.members[:, :, :steps + 1], self.index_set,
-                              self.label, grid, self.gamma_weights)
+        return SequenceFamily(self.profiles[:, :steps + 1], self.index_set,
+                              self.label, grid, self.gamma_weights, self.psi)
 
 
 @dataclass(frozen=True)
@@ -119,8 +166,14 @@ def gram_matrix(family: SequenceFamily, truncation: int = None) -> np.ndarray:
     N = family.count if truncation is None else truncation
     if not (1 <= N <= family.count):
         raise ConfigError(f"truncation {N} outside [1, {family.count}]")
-    A = family.flat()[:N]
-    G = (A * family.weight_vector()) @ np.conj(A).T
+    psi, Z = family.psi[:N], family.profiles[:N]
+    boundary = (psi * family.gamma_weights) @ np.conj(psi).T
+    temporal = (Z * trapezoid_weights(family.grid)) @ np.conj(Z).T
+    G = boundary * temporal
+    if not np.all(np.isfinite(G)):
+        raise ConvergenceError(
+            f"Gram of {family.label!r} is not finite (NaN or Inf entries); "
+            "the members overflow")
     herm_gap = float(np.max(np.abs(G - np.conj(G).T)))
     scale = max(1.0, float(np.max(np.abs(G))))
     if herm_gap > 1e-12 * scale:
@@ -162,10 +215,15 @@ def quadratic_closeness(a: SequenceFamily, b: SequenceFamily,
     """
     if a.index_set != b.index_set:
         raise ConfigError("closeness needs identical index sets")
-    if a.grid.steps != b.grid.steps or a.members.shape != b.members.shape:
+    if a.grid.steps != b.grid.steps or a.profiles.shape != b.profiles.shape:
         raise ConfigError("closeness needs identical grids and member shapes")
-    D = a.flat() - b.flat()
-    d2 = np.real(np.sum((D * a.weight_vector()) * np.conj(D), axis=1))
+    if not np.array_equal(a.psi, b.psi):
+        raise ConfigError("closeness needs identical boundary traces")
+    # |psi_k (x) (Z_k - Z'_k)|^2 = |psi_k|^2 |Z_k - Z'_k|^2: the profile
+    # difference is taken before squaring, so nothing cancels
+    D = a.profiles - b.profiles
+    d2 = ((np.abs(a.psi) ** 2 @ a.gamma_weights)
+          * (np.real(D * np.conj(D)) @ trapezoid_weights(a.grid)))
     nblocks = len(d2) // block
     blocks = [float(np.sum(d2[i * block:(i + 1) * block])) for i in range(nblocks)]
     return {
@@ -184,8 +242,14 @@ def biorthogonal(family: SequenceFamily, truncation: int = None,
     Raises the near-degenerate error (carrying m_N) when the Gram
     condition exceeds the cap: at that point the duals are numerically
     meaningless, which is the finite-section signature of a horizon
-    below the sharp control time or of too deep a truncation.
+    below the sharp control time or of too deep a truncation.  The duals
+    of a one-node family are one-node again, with profiles
+    Cinv @ (psi * profiles); multi-node families are refused.
     """
+    if family.psi.shape[1] != 1:
+        raise ConfigError(
+            f"biorthogonal duals need a one-node family; {family.label!r} "
+            f"has {family.psi.shape[1]} boundary nodes")
     rep = gram(family, truncation)
     N = rep.gram.shape[0]
     if not np.isfinite(rep.cond) or rep.cond > condition_cap:
@@ -199,8 +263,8 @@ def biorthogonal(family: SequenceFamily, truncation: int = None,
     if residual > 1e-8 * max(rep.cond, 1.0):
         raise InternalConsistencyError(
             f"biorthogonal residual {residual:.3e} above 1e-8 * condition")
-    members = np.tensordot(Cinv, family.members[:N], axes=(1, 0))
-    duals = SequenceFamily(members, family.index_set[:N],
+    profiles = Cinv @ (family.psi[:N] * family.profiles[:N])
+    duals = SequenceFamily(profiles, family.index_set[:N],
                            f"{family.label}-dual", family.grid, family.gamma_weights)
     return duals, rep, residual
 
@@ -250,7 +314,7 @@ def coefficient_decay_check(family: SequenceFamily, combo: np.ndarray,
     if combo.shape != (family.count,):
         raise ConfigError("combo length must match family size")
     duals, rep, _ = biorthogonal(family, condition_cap=condition_cap)
-    Phi = np.tensordot(combo, family.members, axes=(0, 0))
+    Phi = family.combination(combo)
     recovered = duals.inner_against(Phi)
     err = float(np.max(np.abs(recovered - combo)))
     if betas is None:

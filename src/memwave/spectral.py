@@ -248,11 +248,23 @@ def compute_eigenpairs(domain: DomainSpec, count: int, alpha: float,
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
-    if domain.geometry == "rectangle":
-        return _rectangle(domain, count, alpha)
-    if callable(domain.a) or callable(domain.q):
-        return _interval_variable(domain, count, alpha, nx)
-    return _interval_constant(domain, count, alpha)
+    try:
+        if domain.geometry == "rectangle":
+            pairs = _rectangle(domain, count, alpha)
+        elif callable(domain.a) or callable(domain.q):
+            pairs = _interval_variable(domain, count, alpha, nx)
+        else:
+            pairs = _interval_constant(domain, count, alpha)
+    except OverflowError:
+        pairs = None
+    if pairs is None or not all(
+            np.isfinite(p.lambda_sq) and np.isfinite(p.beta)
+            and np.all(np.isfinite(p.psi)) for p in pairs):
+        raise ConfigError(
+            f"the first {count} eigenpairs of {domain.geometry} "
+            f"{list(domain.lengths)} (alpha = {alpha:.6g}) leave the "
+            "floating-point range")
+    return pairs
 
 
 def trace_diagnostics(pairs: Sequence[EigenPair],

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from memwave import ConfigError
-from memwave.cli import main
+from memwave import ConfigError, SequenceFamily
+from memwave.cli import _write_csv, main
 from memwave.config import EXPERIMENTS, config_hash, from_dict, load
 
 PI = np.pi
@@ -218,15 +223,30 @@ def test_cli_non_finite_config_exits_two(tmp_path, capsys, command, doc):
 
 
 def test_cli_non_finite_artifact_exits_three(tmp_path, capsys):
-    # a huge kernel coefficient overflows the normalization; the Gram
-    # collapses and its condition is infinite, which no artifact may hold
+    # 24 members on 6 time samples: the Gram has rank 6 at most, its
+    # lowest computed eigenvalue is roundoff below zero and the condition
+    # infinite, which no artifact may hold
+    doc = base("gram", T=0.05, K=12,
+               kernel={"family": "exponential_sum",
+                       "coefficients": [1.0], "rates": [1.0]})
+    code = run(tmp_path, doc, out=tmp_path / "store", grid_h=1e-2)
+    assert code == 3
+    assert "gram.json" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+
+
+def test_cli_kernel_overflow_exits_three_at_normalize(tmp_path, capsys):
+    # a huge kernel coefficient overflows the exponential rescaling; the
+    # run stops in normalize, before any warning or artifact
     doc = base("gram", T=2.5 * PI, K=3,
                kernel={"family": "exponential_sum",
                        "coefficients": [1e6], "rates": [1.0]})
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = run(tmp_path, doc, out=tmp_path / "store", grid_h=1e-2)
     assert code == 3
-    assert "gram.json" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "normalize" in err and "N1" in err and "step 1" in err
     assert not (tmp_path / "store").exists()
 
 
@@ -330,3 +350,88 @@ def test_cli_grid_h_flag_controls_step(tmp_path):
     assert meta["grid_h"] == pytest.approx(5e-3, rel=1e-2)
     assert meta["grid_steps"] == round(PI / 5e-3)
     assert meta["fit_from_mode"] == 5
+
+
+def test_cli_rectangle_never_builds_dense_members(tmp_path, monkeypatch):
+    # families keep psi and Z apart: no CLI path may ask for the dense
+    # (count, nodes, steps+1) members
+    def refuse(self):
+        raise AssertionError("dense members materialised")
+    monkeypatch.setattr(SequenceFamily, "members", property(refuse))
+    common = dict(K=2, K_sim=3, target="random", seed=2,
+                  domain={"geometry": "rectangle", "lengths": [PI, PI],
+                          "gamma_subset": ["right"]},
+                  kernel={"family": "exponential_sum",
+                          "coefficients": [1.0], "rates": [1.0]})
+    store = tmp_path / "store"
+    for command, doc in (
+            ("synthesize", base("synthesize", T=2.5 * PI, **common)),
+            ("verify", base("verify", T=2.5 * PI, **common)),
+            ("sweep-t", base("sweep-T", sweep={"T_min": 2.0 * PI,
+                                               "T_max": 2.5 * PI, "steps": 2},
+                             **common))):
+        assert run(tmp_path, doc, command=command, out=store, grid_h=2e-2,
+                   name=f"{command}.json") == 0, command
+
+
+def test_write_csv_bytes_match_per_value_formatting(tmp_path):
+    data = np.array([[-0.0, 0.0, 1e-300, 1e300, 5e-324],
+                     [3.0, -7.0, -2.5e-17, 0.1, -1.7976931348623157e308],
+                     [12345678901234567.0, -1.0 / 3.0, 2.0 ** 53, -1e-5, PI]])
+    path = tmp_path / "x.csv"
+    _write_csv(str(path), ["a", "b", "c", "d", "e"], data, "h")
+    lines = ["# config_hash=h", "# a,b,c,d,e"]
+    lines += [",".join("%.17g" % float(v) for v in row) for row in data]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert path.read_text().splitlines()[2].startswith("-0,0,")
+
+
+_FAIL_CLOSED = {0, 2, 3, 4, 5}
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(length=st.floats(0.5, 4.0), c=st.floats(-2.0, 2.0),
+       family=st.sampled_from(["exponential_sum", "polynomial"]),
+       coefficients=st.lists(st.one_of(st.floats(-5.0, 5.0),
+                                       st.floats(-1e8, 1e8)),
+                             min_size=1, max_size=2),
+       rate=st.floats(0.0, 5.0), T=st.floats(0.5, 8.0),
+       K=st.integers(1, 4))
+# found by this test: eigenvalues beyond float range (traceback), a
+# vanishing rate whose kernel terms cancelled to none (traceback), and
+# an overflowing Gram (traceback)
+@example(length=1.3e-242, c=0.0, family="exponential_sum",
+         coefficients=[0.0], rate=0.0, T=1.0, K=1)
+@example(length=1.0, c=0.0, family="exponential_sum",
+         coefficients=[8e-150], rate=2.2e-313, T=1.0, K=1)
+@example(length=4.8e-116, c=0.0, family="exponential_sum",
+         coefficients=[0.0], rate=0.0, T=1.0, K=1)
+def test_cli_gram_fails_closed(tmp_path, length, c, family, coefficients,
+                               rate, T, K):
+    # any small interval gram config ends in a documented exit code, and a
+    # success writes finite strict JSON only
+    kernel = {"family": family, "coefficients": coefficients}
+    if family == "exponential_sum":
+        kernel["rates"] = [rate] * len(coefficients)
+    doc = base("gram", T=T, K=K, kernel=kernel,
+               domain={"geometry": "interval", "lengths": [length], "c": c})
+    store = tmp_path / config_hash(doc)
+    with warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore")
+        code = run(tmp_path, doc, out=store, grid_h=5e-2)
+    assert code in _FAIL_CLOSED
+    if code == 0:
+        (adir,) = store.iterdir()
+        def reject(token):
+            raise AssertionError(f"non-finite {token} in gram.json")
+        meta = json.loads((adir / "gram.json").read_text(),
+                          parse_constant=reject)
+        assert all(math.isfinite(meta[k])
+                   for k in ("frame_lower", "frame_upper", "condition"))
+        table = np.loadtxt(adir / "gram_abs.csv", delimiter=",", ndmin=2)
+        assert np.all(np.isfinite(table))
+    else:
+        assert not store.exists()

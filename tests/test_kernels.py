@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from memwave import (ConfigError, KernelSpec, NormalizedKernel, TimeGrid,
-                     convolve, make_grid, normalize, resolvent)
+from memwave import (ConfigError, ConvergenceError, KernelSpec,
+                     NormalizedKernel, TimeGrid, convolve, make_grid,
+                     normalize, resolvent)
 from memwave.kernels import kernel_terms
 
 # closed forms used as oracles below (single decaying exponential M = e^{-t}):
@@ -171,3 +174,25 @@ def test_kernel_spec_validation():
         KernelSpec("exponential_sum", coefficients=(1.0,), rates=())
     with pytest.raises(ConfigError):
         normalize(KernelSpec("tabulated", samples=np.ones(7)), TimeGrid(1.0, 10))
+
+
+def test_normalize_overflow_fails_closed():
+    # M(0) = 1e6 makes exp(-alpha t) overflow from the first step on
+    spec = KernelSpec("exponential_sum", coefficients=(1e6,), rates=(1.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as err:
+            normalize(spec, make_grid(2.5 * np.pi, 1e-2))
+    assert err.value.exit_code == 3
+    assert "normalize" in str(err.value) and "N1 " in str(err.value)
+    assert "step 1 " in str(err.value)
+
+
+def test_vanishing_rate_takes_rate_zero_limit():
+    # 2 gamma - b rounds to 2 gamma: the pair a/b (e^{2 gamma t} -
+    # e^{(2 gamma - b) t}) is replaced by its limit a t e^{2 gamma t}
+    spec = KernelSpec("exponential_sum", coefficients=(1e-3,),
+                      rates=(1e-300,))
+    gamma = -0.5e-3
+    assert kernel_terms(spec, gamma) == ((1.0, 0, 2 * gamma),
+                                         (1e-3, 1, 2 * gamma))

@@ -145,7 +145,7 @@ def test_sine_cosine_rejects_degenerate_modes():
 def test_quadratic_closeness_exact_values():
     fam = fourier_family(8, 2 * PI)
     eps = np.array([1.0 / abs(n) ** 2 for n in fam.index_set])
-    other = SequenceFamily(fam.members + eps[:, None, None],
+    other = SequenceFamily(fam.profiles + eps[:, None],
                            fam.index_set, "shifted", fam.grid)
     out = quadratic_closeness(fam, other, block=4)
     expected = eps ** 2 * 2 * PI      # constant offset of norm |eps| each
@@ -165,7 +165,7 @@ def test_closeness_requires_matching_index_sets():
 def test_paley_wiener_tail_bound():
     exact = fourier_family(10, 2 * PI)
     wobble = np.array([0.02 / abs(n) for n in exact.index_set])
-    perturbed = SequenceFamily(exact.members + wobble[:, None, None],
+    perturbed = SequenceFamily(exact.profiles + wobble[:, None],
                                exact.index_set, "perturbed", exact.grid)
     out = paley_wiener_check(perturbed, exact, start=4)
     assert out["hypothesis"]
@@ -218,7 +218,7 @@ def test_scalar_members_promote_to_one_node():
     grid = TimeGrid(1.0, 100)
     fam = SequenceFamily(np.ones((2, 101), dtype=complex), (1, 2), "flat", grid)
     assert fam.members.shape == (2, 1, 101)
-    assert fam.flat().shape == (2, 101)
+    assert fam.psi.shape == (2, 1) and np.all(fam.psi == 1)
 
 
 def test_subfamily_keeps_grid_and_labels():
