@@ -201,6 +201,9 @@ def from_dict(doc: dict, experiment: Optional[str] = None) -> RunConfig:
     if N_modes < K:
         raise ConfigError(f"N_modes={N_modes} smaller than truncation K={K}")
     K_sim = _number(doc, "K_sim", default=4 * K, integer=True, low=0)
+    if exp == "verify" and K_sim < K:
+        raise ConfigError(f"verify simulates the K={K} controlled modes, "
+                          f"so K_sim={K_sim} must be at least K")
 
     needs_T = exp in ("responses", "gram", "synthesize", "verify")
     T = _number(doc, "T", required=needs_T, low=0.0)

@@ -22,16 +22,17 @@ The third derivative of N (hence M'' for tabulated input) is only
 needed by the refined closeness diagnostics; closed-form families
 supply it exactly.
 
-For every closed-form family N is also a short exact sum of terms
-c t^p exp(r t) (kernel_terms); the modal marches use those terms to
-carry their memory sums by recursion instead of re-summing the history.
+For every closed-form family N is also known exactly as exp(2 gamma t)
+times a polynomial plus integrals of decaying exponentials
+(kernel_terms); the modal marches use that form to carry their memory
+sums by recursion instead of re-summing the history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -95,8 +96,8 @@ class NormalizedKernel:
     N1pp: np.ndarray
     grid: TimeGrid
     spec: KernelSpec = field(repr=False, default=None)
-    # exact (c, p, r) terms of N = sum c t^p exp(r t); None for tabulated
-    terms: Optional[tuple] = None
+    # exact closed form of N (kernel_terms); None for tabulated
+    terms: Optional["KernelTerms"] = None
 
     @cached_property
     def L(self) -> np.ndarray:
@@ -126,36 +127,49 @@ class NormalizedKernel:
                                 g, self.spec, self.terms)
 
 
-def kernel_terms(spec: KernelSpec, gamma: float) -> Optional[tuple]:
-    """Exact terms (c, p, r) with N(t) = sum c t^p exp(r t), or None.
+def decay_integral(b: float, t):
+    """phi_b(t) = int_0^t exp(-b s) ds = -expm1(-b t) / b.
 
-    N = exp(2 gamma t) (1 + int_0^t M), so an exponential rate b > 0
-    gives -a/b at rate 2 gamma - b plus a/b at rate 2 gamma, rate zero
-    gives a t at rate 2 gamma, and a polynomial coefficient a_j gives
-    a_j/(j+1) t^(j+1) at rate 2 gamma.  Terms with equal (p, r) are
-    merged.  Tabulated kernels have no terms.  A rate too small to
-    separate 2 gamma - b from 2 gamma in floating point takes the rate
-    zero limit, so the pair of terms does not cancel to nothing.
+    expm1 keeps it exact to rounding at any rate, where (1 - exp(-b t))/b
+    loses ~log10(1/(b t)) digits; where b t is below rounding phi_b(t)
+    is t (its series is t (1 - b t / 2 + ...)), which also covers b = 0.
     """
-    r0 = 2.0 * gamma
-    acc = {(0, r0): 1.0}
+    x = b * np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x < 2.0 ** -53, t, -np.expm1(-x) / b)
 
-    def add(c, p, r):
-        acc[(p, r)] = acc.get((p, r), 0.0) + c
 
+class KernelTerms(NamedTuple):
+    """Exact closed form N(t) = exp(rate t) (sum_p poly[p] t^p
+    + sum_(a, b) in decays a phi_b(t)), with phi_b = decay_integral."""
+
+    rate: float
+    poly: tuple
+    decays: tuple
+
+
+def kernel_terms(spec: KernelSpec, gamma: float) -> Optional[KernelTerms]:
+    """The exact closed form of N for a closed-form family, or None.
+
+    N = exp(2 gamma t) (1 + int_0^t M), so an exponential a exp(-b t)
+    adds the decay (a, b), that is a phi_b(t) (a t at b = 0), and a
+    polynomial coefficient a_j adds a_j/(j+1) t^(j+1).  Decays with equal
+    rates are merged and dropped if their coefficients cancel.  The pair
+    a/b (exp(2 gamma t) - exp((2 gamma - b) t)) is never formed, so a
+    small rate costs no digits.  Tabulated kernels have no closed form.
+    """
+    if spec.family == "zero":
+        return KernelTerms(2.0 * gamma, (1.0,), ())
     if spec.family == "exponential_sum":
+        decays = {}
         for a, b in zip(spec.coefficients, spec.rates):
-            if r0 - b == r0:
-                add(float(a), 1, r0)
-            else:
-                add(a / b, 0, r0)
-                add(-a / b, 0, r0 - b)
-    elif spec.family == "polynomial":
-        for j, a in enumerate(spec.coefficients):
-            add(a / (j + 1), j + 1, r0)
-    elif spec.family != "zero":
-        return None
-    return tuple((c, p, r) for (p, r), c in acc.items() if c != 0.0)
+            decays[float(b)] = decays.get(float(b), 0.0) + float(a)
+        return KernelTerms(2.0 * gamma, (1.0,),
+                           tuple((a, b) for b, a in decays.items() if a != 0.0))
+    if spec.family == "polynomial":
+        return KernelTerms(2.0 * gamma, (1.0,) + tuple(
+            a / (j + 1) for j, a in enumerate(spec.coefficients)), ())
+    return None
 
 
 def _closed_form_m(spec: KernelSpec, t: np.ndarray):
@@ -173,8 +187,7 @@ def _closed_form_m(spec: KernelSpec, t: np.ndarray):
             M += a * e
             Mp += -a * b * e
             Mpp += a * b * b * e
-            # rate zero degenerates to a constant term
-            I += a * t if b == 0 else (a / b) * (1.0 - e)
+            I += a * decay_integral(b, t)
         return M, Mp, Mpp, I
     if spec.family == "polynomial":
         cs = np.asarray(spec.coefficients, dtype=float)

@@ -13,14 +13,16 @@ trapezoid rule of the equivalent second-order form, so it is
 unconditionally stable at any step for the memoryless limit and remains
 stable at the default grids for the smooth kernels supported here.
 
-Cost model for a march of m steps over K modes.  A closed-form kernel is
-an exact sum of a few terms c t^p exp(r t) (kernels.kernel_terms), so
-the product-trapezoid history sum obeys an exact linear recurrence in a
-handful of states per rate: O(m K terms) work, with one Python time loop
-advancing every mode of a call together.  A tabulated kernel has no
-terms and keeps the direct history sum, O(m^2 K), one matrix-vector
-product per step.  The discretisation is the same either way; only the
-rounding differs.
+Cost model for a march of m steps over K modes.  For the closed-form
+families N is known exactly (kernels.KernelTerms), so the
+product-trapezoid history sum is carried exactly by a handful of states
+per mode, and one step is a fixed linear map on d = 2 + (polynomial
+terms) + (decay rates) numbers.  The march applies it BLOCK = B steps
+at a time with batched matrix products (_march_blocks): O(m K (B + d))
+flops and ceil(m/B) Python iterations.  A tabulated kernel has no
+closed form and keeps the direct history sum, O(m^2 K), one
+matrix-vector product per step.  The discretisation is the same either
+way; only the rounding differs.
 
 Z is additionally assembled by the variation-of-constants identity
 Z = z + N'*z + i beta (N*z), and the two routes are cross-checked; the
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, InternalConsistencyError
-from .kernels import NormalizedKernel, convolve
+from .kernels import KernelTerms, NormalizedKernel, convolve, decay_integral
 from .spectral import EigenPair
 
 
@@ -100,29 +102,165 @@ def growth_envelope(alpha: float, T: float) -> float:
     return math.exp(min((abs(2.0 * alpha) + 1.0) * T, 500.0))
 
 
-def _recursion_groups(terms, h, scale, const):
-    """Recurrence data for the history sum, one group per kernel rate r.
+# Steps per block of the state-space march (fastest of 16..256 at K = 12
+# modes, 7854 steps).
+BLOCK = 64
 
-    A group carries S_q = sum_{k<j} ((j-k) h)^q rho^(j-k) y_k for
-    q = 0..p_max with rho = exp(r h), and advances them by the exact
-    binomial rule S_q <- rho sum_{i<=q} C(q,i) h^(q-i) (S_i + [i=0] y_j),
-    whose weights W[q][i] are all positive.  The term c t^p exp(r t)
-    contributes scale c h S_p to the scaled history sum.  `const` turns
-    a number into the march's operand type.
-    Returns [(W, [(p, scale c h)], states)].
+
+def _step_map(terms: KernelTerms, h: float, A, B, Be0):
+    """One march step as the linear map x_j = M x_{j-1} + b F_{j-1}.
+
+    The state of a mode is x = (y, I, S_0..S_P, Phi_1..Phi_D): the value,
+    the memory integral and the history sums of N's closed form
+    (kernels.KernelTerms, rate r, poly P+1 long, D decays),
+        S_q(j)   = sum_{k<j} ((j-k) h)^q rho^(j-k) u_k,
+        Phi_i(j) = sum_{k<j} rho^(j-k) phi_i((j-k) h) u_k,
+    with rho = exp(r h) and u_k = y_k, except u_0 = y_0 / 2 (the
+    trapezoid end weight, folded into x_0 as S_0 = -y_0 / 2).  With
+    s = (S, Phi), s_j = W (s_{j-1} + e_0 y_{j-1}) by the positive
+    binomial rule for S and phi((n+1) h) = e^{-bh} phi(n h) + phi(h) for
+    Phi, so no entry of W is a difference of large numbers.  The history
+    part of the memory integral is P_j = g s_j with g = B h (poly, a),
+    and the trapezoid step over D reads
+        y_j = A y_{j-1} - I_{j-1} - P_j + F_{j-1},   I_j = P_j + Be0 y_j.
+    A, B and Be0 are (K,) arrays; returns M (K, d, d) and b (K, d).
     """
-    by_rate = {}
-    for c, p, r in terms:
-        by_rate.setdefault(r, []).append((p, c * h))
-    groups = []
-    for r, chs in by_rate.items():
-        rho = math.exp(r * h)
-        top = max(p for p, _ in chs)
-        W = [[const(rho * math.comb(q, i) * h ** (q - i)) for i in range(q + 1)]
-             for q in range(top + 1)]
-        groups.append((W, [(p, scale * const(ch)) for p, ch in chs],
-                       [const(0.0)] * (top + 1)))
-    return groups
+    rho = math.exp(terms.rate * h)
+    npoly = len(terms.poly)
+    ns = npoly + len(terms.decays)
+    W = np.zeros((ns, ns))
+    for q in range(npoly):
+        for i in range(q + 1):
+            W[q, i] = rho * math.comb(q, i) * h ** (q - i)
+    for i, (_, rate) in enumerate(terms.decays, start=npoly):
+        W[i, 0] = rho * float(decay_integral(rate, h))
+        W[i, i] = rho * math.exp(-rate * h)
+    c = np.array(terms.poly + tuple(a for a, _ in terms.decays))
+    gW = (B * h)[:, None] * (c @ W)
+    K = len(A)
+    M = np.zeros((K, ns + 2, ns + 2))
+    M[:, 2:, 0] = W[:, 0]
+    M[:, 2:, 2:] = W
+    P = np.zeros((K, ns + 2))        # P_j = P x_{j-1}
+    P[:, 0] = gW[:, 0]
+    P[:, 2:] = gW
+    M[:, 0] = -P
+    M[:, 0, 0] += A
+    M[:, 0, 1] = -1.0
+    M[:, 1] = P + Be0[:, None] * M[:, 0]
+    b = np.zeros((K, ns + 2))
+    b[:, 0] = 1.0
+    b[:, 1] = Be0
+    return M, b
+
+
+def _march_blocks(kernel: NormalizedKernel, A, B, Be0, y0, F,
+                  dtype) -> np.ndarray:
+    """y_0..y_m of x_j = M x_{j-1} + b F_{j-1} (_step_map), BLOCK steps
+    per product.
+
+    From a block start state x_s,
+        y_{s+i} = e_0 M^i x_s + sum_{l<i} e_0 M^(i-1-l) b F_{s+l},
+    a zero-input part and a lower-triangular Toeplitz zero-state part,
+    each one batched matrix product over every block at once; only the
+    block start states are carried, by a loop of ceil(m/BLOCK) tiny
+    updates.  M is real, so complex data runs as its real and imaginary
+    parts (rows of the same products).  Blocks are rows: BLAS gives a row
+    the same bits whatever the row count, so a march restricted to k
+    steps equals a fresh k-step march; a one-row product would go
+    through gemv, which sums in another order, hence at least two blocks.
+    F is (m, K) or None, and is released once copied; returns (m+1, K).
+    """
+    M, b = _step_map(kernel.terms, kernel.h, A, B, Be0)
+    m = kernel.grid.steps
+    K, d, _ = M.shape
+    c = 2 if dtype is complex else 1
+    nb = max(-(-m // BLOCK), 2)
+    Mi = np.empty((BLOCK + 1, K, d, d))          # Mi[i] = M^i
+    Mi[0] = np.eye(d)
+    for i in range(1, BLOCK + 1):
+        Mi[i] = Mi[i - 1] @ M
+    # zero-input rows e_0 M^i (i = 1..B) as (K, d, B), M^i b (i < B)
+    R = np.ascontiguousarray(Mi[1:, :, 0, :].transpose(1, 2, 0))
+    Mb = np.einsum("ikde,ke->kid", Mi[:BLOCK], b)
+    MBT = np.ascontiguousarray(Mi[BLOCK].transpose(0, 2, 1))
+    y0_parts = np.asarray(y0, dtype=dtype).reshape(1).view(float)
+    X = np.empty((nb, K, c, d))                   # block start states
+    X[0] = 0.0
+    X[0, :, :, 0] = y0_parts
+    X[0, :, :, 2] = -0.5 * y0_parts
+    if F is None:
+        Y = np.zeros((K, c * nb, BLOCK))
+        for k in range(nb - 1):
+            X[k + 1] = X[k] @ MBT
+    else:
+        Fb = np.zeros((K, c, nb * BLOCK))
+        Fb[:, :, :m] = F.view(float).reshape(m, K, c).transpose(1, 2, 0)
+        del F       # peak memory: the caller keeps no reference
+        Fb = Fb.reshape(K, c * nb, BLOCK)
+        # zero-state: T[l, i] = e_0 M^(i-l) b for i >= l, else 0
+        padded = np.concatenate([np.zeros((K, BLOCK - 1)), Mb[:, :, 0]], axis=1)
+        T = np.lib.stride_tricks.sliding_window_view(padded, BLOCK, axis=1)
+        Y = Fb @ np.ascontiguousarray(T[:, ::-1])
+        # block-end state drive sum_l M^(B-1-l) b F_{s+l}
+        GF = (Fb @ np.ascontiguousarray(Mb[:, ::-1])).reshape(
+            K, c, nb, d).transpose(2, 0, 1, 3)
+        del Fb      # freed before the zero-input product: peak memory
+        for k in range(nb - 1):
+            X[k + 1] = X[k] @ MBT + GF[k]
+    Y += np.ascontiguousarray(X.transpose(1, 2, 0, 3)).reshape(
+        K, c * nb, d) @ R
+    out = np.empty((m + 1, K), dtype=dtype)
+    out[0] = y0
+    out[1:].view(float).reshape(m, K, c)[...] = Y.reshape(
+        K, c, nb * BLOCK)[:, :, :m].transpose(2, 0, 1)
+    return out
+
+
+def _march_direct(kernel: NormalizedKernel, A, B, Be0, y0, F,
+                  dtype) -> np.ndarray:
+    """The same march with the history sum re-summed at every step, for
+    kernels without a closed form: O(m^2 K), one matrix-vector product
+    per step."""
+    N, h, m = kernel.N, kernel.h, kernel.grid.steps
+    Y = np.empty((m + 1, len(A)), dtype=dtype)
+    Y[0] = y0
+    y = Y[0]
+    I_prev = 0.0
+    for j in range(1, m + 1):
+        P = B * (h * (0.5 * N[j] * y0 + np.dot(N[j - 1:0:-1], Y[1:j])))
+        y = A * y - (I_prev + P)
+        if F is not None:
+            y = y + F[j - 1]
+        I_prev = P + Be0 * y
+        Y[j] = y
+    return Y
+
+
+def _first(bad: np.ndarray):
+    """(step, column) of the first True of a time-major (steps, K) mask."""
+    j = int(np.argmax(bad.any(axis=1)))
+    return j, int(np.argmax(bad[j]))
+
+
+def _trapezoid_forcing(forcing: np.ndarray, h: float, D, dtype, where: str,
+                       label: str) -> np.ndarray:
+    """F_{j-1} = h (f_{j-1} + f_j) / (2 D), the forcing of step j, (m, K).
+
+    Raises ConvergenceError at the first step where it is not finite: a
+    block product would spread 0 * NaN back to the start of the block.
+    """
+    f = forcing.reshape(len(forcing), -1)
+    F = np.add(f[:-1], f[1:], dtype=dtype)      # in place: one temporary
+    F *= 0.5 * h
+    F /= D
+    bad = ~np.isfinite(F)
+    if bad.any():
+        j, col = _first(bad)
+        raise ConvergenceError(
+            f"modal march forcing is not finite at step {j + 1} "
+            f"(t={(j + 1) * h:.4g}){where.format(col)} {label}")
+    return F
 
 
 def march_modal(kernel: NormalizedKernel, lam_sq, alpha: float,
@@ -132,26 +270,24 @@ def march_modal(kernel: NormalizedKernel, lam_sq, alpha: float,
     Solves y' = 2 alpha y - lam_sq (N * y) + forcing with y(0) = y0.
     lam_sq is a scalar, or a (K,) array marched as one batch of modes
     with forcing of shape (m+1, K); the result is time-major, (m+1,) or
-    (m+1, K).  The step body uses plain arithmetic only, so a single
-    mode runs on Python scalars and a batch on (K,) arrays.  Raises
-    ConvergenceError at the first step whose value is not finite or
-    leaves the Gronwall envelope, which at these grids only happens for
-    invalid input (a non-normalized kernel, a degenerate step or a
-    non-finite forcing).
+    (m+1, K).  A single mode is a batch of one.  Raises ConvergenceError
+    at the first step whose forcing is not finite, and at the first step
+    whose value is not finite or leaves the Gronwall envelope, which at
+    these grids only happens for invalid input (a non-normalized kernel
+    or a degenerate step).
     """
     h = kernel.h
     m = kernel.grid.steps
-    N = kernel.N
-    N0 = float(N[0])
+    N0 = float(kernel.N[0])
     lam = np.asarray(lam_sq, dtype=float)
     batch = lam.shape
     if len(batch) > 1:
         raise ConfigError(f"lam_sq must be a scalar or a 1-D array, got {batch}")
-    if not batch:
-        lam = float(lam)
     if forcing is not None and forcing.shape != (m + 1,) + batch:
         raise ConfigError(f"forcing shape {forcing.shape} does not match "
                           f"{(m + 1,) + batch}")
+    lam = lam.reshape(-1)
+    where = " in batch column {}" if batch else ""
     D = 1.0 - alpha * h + lam * h * h * N0 / 4.0
     if not np.all(D > 1e-12):
         raise ConvergenceError(
@@ -160,69 +296,28 @@ def march_modal(kernel: NormalizedKernel, lam_sq, alpha: float,
 
     dtype = complex if np.iscomplexobj(forcing) or isinstance(y0, complex) \
         else float
-    Y = np.empty((m + 1,) + batch, dtype=dtype)
-    Y[0] = y0
-    # Operands share one type: Python numbers for a single mode, (K,)
-    # arrays of the run's dtype for a batch (mixed-type numpy operations
-    # cost a cast per step).
-    if batch:
-        def const(v):
-            return np.full(batch, v, dtype=dtype)
-    else:
-        def const(v):
-            return dtype(v)
     # The trapezoid step over D reads y_j = A y_{j-1} - (I_{j-1} + P_j) + F_j
     # with I the memory integral and P_j its history part
     # h (N_j y_0 / 2 + sum_{0<k<j} N_{j-k} y_k), both scaled by
     # B = lam_sq h / (2 D).
-    A = const((1.0 + alpha * h) / D)
-    B = const(0.5 * lam * h / D)
-    Be0 = B * const(0.5 * h * N0)
-    groups = None if kernel.terms is None else \
-        _recursion_groups(kernel.terms, h, B, const)
+    A = (1.0 + alpha * h) / D
+    B = 0.5 * lam * h / D
+    Be0 = B * (0.5 * h * N0)
+    march = _march_direct if kernel.terms is None else _march_blocks
     with np.errstate(over="ignore", invalid="ignore"):
-        F = None
-        if forcing is not None:
-            F = 0.5 * h * (forcing[:-1] + forcing[1:]) / D
-            if not batch:
-                F = F.tolist()
-        y = const(y0)
-        u = const(0.5 * y0)  # y_0 enters the history with trapezoid weight 1/2
-        I_prev = const(0.0)
-        for j in range(1, m + 1):
-            if groups is None:
-                P = B * (h * (0.5 * N[j] * y0 + np.dot(N[j - 1:0:-1], Y[1:j])))
-            else:
-                P = None
-                for W, chs, st in groups:
-                    st[0] = st[0] + u
-                    for q in range(len(st) - 1, -1, -1):
-                        acc = W[q][0] * st[0]
-                        for i in range(1, q + 1):
-                            acc = acc + W[q][i] * st[i]
-                        st[q] = acc
-                    for p, ch in chs:
-                        term = ch * st[p]
-                        P = term if P is None else P + term
-            y = A * y - (I_prev + P)
-            if F is not None:
-                y = y + F[j - 1]
-            I_prev = P + Be0 * y
-            Y[j] = y
-            u = y
+        # F goes straight to the march, which may free it early
+        Y = march(kernel, A, B, Be0, y0, None if forcing is None else
+                  _trapezoid_forcing(forcing, h, D, dtype, where, label),
+                  dtype)
 
     bad = ~(np.abs(Y) <= bound)
     if bad.any():
-        rows = bad.reshape(m + 1, -1)
-        j = int(np.argmax(rows.any(axis=1)))
-        col = int(np.argmax(rows[j]))
-        where = f" in batch column {col}" if batch else ""
-        value = abs(Y.reshape(m + 1, -1)[j, col])
+        j, col = _first(bad)
         raise ConvergenceError(
             f"modal march left the Gronwall envelope at step {j} "
-            f"(t={j * h:.4g}){where}: |y|={value:.3e}, bound {bound:.3e}; "
-            f"non-finite input or step too large {label}")
-    return Y
+            f"(t={j * h:.4g}){where.format(col)}: |y|={abs(Y[j, col]):.3e}, "
+            f"bound {bound:.3e}; non-finite input or step too large {label}")
+    return Y.reshape((m + 1,) + batch)
 
 
 def solve_z(kernel: NormalizedKernel, lambda_sq: float,

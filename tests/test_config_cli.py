@@ -138,6 +138,8 @@ def test_mode_count_consistency():
         from_dict(base(K=10, N_modes=5))
     with pytest.raises(ConfigError):
         from_dict(base("gram"))                          # T required
+    with pytest.raises(ConfigError):                     # K_sim < K
+        from_dict(base("verify", T=1.0, K=3, K_sim=2, target="random"))
 
 
 def test_load_errors(tmp_path):
@@ -434,4 +436,50 @@ def test_cli_gram_fails_closed(tmp_path, length, c, family, coefficients,
         table = np.loadtxt(adir / "gram_abs.csv", delimiter=",", ndmin=2)
         assert np.all(np.isfinite(table))
     else:
+        assert not store.exists()
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(length=st.floats(0.5, 4.0), c=st.floats(-2.0, 2.0),
+       family=st.sampled_from(["zero", "exponential_sum", "polynomial"]),
+       coefficients=st.lists(st.one_of(st.floats(-5.0, 5.0),
+                                       st.floats(-1e8, 1e8)),
+                             min_size=1, max_size=2),
+       rate=st.one_of(st.floats(0.0, 5.0), st.floats(0.0, 1e-6),
+                      st.floats(0.0, 1e-300)),
+       T=st.floats(0.5, 8.0), K=st.integers(1, 3), K_sim=st.integers(1, 4),
+       h=st.floats(1e-2, 0.1), seed=st.integers(0, 3))
+# found by this test: K_sim < K (traceback)
+@example(length=1.0, c=0.0, family="zero", coefficients=[0.0], rate=0.0,
+         T=1.0, K=3, K_sim=2, h=0.0625, seed=0)
+def test_cli_verify_fails_closed(tmp_path, length, c, family, coefficients,
+                                 rate, T, K, K_sim, h, seed):
+    # any small interval verify config ends in a documented exit code, and
+    # a success writes a finite strict-JSON verdict
+    kernel = {"family": family}
+    if family != "zero":
+        kernel["coefficients"] = coefficients
+    if family == "exponential_sum":
+        kernel["rates"] = [rate] * len(coefficients)
+    doc = base("verify", T=T, K=K, K_sim=K_sim, target="random", seed=seed,
+               kernel=kernel,
+               domain={"geometry": "interval", "lengths": [length], "c": c})
+    store = tmp_path / config_hash(doc)
+    with warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore")
+        code = run(tmp_path, doc, out=store, grid_h=h)
+    assert code in _FAIL_CLOSED
+    if code == 0:
+        (adir,) = store.iterdir()
+        def reject(token):
+            raise AssertionError(f"non-finite {token} in verdict.json")
+        verdict = json.loads((adir / "verdict.json").read_text(),
+                             parse_constant=reject)
+        assert verdict["verdict"] == "PASS"
+        assert all(math.isfinite(verdict[k]) for k in
+                   ("achieved_error", "tolerance", "route_gap", "tail_energy"))
+    elif code != 5:
         assert not store.exists()

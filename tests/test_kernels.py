@@ -6,7 +6,7 @@ import pytest
 from memwave import (ConfigError, ConvergenceError, KernelSpec,
                      NormalizedKernel, TimeGrid, convolve, make_grid,
                      normalize, resolvent)
-from memwave.kernels import kernel_terms
+from memwave.kernels import decay_integral, kernel_terms
 
 # closed forms used as oracles below (single decaying exponential M = e^{-t}):
 #   gamma = -1/2, N(t) = 2 e^{-t} - e^{-2t}
@@ -118,19 +118,30 @@ def test_restrict_slices_every_field(exp_kernel):
 def test_kernel_terms_reproduce_N(spec, grid):
     ker = normalize(spec, grid)
     t = grid.t
-    N = sum(c * t ** p * np.exp(r * t) for c, p, r in ker.terms)
+    terms = ker.terms
+    N = np.exp(terms.rate * t) * (
+        np.polynomial.polynomial.polyval(t, terms.poly)
+        + sum(a * decay_integral(b, t) for a, b in terms.decays))
     assert np.max(np.abs(N - ker.N)) < 1e-13
-    # equal (power, rate) pairs are merged
-    assert len({(p, r) for _, p, r in ker.terms}) == len(ker.terms)
+    # decays with equal rates are merged
+    assert len({b for _, b in terms.decays}) == len(terms.decays)
     assert ker.restrict(100).terms == ker.terms
 
 
 def test_kernel_terms_families():
-    assert kernel_terms(KernelSpec("zero"), 0.0) == ((1.0, 0, 0.0),)
+    assert kernel_terms(KernelSpec("zero"), 0.0) == (0.0, (1.0,), ())
     # M = 2 e^{-t} + e^{-t}: gamma = -1.5, N = 4 e^{-3t} - 3 e^{-4t}
+    # = e^{-3t} (1 + 3 phi_1(t))
     spec = KernelSpec("exponential_sum", coefficients=(2.0, 1.0),
                       rates=(1.0, 1.0))
-    assert kernel_terms(spec, -1.5) == ((4.0, 0, -3.0), (-3.0, 0, -4.0))
+    assert kernel_terms(spec, -1.5) == (-3.0, (1.0,), ((3.0, 1.0),))
+    # M = 1 - t: gamma = -0.5, N = e^{-t} (1 + t - t^2 / 2)
+    spec = KernelSpec("polynomial", coefficients=(1.0, -1.0))
+    assert kernel_terms(spec, -0.5) == (-1.0, (1.0, 1.0, -0.5), ())
+    # cancelling coefficients leave no decay
+    spec = KernelSpec("exponential_sum", coefficients=(1.0, -1.0),
+                      rates=(2.0, 2.0))
+    assert kernel_terms(spec, 0.0) == (0.0, (1.0,), ())
     assert kernel_terms(KernelSpec("tabulated", samples=np.ones(3)), 0.0) is None
 
 
@@ -189,10 +200,15 @@ def test_normalize_overflow_fails_closed():
 
 
 def test_vanishing_rate_takes_rate_zero_limit():
-    # 2 gamma - b rounds to 2 gamma: the pair a/b (e^{2 gamma t} -
-    # e^{(2 gamma - b) t}) is replaced by its limit a t e^{2 gamma t}
+    # b t below rounding: phi_b(t) is t, so the decay a phi_b(t) is its
+    # rate-zero limit a t and does not cancel to nothing
     spec = KernelSpec("exponential_sum", coefficients=(1e-3,),
                       rates=(1e-300,))
     gamma = -0.5e-3
-    assert kernel_terms(spec, gamma) == ((1.0, 0, 2 * gamma),
-                                         (1e-3, 1, 2 * gamma))
+    assert kernel_terms(spec, gamma) == (2 * gamma, (1.0,), ((1e-3, 1e-300),))
+    t = make_grid(2.0, 1e-3).t
+    for b in (0.0, 5e-324, 1e-300):
+        assert np.array_equal(decay_integral(b, t), t)
+    ker = normalize(spec, make_grid(2.0, 1e-3))
+    exact = np.exp(2 * gamma * t) * (1.0 + 1e-3 * t)
+    assert np.max(np.abs(ker.N - exact)) <= 1e-15

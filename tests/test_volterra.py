@@ -4,8 +4,9 @@ import pytest
 from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
                      asymptotic_residual, comparator_profile,
                      compute_eigenpairs, compute_response, compute_responses,
-                     forcing_K, make_grid, march_modal, normalize, refined_S,
-                     solve_Z, solve_z)
+                     TimeGrid, forcing_K, make_grid, march_modal, normalize,
+                     refined_S, solve_Z, solve_z)
+from memwave.volterra import BLOCK
 
 PI = np.pi
 
@@ -200,9 +201,9 @@ def test_march_matches_direct_sum(family):
     grid = make_grid(2.0, 1e-3)
     ker = normalize(ORACLE_KERNELS[family](grid), grid)
     if family == "exponential_sum":
-        assert (0.3, 1, 2.0 * ker.gamma) in ker.terms
+        assert ker.terms.decays == ((1.5, 1.0), (0.3, 0.0))
     if family == "polynomial":
-        assert max(p for _, p, _ in ker.terms) == 3
+        assert len(ker.terms.poly) == 4
     lam = 9.0
     z = march_modal(ker, lam, ker.alpha)
     ref = direct_march(ker, lam, ker.alpha)
@@ -216,6 +217,73 @@ def test_march_matches_direct_sum(family):
     Zb = march_modal(ker, lams, ker.alpha,
                      forcing=np.repeat(forcing[:, None], 3, axis=1))
     assert np.max(np.abs(Zb[:, 1] - Z)) <= 1e-14 * np.max(np.abs(Z))
+
+
+@pytest.mark.parametrize("b", [1e-6, 1e-9, 1e-12])
+def test_small_rate_has_no_cancellation(b):
+    # a/b (1 - e^{-bt}) loses ~log10(1/(b t)) digits; expm1 loses none
+    grid = make_grid(2.5 * PI, 1e-2)
+    ker = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
+                               rates=(b,)), grid)
+    t = grid.t
+    exact = np.exp(2.0 * ker.gamma * t) * (1.0 - np.expm1(-b * t) / b)
+    assert np.max(np.abs(ker.N - exact)) <= 1e-13 * np.max(np.abs(exact))
+    lam = 4.0
+    forcing = ker.Np + 2j * ker.N
+    for f in (None, forcing):
+        y = march_modal(ker, lam, ker.alpha, forcing=f)
+        ref = direct_march(ker, lam, ker.alpha, forcing=f)
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _oracle_batch(family, steps, h=1e-2):
+    grid = TimeGrid(steps * h, steps, h)
+    ker = normalize(ORACLE_KERNELS[family](grid), grid)
+    lams = np.array([1.0, 9.0, 30.0])
+    forcing = np.stack([ker.Np + 1j * k * ker.N for k in (1, 3, 5)], axis=1)
+    return ker, lams, forcing
+
+
+@pytest.mark.parametrize("family", ["zero", "exponential_sum", "polynomial"])
+@pytest.mark.parametrize("steps", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
+def test_block_boundaries_match_direct_sum(family, steps):
+    ker, lams, forcing = _oracle_batch(family, steps)
+    z = march_modal(ker, lams, ker.alpha)
+    Z = march_modal(ker, lams, ker.alpha, forcing=forcing)
+    assert z.shape == (steps + 1, 3) and Z.shape == (steps + 1, 3)
+    for i, lam in enumerate(lams):
+        for y, f in ((z[:, i], None), (Z[:, i], forcing[:, i])):
+            ref = direct_march(ker, lam, ker.alpha, forcing=f)
+            assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k", [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+def test_restricted_march_equals_fresh_march(k):
+    # blocks align from step 0 and the padding forcing is zero, so the
+    # first k steps of a long march are a k-step march, bit for bit
+    ker, lams, forcing = _oracle_batch("exponential_sum", 5 * BLOCK + 3)
+    short = ker.restrict(k)
+    assert np.array_equal(march_modal(ker, lams, ker.alpha)[:k + 1],
+                          march_modal(short, lams, short.alpha))
+    for f in (forcing, forcing.imag):
+        assert np.array_equal(
+            march_modal(ker, lams, ker.alpha, forcing=f)[:k + 1],
+            march_modal(short, lams, short.alpha, forcing=f[:k + 1]))
+
+
+def test_batch_of_one_equals_batch_column():
+    ker, lams, forcing = _oracle_batch("polynomial", 4 * BLOCK + 5)
+    z = march_modal(ker, lams, ker.alpha)
+    Z = march_modal(ker, lams, ker.alpha, forcing=forcing)
+    for i, lam in enumerate(lams):
+        one = march_modal(ker, lams[i:i + 1], ker.alpha)
+        assert np.array_equal(one[:, 0], z[:, i])
+        assert np.array_equal(march_modal(ker, lam, ker.alpha), z[:, i])
+        one = march_modal(ker, lams[i:i + 1], ker.alpha,
+                          forcing=forcing[:, i:i + 1])
+        assert np.array_equal(one[:, 0], Z[:, i])
+        assert np.array_equal(
+            march_modal(ker, lam, ker.alpha, forcing=forcing[:, i]), Z[:, i])
 
 
 # ------------------------------------------------------- refined S and G
