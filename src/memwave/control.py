@@ -36,7 +36,8 @@ from .grid import TimeGrid, make_grid
 from .kernels import NormalizedKernel
 from .riesz import CONDITION_CAP, SequenceFamily, gram
 from .spectral import EigenPair
-from .volterra import ModeResponse, comparator_profile, refined_S
+from .volterra import (ModeResponse, comparator_profile, refined_S,
+                       transformed_exponential)
 
 
 @dataclass(frozen=True)
@@ -114,26 +115,20 @@ def telegraph_family(pairs: Sequence[EigenPair], c: float, T: float,
                      gamma_weights=None) -> SequenceFamily:
     """Memoryless comparator family on [0, T].
 
-    Off the degenerate set the time profile is
-    exp(i beta t) + (gp/beta) sin(beta t); on it, 1 + (gp + i) t against
-    the unscaled trace.  gp defaults to the velocity coefficient c; any
-    other value (zero included) spans the same space, and gp = 0 gives
-    pure exponentials.  gamma_weights are the boundary quadrature
+    The time profile is the transformed exponential with a = gp,
+    exp(i beta t) + (gp/beta) sin(beta t), and 1 + (gp + i) t on the
+    degenerate set, against the unscaled trace.  gp defaults to the
+    velocity coefficient c; any other value (zero included) spans the
+    same space, and gp = 0 gives pure exponentials.  gamma_weights are the boundary quadrature
     weights (DomainSpec.gamma_weights; ones by default).
     """
     gp = c if gamma_param is None else gamma_param
     grid = make_grid(T, 1e-3) if steps is None else TimeGrid(T, steps)
     t = grid.t
-    profiles, psis = [], []
-    for p in pairs:
-        if p.in_J:
-            profiles.append(1.0 + (gp + 1j) * t)
-        else:
-            b = p.beta
-            profiles.append(np.exp(1j * b * t) + (gp / b) * np.sin(b * t))
-        psis.append(p.psi)
+    profiles = [transformed_exponential(p, gp, t) for p in pairs]
     return SequenceFamily(_signed(profiles), _signed_index([p.index for p in pairs]),
-                          "telegraph", grid, gamma_weights, _signed(psis))
+                          "telegraph", grid, gamma_weights,
+                          _signed([p.psi for p in pairs]))
 
 
 def viscoelastic_family(responses: Sequence[ModeResponse],

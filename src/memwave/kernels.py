@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sfft
 
 from .errors import ConfigError, ConvergenceError
 from .grid import TimeGrid
@@ -225,8 +225,7 @@ def _tabulated_m(spec: KernelSpec, grid: TimeGrid):
     for name, arr in (("samples_d1", Mp), ("samples_d2", Mpp)):
         if arr.shape != M.shape:
             raise ConfigError(f"{name} shape {arr.shape} does not match samples")
-    from scipy.integrate import cumulative_trapezoid
-    I = cumulative_trapezoid(M, dx=h, initial=0.0)
+    I = np.concatenate(([0.0], np.cumsum(h * (M[1:] + M[:-1]) / 2.0)))
     return M, Mp, Mpp, I
 
 
@@ -237,11 +236,23 @@ def convolve(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     products), which is the trapezoid rule applied to every partial
     integral at once; exact for piecewise-linear integrands.  The value
     at t = 0 is pinned to exactly zero.
+
+    Time is axis 0 and the other axes broadcast, an operand with fewer
+    axes taking trailing ones: an (m+1,) kernel convolves every column of
+    an (m+1, K) batch.  Each operand is transformed once (rfft, or fft
+    when either is complex, at next_fast_len(2m+1)), so a column equals
+    its one-column call bit for bit.
     """
-    if f.shape != g.shape:
+    f = f.reshape(f.shape + (1,) * (g.ndim - f.ndim))
+    g = g.reshape(g.shape + (1,) * (f.ndim - g.ndim))
+    if f.shape[0] != g.shape[0] or any(a != b and 1 not in (a, b) for a, b
+                                       in zip(f.shape[1:], g.shape[1:])):
         raise ConfigError(f"convolve shape mismatch {f.shape} vs {g.shape}")
     n = f.shape[0]
-    full = fftconvolve(f, g)[:n]
+    real = not (np.iscomplexobj(f) or np.iscomplexobj(g))
+    fft, ifft = (sfft.rfft, sfft.irfft) if real else (sfft.fft, sfft.ifft)
+    size = sfft.next_fast_len(2 * n - 1, real)
+    full = ifft(fft(f, size, axis=0) * fft(g, size, axis=0), size, axis=0)[:n]
     out = h * (full - 0.5 * (f[0] * g + g[0] * f))
     out[0] = 0.0
     return out

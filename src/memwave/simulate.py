@@ -15,6 +15,11 @@ Two routes compute the controlled trajectories:
     directly and knows nothing about the family.  Agreement of the two
     within the scheme allowance is the end-to-end cross-validation.
 
+Both routes run the K_sim simulated modes as one batch: the forcings
+F_n form one (steps+1, K_sim) array.  The convolution route convolves
+N * z_n, z_n and N' * z_n against F_n in one call, the march route N
+against F_n and against the marched theta_n in two.
+
 The simulation grid may extend past the control horizon (the control is
 zero-padded), which is how post-control energy conservation is checked
 in the memoryless limit.
@@ -39,8 +44,6 @@ from .volterra import march_modal, _consistency_tol
 class SimResult:
     theta_T: np.ndarray          # per mode 1..K_sim, value at the final time
     theta_t_T: np.ndarray
-    w_T: np.ndarray              # back-transformed physical coefficients
-    w_t_T: np.ndarray
     tail_energy: float           # spillover into modes K+1..K_sim, summed in
                                  # the state norm (position^2 + velocity^2
                                  # with the velocity read in the mode basis,
@@ -52,18 +55,18 @@ class SimResult:
     lambda_sq: np.ndarray
     beta: np.ndarray
     grid: TimeGrid
-    route: str
     trajectories: Optional[dict] = None   # n -> (theta_n(t), theta_n'(t))
 
 
-def _mode_forcing(trace: np.ndarray, control: ControlSignal,
+def _mode_forcing(traces: np.ndarray, control: ControlSignal,
                   gamma_weights: np.ndarray, length: int) -> np.ndarray:
-    """F_n on the simulation grid: boundary pairing, zero past the horizon."""
+    """F_n on the simulation grid, (length, K_sim): the boundary pairing
+    of the control with each mode's trace, zero past the horizon."""
     f = control.f
     if f.shape[1] > length:
         raise ConfigError("control grid longer than simulation grid")
-    F = np.zeros(length)
-    F[:f.shape[1]] = (gamma_weights * np.real(trace)) @ f
+    F = np.zeros((length, len(traces)))
+    F[:f.shape[1]] = ((np.real(traces) * gamma_weights) @ f).T
     return F
 
 
@@ -81,15 +84,14 @@ def mode_energies(theta_T, theta_t_T, beta) -> np.ndarray:
     return np.abs(theta_T) ** 2 + np.abs(vel) ** 2
 
 
-def _finalize(theta, theta_t, K, K_sim, lam_sq, beta, gamma, grid, route, keep):
-    theta_T = np.array([theta[n][-1] for n in range(1, K_sim + 1)])
-    theta_t_T = np.array([theta_t[n][-1] for n in range(1, K_sim + 1)])
-    w_T = np.exp(-2.0 * gamma * grid.T) * theta_T
-    w_t_T = np.exp(-2.0 * gamma * grid.T) * (theta_t_T - 2.0 * gamma * theta_T)
+def _finalize(theta, theta_t, K, lam_sq, beta, grid, keep):
+    """SimResult from the (length, K_sim) trajectories of modes 1..K_sim."""
+    theta_T, theta_t_T = theta[-1].copy(), theta_t[-1].copy()
     tail = float(np.sum(mode_energies(theta_T, theta_t_T, beta)[K:]))
-    traj = {n: (theta[n], theta_t[n]) for n in theta} if keep else None
-    return SimResult(theta_T, theta_t_T, w_T, w_t_T, tail, K, K_sim,
-                     lam_sq, beta, grid, route, traj)
+    traj = {n: (theta[:, n - 1], theta_t[:, n - 1])
+            for n in range(1, theta.shape[1] + 1)} if keep else None
+    return SimResult(theta_T, theta_t_T, tail, K, theta.shape[1], lam_sq,
+                     beta, grid, traj)
 
 
 def simulate_convolution(responses: dict, kernel: NormalizedKernel,
@@ -102,22 +104,24 @@ def simulate_convolution(responses: dict, kernel: NormalizedKernel,
     length = kernel.grid.steps + 1
     K = K if K is not None else max(abs(n) for n in control.index_set)
     h = kernel.h
-    theta, theta_t = {}, {}
-    lam_sq = np.empty(K_sim)
-    beta = np.empty(K_sim)
+    sim = []
     for n in range(1, K_sim + 1):
         if n not in responses:
             raise ConfigError(f"simulation needs the response of mode {n}")
-        r = responses[n]
-        if len(r.z) != length:
+        if len(responses[n].z) != length:
             raise ConfigError(f"response of mode {n} lives on a different grid")
-        F = _mode_forcing(r.trace, control, gw, length)
-        theta[n] = -convolve(r.Nz, F, h)
-        theta_t[n] = -(convolve(r.z, F, h) + convolve(r.Npz, F, h))
-        lam_sq[n - 1] = r.lambda_sq
-        beta[n - 1] = r.beta.real
-    return _finalize(theta, theta_t, K, K_sim, lam_sq, beta, kernel.gamma,
-                     kernel.grid, "convolution", trajectories)
+        sim.append(responses[n])
+    F = _mode_forcing(np.array([r.trace for r in sim]), control, gw, length)
+    # N*z, z and N'*z against F in one call, (length, 3, K_sim).  z and
+    # N'*z are convolved apart and summed after: summing them first moves
+    # theta' by rounding, and the verify artifacts with it
+    parts = convolve(np.array([(r.Nz, r.z, r.Npz) for r in sim]).T,
+                     F[:, None], h)
+    theta = -parts[:, 0]
+    theta_t = -(parts[:, 1] + parts[:, 2])
+    return _finalize(theta, theta_t, K, np.array([r.lambda_sq for r in sim]),
+                     np.array([r.beta.real for r in sim]), kernel.grid,
+                     trajectories)
 
 
 def simulate_march(kernel: NormalizedKernel, pairs: Sequence[EigenPair],
@@ -137,17 +141,13 @@ def simulate_march(kernel: NormalizedKernel, pairs: Sequence[EigenPair],
     sim = [by_index[n] for n in range(1, K_sim + 1)]
     lam_sq = np.array([p.lambda_sq for p in sim])
     beta = np.array([p.beta.real for p in sim])
-    H = np.stack([convolve(kernel.N, _mode_forcing(p.trace, control, gw, length), h)
-                  for p in sim], axis=1)
-    th = march_modal(kernel, lam_sq, kernel.alpha, y0=0.0, forcing=-H,
-                     label=f"(sim modes 1..{K_sim})")
-    theta, theta_t = {}, {}
-    for n in range(1, K_sim + 1):
-        theta[n] = th[:, n - 1].copy()
-        theta_t[n] = 2.0 * kernel.alpha * theta[n] \
-            - lam_sq[n - 1] * convolve(kernel.N, theta[n], h) - H[:, n - 1]
-    return _finalize(theta, theta_t, K, K_sim, lam_sq, beta, kernel.gamma,
-                     kernel.grid, "march", trajectories)
+    H = convolve(kernel.N, _mode_forcing(np.array([p.trace for p in sim]),
+                                         control, gw, length), h)
+    theta = march_modal(kernel, lam_sq, kernel.alpha, y0=0.0, forcing=-H,
+                        label=f"(sim modes 1..{K_sim})")
+    theta_t = 2.0 * kernel.alpha * theta \
+        - lam_sq * convolve(kernel.N, theta, h) - H
+    return _finalize(theta, theta_t, K, lam_sq, beta, kernel.grid, trajectories)
 
 
 def back_transform(result: SimResult, gamma: float) -> dict:

@@ -3,12 +3,12 @@
 Each retained mode obeys an integro-differential equation driven by the
 normalized kernel,
 
-    z' = 2 alpha z - lambda^2 (N * z),            z(0) = 1,
-    Z' = 2 alpha Z - lambda^2 (N * Z) + K(t),     Z(0) = 1,
+    z' = 2 alpha z - lambda^2 (N * z),                  z(0) = 1,
+    Z' = 2 alpha Z - lambda^2 (N * Z) + N' + i beta N,  Z(0) = 1,
 
-with K = N' + i beta N off the degenerate set and K = N' + i N on it.
-Both are marched with an implicit trapezoidal step for the local terms
-and a product trapezoid for the memory term.  The scheme is the
+with beta replaced by 1 in the forcing on the degenerate set.  Both
+are marched with an implicit trapezoidal step for the local terms and
+a product trapezoid for the memory term.  The scheme is the
 trapezoid rule of the equivalent second-order form, so it is
 unconditionally stable at any step for the memoryless limit and remains
 stable at the default grids for the smooth kernels supported here.
@@ -30,7 +30,9 @@ assembled route is the one stored on ModeResponse because the forward
 simulator shares its discrete ingredients, which keeps the synthesis /
 verification loop exactly consistent.  The assembly uses FFT
 convolutions of the sampled kernel, never the recurrence, so the check
-stays independent of the march.
+stays independent of the march; it convolves N and N' against every
+mode of a batch in one call each.  A ModeResponse keeps z, Z, N*z and
+N'*z; S = exp(-alpha t) Z is computed when read.
 
 The refined small-residual route (refined_S / comparator_profile) exists
 because the marched phase error grows like T beta^3 h^2 / 12 and would
@@ -56,9 +58,6 @@ class ModeResponse:
     n: int                   # signed index; negatives built by conjugation
     z: np.ndarray            # real
     Z: np.ndarray            # complex, variation-of-constants assembly
-    S: np.ndarray            # exp(-alpha t) Z
-    G: np.ndarray            # comparator forcing profile
-    K: np.ndarray            # forcing kernel of the Z equation
     lambda_sq: float = 0.0
     beta: complex = 0.0
     psi: np.ndarray = None
@@ -68,33 +67,29 @@ class ModeResponse:
     Nz: np.ndarray = field(default=None, repr=False)     # N * z
     Npz: np.ndarray = field(default=None, repr=False)    # N' * z
 
-    # stashed by compute_response so restrict() can rebuild S
+    # grid step and alpha of the kernel, for S
     _h: float = field(default=0.0, repr=False)
     _alpha: float = field(default=0.0, repr=False)
 
+    @property
+    def S(self) -> np.ndarray:
+        """exp(-alpha t) Z, computed when read."""
+        return np.exp(-self._alpha * (np.arange(len(self.Z)) * self._h)) * self.Z
+
     def conjugate(self) -> "ModeResponse":
-        return replace(self, n=-self.n, Z=np.conj(self.Z), S=np.conj(self.S),
-                       G=np.conj(self.G), K=np.conj(self.K),
+        return replace(self, n=-self.n, Z=np.conj(self.Z),
                        beta=-np.conj(self.beta))
 
     def restrict(self, steps: int) -> "ModeResponse":
         """Exact restriction to a shorter horizon on the same step.
 
-        The march and both convolutions are causal, so slicing is the
-        same computation on the shorter grid; Z and S are reassembled
-        from the sliced ingredients to keep their defining identities
-        exact on the sub-grid.
+        The march and both convolutions are causal and Z is assembled
+        pointwise from them, so slicing is the same computation on the
+        shorter grid.
         """
         k = steps + 1
-        z = self.z[:k]
-        Nz = self.Nz[:k]
-        Npz = self.Npz[:k]
-        factor = 1j if self.in_J else 1j * self.beta
-        Z = z + Npz + factor * Nz
-        t = np.arange(k) * self._h
-        S = np.exp(-self._alpha * t) * Z
-        return replace(self, z=z, Z=Z, S=S, G=self.G[:k], K=self.K[:k],
-                       Nz=Nz, Npz=Npz)
+        return replace(self, z=self.z[:k], Z=self.Z[:k], Nz=self.Nz[:k],
+                       Npz=self.Npz[:k])
 
 
 def growth_envelope(alpha: float, T: float) -> float:
@@ -348,29 +343,25 @@ def _consistency_tol(kernel: NormalizedKernel, pair: EigenPair) -> float:
     return 10.0 * C * kernel.h ** 2
 
 
-def _march_Z(kernel: NormalizedKernel, pair: EigenPair) -> np.ndarray:
-    return march_modal(kernel, pair.lambda_sq, kernel.alpha, y0=1.0,
-                       forcing=forcing_K(kernel, pair),
-                       label=f"(mode {pair.index})")
-
-
-def _assemble_Z(kernel: NormalizedKernel, pair: EigenPair, z: np.ndarray,
+def _assemble_Z(kernel: NormalizedKernel, pairs, z: np.ndarray,
                 Z_march: np.ndarray):
     """Variation-of-constants Z from z, checked against the marched Z.
 
-    Returns (Z_voc, N*z, N'*z); disagreement beyond the scheme
-    allowance flags a quadrature bug.
+    z and Z_march are (m+1, K), one column per pair.  Returns
+    (Z_voc, N*z, N'*z), each (m+1, K); disagreement of a mode beyond its
+    scheme allowance flags a quadrature bug.
     """
     Nz = convolve(kernel.N, z, kernel.h)
     Npz = convolve(kernel.Np, z, kernel.h)
-    factor = 1j if pair.in_J else 1j * pair.beta
+    factor = np.array([1j if p.in_J else 1j * p.beta for p in pairs])
     Z_voc = z + Npz + factor * Nz
-    gap = float(np.max(np.abs(Z_march - Z_voc)))
-    tol = _consistency_tol(kernel, pair)
-    if gap > tol:
-        raise InternalConsistencyError(
-            f"Z routes disagree on mode {pair.index}: gap {gap:.3e} "
-            f"exceeds allowance {tol:.3e}")
+    gaps = np.max(np.abs(Z_march - Z_voc), axis=0)
+    for p, gap in zip(pairs, gaps):
+        tol = _consistency_tol(kernel, p)
+        if gap > tol:
+            raise InternalConsistencyError(
+                f"Z routes disagree on mode {p.index}: gap {gap:.3e} "
+                f"exceeds allowance {tol:.3e}")
     return Z_voc, Nz, Npz
 
 
@@ -382,48 +373,27 @@ def solve_Z(kernel: NormalizedKernel, pair: EigenPair,
     variation-of-constants identity from z, and cross-checks the two.
     Returns the assembled route (plus the marched one on request).
     """
-    Z_march = _march_Z(kernel, pair)
+    Z_march = march_modal(kernel, pair.lambda_sq, kernel.alpha, y0=1.0,
+                          forcing=forcing_K(kernel, pair),
+                          label=f"(mode {pair.index})")
     z = solve_z(kernel, pair.lambda_sq)
-    Z_voc, Nz, Npz = _assemble_Z(kernel, pair, z, Z_march)
+    Z_voc, Nz, Npz = (a[:, 0] for a in _assemble_Z(
+        kernel, [pair], z[:, None], Z_march[:, None]))
     if return_march:
         return Z_voc, Z_march, z, Nz, Npz
     return Z_voc
 
 
-def build_S_G(kernel: NormalizedKernel, pair: EigenPair, Z: np.ndarray):
-    """S = exp(-alpha t) Z and the quadrature of G's closed form."""
-    t = kernel.t
-    S = np.exp(-kernel.alpha * t) * Z
-    if pair.in_J:
-        base = 1.0 + (kernel.alpha + 1j) * t
-    else:
-        b = pair.beta
-        base = np.exp(1j * b * t) + (kernel.alpha / b) * np.sin(b * t)
-    G = base + convolve(kernel.N1, base.astype(complex), kernel.h)
-    return S, G
-
-
-def _response(kernel: NormalizedKernel, pair: EigenPair, z: np.ndarray,
-              Z_march: np.ndarray) -> ModeResponse:
-    Z, Nz, Npz = _assemble_Z(kernel, pair, z, Z_march)
-    S, G = build_S_G(kernel, pair, Z)
-    return ModeResponse(pair.index, z, Z, S, G, forcing_K(kernel, pair),
-                        lambda_sq=pair.lambda_sq, beta=pair.beta,
-                        psi=pair.psi, trace=pair.trace, in_J=pair.in_J,
-                        Nz=Nz, Npz=Npz, _h=kernel.h, _alpha=kernel.alpha)
-
-
 def compute_response(kernel: NormalizedKernel, pair: EigenPair) -> ModeResponse:
-    return _response(kernel, pair, solve_z(kernel, pair.lambda_sq),
-                     _march_Z(kernel, pair))
+    return compute_responses(kernel, [pair])[pair.index]
 
 
 def compute_responses(kernel: NormalizedKernel, pairs) -> dict:
     """ModeResponse per positive index, every mode marched in one batch.
 
-    One z march and one Z march advance all modes together; the
-    variation-of-constants assembly and its two-route check then run
-    per mode exactly as in compute_response.
+    One z march and one Z march advance all modes together, and the
+    variation-of-constants assembly convolves the whole batch at once;
+    its two-route check stays per mode.
     """
     pairs = list(pairs)
     if not pairs:
@@ -434,8 +404,24 @@ def compute_responses(kernel: NormalizedKernel, pairs) -> dict:
     K = np.stack([forcing_K(kernel, p) for p in pairs], axis=1)
     Z_march = march_modal(kernel, lam, kernel.alpha, y0=1.0, forcing=K,
                           label=label)
-    return {p.index: _response(kernel, p, z[:, i].copy(), Z_march[:, i])
+    # rows of the transposed batches: each mode's fields are contiguous
+    z, Z, Nz, Npz = (np.ascontiguousarray(a.T) for a in
+                     (z, *_assemble_Z(kernel, pairs, z, Z_march)))
+    return {p.index: ModeResponse(p.index, z[i], Z[i], p.lambda_sq, p.beta,
+                                  p.psi, p.trace, p.in_J, Nz[i], Npz[i],
+                                  kernel.h, kernel.alpha)
             for i, p in enumerate(pairs)}
+
+
+def transformed_exponential(pair: EigenPair, a: float, t: np.ndarray) -> np.ndarray:
+    """exp(i beta t) + (a/beta) sin(beta t), or 1 + (a + i) t on the
+    degenerate set: the base profile of the memoryless family with
+    damping parameter a, and of the comparator and S equations with
+    a = alpha."""
+    if pair.in_J:
+        return 1.0 + (a + 1j) * t
+    b = pair.beta
+    return np.exp(1j * b * t) + (a / b) * np.sin(b * t)
 
 
 def refined_S(kernel: NormalizedKernel, pair: EigenPair) -> np.ndarray:
@@ -454,8 +440,8 @@ def refined_S(kernel: NormalizedKernel, pair: EigenPair) -> np.ndarray:
     t = kernel.t
     h = kernel.h
     sb = np.sin(b * t)
-    base = np.exp(1j * b * t) + (kernel.alpha / b) * sb
-    G = base + convolve(kernel.N1, base.astype(complex), h)
+    base = transformed_exponential(pair, kernel.alpha, t)
+    G = base + convolve(kernel.N1, base, h)
     Q = kernel.N1p[0] * sb + convolve(kernel.N1pp, sb, h)
     W = -mu * kernel.N1 + (mu / b) * Q
 
@@ -471,21 +457,19 @@ def refined_S(kernel: NormalizedKernel, pair: EigenPair) -> np.ndarray:
 def comparator_profile(kernel: NormalizedKernel, pair: EigenPair) -> np.ndarray:
     """Transformed-exponential comparator for the closeness study.
 
-    C = base + (1/2) R * (t E) with R = N1' - L * N1' and
-    base = E + (alpha/beta) sin(beta t), E = exp(i beta t).  The sine
-    correction in the base is what keeps S - C at O(1/beta^2) when
-    alpha != 0; with alpha = 0 the base degenerates to the bare
-    exponential.
+    C = base + (1/2) R * (t E) with R = N1' - L * N1',
+    E = exp(i beta t) and base = E + (alpha/beta) sin(beta t)
+    (transformed_exponential).  The sine correction in the base is what
+    keeps S - C at O(1/beta^2) when alpha != 0; with alpha = 0 the base
+    degenerates to the bare exponential.
     """
     if pair.in_J:
         raise ConfigError("comparator needs beta != 0")
-    b = pair.beta
     t = kernel.t
     h = kernel.h
-    E = np.exp(1j * b * t)
-    base = E + (kernel.alpha / b) * np.sin(b * t)
     R = kernel.N1p - convolve(kernel.L, kernel.N1p, h)
-    return base + 0.5 * convolve(R.astype(complex), t * E, h)
+    return transformed_exponential(pair, kernel.alpha, t) \
+        + 0.5 * convolve(R, t * np.exp(1j * pair.beta * t), h)
 
 
 def asymptotic_residual(responses, surrogate: dict = None) -> dict:

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -27,6 +29,23 @@ def write_cfg(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+# ---------------------------------------------------------------- import
+
+
+def test_cli_import_skips_scipy_signal_and_integrate():
+    # the convolution runs on scipy.fft and the kernel integral on numpy;
+    # scipy.signal alone was most of the CLI's import time
+    code = ("import sys, memwave.cli; print(sorted(m for m in "
+            "('scipy.signal', 'scipy.integrate') if m in sys.modules))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- config

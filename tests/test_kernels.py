@@ -89,6 +89,51 @@ def test_convolution_order_two():
     assert errs[1] / errs[2] > 3.6
 
 
+def direct_convolve(f, g, h):
+    """O(m^2) product-trapezoid sum, one partial integral at a time."""
+    out = np.zeros(len(f), dtype=np.result_type(f, g))
+    for j in range(1, len(f)):
+        acc = sum(f[j - k] * g[k] for k in range(j + 1))
+        out[j] = h * (acc - 0.5 * (f[j] * g[0] + f[0] * g[j]))
+    return out
+
+
+@pytest.mark.parametrize("case", ["real-real", "real-complex", "vector-batch",
+                                  "batch-batch", "stacked-batch"])
+def test_batched_convolution_matches_direct_sum(case):
+    rng = np.random.default_rng(11)
+    n, K, h = 301, 3, 1e-2
+    real = lambda *shape: rng.standard_normal(shape)
+    cplx = lambda *shape: real(*shape) + 1j * real(*shape)
+    f, g = {"real-real": (real(n), real(n)),
+            "real-complex": (real(n), cplx(n)),
+            "vector-batch": (real(n), real(n, K)),
+            "batch-batch": (cplx(n, K), real(n, K)),
+            "stacked-batch": (real(n, 2, K), real(n, 1, K))}[case]
+    got = convolve(f, g, h)
+    assert got.shape == (n,) + np.broadcast_shapes(f.shape[1:], g.shape[1:])
+    # the time series of each operand at a broadcast column
+    at = lambda a, col: a[(slice(None),) + tuple(
+        min(c, s - 1) for c, s in zip(col, a.shape[1:]))]
+    for col in np.ndindex(got.shape[1:]):
+        ref = direct_convolve(at(f, col), at(g, col), h)
+        assert np.max(np.abs(at(got, col) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if col:
+            # a column of a batch is bit for bit its one-column call
+            assert np.array_equal(at(got, col), convolve(
+                at(f, col).copy(), at(g, col).copy(), h))
+
+
+def test_convolution_shape_mismatch_rejected():
+    a = np.ones((11, 3))
+    with pytest.raises(ConfigError):
+        convolve(np.ones(11), np.ones(10), 0.1)
+    with pytest.raises(ConfigError):
+        convolve(a, np.ones((11, 2)), 0.1)
+    with pytest.raises(ConfigError):
+        convolve(np.ones(10), a, 0.1)
+
+
 def test_resolvent_sine_oracle(grid):
     # L + t*L = t has the closed solution L = sin t
     L = resolvent(grid.t.copy(), grid)

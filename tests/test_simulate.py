@@ -155,8 +155,12 @@ def test_back_transform_uses_kernel_gamma():
     resp = compute_responses(ke, pairs)
     res = simulate_convolution(resp, ke, ctrl, 2)
     bt = back_transform(res, ke.gamma)
-    assert np.array_equal(res.w_T, bt["w_T"])
-    assert np.array_equal(res.w_t_T, bt["w_t_T"])
+    # w = exp(-2 gamma T) theta, w' = exp(-2 gamma T) (theta' - 2 gamma theta)
+    e = np.exp(-2.0 * ke.gamma * grid.T)
+    w_T = e * res.theta_T
+    w_t_T = e * (res.theta_t_T - 2.0 * ke.gamma * res.theta_T)
+    assert np.max(np.abs(bt["w_T"] - w_T)) <= 1e-15 * np.max(np.abs(w_T))
+    assert np.max(np.abs(bt["w_t_T"] - w_t_T)) <= 1e-15 * np.max(np.abs(w_t_T))
 
 
 def test_achieved_coefficients_degenerate_branch():
@@ -164,10 +168,9 @@ def test_achieved_coefficients_degenerate_branch():
     pairs = compute_eigenpairs(dom, 2, alpha=0.5)
     assert pairs[0].in_J
     grid = make_grid(1.0, 1e-2)
-    res_args = dict(w_T=np.zeros(2), w_t_T=np.zeros(2), tail_energy=0.0,
+    res_args = dict(tail_energy=0.0,
                     K=2, K_sim=2, lambda_sq=np.array([p.lambda_sq for p in pairs]),
-                    beta=np.array([p.beta.real for p in pairs]), grid=grid,
-                    route="manual")
+                    beta=np.array([p.beta.real for p in pairs]), grid=grid)
     from memwave import SimResult
     res = SimResult(theta_T=np.array([0.2, 0.4]),
                     theta_t_T=np.array([0.3, 0.6]), **res_args)
