@@ -13,6 +13,14 @@ $MEMWAVE_OUT, ./memwave-out.
 Artifacts hold finite numbers only: a NaN or Inf headed for a CSV or
 JSON file stops the run with a convergence error naming the file.
 
+synthesize writes the control in its factor form (control.control_factors):
+control.csv holds t and one time profile per mode, control_traces.csv
+one real boundary trace per mode, and the dense control on the boundary
+cylinder is traces.T @ profiles.  Before anything is written the run
+checks that this product rebuilds the dense control to 1e-12 of its
+maximum (exit 5 otherwise) and records the gap as factor_gap in
+synthesis.json.
+
 sweep-t marches once.  The step is the configured one (T_min's auto step
 under "auto"), shrunk so that it divides the horizon spacing; the kernel,
 the responses and both families are built on one grid to the last
@@ -34,9 +42,10 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .control import (TargetState, build_moment_problem, synthesize,
-                      telegraph_family, viscoelastic_family)
-from .errors import ConfigError, ConvergenceError, MemwaveError
+from .control import (TargetState, build_moment_problem, control_factors,
+                      synthesize, telegraph_family, viscoelastic_family)
+from .errors import (ConfigError, ConvergenceError, InternalConsistencyError,
+                     MemwaveError)
 from .grid import TimeGrid, auto_step, make_grid
 from .kernels import normalize
 from .riesz import gram
@@ -47,6 +56,9 @@ from .volterra import asymptotic_residual, compute_responses, refined_S
 
 DEFAULT_OUT = "memwave-out"
 ENV_OUT = "MEMWAVE_OUT"
+# largest |traces.T @ profiles - f| a synthesize run accepts, relative
+# to max |f|
+FACTOR_GAP_TOL = 1e-12
 
 
 # ---------------------------------------------------------------- artifacts
@@ -236,10 +248,26 @@ def _run_synthesize(cfg, adir, grid_h):
     target = _resolve_target(cfg)
     problem = build_moment_problem(fam, target)
     control = synthesize(problem)
-    rows = np.column_stack([control.grid.t, control.f.T])
-    _write_csv(os.path.join(adir, "control.csv"),
-               ["t"] + [f"f_node{j}" for j in range(control.f.shape[0])],
-               rows, cfg.hash)
+    control_csv = os.path.join(adir, "control.csv")
+    f = control.f
+    if not np.all(np.isfinite(f)):
+        raise _non_finite(control_csv)
+    traces, profiles = control_factors(fam, control.coefficients, pairs)
+    # the artifacts hold the factors; they must rebuild the dense control
+    gap = float(np.max(np.abs(traces.T @ profiles - f)))
+    f_max = float(np.max(np.abs(f)))
+    factor_gap = gap / f_max if f_max > 0 else gap
+    if not factor_gap <= FACTOR_GAP_TOL:
+        raise InternalConsistencyError(
+            f"control factors rebuild the control to {factor_gap:.3e} of "
+            f"its maximum, above {FACTOR_GAP_TOL:.0e}")
+    modes = [p.index for p in pairs]
+    _write_csv(control_csv, ["t"] + [f"g_mode{n}" for n in modes],
+               np.column_stack([control.grid.t, profiles.T]), cfg.hash)
+    _write_csv(os.path.join(adir, "control_traces.csv"),
+               ["node"] + [f"trace_mode{n}" for n in modes],
+               np.column_stack([np.arange(traces.shape[1]), traces.T]),
+               cfg.hash)
     _write_csv(os.path.join(adir, "coefficients.csv"),
                ["n", "a_re", "a_im"],
                zip(control.index_set, control.coefficients.real,
@@ -251,6 +279,7 @@ def _run_synthesize(cfg, adir, grid_h):
         "condition": control.condition,
         "frame_lower": control.frame_lower,
         "norm": control.norm,
+        "factor_gap": factor_gap,
         "T": cfg.T, "K": cfg.K,
     }, cfg.hash)
     return 0
@@ -378,7 +407,16 @@ def _render_report(adir):
                   f"moment residual (max) = {d['residual_max']:.3e}",
                   f"imaginary leak (max)  = {d['imag_max']:.3e}",
                   f"Gram condition        = {d['condition']:.3e}",
-                  f"control L2 norm       = {d['norm']:.6g}", ""]
+                  f"control L2 norm       = {d['norm']:.6g}"]
+        if "factor_gap" in d:
+            _, tr = _read_csv(os.path.join(adir, "control_traces.csv"))
+            _, g = _read_csv(os.path.join(adir, "control.csv"))
+            lines += [f"factor gap            = {d['factor_gap']:.3e}",
+                      f"trace factor          = {tr.shape[1] - 1} modes x "
+                      f"{tr.shape[0]} nodes",
+                      f"profile factor        = {g.shape[1] - 1} modes x "
+                      f"{g.shape[0]} samples"]
+        lines.append("")
 
     p = os.path.join(adir, "verdict.json")
     if os.path.exists(p):

@@ -21,6 +21,18 @@ solution; any admissible perturbation is orthogonal to the span and can
 only increase the norm, which the seeded spot-check verifies.  Members
 are kept as factors psi_n (x) Z_n (see riesz); g is the one dense
 (nodes, steps+1) array, built once from them.
+
+Factor form.  The control is a sum of K real boundary traces times K
+real time profiles.  Each psi_k is a scalar times the real trace of its
+mode, psi_{+n} = s_n trace_n and psi_{-n} = conj(s_n) trace_n with
+s_n = 1/beta_n (1 on the degenerate set), so for any coefficients
+
+    f(x, t) = Re sum_k conj(psi_k(x)) a_k conj(Z_k(T - t))
+            = sum_n trace_n(x) g_n(t),
+    g_n(t)  = sum_{k = +-n} Re(conj(s_k) a_k conj(Z_k(T - t))).
+
+control_factors returns (trace_n) and (g_n); the CLI writes these and
+not the dense f.
 """
 
 from __future__ import annotations
@@ -223,6 +235,32 @@ def synthesize(problem: MomentProblem,
 
     return ControlSignal(np.real(f).copy(), a, residual, imag_max,
                          rep.cond, rep.m_N, norm, fam.grid, fam.index_set)
+
+
+def control_factors(family: SequenceFamily, coefficients: np.ndarray,
+                    pairs: Sequence[EigenPair]):
+    """Real traces (K, nodes) and time profiles (K, steps+1), one row per
+    pair in the order given, with traces.T @ profiles the real part of
+    the reversed-time combination sum_k a_k conj(member_k).
+
+    Raises the internal-consistency error when a trace is not real.
+    """
+    row = {p.index: i for i, p in enumerate(pairs)}
+    if {abs(n) for n in family.index_set} != set(row):
+        raise ConfigError("pairs do not match the family's modes")
+    traces = np.array([p.trace for p in pairs])
+    if np.any(traces.imag != 0):
+        raise InternalConsistencyError(
+            "boundary trace with a nonzero imaginary part; the control "
+            "has no real factor form")
+    s = np.array([1.0 if p.in_J else 1.0 / p.beta for p in pairs])
+    s_k = np.array([s[row[n]] if n > 0 else np.conj(s[row[-n]])
+                    for n in family.index_set])
+    w = np.conj(s_k) * np.asarray(coefficients)
+    terms = np.real(w[:, None] * np.conj(family.profiles[:, ::-1]))
+    profiles = np.zeros((len(pairs), terms.shape[1]))
+    np.add.at(profiles, [row[abs(n)] for n in family.index_set], terms)
+    return traces.real.copy(), profiles
 
 
 def _min_norm_spot_check(fam: SequenceFamily, rep, g, norm,

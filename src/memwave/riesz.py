@@ -198,8 +198,10 @@ def gram(family: SequenceFamily, truncation: int = None) -> GramReport:
     if np.any(np.diff(lows) > slack) or np.any(np.diff(highs) < -slack):
         raise InternalConsistencyError(
             f"frame bounds of {family.label!r} violate interlacing")
-    with np.errstate(divide="ignore"):
-        cond = np.where(lows > 0, highs / np.maximum(lows, 1e-300), np.inf)
+    cond = np.full(N, np.inf)
+    pos = lows > 0
+    with np.errstate(over="ignore"):       # an overflow is an infinite condition
+        cond[pos] = highs[pos] / lows[pos]
     return GramReport(G, lows, highs, cond, family.label,
                       tuple(family.index_set[:N]))
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from memwave import ConfigError, SequenceFamily
+from memwave import cli
 from memwave.cli import _write_csv, main
 from memwave.config import EXPERIMENTS, config_hash, from_dict, load
 
@@ -197,15 +199,28 @@ def test_cli_spectrum_artifacts(tmp_path, capsys):
     assert meta["count"] == 6 and meta["flagged"] == []
 
 
+EXP = {"family": "exponential_sum", "coefficients": [1.0], "rates": [1.0]}
+RECT = {"geometry": "rectangle", "lengths": [PI, PI], "gamma_subset": ["right"]}
+
+
 def test_cli_reruns_are_byte_identical(tmp_path):
-    doc = base(K=4, N_modes=8)
     out = tmp_path / "store"
-    assert run(tmp_path, doc, out=out) == 0
-    adir = out / f"spectrum-{config_hash(doc)}"
-    first = {p.name: p.read_bytes() for p in adir.iterdir()}
-    assert run(tmp_path, doc, out=out) == 0
-    second = {p.name: p.read_bytes() for p in adir.iterdir()}
-    assert first == second
+    synth = dict(T=2.5 * PI, target="random", seed=4, kernel=EXP)
+    for command, doc, grid_h, names in (
+            ("spectrum", base(K=4, N_modes=8), None,
+             {"eigenpairs.csv", "spectrum.json"}),
+            ("synthesize", base("synthesize", K=3, **synth), 5e-3, None),
+            ("synthesize", base("synthesize", K=2, domain=RECT, **synth),
+             2e-2, None)):
+        names = names or {"control.csv", "control_traces.csv",
+                          "coefficients.csv", "synthesis.json"}
+        adir = out / f"{command}-{config_hash(doc)}"
+        assert run(tmp_path, doc, out=out, grid_h=grid_h) == 0
+        first = {p.name: p.read_bytes() for p in adir.iterdir()}
+        assert run(tmp_path, doc, out=out, grid_h=grid_h) == 0
+        second = {p.name: p.read_bytes() for p in adir.iterdir()}
+        assert set(first) == names
+        assert first == second
 
 
 def test_cli_config_errors_exit_two(tmp_path, capsys):
@@ -227,6 +242,19 @@ def test_cli_not_controllable_exit_four(tmp_path, capsys):
     assert run(tmp_path, doc, out=tmp_path / "store", grid_h=5e-3) == 4
     assert "m_N" in capsys.readouterr().err
     # the artifact directory is made by the first write; none happened
+    assert not (tmp_path / "store").exists()
+
+
+def test_cli_overdamped_gram_exits_four_without_warning(tmp_path, capsys):
+    # c = 3 overdamps the first modes and drives the lowest Gram
+    # eigenvalue below zero; the condition is infinite, silently
+    doc = base("synthesize", T=2.5 * PI, K=4, target="random", kernel=EXP,
+               domain={"geometry": "interval", "lengths": [PI], "c": 3.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(tmp_path, doc, out=tmp_path / "store", grid_h=1e-2)
+    assert code == 4
+    assert "condition=inf" in capsys.readouterr().err
     assert not (tmp_path / "store").exists()
 
 
@@ -297,6 +325,69 @@ def test_cli_synthesize_then_verify_passes(tmp_path):
     fresh = tmp_path / "fresh" / f"verify-{config_hash(vdoc)}"
     assert (fresh / "verdict.json").read_bytes() == \
         (vdir / "verdict.json").read_bytes()
+
+
+def test_cli_synthesize_writes_control_factors(tmp_path, capsys, monkeypatch):
+    # control.csv and control_traces.csv are the factors of the dense
+    # control: one product rebuilds it
+    kept, synthesize = [], cli.synthesize
+
+    def keep(problem):
+        kept.append(synthesize(problem))
+        return kept[-1]
+    monkeypatch.setattr(cli, "synthesize", keep)
+    doc = base("synthesize", T=2.5 * PI, K=2, target="random", seed=1,
+               kernel=EXP, domain=dict(RECT, gamma_subset=["right", "top"]))
+    store = tmp_path / "store"
+    assert run(tmp_path, doc, out=store, grid_h=2e-2) == 0
+    adir = store / f"synthesize-{config_hash(doc)}"
+    cols, g = cli._read_csv(str(adir / "control.csv"))
+    tcols, tr = cli._read_csv(str(adir / "control_traces.csv"))
+    assert cols == ["t", "g_mode1", "g_mode2"]
+    assert tcols == ["node", "trace_mode1", "trace_mode2"]
+    f = kept[0].f
+    assert g.shape == (f.shape[1], 3) and tr.shape == (f.shape[0], 3)
+    assert np.array_equal(g[:, 0], kept[0].grid.t)
+    assert np.array_equal(tr[:, 0], np.arange(f.shape[0]))
+    gap = np.max(np.abs(tr[:, 1:] @ g[:, 1:].T - f)) / np.max(np.abs(f))
+    syn = json.loads((adir / "synthesis.json").read_text())
+    assert gap == syn["factor_gap"] and gap <= 1e-12
+
+    capsys.readouterr()
+    assert main(["report", str(adir)]) == 0
+    text = capsys.readouterr().out
+    assert f"factor gap            = {gap:.3e}" in text
+    assert f"= 2 modes x {f.shape[0]} nodes" in text
+    assert f"= 2 modes x {f.shape[1]} samples" in text
+
+
+def test_cli_synthesize_factor_gap_exits_five(tmp_path, capsys, monkeypatch):
+    control_factors = cli.control_factors
+
+    def skewed(fam, a, pairs):
+        traces, profiles = control_factors(fam, a, pairs)
+        return traces, profiles * (1.0 + 1e-9)
+    monkeypatch.setattr(cli, "control_factors", skewed)
+    doc = base("synthesize", T=2.5 * PI, K=2, target="random", kernel=EXP)
+    assert run(tmp_path, doc, out=tmp_path / "store", grid_h=1e-2) == 5
+    assert "factors rebuild the control" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+
+
+def test_cli_synthesize_non_finite_control_exits_three(tmp_path, capsys,
+                                                      monkeypatch):
+    synthesize = cli.synthesize
+
+    def broken(problem):
+        control = synthesize(problem)
+        f = control.f.copy()
+        f[0, -1] = np.inf
+        return dataclasses.replace(control, f=f)
+    monkeypatch.setattr(cli, "synthesize", broken)
+    doc = base("synthesize", T=2.5 * PI, K=2, target="random", kernel=EXP)
+    assert run(tmp_path, doc, out=tmp_path / "store", grid_h=1e-2) == 3
+    assert "control.csv" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
 
 
 def test_cli_rectangle_round_trip_passes(tmp_path):
@@ -501,4 +592,58 @@ def test_cli_verify_fails_closed(tmp_path, length, c, family, coefficients,
         assert all(math.isfinite(verdict[k]) for k in
                    ("achieved_error", "tolerance", "route_gap", "tail_energy"))
     elif code != 5:
+        assert not store.exists()
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(geometry=st.sampled_from(["interval", "rectangle"]),
+       lengths=st.tuples(st.floats(0.5, 4.0), st.floats(0.5, 4.0)),
+       gamma_subset=st.sampled_from([["right"], ["right", "top"]]),
+       c=st.floats(-2.0, 2.0),
+       family=st.sampled_from(["zero", "exponential_sum", "polynomial"]),
+       coefficients=st.lists(st.one_of(st.floats(-5.0, 5.0),
+                                       st.floats(-1e8, 1e8)),
+                             min_size=1, max_size=2),
+       rate=st.floats(0.0, 5.0), T=st.floats(0.5, 8.0), K=st.integers(1, 3),
+       h=st.floats(1e-2, 0.1), seed=st.integers(0, 3))
+def test_cli_synthesize_fails_closed(tmp_path, geometry, lengths,
+                                     gamma_subset, c, family, coefficients,
+                                     rate, T, K, h, seed):
+    # any small interval or rectangle synthesize config ends in a
+    # documented exit code; a success writes finite artifacts whose
+    # factors rebuild the control
+    kernel = {"family": family}
+    if family != "zero":
+        kernel["coefficients"] = coefficients
+    if family == "exponential_sum":
+        kernel["rates"] = [rate] * len(coefficients)
+    domain = {"geometry": geometry, "c": c}
+    if geometry == "interval":
+        domain["lengths"] = [lengths[0]]
+    else:
+        domain.update(lengths=list(lengths), gamma_subset=gamma_subset)
+    doc = base("synthesize", T=T, K=K, target="random", seed=seed,
+               kernel=kernel, domain=domain)
+    store = tmp_path / config_hash(doc)
+    with warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore")
+        code = run(tmp_path, doc, out=store, grid_h=h)
+    assert code in _FAIL_CLOSED
+    if code == 0:
+        (adir,) = store.iterdir()
+        def reject(token):
+            raise AssertionError(f"non-finite {token} in synthesis.json")
+        syn = json.loads((adir / "synthesis.json").read_text(),
+                         parse_constant=reject)
+        assert all(math.isfinite(syn[k]) for k in
+                   ("residual_max", "imag_max", "condition", "frame_lower",
+                    "norm", "factor_gap"))
+        assert syn["factor_gap"] <= 1e-12
+        for name in ("control.csv", "control_traces.csv", "coefficients.csv"):
+            table = np.loadtxt(adir / name, delimiter=",", ndmin=2)
+            assert np.all(np.isfinite(table)), name
+    else:
         assert not store.exists()

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from memwave import (ConfigError, DomainSpec, KernelSpec, NotControllableError,
-                     SequenceFamily, TargetState, TimeGrid, assemble_rhs,
+from memwave import (ConfigError, DomainSpec, InternalConsistencyError,
+                     KernelSpec, NotControllableError, SequenceFamily, TargetState, TimeGrid, assemble_rhs,
                      build_moment_problem, comparator_family,
-                     compute_eigenpairs, compute_responses, gram, make_grid,
+                     compute_eigenpairs, control_factors, compute_responses, gram, make_grid,
                      normalize, quadratic_closeness, s_family, synthesize,
                      telegraph_family, viscoelastic_family)
 
@@ -205,3 +205,58 @@ def test_feasibility_monotone_from_precritical(pairs12):
     assert all(b2 >= b1 * (1 - 1e-9) for b1, b2 in zip(bounds, bounds[1:]))
     first = results[Ts[0]].condition
     assert all(results[T].condition <= first for T in Ts[1:])
+
+
+# ------------------------------------------------------------- factor form
+
+
+def _factor_case(name):
+    """(family, pairs) for one trace/beta regime of the factor form."""
+    if name == "interval":
+        grid = make_grid(2.5 * PI, 1e-2)
+        ke = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
+                                  rates=(1.0,)), grid)
+        pairs = compute_eigenpairs(INTERVAL, 3, alpha=ke.alpha)
+        resp = compute_responses(ke, pairs)
+        return viscoelastic_family([resp[p.index] for p in pairs]), pairs
+    if name == "rectangle-right-top":
+        dom = DomainSpec("rectangle", (PI, PI), gamma_subset=("right", "top"))
+        pairs = compute_eigenpairs(dom, 3, alpha=0.5)
+        return telegraph_family(pairs, 0.5, 2.5 * PI, steps=400,
+                                gamma_weights=dom.gamma_weights()), pairs
+    if name == "degenerate":
+        dom = DomainSpec("interval", (PI,), q=0.75, c=0.5)
+        pairs = compute_eigenpairs(dom, 2, alpha=0.5)
+        assert pairs[0].in_J
+        return telegraph_family(pairs, 0.5, PI, steps=500), pairs
+    dom = DomainSpec("interval", (PI,), c=3.0)            # overdamped
+    pairs = compute_eigenpairs(dom, 3, alpha=3.0)
+    assert pairs[0].beta.real == 0 and pairs[0].beta.imag > 0
+    return telegraph_family(pairs, 3.0, PI, steps=500), pairs
+
+
+@pytest.mark.parametrize("case", ["interval", "rectangle-right-top",
+                                  "degenerate", "overdamped"])
+def test_control_factors_rebuild_the_control(case):
+    # for any coefficients, no conjugate symmetry assumed
+    fam, pairs = _factor_case(case)
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(fam.count) + 1j * rng.standard_normal(fam.count)
+    traces, profiles = control_factors(fam, a, pairs)
+    assert traces.dtype == profiles.dtype == float
+    assert traces.shape == (len(pairs), fam.psi.shape[1])
+    assert profiles.shape == (len(pairs), fam.grid.steps + 1)
+    want = np.real(fam.combination(a, conjugate=True))[:, ::-1]
+    gap = np.max(np.abs(traces.T @ profiles - want))
+    assert gap <= 1e-12 * np.max(np.abs(want))
+
+
+def test_control_factors_refuse_complex_trace():
+    fam, pairs = _factor_case("interval")
+    bad = [dataclasses.replace(pairs[0], psi=pairs[0].psi * (1 + 1j))]
+    bad += pairs[1:]
+    a = np.ones(fam.count, dtype=complex)
+    with pytest.raises(InternalConsistencyError):
+        control_factors(fam, a, bad)
+    with pytest.raises(ConfigError):
+        control_factors(fam, a, pairs[:-1])
