@@ -16,11 +16,13 @@ The realness of the synthesized control is still asserted numerically.
 Minimum-norm mechanics.  The solution is sought in span{conj(m_k)}:
 writing g = sum a_k conj(m_k), the constraints become Gram . a = c with
 the Hermitian Gram G_{nk} = <m_n, m_k> (second argument conjugated).
-Solving by Cholesky and assembling g gives the unique minimum-norm
-solution; any admissible perturbation is orthogonal to the span and can
-only increase the norm, which the seeded spot-check verifies.  Members
-are kept as factors psi_n (x) Z_n (see riesz); g is the one dense
-(nodes, steps+1) array, built once from them.
+Solving by Cholesky (numpy's factor L, then one solve against L and one
+against L^H: riesz.cholesky_solve) and assembling g gives the unique
+minimum-norm solution; any admissible perturbation is orthogonal to the
+span and can only increase the norm, which the seeded spot-check
+verifies in real arithmetic.  Members are kept as factors psi_n (x) Z_n
+(see riesz); g is the one dense (nodes, steps+1) array, built once from
+them.
 
 Factor form.  The control is a sum of K real boundary traces times K
 real time profiles.  Each psi_k is a scalar times the real trace of its
@@ -41,12 +43,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, InternalConsistencyError, NotControllableError
-from .grid import TimeGrid, make_grid
+from .grid import TimeGrid, make_grid, trapezoid_weights
 from .kernels import NormalizedKernel
-from .riesz import CONDITION_CAP, SequenceFamily, gram
+from .riesz import CONDITION_CAP, SequenceFamily, cholesky_solve, gram
 from .spectral import EigenPair
 from .volterra import (ModeResponse, comparator_profile, refined_S,
                        transformed_exponential)
@@ -211,7 +212,7 @@ def synthesize(problem: MomentProblem,
             f"moment problem not solvable at T={problem.horizon:.6g}: "
             f"m_N={rep.m_N:.3e}, condition={rep.cond:.3e} (cap {condition_cap:.1e})",
             frame_lower=rep.m_N, condition=rep.cond)
-    a = cho_solve(cho_factor(rep.gram), problem.rhs)
+    a = cholesky_solve(rep.gram, problem.rhs)
     g = fam.combination(a, conjugate=True)
     residual = np.abs(fam.pairing(g) - problem.rhs)
     rhs_scale = max(1.0, float(np.max(np.abs(problem.rhs))))
@@ -271,19 +272,63 @@ def _min_norm_spot_check(fam: SequenceFamily, rep, g, norm,
     sums (pairing conj(m_j) against m_n gives G_{nj}), so removing the
     span component is a plain Gram solve; what remains has zero moments
     and by Pythagoras can only add norm.
+
+    The directions are real, so every dense pass is a real product: a
+    perturbation is held as its real part (in place in the drawn
+    direction) and its imaginary part, complex factors enter as
+    interleaved real and imaginary rows or columns, and no complex
+    (nodes, steps+1) array is formed.
     """
+    nodes = g.shape[0]
+    wt = trapezoid_weights(fam.grid)
+    # u @ W, viewed as complex, is u @ (Z w_t).T for a real dense u
+    W = np.ascontiguousarray((fam.profiles * wt).T).view(float)
+    # rows Re Z_0, Im Z_0, Re Z_1, ...: B.view(float) @ Zs = Re(B @ conj Z)
+    Zs = np.stack([fam.profiles.real, fam.profiles.imag], axis=1).reshape(
+        -1, g.shape[1])
+    psi_w = (fam.psi * fam.gamma_weights).T
+    conj_psi = np.ascontiguousarray(np.conj(fam.psi).T)
+    g_re, g_im = np.real(g), np.imag(g)
+    parts = np.empty((2 * nodes, g.shape[1]))
+    sq = np.empty(g.shape)
+
+    def pairing(re, im=None):
+        q = (re @ W).view(complex)
+        if im is not None:
+            q = q + 1j * (im @ W).view(complex)
+        return np.sum(psi_w * q, axis=0)
+
+    def norm_sq(re, im, add_re=None, add_im=None):
+        # weighted L2 norm squared of (re + add_re) + i (im + add_im)
+        total = 0.0
+        for u, du in ((re, add_re), (im, add_im)):
+            if du is None:
+                np.square(u, out=sq)
+            else:
+                np.add(u, du, out=sq)
+                np.square(sq, out=sq)
+            total = total + sq @ wt
+        return float(fam.gamma_weights @ total)
+
     rng = np.random.default_rng(seed)
     for _ in range(dirs):
         v = rng.standard_normal(g.shape)
-        moments_v = fam.pairing(v)
+        moments_v = pairing(v)
         x = np.linalg.solve(rep.gram, moments_v)
-        v_perp = v - fam.combination(x, conjugate=True)
-        moments = np.max(np.abs(fam.pairing(v_perp)))
-        vnorm = np.sqrt(fam.dense_norm_sq(v_perp))
+        # the span component is B @ conj(Z) with B = conj(psi).T * x; the
+        # real part of v_perp is v minus its real part, the imaginary
+        # part of v_perp is minus its imaginary part, Re((i B) @ conj Z)
+        B = conj_psi * x
+        np.matmul(np.vstack([B.view(float), (1j * B).view(float)]), Zs,
+                  out=parts)
+        v -= parts[:nodes]
+        v_im = parts[nodes:]
+        moments = np.max(np.abs(pairing(v, v_im)))
+        vnorm = np.sqrt(norm_sq(v, v_im))
         if moments > 1e-7 * (1.0 + float(np.max(np.abs(moments_v)))) * rep.cond:
             raise InternalConsistencyError(
                 f"span projection left residual moments {moments:.3e}")
-        perturbed = np.sqrt(fam.dense_norm_sq(g + v_perp))
+        perturbed = np.sqrt(norm_sq(v, v_im, g_re, g_im))
         if perturbed < norm * (1.0 - 1e-9) - 1e-12 and vnorm > 0:
             raise InternalConsistencyError(
                 "minimum-norm violated by a span-orthogonal perturbation")

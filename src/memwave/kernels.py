@@ -35,7 +35,6 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import ConfigError, ConvergenceError
 from .grid import TimeGrid
@@ -229,6 +228,22 @@ def _tabulated_m(spec: KernelSpec, grid: TimeGrid):
     return M, Mp, Mpp, I
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= n, an FFT size numpy's
+    pocketfft transforms by its fastest radices (the size
+    scipy.fft.next_fast_len(n, real=True) gives)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def convolve(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     """Product-trapezoidal causal convolution (f*g)(t_j) on a uniform grid.
 
@@ -239,9 +254,9 @@ def convolve(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
 
     Time is axis 0 and the other axes broadcast, an operand with fewer
     axes taking trailing ones: an (m+1,) kernel convolves every column of
-    an (m+1, K) batch.  Each operand is transformed once (rfft, or fft
-    when either is complex, at next_fast_len(2m+1)), so a column equals
-    its one-column call bit for bit.
+    an (m+1, K) batch.  Each operand is transformed once on numpy.fft
+    (rfft, or fft when either is complex, at the 5-smooth size
+    _fast_len(2m+1)), so a column equals its one-column call bit for bit.
     """
     f = f.reshape(f.shape + (1,) * (g.ndim - f.ndim))
     g = g.reshape(g.shape + (1,) * (f.ndim - g.ndim))
@@ -250,8 +265,9 @@ def convolve(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
         raise ConfigError(f"convolve shape mismatch {f.shape} vs {g.shape}")
     n = f.shape[0]
     real = not (np.iscomplexobj(f) or np.iscomplexobj(g))
-    fft, ifft = (sfft.rfft, sfft.irfft) if real else (sfft.fft, sfft.ifft)
-    size = sfft.next_fast_len(2 * n - 1, real)
+    fft, ifft = ((np.fft.rfft, np.fft.irfft) if real
+                 else (np.fft.fft, np.fft.ifft))
+    size = _fast_len(2 * n - 1)
     full = ifft(fft(f, size, axis=0) * fft(g, size, axis=0), size, axis=0)[:n]
     out = h * (full - 0.5 * (f[0] * g + g[0] * f))
     out[0] = 0.0

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh
 
 from .errors import (ConfigError, ConvergenceError, InternalConsistencyError,
                      NotControllableError)
@@ -183,6 +182,13 @@ def gram_matrix(family: SequenceFamily, truncation: int = None) -> np.ndarray:
     return 0.5 * (G + np.conj(G).T)
 
 
+def cholesky_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve G x = b for a Hermitian positive definite G: G = L L^H, then
+    one solve against L and one against L^H."""
+    L = np.linalg.cholesky(G)
+    return np.linalg.solve(np.conj(L).T, np.linalg.solve(L, b))
+
+
 def gram(family: SequenceFamily, truncation: int = None) -> GramReport:
     """Gram matrix plus frame bounds of every nested truncation level."""
     G = gram_matrix(family, truncation)
@@ -190,7 +196,7 @@ def gram(family: SequenceFamily, truncation: int = None) -> GramReport:
     lows = np.empty(N)
     highs = np.empty(N)
     for k in range(1, N + 1):
-        vals = eigvalsh(G[:k, :k])
+        vals = np.linalg.eigvalsh(G[:k, :k])
         lows[k - 1] = vals[0]
         highs[k - 1] = vals[-1]
     # Cauchy interlacing, with a little room for eigensolver roundoff
@@ -259,8 +265,7 @@ def biorthogonal(family: SequenceFamily, truncation: int = None,
             f"family {family.label!r} near-degenerate at truncation {N}: "
             f"m_N={rep.m_N:.3e}, condition {rep.cond:.3e} over cap {condition_cap:.1e}",
             frame_lower=rep.m_N, condition=rep.cond)
-    factor = cho_factor(rep.gram)
-    Cinv = cho_solve(factor, np.eye(N, dtype=complex))
+    Cinv = cholesky_solve(rep.gram, np.eye(N, dtype=complex))
     residual = float(np.max(np.abs(Cinv @ rep.gram - np.eye(N))))
     if residual > 1e-8 * max(rep.cond, 1.0):
         raise InternalConsistencyError(

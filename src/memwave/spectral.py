@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, ConvergenceError
 
@@ -121,8 +120,12 @@ def sturm_liouville_eigs(a, q, length: float, count: int, nx: int):
 
     Returns (lambda_sq, vectors, x_interior); vectors are L2-normalized
     columns with the sign fixed so the first interior value is positive.
-    Second-order symmetric scheme on nx subintervals.
+    Second-order symmetric scheme on nx subintervals.  This is the one
+    scipy call in memwave, imported here so that the constant-coefficient
+    pipeline (every CLI experiment) loads numpy only.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     h = length / nx
     x = np.linspace(0.0, length, nx + 1)
     xin = x[1:-1]

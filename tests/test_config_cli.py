@@ -36,18 +36,60 @@ def write_cfg(tmp_path, doc, name="cfg.json"):
 # ---------------------------------------------------------------- import
 
 
-def test_cli_import_skips_scipy_signal_and_integrate():
-    # the convolution runs on scipy.fft and the kernel integral on numpy;
-    # scipy.signal alone was most of the CLI's import time
-    code = ("import sys, memwave.cli; print(sorted(m for m in "
-            "('scipy.signal', 'scipy.integrate') if m in sys.modules))")
+def _fresh_python(code):
+    """stdout of `code` run in a new interpreter that imports memwave from src."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+def test_cli_import_skips_scipy_signal_and_integrate():
+    # the convolution runs on numpy.fft and the kernel integral on numpy;
+    # scipy.signal alone was most of the CLI's import time
+    code = ("import sys, memwave.cli; print(sorted(m for m in "
+            "('scipy.signal', 'scipy.integrate') if m in sys.modules))")
+    assert _fresh_python(code).strip() == "[]"
+
+
+_SCIPY_LOADED = ("sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.'))")
+
+
+def test_cli_experiments_load_no_scipy(tmp_path):
+    # the CLI is numpy-only: scipy serves the variable-coefficient
+    # Sturm-Liouville solve alone, which no config reaches
+    exp = {"family": "exponential_sum", "coefficients": [1.0], "rates": [1.0]}
+    runs = []
+    for command, doc in (
+            ("verify", base("verify", T=2.5 * PI, K=2, K_sim=3,
+                            target="random", seed=1, kernel=exp)),
+            ("synthesize", base("synthesize", T=2.5 * PI, K=2,
+                                target="random", seed=1, kernel=exp,
+                                domain={"geometry": "rectangle",
+                                        "lengths": [PI, PI],
+                                        "gamma_subset": ["right"]})),
+            ("sweep-t", base("sweep-T", K=3, kernel=exp,
+                             sweep={"T_min": 1.5 * PI, "T_max": 2.5 * PI,
+                                    "steps": 3}))):
+        runs.append((command, write_cfg(tmp_path, doc, f"{command}.json")))
+    code = f"""
+import contextlib, io, json, sys
+import memwave.cli
+report = [("import", 0, {_SCIPY_LOADED})]
+for command, path in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = memwave.cli.main([command, "--config", path, "--out",
+                                 {str(tmp_path / "store")!r}, "--grid-h", "0.02"])
+    report.append((command, code, {_SCIPY_LOADED}))
+print(json.dumps(report))
+"""
+    report = json.loads(_fresh_python(code))
+    assert [tuple(r) for r in report] == [
+        (step, 0, []) for step in ("import", "verify", "synthesize", "sweep-t")]
 
 
 # ---------------------------------------------------------------- config
@@ -645,5 +687,50 @@ def test_cli_synthesize_fails_closed(tmp_path, geometry, lengths,
         for name in ("control.csv", "control_traces.csv", "coefficients.csv"):
             table = np.loadtxt(adir / name, delimiter=",", ndmin=2)
             assert np.all(np.isfinite(table)), name
+    else:
+        assert not store.exists()
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(length=st.floats(0.5, 4.0), c=st.floats(-2.0, 2.0),
+       family=st.sampled_from(["zero", "exponential_sum", "polynomial"]),
+       coefficients=st.lists(st.one_of(st.floats(-5.0, 5.0),
+                                       st.floats(-1e8, 1e8)),
+                             min_size=1, max_size=2),
+       rate=st.floats(0.0, 5.0), h=st.floats(1e-2, 0.1), K=st.integers(1, 4),
+       T_min=st.one_of(st.floats(1e-3, 0.1), st.floats(0.1, 8.0)),
+       span=st.floats(1e-3, 4.0), steps=st.integers(1, 5))
+def test_cli_sweep_fails_closed(tmp_path, length, c, family, coefficients,
+                                rate, h, K, T_min, span, steps):
+    # any small interval sweep-t config ends in a documented exit code, and
+    # a success writes strict finite JSON for every horizon
+    kernel = {"family": family}
+    if family != "zero":
+        kernel["coefficients"] = coefficients
+    if family == "exponential_sum":
+        kernel["rates"] = [rate] * len(coefficients)
+    T_max = T_min if steps == 1 else T_min + span
+    doc = base("sweep-T", K=K, h=h, kernel=kernel,
+               sweep={"T_min": T_min, "T_max": T_max, "steps": steps},
+               domain={"geometry": "interval", "lengths": [length], "c": c})
+    store = tmp_path / config_hash(doc)
+    with warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore")
+        code = run(tmp_path, doc, command="sweep-t", out=store)
+    assert code in _FAIL_CLOSED
+    if code == 0:
+        (adir,) = store.iterdir()
+        def reject(token):
+            raise AssertionError(f"non-finite {token} in sweep.json")
+        data = json.loads((adir / "sweep.json").read_text(),
+                          parse_constant=reject)
+        assert len(data["T"]) == steps
+        for key in ("T", "m_N_telegraph", "m_N_visco"):
+            assert len(data[key]) == steps
+            assert all(math.isfinite(v) for v in data[key]), key
+        assert math.isfinite(data["grid_h"])
     else:
         assert not store.exists()

@@ -9,6 +9,7 @@ from memwave import (ConfigError, DomainSpec, InternalConsistencyError,
                      compute_eigenpairs, control_factors, compute_responses, gram, make_grid,
                      normalize, quadratic_closeness, s_family, synthesize,
                      telegraph_family, viscoelastic_family)
+from memwave.control import _min_norm_spot_check
 
 PI = np.pi
 INTERVAL = DomainSpec("interval", (PI,))
@@ -260,3 +261,44 @@ def test_control_factors_refuse_complex_trace():
         control_factors(fam, a, bad)
     with pytest.raises(ConfigError):
         control_factors(fam, a, pairs[:-1])
+
+
+# ------------------------------------------------------ min-norm spot check
+
+
+def _solved(case):
+    """(family, Gram report, minimum-norm g, its norm) for a random target."""
+    fam, pairs = _factor_case(case)
+    rng = np.random.default_rng(3)
+    K = len(pairs)
+    target = TargetState(rng.standard_normal(K), rng.standard_normal(K), K)
+    rep = gram(fam)
+    a = np.linalg.solve(rep.gram, build_moment_problem(fam, target).rhs)
+    g = fam.combination(a, conjugate=True)
+    return fam, rep, g, np.sqrt(fam.dense_norm_sq(g))
+
+
+@pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
+def test_spot_check_catches_a_control_off_minimum_norm(case):
+    fam, rep, g, norm = _solved(case)
+    _min_norm_spot_check(fam, rep, g, norm, seed=0, dirs=5)
+    # the check's own first direction, projected off the span with the
+    # family's complex methods: g - 0.75 v_perp solves the same moments
+    # with a larger norm, and adding v_perp back lowers it
+    v = np.random.default_rng(0).standard_normal(g.shape)
+    x = np.linalg.solve(rep.gram, fam.pairing(v))
+    v_perp = v - fam.combination(x, conjugate=True)
+    bad = g - 0.75 * v_perp
+    with pytest.raises(InternalConsistencyError, match="minimum-norm violated"):
+        _min_norm_spot_check(fam, rep, bad, np.sqrt(fam.dense_norm_sq(bad)),
+                             seed=0, dirs=5)
+
+
+@pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
+def test_spot_check_catches_a_wrong_gram(case):
+    # a Gram scaled by 2 removes half of the span component
+    fam, rep, g, norm = _solved(case)
+    wrong = dataclasses.replace(rep, gram=2.0 * rep.gram)
+    with pytest.raises(InternalConsistencyError,
+                       match="span projection left residual moments"):
+        _min_norm_spot_check(fam, wrong, g, norm, seed=0, dirs=5)

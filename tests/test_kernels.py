@@ -6,7 +6,7 @@ import pytest
 from memwave import (ConfigError, ConvergenceError, KernelSpec,
                      NormalizedKernel, TimeGrid, convolve, make_grid,
                      normalize, resolvent)
-from memwave.kernels import decay_integral, kernel_terms
+from memwave.kernels import _fast_len, decay_integral, kernel_terms
 
 # closed forms used as oracles below (single decaying exponential M = e^{-t}):
 #   gamma = -1/2, N(t) = 2 e^{-t} - e^{-2t}
@@ -132,6 +132,21 @@ def test_convolution_shape_mismatch_rejected():
         convolve(a, np.ones((11, 2)), 0.1)
     with pytest.raises(ConfigError):
         convolve(np.ones(10), a, 0.1)
+
+
+def test_fast_len_is_the_real_next_fast_len():
+    # the padded FFT size: the smallest 5-smooth integer >= n, which is
+    # what scipy.fft gives real transforms
+    from scipy.fft import next_fast_len
+    n = np.arange(1, 20001)
+    got = np.array([_fast_len(int(k)) for k in n])
+    assert np.all(got >= n)
+    rest = got.copy()
+    for p in (2, 3, 5):
+        while np.any(rest % p == 0):
+            rest = np.where(rest % p == 0, rest // p, rest)
+    assert np.all(rest == 1)
+    assert np.array_equal(got, [next_fast_len(int(k), True) for k in n])
 
 
 def test_resolvent_sine_oracle(grid):
