@@ -19,7 +19,7 @@ from .kernels import (KernelSpec, NormalizedKernel, convolve, normalize,
                       resolvent)
 from .riesz import (CONDITION_CAP, GramReport, SequenceFamily, biorthogonal,
                     coefficient_decay_check, gram, gram_matrix,
-                    paley_wiener_check, quadratic_closeness,
+                    gram_sweep, paley_wiener_check, quadratic_closeness,
                     sine_cosine_family)
 from .simulate import (SimResult, achieved_coefficients, back_transform,
                        mode_energies, route_gap, simulate_convolution,

@@ -5,7 +5,9 @@
 
 Each run writes its artifacts under  {out}/{experiment}-{hash}/  where
 hash is the config hash; reruns of the same config land in the same
-directory with byte-identical contents.  The directory is created by the
+directory with byte-identical contents.  --grid-h H is the config key
+"h": H, validated like it and part of the hash, so one config run at
+two steps writes two directories.  The directory is created by the
 first artifact written, so a run that fails before writing leaves none.
 Output root resolution order: --out flag, config "out" key,
 $MEMWAVE_OUT, ./memwave-out.
@@ -24,8 +26,11 @@ synthesis.json.
 sweep-t marches once.  The step is the configured one (T_min's auto step
 under "auto"), shrunk so that it divides the horizon spacing; the kernel,
 the responses and both families are built on one grid to the last
-horizon and restricted exactly to every shorter one, and the artifacts
-report the horizons computed, k*h.
+horizon, and riesz.gram_sweep reads every horizon's Gram from one pass
+over that grid, the time Gram summed segment by segment between
+horizons.  The artifacts report the horizons computed, k*h; sweep.json
+also holds each horizon's nested lower frame bounds m_1..m_2K of both
+families (frame_lower_telegraph, frame_lower_visco).
 
 Exit codes: 0 success, 2 config, 3 convergence, 4 not controllable,
 5 internal inconsistency.  Anything else crashing is a plain 1.
@@ -48,7 +53,7 @@ from .errors import (ConfigError, ConvergenceError, InternalConsistencyError,
                      MemwaveError)
 from .grid import TimeGrid, auto_step, make_grid
 from .kernels import normalize
-from .riesz import gram
+from .riesz import gram, gram_sweep
 from .simulate import (achieved_coefficients, route_gap,
                        simulate_convolution, simulate_march)
 from .spectral import compute_eigenpairs, trace_diagnostics
@@ -144,8 +149,8 @@ def _beta_max_estimate(cfg, count):
     return np.sqrt(max(a_max, 1.0)) * (count + 1) * np.pi / l_min
 
 
-def _grid_for(cfg, T, count, grid_h):
-    h = grid_h if grid_h is not None else cfg.h
+def _grid_for(cfg, T, count):
+    h = cfg.h
     if h == "auto":
         h = auto_step(T, _beta_max_estimate(cfg, count))
     return make_grid(T, float(h))
@@ -157,9 +162,9 @@ def _spectrum(cfg, count):
     return pairs, alpha, gamma
 
 
-def _responses_for(cfg, T, count, grid_h, grid_count=None):
+def _responses_for(cfg, T, count, grid_count=None):
     pairs, alpha, gamma = _spectrum(cfg, count)
-    grid = _grid_for(cfg, T, grid_count or count, grid_h)
+    grid = _grid_for(cfg, T, grid_count or count)
     kernel = normalize(cfg.kernel, grid)
     responses = compute_responses(kernel, pairs)
     return pairs, kernel, responses
@@ -176,7 +181,7 @@ def _resolve_target(cfg):
 
 # ---------------------------------------------------------------- commands
 
-def _run_spectrum(cfg, adir, grid_h):
+def _run_spectrum(cfg, adir):
     pairs, alpha, gamma = _spectrum(cfg, cfg.N_modes)
     diag = trace_diagnostics(pairs, cfg.domain.gamma_weights())
     rows = [(p.index, p.lambda_sq, p.beta.real, p.beta.imag,
@@ -193,9 +198,8 @@ def _run_spectrum(cfg, adir, grid_h):
     return 0
 
 
-def _run_responses(cfg, adir, grid_h):
-    pairs, kernel, responses = _responses_for(
-        cfg, cfg.T, cfg.N_modes, grid_h)
+def _run_responses(cfg, adir):
+    pairs, kernel, responses = _responses_for(cfg, cfg.T, cfg.N_modes)
     refined = {p.index: refined_S(kernel, p)
                for p in pairs if not p.in_J}
     # fit over the asymptotic window only; the first few modes sit in the
@@ -218,19 +222,19 @@ def _run_responses(cfg, adir, grid_h):
     return 0
 
 
-def _family(cfg, grid_h, T=None):
+def _family(cfg, T=None):
     # tune the grid for the largest mode any later stage will touch, so a
     # synthesized control and its verification live on the same grid
     T = T if T is not None else cfg.T
     pairs, kernel, responses = _responses_for(
-        cfg, T, cfg.K, grid_h, grid_count=max(cfg.K, cfg.K_sim))
+        cfg, T, cfg.K, grid_count=max(cfg.K, cfg.K_sim))
     fam = viscoelastic_family([responses[p.index] for p in pairs],
                               cfg.domain.gamma_weights())
     return pairs, kernel, responses, fam
 
 
-def _run_gram(cfg, adir, grid_h):
-    pairs, kernel, responses, fam = _family(cfg, grid_h)
+def _run_gram(cfg, adir):
+    pairs, kernel, responses, fam = _family(cfg)
     rep = gram(fam)
     _write_json(os.path.join(adir, "gram.json"), {
         "T": cfg.T, "members": fam.count,
@@ -243,8 +247,8 @@ def _run_gram(cfg, adir, grid_h):
     return 0
 
 
-def _run_synthesize(cfg, adir, grid_h):
-    pairs, kernel, responses, fam = _family(cfg, grid_h)
+def _run_synthesize(cfg, adir):
+    pairs, kernel, responses, fam = _family(cfg)
     target = _resolve_target(cfg)
     problem = build_moment_problem(fam, target)
     control = synthesize(problem)
@@ -285,10 +289,10 @@ def _run_synthesize(cfg, adir, grid_h):
     return 0
 
 
-def _run_verify(cfg, adir, grid_h):
+def _run_verify(cfg, adir):
     count = max(cfg.K, cfg.K_sim)
     sim_pairs, kernel, sim_resp = _responses_for(
-        cfg, cfg.T, count, grid_h, grid_count=count)
+        cfg, cfg.T, count, grid_count=count)
     gw = cfg.domain.gamma_weights()
     fam = viscoelastic_family([sim_resp[n] for n in range(1, cfg.K + 1)], gw)
     target = _resolve_target(cfg)
@@ -313,7 +317,7 @@ def _run_verify(cfg, adir, grid_h):
     return 0 if verdict == "PASS" else 5
 
 
-def _sweep_grid(cfg, grid_h):
+def _sweep_grid(cfg):
     """One grid for the whole sweep and the step count of each horizon.
 
     The step is the configured one (under "auto", the step T_min would
@@ -322,7 +326,7 @@ def _sweep_grid(cfg, grid_h):
     of the spacing, and within h/2 of one otherwise.
     """
     horizons = cfg.sweep.horizons()
-    h = grid_h if grid_h is not None else cfg.h
+    h = cfg.h
     if h == "auto":
         h = auto_step(cfg.sweep.T_min, _beta_max_estimate(cfg, cfg.K))
     h = float(h)
@@ -335,10 +339,10 @@ def _sweep_grid(cfg, grid_h):
     return TimeGrid(steps[-1] * h, steps[-1], h), steps
 
 
-def _run_sweep(cfg, adir, grid_h):
+def _run_sweep(cfg, adir):
     alpha, gamma = _alpha_of(cfg)
     gw = cfg.domain.gamma_weights()
-    grid, steps = _sweep_grid(cfg, grid_h)
+    grid, steps = _sweep_grid(cfg)
     pairs_tel = compute_eigenpairs(cfg.domain, cfg.K, cfg.domain.c)
     fam_t = telegraph_family(pairs_tel, cfg.domain.c, grid.T,
                              steps=grid.steps, gamma_weights=gw)
@@ -346,13 +350,16 @@ def _run_sweep(cfg, adir, grid_h):
     resp = compute_responses(normalize(cfg.kernel, grid), pairs_vis)
     fam_v = viscoelastic_family([resp[p.index] for p in pairs_vis], gw)
     horizons = [k * grid.h for k in steps]
-    m_tel = [gram(fam_t.restrict(k)).m_N for k in steps]
-    m_vis = [gram(fam_v.restrict(k)).m_N for k in steps]
+    reps_t, reps_v = gram_sweep(fam_t, steps), gram_sweep(fam_v, steps)
+    m_tel = [r.m_N for r in reps_t]
+    m_vis = [r.m_N for r in reps_v]
     _write_csv(os.path.join(adir, "sweep.csv"),
                ["T", "m_N_telegraph", "m_N_visco"],
                zip(horizons, m_tel, m_vis), cfg.hash)
     _write_json(os.path.join(adir, "sweep.json"), {
         "T": horizons, "m_N_telegraph": m_tel, "m_N_visco": m_vis,
+        "frame_lower_telegraph": [r.frame_lower for r in reps_t],
+        "frame_lower_visco": [r.frame_lower for r in reps_v],
         "K": cfg.K, "members": 2 * cfg.K, "grid_h": grid.h,
     }, cfg.hash)
     return 0
@@ -488,10 +495,10 @@ def main(argv=None) -> int:
         if args.command == "report":
             return _run_report(args)
         experiment = "sweep-T" if args.command == "sweep-t" else args.command
-        cfg = cfgmod.load(args.config, experiment)
+        cfg = cfgmod.load(args.config, experiment, args.grid_h)
         out_root = _resolve_out(args.out, cfg.out)
         adir = _artifact_dir(out_root, cfg)
-        code = _RUNNERS[experiment](cfg, adir, args.grid_h)
+        code = _RUNNERS[experiment](cfg, adir)
         if code == 0:
             print(f"ok: artifacts in {adir}")
         else:

@@ -246,7 +246,11 @@ def _reject_constant(token):
     raise ConfigError(f"config holds the non-finite number {token}")
 
 
-def load(path: str, experiment: Optional[str] = None) -> RunConfig:
+def load(path: str, experiment: Optional[str] = None,
+         h: Optional[float] = None) -> RunConfig:
+    """Read and validate a config file.  A step h (the CLI's --grid-h)
+    is written into the document as its "h" key before validation, so
+    it is checked like one and enters the config hash."""
     try:
         with open(path) as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
@@ -254,4 +258,6 @@ def load(path: str, experiment: Optional[str] = None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if h is not None and isinstance(doc, dict):
+        doc["h"] = h
     return from_dict(doc, experiment)

@@ -25,6 +25,18 @@ The Gram is the entrywise (Hadamard) product of a boundary Gram and a
 time Gram; a dense grid function g (nodes, steps+1) is made only where
 one is needed, for the synthesized control.  One-node families (the
 interval) take psi = 1.
+
+Horizon sweeps.  The composite trapezoid rule is additive over
+adjacent segments: with 0 = k_0 < k_1 < ... the rule on [0, k_i h] is
+the rule on [0, k_{i-1} h] plus the rule on [k_{i-1} h, k_i h] (each
+segment with half weights at its own ends).  `gram_sweep` therefore
+sums the time Gram segment by segment, one pass over the grid, forms
+the boundary Gram once, and takes the nested frame bounds of all
+horizons in one batched eigenvalue call per truncation level.  There
+is one Gram route: `gram` and `gram_matrix` are its one-horizon case,
+a single segment over the whole grid.  Every horizon's Gram passes the
+finite and Hermitian checks, and its frame bounds the interlacing
+check, on its own.
 """
 
 from __future__ import annotations
@@ -161,25 +173,53 @@ class GramReport:
         return float(self.condition[-1])
 
 
-def gram_matrix(family: SequenceFamily, truncation: int = None) -> np.ndarray:
+def _truncation(family: SequenceFamily, truncation) -> int:
     N = family.count if truncation is None else truncation
     if not (1 <= N <= family.count):
         raise ConfigError(f"truncation {N} outside [1, {family.count}]")
-    psi, Z = family.psi[:N], family.profiles[:N]
-    boundary = (psi * family.gamma_weights) @ np.conj(psi).T
-    temporal = (Z * trapezoid_weights(family.grid)) @ np.conj(Z).T
-    G = boundary * temporal
+    return N
+
+
+def _checked(G: np.ndarray, label: str) -> np.ndarray:
+    """G after the finite and Hermitian checks, symmetrised."""
     if not np.all(np.isfinite(G)):
         raise ConvergenceError(
-            f"Gram of {family.label!r} is not finite (NaN or Inf entries); "
+            f"Gram of {label!r} is not finite (NaN or Inf entries); "
             "the members overflow")
     herm_gap = float(np.max(np.abs(G - np.conj(G).T)))
     scale = max(1.0, float(np.max(np.abs(G))))
     if herm_gap > 1e-12 * scale:
         raise InternalConsistencyError(
-            f"Gram of {family.label!r} is non-Hermitian (gap {herm_gap:.3e}); "
+            f"Gram of {label!r} is non-Hermitian (gap {herm_gap:.3e}); "
             "quadrature inconsistency")
     return 0.5 * (G + np.conj(G).T)
+
+
+def _grams(family: SequenceFamily, steps: Sequence[int], N: int) -> list:
+    """Checked Grams of the first N members on [0, k h], k in steps.
+
+    One pass over the grid: the trapezoid rule on [0, k_i h] is the rule
+    on [0, k_{i-1} h] plus the rule on [k_{i-1} h, k_i h], so the time
+    Gram of each horizon adds one segment's product to the last one's.
+    """
+    psi, Z = family.psi[:N], family.profiles[:N]
+    boundary = (psi * family.gamma_weights) @ np.conj(psi).T
+    h = family.grid.h
+    grams, temporal, start = [], None, 0
+    for k in steps:
+        seg = Z[:, start:k + 1]
+        w = np.full(k - start + 1, h)
+        w[0] = w[-1] = 0.5 * h
+        part = (seg * w) @ np.conj(seg).T
+        temporal = part if temporal is None else temporal + part
+        grams.append(_checked(boundary * temporal, family.label))
+        start = k
+    return grams
+
+
+def gram_matrix(family: SequenceFamily, truncation: int = None) -> np.ndarray:
+    return _grams(family, (family.grid.steps,),
+                  _truncation(family, truncation))[0]
 
 
 def cholesky_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -189,27 +229,47 @@ def cholesky_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.conj(L).T, np.linalg.solve(L, b))
 
 
+def _reports(family: SequenceFamily, steps: Sequence[int], N: int) -> list:
+    """Frame bounds of every nested level at every horizon: one batched
+    eigenvalue call per level, each horizon checked on its own."""
+    Gs = np.stack(_grams(family, steps, N))
+    lows = np.empty((len(steps), N))
+    highs = np.empty((len(steps), N))
+    for k in range(1, N + 1):
+        vals = np.linalg.eigvalsh(Gs[:, :k, :k])
+        lows[:, k - 1] = vals[:, 0]
+        highs[:, k - 1] = vals[:, -1]
+    reports = []
+    for G, lo, hi in zip(Gs, lows, highs):
+        # Cauchy interlacing, with a little room for eigensolver roundoff
+        slack = 1e-10 * max(1.0, float(hi[-1]))
+        if np.any(np.diff(lo) > slack) or np.any(np.diff(hi) < -slack):
+            raise InternalConsistencyError(
+                f"frame bounds of {family.label!r} violate interlacing")
+        cond = np.full(N, np.inf)
+        pos = lo > 0
+        with np.errstate(over="ignore"):   # an overflow is an infinite condition
+            cond[pos] = hi[pos] / lo[pos]
+        reports.append(GramReport(G, lo, hi, cond, family.label,
+                                  tuple(family.index_set[:N])))
+    return reports
+
+
 def gram(family: SequenceFamily, truncation: int = None) -> GramReport:
     """Gram matrix plus frame bounds of every nested truncation level."""
-    G = gram_matrix(family, truncation)
-    N = G.shape[0]
-    lows = np.empty(N)
-    highs = np.empty(N)
-    for k in range(1, N + 1):
-        vals = np.linalg.eigvalsh(G[:k, :k])
-        lows[k - 1] = vals[0]
-        highs[k - 1] = vals[-1]
-    # Cauchy interlacing, with a little room for eigensolver roundoff
-    slack = 1e-10 * max(1.0, float(highs[-1]))
-    if np.any(np.diff(lows) > slack) or np.any(np.diff(highs) < -slack):
-        raise InternalConsistencyError(
-            f"frame bounds of {family.label!r} violate interlacing")
-    cond = np.full(N, np.inf)
-    pos = lows > 0
-    with np.errstate(over="ignore"):       # an overflow is an infinite condition
-        cond[pos] = highs[pos] / lows[pos]
-    return GramReport(G, lows, highs, cond, family.label,
-                      tuple(family.index_set[:N]))
+    return _reports(family, (family.grid.steps,),
+                    _truncation(family, truncation))[0]
+
+
+def gram_sweep(family: SequenceFamily, steps: Sequence[int]) -> list:
+    """gram(family.restrict(k)) for every k of a strictly ascending
+    sequence of step counts, from one pass over the grid."""
+    steps = list(steps)
+    if not (steps and 2 <= steps[0] and steps[-1] <= family.grid.steps
+            and all(a < b for a, b in zip(steps, steps[1:]))):
+        raise ConfigError(f"horizon step counts {steps} do not ascend "
+                          f"strictly within [2, {family.grid.steps}]")
+    return _reports(family, steps, family.count)
 
 
 def quadratic_closeness(a: SequenceFamily, b: SequenceFamily,

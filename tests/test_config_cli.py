@@ -227,6 +227,15 @@ def run(tmp_path, doc, command=None, out=None, grid_h=None, name="cfg.json"):
     return main(argv)
 
 
+def adir_of(out, command, doc, grid_h=None):
+    """Artifact directory of a run: --grid-h H is the config key h = H."""
+    return out / f"{command}-{config_hash(with_h(doc, grid_h))}"
+
+
+def with_h(doc, grid_h):
+    return doc if grid_h is None else dict(doc, h=grid_h)
+
+
 def test_cli_spectrum_artifacts(tmp_path, capsys):
     doc = base(K=4, N_modes=6)
     assert run(tmp_path, doc, out=tmp_path / "store") == 0
@@ -253,13 +262,17 @@ def test_cli_reruns_are_byte_identical(tmp_path):
              {"eigenpairs.csv", "spectrum.json"}),
             ("synthesize", base("synthesize", K=3, **synth), 5e-3, None),
             ("synthesize", base("synthesize", K=2, domain=RECT, **synth),
-             2e-2, None)):
+             2e-2, None),
+            ("sweep-t", base("sweep-T", K=3, kernel=EXP,
+                             sweep={"T_min": 1.5 * PI, "T_max": 2.5 * PI,
+                                    "steps": 4}),
+             2e-2, {"sweep.csv", "sweep.json"})):
         names = names or {"control.csv", "control_traces.csv",
                           "coefficients.csv", "synthesis.json"}
-        adir = out / f"{command}-{config_hash(doc)}"
-        assert run(tmp_path, doc, out=out, grid_h=grid_h) == 0
+        adir = adir_of(out, command, doc, grid_h)
+        assert run(tmp_path, doc, command, out=out, grid_h=grid_h) == 0
         first = {p.name: p.read_bytes() for p in adir.iterdir()}
-        assert run(tmp_path, doc, out=out, grid_h=grid_h) == 0
+        assert run(tmp_path, doc, command, out=out, grid_h=grid_h) == 0
         second = {p.name: p.read_bytes() for p in adir.iterdir()}
         assert set(first) == names
         assert first == second
@@ -349,14 +362,14 @@ def test_cli_synthesize_then_verify_passes(tmp_path):
     sdoc = base("synthesize", **common)
     vdoc = base("verify", **common)
     assert run(tmp_path, sdoc, out=store, grid_h=5e-3, name="s.json") == 0
-    sdir = store / f"synthesize-{config_hash(sdoc)}"
+    sdir = adir_of(store, "synthesize", sdoc, 5e-3)
     assert (sdir / "control.csv").exists()
     syn = json.loads((sdir / "synthesis.json").read_text())
     assert syn["residual_max"] <= 1e-8 * syn["condition"]
     assert syn["imag_max"] <= 1e-12
 
     assert run(tmp_path, vdoc, out=store, grid_h=5e-3, name="v.json") == 0
-    vdir = store / f"verify-{config_hash(vdoc)}"
+    vdir = adir_of(store, "verify", vdoc, 5e-3)
     verdict = json.loads((vdir / "verdict.json").read_text())
     assert verdict["verdict"] == "PASS"
     assert verdict["achieved_error"] <= verdict["tolerance"]
@@ -364,7 +377,7 @@ def test_cli_synthesize_then_verify_passes(tmp_path):
     # root does not reach its artifacts
     assert run(tmp_path, vdoc, out=tmp_path / "fresh", grid_h=5e-3,
                name="v2.json") == 0
-    fresh = tmp_path / "fresh" / f"verify-{config_hash(vdoc)}"
+    fresh = adir_of(tmp_path / "fresh", "verify", vdoc, 5e-3)
     assert (fresh / "verdict.json").read_bytes() == \
         (vdir / "verdict.json").read_bytes()
 
@@ -382,7 +395,7 @@ def test_cli_synthesize_writes_control_factors(tmp_path, capsys, monkeypatch):
                kernel=EXP, domain=dict(RECT, gamma_subset=["right", "top"]))
     store = tmp_path / "store"
     assert run(tmp_path, doc, out=store, grid_h=2e-2) == 0
-    adir = store / f"synthesize-{config_hash(doc)}"
+    adir = adir_of(store, "synthesize", doc, 2e-2)
     cols, g = cli._read_csv(str(adir / "control.csv"))
     tcols, tr = cli._read_csv(str(adir / "control_traces.csv"))
     assert cols == ["t", "g_mode1", "g_mode2"]
@@ -444,7 +457,7 @@ def test_cli_rectangle_round_trip_passes(tmp_path):
     sdoc, vdoc = base("synthesize", **common), base("verify", **common)
     assert run(tmp_path, sdoc, out=store, grid_h=2e-2, name="s.json") == 0
     assert run(tmp_path, vdoc, out=store, grid_h=2e-2, name="v.json") == 0
-    verdict = json.loads((store / f"verify-{config_hash(vdoc)}" /
+    verdict = json.loads((adir_of(store, "verify", vdoc, 2e-2) /
                           "verdict.json").read_text())
     assert verdict["verdict"] == "PASS"
     assert verdict["achieved_error"] <= verdict["tolerance"]
@@ -457,7 +470,7 @@ def test_cli_sweep_and_report(tmp_path, capsys):
                        "coefficients": [1.0], "rates": [1.0]})
     out = tmp_path / "store"
     assert run(tmp_path, doc, command="sweep-t", out=out, grid_h=1e-2) == 0
-    adir = out / f"sweep-t-{config_hash(doc)}"
+    adir = adir_of(out, "sweep-t", doc, 1e-2)
     data = json.loads((adir / "sweep.json").read_text())
     assert len(data["T"]) == 3
     # collapse below the sharp horizon, plateau at it
@@ -499,11 +512,41 @@ def test_cli_grid_h_flag_controls_step(tmp_path):
     out = tmp_path / "store"
     assert run(tmp_path, doc, out=out, grid_h=5e-3) == 0
     meta = json.loads(
-        (out / f"responses-{config_hash(doc)}" / "responses.json").read_text())
+        (adir_of(out, "responses", doc, 5e-3) / "responses.json").read_text())
     # the step is rounded so that an integer number of steps spans T
     assert meta["grid_h"] == pytest.approx(5e-3, rel=1e-2)
     assert meta["grid_steps"] == round(PI / 5e-3)
     assert meta["fit_from_mode"] == 5
+
+
+def test_cli_grid_h_enters_the_config_hash(tmp_path):
+    # --grid-h H is the config key h = H: one config at two steps writes
+    # two directories, and a run that fails at a third leaves both as
+    # they were
+    doc = base("sweep-T", K=1, kernel=EXP,
+               sweep={"T_min": 0.1, "T_max": 0.1, "steps": 1})
+    store = tmp_path / "store"
+
+    def snapshot():
+        return {d.name: {f.name: f.read_bytes() for f in d.iterdir()}
+                for d in store.iterdir()}
+    for h in (0.02, 0.01):
+        assert run(tmp_path, doc, "sweep-t", out=store, grid_h=h) == 0
+    before = snapshot()
+    assert set(before) == {adir_of(store, "sweep-t", doc, h).name
+                           for h in (0.02, 0.01)}
+    # the same step given in the config names the same directory, with
+    # the same bytes
+    assert run(tmp_path, dict(doc, h=0.02), "sweep-t", out=store,
+               name="keyed.json") == 0
+    assert snapshot() == before
+    # 0.1 is one step of 0.08: a config error
+    assert run(tmp_path, doc, "sweep-t", out=store, grid_h=0.08) == 2
+    assert snapshot() == before
+    # a run without the flag keeps the hash of its document
+    path = write_cfg(tmp_path, doc, "plain.json")
+    assert load(path, "sweep-T").hash == config_hash(doc)
+    assert load(path, "sweep-T", h=0.02).hash == config_hash(dict(doc, h=0.02))
 
 
 def test_cli_rectangle_never_builds_dense_members(tmp_path, monkeypatch):
@@ -617,7 +660,7 @@ def test_cli_verify_fails_closed(tmp_path, length, c, family, coefficients,
     doc = base("verify", T=T, K=K, K_sim=K_sim, target="random", seed=seed,
                kernel=kernel,
                domain={"geometry": "interval", "lengths": [length], "c": c})
-    store = tmp_path / config_hash(doc)
+    store = tmp_path / config_hash(with_h(doc, h))
     with warnings.catch_warnings(), \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -667,7 +710,7 @@ def test_cli_synthesize_fails_closed(tmp_path, geometry, lengths,
         domain.update(lengths=list(lengths), gamma_subset=gamma_subset)
     doc = base("synthesize", T=T, K=K, target="random", seed=seed,
                kernel=kernel, domain=domain)
-    store = tmp_path / config_hash(doc)
+    store = tmp_path / config_hash(with_h(doc, h))
     with warnings.catch_warnings(), \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
