@@ -195,22 +195,21 @@ def _is_symmetric(index_set) -> bool:
     return all(-n in s for n in s)
 
 
-def synthesize(problem: MomentProblem,
-               condition_cap: float = CONDITION_CAP,
-               spot_check_seed: Optional[int] = 0,
-               spot_check_dirs: int = 5) -> ControlSignal:
+def synthesize(problem: MomentProblem) -> ControlSignal:
     """Minimum-norm real control for the moment problem.
 
     Fails closed with the not-controllable error (carrying the measured
-    lower frame bound) when the Gram condition exceeds the cap; that is
-    the numerical signature of a horizon at or below the sharp time.
+    lower frame bound) when the Gram condition exceeds CONDITION_CAP;
+    that is the numerical signature of a horizon at or below the sharp
+    time.  The result always passes the min-norm spot check (seed 0,
+    5 directions).
     """
     fam = problem.family
     rep = gram(fam)
-    if not np.isfinite(rep.cond) or rep.cond > condition_cap or rep.m_N <= 0:
+    if not np.isfinite(rep.cond) or rep.cond > CONDITION_CAP or rep.m_N <= 0:
         raise NotControllableError(
             f"moment problem not solvable at T={problem.horizon:.6g}: "
-            f"m_N={rep.m_N:.3e}, condition={rep.cond:.3e} (cap {condition_cap:.1e})",
+            f"m_N={rep.m_N:.3e}, condition={rep.cond:.3e} (cap {CONDITION_CAP:.1e})",
             frame_lower=rep.m_N, condition=rep.cond)
     a = cholesky_solve(rep.gram, problem.rhs)
     g = fam.combination(a, conjugate=True)
@@ -230,9 +229,7 @@ def synthesize(problem: MomentProblem,
             "rhs extension inconsistent with member conjugation")
 
     norm = float(np.sqrt(fam.dense_norm_sq(g)))
-
-    if spot_check_seed is not None and spot_check_dirs > 0:
-        _min_norm_spot_check(fam, rep, g, norm, spot_check_seed, spot_check_dirs)
+    _min_norm_spot_check(fam, rep, g, norm, seed=0, dirs=5)
 
     return ControlSignal(np.real(f).copy(), a, residual, imag_max,
                          rep.cond, rep.m_N, norm, fam.grid, fam.index_set)

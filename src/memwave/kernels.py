@@ -97,10 +97,15 @@ class NormalizedKernel:
     spec: KernelSpec = field(repr=False, default=None)
     # exact closed form of N (kernel_terms); None for tabulated
     terms: Optional["KernelTerms"] = None
+    # the kernel this one restricts, which owns the resolvent
+    parent: Optional["NormalizedKernel"] = field(default=None, repr=False)
 
     @cached_property
     def L(self) -> np.ndarray:
-        """Resolvent kernel of N1, an O(m^2) march run on first read."""
+        """Resolvent kernel of N1, one series division run on first read;
+        a restriction slices its parent's."""
+        if self.parent is not None:
+            return self.parent.L[:self.grid.steps + 1]
         return resolvent(self.N1, self.grid)
 
     @property
@@ -115,15 +120,16 @@ class NormalizedKernel:
         """Restriction to the first `steps` intervals of the same grid.
 
         All stored fields are pointwise in t and the terms do not depend
-        on the horizon, so restriction is exact; the lazy resolvent is a
-        causal march, so computing it on the restriction gives the slice
-        of the resolvent on [0, T].
+        on the horizon, so restriction is exact.  The resolvent is causal
+        too, but its FFT division is not bit for bit: the restriction
+        reads the slice of the outermost parent's resolvent, so it is
+        exact by construction.
         """
         g = self.grid.restrict(steps)
         k = steps + 1
         return NormalizedKernel(self.gamma, self.alpha, self.N[:k], self.Np[:k],
                                 self.N1[:k], self.N1p[:k], self.N1pp[:k],
-                                g, self.spec, self.terms)
+                                g, self.spec, self.terms, self.parent or self)
 
 
 def decay_integral(b: float, t):
@@ -244,6 +250,51 @@ def _fast_len(n: int) -> int:
     return best
 
 
+def _trailing(f: np.ndarray, g: np.ndarray):
+    """f and g with unit axes appended so that their trailing axes align."""
+    return (f.reshape(f.shape + (1,) * (g.ndim - f.ndim)),
+            g.reshape(g.shape + (1,) * (f.ndim - g.ndim)))
+
+
+def series_product(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """First n coefficients of the power-series product f g.
+
+    Coefficients run along axis 0 and the trailing axes broadcast as in
+    convolve.  Each operand is cut to n terms and transformed once on
+    numpy.fft (rfft, or fft when either is complex), at the 5-smooth size
+    _fast_len(len f + len g - 1) that keeps the circular product free of
+    wrap-around.
+    """
+    f, g = _trailing(f[:n], g[:n])
+    real = not (np.iscomplexobj(f) or np.iscomplexobj(g))
+    fft, ifft = ((np.fft.rfft, np.fft.irfft) if real
+                 else (np.fft.fft, np.fft.ifft))
+    size = _fast_len(len(f) + len(g) - 1)
+    return ifft(fft(f, size, axis=0) * fft(g, size, axis=0), size, axis=0)[:n]
+
+
+def series_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """First m+1 coefficients of q with q den = num, num of length m+1.
+
+    The solve of the lower-triangular Toeplitz system of den, in
+    O(m log m): Newton iteration g <- g + g (1 - den g) doubles the
+    correct terms of 1/den each round (Brent & Kung, J. ACM 25, 1978),
+    and q = num / den is one last product.  Every product is a
+    series_product, batched over trailing axes like it; den[0] must not
+    vanish.
+    """
+    n = len(num)
+    inv = 1.0 / den[:1]
+    k = 1
+    while k < n:
+        k2 = min(2 * k, n)
+        # den inv = 1 + x^k e + O(x^k2): only e, its terms k..k2-1, is new
+        e = series_product(den, inv, k2)[k:]
+        inv = np.concatenate([inv, -series_product(inv, e, k2 - k)])
+        k = k2
+    return series_product(num, inv, n)
+
+
 def convolve(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     """Product-trapezoidal causal convolution (f*g)(t_j) on a uniform grid.
 
@@ -254,42 +305,30 @@ def convolve(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
 
     Time is axis 0 and the other axes broadcast, an operand with fewer
     axes taking trailing ones: an (m+1,) kernel convolves every column of
-    an (m+1, K) batch.  Each operand is transformed once on numpy.fft
-    (rfft, or fft when either is complex, at the 5-smooth size
-    _fast_len(2m+1)), so a column equals its one-column call bit for bit.
+    an (m+1, K) batch.  The discrete convolution is one series_product,
+    which transforms each operand once, so a column equals its
+    one-column call bit for bit.
     """
-    f = f.reshape(f.shape + (1,) * (g.ndim - f.ndim))
-    g = g.reshape(g.shape + (1,) * (f.ndim - g.ndim))
+    f, g = _trailing(f, g)
     if f.shape[0] != g.shape[0] or any(a != b and 1 not in (a, b) for a, b
                                        in zip(f.shape[1:], g.shape[1:])):
         raise ConfigError(f"convolve shape mismatch {f.shape} vs {g.shape}")
-    n = f.shape[0]
-    real = not (np.iscomplexobj(f) or np.iscomplexobj(g))
-    fft, ifft = ((np.fft.rfft, np.fft.irfft) if real
-                 else (np.fft.fft, np.fft.ifft))
-    size = _fast_len(2 * n - 1)
-    full = ifft(fft(f, size, axis=0) * fft(g, size, axis=0), size, axis=0)[:n]
-    out = h * (full - 0.5 * (f[0] * g + g[0] * f))
+    out = h * (series_product(f, g, f.shape[0]) - 0.5 * (f[0] * g + g[0] * f))
     out[0] = 0.0
     return out
 
 
 def resolvent(N1: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Resolvent kernel L of N1: solves L + N1*L = N1 by marching.
+    """Resolvent kernel L of N1: solves L + N1*L = N1.
 
-    N1(0) = 0 makes the product-trapezoid step explicit.
+    N1(0) = 0 drops both trapezoid end weights, so the product-trapezoid
+    equation is the series division L (1 + h N1) = N1.
     """
-    h = grid.h
-    m = grid.steps
-    L = np.empty(m + 1)
-    L[0] = 0.0
     if abs(N1[0]) > 1e-14:
         raise ConfigError("resolvent requires N1(0) = 0")
-    for j in range(1, m + 1):
-        # trapezoid of int N1(t_j - s) L(s) ds; both end weights vanish
-        acc = np.dot(N1[j - 1:0:-1], L[1:j]) if j > 1 else 0.0
-        L[j] = N1[j] - h * acc
-    return L
+    den = grid.h * N1
+    den[0] = 1.0
+    return series_divide(N1, den)
 
 
 def normalize(spec: KernelSpec, grid: TimeGrid) -> NormalizedKernel:

@@ -303,12 +303,11 @@ def quadratic_closeness(a: SequenceFamily, b: SequenceFamily,
     }
 
 
-def biorthogonal(family: SequenceFamily, truncation: int = None,
-                 condition_cap: float = CONDITION_CAP):
+def biorthogonal(family: SequenceFamily, truncation: int = None):
     """In-span biorthogonal family via the inverse Gram.
 
     Raises the near-degenerate error (carrying m_N) when the Gram
-    condition exceeds the cap: at that point the duals are numerically
+    condition exceeds CONDITION_CAP: at that point the duals are numerically
     meaningless, which is the finite-section signature of a horizon
     below the sharp control time or of too deep a truncation.  The duals
     of a one-node family are one-node again, with profiles
@@ -320,10 +319,10 @@ def biorthogonal(family: SequenceFamily, truncation: int = None,
             f"has {family.psi.shape[1]} boundary nodes")
     rep = gram(family, truncation)
     N = rep.gram.shape[0]
-    if not np.isfinite(rep.cond) or rep.cond > condition_cap:
+    if not np.isfinite(rep.cond) or rep.cond > CONDITION_CAP:
         raise NotControllableError(
             f"family {family.label!r} near-degenerate at truncation {N}: "
-            f"m_N={rep.m_N:.3e}, condition {rep.cond:.3e} over cap {condition_cap:.1e}",
+            f"m_N={rep.m_N:.3e}, condition {rep.cond:.3e} over cap {CONDITION_CAP:.1e}",
             frame_lower=rep.m_N, condition=rep.cond)
     Cinv = cholesky_solve(rep.gram, np.eye(N, dtype=complex))
     residual = float(np.max(np.abs(Cinv @ rep.gram - np.eye(N))))
@@ -367,8 +366,7 @@ def sine_cosine_family(pairs: Sequence[EigenPair], T: float,
 
 
 def coefficient_decay_check(family: SequenceFamily, combo: np.ndarray,
-                            betas: Optional[np.ndarray] = None,
-                            condition_cap: float = CONDITION_CAP) -> dict:
+                            betas: Optional[np.ndarray] = None) -> dict:
     """Recover a combination's coefficients and fit their decay.
 
     Synthesizes Phi = sum combo_n member_n, recovers the coefficients
@@ -380,7 +378,7 @@ def coefficient_decay_check(family: SequenceFamily, combo: np.ndarray,
     combo = np.asarray(combo, dtype=complex)
     if combo.shape != (family.count,):
         raise ConfigError("combo length must match family size")
-    duals, rep, _ = biorthogonal(family, condition_cap=condition_cap)
+    duals, rep, _ = biorthogonal(family)
     Phi = family.combination(combo)
     recovered = duals.inner_against(Phi)
     err = float(np.max(np.abs(recovered - combo)))

@@ -182,22 +182,21 @@ def achieved_coefficients(result: SimResult, pairs: Sequence[EigenPair]):
 
 
 def route_gap(a: SimResult, b: SimResult, kernel: NormalizedKernel,
-              pairs: Sequence[EigenPair], check: bool = True) -> float:
+              pairs: Sequence[EigenPair]) -> float:
     """Largest end-state disagreement between the two routes.
 
-    With check=True the gap is validated against the scheme allowance
-    of the stiffest simulated mode; violation means one of the routes
-    (or a shared ingredient) is broken, not merely inaccurate.
+    The gap is validated against the scheme allowance of the stiffest
+    simulated mode; violation means one of the routes (or a shared
+    ingredient) is broken, not merely inaccurate.
     """
     gap = max(float(np.max(np.abs(a.theta_T - b.theta_T))),
               float(np.max(np.abs(a.theta_t_T - b.theta_t_T))))
-    if check:
-        by_index = {p.index: p for p in pairs}
-        worst = max(_consistency_tol(kernel, by_index[n])
-                    for n in range(1, a.K_sim + 1) if n in by_index)
-        scale = max(1.0, float(np.max(np.abs(a.theta_t_T))))
-        if gap > worst * scale:
-            raise InternalConsistencyError(
-                f"simulation routes disagree: gap {gap:.3e} exceeds "
-                f"allowance {worst * scale:.3e}")
+    by_index = {p.index: p for p in pairs}
+    worst = max(_consistency_tol(kernel, by_index[n])
+                for n in range(1, a.K_sim + 1) if n in by_index)
+    scale = max(1.0, float(np.max(np.abs(a.theta_t_T))))
+    if gap > worst * scale:
+        raise InternalConsistencyError(
+            f"simulation routes disagree: gap {gap:.3e} exceeds "
+            f"allowance {worst * scale:.3e}")
     return gap

@@ -32,6 +32,9 @@ _SET_TOL = 1e-10
 # Edge quadrature resolution for rectangle traces (trapezoid nodes).
 _EDGE_NODES = 257
 
+# Trace norm below which trace_diagnostics flags a mode as unobservable.
+EPS_TRACE = 1e-10
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -271,8 +274,7 @@ def compute_eigenpairs(domain: DomainSpec, count: int, alpha: float,
 
 
 def trace_diagnostics(pairs: Sequence[EigenPair],
-                      gamma_weights: Optional[np.ndarray] = None,
-                      eps_trace: float = 1e-10) -> dict:
+                      gamma_weights: Optional[np.ndarray] = None) -> dict:
     """Per-mode trace norms with a dead-trace flag list.
 
     A vanishing trace would contradict the observability of the mode
@@ -285,12 +287,12 @@ def trace_diagnostics(pairs: Sequence[EigenPair],
         gamma_weights = np.ones(len(pairs[0].psi))
     norms = np.array([np.sqrt(np.sum(gamma_weights * np.abs(p.psi) ** 2))
                       for p in pairs])
-    flagged = [p.index for p, nrm in zip(pairs, norms) if nrm < eps_trace]
+    flagged = [p.index for p, nrm in zip(pairs, norms) if nrm < EPS_TRACE]
     return {
         "indices": [p.index for p in pairs],
         "norms": norms,
         "min": float(norms.min()),
         "max": float(norms.max()),
         "flagged": flagged,
-        "eps_trace": eps_trace,
+        "eps_trace": EPS_TRACE,
     }

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from memwave import ConfigError, SequenceFamily
+from memwave import ConfigError, SequenceFamily, make_grid
 from memwave import cli
 from memwave.cli import _write_csv, main
 from memwave.config import EXPERIMENTS, config_hash, from_dict, load
@@ -25,6 +25,13 @@ def base(experiment="spectrum", **extra):
     doc = {"experiment": experiment, "domain": dict(DOM)}
     doc.update(extra)
     return doc
+
+
+def tabulated_exp(T, h):
+    """M = exp(-t) as a tabulated kernel section on the grid of (T, h)."""
+    m = np.exp(-make_grid(T, h).t)
+    return {"family": "tabulated", "samples": m.tolist(),
+            "samples_d1": (-m).tolist(), "samples_d2": m.tolist()}
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -67,6 +74,11 @@ def test_cli_experiments_load_no_scipy(tmp_path):
     for command, doc in (
             ("verify", base("verify", T=2.5 * PI, K=2, K_sim=3,
                             target="random", seed=1, kernel=exp)),
+            ("verify", base("verify", T=2.5 * PI, K=2, K_sim=3,
+                            target="random", seed=1,
+                            kernel=tabulated_exp(2.5 * PI, 0.02))),
+            ("responses", base("responses", T=2.5 * PI, N_modes=12,
+                               kernel=exp)),
             ("synthesize", base("synthesize", T=2.5 * PI, K=2,
                                 target="random", seed=1, kernel=exp,
                                 domain={"geometry": "rectangle",
@@ -75,7 +87,8 @@ def test_cli_experiments_load_no_scipy(tmp_path):
             ("sweep-t", base("sweep-T", K=3, kernel=exp,
                              sweep={"T_min": 1.5 * PI, "T_max": 2.5 * PI,
                                     "steps": 3}))):
-        runs.append((command, write_cfg(tmp_path, doc, f"{command}.json")))
+        runs.append((command, write_cfg(tmp_path, doc,
+                                        f"{len(runs)}-{command}.json")))
     code = f"""
 import contextlib, io, json, sys
 import memwave.cli
@@ -89,7 +102,8 @@ print(json.dumps(report))
 """
     report = json.loads(_fresh_python(code))
     assert [tuple(r) for r in report] == [
-        (step, 0, []) for step in ("import", "verify", "synthesize", "sweep-t")]
+        (step, 0, []) for step in ("import", "verify", "verify", "responses",
+                                   "synthesize", "sweep-t")]
 
 
 # ---------------------------------------------------------------- config
@@ -266,7 +280,13 @@ def test_cli_reruns_are_byte_identical(tmp_path):
             ("sweep-t", base("sweep-T", K=3, kernel=EXP,
                              sweep={"T_min": 1.5 * PI, "T_max": 2.5 * PI,
                                     "steps": 4}),
-             2e-2, {"sweep.csv", "sweep.json"})):
+             2e-2, {"sweep.csv", "sweep.json"}),
+            ("responses", base("responses", T=2.5 * PI, N_modes=12,
+                               kernel=EXP),
+             2e-2, {"kernel.csv", "residuals.csv", "responses.json"}),
+            ("gram", base("gram", T=2.5 * PI, K=3,
+                          kernel=tabulated_exp(2.5 * PI, 2e-2)),
+             2e-2, {"gram.json", "gram_abs.csv"})):
         names = names or {"control.csv", "control_traces.csv",
                           "coefficients.csv", "synthesis.json"}
         adir = adir_of(out, command, doc, grid_h)
@@ -276,6 +296,27 @@ def test_cli_reruns_are_byte_identical(tmp_path):
         second = {p.name: p.read_bytes() for p in adir.iterdir()}
         assert set(first) == names
         assert first == second
+
+
+def test_cli_tabulated_kernel_at_benchmark_size(tmp_path):
+    # exp(-t) sampled on the verify_interval grid against its closed
+    # form: the frame bounds differ by the O(h^2) quadrature of int M only
+    common = dict(T=2.5 * PI, h=1e-3, K=4, K_sim=12, target="random", seed=1)
+    tab = tabulated_exp(2.5 * PI, 1e-3)
+    grams = {}
+    for name, kernel in (("exp", EXP), ("tab", tab)):
+        doc = base("gram", kernel=kernel, **common)
+        assert run(tmp_path, doc, out=tmp_path, name=f"{name}.json") == 0
+        grams[name] = json.loads(
+            (adir_of(tmp_path, "gram", doc) / "gram.json").read_text())
+    for key in ("frame_lower", "frame_upper", "condition"):
+        assert abs(grams["tab"][key] - grams["exp"][key]) \
+            <= 1e-6 * abs(grams["exp"][key]), key
+    doc = base("verify", kernel=tab, **common)
+    assert run(tmp_path, doc, out=tmp_path, name="verify.json") == 0
+    verdict = json.loads(
+        (adir_of(tmp_path, "verify", doc) / "verdict.json").read_text())
+    assert verdict["verdict"] == "PASS"
 
 
 def test_cli_config_errors_exit_two(tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 from memwave import (ConfigError, ConvergenceError, KernelSpec,
                      NormalizedKernel, TimeGrid, convolve, make_grid,
                      normalize, resolvent)
-from memwave.kernels import _fast_len, decay_integral, kernel_terms
+from memwave.kernels import (_fast_len, decay_integral, kernel_terms,
+                             series_divide)
 
 # closed forms used as oracles below (single decaying exponential M = e^{-t}):
 #   gamma = -1/2, N(t) = 2 e^{-t} - e^{-2t}
@@ -149,6 +150,60 @@ def test_fast_len_is_the_real_next_fast_len():
     assert np.array_equal(got, [next_fast_len(int(k), True) for k in n])
 
 
+def toeplitz_solve(num, den):
+    """Dense solve of the lower-triangular Toeplitz system T q = num,
+    T[i, j] = den[i - j], one column at a time."""
+    n = len(num)
+    i, j = np.indices((n, n))
+    out = np.empty_like(num, dtype=np.result_type(num, den))
+    for col in np.ndindex(num.shape[1:]):
+        d = den[(slice(None),) + col[:den.ndim - 1]]
+        T = np.where(i >= j, d[np.clip(i - j, 0, None)], 0.0)
+        out[(slice(None),) + col] = np.linalg.solve(T, num[(slice(None),) + col])
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 300])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", ["vector", "batch", "vector-den"])
+def test_series_divide_matches_toeplitz_solve(m, dtype, shape):
+    rng = np.random.default_rng(m)
+    K = {"vector": (), "batch": (3,), "vector-den": (3,)}[shape]
+    draw = lambda *s: (rng.standard_normal(s) if dtype is float else
+                       rng.standard_normal(s) + 1j * rng.standard_normal(s))
+    num = draw(m + 1, *K)
+    # den[0] away from zero and geometric decay keep 1/den bounded
+    den_shape = (m + 1,) if shape == "vector-den" else (m + 1,) + K
+    decay = 0.8 ** np.arange(m + 1).reshape((m + 1,) + (1,) * (len(den_shape) - 1))
+    den = 0.2 * draw(*den_shape) * decay
+    den[0] += 1.0
+    q = series_divide(num, den)
+    ref = toeplitz_solve(num, den)
+    assert q.shape == ref.shape and np.iscomplexobj(q) == (dtype is complex)
+    assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def direct_resolvent(N1, h):
+    """Reference resolvent: the product-trapezoid march of L + N1*L = N1,
+    O(m^2); N1(0) = 0 makes each step explicit."""
+    L = np.zeros(len(N1))
+    for j in range(1, len(N1)):
+        acc = np.dot(N1[j - 1:0:-1], L[1:j]) if j > 1 else 0.0
+        L[j] = N1[j] - h * acc
+    return L
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,)),
+    KernelSpec("polynomial", coefficients=(1.0, -0.5, 0.2), c=0.3),
+])
+def test_resolvent_matches_direct_march(spec):
+    grid = make_grid(2.5 * np.pi, 1e-3)
+    ker = normalize(spec, grid)
+    ref = direct_resolvent(ker.N1, grid.h)
+    assert np.max(np.abs(ker.L - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_resolvent_sine_oracle(grid):
     # L + t*L = t has the closed solution L = sin t
     L = resolvent(grid.t.copy(), grid)
@@ -209,6 +264,12 @@ def test_resolvent_is_lazy(exp_kernel):
     ker = exp_kernel.restrict(300)
     assert "L" not in vars(ker)
     assert np.array_equal(ker.L, exp_kernel.L[:301])
+
+
+def test_nested_restriction_reads_the_outermost_resolvent(exp_kernel):
+    inner = exp_kernel.restrict(700).restrict(200)
+    assert inner.parent is exp_kernel
+    assert np.array_equal(inner.L, exp_kernel.L[:201])
 
 
 def test_tabulated_kernel_matches_closed_form(grid):

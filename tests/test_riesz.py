@@ -98,7 +98,7 @@ def test_biorthogonal_duality_property():
 def test_biorthogonal_fails_closed_when_degenerate():
     fam = fourier_family(10, 0.3 * PI)   # far below the critical horizon
     with pytest.raises(NotControllableError) as err:
-        biorthogonal(fam, condition_cap=1e8)
+        biorthogonal(fam)
     assert err.value.frame_lower is not None
     assert err.value.condition is not None
     assert err.value.exit_code == 4

@@ -88,7 +88,7 @@ def two_route_gap(h):
     resp = compute_responses(ke, pairs)
     a = simulate_convolution(resp, ke, ctrl, 3)
     b = simulate_march(ke, pairs, ctrl, 3)
-    return route_gap(a, b, ke, pairs, check=True), a, b, ke, pairs
+    return route_gap(a, b, ke, pairs), a, b, ke, pairs
 
 
 def test_two_routes_converge_at_order_two():
@@ -101,7 +101,7 @@ def test_route_gap_check_trips_on_corruption():
     _, a, b, ke, pairs = two_route_gap(2e-3)
     bad = dataclasses.replace(a, theta_T=a.theta_T + 1.0)
     with pytest.raises(InternalConsistencyError):
-        route_gap(bad, b, ke, pairs, check=True)
+        route_gap(bad, b, ke, pairs)
 
 
 def test_energy_constant_after_control_release():

@@ -4,8 +4,8 @@ import pytest
 from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
                      asymptotic_residual, comparator_profile,
                      compute_eigenpairs, compute_response, compute_responses,
-                     TimeGrid, forcing_K, make_grid, march_modal, normalize,
-                     refined_S, solve_Z, solve_z)
+                     TimeGrid, convolve, forcing_K, make_grid, march_modal,
+                     normalize, refined_S, solve_Z, solve_z)
 from memwave.volterra import BLOCK, transformed_exponential
 
 PI = np.pi
@@ -237,6 +237,33 @@ def test_small_rate_has_no_cancellation(b):
         assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_tabulated_batch_column_equals_single_mode():
+    # the series march divides all modes at once; each column must be
+    # its own single-mode march
+    grid = make_grid(2.5 * PI, 1e-3)
+    ker = normalize(_tabulated_exp(grid), grid)
+    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 12,
+                               alpha=ker.alpha)
+    lams = np.array([p.lambda_sq for p in pairs])
+    forcing = np.stack([forcing_K(ker, p) for p in pairs], axis=1)
+    z = march_modal(ker, lams, ker.alpha)
+    Z = march_modal(ker, lams, ker.alpha, forcing=forcing)
+    for i in (0, 5, 11):
+        one = march_modal(ker, lams[i], ker.alpha)
+        assert np.max(np.abs(z[:, i] - one)) <= 1e-14 * np.max(np.abs(one))
+        one = march_modal(ker, lams[i], ker.alpha, forcing=forcing[:, i])
+        assert np.max(np.abs(Z[:, i] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+def test_tabulated_march_overflow_fails_closed():
+    # lam_sq = -1e6 grows like cosh(1000 t): the series division
+    # overflows, and the envelope check turns that into ConvergenceError
+    grid = make_grid(2.0, 1e-3)
+    ker = normalize(_tabulated_exp(grid), grid)
+    with pytest.raises(ConvergenceError, match="Gronwall envelope"):
+        solve_z(ker, -1e6)
+
+
 def _oracle_batch(family, steps, h=1e-2):
     grid = TimeGrid(steps * h, steps, h)
     ker = normalize(ORACLE_KERNELS[family](grid), grid)
@@ -296,6 +323,40 @@ def test_refined_S_matches_direct_at_low_modes(memory_kernel):
         r = compute_response(memory_kernel, p)
         Sr = refined_S(memory_kernel, p)
         assert np.max(np.abs(Sr - r.S)) < 5e-5
+
+
+def direct_refined_S(kernel, pair):
+    """Reference refined S: the product-trapezoid march of S = G + W*S,
+    O(m^2), on the same G and W as refined_S (W(0) = 0 makes each step
+    explicit)."""
+    b = pair.beta
+    mu = pair.lambda_sq / (b * b)
+    t, h = kernel.t, kernel.h
+    sb = np.sin(b * t)
+    base = transformed_exponential(pair, kernel.alpha, t)
+    G = base + convolve(kernel.N1, base, h)
+    Q = kernel.N1p[0] * sb + convolve(kernel.N1pp, sb, h)
+    W = -mu * kernel.N1 + (mu / b) * Q
+    S = np.empty(len(t), dtype=complex)
+    S[0] = G[0]
+    for j in range(1, len(t)):
+        acc = np.dot(W[j - 1:0:-1], S[1:j]) if j > 1 else 0.0
+        S[j] = G[j] + h * (0.5 * W[j] * S[0] + acc)
+    return S
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,)),
+    KernelSpec("polynomial", coefficients=(1.0, -0.5, 0.2), c=0.3),
+])
+def test_refined_S_matches_direct_march(spec):
+    ker = normalize(spec, make_grid(2.5 * PI, 1e-3))
+    pairs = compute_eigenpairs(DomainSpec("interval", (PI,), c=spec.c), 40,
+                               alpha=ker.alpha)
+    for p in (pairs[0], pairs[9], pairs[39]):
+        ref = direct_refined_S(ker, p)
+        S = refined_S(ker, p)
+        assert np.max(np.abs(S - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_refined_S_self_converges():
