@@ -54,8 +54,8 @@ from .errors import (ConfigError, ConvergenceError, InternalConsistencyError,
 from .grid import TimeGrid, auto_step, make_grid
 from .kernels import normalize
 from .riesz import gram, gram_sweep
-from .simulate import (achieved_coefficients, route_gap,
-                       simulate_convolution, simulate_march)
+from .simulate import (achieved_coefficients, mode_energies, mode_gaps,
+                       route_gap, simulate_convolution, simulate_march)
 from .spectral import compute_eigenpairs, trace_diagnostics
 from .volterra import asymptotic_residual, compute_responses, refined_S
 
@@ -307,11 +307,20 @@ def _run_verify(cfg, adir):
               float(np.max(np.abs(eta_hat[:cfg.K] - target.eta))))
     tol = 1e-6 * max(1.0, control.condition ** 0.5)
     verdict = "PASS" if err <= tol else "FAIL"
+    # per mode: the route gap of modes 1..K_sim and the spillover energy
+    # of modes K+1..K_sim, whose sum is the tail energy
+    gaps = mode_gaps(conv, march)
+    spill = mode_energies(conv.theta_T, conv.theta_t_T, conv.beta)[cfg.K:]
     _write_json(os.path.join(adir, "verdict.json"), {
         "verdict": verdict,
         "achieved_error": err, "tolerance": tol,
         "route_gap": gap,
+        "route_gap_per_mode": gaps,
+        "worst_route_gap_mode": int(np.argmax(gaps)) + 1,
         "tail_energy": conv.tail_energy,
+        "spillover_per_mode": spill,
+        "worst_spillover_mode": cfg.K + 1 + int(np.argmax(spill))
+        if spill.size else None,
         "K": cfg.K, "K_sim": cfg.K_sim, "T": cfg.T,
     }, cfg.hash)
     return 0 if verdict == "PASS" else 5
@@ -430,12 +439,16 @@ def _render_report(adir):
         found = True
         with open(p) as fh:
             d = json.load(fh)
+        n = d["worst_spillover_mode"]       # None when K_sim = K
         lines += ["## Verification verdict", "",
                   f"verdict        = {d['verdict']}",
                   f"achieved error = {d['achieved_error']:.3e}"
                   f"  (tolerance {d['tolerance']:.1e})",
-                  f"route gap      = {d['route_gap']:.3e}",
-                  f"tail energy    = {d['tail_energy']:.3e}", ""]
+                  f"route gap      = {d['route_gap']:.3e}"
+                  f"  (worst mode {d['worst_route_gap_mode']})",
+                  f"tail energy    = {d['tail_energy']:.3e}" + (
+                      "" if n is None else f"  (worst mode {n}: "
+                      f"{d['spillover_per_mode'][n - d['K'] - 1]:.3e})"), ""]
 
     p = os.path.join(adir, "eigenpairs.csv")
     if os.path.exists(p):

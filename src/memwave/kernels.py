@@ -295,6 +295,16 @@ def series_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return series_product(num, inv, n)
 
 
+def _convolvable(f: np.ndarray, g: np.ndarray):
+    """f and g aligned by _trailing; ConfigError unless they share the
+    time axis and their other axes broadcast."""
+    f, g = _trailing(f, g)
+    if f.shape[0] != g.shape[0] or any(a != b and 1 not in (a, b) for a, b
+                                       in zip(f.shape[1:], g.shape[1:])):
+        raise ConfigError(f"convolve shape mismatch {f.shape} vs {g.shape}")
+    return f, g
+
+
 def convolve(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     """Product-trapezoidal causal convolution (f*g)(t_j) on a uniform grid.
 
@@ -309,13 +319,27 @@ def convolve(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     which transforms each operand once, so a column equals its
     one-column call bit for bit.
     """
-    f, g = _trailing(f, g)
-    if f.shape[0] != g.shape[0] or any(a != b and 1 not in (a, b) for a, b
-                                       in zip(f.shape[1:], g.shape[1:])):
-        raise ConfigError(f"convolve shape mismatch {f.shape} vs {g.shape}")
+    f, g = _convolvable(f, g)
     out = h * (series_product(f, g, f.shape[0]) - 0.5 * (f[0] * g + g[0] * f))
     out[0] = 0.0
     return out
+
+
+def convolve_end(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
+    """convolve(f, g, h)[-1], the product trapezoid at the last sample only.
+
+    h (sum_k f_k g_(m-k) - (f_0 g_m + g_0 f_m) / 2) as one contraction
+    over axis 0, O(m) where the whole convolution costs FFTs of twice the
+    length.  Operands broadcast and are checked as in convolve; the value
+    at m = 0 is exactly zero.  It agrees with convolve's last sample to
+    rounding, not bit for bit.
+    """
+    f, g = _convolvable(f, g)
+    if len(f) == 1:
+        return np.zeros(np.broadcast_shapes(f.shape[1:], g.shape[1:]),
+                        dtype=np.result_type(f, g))
+    return h * (np.einsum("i...,i...->...", f, g[::-1])
+                - 0.5 * (f[0] * g[-1] + g[0] * f[-1]))
 
 
 def resolvent(N1: np.ndarray, grid: TimeGrid) -> np.ndarray:

@@ -16,9 +16,15 @@ Two routes compute the controlled trajectories:
     within the scheme allowance is the end-to-end cross-validation.
 
 Both routes run the K_sim simulated modes as one batch: the forcings
-F_n form one (steps+1, K_sim) array.  The convolution route convolves
-N * z_n, z_n and N' * z_n against F_n in one call, the march route N
-against F_n and against the marched theta_n in two.
+F_n form one (steps+1, K_sim) array.  The verdict reads the end state
+only, so by default each convolution the end state needs is evaluated at
+the final time alone (kernels.convolve_end, one O(m) contraction): the
+convolution route contracts N * z_n, z_n and N' * z_n against F_n in
+one call, and the march route reads theta_n'(T) from the contraction of
+N against the marched theta_n.  The march route still convolves N
+against F_n over the whole grid, because that is its forcing.  With
+trajectories=True both routes convolve over the whole grid instead and
+return every sample.
 
 The simulation grid may extend past the control horizon (the control is
 zero-padded), which is how post-control energy conservation is checked
@@ -35,7 +41,7 @@ import numpy as np
 from .control import ControlSignal
 from .errors import ConfigError, InternalConsistencyError
 from .grid import TimeGrid
-from .kernels import NormalizedKernel, convolve
+from .kernels import NormalizedKernel, convolve, convolve_end
 from .spectral import EigenPair
 from .volterra import march_modal, _consistency_tol
 
@@ -84,13 +90,16 @@ def mode_energies(theta_T, theta_t_T, beta) -> np.ndarray:
     return np.abs(theta_T) ** 2 + np.abs(vel) ** 2
 
 
-def _finalize(theta, theta_t, K, lam_sq, beta, grid, keep):
-    """SimResult from the (length, K_sim) trajectories of modes 1..K_sim."""
-    theta_T, theta_t_T = theta[-1].copy(), theta_t[-1].copy()
+def _finalize(theta, theta_t, K, lam_sq, beta, grid):
+    """SimResult of modes 1..K_sim from their (K_sim,) end states, or
+    from their (length, K_sim) trajectories, which it then keeps."""
+    keep = theta.ndim == 2
+    theta_T, theta_t_T = (theta[-1].copy(), theta_t[-1].copy()) if keep \
+        else (theta, theta_t)
     tail = float(np.sum(mode_energies(theta_T, theta_t_T, beta)[K:]))
     traj = {n: (theta[:, n - 1], theta_t[:, n - 1])
             for n in range(1, theta.shape[1] + 1)} if keep else None
-    return SimResult(theta_T, theta_t_T, tail, K, theta.shape[1], lam_sq,
+    return SimResult(theta_T, theta_t_T, tail, K, len(theta_T), lam_sq,
                      beta, grid, traj)
 
 
@@ -112,16 +121,16 @@ def simulate_convolution(responses: dict, kernel: NormalizedKernel,
             raise ConfigError(f"response of mode {n} lives on a different grid")
         sim.append(responses[n])
     F = _mode_forcing(np.array([r.trace for r in sim]), control, gw, length)
-    # N*z, z and N'*z against F in one call, (length, 3, K_sim).  z and
-    # N'*z are convolved apart and summed after: summing them first moves
-    # theta' by rounding, and the verify artifacts with it
-    parts = convolve(np.array([(r.Nz, r.z, r.Npz) for r in sim]).T,
-                     F[:, None], h)
-    theta = -parts[:, 0]
-    theta_t = -(parts[:, 1] + parts[:, 2])
+    # N*z, z and N'*z against F in one call, (3, K_sim) at the end or
+    # (length, 3, K_sim) over the grid.  z and N'*z are convolved apart
+    # and summed after: summing them first moves theta' by rounding, and
+    # the verify artifacts with it
+    parts = (convolve if trajectories else convolve_end)(
+        np.array([(r.Nz, r.z, r.Npz) for r in sim]).T, F[:, None], h)
+    theta = -parts[..., 0, :]
+    theta_t = -(parts[..., 1, :] + parts[..., 2, :])
     return _finalize(theta, theta_t, K, np.array([r.lambda_sq for r in sim]),
-                     np.array([r.beta.real for r in sim]), kernel.grid,
-                     trajectories)
+                     np.array([r.beta.real for r in sim]), kernel.grid)
 
 
 def simulate_march(kernel: NormalizedKernel, pairs: Sequence[EigenPair],
@@ -145,9 +154,11 @@ def simulate_march(kernel: NormalizedKernel, pairs: Sequence[EigenPair],
                                          control, gw, length), h)
     theta = march_modal(kernel, lam_sq, kernel.alpha, y0=0.0, forcing=-H,
                         label=f"(sim modes 1..{K_sim})")
-    theta_t = 2.0 * kernel.alpha * theta \
-        - lam_sq * convolve(kernel.N, theta, h) - H
-    return _finalize(theta, theta_t, K, lam_sq, beta, kernel.grid, trajectories)
+    memory = (convolve if trajectories else convolve_end)(kernel.N, theta, h)
+    if not trajectories:
+        theta, H = theta[-1].copy(), H[-1]
+    theta_t = 2.0 * kernel.alpha * theta - lam_sq * memory - H
+    return _finalize(theta, theta_t, K, lam_sq, beta, kernel.grid)
 
 
 def back_transform(result: SimResult, gamma: float) -> dict:
@@ -181,6 +192,13 @@ def achieved_coefficients(result: SimResult, pairs: Sequence[EigenPair]):
     return xi, eta
 
 
+def mode_gaps(a: SimResult, b: SimResult) -> np.ndarray:
+    """End-state disagreement of two routes per mode 1..K_sim, the larger
+    of |delta theta_T| and |delta theta'_T|."""
+    return np.maximum(np.abs(a.theta_T - b.theta_T),
+                      np.abs(a.theta_t_T - b.theta_t_T))
+
+
 def route_gap(a: SimResult, b: SimResult, kernel: NormalizedKernel,
               pairs: Sequence[EigenPair]) -> float:
     """Largest end-state disagreement between the two routes.
@@ -189,8 +207,7 @@ def route_gap(a: SimResult, b: SimResult, kernel: NormalizedKernel,
     simulated mode; violation means one of the routes (or a shared
     ingredient) is broken, not merely inaccurate.
     """
-    gap = max(float(np.max(np.abs(a.theta_T - b.theta_T))),
-              float(np.max(np.abs(a.theta_t_T - b.theta_t_T))))
+    gap = float(np.max(mode_gaps(a, b)))
     by_index = {p.index: p for p in pairs}
     worst = max(_consistency_tol(kernel, by_index[n])
                 for n in range(1, a.K_sim + 1) if n in by_index)

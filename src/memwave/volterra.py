@@ -34,8 +34,8 @@ assembled route is the one stored on ModeResponse because the forward
 simulator shares its discrete ingredients, which keeps the synthesis /
 verification loop exactly consistent.  The assembly uses FFT
 convolutions of the sampled kernel, never the recurrence, so the check
-stays independent of the march; it convolves N and N' against every
-mode of a batch in one call each.  A ModeResponse keeps z, Z, N*z and
+stays independent of the march; it convolves N and N' together against
+every mode of a batch in one call.  A ModeResponse keeps z, Z, N*z and
 N'*z; S = exp(-alpha t) Z is computed when read.
 
 The refined small-residual route (refined_S / comparator_profile) exists
@@ -218,7 +218,7 @@ def _march_blocks(kernel: NormalizedKernel, A, B, Be0, y0, F,
 
 
 def _march_series(kernel: NormalizedKernel, A, B, Be0, y0, F,
-                  dtype) -> np.ndarray:
+                  dtype, steps: int = None) -> np.ndarray:
     """The same march for kernels without a closed form, as one series
     division (kernels.series_divide) over all modes, O(K m log m).
 
@@ -227,8 +227,10 @@ def _march_series(kernel: NormalizedKernel, A, B, Be0, y0, F,
     I = P + Be0 (y - y_0); summing the step over j >= 1 eliminates I:
         y [1 - (A - Be0) x + B h (1 + x) Nt]
             = y_0 (1 + Be0 x) + x F + B h (1 + x) Nt y_0 / 2.
+    The division is causal: cut to its first steps+1 terms (F to its
+    first steps rows) it is the march over the first `steps` steps.
     """
-    Nt = np.concatenate([[0.0], kernel.N[1:]])
+    Nt = np.concatenate([[0.0], kernel.N[1:(steps or kernel.grid.steps) + 1]])
     # B h (1 + x) Nt, one column per mode
     den = (B * kernel.h) * (Nt + np.concatenate([[0.0], Nt[:-1]]))[:, None]
     num = (0.5 * y0) * den.astype(dtype)
@@ -239,6 +241,31 @@ def _march_series(kernel: NormalizedKernel, A, B, Be0, y0, F,
     den[0] = 1.0
     den[1] -= A - Be0
     return series_divide(num, den)
+
+
+def _series_overflow(kernel: NormalizedKernel, A, B, Be0, y0, F, dtype,
+                     bound: float, Y: np.ndarray):
+    """(step, column, value) of the first step at which the series march
+    Y leaves the envelope bound, its start y0 lying inside.
+
+    One FFT division spreads an overflow to every step, so Y cannot say
+    where it began.  Bisection on the cut divisions of _march_series
+    finds the k whose k-step march leaves the envelope while the
+    (k-1)-step march stays inside: log2 m divisions, run only on the
+    failure path.
+    """
+    lo, hi = 0, kernel.grid.steps    # the lo-step march stays inside, Y not
+    with np.errstate(over="ignore", invalid="ignore"):
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            cut = _march_series(kernel, A, B, Be0, y0,
+                                None if F is None else F[:mid], dtype, mid)
+            if np.all(np.abs(cut) <= bound):
+                lo = mid
+            else:
+                hi, Y = mid, cut
+    col = int(np.argmax(~(np.abs(Y[hi]) <= bound)))
+    return hi, col, Y[hi, col]
 
 
 def _first(bad: np.ndarray):
@@ -317,9 +344,15 @@ def march_modal(kernel: NormalizedKernel, lam_sq, alpha: float,
     bad = ~(np.abs(Y) <= bound)
     if bad.any():
         j, col = _first(bad)
+        y = Y[j, col]
+        if kernel.terms is None and abs(y0) <= bound:
+            j, col, y = _series_overflow(
+                kernel, A, B, Be0, y0, None if forcing is None else
+                _trapezoid_forcing(forcing, h, D, dtype, where, label),
+                dtype, bound, Y)
         raise ConvergenceError(
             f"modal march left the Gronwall envelope at step {j} "
-            f"(t={j * h:.4g}){where.format(col)}: |y|={abs(Y[j, col]):.3e}, "
+            f"(t={j * h:.4g}){where.format(col)}: |y|={abs(y):.3e}, "
             f"bound {bound:.3e}; non-finite input or step too large {label}")
     return Y.reshape((m + 1,) + batch)
 
@@ -360,8 +393,10 @@ def _assemble_Z(kernel: NormalizedKernel, pairs, z: np.ndarray,
     (Z_voc, N*z, N'*z), each (m+1, K); disagreement of a mode beyond its
     scheme allowance flags a quadrature bug.
     """
-    Nz = convolve(kernel.N, z, kernel.h)
-    Npz = convolve(kernel.Np, z, kernel.h)
+    # N and N' against every mode in one call, (m+1, 2, K): z is
+    # transformed once, and each column is its one-column call bit for bit
+    Nz, Npz = np.moveaxis(convolve(np.stack([kernel.N, kernel.Np], axis=1)
+                                   [:, :, None], z[:, None], kernel.h), 1, 0)
     factor = np.array([1j if p.in_J else 1j * p.beta for p in pairs])
     Z_voc = z + Npz + factor * Nz
     gaps = np.max(np.abs(Z_march - Z_voc), axis=0)

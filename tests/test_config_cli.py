@@ -277,6 +277,8 @@ def test_cli_reruns_are_byte_identical(tmp_path):
             ("synthesize", base("synthesize", K=3, **synth), 5e-3, None),
             ("synthesize", base("synthesize", K=2, domain=RECT, **synth),
              2e-2, None),
+            ("verify", base("verify", K=3, K_sim=8, **synth), 5e-3,
+             {"verdict.json"}),
             ("sweep-t", base("sweep-T", K=3, kernel=EXP,
                              sweep={"T_min": 1.5 * PI, "T_max": 2.5 * PI,
                                     "steps": 4}),
@@ -717,6 +719,17 @@ def test_cli_verify_fails_closed(tmp_path, length, c, family, coefficients,
         assert verdict["verdict"] == "PASS"
         assert all(math.isfinite(verdict[k]) for k in
                    ("achieved_error", "tolerance", "route_gap", "tail_energy"))
+        gaps, spill = (verdict["route_gap_per_mode"],
+                       verdict["spillover_per_mode"])
+        assert len(gaps) == K_sim and len(spill) == K_sim - K
+        assert max(gaps) == verdict["route_gap"]
+        assert gaps[verdict["worst_route_gap_mode"] - 1] == max(gaps)
+        if spill:
+            assert spill[verdict["worst_spillover_mode"] - K - 1] == max(spill)
+            assert math.isclose(sum(spill), verdict["tail_energy"],
+                                rel_tol=1e-12)
+        else:
+            assert verdict["worst_spillover_mode"] is None
     elif code != 5:
         assert not store.exists()
 

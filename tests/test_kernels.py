@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from memwave import (ConfigError, ConvergenceError, KernelSpec,
-                     NormalizedKernel, TimeGrid, convolve, make_grid,
-                     normalize, resolvent)
+                     NormalizedKernel, TimeGrid, convolve, convolve_end,
+                     make_grid, normalize, resolvent)
 from memwave.kernels import (_fast_len, decay_integral, kernel_terms,
                              series_divide)
 
@@ -99,23 +99,34 @@ def direct_convolve(f, g, h):
     return out
 
 
-@pytest.mark.parametrize("case", ["real-real", "real-complex", "vector-batch",
-                                  "batch-batch", "stacked-batch"])
-def test_batched_convolution_matches_direct_sum(case):
+CASES = ["real-real", "real-complex", "vector-batch", "batch-batch",
+         "stacked-batch"]
+
+
+def _operands(case):
     rng = np.random.default_rng(11)
-    n, K, h = 301, 3, 1e-2
+    n, K = 301, 3
     real = lambda *shape: rng.standard_normal(shape)
     cplx = lambda *shape: real(*shape) + 1j * real(*shape)
-    f, g = {"real-real": (real(n), real(n)),
+    return {"real-real": (real(n), real(n)),
             "real-complex": (real(n), cplx(n)),
             "vector-batch": (real(n), real(n, K)),
             "batch-batch": (cplx(n, K), real(n, K)),
             "stacked-batch": (real(n, 2, K), real(n, 1, K))}[case]
+
+
+def at(a, col):
+    """The time series of a batched operand at a broadcast column."""
+    return a[(slice(None),) + tuple(min(c, s - 1)
+                                    for c, s in zip(col, a.shape[1:]))]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_batched_convolution_matches_direct_sum(case):
+    f, g = _operands(case)
+    n, h = len(f), 1e-2
     got = convolve(f, g, h)
     assert got.shape == (n,) + np.broadcast_shapes(f.shape[1:], g.shape[1:])
-    # the time series of each operand at a broadcast column
-    at = lambda a, col: a[(slice(None),) + tuple(
-        min(c, s - 1) for c, s in zip(col, a.shape[1:]))]
     for col in np.ndindex(got.shape[1:]):
         ref = direct_convolve(at(f, col), at(g, col), h)
         assert np.max(np.abs(at(got, col) - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -123,6 +134,32 @@ def test_batched_convolution_matches_direct_sum(case):
             # a column of a batch is bit for bit its one-column call
             assert np.array_equal(at(got, col), convolve(
                 at(f, col).copy(), at(g, col).copy(), h))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_convolve_end_is_the_last_sample(case):
+    f, g = _operands(case)
+    h = 1e-2
+    end = convolve_end(f, g, h)
+    full = convolve(f, g, h)
+    assert end.shape == full.shape[1:]
+    assert end.dtype == full.dtype
+    for col in np.ndindex(end.shape):
+        ref = direct_convolve(at(f, col), at(g, col), h)[-1]
+        assert abs(end[col] - ref) <= 1e-12 * abs(ref)
+        assert abs(end[col] - full[(-1,) + col]) <= 1e-12 * abs(ref)
+
+
+def test_convolve_end_edge_cases():
+    # one sample is the t = 0 value, exactly zero; shapes are checked as
+    # in convolve
+    assert np.array_equal(convolve_end(np.ones(1), np.full((1, 3), 2.0), 0.1),
+                          np.zeros(3))
+    assert convolve_end(np.ones(1), np.ones(1), 0.1) == 0.0
+    with pytest.raises(ConfigError):
+        convolve_end(np.ones(11), np.ones(10), 0.1)
+    with pytest.raises(ConfigError):
+        convolve_end(np.ones((11, 3)), np.ones((11, 2)), 0.1)
 
 
 def test_convolution_shape_mismatch_rejected():

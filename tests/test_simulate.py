@@ -1,16 +1,21 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import memwave.kernels
+import memwave.simulate
+import memwave.volterra
 from memwave import (ConfigError, ControlSignal, DomainSpec,
                      InternalConsistencyError, KernelSpec, TargetState,
                      achieved_coefficients, back_transform,
                      build_moment_problem, compute_eigenpairs,
-                     compute_responses, make_grid, mode_energies, normalize,
-                     route_gap, simulate_convolution, simulate_march,
-                     synthesize, viscoelastic_family)
+                     compute_responses, make_grid, mode_energies, mode_gaps,
+                     normalize, route_gap, simulate_convolution,
+                     simulate_march, synthesize, viscoelastic_family)
+from memwave.cli import main
 
 PI = np.pi
 DOM = DomainSpec("interval", (PI,))
@@ -226,6 +231,67 @@ def test_tail_spillover_weakens_with_mode_index(controlled_run):
     # doubling the simulated band only appends weaker modes
     half = simulate_convolution(resp, ke, sig, 12)
     assert np.max(np.abs(half.theta_T - res.theta_T[:12])) < 1e-14
+
+
+def test_trajectories_keep_the_end_state(controlled_run):
+    # the default call evaluates its convolutions at the final time only;
+    # the full convolutions of trajectories=True agree with it to rounding
+    ke, pairs, resp, _, sig = controlled_run
+    for route in (lambda **kw: simulate_convolution(resp, ke, sig, 24, K=6,
+                                                    **kw),
+                  lambda **kw: simulate_march(ke, pairs, sig, 24, K=6, **kw)):
+        end, full = route(), route(trajectories=True)
+        assert end.trajectories is None and len(full.trajectories) == 24
+        for field in ("theta_T", "theta_t_T"):
+            a, b = getattr(end, field), getattr(full, field)
+            assert a.shape == (24,)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        assert end.tail_energy == pytest.approx(full.tail_energy, rel=1e-12)
+        for n, (th, tht) in full.trajectories.items():
+            assert th[-1] == full.theta_T[n - 1]
+            assert tht[-1] == full.theta_t_T[n - 1]
+
+
+def test_mode_gaps_are_the_route_gap_per_mode():
+    gap, a, b, *_ = two_route_gap(2e-3)
+    per_mode = mode_gaps(a, b)
+    assert per_mode.shape == (3,)
+    assert np.max(per_mode) == gap
+
+
+def test_verify_convolution_calls(tmp_path, monkeypatch):
+    # the verify_interval benchmark config (h = 1e-3, K = 4, K_sim = 12):
+    # one full convolution assembles N*z and N'*z, one builds the march
+    # route's forcing H, and the end state takes two end-sample
+    # contractions; no other FFT runs
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for module in (memwave.kernels, memwave.volterra, memwave.simulate):
+        for name in ("convolve", "convolve_end"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    rng = np.random.default_rng(1)
+    scale = 1.0 / np.arange(1, 5)
+    doc = {"experiment": "verify",
+           "domain": {"geometry": "interval", "lengths": [PI]},
+           "kernel": {"family": "exponential_sum", "coefficients": [1.0],
+                      "rates": [1.0]},
+           "T": 2.5 * PI, "h": 1e-3, "K": 4, "K_sim": 12, "seed": 1,
+           "target": {"xi": (rng.standard_normal(4) * scale).tolist(),
+                      "eta": (rng.standard_normal(4) * scale).tolist()}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"convolve": 2, "convolve_end": 2, "rfft": 4, "irfft": 2}
 
 
 # ------------------------------------------------------------- error paths

@@ -6,7 +6,8 @@ from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
                      compute_eigenpairs, compute_response, compute_responses,
                      TimeGrid, convolve, forcing_K, make_grid, march_modal,
                      normalize, refined_S, solve_Z, solve_z)
-from memwave.volterra import BLOCK, transformed_exponential
+from memwave.volterra import (BLOCK, growth_envelope,
+                              transformed_exponential)
 
 PI = np.pi
 
@@ -255,13 +256,51 @@ def test_tabulated_batch_column_equals_single_mode():
         assert np.max(np.abs(Z[:, i] - one)) <= 1e-14 * np.max(np.abs(one))
 
 
+def _first_envelope_exit(kernel, lam_sq, steps=50):
+    """First step of the direct-sum march over the first `steps` steps
+    outside the envelope of the whole grid, with its |y|."""
+    y = direct_march(kernel.restrict(steps), lam_sq, kernel.alpha)
+    bound = growth_envelope(kernel.alpha, kernel.grid.T) * (1.0 + 1e-9)
+    j = int(np.flatnonzero(~(np.abs(y) <= bound))[0])
+    return j, abs(y[j])
+
+
 def test_tabulated_march_overflow_fails_closed():
     # lam_sq = -1e6 grows like cosh(1000 t): the series division
     # overflows, and the envelope check turns that into ConvergenceError
+    # naming the step where the march first leaves the envelope, found by
+    # bisection on cut divisions (one division spreads the overflow to
+    # every step)
     grid = make_grid(2.0, 1e-3)
     ker = normalize(_tabulated_exp(grid), grid)
-    with pytest.raises(ConvergenceError, match="Gronwall envelope"):
+    j, y = _first_envelope_exit(ker, -1e6)
+    assert j == 5
+    with pytest.raises(ConvergenceError, match="Gronwall envelope") as err:
         solve_z(ker, -1e6)
+    assert f"at step {j} (t=0.005): |y|={y:.3e}," in str(err.value)
+    # the closed-form block march names the same step
+    closed = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
+                                  rates=(1.0,)), grid)
+    with pytest.raises(ConvergenceError, match=f"at step {j} "):
+        solve_z(closed, -1e6)
+    # in a forced batch, the step and the column of the mode that leaves
+    forcing = np.stack([ker.N, ker.Np], axis=1)
+    with pytest.raises(ConvergenceError,
+                       match=f"at step {j} .* in batch column 1:"):
+        march_modal(ker, np.array([4.0, -1e6]), ker.alpha, forcing=forcing)
+
+
+def test_assembled_convolutions_are_the_one_kernel_calls(memory_kernel):
+    # N and N' are convolved against z in one batched call, which gives
+    # each column the bits of its one-kernel call
+    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=-0.5)
+    resp = compute_responses(memory_kernel, pairs)
+    z = np.stack([resp[p.index].z for p in pairs], axis=1)
+    h = memory_kernel.h
+    Nz, Npz = convolve(memory_kernel.N, z, h), convolve(memory_kernel.Np, z, h)
+    for i, p in enumerate(pairs):
+        assert np.array_equal(resp[p.index].Nz, Nz[:, i])
+        assert np.array_equal(resp[p.index].Npz, Npz[:, i])
 
 
 def _oracle_batch(family, steps, h=1e-2):
