@@ -311,6 +311,7 @@ def _run_verify(cfg, adir):
     # of modes K+1..K_sim, whose sum is the tail energy
     gaps = mode_gaps(conv, march)
     spill = mode_energies(conv.theta_T, conv.theta_t_T, conv.beta)[cfg.K:]
+    z_ratios = [sim_resp[n].z_gap_ratio for n in range(1, cfg.K_sim + 1)]
     _write_json(os.path.join(adir, "verdict.json"), {
         "verdict": verdict,
         "achieved_error": err, "tolerance": tol,
@@ -321,6 +322,8 @@ def _run_verify(cfg, adir):
         "spillover_per_mode": spill,
         "worst_spillover_mode": cfg.K + 1 + int(np.argmax(spill))
         if spill.size else None,
+        "z_route_gap_ratio_per_mode": z_ratios,
+        "worst_z_route_mode": int(np.argmax(z_ratios)) + 1,
         "K": cfg.K, "K_sim": cfg.K_sim, "T": cfg.T,
     }, cfg.hash)
     return 0 if verdict == "PASS" else 5
@@ -440,6 +443,7 @@ def _render_report(adir):
         with open(p) as fh:
             d = json.load(fh)
         n = d["worst_spillover_mode"]       # None when K_sim = K
+        m = d["worst_z_route_mode"]
         lines += ["## Verification verdict", "",
                   f"verdict        = {d['verdict']}",
                   f"achieved error = {d['achieved_error']:.3e}"
@@ -448,7 +452,10 @@ def _render_report(adir):
                   f"  (worst mode {d['worst_route_gap_mode']})",
                   f"tail energy    = {d['tail_energy']:.3e}" + (
                       "" if n is None else f"  (worst mode {n}: "
-                      f"{d['spillover_per_mode'][n - d['K'] - 1]:.3e})"), ""]
+                      f"{d['spillover_per_mode'][n - d['K'] - 1]:.3e})"),
+                  f"Z route gap    = "
+                  f"{d['z_route_gap_ratio_per_mode'][m - 1]:.3e}"
+                  f" of allowance  (worst mode {m})", ""]
 
     p = os.path.join(adir, "eigenpairs.csv")
     if os.path.exists(p):

@@ -71,6 +71,8 @@ class ModeResponse:
     # shared discrete ingredients, reused verbatim by the simulator
     Nz: np.ndarray = field(default=None, repr=False)     # N * z
     Npz: np.ndarray = field(default=None, repr=False)    # N' * z
+    # two-route Z gap over its allowance, on the grid the mode was marched on
+    z_gap_ratio: float = 0.0
 
     # grid step and alpha of the kernel, for S
     _h: float = field(default=0.0, repr=False)
@@ -90,7 +92,8 @@ class ModeResponse:
 
         The march and both convolutions are causal and Z is assembled
         pointwise from them, so slicing is the same computation on the
-        shorter grid.
+        shorter grid.  z_gap_ratio is not recomputed: it stays the full
+        horizon's gap over the full horizon's allowance.
         """
         k = steps + 1
         return replace(self, z=self.z[:k], Z=self.Z[:k], Nz=self.Nz[:k],
@@ -390,8 +393,9 @@ def _assemble_Z(kernel: NormalizedKernel, pairs, z: np.ndarray,
     """Variation-of-constants Z from z, checked against the marched Z.
 
     z and Z_march are (m+1, K), one column per pair.  Returns
-    (Z_voc, N*z, N'*z), each (m+1, K); disagreement of a mode beyond its
-    scheme allowance flags a quadrature bug.
+    (Z_voc, N*z, N'*z), each (m+1, K), and each mode's gap over its
+    allowance, (K,); disagreement of a mode beyond its scheme allowance
+    (or a NaN gap) flags a quadrature bug.
     """
     # N and N' against every mode in one call, (m+1, 2, K): z is
     # transformed once, and each column is its one-column call bit for bit
@@ -400,13 +404,13 @@ def _assemble_Z(kernel: NormalizedKernel, pairs, z: np.ndarray,
     factor = np.array([1j if p.in_J else 1j * p.beta for p in pairs])
     Z_voc = z + Npz + factor * Nz
     gaps = np.max(np.abs(Z_march - Z_voc), axis=0)
-    for p, gap in zip(pairs, gaps):
-        tol = _consistency_tol(kernel, p)
-        if gap > tol:
+    tols = np.array([_consistency_tol(kernel, p) for p in pairs])
+    for p, gap, tol in zip(pairs, gaps, tols):
+        if not gap <= tol:
             raise InternalConsistencyError(
                 f"Z routes disagree on mode {p.index}: gap {gap:.3e} "
                 f"exceeds allowance {tol:.3e}")
-    return Z_voc, Nz, Npz
+    return Z_voc, Nz, Npz, gaps / tols
 
 
 def solve_Z(kernel: NormalizedKernel, pair: EigenPair,
@@ -421,8 +425,8 @@ def solve_Z(kernel: NormalizedKernel, pair: EigenPair,
                           forcing=forcing_K(kernel, pair),
                           label=f"(mode {pair.index})")
     z = solve_z(kernel, pair.lambda_sq)
-    Z_voc, Nz, Npz = (a[:, 0] for a in _assemble_Z(
-        kernel, [pair], z[:, None], Z_march[:, None]))
+    *cols, _ = _assemble_Z(kernel, [pair], z[:, None], Z_march[:, None])
+    Z_voc, Nz, Npz = (a[:, 0] for a in cols)
     if return_march:
         return Z_voc, Z_march, z, Nz, Npz
     return Z_voc
@@ -449,11 +453,11 @@ def compute_responses(kernel: NormalizedKernel, pairs) -> dict:
     Z_march = march_modal(kernel, lam, kernel.alpha, y0=1.0, forcing=K,
                           label=label)
     # rows of the transposed batches: each mode's fields are contiguous
-    z, Z, Nz, Npz = (np.ascontiguousarray(a.T) for a in
-                     (z, *_assemble_Z(kernel, pairs, z, Z_march)))
+    *cols, ratios = _assemble_Z(kernel, pairs, z, Z_march)
+    z, Z, Nz, Npz = (np.ascontiguousarray(a.T) for a in (z, *cols))
     return {p.index: ModeResponse(p.index, z[i], Z[i], p.lambda_sq, p.beta,
                                   p.psi, p.trace, p.in_J, Nz[i], Npz[i],
-                                  kernel.h, kernel.alpha)
+                                  float(ratios[i]), kernel.h, kernel.alpha)
             for i, p in enumerate(pairs)}
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from memwave import ConfigError, SequenceFamily, make_grid
-from memwave import cli
+from memwave import cli, volterra
 from memwave.cli import _write_csv, main
 from memwave.config import EXPERIMENTS, config_hash, from_dict, load
 
@@ -397,7 +397,7 @@ def test_cli_kernel_overflow_exits_three_at_normalize(tmp_path, capsys):
     assert not (tmp_path / "store").exists()
 
 
-def test_cli_synthesize_then_verify_passes(tmp_path):
+def test_cli_synthesize_then_verify_passes(tmp_path, capsys):
     store = tmp_path / "store"
     common = dict(T=2.5 * PI, K=3, K_sim=6, target="random", seed=3,
                   kernel={"family": "exponential_sum",
@@ -423,6 +423,29 @@ def test_cli_synthesize_then_verify_passes(tmp_path):
     fresh = adir_of(tmp_path / "fresh", "verify", vdoc, 5e-3)
     assert (fresh / "verdict.json").read_bytes() == \
         (vdir / "verdict.json").read_bytes()
+    # the report prints the worst mode's Z-route headroom
+    worst = verdict["worst_z_route_mode"]
+    ratio = verdict["z_route_gap_ratio_per_mode"][worst - 1]
+    capsys.readouterr()
+    assert main(["report", str(vdir)]) == 0
+    assert (f"Z route gap    = {ratio:.3e} of allowance  "
+            f"(worst mode {worst})") in capsys.readouterr().out
+
+
+def test_cli_verify_nan_z_route_gap_exits_five(tmp_path, capsys,
+                                               monkeypatch):
+    convolve = volterra.convolve
+
+    def poisoned(f, g, h):
+        out = convolve(f, g, h)
+        out[-1] = np.nan
+        return out
+    monkeypatch.setattr(volterra, "convolve", poisoned)
+    doc = base("verify", T=2.5 * PI, K=2, K_sim=3, target="random",
+               kernel=EXP)
+    assert run(tmp_path, doc, out=tmp_path / "store", grid_h=1e-2) == 5
+    assert "Z routes disagree on mode 1: gap nan" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
 
 
 def test_cli_synthesize_writes_control_factors(tmp_path, capsys, monkeypatch):
@@ -730,6 +753,10 @@ def test_cli_verify_fails_closed(tmp_path, length, c, family, coefficients,
                                 rel_tol=1e-12)
         else:
             assert verdict["worst_spillover_mode"] is None
+        ratios = verdict["z_route_gap_ratio_per_mode"]
+        assert len(ratios) == K_sim
+        assert all(0.0 <= r <= 1.0 for r in ratios)
+        assert ratios[verdict["worst_z_route_mode"] - 1] == max(ratios)
     elif code != 5:
         assert not store.exists()
 

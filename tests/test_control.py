@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from memwave import (ConfigError, DomainSpec, InternalConsistencyError,
                      compute_eigenpairs, control_factors, compute_responses, gram, make_grid,
                      normalize, quadratic_closeness, s_family, synthesize,
                      telegraph_family, viscoelastic_family)
-from memwave.control import _min_norm_spot_check
+from memwave.control import _min_norm_spot_check, _spot_direction
 
 PI = np.pi
 INTERVAL = DomainSpec("interval", (PI,))
@@ -285,7 +286,7 @@ def test_spot_check_catches_a_control_off_minimum_norm(case):
     # the check's own first direction, projected off the span with the
     # family's complex methods: g - 0.75 v_perp solves the same moments
     # with a larger norm, and adding v_perp back lowers it
-    v = np.random.default_rng(0).standard_normal(g.shape)
+    v = _spot_direction(np.random.default_rng(0), np.empty(g.shape))
     x = np.linalg.solve(rep.gram, fam.pairing(v))
     v_perp = v - fam.combination(x, conjugate=True)
     bad = g - 0.75 * v_perp
@@ -302,3 +303,36 @@ def test_spot_check_catches_a_wrong_gram(case):
     with pytest.raises(InternalConsistencyError,
                        match="span projection left residual moments"):
         _min_norm_spot_check(fam, wrong, g, norm, seed=0, dirs=5)
+
+
+def test_spot_directions_have_zero_mean_and_unit_variance():
+    n = 10**6
+    v = _spot_direction(np.random.default_rng(0), np.empty(n))
+    assert abs(v.mean()) <= 5.0 / np.sqrt(n)
+    # a uniform variable's variance estimate has variance 0.8 / n
+    assert abs(v.var() - 1.0) <= 5.0 * np.sqrt(0.8 / n)
+    assert v.min() >= -np.sqrt(3.0) and v.max() < np.sqrt(3.0)
+    again = _spot_direction(np.random.default_rng(0), np.empty(n))
+    assert np.array_equal(v.view(np.uint64), again.view(np.uint64))
+
+
+@pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
+def test_spot_check_leaves_g_unchanged(case):
+    fam, rep, g, norm = _solved(case)
+    before = g.copy()
+    _min_norm_spot_check(fam, rep, g, norm, seed=0, dirs=5)
+    assert np.array_equal(g.view(np.uint64), before.view(np.uint64))
+
+
+def test_spot_check_memory_stays_near_four_dense_arrays():
+    # one direction buffer, reused: a fresh array per direction would
+    # hold the old and the new direction together
+    fam, rep, g, norm = _solved("rectangle-right-top")
+    tracemalloc.start()
+    try:
+        _min_norm_spot_check(fam, rep, g, norm, seed=0, dirs=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nodes, samples = g.shape
+    assert peak <= 4.5 * nodes * samples * 8

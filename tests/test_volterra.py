@@ -6,8 +6,9 @@ from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
                      compute_eigenpairs, compute_response, compute_responses,
                      TimeGrid, convolve, forcing_K, make_grid, march_modal,
                      normalize, refined_S, solve_Z, solve_z)
-from memwave.volterra import (BLOCK, growth_envelope,
-                              transformed_exponential)
+from memwave import InternalConsistencyError
+from memwave.volterra import (BLOCK, _assemble_Z, _consistency_tol,
+                              growth_envelope, transformed_exponential)
 
 PI = np.pi
 
@@ -114,6 +115,27 @@ def test_route_gap_shrinks_with_grid():
     assert gaps[1] < gaps[0] / 3.0
 
 
+def test_responses_keep_their_z_route_gap_ratio(memory_kernel):
+    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=-0.5)
+    resp = compute_responses(memory_kernel, pairs)
+    for p in pairs:
+        Zv, Zm, *_ = solve_Z(memory_kernel, p, return_march=True)
+        gap = np.max(np.abs(Zv - Zm))
+        ratio = resp[p.index].z_gap_ratio
+        assert ratio == pytest.approx(gap / _consistency_tol(memory_kernel, p))
+        assert 0.0 < ratio < 1.0
+
+
+def test_nan_z_route_gap_fails_closed(memory_kernel):
+    # a NaN gap compares False against any allowance; it must not pass
+    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 2, alpha=-0.5)
+    Zv, Zm, z, *_ = solve_Z(memory_kernel, pairs[1], return_march=True)
+    Zm = Zm.copy()
+    Zm[len(Zm) // 2] = np.nan
+    with pytest.raises(InternalConsistencyError, match="gap nan"):
+        _assemble_Z(memory_kernel, [pairs[1]], z[:, None], Zm[:, None])
+
+
 def test_conjugate_response_is_exact(memory_kernel):
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, alpha=-0.5)
     r = compute_response(memory_kernel, pairs[2])
@@ -135,6 +157,9 @@ def test_restriction_matches_fresh_computation(memory_kernel):
     assert np.array_equal(sliced.z, fresh.z)
     assert np.max(np.abs(sliced.Z - fresh.Z)) < 1e-13
     assert np.max(np.abs(sliced.S - fresh.S)) < 1e-13
+    # the Z-route headroom is the full horizon's, not the short grid's
+    assert sliced.z_gap_ratio == full.z_gap_ratio
+    assert 0.0 < fresh.z_gap_ratio < 1.0
 
 
 def test_batch_independence(memory_kernel):
