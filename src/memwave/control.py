@@ -20,11 +20,20 @@ Solving by Cholesky (numpy's factor L, then one solve against L and one
 against L^H: riesz.cholesky_solve) and assembling g gives the unique
 minimum-norm solution; any admissible perturbation is orthogonal to the
 span and can only increase the norm, which the seeded spot-check
-verifies in real arithmetic on uniform directions scaled to zero mean
-and unit variance (the first two moments of Gaussian ones, at about a
-quarter of the cost to draw).  Members are kept as factors psi_n (x) Z_n
-(see riesz); g is the one dense (nodes, steps+1) array, built once from
-them.
+verifies on uniform directions scaled to zero mean and unit variance
+(the first two moments of Gaussian ones, at about a quarter of the cost
+to draw).  Members are kept as factors psi_n (x) Z_n (see riesz); g is
+held as two real (nodes, steps+1) arrays, Re g and Im g, and the
+control f is a time-reversed copy of Re g.
+
+Dense passes.  Every pass over a (nodes, steps+1) array (building g,
+its moments, its realness, its norm, the spot check) is real arithmetic
+on blocks of node rows (_RealPasses), as many rows as keep each product
+under the multiply-adds OpenBLAS runs on the calling thread
+(node_blocks): 8 of the rectangle benchmark's 257, all nodes of a small
+grid.  A larger product, and even a complex (4, 8) @ (8, 3928), wakes
+OpenBLAS's worker pool, whose threads then spin on the other cores for
+a while after the call returns.
 
 Factor form.  The control is a sum of K real boundary traces times K
 real time profiles.  Each psi_k is a scalar times the real trace of its
@@ -53,6 +62,18 @@ from .riesz import CONDITION_CAP, SequenceFamily, cholesky_solve, gram
 from .spectral import EigenPair
 from .volterra import (ModeResponse, comparator_profile, refined_S,
                        transformed_exponential)
+
+# OpenBLAS (0.3, as numpy's wheels ship it) runs a real matrix product of
+# fewer multiply-adds than this on the calling thread
+CALLING_THREAD_MACS = 2**19
+
+
+def node_blocks(nodes: int, row_macs: int) -> list:
+    """Slices of consecutive node rows that cover range(nodes): as many
+    rows each (at least one) as keep a product of row_macs multiply-adds
+    per row under CALLING_THREAD_MACS."""
+    rows = max(1, (CALLING_THREAD_MACS - 1) // row_macs)
+    return [slice(s, min(s + rows, nodes)) for s in range(0, nodes, rows)]
 
 
 @dataclass(frozen=True)
@@ -197,6 +218,50 @@ def _is_symmetric(index_set) -> bool:
     return all(-n in s for n in s)
 
 
+class _RealPasses:
+    """Real-arithmetic passes over dense (nodes, steps+1) grid functions
+    u = re + i im of a family, one block of node rows (node_blocks) at a
+    time: each product of a block, (rows, 2 count) @ (2 count, steps+1)
+    or (rows, steps+1) @ (steps+1, 2 count), is real and small enough to
+    run on the calling thread.  Complex factors enter as interleaved real
+    and imaginary rows or columns.
+    """
+
+    def __init__(self, fam: SequenceFamily):
+        self.wt = trapezoid_weights(fam.grid)
+        self.gw = fam.gamma_weights
+        # u @ W, viewed as complex, is u @ (Z w_t).T for a real dense u
+        self.W = np.ascontiguousarray((fam.profiles * self.wt).T).view(float)
+        # rows Re Z_0, Im Z_0, Re Z_1, ...: B.view(float) @ Zs = Re(B @ conj Z)
+        self.Zs = np.stack([fam.profiles.real, fam.profiles.imag],
+                           axis=1).reshape(-1, len(self.wt))
+        self.psi_w = (fam.psi * fam.gamma_weights).T
+        self.conj_psi = np.ascontiguousarray(np.conj(fam.psi).T)
+        self.blocks = node_blocks(len(self.gw), self.W.size)
+        self.sq = np.empty((self.blocks[0].stop, len(self.wt)))
+
+    def combination(self, a, rows, out):
+        """Re and Im of sum_k a_k conj(member_k) on the node rows, into
+        out (2, rows, steps+1); Im(B @ conj Z) = Re((-i B) @ conj Z)."""
+        B = self.conj_psi[rows] * a
+        return np.matmul(np.stack([B.view(float), (-1j * B).view(float)]),
+                         self.Zs, out=out)
+
+    def pairing(self, rows, re, im=None):
+        """The node rows' share of int member_k * u, for every k."""
+        q = (re @ self.W).view(complex)
+        if im is not None:
+            q = q + 1j * (im @ self.W).view(complex)
+        return np.sum(self.psi_w[rows] * q, axis=0)
+
+    def norm_sq(self, rows, re, im):
+        """The node rows' share of the weighted L2 norm squared of u."""
+        sq = self.sq[:rows.stop - rows.start]
+        total = np.square(re, out=sq) @ self.wt
+        total += np.square(im, out=sq) @ self.wt
+        return float(self.gw[rows] @ total)
+
+
 def synthesize(problem: MomentProblem) -> ControlSignal:
     """Minimum-norm real control for the moment problem.
 
@@ -214,26 +279,34 @@ def synthesize(problem: MomentProblem) -> ControlSignal:
             f"m_N={rep.m_N:.3e}, condition={rep.cond:.3e} (cap {CONDITION_CAP:.1e})",
             frame_lower=rep.m_N, condition=rep.cond)
     a = cholesky_solve(rep.gram, problem.rhs)
-    g = fam.combination(a, conjugate=True)
-    residual = np.abs(fam.pairing(g) - problem.rhs)
+    dense = _RealPasses(fam)
+    g = np.empty((2, fam.psi.shape[1], fam.grid.steps + 1))   # Re g, Im g
+    moments, norm_sq, g_max, imag_max = 0.0, 0.0, 0.0, 0.0
+    for rows in dense.blocks:
+        re, im = dense.combination(a, rows, g[:, rows])
+        moments = moments + dense.pairing(rows, re, im)
+        norm_sq += dense.norm_sq(rows, re, im)
+        # np.maximum, not max: a NaN stays NaN
+        g_max = np.maximum(g_max, np.max(np.hypot(re, im)))
+        imag_max = np.maximum(imag_max, np.max(np.abs(im)))
+    residual = np.abs(moments - problem.rhs)
     rhs_scale = max(1.0, float(np.max(np.abs(problem.rhs))))
     if float(np.max(residual)) > 1e-6 * max(1.0, rep.cond) * rhs_scale:
         raise InternalConsistencyError(
             f"moment residual {float(np.max(residual)):.3e} out of scale "
             "for the solved condition number")
 
-    f = g[:, ::-1]
-    imag_max = float(np.max(np.abs(f.imag)))
-    scale = max(1.0, float(np.max(np.abs(f))))
+    imag_max = float(imag_max)
+    scale = max(1.0, float(g_max))
     if _is_symmetric(fam.index_set) and imag_max > 1e-8 * scale:
         raise InternalConsistencyError(
             f"synthesized control is not real (sup imag {imag_max:.3e}); "
             "rhs extension inconsistent with member conjugation")
 
-    norm = float(np.sqrt(fam.dense_norm_sq(g)))
-    _min_norm_spot_check(fam, rep, g, norm, seed=0, dirs=5)
+    norm = float(np.sqrt(norm_sq))
+    _min_norm_spot_check(dense, rep, g, norm, seed=0, dirs=5)
 
-    return ControlSignal(np.real(f).copy(), a, residual, imag_max,
+    return ControlSignal(g[0, :, ::-1].copy(), a, residual, imag_max,
                          rep.cond, rep.m_N, norm, fam.grid, fam.index_set)
 
 
@@ -272,9 +345,10 @@ def _spot_direction(rng, out):
     return out
 
 
-def _min_norm_spot_check(fam: SequenceFamily, rep, g, norm,
+def _min_norm_spot_check(dense: _RealPasses, rep, g, norm,
                          seed: int, dirs: int):
-    """Perturb g by random span-orthogonal directions; the norm must not drop.
+    """Perturb g, given as (2, nodes, steps+1) Re g and Im g, by random
+    span-orthogonal directions; the norm must not drop.
 
     Moments of a conjugated-member combination are exactly Gram-column
     sums (pairing conj(m_j) against m_n gives G_{nj}), so removing the
@@ -282,69 +356,40 @@ def _min_norm_spot_check(fam: SequenceFamily, rep, g, norm,
     and by Pythagoras can only add norm.
 
     The directions are uniform draws of zero mean and identity
-    covariance, written into one buffer (_spot_direction).  They match
-    Gaussian directions in the first two moments: for an error e outside
-    the span, <e, v_perp> has mean 0 and the same variance, and
-    E|v_perp|^2 is the same, so the check is as strong; uniform doubles
-    cost about a quarter of Gaussian ones.
+    covariance, written into one buffer (_spot_direction) block by
+    block, which draws the same numbers as one fill of the whole buffer.
+    They match Gaussian directions in the first two moments: for an
+    error e outside the span, <e, v_perp> has mean 0 and the same
+    variance, and E|v_perp|^2 is the same, so the check is as strong;
+    uniform doubles cost about a quarter of Gaussian ones.
 
-    The directions are real, so every dense pass is a real product: a
-    perturbation is held as its real part (in place in the drawn
-    direction) and its imaginary part, complex factors enter as
-    interleaved real and imaginary rows or columns, and no complex
-    (nodes, steps+1) array is formed.
+    Per direction there are two passes over the node-row blocks: one
+    draws the block and adds up its moments; after the Gram solve, one
+    builds the block of v_perp (v plus the combination of minus the
+    solution) in a block-sized buffer and adds up its moments, its norm
+    and the norm of g plus it.
     """
-    nodes = g.shape[0]
-    wt = trapezoid_weights(fam.grid)
-    # u @ W, viewed as complex, is u @ (Z w_t).T for a real dense u
-    W = np.ascontiguousarray((fam.profiles * wt).T).view(float)
-    # rows Re Z_0, Im Z_0, Re Z_1, ...: B.view(float) @ Zs = Re(B @ conj Z)
-    Zs = np.stack([fam.profiles.real, fam.profiles.imag], axis=1).reshape(
-        -1, g.shape[1])
-    psi_w = (fam.psi * fam.gamma_weights).T
-    conj_psi = np.ascontiguousarray(np.conj(fam.psi).T)
-    g_re, g_im = np.real(g), np.imag(g)
-    parts = np.empty((2 * nodes, g.shape[1]))
-    sq = np.empty(g.shape)
-    v = np.empty(g.shape)
-
-    def pairing(re, im=None):
-        q = (re @ W).view(complex)
-        if im is not None:
-            q = q + 1j * (im @ W).view(complex)
-        return np.sum(psi_w * q, axis=0)
-
-    def norm_sq(re, im, add_re=None, add_im=None):
-        # weighted L2 norm squared of (re + add_re) + i (im + add_im)
-        total = 0.0
-        for u, du in ((re, add_re), (im, add_im)):
-            if du is None:
-                np.square(u, out=sq)
-            else:
-                np.add(u, du, out=sq)
-                np.square(sq, out=sq)
-            total = total + sq @ wt
-        return float(fam.gamma_weights @ total)
-
+    v = np.empty(g.shape[1:])
+    block = np.empty((2, dense.blocks[0].stop, g.shape[2]))
     rng = np.random.default_rng(seed)
     for _ in range(dirs):
-        _spot_direction(rng, v)
-        moments_v = pairing(v)
+        moments_v = 0.0
+        for rows in dense.blocks:
+            _spot_direction(rng, v[rows])
+            moments_v = moments_v + dense.pairing(rows, v[rows])
         x = np.linalg.solve(rep.gram, moments_v)
-        # the span component is B @ conj(Z) with B = conj(psi).T * x; the
-        # real part of v_perp is v minus its real part, the imaginary
-        # part of v_perp is minus its imaginary part, Re((i B) @ conj Z)
-        B = conj_psi * x
-        np.matmul(np.vstack([B.view(float), (1j * B).view(float)]), Zs,
-                  out=parts)
-        v -= parts[:nodes]
-        v_im = parts[nodes:]
-        moments = np.max(np.abs(pairing(v, v_im)))
-        vnorm = np.sqrt(norm_sq(v, v_im))
+        moments, vnorm_sq, perturbed_sq = 0.0, 0.0, 0.0
+        for rows in dense.blocks:
+            p = dense.combination(-x, rows, block[:, :rows.stop - rows.start])
+            p[0] += v[rows]
+            moments = moments + dense.pairing(rows, *p)
+            vnorm_sq += dense.norm_sq(rows, *p)
+            p += g[:, rows]
+            perturbed_sq += dense.norm_sq(rows, *p)
+        moments = np.max(np.abs(moments))
         if moments > 1e-7 * (1.0 + float(np.max(np.abs(moments_v)))) * rep.cond:
             raise InternalConsistencyError(
                 f"span projection left residual moments {moments:.3e}")
-        perturbed = np.sqrt(norm_sq(v, v_im, g_re, g_im))
-        if perturbed < norm * (1.0 - 1e-9) - 1e-12 and vnorm > 0:
+        if np.sqrt(perturbed_sq) < norm * (1.0 - 1e-9) - 1e-12 and vnorm_sq > 0:
             raise InternalConsistencyError(
                 "minimum-norm violated by a span-orthogonal perturbation")

@@ -130,12 +130,6 @@ class SequenceFamily:
             return (np.conj(self.psi).T * a) @ np.conj(self.profiles)
         return (self.psi.T * a) @ self.profiles
 
-    def dense_norm_sq(self, g: np.ndarray) -> float:
-        """Weighted L2 norm squared of a dense (nodes, steps+1) g."""
-        g = self._dense(g)
-        return float(self.gamma_weights
-                     @ (np.real(g * np.conj(g)) @ trapezoid_weights(self.grid)))
-
     def subfamily(self, positions: Sequence[int], label: str = None) -> "SequenceFamily":
         pos = list(positions)
         return SequenceFamily(self.profiles[pos], tuple(self.index_set[p] for p in pos),

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .control import ControlSignal
+from .control import ControlSignal, node_blocks
 from .errors import ConfigError, InternalConsistencyError
 from .grid import TimeGrid
 from .kernels import NormalizedKernel, convolve, convolve_end
@@ -67,12 +67,17 @@ class SimResult:
 def _mode_forcing(traces: np.ndarray, control: ControlSignal,
                   gamma_weights: np.ndarray, length: int) -> np.ndarray:
     """F_n on the simulation grid, (length, K_sim): the boundary pairing
-    of the control with each mode's trace, zero past the horizon."""
+    of the control with each mode's trace, zero past the horizon, summed
+    over the control's node-row blocks (control.node_blocks) so that no
+    product wakes OpenBLAS's worker pool."""
     f = control.f
     if f.shape[1] > length:
         raise ConfigError("control grid longer than simulation grid")
+    weighted = np.real(traces) * gamma_weights
     F = np.zeros((length, len(traces)))
-    F[:f.shape[1]] = ((np.real(traces) * gamma_weights) @ f).T
+    Ft = F[:f.shape[1]].T
+    for rows in node_blocks(len(f), f.shape[1] * len(traces)):
+        Ft += weighted[:, rows] @ f[rows]
     return F
 
 

@@ -172,6 +172,11 @@ def _march_blocks(kernel: NormalizedKernel, A, B, Be0, y0, F,
     the same bits whatever the row count, so a march restricted to k
     steps equals a fresh k-step march; a one-row product would go
     through gemv, which sums in another order, hence at least two blocks.
+    The zero-state product takes BLOCK rows at a time (a lone last row
+    joins the chunk before it, for the same reason): a (BLOCK, BLOCK) @
+    (BLOCK, BLOCK) product runs on the calling thread, where all rows at
+    once, on a long grid, wake OpenBLAS's worker pool to spin on the
+    other cores (see control.node_blocks).
     F is (m, K) or None, and is released once copied; returns (m+1, K).
     """
     M, b = _step_map(kernel.terms, kernel.h, A, B, Be0)
@@ -203,12 +208,16 @@ def _march_blocks(kernel: NormalizedKernel, A, B, Be0, y0, F,
         Fb = Fb.reshape(K, c * nb, BLOCK)
         # zero-state: T[l, i] = e_0 M^(i-l) b for i >= l, else 0
         padded = np.concatenate([np.zeros((K, BLOCK - 1)), Mb[:, :, 0]], axis=1)
-        T = np.lib.stride_tricks.sliding_window_view(padded, BLOCK, axis=1)
-        Y = Fb @ np.ascontiguousarray(T[:, ::-1])
+        T = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(
+            padded, BLOCK, axis=1)[:, ::-1])
+        Y = np.empty((K, c * nb, BLOCK))
+        stops = list(range(BLOCK, c * nb - 1, BLOCK)) + [c * nb]
+        for start, stop in zip([0] + stops, stops):
+            np.matmul(Fb[:, start:stop], T, out=Y[:, start:stop])
         # block-end state drive sum_l M^(B-1-l) b F_{s+l}
         GF = (Fb @ np.ascontiguousarray(Mb[:, ::-1])).reshape(
             K, c, nb, d).transpose(2, 0, 1, 3)
-        del Fb      # freed before the zero-input product: peak memory
+        del Fb, T   # freed before the zero-input product: peak memory
         for k in range(nb - 1):
             X[k + 1] = X[k] @ MBT + GF[k]
     Y += np.ascontiguousarray(X.transpose(1, 2, 0, 3)).reshape(

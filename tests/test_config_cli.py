@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -613,6 +614,28 @@ def test_cli_grid_h_enters_the_config_hash(tmp_path):
     path = write_cfg(tmp_path, doc, "plain.json")
     assert load(path, "sweep-T").hash == config_hash(doc)
     assert load(path, "sweep-T", h=0.02).hash == config_hash(dict(doc, h=0.02))
+
+
+def test_cli_runs_leave_no_blas_worker_spinning(tmp_path):
+    # every matrix product of verify and synthesize is real and small
+    # enough for OpenBLAS to run it on the calling thread, so its worker
+    # pool never wakes: no CPU time accrues on another thread during a
+    # run or in the 50 ms after it, when woken workers would still spin.
+    # On one vCPU OpenBLAS starts no workers and this passes trivially.
+    common = dict(T=2.5 * PI, target="random", seed=1, kernel=EXP)
+    rect = dict(common, K=2, K_sim=4, domain=RECT)
+    runs = (("verify", base("verify", h=1e-3, K=4, K_sim=12, **common),
+             None),                          # the verify_interval benchmark
+            ("synthesize", base("synthesize", **rect), 2e-2),
+            ("verify", base("verify", **rect), 2e-2))
+    time.sleep(0.3)     # workers woken by earlier tests fall asleep
+    for i, (command, doc, grid_h) in enumerate(runs):
+        cpu, own = time.process_time(), time.thread_time()
+        assert run(tmp_path, doc, out=tmp_path / "store", grid_h=grid_h,
+                   name=f"{i}.json") == 0, command
+        time.sleep(0.05)
+        other = (time.process_time() - cpu) - (time.thread_time() - own)
+        assert other <= 5e-3, f"{command}: {other:.3f} s on other threads"
 
 
 def test_cli_rectangle_never_builds_dense_members(tmp_path, monkeypatch):

@@ -10,7 +10,10 @@ from memwave import (ConfigError, DomainSpec, InternalConsistencyError,
                      compute_eigenpairs, control_factors, compute_responses, gram, make_grid,
                      normalize, quadratic_closeness, s_family, synthesize,
                      telegraph_family, viscoelastic_family)
-from memwave.control import _min_norm_spot_check, _spot_direction
+from memwave.control import (CALLING_THREAD_MACS, _RealPasses,
+                              _min_norm_spot_check, _spot_direction,
+                              node_blocks)
+from memwave.grid import trapezoid_weights
 
 PI = np.pi
 INTERVAL = DomainSpec("interval", (PI,))
@@ -267,6 +270,12 @@ def test_control_factors_refuse_complex_trace():
 # ------------------------------------------------------ min-norm spot check
 
 
+def _norm_sq(fam, g):
+    """Weighted L2 norm squared of a complex dense (nodes, steps+1) g."""
+    return float(fam.gamma_weights
+                 @ (np.real(g * np.conj(g)) @ trapezoid_weights(fam.grid)))
+
+
 def _solved(case):
     """(family, Gram report, minimum-norm g, its norm) for a random target."""
     fam, pairs = _factor_case(case)
@@ -276,13 +285,59 @@ def _solved(case):
     rep = gram(fam)
     a = np.linalg.solve(rep.gram, build_moment_problem(fam, target).rhs)
     g = fam.combination(a, conjugate=True)
-    return fam, rep, g, np.sqrt(fam.dense_norm_sq(g))
+    return fam, rep, g, np.sqrt(_norm_sq(fam, g))
+
+
+def _spot_check(fam, rep, g, norm):
+    """The spot check of synthesize on a complex g."""
+    _min_norm_spot_check(_RealPasses(fam), rep, np.stack([g.real, g.imag]),
+                         norm, seed=0, dirs=5)
+
+
+@pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
+def test_real_passes_match_the_complex_family_methods(case):
+    # one node, and a last block shorter than the others
+    fam, _ = _factor_case(case)
+    nodes, samples = fam.psi.shape[1], fam.grid.steps + 1
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal(fam.count) + 1j * rng.standard_normal(fam.count)
+    dense = _RealPasses(fam)
+    assert dense.blocks == node_blocks(nodes, 2 * fam.count * samples)
+    sizes = [rows.stop - rows.start for rows in dense.blocks]
+    assert sizes == [1] if case == "interval" else \
+        len(sizes) > 2 and sizes[-1] < sizes[0]
+    # the blocks tile the nodes, and each product of a block stays under
+    # the multiply-adds that OpenBLAS runs on the calling thread
+    assert sum(sizes) == nodes and dense.blocks[0].start == 0
+    assert all(lo.stop == hi.start
+               for lo, hi in zip(dense.blocks, dense.blocks[1:]))
+    assert max(sizes) * 2 * fam.count * samples < CALLING_THREAD_MACS
+    parts = np.empty((2, nodes, samples))
+    moments, norm_sq = 0.0, 0.0
+    for rows in dense.blocks:
+        re, im = dense.combination(a, rows, parts[:, rows])
+        moments = moments + dense.pairing(rows, re, im)
+        norm_sq += dense.norm_sq(rows, re, im)
+    g = fam.combination(a, conjugate=True)
+    assert np.max(np.abs(parts[0] + 1j * parts[1] - g)) \
+        <= 1e-14 * np.max(np.abs(g))
+    want = fam.pairing(g)
+    assert np.max(np.abs(moments - want)) <= 1e-14 * np.max(np.abs(want))
+    assert norm_sq == pytest.approx(_norm_sq(fam, g), rel=1e-14)
+    # the spot check draws its directions block by block: the same bits
+    # as one fill of the whole array
+    v = np.empty((nodes, samples))
+    blocked = np.random.default_rng(0)
+    for rows in dense.blocks:
+        _spot_direction(blocked, v[rows])
+    whole = _spot_direction(np.random.default_rng(0), np.empty_like(v))
+    assert np.array_equal(v.view(np.uint64), whole.view(np.uint64))
 
 
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
 def test_spot_check_catches_a_control_off_minimum_norm(case):
     fam, rep, g, norm = _solved(case)
-    _min_norm_spot_check(fam, rep, g, norm, seed=0, dirs=5)
+    _spot_check(fam, rep, g, norm)
     # the check's own first direction, projected off the span with the
     # family's complex methods: g - 0.75 v_perp solves the same moments
     # with a larger norm, and adding v_perp back lowers it
@@ -291,8 +346,7 @@ def test_spot_check_catches_a_control_off_minimum_norm(case):
     v_perp = v - fam.combination(x, conjugate=True)
     bad = g - 0.75 * v_perp
     with pytest.raises(InternalConsistencyError, match="minimum-norm violated"):
-        _min_norm_spot_check(fam, rep, bad, np.sqrt(fam.dense_norm_sq(bad)),
-                             seed=0, dirs=5)
+        _spot_check(fam, rep, bad, np.sqrt(_norm_sq(fam, bad)))
 
 
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
@@ -302,7 +356,7 @@ def test_spot_check_catches_a_wrong_gram(case):
     wrong = dataclasses.replace(rep, gram=2.0 * rep.gram)
     with pytest.raises(InternalConsistencyError,
                        match="span projection left residual moments"):
-        _min_norm_spot_check(fam, wrong, g, norm, seed=0, dirs=5)
+        _spot_check(fam, wrong, g, norm)
 
 
 def test_spot_directions_have_zero_mean_and_unit_variance():
@@ -319,20 +373,22 @@ def test_spot_directions_have_zero_mean_and_unit_variance():
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
 def test_spot_check_leaves_g_unchanged(case):
     fam, rep, g, norm = _solved(case)
-    before = g.copy()
-    _min_norm_spot_check(fam, rep, g, norm, seed=0, dirs=5)
-    assert np.array_equal(g.view(np.uint64), before.view(np.uint64))
+    parts = np.stack([g.real, g.imag])
+    before = parts.copy()
+    _min_norm_spot_check(_RealPasses(fam), rep, parts, norm, seed=0, dirs=5)
+    assert np.array_equal(parts.view(np.uint64), before.view(np.uint64))
 
 
-def test_spot_check_memory_stays_near_four_dense_arrays():
-    # one direction buffer, reused: a fresh array per direction would
-    # hold the old and the new direction together
+def test_spot_check_memory_stays_near_one_dense_array():
+    # one direction buffer, reused, and block-sized projections: full-size
+    # projection arrays would add a dense array each
     fam, rep, g, norm = _solved("rectangle-right-top")
+    dense, parts = _RealPasses(fam), np.stack([g.real, g.imag])
     tracemalloc.start()
     try:
-        _min_norm_spot_check(fam, rep, g, norm, seed=0, dirs=5)
+        _min_norm_spot_check(dense, rep, parts, norm, seed=0, dirs=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     nodes, samples = g.shape
-    assert peak <= 4.5 * nodes * samples * 8
+    assert peak <= 1.5 * nodes * samples * 8

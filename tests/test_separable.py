@@ -13,6 +13,7 @@ from memwave import (ConfigError, DomainSpec, KernelSpec, SequenceFamily,
                      compute_eigenpairs, compute_responses, gram_matrix,
                      make_grid, normalize, quadratic_closeness, synthesize,
                      viscoelastic_family)
+from memwave.control import _RealPasses
 from memwave.grid import trapezoid_weights
 
 PI = np.pi
@@ -77,7 +78,12 @@ def test_pairings_match_dense(rect_family):
     assert rel_err(fam.pairing(g), pair) < 1e-12
     assert rel_err(fam.inner_against(g), inner) < 1e-12
     assert rel_err(fam.norms_sq(), norms) < 1e-12
-    assert fam.dense_norm_sq(g) == pytest.approx(
+    # synthesize's real-arithmetic passes, block by block
+    passes = _RealPasses(fam)
+    assert rel_err(sum(passes.pairing(rows, g.real[rows], g.imag[rows])
+                       for rows in passes.blocks), pair) < 1e-12
+    assert sum(passes.norm_sq(rows, g.real[rows], g.imag[rows])
+               for rows in passes.blocks) == pytest.approx(
         np.sum(np.abs(g) ** 2 * weights), rel=1e-12)
     a = rng.standard_normal(fam.count) + 1j * rng.standard_normal(fam.count)
     assert rel_err(fam.combination(a), np.tensordot(a, members, axes=1)) < 1e-12
