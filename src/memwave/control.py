@@ -254,8 +254,16 @@ class _RealPasses:
             q = q + 1j * (im @ self.W).view(complex)
         return np.sum(self.psi_w[rows] * q, axis=0)
 
+    def abs_sq(self, rows, re, im):
+        """|u|^2 = re^2 + im^2 on the node rows, a new block, and its
+        weighted integral: the node rows' share of the norm squared."""
+        sq = np.square(re)
+        sq += np.square(im, out=self.sq[:rows.stop - rows.start])
+        return sq, float(self.gw[rows] @ (sq @ self.wt))
+
     def norm_sq(self, rows, re, im):
-        """The node rows' share of the weighted L2 norm squared of u."""
+        """The node rows' share of the weighted L2 norm squared of u, with
+        no block allocated."""
         sq = self.sq[:rows.stop - rows.start]
         total = np.square(re, out=sq) @ self.wt
         total += np.square(im, out=sq) @ self.wt
@@ -281,13 +289,15 @@ def synthesize(problem: MomentProblem) -> ControlSignal:
     a = cholesky_solve(rep.gram, problem.rhs)
     dense = _RealPasses(fam)
     g = np.empty((2, fam.psi.shape[1], fam.grid.steps + 1))   # Re g, Im g
-    moments, norm_sq, g_max, imag_max = 0.0, 0.0, 0.0, 0.0
+    moments, norm_sq, g_sq_max, imag_max = 0.0, 0.0, 0.0, 0.0
     for rows in dense.blocks:
         re, im = dense.combination(a, rows, g[:, rows])
         moments = moments + dense.pairing(rows, re, im)
-        norm_sq += dense.norm_sq(rows, re, im)
+        # one square of the block gives the norm and the realness scale
+        sq, block_norm_sq = dense.abs_sq(rows, re, im)
+        norm_sq += block_norm_sq
         # np.maximum, not max: a NaN stays NaN
-        g_max = np.maximum(g_max, np.max(np.hypot(re, im)))
+        g_sq_max = np.maximum(g_sq_max, np.max(sq))
         imag_max = np.maximum(imag_max, np.max(np.abs(im)))
     residual = np.abs(moments - problem.rhs)
     rhs_scale = max(1.0, float(np.max(np.abs(problem.rhs))))
@@ -297,7 +307,7 @@ def synthesize(problem: MomentProblem) -> ControlSignal:
             "for the solved condition number")
 
     imag_max = float(imag_max)
-    scale = max(1.0, float(g_max))
+    scale = max(1.0, float(np.sqrt(g_sq_max)))
     if _is_symmetric(fam.index_set) and imag_max > 1e-8 * scale:
         raise InternalConsistencyError(
             f"synthesized control is not real (sup imag {imag_max:.3e}); "

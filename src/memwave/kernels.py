@@ -250,27 +250,33 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _trailing(f: np.ndarray, g: np.ndarray):
-    """f and g with unit axes appended so that their trailing axes align."""
-    return (f.reshape(f.shape + (1,) * (g.ndim - f.ndim)),
-            g.reshape(g.shape + (1,) * (f.ndim - g.ndim)))
-
-
 def series_product(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     """First n coefficients of the power-series product f g.
 
-    Coefficients run along axis 0 and the trailing axes broadcast as in
-    convolve.  Each operand is cut to n terms and transformed once on
-    numpy.fft (rfft, or fft when either is complex), at the 5-smooth size
-    _fast_len(len f + len g - 1) that keeps the circular product free of
-    wrap-around.
+    Coefficients run along the last axis and the leading axes broadcast
+    as in convolve.  Each operand is cut to n terms and transformed once
+    on numpy.fft (rfft, or fft when either is complex), at the 5-smooth
+    size _fast_len(len f + len g - 1) that keeps the circular product
+    free of wrap-around.  The spectra are multiplied and transformed back
+    one broadcast row at a time, straight into the result, so neither
+    the whole batch's product spectrum nor its full-length inverse is
+    ever held.  Every transform runs along a contiguous row, and a row
+    gets the same bits whatever batch it is in.
     """
-    f, g = _trailing(f[:n], g[:n])
+    f, g = f[..., :n], g[..., :n]
     real = not (np.iscomplexobj(f) or np.iscomplexobj(g))
     fft, ifft = ((np.fft.rfft, np.fft.irfft) if real
                  else (np.fft.fft, np.fft.ifft))
-    size = _fast_len(len(f) + len(g) - 1)
-    return ifft(fft(f, size, axis=0) * fft(g, size, axis=0), size, axis=0)[:n]
+    size = _fast_len(f.shape[-1] + g.shape[-1] - 1)
+    F, G = fft(f, size), fft(g, size)
+    if F.ndim == G.ndim == 1:       # one row: its inverse is the result
+        return ifft(F * G, size)[:n]
+    lead = np.broadcast_shapes(F.shape[:-1], G.shape[:-1])
+    F, G = (np.broadcast_to(a, lead + a.shape[-1:]) for a in (F, G))
+    out = np.empty(lead + (n,), dtype=float if real else complex)
+    for row in np.ndindex(lead):
+        out[row] = ifft(F[row] * G[row], size)[:n]
+    return out
 
 
 def series_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -279,30 +285,29 @@ def series_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     The solve of the lower-triangular Toeplitz system of den, in
     O(m log m): Newton iteration g <- g + g (1 - den g) doubles the
     correct terms of 1/den each round (Brent & Kung, J. ACM 25, 1978),
-    and q = num / den is one last product.  Every product is a
-    series_product, batched over trailing axes like it; den[0] must not
-    vanish.
+    and q = num / den is one last product.  Coefficients run along the
+    last axis; every product is a series_product, batched over leading
+    axes like it; den[..., 0] must not vanish.
     """
-    n = len(num)
-    inv = 1.0 / den[:1]
+    n = num.shape[-1]
+    inv = 1.0 / den[..., :1]
     k = 1
     while k < n:
         k2 = min(2 * k, n)
         # den inv = 1 + x^k e + O(x^k2): only e, its terms k..k2-1, is new
-        e = series_product(den, inv, k2)[k:]
-        inv = np.concatenate([inv, -series_product(inv, e, k2 - k)])
+        e = series_product(den, inv, k2)[..., k:]
+        inv = np.concatenate([inv, -series_product(inv, e, k2 - k)], axis=-1)
         k = k2
     return series_product(num, inv, n)
 
 
 def _convolvable(f: np.ndarray, g: np.ndarray):
-    """f and g aligned by _trailing; ConfigError unless they share the
-    time axis and their other axes broadcast."""
-    f, g = _trailing(f, g)
-    if f.shape[0] != g.shape[0] or any(a != b and 1 not in (a, b) for a, b
-                                       in zip(f.shape[1:], g.shape[1:])):
+    """ConfigError unless f and g share the time axis, their last, and
+    their leading axes broadcast."""
+    if f.shape[-1:] != g.shape[-1:] or any(
+            a != b and 1 not in (a, b)
+            for a, b in zip(f.shape[-2::-1], g.shape[-2::-1])):
         raise ConfigError(f"convolve shape mismatch {f.shape} vs {g.shape}")
-    return f, g
 
 
 def convolve(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
@@ -313,33 +318,40 @@ def convolve(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     integral at once; exact for piecewise-linear integrands.  The value
     at t = 0 is pinned to exactly zero.
 
-    Time is axis 0 and the other axes broadcast, an operand with fewer
-    axes taking trailing ones: an (m+1,) kernel convolves every column of
-    an (m+1, K) batch.  The discrete convolution is one series_product,
-    which transforms each operand once, so a column equals its
-    one-column call bit for bit.
+    Time is the last axis and the leading axes broadcast: an (m+1,)
+    kernel convolves every row of a (K, m+1) batch.  The discrete
+    convolution is one series_product, which transforms each operand
+    once and each row of the result on its own, so a row equals its
+    one-row call bit for bit.  The boundary correction is applied in
+    place, in the order h (product - (f_0 g + g_0 f) / 2).
     """
-    f, g = _convolvable(f, g)
-    out = h * (series_product(f, g, f.shape[0]) - 0.5 * (f[0] * g + g[0] * f))
-    out[0] = 0.0
+    _convolvable(f, g)
+    out = series_product(f, g, f.shape[-1])
+    half = f[..., :1] * g
+    half += g[..., :1] * f
+    half *= 0.5
+    out -= half
+    out *= h
+    out[..., 0] = 0.0
     return out
 
 
 def convolve_end(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
-    """convolve(f, g, h)[-1], the product trapezoid at the last sample only.
+    """convolve(f, g, h)[..., -1], the product trapezoid at the last
+    sample only.
 
     h (sum_k f_k g_(m-k) - (f_0 g_m + g_0 f_m) / 2) as one contraction
-    over axis 0, O(m) where the whole convolution costs FFTs of twice the
-    length.  Operands broadcast and are checked as in convolve; the value
-    at m = 0 is exactly zero.  It agrees with convolve's last sample to
-    rounding, not bit for bit.
+    over the time axis, the last, O(m) where the whole convolution costs
+    FFTs of twice the length.  Operands broadcast and are checked as in
+    convolve; the value at m = 0 is exactly zero.  It agrees with
+    convolve's last sample to rounding, not bit for bit.
     """
-    f, g = _convolvable(f, g)
-    if len(f) == 1:
-        return np.zeros(np.broadcast_shapes(f.shape[1:], g.shape[1:]),
+    _convolvable(f, g)
+    if f.shape[-1] == 1:
+        return np.zeros(np.broadcast_shapes(f.shape[:-1], g.shape[:-1]),
                         dtype=np.result_type(f, g))
-    return h * (np.einsum("i...,i...->...", f, g[::-1])
-                - 0.5 * (f[0] * g[-1] + g[0] * f[-1]))
+    return h * (np.einsum("...i,...i->...", f, g[..., ::-1])
+                - 0.5 * (f[..., 0] * g[..., -1] + g[..., 0] * f[..., -1]))
 
 
 def resolvent(N1: np.ndarray, grid: TimeGrid) -> np.ndarray:

@@ -15,16 +15,26 @@ Two routes compute the controlled trajectories:
     directly and knows nothing about the family.  Agreement of the two
     within the scheme allowance is the end-to-end cross-validation.
 
-Both routes run the K_sim simulated modes as one batch: the forcings
-F_n form one (steps+1, K_sim) array.  The verdict reads the end state
-only, so by default each convolution the end state needs is evaluated at
-the final time alone (kernels.convolve_end, one O(m) contraction): the
-convolution route contracts N * z_n, z_n and N' * z_n against F_n in
-one call, and the march route reads theta_n'(T) from the contraction of
-N against the marched theta_n.  The march route still convolves N
-against F_n over the whole grid, because that is its forcing.  With
-trajectories=True both routes convolve over the whole grid instead and
-return every sample.
+Both routes run the K_sim simulated modes as one batch with time on the
+last axis: the forcings F_n form one (K_sim, steps+1) array, a row per
+mode, like the marched theta_n and every trajectory.  The verdict reads
+the end state only, so by default each convolution the end state needs
+is evaluated at the final time alone (kernels.convolve_end, one O(m)
+contraction): the convolution route contracts N * z_n, z_n and N' * z_n
+against F_n in one call, and the march route reads theta_n'(T) from the
+contraction of N against the marched theta_n.  With trajectories=True
+both routes convolve over the whole grid instead and return every
+sample.
+
+The march route's forcing N * F_n is needed at every sample.  F = W f,
+with W the (K_sim, nodes) weighted traces and f the (nodes, steps+1)
+control, so by linearity of the product trapezoid N * F = W (N * f):
+the same discrete quantity, rounded otherwise.  When the control has
+fewer node rows than there are simulated modes (one on the interval,
+against K_sim = 12 on the benchmark), the route convolves N against
+the node rows and pairs the result with W, 3 transforms where the K_sim
+rows of F take 25; otherwise (the rectangle's 257-node edge) it
+convolves the rows of F.
 
 The simulation grid may extend past the control horizon (the control is
 zero-padded), which is how post-control energy conservation is checked
@@ -64,21 +74,37 @@ class SimResult:
     trajectories: Optional[dict] = None   # n -> (theta_n(t), theta_n'(t))
 
 
-def _mode_forcing(traces: np.ndarray, control: ControlSignal,
-                  gamma_weights: np.ndarray, length: int) -> np.ndarray:
-    """F_n on the simulation grid, (length, K_sim): the boundary pairing
-    of the control with each mode's trace, zero past the horizon, summed
-    over the control's node-row blocks (control.node_blocks) so that no
-    product wakes OpenBLAS's worker pool."""
-    f = control.f
-    if f.shape[1] > length:
-        raise ConfigError("control grid longer than simulation grid")
-    weighted = np.real(traces) * gamma_weights
-    F = np.zeros((length, len(traces)))
-    Ft = F[:f.shape[1]].T
-    for rows in node_blocks(len(f), f.shape[1] * len(traces)):
-        Ft += weighted[:, rows] @ f[rows]
-    return F
+def _mode_forcing(weighted: np.ndarray, u: np.ndarray,
+                  length: int) -> np.ndarray:
+    """weighted @ u on the simulation grid, (K_sim, length): with u the
+    (nodes, k) control and weighted the weighted traces, the boundary
+    pairing F_n of the control with each mode's trace, zero past the
+    horizon.  Summed over node-row blocks (control.node_blocks) so that
+    no product wakes OpenBLAS's worker pool."""
+    out = np.zeros((len(weighted), length))
+    for rows in node_blocks(len(u), u.shape[1] * len(weighted)):
+        out[:, :u.shape[1]] += weighted[:, rows] @ u[rows]
+    return out
+
+
+def _forcing_convolution(kernel: NormalizedKernel, weighted: np.ndarray,
+                         f: np.ndarray, length: int) -> np.ndarray:
+    """H_n = N * F_n on the simulation grid, (K_sim, length).
+
+    F = W f with W the weighted traces, so by linearity of the product
+    trapezoid H = W (N * f): the same discrete quantity, rounded
+    otherwise.  A control with fewer node rows than simulated modes
+    (one on the interval, against K_sim) convolves its node rows,
+    zero-padded to the grid, and pairs the result; one with more (the
+    rectangle's edge) convolves the K_sim rows of F.
+    """
+    if len(f) >= len(weighted):
+        return convolve(kernel.N, _mode_forcing(weighted, f, length),
+                        kernel.h)
+    padded = np.zeros((len(f), length))
+    padded[:, :f.shape[1]] = f
+    return _mode_forcing(weighted, convolve(kernel.N, padded, kernel.h),
+                         length)
 
 
 def _check_grids(kernel: NormalizedKernel, control: ControlSignal):
@@ -86,6 +112,8 @@ def _check_grids(kernel: NormalizedKernel, control: ControlSignal):
         raise ConfigError(
             f"control step {control.grid.h!r} does not match simulation step "
             f"{kernel.h!r}; runs own exactly one step size")
+    if control.f.shape[1] > kernel.grid.steps + 1:
+        raise ConfigError("control grid longer than simulation grid")
 
 
 def mode_energies(theta_T, theta_t_T, beta) -> np.ndarray:
@@ -97,13 +125,13 @@ def mode_energies(theta_T, theta_t_T, beta) -> np.ndarray:
 
 def _finalize(theta, theta_t, K, lam_sq, beta, grid):
     """SimResult of modes 1..K_sim from their (K_sim,) end states, or
-    from their (length, K_sim) trajectories, which it then keeps."""
+    from their (K_sim, length) trajectories, which it then keeps."""
     keep = theta.ndim == 2
-    theta_T, theta_t_T = (theta[-1].copy(), theta_t[-1].copy()) if keep \
-        else (theta, theta_t)
+    theta_T, theta_t_T = (theta[:, -1].copy(), theta_t[:, -1].copy()) \
+        if keep else (theta, theta_t)
     tail = float(np.sum(mode_energies(theta_T, theta_t_T, beta)[K:]))
-    traj = {n: (theta[:, n - 1], theta_t[:, n - 1])
-            for n in range(1, theta.shape[1] + 1)} if keep else None
+    traj = {n: (theta[n - 1], theta_t[n - 1])
+            for n in range(1, len(theta) + 1)} if keep else None
     return SimResult(theta_T, theta_t_T, tail, K, len(theta_T), lam_sq,
                      beta, grid, traj)
 
@@ -125,15 +153,17 @@ def simulate_convolution(responses: dict, kernel: NormalizedKernel,
         if len(responses[n].z) != length:
             raise ConfigError(f"response of mode {n} lives on a different grid")
         sim.append(responses[n])
-    F = _mode_forcing(np.array([r.trace for r in sim]), control, gw, length)
+    F = _mode_forcing(np.array([r.trace.real for r in sim]) * gw, control.f,
+                      length)
     # N*z, z and N'*z against F in one call, (3, K_sim) at the end or
-    # (length, 3, K_sim) over the grid.  z and N'*z are convolved apart
+    # (3, K_sim, length) over the grid.  z and N'*z are convolved apart
     # and summed after: summing them first moves theta' by rounding, and
     # the verify artifacts with it
     parts = (convolve if trajectories else convolve_end)(
-        np.array([(r.Nz, r.z, r.Npz) for r in sim]).T, F[:, None], h)
-    theta = -parts[..., 0, :]
-    theta_t = -(parts[..., 1, :] + parts[..., 2, :])
+        np.array([[r.Nz for r in sim], [r.z for r in sim],
+                  [r.Npz for r in sim]]), F, h)
+    theta = -parts[0]
+    theta_t = -(parts[1] + parts[2])
     return _finalize(theta, theta_t, K, np.array([r.lambda_sq for r in sim]),
                      np.array([r.beta.real for r in sim]), kernel.grid)
 
@@ -155,14 +185,16 @@ def simulate_march(kernel: NormalizedKernel, pairs: Sequence[EigenPair],
     sim = [by_index[n] for n in range(1, K_sim + 1)]
     lam_sq = np.array([p.lambda_sq for p in sim])
     beta = np.array([p.beta.real for p in sim])
-    H = convolve(kernel.N, _mode_forcing(np.array([p.trace for p in sim]),
-                                         control, gw, length), h)
+    weighted = np.array([p.trace.real for p in sim]) * gw
+    H = _forcing_convolution(kernel, weighted, control.f, length)
     theta = march_modal(kernel, lam_sq, kernel.alpha, y0=0.0, forcing=-H,
                         label=f"(sim modes 1..{K_sim})")
     memory = (convolve if trajectories else convolve_end)(kernel.N, theta, h)
-    if not trajectories:
-        theta, H = theta[-1].copy(), H[-1]
-    theta_t = 2.0 * kernel.alpha * theta - lam_sq * memory - H
+    if trajectories:
+        lam = lam_sq[:, None]
+    else:
+        theta, H, lam = theta[:, -1].copy(), H[:, -1], lam_sq
+    theta_t = 2.0 * kernel.alpha * theta - lam * memory - H
     return _finalize(theta, theta_t, K, lam_sq, beta, kernel.grid)
 
 

@@ -28,6 +28,13 @@ march (~15 ms against ~2 ms for a z and a Z march of 12 modes at
 h = 1e-3), so they keep the block march.  The discretisation is the
 same either way; only the rounding differs.
 
+Layout.  A batch of K modes is (K, m+1), time on the last axis, as
+everywhere else in memwave (family profiles, the control, the
+simulator): the forcing and the result of march_modal, the fields the
+assembly returns, and the rows a ModeResponse keeps.  Every FFT then
+runs along contiguous rows, and a row of a batch is its one-mode call
+bit for bit.
+
 Z is additionally assembled by the variation-of-constants identity
 Z = z + N'*z + i beta (N*z), and the two routes are cross-checked; the
 assembled route is the one stored on ModeResponse because the forward
@@ -35,7 +42,8 @@ simulator shares its discrete ingredients, which keeps the synthesis /
 verification loop exactly consistent.  The assembly uses FFT
 convolutions of the sampled kernel, never the recurrence, so the check
 stays independent of the march; it convolves N and N' together against
-every mode of a batch in one call.  A ModeResponse keeps z, Z, N*z and
+every mode of a batch in one call, which transforms z once and each of
+the 2K products back on its own.  A ModeResponse keeps z, Z, N*z and
 N'*z; S = exp(-alpha t) Z is computed when read.
 
 The refined small-residual route (refined_S / comparator_profile) exists
@@ -177,7 +185,7 @@ def _march_blocks(kernel: NormalizedKernel, A, B, Be0, y0, F,
     (BLOCK, BLOCK) product runs on the calling thread, where all rows at
     once, on a long grid, wake OpenBLAS's worker pool to spin on the
     other cores (see control.node_blocks).
-    F is (m, K) or None, and is released once copied; returns (m+1, K).
+    F is (K, m) or None, and is released once copied; returns (K, m+1).
     """
     M, b = _step_map(kernel.terms, kernel.h, A, B, Be0)
     m = kernel.grid.steps
@@ -203,7 +211,9 @@ def _march_blocks(kernel: NormalizedKernel, A, B, Be0, y0, F,
             X[k + 1] = X[k] @ MBT
     else:
         Fb = np.zeros((K, c, nb * BLOCK))
-        Fb[:, :, :m] = F.view(float).reshape(m, K, c).transpose(1, 2, 0)
+        Fb[:, 0, :m] = F.real
+        if c == 2:
+            Fb[:, 1, :m] = F.imag
         del F       # peak memory: the caller keeps no reference
         Fb = Fb.reshape(K, c * nb, BLOCK)
         # zero-state: T[l, i] = e_0 M^(i-l) b for i >= l, else 0
@@ -222,10 +232,12 @@ def _march_blocks(kernel: NormalizedKernel, A, B, Be0, y0, F,
             X[k + 1] = X[k] @ MBT + GF[k]
     Y += np.ascontiguousarray(X.transpose(1, 2, 0, 3)).reshape(
         K, c * nb, d) @ R
-    out = np.empty((m + 1, K), dtype=dtype)
-    out[0] = y0
-    out[1:].view(float).reshape(m, K, c)[...] = Y.reshape(
-        K, c, nb * BLOCK)[:, :, :m].transpose(2, 0, 1)
+    Y = Y.reshape(K, c, nb * BLOCK)
+    out = np.empty((K, m + 1), dtype=dtype)
+    out[:, 0] = y0
+    out.real[:, 1:] = Y[:, 0, :m]
+    if c == 2:
+        out.imag[:, 1:] = Y[:, 1, :m]
     return out
 
 
@@ -240,24 +252,24 @@ def _march_series(kernel: NormalizedKernel, A, B, Be0, y0, F,
         y [1 - (A - Be0) x + B h (1 + x) Nt]
             = y_0 (1 + Be0 x) + x F + B h (1 + x) Nt y_0 / 2.
     The division is causal: cut to its first steps+1 terms (F to its
-    first steps rows) it is the march over the first `steps` steps.
+    first steps samples) it is the march over the first `steps` steps.
     """
     Nt = np.concatenate([[0.0], kernel.N[1:(steps or kernel.grid.steps) + 1]])
-    # B h (1 + x) Nt, one column per mode
-    den = (B * kernel.h) * (Nt + np.concatenate([[0.0], Nt[:-1]]))[:, None]
+    # B h (1 + x) Nt, one row per mode
+    den = (B * kernel.h)[:, None] * (Nt + np.concatenate([[0.0], Nt[:-1]]))
     num = (0.5 * y0) * den.astype(dtype)
-    num[0] = y0
-    num[1] += y0 * Be0
+    num[:, 0] = y0
+    num[:, 1] += y0 * Be0
     if F is not None:
-        num[1:] += F
-    den[0] = 1.0
-    den[1] -= A - Be0
+        num[:, 1:] += F
+    den[:, 0] = 1.0
+    den[:, 1] -= A - Be0
     return series_divide(num, den)
 
 
 def _series_overflow(kernel: NormalizedKernel, A, B, Be0, y0, F, dtype,
                      bound: float, Y: np.ndarray):
-    """(step, column, value) of the first step at which the series march
+    """(step, row, value) of the first step at which the series march
     Y leaves the envelope bound, its start y0 lying inside.
 
     One FFT division spreads an overflow to every step, so Y cannot say
@@ -271,38 +283,38 @@ def _series_overflow(kernel: NormalizedKernel, A, B, Be0, y0, F, dtype,
         while hi - lo > 1:
             mid = (lo + hi) // 2
             cut = _march_series(kernel, A, B, Be0, y0,
-                                None if F is None else F[:mid], dtype, mid)
+                                None if F is None else F[:, :mid], dtype, mid)
             if np.all(np.abs(cut) <= bound):
                 lo = mid
             else:
                 hi, Y = mid, cut
-    col = int(np.argmax(~(np.abs(Y[hi]) <= bound)))
-    return hi, col, Y[hi, col]
+    row = int(np.argmax(~(np.abs(Y[:, hi]) <= bound)))
+    return hi, row, Y[row, hi]
 
 
 def _first(bad: np.ndarray):
-    """(step, column) of the first True of a time-major (steps, K) mask."""
-    j = int(np.argmax(bad.any(axis=1)))
-    return j, int(np.argmax(bad[j]))
+    """(step, row) of the first True in time of a (K, steps) mask."""
+    j = int(np.argmax(bad.any(axis=0)))
+    return j, int(np.argmax(bad[:, j]))
 
 
 def _trapezoid_forcing(forcing: np.ndarray, h: float, D, dtype, where: str,
                        label: str) -> np.ndarray:
-    """F_{j-1} = h (f_{j-1} + f_j) / (2 D), the forcing of step j, (m, K).
+    """F_{j-1} = h (f_{j-1} + f_j) / (2 D), the forcing of step j, (K, m).
 
     Raises ConvergenceError at the first step where it is not finite: a
     block product would spread 0 * NaN back to the start of the block.
     """
-    f = forcing.reshape(len(forcing), -1)
-    F = np.add(f[:-1], f[1:], dtype=dtype)      # in place: one temporary
+    f = forcing.reshape(-1, forcing.shape[-1])
+    F = np.add(f[:, :-1], f[:, 1:], dtype=dtype)   # in place: one temporary
     F *= 0.5 * h
-    F /= D
+    F /= D[:, None]
     bad = ~np.isfinite(F)
     if bad.any():
-        j, col = _first(bad)
+        j, row = _first(bad)
         raise ConvergenceError(
             f"modal march forcing is not finite at step {j + 1} "
-            f"(t={(j + 1) * h:.4g}){where.format(col)} {label}")
+            f"(t={(j + 1) * h:.4g}){where.format(row)} {label}")
     return F
 
 
@@ -312,8 +324,9 @@ def march_modal(kernel: NormalizedKernel, lam_sq, alpha: float,
 
     Solves y' = 2 alpha y - lam_sq (N * y) + forcing with y(0) = y0.
     lam_sq is a scalar, or a (K,) array marched as one batch of modes
-    with forcing of shape (m+1, K); the result is time-major, (m+1,) or
-    (m+1, K).  A single mode is a batch of one.  Raises ConvergenceError
+    with forcing of shape (K, m+1); time is the last axis of the result,
+    (m+1,) or (K, m+1), and a row of a batch is its one-mode march bit
+    for bit.  A single mode is a batch of one.  Raises ConvergenceError
     at the first step whose forcing is not finite, and at the first step
     whose value is not finite or leaves the Gronwall envelope, which at
     these grids only happens for invalid input (a non-normalized kernel
@@ -326,11 +339,11 @@ def march_modal(kernel: NormalizedKernel, lam_sq, alpha: float,
     batch = lam.shape
     if len(batch) > 1:
         raise ConfigError(f"lam_sq must be a scalar or a 1-D array, got {batch}")
-    if forcing is not None and forcing.shape != (m + 1,) + batch:
+    if forcing is not None and forcing.shape != batch + (m + 1,):
         raise ConfigError(f"forcing shape {forcing.shape} does not match "
-                          f"{(m + 1,) + batch}")
+                          f"{batch + (m + 1,)}")
     lam = lam.reshape(-1)
-    where = " in batch column {}" if batch else ""
+    where = " in batch row {}" if batch else ""
     D = 1.0 - alpha * h + lam * h * h * N0 / 4.0
     if not np.all(D > 1e-12):
         raise ConvergenceError(
@@ -355,18 +368,18 @@ def march_modal(kernel: NormalizedKernel, lam_sq, alpha: float,
 
     bad = ~(np.abs(Y) <= bound)
     if bad.any():
-        j, col = _first(bad)
-        y = Y[j, col]
+        j, row = _first(bad)
+        y = Y[row, j]
         if kernel.terms is None and abs(y0) <= bound:
-            j, col, y = _series_overflow(
+            j, row, y = _series_overflow(
                 kernel, A, B, Be0, y0, None if forcing is None else
                 _trapezoid_forcing(forcing, h, D, dtype, where, label),
                 dtype, bound, Y)
         raise ConvergenceError(
             f"modal march left the Gronwall envelope at step {j} "
-            f"(t={j * h:.4g}){where.format(col)}: |y|={abs(y):.3e}, "
+            f"(t={j * h:.4g}){where.format(row)}: |y|={abs(y):.3e}, "
             f"bound {bound:.3e}; non-finite input or step too large {label}")
-    return Y.reshape((m + 1,) + batch)
+    return Y.reshape(batch + (m + 1,))
 
 
 def solve_z(kernel: NormalizedKernel, lambda_sq: float,
@@ -377,9 +390,14 @@ def solve_z(kernel: NormalizedKernel, lambda_sq: float,
                        label=f"(lambda_sq={lambda_sq:.6g})")
 
 
+def _forcing_factors(pairs) -> np.ndarray:
+    """i beta per pair, or i on the degenerate set: the factor of N in
+    the forcing of Z and in its variation-of-constants assembly."""
+    return np.array([1j if p.in_J else 1j * p.beta for p in pairs])
+
+
 def forcing_K(kernel: NormalizedKernel, pair: EigenPair) -> np.ndarray:
-    factor = 1j if pair.in_J else 1j * pair.beta
-    return kernel.Np + factor * kernel.N
+    return kernel.Np + _forcing_factors([pair])[0] * kernel.N
 
 
 def _consistency_tol(kernel: NormalizedKernel, pair: EigenPair) -> float:
@@ -401,18 +419,16 @@ def _assemble_Z(kernel: NormalizedKernel, pairs, z: np.ndarray,
                 Z_march: np.ndarray):
     """Variation-of-constants Z from z, checked against the marched Z.
 
-    z and Z_march are (m+1, K), one column per pair.  Returns
-    (Z_voc, N*z, N'*z), each (m+1, K), and each mode's gap over its
+    z and Z_march are (K, m+1), one row per pair.  Returns
+    (Z_voc, N*z, N'*z), each (K, m+1), and each mode's gap over its
     allowance, (K,); disagreement of a mode beyond its scheme allowance
     (or a NaN gap) flags a quadrature bug.
     """
-    # N and N' against every mode in one call, (m+1, 2, K): z is
-    # transformed once, and each column is its one-column call bit for bit
-    Nz, Npz = np.moveaxis(convolve(np.stack([kernel.N, kernel.Np], axis=1)
-                                   [:, :, None], z[:, None], kernel.h), 1, 0)
-    factor = np.array([1j if p.in_J else 1j * p.beta for p in pairs])
-    Z_voc = z + Npz + factor * Nz
-    gaps = np.max(np.abs(Z_march - Z_voc), axis=0)
+    # N and N' against every mode in one call, (2, K, m+1): z is
+    # transformed once, and each row is its one-row call bit for bit
+    Nz, Npz = convolve(np.stack([kernel.N, kernel.Np])[:, None], z, kernel.h)
+    Z_voc = z + Npz + _forcing_factors(pairs)[:, None] * Nz
+    gaps = np.max(np.abs(Z_march - Z_voc), axis=1)
     tols = np.array([_consistency_tol(kernel, p) for p in pairs])
     for p, gap, tol in zip(pairs, gaps, tols):
         if not gap <= tol:
@@ -434,8 +450,8 @@ def solve_Z(kernel: NormalizedKernel, pair: EigenPair,
                           forcing=forcing_K(kernel, pair),
                           label=f"(mode {pair.index})")
     z = solve_z(kernel, pair.lambda_sq)
-    *cols, _ = _assemble_Z(kernel, [pair], z[:, None], Z_march[:, None])
-    Z_voc, Nz, Npz = (a[:, 0] for a in cols)
+    *rows, _ = _assemble_Z(kernel, [pair], z[None], Z_march[None])
+    Z_voc, Nz, Npz = (a[0] for a in rows)
     if return_march:
         return Z_voc, Z_march, z, Nz, Npz
     return Z_voc
@@ -450,7 +466,8 @@ def compute_responses(kernel: NormalizedKernel, pairs) -> dict:
 
     One z march and one Z march advance all modes together, and the
     variation-of-constants assembly convolves the whole batch at once;
-    its two-route check stays per mode.
+    its two-route check stays per mode.  Every batch is (K, m+1), so a
+    mode's fields are rows of it.
     """
     pairs = list(pairs)
     if not pairs:
@@ -458,12 +475,10 @@ def compute_responses(kernel: NormalizedKernel, pairs) -> dict:
     lam = np.array([p.lambda_sq for p in pairs])
     label = f"(modes {', '.join(str(p.index) for p in pairs)})"
     z = march_modal(kernel, lam, kernel.alpha, y0=1.0, label=label)
-    K = np.stack([forcing_K(kernel, p) for p in pairs], axis=1)
-    Z_march = march_modal(kernel, lam, kernel.alpha, y0=1.0, forcing=K,
-                          label=label)
-    # rows of the transposed batches: each mode's fields are contiguous
-    *cols, ratios = _assemble_Z(kernel, pairs, z, Z_march)
-    z, Z, Nz, Npz = (np.ascontiguousarray(a.T) for a in (z, *cols))
+    Z_march = march_modal(
+        kernel, lam, kernel.alpha, y0=1.0, label=label,
+        forcing=kernel.Np + _forcing_factors(pairs)[:, None] * kernel.N)
+    Z, Nz, Npz, ratios = _assemble_Z(kernel, pairs, z, Z_march)
     return {p.index: ModeResponse(p.index, z[i], Z[i], p.lambda_sq, p.beta,
                                   p.psi, p.trace, p.in_J, Nz[i], Npz[i],
                                   float(ratios[i]), kernel.h, kernel.alpha)

@@ -110,30 +110,31 @@ def _operands(case):
     cplx = lambda *shape: real(*shape) + 1j * real(*shape)
     return {"real-real": (real(n), real(n)),
             "real-complex": (real(n), cplx(n)),
-            "vector-batch": (real(n), real(n, K)),
-            "batch-batch": (cplx(n, K), real(n, K)),
-            "stacked-batch": (real(n, 2, K), real(n, 1, K))}[case]
+            "vector-batch": (real(n), real(K, n)),
+            "batch-batch": (cplx(K, n), real(K, n)),
+            "stacked-batch": (real(2, K, n), real(1, K, n))}[case]
 
 
-def at(a, col):
-    """The time series of a batched operand at a broadcast column."""
-    return a[(slice(None),) + tuple(min(c, s - 1)
-                                    for c, s in zip(col, a.shape[1:]))]
+def at(a, row):
+    """The time series of a batched operand at a broadcast row: time is
+    the last axis, and leading axes align from the right."""
+    lead = row[len(row) - (a.ndim - 1):] if a.ndim > 1 else ()
+    return a[tuple(min(r, s - 1) for r, s in zip(lead, a.shape))]
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_batched_convolution_matches_direct_sum(case):
     f, g = _operands(case)
-    n, h = len(f), 1e-2
+    n, h = f.shape[-1], 1e-2
     got = convolve(f, g, h)
-    assert got.shape == (n,) + np.broadcast_shapes(f.shape[1:], g.shape[1:])
-    for col in np.ndindex(got.shape[1:]):
-        ref = direct_convolve(at(f, col), at(g, col), h)
-        assert np.max(np.abs(at(got, col) - ref)) <= 1e-12 * np.max(np.abs(ref))
-        if col:
-            # a column of a batch is bit for bit its one-column call
-            assert np.array_equal(at(got, col), convolve(
-                at(f, col).copy(), at(g, col).copy(), h))
+    assert got.shape == np.broadcast_shapes(f.shape[:-1], g.shape[:-1]) + (n,)
+    for row in np.ndindex(got.shape[:-1]):
+        ref = direct_convolve(at(f, row), at(g, row), h)
+        assert np.max(np.abs(at(got, row) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if row:
+            # a row of a batch is bit for bit its one-row call
+            assert np.array_equal(at(got, row), convolve(
+                at(f, row).copy(), at(g, row).copy(), h))
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -142,32 +143,36 @@ def test_convolve_end_is_the_last_sample(case):
     h = 1e-2
     end = convolve_end(f, g, h)
     full = convolve(f, g, h)
-    assert end.shape == full.shape[1:]
+    assert end.shape == full.shape[:-1]
     assert end.dtype == full.dtype
-    for col in np.ndindex(end.shape):
-        ref = direct_convolve(at(f, col), at(g, col), h)[-1]
-        assert abs(end[col] - ref) <= 1e-12 * abs(ref)
-        assert abs(end[col] - full[(-1,) + col]) <= 1e-12 * abs(ref)
+    for row in np.ndindex(end.shape):
+        ref = direct_convolve(at(f, row), at(g, row), h)[-1]
+        assert abs(end[row] - ref) <= 1e-12 * abs(ref)
+        assert abs(end[row] - full[row + (-1,)]) <= 1e-12 * abs(ref)
+        if row:
+            # a row of a batch is bit for bit its one-row call
+            assert end[row] == convolve_end(at(f, row).copy(),
+                                            at(g, row).copy(), h)
 
 
 def test_convolve_end_edge_cases():
     # one sample is the t = 0 value, exactly zero; shapes are checked as
     # in convolve
-    assert np.array_equal(convolve_end(np.ones(1), np.full((1, 3), 2.0), 0.1),
+    assert np.array_equal(convolve_end(np.ones(1), np.full((3, 1), 2.0), 0.1),
                           np.zeros(3))
     assert convolve_end(np.ones(1), np.ones(1), 0.1) == 0.0
     with pytest.raises(ConfigError):
         convolve_end(np.ones(11), np.ones(10), 0.1)
     with pytest.raises(ConfigError):
-        convolve_end(np.ones((11, 3)), np.ones((11, 2)), 0.1)
+        convolve_end(np.ones((3, 11)), np.ones((2, 11)), 0.1)
 
 
 def test_convolution_shape_mismatch_rejected():
-    a = np.ones((11, 3))
+    a = np.ones((3, 11))
     with pytest.raises(ConfigError):
         convolve(np.ones(11), np.ones(10), 0.1)
     with pytest.raises(ConfigError):
-        convolve(a, np.ones((11, 2)), 0.1)
+        convolve(a, np.ones((2, 11)), 0.1)
     with pytest.raises(ConfigError):
         convolve(np.ones(10), a, 0.1)
 
@@ -189,14 +194,14 @@ def test_fast_len_is_the_real_next_fast_len():
 
 def toeplitz_solve(num, den):
     """Dense solve of the lower-triangular Toeplitz system T q = num,
-    T[i, j] = den[i - j], one column at a time."""
-    n = len(num)
+    T[i, j] = den[i - j], one row at a time."""
+    n = num.shape[-1]
     i, j = np.indices((n, n))
     out = np.empty_like(num, dtype=np.result_type(num, den))
-    for col in np.ndindex(num.shape[1:]):
-        d = den[(slice(None),) + col[:den.ndim - 1]]
+    for row in np.ndindex(num.shape[:-1]):
+        d = at(den, row)
         T = np.where(i >= j, d[np.clip(i - j, 0, None)], 0.0)
-        out[(slice(None),) + col] = np.linalg.solve(T, num[(slice(None),) + col])
+        out[row] = np.linalg.solve(T, num[row])
     return out
 
 
@@ -208,16 +213,19 @@ def test_series_divide_matches_toeplitz_solve(m, dtype, shape):
     K = {"vector": (), "batch": (3,), "vector-den": (3,)}[shape]
     draw = lambda *s: (rng.standard_normal(s) if dtype is float else
                        rng.standard_normal(s) + 1j * rng.standard_normal(s))
-    num = draw(m + 1, *K)
-    # den[0] away from zero and geometric decay keep 1/den bounded
-    den_shape = (m + 1,) if shape == "vector-den" else (m + 1,) + K
-    decay = 0.8 ** np.arange(m + 1).reshape((m + 1,) + (1,) * (len(den_shape) - 1))
-    den = 0.2 * draw(*den_shape) * decay
-    den[0] += 1.0
+    num = draw(*K, m + 1)
+    # den[..., 0] away from zero and geometric decay keep 1/den bounded
+    den_shape = (m + 1,) if shape == "vector-den" else K + (m + 1,)
+    den = 0.2 * draw(*den_shape) * 0.8 ** np.arange(m + 1)
+    den[..., 0] += 1.0
     q = series_divide(num, den)
     ref = toeplitz_solve(num, den)
     assert q.shape == ref.shape and np.iscomplexobj(q) == (dtype is complex)
     assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for row in np.ndindex(K):
+        # a row of a batch is bit for bit its one-row call
+        assert np.array_equal(q[row], series_divide(num[row].copy(),
+                                                    at(den, row).copy()))
 
 
 def direct_resolvent(N1, h):

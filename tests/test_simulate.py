@@ -260,15 +260,25 @@ def test_mode_gaps_are_the_route_gap_per_mode():
 
 
 def test_verify_convolution_calls(tmp_path, monkeypatch):
-    # the verify_interval benchmark config (h = 1e-3, K = 4, K_sim = 12):
-    # one full convolution assembles N*z and N'*z, one builds the march
-    # route's forcing H, and the end state takes two end-sample
-    # contractions; no other FFT runs
-    calls = {}
+    # the verify_interval benchmark config (h = 1e-3, K = 4, K_sim = 12,
+    # one boundary node): one full convolution assembles N*z and N'*z,
+    # one builds the march route's forcing H, and the end state takes two
+    # end-sample contractions; no other FFT runs.  Every transform runs
+    # along the last axis, and each sequence is counted: the assembly
+    # transforms N, N' and the 12 z forward and its 24 products back,
+    # and H = W (N * f) transforms N and the control's node row forward
+    # and one product back, 41 sequences where convolving N against the
+    # 12 mode forcings took 63
+    calls, rows = {}, {}
 
-    def counted(name, fn):
+    def counted(name, fn, transform=False):
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
+            if transform:
+                a = np.asarray(args[0])
+                assert len(args) <= 2 and kwargs.get("axis", -1) in (
+                    -1, a.ndim - 1), f"{name} not along the last axis"
+                rows[name] = rows.get(name, 0) + a.size // a.shape[-1]
             return fn(*args, **kwargs)
         return wrapper
     for module in (memwave.kernels, memwave.volterra, memwave.simulate):
@@ -277,7 +287,8 @@ def test_verify_convolution_calls(tmp_path, monkeypatch):
                 monkeypatch.setattr(module, name,
                                     counted(name, getattr(module, name)))
     for name in ("rfft", "irfft", "fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        monkeypatch.setattr(np.fft, name,
+                            counted(name, getattr(np.fft, name), True))
     rng = np.random.default_rng(1)
     scale = 1.0 / np.arange(1, 5)
     doc = {"experiment": "verify",
@@ -291,7 +302,67 @@ def test_verify_convolution_calls(tmp_path, monkeypatch):
     cfg.write_text(json.dumps(doc))
     assert main(["verify", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
-    assert calls == {"convolve": 2, "convolve_end": 2, "rfft": 4, "irfft": 2}
+    # one inverse transform per product row, straight into the result
+    assert calls == {"convolve": 2, "convolve_end": 2, "rfft": 4,
+                     "irfft": 25}
+    assert rows == {"rfft": 14 + 2, "irfft": 24 + 1}
+
+
+def _column_route(kernel, weighted, f, length):
+    """H = N * F with F the K_sim mode forcings, one row per mode."""
+    return memwave.kernels.convolve(
+        kernel.N, memwave.simulate._mode_forcing(weighted, f, length),
+        kernel.h)
+
+
+@pytest.mark.parametrize("trajectories", [False, True])
+@pytest.mark.parametrize("case", ["interval", "interval-both-ends",
+                                  "rectangle-right"])
+def test_node_rank_forcing_matches_the_column_route(case, trajectories,
+                                                     monkeypatch):
+    # H = N * (W f) = W (N * f) by linearity of the product trapezoid:
+    # with fewer node rows than modes the march route convolves the
+    # control's rows, which moves H and the end state by rounding only;
+    # the rectangle's 257-node edge keeps the column route, bit for bit.
+    # The control stops short of the simulation grid (zero-padded)
+    dom = {"interval": DOM,
+           "interval-both-ends": DomainSpec("interval", (PI,),
+                                            gamma_subset=("left", "right")),
+           "rectangle-right": DomainSpec("rectangle", (PI, PI))}[case]
+    grid = make_grid(2.0, 2e-3)
+    ke = normalize(EXP_KERNEL, grid)
+    K_sim = 6
+    pairs = compute_eigenpairs(dom, K_sim, alpha=ke.alpha)
+    gw = dom.gamma_weights()
+    weighted = np.array([p.trace.real for p in pairs]) * gw
+    nodes = len(gw)
+    cgrid = grid.restrict(800)
+    rng = np.random.default_rng(5)
+    f = np.sin(np.outer(rng.uniform(1, 4, nodes), cgrid.t)
+               + rng.uniform(0, 2 * PI, (nodes, 1)))
+    ctrl = ControlSignal(f, np.zeros(2), np.zeros(2), 0.0, 1.0, 1.0, 0.0,
+                         cgrid, (1, -1))
+    length = len(grid)
+    H = memwave.simulate._forcing_convolution(ke, weighted, f, length)
+    ref = _column_route(ke, weighted, f, length)
+    assert H.shape == ref.shape == (K_sim, length)
+    if nodes >= K_sim:
+        assert np.array_equal(H, ref)
+    else:
+        assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
+    node = simulate_march(ke, pairs, ctrl, K_sim, gw,
+                          trajectories=trajectories)
+    monkeypatch.setattr(memwave.simulate, "_forcing_convolution",
+                        _column_route)
+    column = simulate_march(ke, pairs, ctrl, K_sim, gw,
+                            trajectories=trajectories)
+    for field in ("theta_T", "theta_t_T"):
+        a, b = getattr(node, field), getattr(column, field)
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+    if trajectories:
+        for n, (th, tht) in column.trajectories.items():
+            for a, b in zip(node.trajectories[n], (th, tht)):
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
 # ------------------------------------------------------------- error paths

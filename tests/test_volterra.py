@@ -133,7 +133,7 @@ def test_nan_z_route_gap_fails_closed(memory_kernel):
     Zm = Zm.copy()
     Zm[len(Zm) // 2] = np.nan
     with pytest.raises(InternalConsistencyError, match="gap nan"):
-        _assemble_Z(memory_kernel, [pairs[1]], z[:, None], Zm[:, None])
+        _assemble_Z(memory_kernel, [pairs[1]], z[None], Zm[None])
 
 
 def test_conjugate_response_is_exact(memory_kernel):
@@ -171,9 +171,9 @@ def test_batch_independence(memory_kernel):
     march = {}
     for batch in (pairs, some):
         lam = np.array([p.lambda_sq for p in batch])
-        K = np.stack([forcing_K(memory_kernel, p) for p in batch], axis=1)
+        K = np.stack([forcing_K(memory_kernel, p) for p in batch])
         Zm = march_modal(memory_kernel, lam, memory_kernel.alpha, forcing=K)
-        march[len(batch)] = {p.index: Zm[:, i] for i, p in enumerate(batch)}
+        march[len(batch)] = {p.index: Zm[i] for i, p in enumerate(batch)}
     for p in some:
         n = p.index
         assert np.array_equal(big[n].z, small[n].z)
@@ -239,11 +239,11 @@ def test_march_matches_direct_sum(family):
     Z = march_modal(ker, lam, ker.alpha, forcing=forcing)
     ref = direct_march(ker, lam, ker.alpha, forcing=forcing)
     assert np.max(np.abs(Z - ref)) <= 1e-12 * np.max(np.abs(ref))
-    # a batch column is the same march as the single mode
+    # a batch row is the same march as the single mode
     lams = np.array([1.0, lam, 25.0])
     Zb = march_modal(ker, lams, ker.alpha,
-                     forcing=np.repeat(forcing[:, None], 3, axis=1))
-    assert np.max(np.abs(Zb[:, 1] - Z)) <= 1e-14 * np.max(np.abs(Z))
+                     forcing=np.repeat(forcing[None], 3, axis=0))
+    assert np.max(np.abs(Zb[1] - Z)) <= 1e-14 * np.max(np.abs(Z))
 
 
 @pytest.mark.parametrize("b", [1e-6, 1e-9, 1e-12])
@@ -263,22 +263,22 @@ def test_small_rate_has_no_cancellation(b):
         assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_tabulated_batch_column_equals_single_mode():
-    # the series march divides all modes at once; each column must be
-    # its own single-mode march
+def test_tabulated_batch_row_equals_single_mode():
+    # the series march divides all modes at once; each row must be its
+    # own single-mode march
     grid = make_grid(2.5 * PI, 1e-3)
     ker = normalize(_tabulated_exp(grid), grid)
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 12,
                                alpha=ker.alpha)
     lams = np.array([p.lambda_sq for p in pairs])
-    forcing = np.stack([forcing_K(ker, p) for p in pairs], axis=1)
+    forcing = np.stack([forcing_K(ker, p) for p in pairs])
     z = march_modal(ker, lams, ker.alpha)
     Z = march_modal(ker, lams, ker.alpha, forcing=forcing)
     for i in (0, 5, 11):
         one = march_modal(ker, lams[i], ker.alpha)
-        assert np.max(np.abs(z[:, i] - one)) <= 1e-14 * np.max(np.abs(one))
-        one = march_modal(ker, lams[i], ker.alpha, forcing=forcing[:, i])
-        assert np.max(np.abs(Z[:, i] - one)) <= 1e-14 * np.max(np.abs(one))
+        assert np.max(np.abs(z[i] - one)) <= 1e-14 * np.max(np.abs(one))
+        one = march_modal(ker, lams[i], ker.alpha, forcing=forcing[i])
+        assert np.max(np.abs(Z[i] - one)) <= 1e-14 * np.max(np.abs(one))
 
 
 def _first_envelope_exit(kernel, lam_sq, steps=50):
@@ -308,31 +308,31 @@ def test_tabulated_march_overflow_fails_closed():
                                   rates=(1.0,)), grid)
     with pytest.raises(ConvergenceError, match=f"at step {j} "):
         solve_z(closed, -1e6)
-    # in a forced batch, the step and the column of the mode that leaves
-    forcing = np.stack([ker.N, ker.Np], axis=1)
+    # in a forced batch, the step and the row of the mode that leaves
+    forcing = np.stack([ker.N, ker.Np])
     with pytest.raises(ConvergenceError,
-                       match=f"at step {j} .* in batch column 1:"):
+                       match=f"at step {j} .* in batch row 1:"):
         march_modal(ker, np.array([4.0, -1e6]), ker.alpha, forcing=forcing)
 
 
 def test_assembled_convolutions_are_the_one_kernel_calls(memory_kernel):
     # N and N' are convolved against z in one batched call, which gives
-    # each column the bits of its one-kernel call
+    # each row the bits of its one-kernel call
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=-0.5)
     resp = compute_responses(memory_kernel, pairs)
-    z = np.stack([resp[p.index].z for p in pairs], axis=1)
+    z = np.stack([resp[p.index].z for p in pairs])
     h = memory_kernel.h
     Nz, Npz = convolve(memory_kernel.N, z, h), convolve(memory_kernel.Np, z, h)
     for i, p in enumerate(pairs):
-        assert np.array_equal(resp[p.index].Nz, Nz[:, i])
-        assert np.array_equal(resp[p.index].Npz, Npz[:, i])
+        assert np.array_equal(resp[p.index].Nz, Nz[i])
+        assert np.array_equal(resp[p.index].Npz, Npz[i])
 
 
 def _oracle_batch(family, steps, h=1e-2):
     grid = TimeGrid(steps * h, steps, h)
     ker = normalize(ORACLE_KERNELS[family](grid), grid)
     lams = np.array([1.0, 9.0, 30.0])
-    forcing = np.stack([ker.Np + 1j * k * ker.N for k in (1, 3, 5)], axis=1)
+    forcing = np.stack([ker.Np + 1j * k * ker.N for k in (1, 3, 5)])
     return ker, lams, forcing
 
 
@@ -342,9 +342,9 @@ def test_block_boundaries_match_direct_sum(family, steps):
     ker, lams, forcing = _oracle_batch(family, steps)
     z = march_modal(ker, lams, ker.alpha)
     Z = march_modal(ker, lams, ker.alpha, forcing=forcing)
-    assert z.shape == (steps + 1, 3) and Z.shape == (steps + 1, 3)
+    assert z.shape == (3, steps + 1) and Z.shape == (3, steps + 1)
     for i, lam in enumerate(lams):
-        for y, f in ((z[:, i], None), (Z[:, i], forcing[:, i])):
+        for y, f in ((z[i], None), (Z[i], forcing[i])):
             ref = direct_march(ker, lam, ker.alpha, forcing=f)
             assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -355,27 +355,30 @@ def test_restricted_march_equals_fresh_march(k):
     # first k steps of a long march are a k-step march, bit for bit
     ker, lams, forcing = _oracle_batch("exponential_sum", 5 * BLOCK + 3)
     short = ker.restrict(k)
-    assert np.array_equal(march_modal(ker, lams, ker.alpha)[:k + 1],
+    assert np.array_equal(march_modal(ker, lams, ker.alpha)[:, :k + 1],
                           march_modal(short, lams, short.alpha))
     for f in (forcing, forcing.imag):
         assert np.array_equal(
-            march_modal(ker, lams, ker.alpha, forcing=f)[:k + 1],
-            march_modal(short, lams, short.alpha, forcing=f[:k + 1]))
+            march_modal(ker, lams, ker.alpha, forcing=f)[:, :k + 1],
+            march_modal(short, lams, short.alpha, forcing=f[:, :k + 1]))
 
 
-def test_batch_of_one_equals_batch_column():
-    ker, lams, forcing = _oracle_batch("polynomial", 4 * BLOCK + 5)
+@pytest.mark.parametrize("family", ["polynomial", "tabulated"])
+def test_batch_of_one_equals_batch_row(family):
+    # a row of a batch is its one-row call bit for bit, on the block
+    # march and on the series march alike
+    ker, lams, forcing = _oracle_batch(family, 4 * BLOCK + 5)
     z = march_modal(ker, lams, ker.alpha)
     Z = march_modal(ker, lams, ker.alpha, forcing=forcing)
     for i, lam in enumerate(lams):
         one = march_modal(ker, lams[i:i + 1], ker.alpha)
-        assert np.array_equal(one[:, 0], z[:, i])
-        assert np.array_equal(march_modal(ker, lam, ker.alpha), z[:, i])
+        assert np.array_equal(one[0], z[i])
+        assert np.array_equal(march_modal(ker, lam, ker.alpha), z[i])
         one = march_modal(ker, lams[i:i + 1], ker.alpha,
-                          forcing=forcing[:, i:i + 1])
-        assert np.array_equal(one[:, 0], Z[:, i])
+                          forcing=forcing[i:i + 1])
+        assert np.array_equal(one[0], Z[i])
         assert np.array_equal(
-            march_modal(ker, lam, ker.alpha, forcing=forcing[:, i]), Z[:, i])
+            march_modal(ker, lam, ker.alpha, forcing=forcing[i].copy()), Z[i])
 
 
 # ------------------------------------------------------- refined S and G
@@ -480,9 +483,9 @@ def test_march_rejects_nonfinite_forcing(bad):
     ker = zero_kernel(1.0, 1e-3)
     with pytest.raises(ConvergenceError, match="step 1 "):
         march_modal(ker, 1.0, 0.0, forcing=np.full(1001, bad))
-    forcing = np.zeros((1001, 3))
-    forcing[500:, 2] = bad
-    with pytest.raises(ConvergenceError, match="step 500 .* column 2"):
+    forcing = np.zeros((3, 1001))
+    forcing[2, 500:] = bad
+    with pytest.raises(ConvergenceError, match="step 500 .* row 2"):
         march_modal(ker, np.array([1.0, 4.0, 9.0]), 0.0, forcing=forcing)
 
 
