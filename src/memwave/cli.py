@@ -113,7 +113,9 @@ def _write_json(path, payload, cfg_hash):
 
 
 def _write_csv(path, columns, rows, cfg_hash):
-    data = np.asarray(list(rows), dtype=float)
+    # an ndarray goes in whole: list() would split it into row arrays
+    data = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
+                      dtype=float)
     if not np.all(np.isfinite(data)):
         raise _non_finite(path)
     os.makedirs(os.path.dirname(path), exist_ok=True)

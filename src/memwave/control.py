@@ -20,20 +20,23 @@ Solving by Cholesky (numpy's factor L, then one solve against L and one
 against L^H: riesz.cholesky_solve) and assembling g gives the unique
 minimum-norm solution; any admissible perturbation is orthogonal to the
 span and can only increase the norm, which the seeded spot-check
-verifies on uniform directions scaled to zero mean and unit variance
-(the first two moments of Gaussian ones, at about a quarter of the cost
-to draw).  Members are kept as factors psi_n (x) Z_n (see riesz); g is
-held as two real (nodes, steps+1) arrays, Re g and Im g, and the
-control f is a time-reversed copy of Re g.
+verifies on rank-one directions u (x) s, a uniform draw per node times
+a uniform draw per time sample, each of zero mean and unit variance:
+their covariance is the identity, the first two moments of an iid
+Gaussian field.  Members are kept as factors psi_n (x) Z_n (see riesz),
+so the moments of such a direction are the product of a node sum and a
+time sum, and only the projected direction is ever dense.  g is held as
+two real (nodes, steps+1) arrays, Re g and Im g, and the control f is a
+time-reversed copy of Re g.
 
 Dense passes.  Every pass over a (nodes, steps+1) array (building g,
-its moments, its realness, its norm, the spot check) is real arithmetic
-on blocks of node rows (_RealPasses), as many rows as keep each product
-under the multiply-adds OpenBLAS runs on the calling thread
-(node_blocks): 8 of the rectangle benchmark's 257, all nodes of a small
-grid.  A larger product, and even a complex (4, 8) @ (8, 3928), wakes
-OpenBLAS's worker pool, whose threads then spin on the other cores for
-a while after the call returns.
+its moments, its realness, its norm, the spot check's projected
+directions) is real arithmetic on blocks of node rows (_RealPasses), as
+many rows as keep each product under the multiply-adds OpenBLAS runs on
+the calling thread (node_blocks): 8 of the rectangle benchmark's 257,
+all nodes of a small grid.  A larger product, and even a complex
+(4, 8) @ (8, 3928), wakes OpenBLAS's worker pool, whose threads then
+spin on the other cores for a while after the call returns.
 
 Factor form.  The control is a sum of K real boundary traces times K
 real time profiles.  Each psi_k is a scalar times the real trace of its
@@ -236,6 +239,9 @@ class _RealPasses:
         self.Zs = np.stack([fam.profiles.real, fam.profiles.imag],
                            axis=1).reshape(-1, len(self.wt))
         self.psi_w = (fam.psi * fam.gamma_weights).T
+        # u @ psi_wf, viewed as complex, is u @ psi_w for a real u; a
+        # copy, since psi_w's transposed layout fixes pairing's sum order
+        self.psi_wf = np.ascontiguousarray(self.psi_w).view(float)
         self.conj_psi = np.ascontiguousarray(np.conj(fam.psi).T)
         self.blocks = node_blocks(len(self.gw), self.W.size)
         self.sq = np.empty((self.blocks[0].stop, len(self.wt)))
@@ -253,6 +259,12 @@ class _RealPasses:
         if im is not None:
             q = q + 1j * (im @ self.W).view(complex)
         return np.sum(self.psi_w[rows] * q, axis=0)
+
+    def separable_pairing(self, u, s):
+        """int member_k * (u (x) s) for every k, for real node values u
+        and time values s: the product (u . psi_w[:, k]) (s @ W)_k of
+        two small real products, with no dense pass."""
+        return (u @ self.psi_wf).view(complex) * (s @ self.W).view(complex)
 
     def abs_sq(self, rows, re, im):
         """|u|^2 = re^2 + im^2 on the node rows, a new block, and its
@@ -276,8 +288,11 @@ def synthesize(problem: MomentProblem) -> ControlSignal:
     Fails closed with the not-controllable error (carrying the measured
     lower frame bound) when the Gram condition exceeds CONDITION_CAP;
     that is the numerical signature of a horizon at or below the sharp
-    time.  The result always passes the min-norm spot check (seed 0,
-    5 directions, uniform draws of zero mean and unit variance).
+    time.  A moment residual or a realness defect above its threshold,
+    or a NaN in either, fails closed with the internal-consistency
+    error.  The result always passes the min-norm spot check (seed 0,
+    5 rank-one directions, one dense pass over g; see
+    _min_norm_spot_check).
     """
     fam = problem.family
     rep = gram(fam)
@@ -301,14 +316,15 @@ def synthesize(problem: MomentProblem) -> ControlSignal:
         imag_max = np.maximum(imag_max, np.max(np.abs(im)))
     residual = np.abs(moments - problem.rhs)
     rhs_scale = max(1.0, float(np.max(np.abs(problem.rhs))))
-    if float(np.max(residual)) > 1e-6 * max(1.0, rep.cond) * rhs_scale:
+    # not (a <= tol) rather than a > tol: a NaN fails closed
+    if not float(np.max(residual)) <= 1e-6 * max(1.0, rep.cond) * rhs_scale:
         raise InternalConsistencyError(
             f"moment residual {float(np.max(residual)):.3e} out of scale "
             "for the solved condition number")
 
     imag_max = float(imag_max)
     scale = max(1.0, float(np.sqrt(g_sq_max)))
-    if _is_symmetric(fam.index_set) and imag_max > 1e-8 * scale:
+    if _is_symmetric(fam.index_set) and not imag_max <= 1e-8 * scale:
         raise InternalConsistencyError(
             f"synthesized control is not real (sup imag {imag_max:.3e}); "
             "rhs extension inconsistent with member conjugation")
@@ -365,41 +381,48 @@ def _min_norm_spot_check(dense: _RealPasses, rep, g, norm,
     span component is a plain Gram solve; what remains has zero moments
     and by Pythagoras can only add norm.
 
-    The directions are uniform draws of zero mean and identity
-    covariance, written into one buffer (_spot_direction) block by
-    block, which draws the same numbers as one fill of the whole buffer.
-    They match Gaussian directions in the first two moments: for an
-    error e outside the span, <e, v_perp> has mean 0 and the same
-    variance, and E|v_perp|^2 is the same, so the check is as strong;
-    uniform doubles cost about a quarter of Gaussian ones.
+    Each direction is a rank-one field v = u (x) s: u holds one draw per
+    node and s one per time sample (_spot_direction, u first, then s),
+    independent with zero mean and unit variance.  Then E v = 0 and
+    E v_ij v_kl = E u_i u_k E s_j s_l = delta_ik delta_jl: Cov(v) = I,
+    the first two moments of an iid Gaussian field.  For an error e
+    outside the span, <e, v_perp> has mean 0 and variance |e|^2, and
+    E|v_perp|^2 is unchanged, so the check is as strong.  The moments of
+    a separable v are separable too (_RealPasses.separable_pairing), so
+    no dense draw and no dense pass precede the Gram solve.
 
-    Per direction there are two passes over the node-row blocks: one
-    draws the block and adds up its moments; after the Gram solve, one
-    builds the block of v_perp (v plus the combination of minus the
-    solution) in a block-sized buffer and adds up its moments, its norm
-    and the norm of g plus it.
+    One dense pass follows it: per node-row block and per direction,
+    v_perp = u[rows] (x) s + combination(-x) in a block-sized buffer,
+    then its moments, its norm and the norm of g plus it.  The directions
+    are the inner loop, so a block of g stays in cache across them.  A NaN
+    in g, in norm or in the moments fails the check.
     """
-    v = np.empty(g.shape[1:])
-    block = np.empty((2, dense.blocks[0].stop, g.shape[2]))
+    nodes, samples = g.shape[1:]
     rng = np.random.default_rng(seed)
-    for _ in range(dirs):
-        moments_v = 0.0
-        for rows in dense.blocks:
-            _spot_direction(rng, v[rows])
-            moments_v = moments_v + dense.pairing(rows, v[rows])
-        x = np.linalg.solve(rep.gram, moments_v)
-        moments, vnorm_sq, perturbed_sq = 0.0, 0.0, 0.0
-        for rows in dense.blocks:
-            p = dense.combination(-x, rows, block[:, :rows.stop - rows.start])
-            p[0] += v[rows]
-            moments = moments + dense.pairing(rows, *p)
-            vnorm_sq += dense.norm_sq(rows, *p)
+    factors = [(_spot_direction(rng, np.empty(nodes)),
+                _spot_direction(rng, np.empty(samples))) for _ in range(dirs)]
+    moments_v = [dense.separable_pairing(u, s) for u, s in factors]
+    xs = [np.linalg.solve(rep.gram, m) for m in moments_v]
+    moments = np.zeros((dirs, len(rep.gram)), dtype=complex)
+    vnorm_sq, perturbed_sq = np.zeros(dirs), np.zeros(dirs)
+    block = np.empty((2, dense.blocks[0].stop, samples))
+    outer = np.empty(block.shape[1:])
+    for rows in dense.blocks:
+        n = rows.stop - rows.start
+        for d, (u, s) in enumerate(factors):
+            p = dense.combination(-xs[d], rows, block[:, :n])
+            p[0] += np.outer(u[rows], s, out=outer[:n])
+            moments[d] += dense.pairing(rows, *p)
+            vnorm_sq[d] += dense.norm_sq(rows, *p)
             p += g[:, rows]
-            perturbed_sq += dense.norm_sq(rows, *p)
-        moments = np.max(np.abs(moments))
-        if moments > 1e-7 * (1.0 + float(np.max(np.abs(moments_v)))) * rep.cond:
+            perturbed_sq[d] += dense.norm_sq(rows, *p)
+    bound = norm * (1.0 - 1e-9) - 1e-12
+    for d in range(dirs):
+        residual = float(np.max(np.abs(moments[d])))
+        tol = 1e-7 * (1.0 + float(np.max(np.abs(moments_v[d])))) * rep.cond
+        if not residual <= tol:
             raise InternalConsistencyError(
-                f"span projection left residual moments {moments:.3e}")
-        if np.sqrt(perturbed_sq) < norm * (1.0 - 1e-9) - 1e-12 and vnorm_sq > 0:
+                f"span projection left residual moments {residual:.3e}")
+        if not np.sqrt(perturbed_sq[d]) >= bound and vnorm_sq[d] > 0:
             raise InternalConsistencyError(
                 "minimum-norm violated by a span-orthogonal perturbation")

@@ -189,6 +189,18 @@ def test_synthesize_random_targets_stay_real(pairs12):
         assert sig.residual_max <= 1e-8 * sig.condition * scale
 
 
+@pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
+def test_nan_rhs_fails_closed(case):
+    # a NaN moment datum gives a NaN control; NaN > tol is False, so the
+    # residual comparison must be not (residual <= tol)
+    fam, pairs = _factor_case(case)
+    prob = build_moment_problem(fam, unit_target(len(pairs)))
+    rhs = prob.rhs.copy()
+    rhs[2] = np.nan
+    with pytest.raises(InternalConsistencyError, match="moment residual"):
+        synthesize(dataclasses.replace(prob, rhs=rhs))
+
+
 def test_short_horizon_fails_closed(pairs12):
     fam = telegraph_family(pairs12, 0.0, 0.5 * PI, steps=2000)
     with pytest.raises(NotControllableError) as err:
@@ -324,29 +336,51 @@ def test_real_passes_match_the_complex_family_methods(case):
     want = fam.pairing(g)
     assert np.max(np.abs(moments - want)) <= 1e-14 * np.max(np.abs(want))
     assert norm_sq == pytest.approx(_norm_sq(fam, g), rel=1e-14)
-    # the spot check draws its directions block by block: the same bits
-    # as one fill of the whole array
-    v = np.empty((nodes, samples))
-    blocked = np.random.default_rng(0)
-    for rows in dense.blocks:
-        _spot_direction(blocked, v[rows])
-    whole = _spot_direction(np.random.default_rng(0), np.empty_like(v))
-    assert np.array_equal(v.view(np.uint64), whole.view(np.uint64))
+
+
+@pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
+def test_separable_pairing_matches_the_dense_pairing(case):
+    # the spot check's factor moments of u (x) s against the blocked
+    # pairing of the materialised outer product
+    fam, _ = _factor_case(case)
+    dense = _RealPasses(fam)
+    rng = np.random.default_rng(0)
+    u = _spot_direction(rng, np.empty(fam.psi.shape[1]))
+    s = _spot_direction(rng, np.empty(fam.grid.steps + 1))
+    v = np.outer(u, s)
+    want = sum(dense.pairing(rows, v[rows]) for rows in dense.blocks)
+    got = dense.separable_pairing(u, s)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(got - fam.pairing(v))) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
 def test_spot_check_catches_a_control_off_minimum_norm(case):
     fam, rep, g, norm = _solved(case)
     _spot_check(fam, rep, g, norm)
-    # the check's own first direction, projected off the span with the
-    # family's complex methods: g - 0.75 v_perp solves the same moments
-    # with a larger norm, and adding v_perp back lowers it
-    v = _spot_direction(np.random.default_rng(0), np.empty(g.shape))
+    # the check's own first direction, u (x) s with u drawn first,
+    # projected off the span with the family's complex methods:
+    # g - 0.75 v_perp solves the same moments with a larger norm, and
+    # adding v_perp back lowers it
+    rng = np.random.default_rng(0)
+    u = _spot_direction(rng, np.empty(g.shape[0]))
+    v = np.outer(u, _spot_direction(rng, np.empty(g.shape[1])))
     x = np.linalg.solve(rep.gram, fam.pairing(v))
     v_perp = v - fam.combination(x, conjugate=True)
     bad = g - 0.75 * v_perp
     with pytest.raises(InternalConsistencyError, match="minimum-norm violated"):
         _spot_check(fam, rep, bad, np.sqrt(_norm_sq(fam, bad)))
+
+
+@pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
+def test_spot_check_fails_closed_on_nan(case):
+    fam, rep, g, norm = _solved(case)
+    bad = g.copy()
+    bad[-1, -1] = np.nan
+    with pytest.raises(InternalConsistencyError, match="minimum-norm violated"):
+        _spot_check(fam, rep, bad, norm)
+    with pytest.raises(InternalConsistencyError, match="minimum-norm violated"):
+        _spot_check(fam, rep, g, np.nan)
 
 
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
@@ -370,6 +404,27 @@ def test_spot_directions_have_zero_mean_and_unit_variance():
     assert np.array_equal(v.view(np.uint64), again.view(np.uint64))
 
 
+def test_rank_one_directions_have_identity_covariance():
+    # u (x) s over many seeded draws of a 3-node u and a 4-sample s:
+    # every entry has mean 0 and variance 1, and any two entries are
+    # uncorrelated, those that share a row (u_i^2 s_j s_l) included
+    n = 20000
+    rng = np.random.default_rng(0)
+    v = np.empty((n, 3, 4))
+    for row in v:
+        u = _spot_direction(rng, np.empty(3))
+        np.outer(u, _spot_direction(rng, np.empty(4)), out=row)
+    v = v.reshape(n, -1)
+    # uniform on [-sqrt 3, sqrt 3): E u^4 = 1.8, so an entry's square has
+    # variance 1.8^2 - 1 = 2.24, and a product of two entries sharing a
+    # row has variance 1.8 (1 when they share neither row nor column)
+    assert np.max(np.abs(v.mean(axis=0))) <= 5.0 / np.sqrt(n)
+    second = v.T @ v / n
+    assert np.max(np.abs(np.diag(second) - 1.0)) <= 5.0 * np.sqrt(2.24 / n)
+    off = second[~np.eye(12, dtype=bool)]
+    assert np.max(np.abs(off)) <= 5.0 * np.sqrt(1.8 / n)
+
+
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
 def test_spot_check_leaves_g_unchanged(case):
     fam, rep, g, norm = _solved(case)
@@ -379,9 +434,9 @@ def test_spot_check_leaves_g_unchanged(case):
     assert np.array_equal(parts.view(np.uint64), before.view(np.uint64))
 
 
-def test_spot_check_memory_stays_near_one_dense_array():
-    # one direction buffer, reused, and block-sized projections: full-size
-    # projection arrays would add a dense array each
+def test_spot_check_memory_stays_under_one_dense_array():
+    # rank-one directions and block-sized projections: a dense direction
+    # buffer or a full-size projection array would add a dense array each
     fam, rep, g, norm = _solved("rectangle-right-top")
     dense, parts = _RealPasses(fam), np.stack([g.real, g.imag])
     tracemalloc.start()
@@ -391,4 +446,4 @@ def test_spot_check_memory_stays_near_one_dense_array():
     finally:
         tracemalloc.stop()
     nodes, samples = g.shape
-    assert peak <= 1.5 * nodes * samples * 8
+    assert peak <= 0.8 * nodes * samples * 8
