@@ -24,14 +24,21 @@ checks that this product, taken over the control's node-row blocks
 maximum (exit 5 otherwise) and records the gap as factor_gap in
 synthesis.json.
 
-sweep-t marches once.  The step is the configured one (T_min's auto step
-under "auto"), shrunk so that it divides the horizon spacing; the kernel,
-the responses and both families are built on one grid to the last
-horizon, and riesz.gram_sweep reads every horizon's Gram from one pass
-over that grid, the time Gram summed segment by segment between
-horizons.  The artifacts report the horizons computed, k*h; sweep.json
-also holds each horizon's nested lower frame bounds m_1..m_2K of both
-families (frame_lower_telegraph, frame_lower_visco).
+sweep-t reads every horizon k*h of one grid: the step is the configured
+one (T_min's auto step under "auto"), shrunk so that it divides the
+horizon spacing, and the kernel is normalized on that grid to the last
+horizon first.  Where the kernel has a closed form and no mode lies on
+the degenerate set, the sweep takes the exact route (memwave.exact): the
+modal roots and residues and the telegraph profiles' two exponentials
+give both families in closed form, and every horizon's time Gram is
+evaluated exactly, with no grid.  Otherwise (a tabulated kernel, a mode
+on J, or modes exact.exact_modes refuses) it marches once: the
+responses and both families are built on the grid, and riesz.gram_sweep
+reads every horizon's Gram from one pass over it, the time Gram summed
+segment by segment between horizons.  sweep.json names the route taken
+("route": "exact" or "march") and holds each horizon's nested lower
+frame bounds m_1..m_2K of both families (frame_lower_telegraph,
+frame_lower_visco); the artifacts report the horizons as computed, k*h.
 
 Exit codes: 0 success, 2 config, 3 convergence, 4 not controllable,
 5 internal inconsistency.  Anything else crashing is a plain 1.
@@ -360,14 +367,23 @@ def _run_sweep(cfg, adir):
     alpha, gamma = _alpha_of(cfg)
     gw = cfg.domain.gamma_weights()
     grid, steps = _sweep_grid(cfg)
-    pairs_tel = compute_eigenpairs(cfg.domain, cfg.K, cfg.domain.c)
-    fam_t = telegraph_family(pairs_tel, cfg.domain.c, grid.T,
-                             steps=grid.steps, gamma_weights=gw)
-    pairs_vis = compute_eigenpairs(cfg.domain, cfg.K, alpha)
-    resp = compute_responses(normalize(cfg.kernel, grid), pairs_vis)
-    fam_v = viscoelastic_family([resp[p.index] for p in pairs_vis], gw)
     horizons = [k * grid.h for k in steps]
-    reps_t, reps_v = gram_sweep(fam_t, steps), gram_sweep(fam_v, steps)
+    pairs_tel = compute_eigenpairs(cfg.domain, cfg.K, cfg.domain.c)
+    pairs_vis = compute_eigenpairs(cfg.domain, cfg.K, alpha)
+    kernel = normalize(cfg.kernel, grid)
+    # imported here: no other run compiles the exact route
+    from .exact import exact_sweep
+    route = "exact"
+    reps = exact_sweep(kernel, pairs_tel, pairs_vis, cfg.domain.c, gw,
+                       horizons)
+    if reps is None:
+        route = "march"
+        fam_t = telegraph_family(pairs_tel, cfg.domain.c, grid.T,
+                                 steps=grid.steps, gamma_weights=gw)
+        resp = compute_responses(kernel, pairs_vis)
+        fam_v = viscoelastic_family([resp[p.index] for p in pairs_vis], gw)
+        reps = gram_sweep(fam_t, steps), gram_sweep(fam_v, steps)
+    reps_t, reps_v = reps
     m_tel = [r.m_N for r in reps_t]
     m_vis = [r.m_N for r in reps_v]
     _write_csv(os.path.join(adir, "sweep.csv"),
@@ -377,7 +393,7 @@ def _run_sweep(cfg, adir):
         "T": horizons, "m_N_telegraph": m_tel, "m_N_visco": m_vis,
         "frame_lower_telegraph": [r.frame_lower for r in reps_t],
         "frame_lower_visco": [r.frame_lower for r in reps_v],
-        "K": cfg.K, "members": 2 * cfg.K, "grid_h": grid.h,
+        "K": cfg.K, "members": 2 * cfg.K, "grid_h": grid.h, "route": route,
     }, cfg.hash)
     return 0
 
@@ -400,6 +416,12 @@ def _render_report(adir):
                   "|---|---|---|"]
         lines += [f"| {r[0]:.4f} | {r[1]:.4e} | {r[2]:.4e} |" for r in data]
         lines.append("")
+        p = os.path.join(adir, "sweep.json")
+        if os.path.exists(p):
+            with open(p) as fh:
+                route = json.load(fh).get("route")
+            if route is not None:
+                lines += [f"route = {route}", ""]
 
     p = os.path.join(adir, "responses.json")
     if os.path.exists(p):

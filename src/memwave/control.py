@@ -33,10 +33,11 @@ Dense passes.  Every pass over a (nodes, steps+1) array (building g,
 its moments, its realness, its norm, the spot check's projected
 directions) is real arithmetic on blocks of node rows (_RealPasses), as
 many rows as keep each product under the multiply-adds OpenBLAS runs on
-the calling thread (node_blocks): 8 of the rectangle benchmark's 257,
-all nodes of a small grid.  A larger product, and even a complex
-(4, 8) @ (8, 3928), wakes OpenBLAS's worker pool, whose threads then
-spin on the other cores for a while after the call returns.
+the calling thread (node_blocks): 8 of the rectangle benchmark's 257
+(7 for the spot check's widened product), all nodes of a small grid.
+A larger product, and even a complex (4, 8) @ (8, 3928), wakes
+OpenBLAS's worker pool, whose threads then spin on the other cores for
+a while after the call returns.
 
 Factor form.  The control is a sum of K real boundary traces times K
 real time profiles.  Each psi_k is a scalar times the real trace of its
@@ -246,12 +247,20 @@ class _RealPasses:
         self.blocks = node_blocks(len(self.gw), self.W.size)
         self.sq = np.empty((self.blocks[0].stop, len(self.wt)))
 
-    def combination(self, a, rows, out):
+    def combination(self, a, rows, out, u=None, Zw=None):
         """Re and Im of sum_k a_k conj(member_k) on the node rows, into
-        out (2, rows, steps+1); Im(B @ conj Z) = Re((-i B) @ conj Z)."""
+        out (2, rows, steps+1); Im(B @ conj Z) = Re((-i B) @ conj Z).
+        Given node values u and Zw, the rows of Zs and a last row of time
+        values s, the same product adds u (x) s to the real part: one
+        more coefficient column, u[rows], against the row s."""
         B = self.conj_psi[rows] * a
-        return np.matmul(np.stack([B.view(float), (-1j * B).view(float)]),
-                         self.Zs, out=out)
+        if u is None:
+            return np.matmul(np.stack([B.view(float), (-1j * B).view(float)]),
+                             self.Zs, out=out)
+        C = np.zeros((2, len(B), len(Zw)))
+        C[0, :, :-1], C[1, :, :-1] = B.view(float), (-1j * B).view(float)
+        C[0, :, -1] = u[rows]
+        return np.matmul(C, Zw, out=out)
 
     def pairing(self, rows, re, im=None):
         """The node rows' share of int member_k * u, for every k."""
@@ -392,10 +401,14 @@ def _min_norm_spot_check(dense: _RealPasses, rep, g, norm,
     no dense draw and no dense pass precede the Gram solve.
 
     One dense pass follows it: per node-row block and per direction,
-    v_perp = u[rows] (x) s + combination(-x) in a block-sized buffer,
-    then its moments, its norm and the norm of g plus it.  The directions
-    are the inner loop, so a block of g stays in cache across them.  A NaN
-    in g, in norm or in the moments fails the check.
+    v_perp = u[rows] (x) s + combination(-x) in a block-sized buffer, from
+    one product that carries u[rows] as one more coefficient column and s
+    as one more row, below a copy of Zs (_RealPasses.combination; its
+    node blocks are sized for the widened product, 7 rows of the
+    rectangle's 257), then its moments, its norm and the norm of g plus
+    it.  The directions are the inner loop, so a block of g stays in
+    cache across them.  A NaN in g, in norm or in the moments fails the
+    check.
     """
     nodes, samples = g.shape[1:]
     rng = np.random.default_rng(seed)
@@ -405,13 +418,15 @@ def _min_norm_spot_check(dense: _RealPasses, rep, g, norm,
     xs = [np.linalg.solve(rep.gram, m) for m in moments_v]
     moments = np.zeros((dirs, len(rep.gram)), dtype=complex)
     vnorm_sq, perturbed_sq = np.zeros(dirs), np.zeros(dirs)
-    block = np.empty((2, dense.blocks[0].stop, samples))
-    outer = np.empty(block.shape[1:])
-    for rows in dense.blocks:
+    Zw = np.empty((len(dense.Zs) + 1, samples))     # Zs and a row s
+    Zw[:-1] = dense.Zs
+    blocks = node_blocks(nodes, Zw.size)            # the widened product
+    block = np.empty((2, blocks[0].stop, samples))
+    for rows in blocks:
         n = rows.stop - rows.start
         for d, (u, s) in enumerate(factors):
-            p = dense.combination(-xs[d], rows, block[:, :n])
-            p[0] += np.outer(u[rows], s, out=outer[:n])
+            Zw[-1] = s
+            p = dense.combination(-xs[d], rows, block[:, :n], u, Zw)
             moments[d] += dense.pairing(rows, *p)
             vnorm_sq[d] += dense.norm_sq(rows, *p)
             p += g[:, rows]

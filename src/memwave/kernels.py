@@ -250,6 +250,12 @@ def _fast_len(n: int) -> int:
     return best
 
 
+# Rows per inverse transform in series_product: 24 real inverse rows of
+# size 16000 (verify's assembly) take 2.4 ms four at a time against 3.7 ms
+# one at a time, and larger chunks gain little more
+INVERSE_ROWS = 4
+
+
 def series_product(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     """First n coefficients of the power-series product f g.
 
@@ -258,10 +264,10 @@ def series_product(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     on numpy.fft (rfft, or fft when either is complex), at the 5-smooth
     size _fast_len(len f + len g - 1) that keeps the circular product
     free of wrap-around.  The spectra are multiplied and transformed back
-    one broadcast row at a time, straight into the result, so neither
-    the whole batch's product spectrum nor its full-length inverse is
-    ever held.  Every transform runs along a contiguous row, and a row
-    gets the same bits whatever batch it is in.
+    INVERSE_ROWS broadcast rows at a time, straight into the result, so
+    only that many rows of the product spectrum and of its full-length
+    inverse are ever held.  Every transform runs along a contiguous row,
+    and a row gets the same bits whatever batch or chunk it is in.
     """
     f, g = f[..., :n], g[..., :n]
     real = not (np.iscomplexobj(f) or np.iscomplexobj(g))
@@ -274,8 +280,10 @@ def series_product(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     lead = np.broadcast_shapes(F.shape[:-1], G.shape[:-1])
     F, G = (np.broadcast_to(a, lead + a.shape[-1:]) for a in (F, G))
     out = np.empty(lead + (n,), dtype=float if real else complex)
-    for row in np.ndindex(lead):
-        out[row] = ifft(F[row] * G[row], size)[:n]
+    for outer in np.ndindex(lead[:-1]):
+        for start in range(0, lead[-1], INVERSE_ROWS):
+            rows = outer + (slice(start, start + INVERSE_ROWS),)
+            out[rows] = ifft(F[rows] * G[rows], size)[..., :n]
     return out
 
 

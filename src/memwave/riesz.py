@@ -32,11 +32,20 @@ the rule on [0, k_{i-1} h] plus the rule on [k_{i-1} h, k_i h] (each
 segment with half weights at its own ends).  `gram_sweep` therefore
 sums the time Gram segment by segment, one pass over the grid, forms
 the boundary Gram once, and takes the nested frame bounds of all
-horizons in one batched eigenvalue call per truncation level.  There
-is one Gram route: `gram` and `gram_matrix` are its one-horizon case,
-a single segment over the whole grid.  Every horizon's Gram passes the
-finite and Hermitian checks, and its frame bounds the interlacing
-check, on its own.
+horizons in one batched eigenvalue call per truncation level; `gram`
+and `gram_matrix` are its one-horizon case, a single segment over the
+whole grid.
+
+Exact Grams.  A family whose profiles are exponential sums
+(exact.ExponentialFamily: the telegraph family, and the memory family
+of a closed-form kernel) has time Grams in closed form,
+T sum_{j,l} w_kj conj(w_ml) E((s_kj + conj s_ml) T) with
+E(y) = expm1(y) / y, at any horizon and on no grid
+(exact.exponential_gram_sweep, which `sweep-t` uses where it can).  The
+boundary Gram, the checks and the reports (_checked, _reports) are the
+grid route's.  On either route,
+every horizon's Gram passes the finite and Hermitian checks, and its
+frame bounds the interlacing check, on its own.
 """
 
 from __future__ import annotations
@@ -223,12 +232,14 @@ def cholesky_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.conj(L).T, np.linalg.solve(L, b))
 
 
-def _reports(family: SequenceFamily, steps: Sequence[int], N: int) -> list:
-    """Frame bounds of every nested level at every horizon: one batched
-    eigenvalue call per level, each horizon checked on its own."""
-    Gs = np.stack(_grams(family, steps, N))
-    lows = np.empty((len(steps), N))
-    highs = np.empty((len(steps), N))
+def _reports(grams: list, label: str, index_order: tuple) -> list:
+    """Frame bounds of every nested level of every checked Gram (one per
+    horizon): one batched eigenvalue call per level, each horizon checked
+    on its own."""
+    Gs = np.stack(grams)
+    N = Gs.shape[1]
+    lows = np.empty((len(Gs), N))
+    highs = np.empty((len(Gs), N))
     for k in range(1, N + 1):
         vals = np.linalg.eigvalsh(Gs[:, :k, :k])
         lows[:, k - 1] = vals[:, 0]
@@ -239,20 +250,20 @@ def _reports(family: SequenceFamily, steps: Sequence[int], N: int) -> list:
         slack = 1e-10 * max(1.0, float(hi[-1]))
         if np.any(np.diff(lo) > slack) or np.any(np.diff(hi) < -slack):
             raise InternalConsistencyError(
-                f"frame bounds of {family.label!r} violate interlacing")
+                f"frame bounds of {label!r} violate interlacing")
         cond = np.full(N, np.inf)
         pos = lo > 0
         with np.errstate(over="ignore"):   # an overflow is an infinite condition
             cond[pos] = hi[pos] / lo[pos]
-        reports.append(GramReport(G, lo, hi, cond, family.label,
-                                  tuple(family.index_set[:N])))
+        reports.append(GramReport(G, lo, hi, cond, label, index_order))
     return reports
 
 
 def gram(family: SequenceFamily, truncation: int = None) -> GramReport:
     """Gram matrix plus frame bounds of every nested truncation level."""
-    return _reports(family, (family.grid.steps,),
-                    _truncation(family, truncation))[0]
+    N = _truncation(family, truncation)
+    return _reports(_grams(family, (family.grid.steps,), N), family.label,
+                    tuple(family.index_set[:N]))[0]
 
 
 def gram_sweep(family: SequenceFamily, steps: Sequence[int]) -> list:
@@ -263,7 +274,8 @@ def gram_sweep(family: SequenceFamily, steps: Sequence[int]) -> list:
             and all(a < b for a, b in zip(steps, steps[1:]))):
         raise ConfigError(f"horizon step counts {steps} do not ascend "
                           f"strictly within [2, {family.grid.steps}]")
-    return _reports(family, steps, family.count)
+    return _reports(_grams(family, steps, family.count), family.label,
+                    tuple(family.index_set))
 
 
 def quadratic_closeness(a: SequenceFamily, b: SequenceFamily,

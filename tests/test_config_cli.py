@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import io
@@ -61,6 +62,32 @@ def test_cli_import_skips_scipy_signal_and_integrate():
     code = ("import sys, memwave.cli; print(sorted(m for m in "
             "('scipy.signal', 'scipy.integrate') if m in sys.modules))")
     assert _fresh_python(code).strip() == "[]"
+
+
+# what a fresh `import memwave.cli` adds to `import numpy`, besides
+# memwave's own modules: the standard library modules the CLI uses
+_CLI_STDLIB = {"__future__", "_blake2", "_hashlib", "_json", "argparse",
+               "cmath", "copy", "dataclasses", "gettext", "hashlib", "json",
+               "json.decoder", "json.encoder", "json.scanner"}
+
+
+def test_cli_import_loads_no_numpy_polynomial_and_no_new_modules():
+    # numpy.polynomial alone takes ~5 ms to import: the exact route's
+    # roots and products use np.linalg.eigvals and np.convolve
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import memwave.cli\n"
+            "print(sorted(set(sys.modules) - before))\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or "
+            "m.startswith(('scipy.', 'numpy.polynomial'))))")
+    added, unwanted = (ast.literal_eval(line) for line in
+                       _fresh_python(code).splitlines())
+    assert unwanted == []
+    assert {m for m in added if m.split(".")[0] != "memwave"} <= _CLI_STDLIB
+    assert {m for m in added if m.split(".")[0] == "memwave"} == {
+        "memwave", "memwave.cli", "memwave.config", "memwave.control",
+        "memwave.errors", "memwave.grid", "memwave.kernels", "memwave.riesz",
+        "memwave.simulate", "memwave.spectral", "memwave.volterra"}
 
 
 _SCIPY_LOADED = ("sorted(m for m in sys.modules "
@@ -548,6 +575,7 @@ def test_cli_sweep_and_report(tmp_path, capsys):
     assert main(["report", str(adir)]) == 0
     text = capsys.readouterr().out
     assert "sweep" in text.lower()
+    assert data["route"] == "exact" and "route = exact" in text
     assert (adir / "report.md").read_text().strip() == text.strip()
 
 
@@ -617,7 +645,7 @@ def test_cli_grid_h_enters_the_config_hash(tmp_path):
 
 
 def test_cli_runs_leave_no_blas_worker_spinning(tmp_path):
-    # every matrix product of verify and synthesize is real and small
+    # every matrix product of verify, synthesize and sweep-t is real and small
     # enough for OpenBLAS to run it on the calling thread, so its worker
     # pool never wakes: no CPU time accrues on another thread during a
     # run or in the 50 ms after it, when woken workers would still spin.
@@ -627,12 +655,16 @@ def test_cli_runs_leave_no_blas_worker_spinning(tmp_path):
     runs = (("verify", base("verify", h=1e-3, K=4, K_sim=12, **common),
              None),                          # the verify_interval benchmark
             ("synthesize", base("synthesize", **rect), 2e-2),
-            ("verify", base("verify", **rect), 2e-2))
+            ("verify", base("verify", **rect), 2e-2),
+            ("sweep-t", base("sweep-T", h=2e-3, K=8, kernel=EXP,
+                             sweep={"T_min": 1.2 * PI, "T_max": 2.5 * PI,
+                                    "steps": 14}),
+             None))                          # the sweep_horizons benchmark
     time.sleep(0.3)     # workers woken by earlier tests fall asleep
     for i, (command, doc, grid_h) in enumerate(runs):
         cpu, own = time.process_time(), time.thread_time()
-        assert run(tmp_path, doc, out=tmp_path / "store", grid_h=grid_h,
-                   name=f"{i}.json") == 0, command
+        assert run(tmp_path, doc, command, out=tmp_path / "store",
+                   grid_h=grid_h, name=f"{i}.json") == 0, command
         time.sleep(0.05)
         other = (time.process_time() - cpu) - (time.thread_time() - own)
         assert other <= 5e-3, f"{command}: {other:.3f} s on other threads"
@@ -848,6 +880,14 @@ def test_cli_synthesize_fails_closed(tmp_path, geometry, lengths,
        rate=st.floats(0.0, 5.0), h=st.floats(1e-2, 0.1), K=st.integers(1, 4),
        T_min=st.one_of(st.floats(1e-3, 0.1), st.floats(0.1, 8.0)),
        span=st.floats(1e-3, 4.0), steps=st.integers(1, 5))
+# the exact route: members that overflow, an overdamped memory mode
+# (lambda_1^2 = 0.62 < alpha^2 = 4) and c != 0
+@example(length=1.0, c=0.0, family="polynomial", coefficients=[1.0, 1e8],
+         rate=0.0, h=0.05, K=2, T_min=1.0, span=1.0, steps=2)
+@example(length=4.0, c=0.0, family="exponential_sum", coefficients=[-4.0],
+         rate=1.0, h=0.05, K=2, T_min=2.0, span=4.0, steps=3)
+@example(length=1.0, c=-1.3, family="exponential_sum", coefficients=[2.0],
+         rate=0.5, h=0.05, K=3, T_min=1.0, span=2.0, steps=3)
 def test_cli_sweep_fails_closed(tmp_path, length, c, family, coefficients,
                                 rate, h, K, T_min, span, steps):
     # any small interval sweep-t config ends in a documented exit code, and

@@ -7,7 +7,7 @@ from memwave import (ConfigError, ConvergenceError, KernelSpec,
                      NormalizedKernel, TimeGrid, convolve, convolve_end,
                      make_grid, normalize, resolvent)
 from memwave.kernels import (_fast_len, decay_integral, kernel_terms,
-                             series_divide)
+                             series_divide, series_product)
 
 # closed forms used as oracles below (single decaying exponential M = e^{-t}):
 #   gamma = -1/2, N(t) = 2 e^{-t} - e^{-2t}
@@ -135,6 +135,24 @@ def test_batched_convolution_matches_direct_sum(case):
             # a row of a batch is bit for bit its one-row call
             assert np.array_equal(at(got, row), convolve(
                 at(f, row).copy(), at(g, row).copy(), h))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("K", [1, 3, 5, 7, 12, 13])
+def test_series_product_rows_keep_their_bits_across_chunks(K, dtype):
+    # inverse transforms run kernels.INVERSE_ROWS rows at a time; whatever
+    # chunk a row falls in, and at whatever place, it gets its one-row bits
+    rng = np.random.default_rng(K)
+    f = rng.standard_normal(400)
+    g = rng.standard_normal((K, 400)).astype(dtype)
+    if dtype is complex:
+        g.imag = rng.standard_normal((K, 400))
+    got = series_product(f, g, 400)
+    stacked = series_product(np.stack([f, -f])[:, None], g, 400)
+    for row in range(K):
+        one = series_product(f, g[row].copy(), 400)
+        assert np.array_equal(got[row], one)
+        assert np.array_equal(stacked[0, row], one)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -8,6 +8,7 @@ from memwave import (ConfigError, DomainSpec, InternalConsistencyError,
                      compute_eigenpairs, gram, gram_matrix,
                      paley_wiener_check, quadratic_closeness,
                      sine_cosine_family)
+from memwave.exact import ExponentialFamily, exponential_gram_sweep
 
 PI = np.pi
 
@@ -27,6 +28,31 @@ def fourier_family(n_max, T, steps=4000, label="fourier"):
 
 
 # ------------------------------------------------------------ Gram basics
+
+
+def test_exponential_gram_matches_quadrature():
+    # exponents whose pair sums s + conj(s') cover 0, the expm1 branch
+    # (|x| T < 1, here down to 2e-4) and the difference branch, with
+    # growth and decay; Gauss-Legendre on 120 nodes is exact to rounding
+    rates = np.array([[0.0, 1e-4, -0.3 + 2.0j],
+                      [0.5j, -0.5j, 0.2 - 1.0j],
+                      [-1.5 + 3.0j, 1e-4 + 0.7j, -0.05]])
+    rng = np.random.default_rng(5)
+    weights = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    psi = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    gw = np.array([0.5, 2.0])
+    fam = ExponentialFamily(rates, weights, (1, 2, 3), "exp", psi, gw)
+    horizons = [0.5, 2.0, 7.0]
+    reps = exponential_gram_sweep(fam, horizons)
+    x, w = np.polynomial.legendre.leggauss(120)
+    boundary = (psi * gw) @ np.conj(psi).T
+    for T, rep in zip(horizons, reps):
+        t = 0.5 * T * (x + 1.0)
+        profiles = np.einsum("kd,kdt->kt", weights,
+                             np.exp(rates[:, :, None] * t))
+        G = boundary * ((profiles * (0.5 * T * w)) @ np.conj(profiles).T)
+        assert np.max(np.abs(rep.gram - G)) <= 1e-13 * np.max(np.abs(G)), T
+        assert rep.index_order == (1, 2, 3) and rep.label == "exp"
 
 
 def test_fourier_gram_orthogonal():

@@ -302,9 +302,10 @@ def test_verify_convolution_calls(tmp_path, monkeypatch):
     cfg.write_text(json.dumps(doc))
     assert main(["verify", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
-    # one inverse transform per product row, straight into the result
+    # inverse transforms of up to four product rows, straight into the
+    # result: 2 x 3 chunks of the assembly's (2, 12) and one for H
     assert calls == {"convolve": 2, "convolve_end": 2, "rfft": 4,
-                     "irfft": 25}
+                     "irfft": 7}
     assert rows == {"rfft": 14 + 2, "irfft": 24 + 1}
 
 

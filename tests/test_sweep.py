@@ -1,7 +1,10 @@
-"""sweep-t marches once on a step that divides the horizon spacing and
-reads every horizon's Gram from that one response set; each horizon's
-frame bounds must equal those of families built fresh on the shorter
-grid, and gram_sweep must equal gram on the restricted family."""
+"""sweep-t reads every horizon's frame bounds on one grid of horizons
+k*h.  For closed-form kernels off the degenerate set it takes the exact
+route: modal roots and residues and closed-form time Grams, each horizon
+equal to the exact single-horizon Gram; the march route it falls back
+to converges to it at order 2.  The march route marches once on a step
+that divides the horizon spacing, and gram_sweep must equal gram on the
+restricted family."""
 
 import json
 
@@ -12,13 +15,18 @@ from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
                      SequenceFamily, TimeGrid, compute_eigenpairs,
                      compute_responses, gram, gram_sweep, make_grid,
                      normalize, telegraph_family, viscoelastic_family)
-from memwave.cli import main
-from memwave.config import config_hash
+from memwave.cli import _sweep_grid, main
+from memwave.config import config_hash, from_dict
 from memwave.grid import auto_step, trapezoid_weights
+from memwave.kernels import kernel_terms
+from memwave.exact import (exact_modes, exponential_family,
+                           exponential_gram_sweep,
+                           transformed_exponential_terms)
 
 PI = np.pi
 DOM = DomainSpec("interval", (PI,))
 KERNEL = {"family": "exponential_sum", "coefficients": [1.0], "rates": [1.0]}
+EXP = KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,))
 
 
 def sweep(tmp_path, sweep_sec, K=3, grid_h=None, **extra):
@@ -36,30 +44,131 @@ def sweep(tmp_path, sweep_sec, K=3, grid_h=None, **extra):
     return json.loads((adir / "sweep.json").read_text())
 
 
+def exact_families(spec, c, K, dom=DOM):
+    """Telegraph and viscoelastic families of the exact route."""
+    alpha = c - 0.5 * spec.m0()
+    pairs_tel = compute_eigenpairs(dom, K, c)
+    pairs_vis = compute_eigenpairs(dom, K, alpha)
+    modes = exact_modes(kernel_terms(spec, alpha - c), alpha, pairs_vis)
+    return (exponential_family(pairs_tel,
+                               *transformed_exponential_terms(pairs_tel, c),
+                               "telegraph", dom.gamma_weights()),
+            exponential_family(pairs_vis, modes.roots, modes.Z,
+                               "viscoelastic", dom.gamma_weights()))
+
+
 def test_sweep_matches_fresh_families_per_horizon(tmp_path):
     K = 3
     data = sweep(tmp_path, {"T_min": PI, "T_max": 2 * PI, "steps": 3},
                  K=K, grid_h=1e-2)
-    h = data["grid_h"]
-    steps = [round(T / h) for T in data["T"]]
-    kernel = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
-                                  rates=(1.0,)),
-                       TimeGrid(steps[-1] * h, steps[-1], h))
-    pairs_tel = compute_eigenpairs(DOM, K, 0.0)
-    pairs_vis = compute_eigenpairs(DOM, K, kernel.alpha)
-    for i, k in enumerate(steps):
-        ker = kernel.restrict(k)
-        resp = compute_responses(ker, pairs_vis)
-        rep_v = gram(viscoelastic_family([resp[p.index] for p in pairs_vis]))
-        rep_t = gram(telegraph_family(pairs_tel, 0.0, ker.grid.T, steps=k))
-        assert abs(data["m_N_visco"][i] - rep_v.m_N) <= 1e-12 * rep_v.M_N
-        assert abs(data["m_N_telegraph"][i] - rep_t.m_N) <= 1e-12 * rep_t.M_N
-        # the nested curve m_1..m_2K of every horizon
-        for key, rep in (("visco", rep_v), ("telegraph", rep_t)):
+    # every horizon equals the exact Gram of families built fresh for it
+    assert data["route"] == "exact"
+    fam_t, fam_v = exact_families(EXP, 0.0, K)
+    for i, T in enumerate(data["T"]):
+        for key, fam in (("telegraph", fam_t), ("visco", fam_v)):
+            (rep,) = exponential_gram_sweep(fam, [T])
+            assert abs(data[f"m_N_{key}"][i] - rep.m_N) <= 1e-12 * rep.M_N
+            # the nested curve m_1..m_2K of every horizon
             curve = np.array(data[f"frame_lower_{key}"][i])
             assert curve.shape == (2 * K,)
             assert curve[-1] == data[f"m_N_{key}"][i]
             assert np.max(np.abs(curve - rep.frame_lower)) <= 1e-12 * rep.M_N
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec("zero"), EXP, KernelSpec("polynomial", coefficients=(0.5, -0.1))],
+    ids=["zero", "exp", "poly"])
+def test_march_sweep_bounds_converge_to_exact_at_order_two(spec):
+    K = 3
+    fams = exact_families(spec, 0.0, K)
+    horizons = [1.5 * PI, 2 * PI, 2.5 * PI]
+    exact = [exponential_gram_sweep(f, horizons) for f in fams]
+    errors = []
+    for n in (25, 50, 100):            # h = (pi / 2) / n: every horizon on grid
+        grid = TimeGrid(2.5 * PI, 5 * n, 0.5 * PI / n)
+        kernel = normalize(spec, grid)
+        pairs = compute_eigenpairs(DOM, K, kernel.alpha)
+        resp = compute_responses(kernel, pairs)
+        march = (telegraph_family(compute_eigenpairs(DOM, K, 0.0), 0.0,
+                                  grid.T, steps=grid.steps),
+                 viscoelastic_family([resp[p.index] for p in pairs]))
+        errors.append([max(np.max(np.abs(a.frame_lower - b.frame_lower))
+                           for a, b in zip(gram_sweep(f, [3 * n, 4 * n, 5 * n]),
+                                           reps))
+                       for f, reps in zip(march, exact)])
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all(np.abs(ratios - 4.0) < 0.1), ratios
+
+
+def march_route(doc):
+    """sweep.json's numbers as the march route computes them."""
+    cfg = from_dict(doc)
+    grid, steps = _sweep_grid(cfg)
+    c = cfg.domain.c
+    gw = cfg.domain.gamma_weights()
+    fam_t = telegraph_family(compute_eigenpairs(cfg.domain, cfg.K, c), c,
+                             grid.T, steps=grid.steps, gamma_weights=gw)
+    kernel = normalize(cfg.kernel, grid)
+    pairs = compute_eigenpairs(cfg.domain, cfg.K, kernel.alpha)
+    resp = compute_responses(kernel, pairs)
+    fam_v = viscoelastic_family([resp[p.index] for p in pairs], gw)
+    reps = {"telegraph": gram_sweep(fam_t, steps),
+            "visco": gram_sweep(fam_v, steps)}
+    return {key: value for name, rs in reps.items() for key, value in (
+        (f"m_N_{name}", [r.m_N for r in rs]),
+        (f"frame_lower_{name}", [r.frame_lower.tolist() for r in rs]))}
+
+
+def tabulated_on_sweep_grid(sec, h):
+    doc = {"experiment": "sweep-T", "domain": {"geometry": "interval",
+                                               "lengths": [PI]},
+           "kernel": {"family": "zero"}, "K": 1, "sweep": sec, "h": h}
+    m = np.exp(-_sweep_grid(from_dict(doc))[0].t)
+    return {"family": "tabulated", "samples": m.tolist(),
+            "samples_d1": (-m).tolist(), "samples_d2": m.tolist()}
+
+
+SEC = {"T_min": 1.5 * PI, "T_max": 2.5 * PI, "steps": 3}
+
+
+@pytest.mark.parametrize("kernel, c", [
+    (tabulated_on_sweep_grid(SEC, 2e-2), 0.0),
+    (KERNEL, 1.0),                 # telegraph mode 1 on J: alpha = c = 1
+    (KERNEL, 1.5),                 # memory mode 1 on J: alpha = c - 1/2 = 1
+    # M = -exp(-t) normalises to N = 1: a root of Den meets one of Q
+    ({"family": "exponential_sum", "coefficients": [-1.0], "rates": [1.0]},
+     0.0),
+    (KERNEL, 1.2018347375208056),  # a double root of mode 1's Den
+], ids=["tabulated", "telegraph-J", "memory-J", "Q-root", "double-root"])
+def test_fallbacks_take_the_march_route(tmp_path, kernel, c):
+    domain = {"geometry": "interval", "lengths": [PI], "c": c}
+    doc = {"experiment": "sweep-T", "domain": domain, "kernel": kernel,
+           "K": 3, "sweep": SEC, "h": 2e-2}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep-t", "--config", str(path), "--out",
+                 str(tmp_path)]) == 0
+    data = json.loads((tmp_path / f"sweep-t-{config_hash(doc)}" /
+                       "sweep.json").read_text())
+    assert data["route"] == "march"
+    for key, value in march_route(doc).items():
+        assert data[key] == value, key
+
+
+def test_non_finite_modes_take_the_march_route(tmp_path, capsys):
+    # lambda^2 ~ 1e301 times NQ's 1e8 overflows Den, so the sweep marches,
+    # and the march's own check ends it
+    doc = {"experiment": "sweep-T", "K": 2, "h": 0.05,
+           "domain": {"geometry": "interval", "lengths": [1e-150]},
+           "kernel": {"family": "polynomial", "coefficients": [1.0, 1e8]},
+           "sweep": {"T_min": 1.0, "T_max": 2.0, "steps": 2}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code = main(["sweep-t", "--config", str(path), "--out",
+                 str(tmp_path / "out")])
+    assert code == 3
+    assert "modal march left the Gronwall envelope" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_step_divides_spacing_so_horizons_are_nominal(tmp_path):
@@ -105,7 +214,6 @@ def test_one_horizon_sweep_keeps_configured_step(tmp_path):
 # ---------------------------------------------------------------- gram_sweep
 
 RECT = DomainSpec("rectangle", (PI, PI), gamma_subset=("right",))
-EXP = KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,))
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,8 @@ from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
                      TimeGrid, convolve, forcing_K, make_grid, march_modal,
                      normalize, refined_S, solve_Z, solve_z)
 from memwave import InternalConsistencyError
+from memwave.kernels import kernel_terms
+from memwave.exact import exact_modes, transformed_exponential_terms
 from memwave.volterra import (BLOCK, _assemble_Z, _consistency_tol,
                               growth_envelope, transformed_exponential)
 
@@ -495,3 +497,100 @@ def test_forced_zero_forcing_matches_homogeneous(memory_kernel):
     y_f = march_modal(memory_kernel, lam, memory_kernel.alpha, y0=1.0,
                       forcing=np.zeros(len(memory_kernel.t)))
     assert np.max(np.abs(y_h - y_f)) < 1e-14
+
+
+# ------------------------------------------------------------ exact modes
+
+EXACT_KERNELS = {
+    "zero": KernelSpec("zero", c=0.5),
+    "exp": KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,)),
+    "two-exp": KernelSpec("exponential_sum", c=-0.3, coefficients=(1.0, 0.5),
+                          rates=(1.0, 3.0)),
+    "rate-zero": KernelSpec("exponential_sum", coefficients=(0.3,),
+                            rates=(0.0,)),
+    "poly": KernelSpec("polynomial", coefficients=(0.5, -0.1)),
+}
+
+
+def exact_of(spec, K, length=PI):
+    gamma = -0.5 * spec.m0()
+    alpha = spec.c + gamma
+    pairs = compute_eigenpairs(DomainSpec("interval", (length,), c=spec.c),
+                               K, alpha)
+    return exact_modes(kernel_terms(spec, gamma), alpha, pairs), alpha, pairs
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_KERNELS))
+def test_exact_modes_start_at_one(name):
+    # z(0) = Z(0) = 1 and the modal equations at t = 0, z'(0) = 2 alpha and
+    # Z'(0) = 2 alpha + i beta, to rounding
+    modes, alpha, pairs = exact_of(EXACT_KERNELS[name], 12)
+    beta = np.array([p.beta for p in pairs])
+    for res, at0, slope in ((modes.z, 1.0, 2 * alpha),
+                            (modes.Z, 1.0, 2 * alpha + 1j * beta)):
+        assert np.max(np.abs(res.sum(axis=1) - at0)) <= 1e-13
+        assert np.max(np.abs((res * modes.roots).sum(axis=1) - slope)
+                      / (1.0 + np.abs(slope))) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["zero", "exp", "poly"])
+def test_march_converges_to_exact_modes_at_order_two(name):
+    spec = EXACT_KERNELS[name]
+    errors = []
+    for n in (200, 400, 800):
+        ker = normalize(spec, TimeGrid(PI, n, PI / n))
+        pairs = compute_eigenpairs(DomainSpec("interval", (PI,), c=spec.c),
+                                   4, ker.alpha)
+        resp = compute_responses(ker, pairs)
+        modes = exact_modes(ker.terms, ker.alpha, pairs)
+        E = np.exp(modes.roots[:, :, None] * ker.t)
+        z, Z = (np.einsum("kd,kdt->kt", r, E) for r in (modes.z, modes.Z))
+        errors.append([max(np.max(np.abs(getattr(resp[p.index], f) - x[i]))
+                           for i, p in enumerate(pairs))
+                       for f, x in (("z", z), ("Z", Z))])
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all(np.abs(ratios - 4.0) < 0.1), ratios
+
+
+def test_exact_telegraph_terms_are_the_transformed_exponential():
+    t = np.linspace(0.0, 2.0, 41)
+    for c in (0.0, 0.7, 1.5):               # 1.5: mode 1 overdamped
+        pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, c)
+        rates, weights = transformed_exponential_terms(pairs, c)
+        for p, r, w in zip(pairs, rates, weights):
+            closed = (w[:, None] * np.exp(r[:, None] * t)).sum(axis=0)
+            assert np.max(np.abs(closed - transformed_exponential(p, c, t))) \
+                <= 1e-13
+
+
+def test_trailing_zero_polynomial_terms_change_nothing():
+    # a zero top coefficient would give Q and NQ a common root at w = 0
+    short, *_ = exact_of(KernelSpec("polynomial", coefficients=(0.5,)), 5)
+    padded, *_ = exact_of(KernelSpec("polynomial", coefficients=(0.5, 0.0)), 5)
+    for a, b in zip(short, padded):
+        assert np.array_equal(a, b)
+
+
+def test_exact_modes_refuse_what_they_cannot_certify():
+    exp = KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,))
+    terms = kernel_terms(exp, -0.5)
+    # a mode on the degenerate set: exp(-t) with c = 1.5 has alpha = 1
+    modes, _, pairs = exact_of(KernelSpec("exponential_sum", c=1.5,
+                                          coefficients=(1.0,),
+                                          rates=(1.0,)), 3)
+    assert pairs[0].in_J and modes is None
+    # Den's coefficients overflow
+    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, -0.5)
+    assert exact_modes(terms, 1e308, pairs) is None
+    assert exact_modes(terms, -0.5, pairs) is not None
+    # a root of Den meets one of Q: M = -exp(-t) normalises to N = 1, so
+    # NQ / Q = w / (w (w + 1)) and Den vanishes at w = 0
+    minus = KernelSpec("exponential_sum", coefficients=(-1.0,), rates=(1.0,))
+    assert exact_of(minus, 3)[0] is None
+    # a double root of mode 1's Den, (w - 1 - 2 alpha)(w^2 + w) + (w + 2)
+    # for exp(-t) at alpha = c - 1/2 = 0.7018347375208056
+    double = KernelSpec("exponential_sum", c=1.2018347375208056,
+                        coefficients=(1.0,), rates=(1.0,))
+    assert exact_of(double, 3)[0] is None
+    assert exact_of(KernelSpec("exponential_sum", c=1.25, coefficients=(1.0,),
+                               rates=(1.0,)), 3)[0] is not None
