@@ -39,7 +39,7 @@ def main():
                                rates=(1.0,)), grid)
     pairs_v = compute_eigenpairs(DomainSpec("interval", (PI,)), K,
                                  alpha=ker.alpha)
-    vis = viscoelastic_family(list(compute_responses(ker, pairs_v).values()))
+    vis = viscoelastic_family(compute_responses(ker, pairs_v))
 
     print(f"lower frame bound m_N of the {2 * K}-member families, h = {h:.4g}")
     print("      T/pi   memoryless      with exp(-t) kernel")

@@ -28,7 +28,7 @@ def main():
     resp = compute_responses(ker, pairs)
 
     target = TargetState(np.eye(K)[0], np.zeros(K), K)
-    fam = viscoelastic_family([resp[n] for n in range(1, K + 1)])
+    fam = viscoelastic_family(resp.head(K))
     sig = synthesize(build_moment_problem(fam, target))
     print(f"synthesized control on [0, {grid.T:.4f}] for target e_1")
     print(f"  members {fam.count}, Gram condition {sig.condition:.1f}, "

@@ -17,8 +17,7 @@ def attempt(T):
                                rates=(1.0,)), grid)
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), K,
                                alpha=ker.alpha)
-    fam = viscoelastic_family(
-        [compute_responses(ker, pairs)[n] for n in range(1, K + 1)])
+    fam = viscoelastic_family(compute_responses(ker, pairs))
     target = TargetState(np.eye(K)[0], np.zeros(K), K)
     return synthesize(build_moment_problem(fam, target))
 

@@ -18,17 +18,17 @@ from .grid import TimeGrid, auto_step, make_grid, trapezoid_weights
 from .kernels import (KernelSpec, NormalizedKernel, convolve, convolve_end,
                       normalize, resolvent)
 from .riesz import (CONDITION_CAP, GramReport, SequenceFamily, biorthogonal,
-                    coefficient_decay_check, gram, gram_matrix,
-                    gram_sweep, paley_wiener_check, quadratic_closeness,
+                    coefficient_decay_check, gram, gram_sweep,
+                    paley_wiener_check, quadratic_closeness,
                     sine_cosine_family)
 from .simulate import (SimResult, achieved_coefficients, back_transform,
                        mode_energies, mode_gaps, route_gap,
                        simulate_convolution, simulate_march)
 from .spectral import (DomainSpec, EigenPair, compute_eigenpairs,
                        sturm_liouville_eigs, trace_diagnostics)
-from .volterra import (ModeResponse, asymptotic_residual, comparator_profile,
-                       compute_response, compute_responses, forcing_K,
-                       march_modal, refined_S, solve_Z, solve_z)
+from .volterra import (ModalResponses, asymptotic_residual,
+                       comparator_profile, compute_responses, march_modal,
+                       refined_S)
 
 __version__ = "0.1.0"
 

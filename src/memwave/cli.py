@@ -177,8 +177,7 @@ def _responses_for(cfg, T, count, grid_count=None):
     pairs, alpha, gamma = _spectrum(cfg, count)
     grid = _grid_for(cfg, T, grid_count or count)
     kernel = normalize(cfg.kernel, grid)
-    responses = compute_responses(kernel, pairs)
-    return pairs, kernel, responses
+    return kernel, compute_responses(kernel, pairs)
 
 
 def _resolve_target(cfg):
@@ -210,14 +209,14 @@ def _run_spectrum(cfg, adir):
 
 
 def _run_responses(cfg, adir):
-    pairs, kernel, responses = _responses_for(cfg, cfg.T, cfg.N_modes)
-    refined = {p.index: refined_S(kernel, p)
-               for p in pairs if not p.in_J}
-    # fit over the asymptotic window only; the first few modes sit in the
-    # pre-asymptotic regime and flatten the exponent
+    kernel, responses = _responses_for(cfg, cfg.T, cfg.N_modes)
+    # fit the real-beta modes of the asymptotic window only; the first
+    # few modes sit in the pre-asymptotic regime and flatten the exponent
     fit_lo = 5
-    usable = [r for r in responses.values() if r.n >= fit_lo]
-    fit = asymptotic_residual(usable, surrogate=refined)
+    fitted = [p for p in responses.pairs if p.index >= fit_lo
+              and p.beta.imag == 0 and p.beta.real > 0]
+    fit = asymptotic_residual(
+        fitted, np.array([refined_S(kernel, p) for p in fitted]), kernel.h)
     _write_csv(os.path.join(adir, "kernel.csv"),
                ["t", "N", "Np", "N1", "L"],
                zip(kernel.t, kernel.N, kernel.Np, kernel.N1, kernel.L),
@@ -227,25 +226,23 @@ def _run_responses(cfg, adir):
                zip(fit["indices"], fit["beta"], fit["residuals"]), cfg.hash)
     _write_json(os.path.join(adir, "responses.json"), {
         "slope": fit["slope"], "intercept": fit["intercept"],
-        "fit_from_mode": fit_lo, "modes": len(responses),
+        "fit_from_mode": fit_lo, "modes": len(responses.pairs),
         "grid_steps": kernel.grid.steps, "grid_h": kernel.h,
     }, cfg.hash)
     return 0
 
 
-def _family(cfg, T=None):
+def _family(cfg):
     # tune the grid for the largest mode any later stage will touch, so a
     # synthesized control and its verification live on the same grid
-    T = T if T is not None else cfg.T
-    pairs, kernel, responses = _responses_for(
-        cfg, T, cfg.K, grid_count=max(cfg.K, cfg.K_sim))
-    fam = viscoelastic_family([responses[p.index] for p in pairs],
-                              cfg.domain.gamma_weights())
-    return pairs, kernel, responses, fam
+    _, responses = _responses_for(cfg, cfg.T, cfg.K,
+                                  grid_count=max(cfg.K, cfg.K_sim))
+    return responses.pairs, viscoelastic_family(responses,
+                                                cfg.domain.gamma_weights())
 
 
 def _run_gram(cfg, adir):
-    pairs, kernel, responses, fam = _family(cfg)
+    _, fam = _family(cfg)
     rep = gram(fam)
     _write_json(os.path.join(adir, "gram.json"), {
         "T": cfg.T, "members": fam.count,
@@ -259,7 +256,7 @@ def _run_gram(cfg, adir):
 
 
 def _run_synthesize(cfg, adir):
-    pairs, kernel, responses, fam = _family(cfg)
+    pairs, fam = _family(cfg)
     target = _resolve_target(cfg)
     problem = build_moment_problem(fam, target)
     control = synthesize(problem)
@@ -303,10 +300,10 @@ def _run_synthesize(cfg, adir):
 
 def _run_verify(cfg, adir):
     count = max(cfg.K, cfg.K_sim)
-    sim_pairs, kernel, sim_resp = _responses_for(
-        cfg, cfg.T, count, grid_count=count)
+    kernel, sim_resp = _responses_for(cfg, cfg.T, count)
+    sim_pairs = sim_resp.pairs
     gw = cfg.domain.gamma_weights()
-    fam = viscoelastic_family([sim_resp[n] for n in range(1, cfg.K + 1)], gw)
+    fam = viscoelastic_family(sim_resp.head(cfg.K), gw)
     target = _resolve_target(cfg)
     control = synthesize(build_moment_problem(fam, target))
     conv = simulate_convolution(sim_resp, kernel, control, cfg.K_sim,
@@ -323,7 +320,7 @@ def _run_verify(cfg, adir):
     # of modes K+1..K_sim, whose sum is the tail energy
     gaps = mode_gaps(conv, march)
     spill = mode_energies(conv.theta_T, conv.theta_t_T, conv.beta)[cfg.K:]
-    z_ratios = [sim_resp[n].z_gap_ratio for n in range(1, cfg.K_sim + 1)]
+    z_ratios = sim_resp.z_gap_ratio[:cfg.K_sim]
     _write_json(os.path.join(adir, "verdict.json"), {
         "verdict": verdict,
         "achieved_error": err, "tolerance": tol,
@@ -380,8 +377,7 @@ def _run_sweep(cfg, adir):
         route = "march"
         fam_t = telegraph_family(pairs_tel, cfg.domain.c, grid.T,
                                  steps=grid.steps, gamma_weights=gw)
-        resp = compute_responses(kernel, pairs_vis)
-        fam_v = viscoelastic_family([resp[p.index] for p in pairs_vis], gw)
+        fam_v = viscoelastic_family(compute_responses(kernel, pairs_vis), gw)
         reps = gram_sweep(fam_t, steps), gram_sweep(fam_v, steps)
     reps_t, reps_v = reps
     m_tel = [r.m_N for r in reps_t]

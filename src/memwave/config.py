@@ -129,9 +129,15 @@ def _build_domain(doc: dict) -> DomainSpec:
     a = _number(sec, "a", default=1.0, low=0.0)
     q = _number(sec, "q", default=0.0)
     c = _number(sec, "c", default=0.0)
-    gamma = tuple(sec.get("gamma_subset", ("right",)))
+    gamma = sec.get("gamma_subset", ["right"])
+    if not (isinstance(gamma, (list, tuple))
+            and all(isinstance(edge, str) for edge in gamma)):
+        raise ConfigError("domain.gamma_subset must be a list of edge names")
+    if len(set(gamma)) != len(gamma):
+        # a repeated edge would count its quadrature weights twice
+        raise ConfigError(f"domain.gamma_subset repeats an edge: {gamma}")
     return DomainSpec(sec["geometry"], lengths,
-                      a=a, q=q, c=c, gamma_subset=gamma)
+                      a=a, q=q, c=c, gamma_subset=tuple(gamma))
 
 
 def _build_kernel(doc: dict, c: float) -> KernelSpec:
@@ -215,6 +221,9 @@ def from_dict(doc: dict, experiment: Optional[str] = None) -> RunConfig:
     sweep = None
     if "sweep" in doc and doc["sweep"] is not None:
         sec = doc["sweep"]
+        if not isinstance(sec, dict):
+            raise ConfigError("sweep must be an object with T_min, T_max, "
+                              "steps")
         sweep = SweepSpec(_number(sec, "T_min", required=True, low=0.0),
                           _number(sec, "T_max", required=True, low=0.0),
                           _number(sec, "steps", required=True, integer=True,
@@ -237,6 +246,8 @@ def from_dict(doc: dict, experiment: Optional[str] = None) -> RunConfig:
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a path string")
     seed = _number(doc, "seed", default=0, integer=True)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
 
     return RunConfig(exp, domain, kernel, T, h, K, N_modes, K_sim,
                      target, sweep, out, seed, raw=doc)

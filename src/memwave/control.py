@@ -64,7 +64,7 @@ from .grid import TimeGrid, make_grid, trapezoid_weights
 from .kernels import NormalizedKernel
 from .riesz import CONDITION_CAP, SequenceFamily, cholesky_solve, gram
 from .spectral import EigenPair
-from .volterra import (ModeResponse, comparator_profile, refined_S,
+from .volterra import (ModalResponses, comparator_profile, refined_S,
                        transformed_exponential)
 
 # OpenBLAS (0.3, as numpy's wheels ship it) runs a real matrix product of
@@ -171,21 +171,19 @@ def telegraph_family(pairs: Sequence[EigenPair], c: float, T: float,
                           _signed([p.psi for p in pairs]))
 
 
-def viscoelastic_family(responses: Sequence[ModeResponse],
+def viscoelastic_family(responses: ModalResponses,
                         gamma_weights=None) -> SequenceFamily:
-    """Family of modal responses against their trace profiles, Z_n psi_n.
+    """Family of modal responses against their trace profiles, Z_n psi_n,
+    in the batch's order of modes, on the batch's grid.
 
     gamma_weights are the boundary quadrature weights the simulator
     pairs the control with (DomainSpec.gamma_weights; ones by default).
     """
-    rs = sorted(responses, key=lambda r: r.n)
-    if any(r.n <= 0 for r in rs):
-        raise ConfigError("pass positive-index responses; negatives are built here")
-    steps = len(rs[0].z) - 1
-    grid = TimeGrid(steps * rs[0]._h, steps, rs[0]._h)
-    return SequenceFamily(_signed([r.Z for r in rs]), _signed_index([r.n for r in rs]),
-                          "viscoelastic", grid, gamma_weights,
-                          _signed([r.psi for r in rs]))
+    pairs = responses.pairs
+    return SequenceFamily(_signed(responses.Z),
+                          _signed_index([p.index for p in pairs]),
+                          "viscoelastic", responses.grid, gamma_weights,
+                          _signed([p.psi for p in pairs]))
 
 
 def s_family(kernel: NormalizedKernel, pairs: Sequence[EigenPair]) -> SequenceFamily:

@@ -33,8 +33,7 @@ segment with half weights at its own ends).  `gram_sweep` therefore
 sums the time Gram segment by segment, one pass over the grid, forms
 the boundary Gram once, and takes the nested frame bounds of all
 horizons in one batched eigenvalue call per truncation level; `gram`
-and `gram_matrix` are its one-horizon case, a single segment over the
-whole grid.
+is its one-horizon case, a single segment over the whole grid.
 
 Exact Grams.  A family whose profiles are exponential sums
 (exact.ExponentialFamily: the telegraph family, and the memory family
@@ -218,11 +217,6 @@ def _grams(family: SequenceFamily, steps: Sequence[int], N: int) -> list:
         grams.append(_checked(boundary * temporal, family.label))
         start = k
     return grams
-
-
-def gram_matrix(family: SequenceFamily, truncation: int = None) -> np.ndarray:
-    return _grams(family, (family.grid.steps,),
-                  _truncation(family, truncation))[0]
 
 
 def cholesky_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:

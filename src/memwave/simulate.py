@@ -6,9 +6,10 @@ Two routes compute the controlled trajectories:
       theta_n  = -(N * z_n) * F_n
       theta_n' = -(z_n + N' * z_n) * F_n
     where F_n(s) is the boundary pairing of the control with the mode's
-    unscaled trace.  It reuses the exact discrete ingredients stored on
-    ModeResponse, so a control solved against the assembled family hits
-    its targets to solver precision, with no extra scheme error;
+    unscaled trace.  It reuses the exact discrete ingredients of the
+    batch compute_responses returns (volterra.ModalResponses), so a
+    control solved against the assembled family hits its targets to
+    solver precision, with no extra scheme error;
 
   * the march route integrates the forced modal equation
       theta' = 2 alpha theta - lambda^2 (N * theta) - (N * F_n)
@@ -53,7 +54,7 @@ from .errors import ConfigError, InternalConsistencyError
 from .grid import TimeGrid
 from .kernels import NormalizedKernel, convolve, convolve_end
 from .spectral import EigenPair
-from .volterra import march_modal, _consistency_tol
+from .volterra import ModalResponses, march_modal, _consistency_tol
 
 
 @dataclass(frozen=True)
@@ -136,36 +137,34 @@ def _finalize(theta, theta_t, K, lam_sq, beta, grid):
                      beta, grid, traj)
 
 
-def simulate_convolution(responses: dict, kernel: NormalizedKernel,
+def simulate_convolution(responses: ModalResponses, kernel: NormalizedKernel,
                          control: ControlSignal, K_sim: int,
                          gamma_weights: Optional[np.ndarray] = None,
                          K: int = None, trajectories: bool = False) -> SimResult:
-    """Primary verification route, via the convolution representations."""
+    """Primary verification route, via the convolution representations
+    of the first K_sim rows of responses, which must be modes 1..K_sim."""
     _check_grids(kernel, control)
     gw = np.ones(control.f.shape[0]) if gamma_weights is None else gamma_weights
     length = kernel.grid.steps + 1
     K = K if K is not None else max(abs(n) for n in control.index_set)
-    h = kernel.h
-    sim = []
-    for n in range(1, K_sim + 1):
-        if n not in responses:
-            raise ConfigError(f"simulation needs the response of mode {n}")
-        if len(responses[n].z) != length:
-            raise ConfigError(f"response of mode {n} lives on a different grid")
-        sim.append(responses[n])
-    F = _mode_forcing(np.array([r.trace.real for r in sim]) * gw, control.f,
-                      length)
+    sim = responses.head(K_sim)
+    if [p.index for p in sim.pairs] != list(range(1, K_sim + 1)):
+        raise ConfigError(f"simulation needs the responses of modes 1..{K_sim}")
+    if sim.grid.steps + 1 != length:
+        raise ConfigError("responses live on a different grid")
+    F = _mode_forcing(np.array([p.trace.real for p in sim.pairs]) * gw,
+                      control.f, length)
     # N*z, z and N'*z against F in one call, (3, K_sim) at the end or
     # (3, K_sim, length) over the grid.  z and N'*z are convolved apart
     # and summed after: summing them first moves theta' by rounding, and
     # the verify artifacts with it
     parts = (convolve if trajectories else convolve_end)(
-        np.array([[r.Nz for r in sim], [r.z for r in sim],
-                  [r.Npz for r in sim]]), F, h)
+        np.stack([sim.Nz, sim.z, sim.Npz]), F, kernel.h)
     theta = -parts[0]
     theta_t = -(parts[1] + parts[2])
-    return _finalize(theta, theta_t, K, np.array([r.lambda_sq for r in sim]),
-                     np.array([r.beta.real for r in sim]), kernel.grid)
+    return _finalize(theta, theta_t, K,
+                     np.array([p.lambda_sq for p in sim.pairs]),
+                     np.array([p.beta.real for p in sim.pairs]), kernel.grid)
 
 
 def simulate_march(kernel: NormalizedKernel, pairs: Sequence[EigenPair],

@@ -30,21 +30,21 @@ same either way; only the rounding differs.
 
 Layout.  A batch of K modes is (K, m+1), time on the last axis, as
 everywhere else in memwave (family profiles, the control, the
-simulator): the forcing and the result of march_modal, the fields the
-assembly returns, and the rows a ModeResponse keeps.  Every FFT then
-runs along contiguous rows, and a row of a batch is its one-mode call
-bit for bit.
+simulator): the forcing and the result of march_modal, and every field
+of the ModalResponses batch that compute_responses returns.  Every FFT
+then runs along contiguous rows, and a row of a batch is its one-mode
+call bit for bit.
 
 Z is additionally assembled by the variation-of-constants identity
 Z = z + N'*z + i beta (N*z), and the two routes are cross-checked; the
-assembled route is the one stored on ModeResponse because the forward
+assembled route is the one the batch keeps because the forward
 simulator shares its discrete ingredients, which keeps the synthesis /
 verification loop exactly consistent.  The assembly uses FFT
 convolutions of the sampled kernel, never the recurrence, so the check
 stays independent of the march; it convolves N and N' together against
 every mode of a batch in one call, which transforms z once and each of
-the 2K products back on its own.  A ModeResponse keeps z, Z, N*z and
-N'*z; S = exp(-alpha t) Z is computed when read.
+the 2K products back on its own.  The batch keeps z, Z, N*z and N'*z;
+S = exp(-alpha t) Z is computed when read.
 
 The refined small-residual route (refined_S / comparator_profile) exists
 because the marched phase error grows like T beta^3 h^2 / 12 and would
@@ -56,56 +56,64 @@ accumulate with beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, InternalConsistencyError
+from .grid import TimeGrid
 from .kernels import (KernelTerms, NormalizedKernel, convolve, decay_integral,
                       series_divide)
 from .spectral import EigenPair
 
 
-@dataclass(frozen=True)
-class ModeResponse:
-    n: int                   # signed index; negatives built by conjugation
-    z: np.ndarray            # real
-    Z: np.ndarray            # complex, variation-of-constants assembly
-    lambda_sq: float = 0.0
-    beta: complex = 0.0
-    psi: np.ndarray = None
-    trace: np.ndarray = None
-    in_J: bool = False
-    # shared discrete ingredients, reused verbatim by the simulator
-    Nz: np.ndarray = field(default=None, repr=False)     # N * z
-    Npz: np.ndarray = field(default=None, repr=False)    # N' * z
-    # two-route Z gap over its allowance, on the grid the mode was marched on
-    z_gap_ratio: float = 0.0
+# the (K, m+1) fields of a ModalResponses batch
+_ROWS = ("z", "Z", "Nz", "Npz")
 
-    # grid step and alpha of the kernel, for S
-    _h: float = field(default=0.0, repr=False)
-    _alpha: float = field(default=0.0, repr=False)
+
+@dataclass(frozen=True)
+class ModalResponses:
+    """The modal responses of a batch of modes, time on the last axis.
+
+    Row i of z, Z, Nz and Npz, and entry i of z_gap_ratio, belong to
+    pairs[i].  Z is the variation-of-constants assembly; Nz = N * z and
+    Npz = N' * z are the discrete ingredients the simulator reuses
+    verbatim; z_gap_ratio is each mode's two-route Z gap over its
+    allowance on the grid the batch was marched on.  grid is
+    TimeGrid(m h, m, h) on the kernel's step h.
+    """
+
+    pairs: tuple             # EigenPair per row
+    z: np.ndarray            # (K, m+1) real
+    Z: np.ndarray            # (K, m+1) complex
+    Nz: np.ndarray           # (K, m+1)
+    Npz: np.ndarray          # (K, m+1)
+    z_gap_ratio: np.ndarray  # (K,)
+    grid: TimeGrid
+    alpha: float
 
     @property
     def S(self) -> np.ndarray:
         """exp(-alpha t) Z, computed when read."""
-        return np.exp(-self._alpha * (np.arange(len(self.Z)) * self._h)) * self.Z
+        t = np.arange(self.grid.steps + 1) * self.grid.h
+        return np.exp(-self.alpha * t) * self.Z
 
-    def conjugate(self) -> "ModeResponse":
-        return replace(self, n=-self.n, Z=np.conj(self.Z),
-                       beta=-np.conj(self.beta))
+    def head(self, k: int) -> "ModalResponses":
+        """The batch of the first k modes."""
+        return replace(self, pairs=self.pairs[:k],
+                       z_gap_ratio=self.z_gap_ratio[:k],
+                       **{f: getattr(self, f)[:k] for f in _ROWS})
 
-    def restrict(self, steps: int) -> "ModeResponse":
-        """Exact restriction to a shorter horizon on the same step.
+    def restrict(self, steps: int) -> "ModalResponses":
+        """Exact restriction to [0, steps h] on the same step.
 
         The march and both convolutions are causal and Z is assembled
         pointwise from them, so slicing is the same computation on the
         shorter grid.  z_gap_ratio is not recomputed: it stays the full
         horizon's gap over the full horizon's allowance.
         """
-        k = steps + 1
-        return replace(self, z=self.z[:k], Z=self.Z[:k], Nz=self.Nz[:k],
-                       Npz=self.Npz[:k])
+        return replace(self, grid=self.grid.restrict(steps),
+                       **{f: getattr(self, f)[:, :steps + 1] for f in _ROWS})
 
 
 def growth_envelope(alpha: float, T: float) -> float:
@@ -382,22 +390,10 @@ def march_modal(kernel: NormalizedKernel, lam_sq, alpha: float,
     return Y.reshape(batch + (m + 1,))
 
 
-def solve_z(kernel: NormalizedKernel, lambda_sq: float,
-            alpha: float = None) -> np.ndarray:
-    """Homogeneous modal response z with z(0) = 1 (real)."""
-    a = kernel.alpha if alpha is None else alpha
-    return march_modal(kernel, lambda_sq, a, y0=1.0,
-                       label=f"(lambda_sq={lambda_sq:.6g})")
-
-
 def _forcing_factors(pairs) -> np.ndarray:
     """i beta per pair, or i on the degenerate set: the factor of N in
     the forcing of Z and in its variation-of-constants assembly."""
     return np.array([1j if p.in_J else 1j * p.beta for p in pairs])
-
-
-def forcing_K(kernel: NormalizedKernel, pair: EigenPair) -> np.ndarray:
-    return kernel.Np + _forcing_factors([pair])[0] * kernel.N
 
 
 def _consistency_tol(kernel: NormalizedKernel, pair: EigenPair) -> float:
@@ -438,40 +434,14 @@ def _assemble_Z(kernel: NormalizedKernel, pairs, z: np.ndarray,
     return Z_voc, Nz, Npz, gaps / tols
 
 
-def solve_Z(kernel: NormalizedKernel, pair: EigenPair,
-            return_march: bool = False):
-    """Forced modal response Z by two independent routes.
-
-    Marches the forced equation directly, assembles the
-    variation-of-constants identity from z, and cross-checks the two.
-    Returns the assembled route (plus the marched one on request).
-    """
-    Z_march = march_modal(kernel, pair.lambda_sq, kernel.alpha, y0=1.0,
-                          forcing=forcing_K(kernel, pair),
-                          label=f"(mode {pair.index})")
-    z = solve_z(kernel, pair.lambda_sq)
-    *rows, _ = _assemble_Z(kernel, [pair], z[None], Z_march[None])
-    Z_voc, Nz, Npz = (a[0] for a in rows)
-    if return_march:
-        return Z_voc, Z_march, z, Nz, Npz
-    return Z_voc
-
-
-def compute_response(kernel: NormalizedKernel, pair: EigenPair) -> ModeResponse:
-    return compute_responses(kernel, [pair])[pair.index]
-
-
-def compute_responses(kernel: NormalizedKernel, pairs) -> dict:
-    """ModeResponse per positive index, every mode marched in one batch.
+def compute_responses(kernel: NormalizedKernel, pairs) -> ModalResponses:
+    """The responses of pairs, every mode marched in one batch.
 
     One z march and one Z march advance all modes together, and the
     variation-of-constants assembly convolves the whole batch at once;
-    its two-route check stays per mode.  Every batch is (K, m+1), so a
-    mode's fields are rows of it.
+    its two-route check stays per mode.
     """
-    pairs = list(pairs)
-    if not pairs:
-        return {}
+    pairs = tuple(pairs)
     lam = np.array([p.lambda_sq for p in pairs])
     label = f"(modes {', '.join(str(p.index) for p in pairs)})"
     z = march_modal(kernel, lam, kernel.alpha, y0=1.0, label=label)
@@ -479,10 +449,9 @@ def compute_responses(kernel: NormalizedKernel, pairs) -> dict:
         kernel, lam, kernel.alpha, y0=1.0, label=label,
         forcing=kernel.Np + _forcing_factors(pairs)[:, None] * kernel.N)
     Z, Nz, Npz, ratios = _assemble_Z(kernel, pairs, z, Z_march)
-    return {p.index: ModeResponse(p.index, z[i], Z[i], p.lambda_sq, p.beta,
-                                  p.psi, p.trace, p.in_J, Nz[i], Npz[i],
-                                  float(ratios[i]), kernel.h, kernel.alpha)
-            for i, p in enumerate(pairs)}
+    m, h = kernel.grid.steps, kernel.h
+    return ModalResponses(pairs, z, Z, Nz, Npz, ratios, TimeGrid(m * h, m, h),
+                          kernel.alpha)
 
 
 def transformed_exponential(pair: EigenPair, a: float, t: np.ndarray) -> np.ndarray:
@@ -542,27 +511,21 @@ def comparator_profile(kernel: NormalizedKernel, pair: EigenPair) -> np.ndarray:
         + 0.5 * convolve(R, t * np.exp(1j * pair.beta * t), h)
 
 
-def asymptotic_residual(responses, surrogate: dict = None) -> dict:
+def asymptotic_residual(pairs, S: np.ndarray, h: float) -> dict:
     """Distance of each S_n from its pure oscillation, with a decay fit.
 
-    r_n = sup norm of S_n - exp(i beta_n t); the log-log slope against
-    beta over the supplied modes is the headline number.  `surrogate`
-    optionally substitutes alternative S samples per index (for the
-    refined route) without rebuilding responses.
+    Row i of S, sampled at j h, belongs to pairs[i], a mode of real
+    positive beta.  r_n = sup norm of S_n - exp(i beta_n t); the log-log
+    slope against beta over the supplied modes is the headline number.
     """
-    usable = [r for r in responses if r.n > 0 and r.beta.imag == 0
-              and r.beta.real > 0]
-    if len(usable) < 8:
+    if any(p.beta.imag != 0 or not p.beta.real > 0 for p in pairs):
+        raise ConfigError("asymptotic fit needs real positive beta")
+    if len(pairs) < 8:
         raise ConfigError("asymptotic fit needs at least 8 real-beta modes")
-    betas, sups = [], []
-    for r in usable:
-        S = surrogate[r.n] if surrogate is not None else r.S
-        t = np.arange(len(S)) * r._h
-        rn = float(np.max(np.abs(S - np.exp(1j * r.beta.real * t))))
-        betas.append(r.beta.real)
-        sups.append(rn)
-    betas = np.array(betas)
-    sups = np.array(sups)
+    t = np.arange(S.shape[1]) * h
+    betas = np.array([p.beta.real for p in pairs])
+    sups = np.array([float(np.max(np.abs(row - np.exp(1j * p.beta.real * t))))
+                     for p, row in zip(pairs, S)])
     ok = sups > 0
     if int(ok.sum()) < 2:
         raise ConfigError(
@@ -570,7 +533,7 @@ def asymptotic_residual(responses, surrogate: dict = None) -> dict:
             "(a memoryless kernel leaves nothing to fit)")
     slope, intercept = np.polyfit(np.log(betas[ok]), np.log(sups[ok]), 1)
     return {
-        "indices": [r.n for r in usable],
+        "indices": [p.index for p in pairs],
         "beta": betas,
         "residuals": sups,
         "slope": float(slope),

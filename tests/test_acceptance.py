@@ -23,12 +23,13 @@ from memwave import (DomainSpec, KernelSpec, NotControllableError,
                      achieved_coefficients, asymptotic_residual,
                      build_moment_problem, coefficient_decay_check,
                      comparator_family, compute_eigenpairs,
-                     compute_responses, gram, make_grid, normalize,
-                     quadratic_closeness, refined_S, s_family,
-                     simulate_convolution, sine_cosine_family, solve_Z,
-                     solve_z, sturm_liouville_eigs, synthesize,
-                     telegraph_family, viscoelastic_family)
+                     compute_responses, gram, make_grid, march_modal,
+                     normalize, quadratic_closeness, refined_S, s_family,
+                     simulate_convolution, sine_cosine_family,
+                     sturm_liouville_eigs, synthesize, telegraph_family,
+                     viscoelastic_family)
 from memwave.cli import main
+from memwave.volterra import _forcing_factors
 
 PI = np.pi
 DOM = DomainSpec("interval", (PI,))
@@ -54,8 +55,7 @@ def master():
 
     def restrict(T):
         steps = round(T / grid.h)
-        return ker.restrict(steps), {n: r.restrict(steps)
-                                     for n, r in resp.items()}
+        return ker.restrict(steps), resp.restrict(steps)
 
     return SimpleNamespace(grid=grid, ker=ker, pairs=pairs, resp=resp,
                            restrict=restrict)
@@ -92,16 +92,19 @@ def test_criterion_2_memoryless_oracle():
     ker0 = normalize(KernelSpec("zero"), make_grid(PI, 1e-3))
     for lam in (1.0, 4.0, 9.0):
         worst = max(worst, float(np.max(np.abs(
-            solve_z(ker0, lam) - np.cos(np.sqrt(lam) * ker0.t)))))
+            march_modal(ker0, lam, ker0.alpha)
+            - np.cos(np.sqrt(lam) * ker0.t)))))
     kerc = normalize(KernelSpec("zero", c=0.5), make_grid(2.0, 1e-3))
     for lam in (1.0, 4.0):
         worst = max(worst, float(np.max(np.abs(
-            solve_z(kerc, lam) - damped(kerc, lam, 0.5)))))
+            march_modal(kerc, lam, kerc.alpha)
+            - damped(kerc, lam, 0.5)))))
 
     errs = []
     for h in (2e-3, 1e-3):
         kh = normalize(KernelSpec("zero", c=0.5), make_grid(2.0, h))
-        errs.append(float(np.max(np.abs(solve_z(kh, 4.0) - damped(kh, 4.0, 0.5)))))
+        errs.append(float(np.max(np.abs(march_modal(kh, 4.0, kh.alpha)
+                                        - damped(kh, 4.0, 0.5)))))
     order = float(np.log2(errs[0] / errs[1]))
     _report(2, f"memoryless closed forms: max err {worst:.2e}, "
                f"halving order {order:.3f}",
@@ -116,21 +119,22 @@ def test_criterion_3_two_route_consistency():
                                    coefficients=(1.0,), rates=(1.0,)), grid)
         dom = DomainSpec("interval", (PI,), c=c)
         pairs = compute_eigenpairs(dom, 40, alpha=ker.alpha)
-        worst = 0.0
-        for p in pairs:
-            Zv, Zm, *_ = solve_Z(ker, p, return_march=True)
-            worst = max(worst, float(np.max(np.abs(Zv - Zm))))
-        gaps[c] = worst
+        # the marched route against the assembled one, every mode at once
+        Zm = march_modal(ker, np.array([p.lambda_sq for p in pairs]),
+                         ker.alpha, forcing=ker.Np
+                         + _forcing_factors(pairs)[:, None] * ker.N)
+        Zv = compute_responses(ker, pairs).Z
+        gaps[c] = float(np.max(np.abs(Zv - Zm)))
     _report(3, f"route gap over 40 modes: c=0 {gaps[0.0]:.2e}, "
                f"c=0.5 {gaps[0.5]:.2e}",
             max(gaps.values()) < 1e-5)
 
 
 def test_criterion_4_residual_slope(master):
-    ker_pi, resp_pi = master.restrict(PI)
-    refined = {p.index: refined_S(ker_pi, p) for p in master.pairs}
-    usable = [resp_pi[n] for n in range(5, 41)]
-    fit = asymptotic_residual(usable, surrogate=refined)
+    ker_pi, _ = master.restrict(PI)
+    usable = master.pairs[4:]
+    fit = asymptotic_residual(
+        usable, np.array([refined_S(ker_pi, p) for p in usable]), ker_pi.h)
     slope = fit["slope"]
     _report(4, f"high-mode residual slope {slope:.4f} (want -1.0 +/- 0.15)",
             abs(slope + 1.0) <= 0.15)
@@ -159,7 +163,7 @@ def test_criterion_6_plateau_collapse(master):
         steps = round(T / h)
         rep_t = gram(telegraph_family(pairs40, 0.0, steps * h, steps=steps))
         _, resp_T = master.restrict(T)
-        rep_v = gram(viscoelastic_family([resp_T[n] for n in range(1, 41)]))
+        rep_v = gram(viscoelastic_family(resp_T))
         # 40 signed modes -> 80 members; m_10 sits at nested position 19
         ratios[T] = (rep_t.frame_lower[79] / rep_t.frame_lower[19],
                      rep_v.frame_lower[79] / rep_v.frame_lower[19])
@@ -176,8 +180,7 @@ def test_criterion_6_plateau_collapse(master):
         mt.append(gram(telegraph_family(pairs5, 0.0, steps * h,
                                         steps=steps)).m_N)
         _, rT = master.restrict(T)
-        mv.append(gram(viscoelastic_family([rT[n]
-                                            for n in range(1, 6)])).m_N)
+        mv.append(gram(viscoelastic_family(rT.head(5))).m_N)
     mt, mv = np.array(mt), np.array(mv)
     diffs = []
     for thr in (1e-3, 1e-2, 1e-1):
@@ -192,7 +195,7 @@ def test_criterion_6_plateau_collapse(master):
 
 def test_criterion_7_round_trip(master):
     ker_s, resp_s = master.restrict(2.5 * PI)
-    fam12 = viscoelastic_family([resp_s[n] for n in range(1, 13)])
+    fam12 = viscoelastic_family(resp_s.head(12))
     rng = np.random.default_rng(42)
     sc = 1 / np.arange(1, 13.0)
     targets = {
@@ -216,7 +219,7 @@ def test_criterion_7_round_trip(master):
 
 def test_criterion_8_fails_closed(master, tmp_path, capsys):
     _, resp_f = master.restrict(0.5 * PI)
-    fam = viscoelastic_family([resp_f[n] for n in range(1, 13)])
+    fam = viscoelastic_family(resp_f.head(12))
     tgt = TargetState(np.eye(12)[0], np.zeros(12), 12)
     caught = None
     try:

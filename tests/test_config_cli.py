@@ -397,6 +397,22 @@ def test_cli_non_finite_config_exits_two(tmp_path, capsys, command, doc):
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize("command,doc", [
+    ("spectrum", base(domain=dict(DOM, gamma_subset=5))),
+    ("spectrum", base(domain=dict(DOM, gamma_subset=None))),
+    # a repeated edge would count its quadrature weights twice
+    ("spectrum", base(domain=dict(DOM, gamma_subset=["right", "right"]))),
+    ("spectrum", base(sweep=5)),
+    ("verify", base("verify", T=2.5 * PI, K=2, K_sim=3, target="random",
+                    seed=-1)),
+], ids=["gamma_subset-number", "gamma_subset-null", "gamma_subset-repeated",
+        "sweep-number", "seed-negative"])
+def test_cli_malformed_config_exits_two(tmp_path, capsys, command, doc):
+    assert run(tmp_path, doc, command=command, out=tmp_path / "store") == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+
+
 def test_cli_non_finite_artifact_exits_three(tmp_path, capsys):
     # 24 members on 6 time samples: the Gram has rank 6 at most, its
     # lowest computed eigenvalue is roundoff below zero and the condition

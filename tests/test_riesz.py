@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from memwave import (ConfigError, DomainSpec, InternalConsistencyError,
                      NotControllableError, SequenceFamily, TimeGrid,
                      biorthogonal, coefficient_decay_check,
-                     compute_eigenpairs, gram, gram_matrix,
+                     compute_eigenpairs, gram,
                      paley_wiener_check, quadratic_closeness,
                      sine_cosine_family)
 from memwave.exact import ExponentialFamily, exponential_gram_sweep
@@ -57,7 +57,7 @@ def test_exponential_gram_matches_quadrature():
 
 def test_fourier_gram_orthogonal():
     fam = fourier_family(6, 2 * PI)
-    G = gram_matrix(fam)
+    G = gram(fam).gram
     # full-period trapezoid is exact for these trigonometric polynomials
     assert np.max(np.abs(G - 2 * PI * np.eye(12))) < 1e-10
 
@@ -93,7 +93,7 @@ def test_constant_and_ramp_gram_oracle():
     grid = TimeGrid(1.0, 2000)
     members = np.vstack([np.ones(len(grid)), grid.t])
     fam = SequenceFamily(members.astype(complex), (1, 2), "poly", grid)
-    G = gram_matrix(fam)
+    G = gram(fam).gram
     assert np.max(np.abs(G - [[1.0, 0.5], [0.5, 1.0 / 3.0]])) < 1e-7
 
 

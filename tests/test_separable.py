@@ -10,7 +10,7 @@ import pytest
 
 from memwave import (ConfigError, DomainSpec, KernelSpec, SequenceFamily,
                      TargetState, biorthogonal, build_moment_problem,
-                     compute_eigenpairs, compute_responses, gram_matrix,
+                     compute_eigenpairs, compute_responses, gram,
                      make_grid, normalize, quadratic_closeness, synthesize,
                      viscoelastic_family)
 from memwave.control import _RealPasses
@@ -31,8 +31,7 @@ def rect_family():
     grid = make_grid(2.5 * PI, 2e-2)
     kernel = normalize(EXP, grid)
     pairs = compute_eigenpairs(RECT, K, kernel.alpha)
-    resp = compute_responses(kernel, pairs)
-    return viscoelastic_family([resp[p.index] for p in pairs],
+    return viscoelastic_family(compute_responses(kernel, pairs),
                                RECT.gamma_weights())
 
 
@@ -63,8 +62,8 @@ def test_family_is_factored(rect_family):
 def test_gram_matches_dense(rect_family):
     members, weights = dense(rect_family)
     want = dense_gram(members, weights)
-    assert rel_err(gram_matrix(rect_family), want) < 1e-12
-    assert rel_err(gram_matrix(rect_family, 4), want[:4, :4]) < 1e-12
+    assert rel_err(gram(rect_family).gram, want) < 1e-12
+    assert rel_err(gram(rect_family, 4).gram, want[:4, :4]) < 1e-12
 
 
 def test_pairings_match_dense(rect_family):
@@ -98,13 +97,13 @@ def test_restrict_and_subfamily_match_dense(rect_family):
     short = fam.restrict(k)
     w_short = np.outer(fam.gamma_weights, trapezoid_weights(short.grid))
     assert np.array_equal(short.members, members[:, :, :k + 1])
-    assert rel_err(gram_matrix(short),
+    assert rel_err(gram(short).gram,
                    dense_gram(members[:, :, :k + 1], w_short)) < 1e-12
     pos = [0, 3, 4]
     sub = fam.subfamily(pos)
     assert sub.index_set == tuple(fam.index_set[p] for p in pos)
     assert np.array_equal(sub.members, members[pos])
-    assert rel_err(gram_matrix(sub), dense_gram(members[pos], weights)) < 1e-12
+    assert rel_err(gram(sub).gram, dense_gram(members[pos], weights)) < 1e-12
 
 
 def test_quadratic_closeness_matches_dense(rect_family):

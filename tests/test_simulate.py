@@ -200,7 +200,7 @@ def controlled_run():
     ke = normalize(EXP_KERNEL, grid)
     pairs = compute_eigenpairs(DOM, 24, alpha=ke.alpha)
     resp = compute_responses(ke, pairs)
-    fam = viscoelastic_family([resp[n] for n in range(1, 7)])
+    fam = viscoelastic_family(resp.head(6))
     rng = np.random.default_rng(7)
     target = TargetState(rng.standard_normal(6) / np.arange(1, 7),
                          rng.standard_normal(6) / np.arange(1, 7), 6)

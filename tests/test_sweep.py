@@ -88,10 +88,9 @@ def test_march_sweep_bounds_converge_to_exact_at_order_two(spec):
         grid = TimeGrid(2.5 * PI, 5 * n, 0.5 * PI / n)
         kernel = normalize(spec, grid)
         pairs = compute_eigenpairs(DOM, K, kernel.alpha)
-        resp = compute_responses(kernel, pairs)
         march = (telegraph_family(compute_eigenpairs(DOM, K, 0.0), 0.0,
                                   grid.T, steps=grid.steps),
-                 viscoelastic_family([resp[p.index] for p in pairs]))
+                 viscoelastic_family(compute_responses(kernel, pairs)))
         errors.append([max(np.max(np.abs(a.frame_lower - b.frame_lower))
                            for a, b in zip(gram_sweep(f, [3 * n, 4 * n, 5 * n]),
                                            reps))
@@ -110,8 +109,7 @@ def march_route(doc):
                              grid.T, steps=grid.steps, gamma_weights=gw)
     kernel = normalize(cfg.kernel, grid)
     pairs = compute_eigenpairs(cfg.domain, cfg.K, kernel.alpha)
-    resp = compute_responses(kernel, pairs)
-    fam_v = viscoelastic_family([resp[p.index] for p in pairs], gw)
+    fam_v = viscoelastic_family(compute_responses(kernel, pairs), gw)
     reps = {"telegraph": gram_sweep(fam_t, steps),
             "visco": gram_sweep(fam_v, steps)}
     return {key: value for name, rs in reps.items() for key, value in (
@@ -223,15 +221,13 @@ def families():
     grid = make_grid(2.5 * PI, 1e-2)
     kernel = normalize(EXP, grid)
     pairs = compute_eigenpairs(DOM, 4, kernel.alpha)
-    resp = compute_responses(kernel, pairs)
     tel = telegraph_family(compute_eigenpairs(DOM, 4, 0.0), 0.0, grid.T,
                            steps=grid.steps)
-    vis = viscoelastic_family([resp[p.index] for p in pairs])
+    vis = viscoelastic_family(compute_responses(kernel, pairs))
     rgrid = make_grid(2.5 * PI, 2e-2)
     rkernel = normalize(EXP, rgrid)
     rpairs = compute_eigenpairs(RECT, 3, rkernel.alpha)
-    rresp = compute_responses(rkernel, rpairs)
-    rect = viscoelastic_family([rresp[p.index] for p in rpairs],
+    rect = viscoelastic_family(compute_responses(rkernel, rpairs),
                                RECT.gamma_weights())
     assert rect.psi.shape[1] > 1
     return {"telegraph": tel, "visco": vis, "rectangle": rect}

@@ -3,20 +3,32 @@ import pytest
 
 from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
                      asymptotic_residual, comparator_profile,
-                     compute_eigenpairs, compute_response, compute_responses,
-                     TimeGrid, convolve, forcing_K, make_grid, march_modal,
-                     normalize, refined_S, solve_Z, solve_z)
+                     compute_eigenpairs, compute_responses, TimeGrid,
+                     convolve, make_grid, march_modal, normalize, refined_S)
 from memwave import InternalConsistencyError
 from memwave.kernels import kernel_terms
 from memwave.exact import exact_modes, transformed_exponential_terms
 from memwave.volterra import (BLOCK, _assemble_Z, _consistency_tol,
-                              growth_envelope, transformed_exponential)
+                              _forcing_factors, growth_envelope,
+                              transformed_exponential)
 
 PI = np.pi
 
 
 def zero_kernel(T, h, c=0.0):
     return normalize(KernelSpec("zero", c=c), make_grid(T, h))
+
+
+def Z_forcing(kernel, pairs):
+    """The forcing of the Z equation, a row per pair."""
+    return kernel.Np + _forcing_factors(pairs)[:, None] * kernel.N
+
+
+def marched_Z(kernel, pairs):
+    """Z of every pair by the direct march, the route the
+    variation-of-constants assembly is checked against."""
+    return march_modal(kernel, np.array([p.lambda_sq for p in pairs]),
+                       kernel.alpha, forcing=Z_forcing(kernel, pairs))
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +45,7 @@ def test_z_cosine_oracle():
     # low-mode regime (lam=25 at T=2 already measures 1.7e-5)
     ker = zero_kernel(2.0, 1e-3)
     for lam in (1.0, 4.0, 9.0):
-        z = solve_z(ker, lam)
+        z = march_modal(ker, lam, ker.alpha)
         assert np.max(np.abs(z - np.cos(np.sqrt(lam) * ker.t))) < 1e-5
 
 
@@ -44,13 +56,13 @@ def test_z_damped_oracle():
         beta = np.sqrt(lam - c * c)
         t = ker.t
         exact = np.exp(c * t) * (np.cos(beta * t) + (c / beta) * np.sin(beta * t))
-        assert np.max(np.abs(solve_z(ker, lam) - exact)) < 1e-5
+        assert np.max(np.abs(march_modal(ker, lam, ker.alpha) - exact)) < 1e-5
 
 
 def test_z_zero_frequency_oracle():
     # lam_sq = 0 decouples the convolution: z = e^{2 alpha t}
     ker = zero_kernel(1.0, 1e-3, c=-0.7)
-    z = solve_z(ker, 0.0)
+    z = march_modal(ker, 0.0, ker.alpha)
     assert np.max(np.abs(z - np.exp(-1.4 * ker.t))) < 1e-6
 
 
@@ -58,7 +70,8 @@ def test_z_order_two_under_halving():
     errs = []
     for h in (4e-3, 2e-3, 1e-3):
         ker = zero_kernel(2.0, h)
-        errs.append(np.max(np.abs(solve_z(ker, 9.0) - np.cos(3 * ker.t))))
+        errs.append(np.max(np.abs(march_modal(ker, 9.0, ker.alpha)
+                                  - np.cos(3 * ker.t))))
     assert errs[0] / errs[1] > 3.6 and errs[1] / errs[2] > 3.6
 
 
@@ -66,9 +79,9 @@ def test_Z_pure_exponential_oracle():
     # memoryless undamped: the assembled response is exactly e^{i n t}
     ker = zero_kernel(2 * PI, 1e-3)
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, alpha=0.0)
-    for p in pairs:
-        Z = solve_Z(ker, p)
-        assert np.max(np.abs(Z - np.exp(1j * p.index * ker.t))) < 2e-5
+    Z = compute_responses(ker, pairs).Z
+    for i, p in enumerate(pairs):
+        assert np.max(np.abs(Z[i] - np.exp(1j * p.index * ker.t))) < 2e-5
 
 
 def test_degenerate_mode_closed_form():
@@ -78,14 +91,14 @@ def test_degenerate_mode_closed_form():
     pairs = compute_eigenpairs(dom, 1, alpha=c)
     assert pairs[0].in_J
     ker = zero_kernel(2.0, 1e-3, c=c)
-    r = compute_response(ker, pairs[0])
+    r = compute_responses(ker, pairs)
     t = ker.t
     exactZ = np.exp(c * t) * (1.0 + (c + 1j) * t)
-    assert np.max(np.abs(r.Z - exactZ)) < 2e-6
+    assert np.max(np.abs(r.Z[0] - exactZ)) < 2e-6
     # S = e^{-alpha t} Z follows 1 + (c + i) t; with N1 = 0 the right-hand
     # side G of the S equation is exactly its transformed-exponential base
     exactS = 1.0 + (c + 1j) * t
-    assert np.max(np.abs(r.S - exactS)) < 2e-6
+    assert np.max(np.abs(r.S[0] - exactS)) < 2e-6
     assert np.max(np.abs(transformed_exponential(pairs[0], c, t) - exactS)) < 1e-12
 
 
@@ -98,10 +111,9 @@ def test_two_route_agreement_memory(c):
     ker = normalize(KernelSpec("exponential_sum", c=c, coefficients=(1.0,),
                                rates=(1.0,)), make_grid(PI, 1e-3))
     pairs = compute_eigenpairs(dom, 40, alpha=ker.alpha)
-    worst = 0.0
-    for p in pairs[::7] + [pairs[-1]]:
-        Zv, Zm, *_ = solve_Z(ker, p, return_march=True)
-        worst = max(worst, float(np.max(np.abs(Zv - Zm))))
+    some = pairs[::7] + [pairs[-1]]
+    Zv = compute_responses(ker, some).Z
+    worst = float(np.max(np.abs(Zv - marched_Z(ker, some))))
     assert worst < 1e-5
 
 
@@ -112,18 +124,18 @@ def test_route_gap_shrinks_with_grid():
     gaps = []
     for h in (2e-3, 1e-3):
         ker = normalize(spec, make_grid(PI, h))
-        Zv, Zm, *_ = solve_Z(ker, pair, return_march=True)
-        gaps.append(float(np.max(np.abs(Zv - Zm))))
+        Zv = compute_responses(ker, [pair]).Z
+        gaps.append(float(np.max(np.abs(Zv - marched_Z(ker, [pair])))))
     assert gaps[1] < gaps[0] / 3.0
 
 
 def test_responses_keep_their_z_route_gap_ratio(memory_kernel):
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=-0.5)
     resp = compute_responses(memory_kernel, pairs)
-    for p in pairs:
-        Zv, Zm, *_ = solve_Z(memory_kernel, p, return_march=True)
-        gap = np.max(np.abs(Zv - Zm))
-        ratio = resp[p.index].z_gap_ratio
+    Zm = marched_Z(memory_kernel, pairs)
+    for i, p in enumerate(pairs):
+        gap = np.max(np.abs(resp.Z[i] - Zm[i]))
+        ratio = resp.z_gap_ratio[i]
         assert ratio == pytest.approx(gap / _consistency_tol(memory_kernel, p))
         assert 0.0 < ratio < 1.0
 
@@ -131,37 +143,28 @@ def test_responses_keep_their_z_route_gap_ratio(memory_kernel):
 def test_nan_z_route_gap_fails_closed(memory_kernel):
     # a NaN gap compares False against any allowance; it must not pass
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 2, alpha=-0.5)
-    Zv, Zm, z, *_ = solve_Z(memory_kernel, pairs[1], return_march=True)
-    Zm = Zm.copy()
-    Zm[len(Zm) // 2] = np.nan
+    z = march_modal(memory_kernel, pairs[1].lambda_sq, memory_kernel.alpha)
+    Zm = marched_Z(memory_kernel, [pairs[1]])
+    Zm[0, Zm.shape[1] // 2] = np.nan
     with pytest.raises(InternalConsistencyError, match="gap nan"):
-        _assemble_Z(memory_kernel, [pairs[1]], z[None], Zm[None])
-
-
-def test_conjugate_response_is_exact(memory_kernel):
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, alpha=-0.5)
-    r = compute_response(memory_kernel, pairs[2])
-    rc = r.conjugate()
-    assert rc.n == -3
-    assert np.array_equal(rc.Z, np.conj(r.Z))
-    assert np.array_equal(rc.S, np.conj(r.S))
-    assert np.array_equal(rc.trace, np.conj(r.trace))
+        _assemble_Z(memory_kernel, [pairs[1]], z[None], Zm)
 
 
 def test_restriction_matches_fresh_computation(memory_kernel):
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 2, alpha=-0.5)
-    full = compute_response(memory_kernel, pairs[1])
+    full = compute_responses(memory_kernel, pairs[1:])
     half_steps = memory_kernel.grid.steps // 2
     sliced = full.restrict(half_steps)
     fresh_ker = memory_kernel.restrict(half_steps)
-    fresh = compute_response(fresh_ker, pairs[1])
+    fresh = compute_responses(fresh_ker, pairs[1:])
+    assert sliced.grid == fresh.grid == fresh_ker.grid
     # marches are causal: restriction of the fields is exact
     assert np.array_equal(sliced.z, fresh.z)
     assert np.max(np.abs(sliced.Z - fresh.Z)) < 1e-13
     assert np.max(np.abs(sliced.S - fresh.S)) < 1e-13
     # the Z-route headroom is the full horizon's, not the short grid's
     assert sliced.z_gap_ratio == full.z_gap_ratio
-    assert 0.0 < fresh.z_gap_ratio < 1.0
+    assert 0.0 < fresh.z_gap_ratio[0] < 1.0
 
 
 def test_batch_independence(memory_kernel):
@@ -170,21 +173,20 @@ def test_batch_independence(memory_kernel):
     some = [pairs[1], pairs[6], pairs[10]]
     big = compute_responses(memory_kernel, pairs)
     small = compute_responses(memory_kernel, some)
-    march = {}
-    for batch in (pairs, some):
-        lam = np.array([p.lambda_sq for p in batch])
-        K = np.stack([forcing_K(memory_kernel, p) for p in batch])
-        Zm = march_modal(memory_kernel, lam, memory_kernel.alpha, forcing=K)
-        march[len(batch)] = {p.index: Zm[i] for i, p in enumerate(batch)}
-    for p in some:
-        n = p.index
-        assert np.array_equal(big[n].z, small[n].z)
-        assert np.array_equal(big[n].Z, small[n].Z)
-        assert np.array_equal(march[12][n], march[3][n])
-        Zv, Zm, z, *_ = solve_Z(memory_kernel, p, return_march=True)
-        assert np.max(np.abs(big[n].z - z)) <= 1e-14 * np.max(np.abs(z))
-        assert np.max(np.abs(big[n].Z - Zv)) <= 1e-14 * np.max(np.abs(Zv))
-        assert np.max(np.abs(march[12][n] - Zm)) <= 1e-14 * np.max(np.abs(Zm))
+    march = {len(batch): marched_Z(memory_kernel, batch)
+             for batch in (pairs, some)}
+    for j, p in enumerate(some):
+        i = p.index - 1                     # the row of p in the big batch
+        assert np.array_equal(big.z[i], small.z[j])
+        assert np.array_equal(big.Z[i], small.Z[j])
+        assert np.array_equal(march[12][i], march[3][j])
+        one = compute_responses(memory_kernel, [p])
+        Zm = marched_Z(memory_kernel, [p])[0]
+        assert np.max(np.abs(big.z[i] - one.z[0])) \
+            <= 1e-14 * np.max(np.abs(one.z[0]))
+        assert np.max(np.abs(big.Z[i] - one.Z[0])) \
+            <= 1e-14 * np.max(np.abs(one.Z[0]))
+        assert np.max(np.abs(march[12][i] - Zm)) <= 1e-14 * np.max(np.abs(Zm))
 
 
 # ------------------------------------------- recursion against the direct sum
@@ -273,7 +275,7 @@ def test_tabulated_batch_row_equals_single_mode():
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 12,
                                alpha=ker.alpha)
     lams = np.array([p.lambda_sq for p in pairs])
-    forcing = np.stack([forcing_K(ker, p) for p in pairs])
+    forcing = Z_forcing(ker, pairs)
     z = march_modal(ker, lams, ker.alpha)
     Z = march_modal(ker, lams, ker.alpha, forcing=forcing)
     for i in (0, 5, 11):
@@ -303,13 +305,13 @@ def test_tabulated_march_overflow_fails_closed():
     j, y = _first_envelope_exit(ker, -1e6)
     assert j == 5
     with pytest.raises(ConvergenceError, match="Gronwall envelope") as err:
-        solve_z(ker, -1e6)
+        march_modal(ker, -1e6, ker.alpha)
     assert f"at step {j} (t=0.005): |y|={y:.3e}," in str(err.value)
     # the closed-form block march names the same step
     closed = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
                                   rates=(1.0,)), grid)
     with pytest.raises(ConvergenceError, match=f"at step {j} "):
-        solve_z(closed, -1e6)
+        march_modal(closed, -1e6, closed.alpha)
     # in a forced batch, the step and the row of the mode that leaves
     forcing = np.stack([ker.N, ker.Np])
     with pytest.raises(ConvergenceError,
@@ -322,12 +324,11 @@ def test_assembled_convolutions_are_the_one_kernel_calls(memory_kernel):
     # each row the bits of its one-kernel call
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=-0.5)
     resp = compute_responses(memory_kernel, pairs)
-    z = np.stack([resp[p.index].z for p in pairs])
     h = memory_kernel.h
-    Nz, Npz = convolve(memory_kernel.N, z, h), convolve(memory_kernel.Np, z, h)
-    for i, p in enumerate(pairs):
-        assert np.array_equal(resp[p.index].Nz, Nz[i])
-        assert np.array_equal(resp[p.index].Npz, Npz[i])
+    for i in range(len(pairs)):
+        z = resp.z[i]
+        assert np.array_equal(resp.Nz[i], convolve(memory_kernel.N, z, h))
+        assert np.array_equal(resp.Npz[i], convolve(memory_kernel.Np, z, h))
 
 
 def _oracle_batch(family, steps, h=1e-2):
@@ -388,10 +389,10 @@ def test_batch_of_one_equals_batch_row(family):
 
 def test_refined_S_matches_direct_at_low_modes(memory_kernel):
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 5, alpha=-0.5)
-    for p in pairs:
-        r = compute_response(memory_kernel, p)
+    S = compute_responses(memory_kernel, pairs).S
+    for i, p in enumerate(pairs):
         Sr = refined_S(memory_kernel, p)
-        assert np.max(np.abs(Sr - r.S)) < 5e-5
+        assert np.max(np.abs(Sr - S[i])) < 5e-5
 
 
 def direct_refined_S(kernel, pair):
@@ -456,18 +457,18 @@ def test_comparator_reduces_to_exponential_without_memory():
 
 def test_asymptotic_residual_slope(memory_kernel):
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 40, alpha=-0.5)
-    resp = compute_responses(memory_kernel, pairs)
-    refined = {p.index: refined_S(memory_kernel, p) for p in pairs}
-    fit = asymptotic_residual([resp[n] for n in range(5, 41)],
-                              surrogate=refined)
+    usable = pairs[4:]
+    refined = np.array([refined_S(memory_kernel, p) for p in usable])
+    fit = asymptotic_residual(usable, refined, memory_kernel.h)
+    assert fit["indices"] == list(range(5, 41))
     assert -1.15 < fit["slope"] < -0.85
 
 
 def test_asymptotic_residual_needs_enough_modes(memory_kernel):
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=-0.5)
     resp = compute_responses(memory_kernel, pairs)
-    with pytest.raises(ConfigError):
-        asymptotic_residual(resp.values())
+    with pytest.raises(ConfigError, match="at least 8"):
+        asymptotic_residual(resp.pairs, resp.S, memory_kernel.h)
 
 
 # ------------------------------------------------------------- guards
@@ -477,7 +478,7 @@ def test_march_envelope_tripwire():
     # strongly negative lambda_sq grows like cosh and must be refused
     ker = zero_kernel(2.0, 1e-3)
     with pytest.raises(ConvergenceError):
-        solve_z(ker, -100.0)
+        march_modal(ker, -100.0, ker.alpha)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -493,7 +494,7 @@ def test_march_rejects_nonfinite_forcing(bad):
 
 def test_forced_zero_forcing_matches_homogeneous(memory_kernel):
     lam = 9.0
-    y_h = solve_z(memory_kernel, lam)
+    y_h = march_modal(memory_kernel, lam, memory_kernel.alpha)
     y_f = march_modal(memory_kernel, lam, memory_kernel.alpha, y0=1.0,
                       forcing=np.zeros(len(memory_kernel.t)))
     assert np.max(np.abs(y_h - y_f)) < 1e-14
@@ -545,8 +546,7 @@ def test_march_converges_to_exact_modes_at_order_two(name):
         modes = exact_modes(ker.terms, ker.alpha, pairs)
         E = np.exp(modes.roots[:, :, None] * ker.t)
         z, Z = (np.einsum("kd,kdt->kt", r, E) for r in (modes.z, modes.Z))
-        errors.append([max(np.max(np.abs(getattr(resp[p.index], f) - x[i]))
-                           for i, p in enumerate(pairs))
+        errors.append([np.max(np.abs(getattr(resp, f) - x))
                        for f, x in (("z", z), ("Z", Z))])
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
     assert np.all(np.abs(ratios - 4.0) < 0.1), ratios
