@@ -47,6 +47,7 @@ Exit codes: 0 success, 2 config, 3 convergence, 4 not controllable,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -516,6 +517,7 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="memwave",

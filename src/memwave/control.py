@@ -24,17 +24,21 @@ verifies on rank-one directions u (x) s, a uniform draw per node times
 a uniform draw per time sample, each of zero mean and unit variance:
 their covariance is the identity, the first two moments of an iid
 Gaussian field.  Members are kept as factors psi_n (x) Z_n (see riesz),
-so the moments of such a direction are the product of a node sum and a
-time sum, and only the projected direction is ever dense.  g is held as
-two real (nodes, steps+1) arrays, Re g and Im g, and the control f is a
+so a direction, its projection off the span and the Gram all stay in
+factor form: the moments of u (x) s are a node sum times a time sum,
+and the moments and norm of the projected direction are small
+expressions in the Gram rebuilt from the factors.  g is held as two
+real (nodes, steps+1) arrays, Re g and Im g, and the control f is a
 time-reversed copy of Re g.
 
 Dense passes.  Every pass over a (nodes, steps+1) array (building g,
-its moments, its realness, its norm, the spot check's projected
-directions) is real arithmetic on blocks of node rows (_RealPasses), as
-many rows as keep each product under the multiply-adds OpenBLAS runs on
-the calling thread (node_blocks): 8 of the rectangle benchmark's 257
-(7 for the spot check's widened product), all nodes of a small grid.
+its moments, its realness, its norm, and the spot check's one pass over
+g) is real arithmetic on blocks of node rows (_RealPasses), as many
+rows as keep each product under the multiply-adds OpenBLAS runs on the
+calling thread (node_blocks): 8 of the rectangle benchmark's 257 (6 for
+the spot check's product, widened by one column per direction), all
+nodes of a small grid.  The spot check's Gram of the factors sums real
+products over chunks of nodes and of time samples under the same bound.
 A larger product, and even a complex (4, 8) @ (8, 3928), wakes
 OpenBLAS's worker pool, whose threads then spin on the other cores for
 a while after the call returns.
@@ -220,6 +224,16 @@ def _is_symmetric(index_set) -> bool:
     return all(-n in s for n in s)
 
 
+def _conj_products(X, Y, chunks) -> np.ndarray:
+    """sum_r X_rn conj(Y_rk) for complex X and Y given as real (rows,
+    2 count) arrays of interleaved real and imaginary columns: one real
+    (2 count, 2 count) product per chunk of rows."""
+    P = sum(X[r].T @ Y[r] for r in chunks)
+    n = len(P) // 2
+    P = P.reshape(n, 2, n, 2)
+    return (P[:, 0, :, 0] + P[:, 1, :, 1]) + 1j * (P[:, 1, :, 0] - P[:, 0, :, 1])
+
+
 class _RealPasses:
     """Real-arithmetic passes over dense (nodes, steps+1) grid functions
     u = re + i im of a family, one block of node rows (node_blocks) at a
@@ -243,28 +257,29 @@ class _RealPasses:
         self.psi_wf = np.ascontiguousarray(self.psi_w).view(float)
         self.conj_psi = np.ascontiguousarray(np.conj(fam.psi).T)
         self.blocks = node_blocks(len(self.gw), self.W.size)
+        # time samples per (2 count, 2 count) product of the time Gram
+        self.chunks = node_blocks(len(self.wt), len(self.Zs) ** 2)
         self.sq = np.empty((self.blocks[0].stop, len(self.wt)))
 
-    def combination(self, a, rows, out, u=None, Zw=None):
+    def combination(self, a, rows, out):
         """Re and Im of sum_k a_k conj(member_k) on the node rows, into
-        out (2, rows, steps+1); Im(B @ conj Z) = Re((-i B) @ conj Z).
-        Given node values u and Zw, the rows of Zs and a last row of time
-        values s, the same product adds u (x) s to the real part: one
-        more coefficient column, u[rows], against the row s."""
+        out (2, rows, steps+1); Im(B @ conj Z) = Re((-i B) @ conj Z)."""
         B = self.conj_psi[rows] * a
-        if u is None:
-            return np.matmul(np.stack([B.view(float), (-1j * B).view(float)]),
-                             self.Zs, out=out)
-        C = np.zeros((2, len(B), len(Zw)))
-        C[0, :, :-1], C[1, :, :-1] = B.view(float), (-1j * B).view(float)
-        C[0, :, -1] = u[rows]
-        return np.matmul(C, Zw, out=out)
+        return np.matmul(np.stack([B.view(float), (-1j * B).view(float)]),
+                         self.Zs, out=out)
 
-    def pairing(self, rows, re, im=None):
+    def gram(self):
+        """The Gram <m_n, m_k> from the factors alone: the boundary Gram
+        (sum_x w_x psi_n conj psi_k) times the time Gram
+        (sum_t w_t Z_n conj Z_k), entrywise."""
+        psi = np.conj(self.conj_psi).view(float)
+        boundary = _conj_products(self.psi_wf, psi,
+                                  node_blocks(len(psi), len(self.Zs) ** 2))
+        return boundary * _conj_products(self.W, self.Zs.T, self.chunks)
+
+    def pairing(self, rows, re, im):
         """The node rows' share of int member_k * u, for every k."""
-        q = (re @ self.W).view(complex)
-        if im is not None:
-            q = q + 1j * (im @ self.W).view(complex)
+        q = (re @ self.W).view(complex) + 1j * (im @ self.W).view(complex)
         return np.sum(self.psi_w[rows] * q, axis=0)
 
     def separable_pairing(self, u, s):
@@ -298,7 +313,7 @@ def synthesize(problem: MomentProblem) -> ControlSignal:
     time.  A moment residual or a realness defect above its threshold,
     or a NaN in either, fails closed with the internal-consistency
     error.  The result always passes the min-norm spot check (seed 0,
-    5 rank-one directions, one dense pass over g; see
+    5 rank-one directions in factor form, one dense pass over g; see
     _min_norm_spot_check).
     """
     fam = problem.family
@@ -378,6 +393,55 @@ def _spot_direction(rng, out):
     return out
 
 
+def _spot_terms(dense: _RealPasses, rep, g, seed: int, dirs: int):
+    """For each of the spot check's directions v = u (x) s: the moments
+    m_v of v, the moments of v_perp = v - sum_k x_k conj(m_k) with
+    x = rep.gram^-1 m_v, |v_perp|^2 and |g + v_perp|^2, in factor form.
+
+    With G_f the Gram of the factors (_RealPasses.gram, not rep.gram) and
+    p_g the moments of g:
+
+        moments(v_perp) = m_v - G_f x
+        |v_perp|^2      = |u|^2 |s|^2 - 2 Re(x^H m_v) + x^H G_f x
+        |g + v_perp|^2  = |g|^2 + 2 (<Re g, u (x) s> - Re(x^H p_g))
+                          + |v_perp|^2
+
+    Only p_g, |g|^2 and <Re g, u_d (x) s_d> read g, all from one pass
+    over its node-row blocks: one real product of a block of Re g and
+    Im g against W widened by the columns s_d w_t, and the block's
+    squares.
+    """
+    nodes, samples = g.shape[1:]
+    n = len(dense.Zs)
+    # the one product's columns: W, then s_d w_t per direction
+    wide = np.empty((samples, n + dirs))
+    wide[:, :n] = dense.W
+    U, s = np.empty((dirs, nodes)), np.empty(samples)
+    moments_v, uv_sq = np.empty((dirs, n // 2), dtype=complex), np.empty(dirs)
+    rng = np.random.default_rng(seed)
+    for d, u in enumerate(U):
+        _spot_direction(rng, u)
+        _spot_direction(rng, s)
+        moments_v[d] = dense.separable_pairing(u, s)
+        uv_sq[d] = (np.square(u) @ dense.gw) * (np.square(s) @ dense.wt)
+        np.multiply(s, dense.wt, out=wide[:, n + d])
+    xs = np.array([np.linalg.solve(rep.gram, m) for m in moments_v])
+    Gx = xs @ dense.gram().T
+    p_g, g_s, g_sq = 0.0, 0.0, 0.0
+    for rows in node_blocks(nodes, wide.size):
+        q = np.matmul(g[:, rows], wide)
+        q_c = q[..., :n].view(complex)
+        p_g = p_g + np.sum(dense.psi_w[rows] * (q_c[0] + 1j * q_c[1]), axis=0)
+        g_s = g_s + np.einsum("dx,x,xd->d", U[:, rows], dense.gw[rows],
+                              q[0, :, n:])
+        g_sq += dense.norm_sq(rows, *g[:, rows])
+    xh = np.conj(xs)
+    v_sq = (uv_sq - 2.0 * np.real(np.sum(xh * moments_v, axis=1))
+            + np.real(np.sum(xh * Gx, axis=1)))
+    perturbed_sq = g_sq + 2.0 * (g_s - np.real(xh @ p_g)) + v_sq
+    return moments_v, moments_v - Gx, v_sq, perturbed_sq
+
+
 def _min_norm_spot_check(dense: _RealPasses, rep, g, norm,
                          seed: int, dirs: int):
     """Perturb g, given as (2, nodes, steps+1) Re g and Im g, by random
@@ -394,41 +458,20 @@ def _min_norm_spot_check(dense: _RealPasses, rep, g, norm,
     E v_ij v_kl = E u_i u_k E s_j s_l = delta_ik delta_jl: Cov(v) = I,
     the first two moments of an iid Gaussian field.  For an error e
     outside the span, <e, v_perp> has mean 0 and variance |e|^2, and
-    E|v_perp|^2 is unchanged, so the check is as strong.  The moments of
-    a separable v are separable too (_RealPasses.separable_pairing), so
-    no dense draw and no dense pass precede the Gram solve.
+    E|v_perp|^2 is unchanged, so the check is as strong.
 
-    One dense pass follows it: per node-row block and per direction,
-    v_perp = u[rows] (x) s + combination(-x) in a block-sized buffer, from
-    one product that carries u[rows] as one more coefficient column and s
-    as one more row, below a copy of Zs (_RealPasses.combination; its
-    node blocks are sized for the widened product, 7 rows of the
-    rectangle's 257), then its moments, its norm and the norm of g plus
-    it.  The directions are the inner loop, so a block of g stays in
-    cache across them.  A NaN in g, in norm or in the moments fails the
-    check.
+    The members and v are rank one, so everything the check reads from
+    v_perp has a factor form (_spot_terms): the Gram solve uses rep.gram,
+    the moments and norms of v_perp use the Gram rebuilt from the
+    factors, so a wrong rep.gram leaves residual moments.  The one dense
+    pass is over g, and no field of v or v_perp is ever built.  A NaN in
+    g, in norm or in the moments fails the check; |g + v_perp|^2, a
+    difference of terms, is clipped at 0 against rounding.
     """
-    nodes, samples = g.shape[1:]
-    rng = np.random.default_rng(seed)
-    factors = [(_spot_direction(rng, np.empty(nodes)),
-                _spot_direction(rng, np.empty(samples))) for _ in range(dirs)]
-    moments_v = [dense.separable_pairing(u, s) for u, s in factors]
-    xs = [np.linalg.solve(rep.gram, m) for m in moments_v]
-    moments = np.zeros((dirs, len(rep.gram)), dtype=complex)
-    vnorm_sq, perturbed_sq = np.zeros(dirs), np.zeros(dirs)
-    Zw = np.empty((len(dense.Zs) + 1, samples))     # Zs and a row s
-    Zw[:-1] = dense.Zs
-    blocks = node_blocks(nodes, Zw.size)            # the widened product
-    block = np.empty((2, blocks[0].stop, samples))
-    for rows in blocks:
-        n = rows.stop - rows.start
-        for d, (u, s) in enumerate(factors):
-            Zw[-1] = s
-            p = dense.combination(-xs[d], rows, block[:, :n], u, Zw)
-            moments[d] += dense.pairing(rows, *p)
-            vnorm_sq[d] += dense.norm_sq(rows, *p)
-            p += g[:, rows]
-            perturbed_sq[d] += dense.norm_sq(rows, *p)
+    moments_v, moments, v_sq, perturbed_sq = _spot_terms(dense, rep, g,
+                                                         seed, dirs)
+    # np.maximum, not max: a NaN stays NaN
+    perturbed = np.sqrt(np.maximum(perturbed_sq, 0.0))
     bound = norm * (1.0 - 1e-9) - 1e-12
     for d in range(dirs):
         residual = float(np.max(np.abs(moments[d])))
@@ -436,6 +479,6 @@ def _min_norm_spot_check(dense: _RealPasses, rep, g, norm,
         if not residual <= tol:
             raise InternalConsistencyError(
                 f"span projection left residual moments {residual:.3e}")
-        if not np.sqrt(perturbed_sq[d]) >= bound and vnorm_sq[d] > 0:
+        if not perturbed[d] >= bound and v_sq[d] > 0:
             raise InternalConsistencyError(
                 "minimum-norm violated by a span-orthogonal perturbation")

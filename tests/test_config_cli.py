@@ -328,6 +328,23 @@ def test_cli_reruns_are_byte_identical(tmp_path):
         assert first == second
 
 
+def test_cli_parser_is_built_once_and_carries_nothing_over(tmp_path):
+    # main builds its parser at the first call and reuses it: a --grid-h
+    # given to one call must not reach the next, whose h is the config's
+    out = tmp_path / "store"
+    first = base(K=4, N_modes=8)
+    second = base("gram", T=2.5 * PI, K=3, h=5e-3, kernel=EXP)
+    assert run(tmp_path, first, "spectrum", out=out, grid_h=2e-2,
+               name="a.json") == 0
+    assert run(tmp_path, second, "gram", out=out, name="b.json") == 0
+    assert {p.name for p in out.iterdir()} == {
+        adir_of(out, "spectrum", first, 2e-2).name,
+        adir_of(out, "gram", second).name}
+    assert cli._build_parser() is cli._build_parser()
+    code = "import memwave.cli as c; print(c._build_parser.cache_info().currsize)"
+    assert _fresh_python(code).strip() == "0"       # not built at import
+
+
 def test_cli_tabulated_kernel_at_benchmark_size(tmp_path):
     # exp(-t) sampled on the verify_interval grid against its closed
     # form: the frame bounds differ by the O(h^2) quadrature of int M only
