@@ -6,9 +6,10 @@ route that rebuilds it from the homogeneous response z and its
 convolutions with the kernel N and its derivative N'.  The gap between
 them, over its scheme allowance, is a free accuracy certificate that
 compute_responses keeps for every mode of the batch.  The refined
-representation then shows the high modes collapsing onto pure
-oscillations at rate 1/beta, which is the whole reason the control theory
-of the memory system can lean on the memoryless one.
+representation (one refined_S batch over the high modes) then shows them
+collapsing onto pure oscillations at rate 1/beta, which is the whole
+reason the control theory of the memory system can lean on the
+memoryless one.
 """
 
 import numpy as np
@@ -36,8 +37,7 @@ def main():
         print(f"  n={p.index:2d}: {ratio:.2e}")
 
     usable = pairs[4:]
-    fit = asymptotic_residual(
-        usable, np.array([refined_S(ker, p) for p in usable]), ker.h)
+    fit = asymptotic_residual(usable, refined_S(ker, usable), ker.h)
     print("\nsup |S_n - e^(i beta_n t)| for n = 5..16:")
     for n, r in zip(fit["indices"], fit["residuals"]):
         bar = "#" * max(1, int(r / fit["residuals"][0] * 40))

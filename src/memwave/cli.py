@@ -40,6 +40,10 @@ segment by segment between horizons.  sweep.json names the route taken
 frame bounds m_1..m_2K of both families (frame_lower_telegraph,
 frame_lower_visco); the artifacts report the horizons as computed, k*h.
 
+responses marches no mode: it takes the spectrum, normalizes the kernel
+and fits one refined_S batch (volterra) over the real-beta modes from
+mode 5 on; a mode whose refined S is not finite stops it with exit 3.
+
 Exit codes: 0 success, 2 config, 3 convergence, 4 not controllable,
 5 internal inconsistency.  Anything else crashing is a plain 1.
 """
@@ -210,14 +214,14 @@ def _run_spectrum(cfg, adir):
 
 
 def _run_responses(cfg, adir):
-    kernel, responses = _responses_for(cfg, cfg.T, cfg.N_modes)
+    pairs, _, _ = _spectrum(cfg, cfg.N_modes)
+    kernel = normalize(cfg.kernel, _grid_for(cfg, cfg.T, cfg.N_modes))
     # fit the real-beta modes of the asymptotic window only; the first
     # few modes sit in the pre-asymptotic regime and flatten the exponent
     fit_lo = 5
-    fitted = [p for p in responses.pairs if p.index >= fit_lo
+    fitted = [p for p in pairs if p.index >= fit_lo
               and p.beta.imag == 0 and p.beta.real > 0]
-    fit = asymptotic_residual(
-        fitted, np.array([refined_S(kernel, p) for p in fitted]), kernel.h)
+    fit = asymptotic_residual(fitted, refined_S(kernel, fitted), kernel.h)
     _write_csv(os.path.join(adir, "kernel.csv"),
                ["t", "N", "Np", "N1", "L"],
                zip(kernel.t, kernel.N, kernel.Np, kernel.N1, kernel.L),
@@ -227,7 +231,7 @@ def _run_responses(cfg, adir):
                zip(fit["indices"], fit["beta"], fit["residuals"]), cfg.hash)
     _write_json(os.path.join(adir, "responses.json"), {
         "slope": fit["slope"], "intercept": fit["intercept"],
-        "fit_from_mode": fit_lo, "modes": len(responses.pairs),
+        "fit_from_mode": fit_lo, "modes": len(pairs),
         "grid_steps": kernel.grid.steps, "grid_h": kernel.h,
     }, cfg.hash)
     return 0

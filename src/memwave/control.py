@@ -168,9 +168,8 @@ def telegraph_family(pairs: Sequence[EigenPair], c: float, T: float,
     """
     gp = c if gamma_param is None else gamma_param
     grid = make_grid(T, 1e-3) if steps is None else TimeGrid(T, steps)
-    t = grid.t
-    profiles = [transformed_exponential(p, gp, t) for p in pairs]
-    return SequenceFamily(_signed(profiles), _signed_index([p.index for p in pairs]),
+    return SequenceFamily(_signed(transformed_exponential(pairs, gp, grid.t)),
+                          _signed_index([p.index for p in pairs]),
                           "telegraph", grid, gamma_weights,
                           _signed([p.psi for p in pairs]))
 
@@ -190,19 +189,24 @@ def viscoelastic_family(responses: ModalResponses,
                           _signed([p.psi for p in pairs]))
 
 
+def _positive_family(profiles: np.ndarray, pairs: Sequence[EigenPair],
+                     label: str, grid: TimeGrid) -> SequenceFamily:
+    """profiles[i] psi_i on the positive indices of pairs."""
+    return SequenceFamily(profiles, tuple(p.index for p in pairs), label,
+                          grid, psi=np.array([p.psi for p in pairs]))
+
+
 def s_family(kernel: NormalizedKernel, pairs: Sequence[EigenPair]) -> SequenceFamily:
     """Positive-index family S_n psi_n via the mode-uniform route."""
-    return SequenceFamily(np.array([refined_S(kernel, p) for p in pairs]),
-                          tuple(p.index for p in pairs), "s-refined",
-                          kernel.grid, psi=np.array([p.psi for p in pairs]))
+    return _positive_family(refined_S(kernel, pairs), pairs, "s-refined",
+                            kernel.grid)
 
 
 def comparator_family(kernel: NormalizedKernel,
                       pairs: Sequence[EigenPair]) -> SequenceFamily:
     """Positive-index transformed-exponential comparator, C_n psi_n."""
-    return SequenceFamily(np.array([comparator_profile(kernel, p) for p in pairs]),
-                          tuple(p.index for p in pairs), "comparator",
-                          kernel.grid, psi=np.array([p.psi for p in pairs]))
+    return _positive_family(comparator_profile(kernel, pairs), pairs,
+                            "comparator", kernel.grid)
 
 
 def build_moment_problem(family: SequenceFamily, target: TargetState,

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .control import _signed, _signed_index
+from .control import _signed
 from .kernels import KernelTerms
 from .riesz import _checked, _reports
 from .spectral import EigenPair
@@ -195,7 +195,6 @@ class ExponentialFamily:
 
     rates: np.ndarray            # (count, d) complex
     weights: np.ndarray          # (count, d) complex
-    index_set: tuple
     label: str
     psi: np.ndarray              # (count, nodes) complex
     gamma_weights: np.ndarray    # (nodes,)
@@ -238,7 +237,7 @@ def exponential_gram_sweep(family: ExponentialFamily,
     boundary = (psi * family.gamma_weights) @ np.conj(psi).T
     temporal = _exponential_time_grams(family.rates, family.weights, horizons)
     return _reports([_checked(boundary * t, family.label) for t in temporal],
-                    family.label, tuple(family.index_set))
+                    family.label)
 
 
 def exponential_family(pairs: Sequence[EigenPair], rates: np.ndarray,
@@ -248,8 +247,7 @@ def exponential_family(pairs: Sequence[EigenPair], rates: np.ndarray,
     closed form: the profile of pair n is sum_j weights[n, j]
     exp(rates[n, j] t), against the trace psi_n, signed and conjugated
     as there."""
-    return ExponentialFamily(_signed(rates), _signed(weights),
-                             _signed_index([p.index for p in pairs]), label,
+    return ExponentialFamily(_signed(rates), _signed(weights), label,
                              _signed([p.psi for p in pairs]),
                              np.asarray(gamma_weights, dtype=float))
 

@@ -159,8 +159,6 @@ class GramReport:
     frame_lower: np.ndarray      # m_k for k = 1..N
     frame_upper: np.ndarray      # M_k
     condition: np.ndarray
-    label: str
-    index_order: tuple
 
     @property
     def m_N(self) -> float:
@@ -226,7 +224,7 @@ def cholesky_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.conj(L).T, np.linalg.solve(L, b))
 
 
-def _reports(grams: list, label: str, index_order: tuple) -> list:
+def _reports(grams: list, label: str) -> list:
     """Frame bounds of every nested level of every checked Gram (one per
     horizon): one batched eigenvalue call per level, each horizon checked
     on its own."""
@@ -249,15 +247,14 @@ def _reports(grams: list, label: str, index_order: tuple) -> list:
         pos = lo > 0
         with np.errstate(over="ignore"):   # an overflow is an infinite condition
             cond[pos] = hi[pos] / lo[pos]
-        reports.append(GramReport(G, lo, hi, cond, label, index_order))
+        reports.append(GramReport(G, lo, hi, cond))
     return reports
 
 
 def gram(family: SequenceFamily, truncation: int = None) -> GramReport:
     """Gram matrix plus frame bounds of every nested truncation level."""
     N = _truncation(family, truncation)
-    return _reports(_grams(family, (family.grid.steps,), N), family.label,
-                    tuple(family.index_set[:N]))[0]
+    return _reports(_grams(family, (family.grid.steps,), N), family.label)[0]
 
 
 def gram_sweep(family: SequenceFamily, steps: Sequence[int]) -> list:
@@ -268,8 +265,7 @@ def gram_sweep(family: SequenceFamily, steps: Sequence[int]) -> list:
             and all(a < b for a, b in zip(steps, steps[1:]))):
         raise ConfigError(f"horizon step counts {steps} do not ascend "
                           f"strictly within [2, {family.grid.steps}]")
-    return _reports(_grams(family, steps, family.count), family.label,
-                    tuple(family.index_set))
+    return _reports(_grams(family, steps, family.count), family.label)
 
 
 def quadratic_closeness(a: SequenceFamily, b: SequenceFamily,

@@ -91,7 +91,6 @@ class EigenPair:
     psi: np.ndarray          # trace profile on Gamma nodes (complex)
     in_J: bool
     in_O: bool
-    multiplicity: int
 
     @property
     def trace(self) -> np.ndarray:
@@ -109,13 +108,13 @@ def _beta_from(lambda_sq: float, alpha: float) -> complex:
     return b
 
 
-def _pair(index, lambda_sq, trace, alpha, multiplicity=1) -> EigenPair:
+def _pair(index, lambda_sq, trace, alpha) -> EigenPair:
     beta = _beta_from(lambda_sq, alpha)
     in_J = beta == 0
     in_O = abs(lambda_sq) <= _SET_TOL
     trace = np.asarray(trace, dtype=complex)
     psi = trace if in_J else trace / beta
-    return EigenPair(index, float(lambda_sq), beta, psi, in_J, in_O, multiplicity)
+    return EigenPair(index, float(lambda_sq), beta, psi, in_J, in_O)
 
 
 def sturm_liouville_eigs(a, q, length: float, count: int, nx: int):
@@ -211,17 +210,6 @@ def _rectangle(dom: DomainSpec, count: int, alpha: float):
         raise ConfigError("mode count too large for the enumeration bound")
     modes = modes[:count]
 
-    # multiplicity by grouping near-equal eigenvalues
-    mult = np.ones(count, dtype=int)
-    i = 0
-    while i < count:
-        j = i
-        while j + 1 < count and abs(modes[j + 1][0] - modes[i][0]) \
-                <= 1e-9 * (1.0 + abs(modes[i][0])):
-            j += 1
-        mult[i:j + 1] = j - i + 1
-        i = j + 1
-
     amp = 2.0 / np.sqrt(lx * ly)
     pairs = []
     for idx, (lam_sq, mx, my) in enumerate(modes):
@@ -239,8 +227,7 @@ def _rectangle(dom: DomainSpec, count: int, alpha: float):
                 deriv = a0 * my * np.pi / ly
                 tr.append(-deriv * profile if edge == "bottom"
                           else deriv * (-1.0) ** my * profile)
-        pairs.append(_pair(idx + 1, lam_sq, np.concatenate(tr), alpha,
-                           multiplicity=int(mult[idx])))
+        pairs.append(_pair(idx + 1, lam_sq, np.concatenate(tr), alpha))
     return pairs
 
 

@@ -50,7 +50,13 @@ The refined small-residual route (refined_S / comparator_profile) exists
 because the marched phase error grows like T beta^3 h^2 / 12 and would
 bury the O(1/beta^2) closeness signal at high modes: it recasts S as a
 fixed-kernel integral equation whose quadrature error does not
-accumulate with beta.
+accumulate with beta.  It marches nothing and is a batch like the
+marches: transformed_exponential, refined_S and comparator_profile take
+a sequence of pairs and return one (K, m+1) row per pair, each kernel
+field is convolved against the whole batch once, and every S equation
+is solved in one series division.  A row is its one-pair call bit for
+bit: the per-pair scalars are taken in Python complex arithmetic and
+stacked.
 """
 
 from __future__ import annotations
@@ -454,61 +460,94 @@ def compute_responses(kernel: NormalizedKernel, pairs) -> ModalResponses:
                           kernel.alpha)
 
 
-def transformed_exponential(pair: EigenPair, a: float, t: np.ndarray) -> np.ndarray:
+def _column(values) -> np.ndarray:
+    """A (K, 1) complex column of per-pair scalars.  The caller takes
+    each in Python complex arithmetic, as a one-pair call would: numpy's
+    complex division rounds differently."""
+    return np.array(values, dtype=complex).reshape(-1, 1)
+
+
+def transformed_exponential(pairs, a: float, t: np.ndarray) -> np.ndarray:
     """exp(i beta t) + (a/beta) sin(beta t), or 1 + (a + i) t on the
-    degenerate set: the base profile of the memoryless family with
-    damping parameter a, and of the comparator and S equations with
-    a = alpha."""
-    if pair.in_J:
-        return 1.0 + (a + 1j) * t
-    b = pair.beta
-    return np.exp(1j * b * t) + (a / b) * np.sin(b * t)
+    degenerate set, one (K, m+1) row per pair: the base profiles of the
+    memoryless family with damping parameter a, and of the comparator
+    and S equations with a = alpha."""
+    ab = _column([0.0 if p.in_J else a / p.beta for p in pairs])
+    out = np.exp(_column([1j * p.beta for p in pairs]) * t) \
+        + ab * np.sin(_column([p.beta for p in pairs]) * t)
+    out[np.array([p.in_J for p in pairs], dtype=bool)] = 1.0 + (a + 1j) * t
+    return out
 
 
-def refined_S(kernel: NormalizedKernel, pair: EigenPair) -> np.ndarray:
-    """Mode-uniform S via its fixed-kernel integral equation.
+def _finite_rows(pairs, rows: np.ndarray, what: str) -> np.ndarray:
+    """rows, or ConvergenceError naming the first pair whose row is not
+    finite."""
+    bad = ~np.all(np.isfinite(rows), axis=1)
+    if bad.any():
+        raise ConvergenceError(f"{what} of mode "
+                               f"{pairs[int(np.argmax(bad))].index} is not finite")
+    return rows
+
+
+def _off_J(pairs, what: str):
+    if any(p.in_J for p in pairs):
+        raise ConfigError(f"{what} needs beta != 0")
+
+
+def refined_S(kernel: NormalizedKernel, pairs) -> np.ndarray:
+    """Mode-uniform S of every pair, one (K, m+1) row each, via its
+    fixed-kernel integral equation.
 
     S = G + W * S with W = -mu N1 + (mu/beta) Q, where mu is
     lambda^2/beta^2 and Q = N1'(0) sin(beta t) + N1'' * sin(beta t).
     W(0) = 0 drops the implicit weight, and the product trapezoid is one
-    series division (kernels.series_divide).  The quadrature
-    error here stays O(h^2) uniformly in beta because the oscillatory
-    factors sit inside nonaccumulating convolutions.
+    series division (kernels.series_divide) over the whole batch, after
+    one convolve per kernel field.  The quadrature error here stays
+    O(h^2) uniformly in beta because the oscillatory factors sit inside
+    nonaccumulating convolutions.  Raises ConvergenceError naming the
+    first mode whose row is not finite (the division spreads an overflow
+    over the whole row, so no step is named).
     """
-    if pair.in_J:
-        raise ConfigError("refined route needs beta != 0")
-    b = pair.beta
-    mu = pair.lambda_sq / (b * b)
-    t = kernel.t
-    h = kernel.h
-    sb = np.sin(b * t)
-    base = transformed_exponential(pair, kernel.alpha, t)
+    _off_J(pairs, "refined route")
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = series_divide(*_S_equation(kernel, pairs))
+    return _finite_rows(pairs, S, "refined S")
+
+
+def _S_equation(kernel: NormalizedKernel, pairs):
+    """The sides of S (1 - h W) = G - h W S(0) / 2, S(0) = G(0), as the
+    (numerator, denominator) of refined_S's series division; the
+    batch's other fields are released on return."""
+    mu = [p.lambda_sq / (p.beta * p.beta) for p in pairs]
+    t, h = kernel.t, kernel.h
+    sb = np.sin(_column([p.beta for p in pairs]) * t)
+    base = transformed_exponential(pairs, kernel.alpha, t)
     G = base + convolve(kernel.N1, base, h)
     Q = kernel.N1p[0] * sb + convolve(kernel.N1pp, sb, h)
-    W = -mu * kernel.N1 + (mu / b) * Q
-
-    # S (1 - h W) = G - h W S(0) / 2, with S(0) = G(0)
+    W = -_column(mu) * kernel.N1 \
+        + _column([m / p.beta for m, p in zip(mu, pairs)]) * Q
     den = -h * W
-    den[0] = 1.0
-    return series_divide(G - 0.5 * h * G[0] * W, den)
+    den[:, 0] = 1.0
+    return G - 0.5 * h * G[:, :1] * W, den
 
 
-def comparator_profile(kernel: NormalizedKernel, pair: EigenPair) -> np.ndarray:
-    """Transformed-exponential comparator for the closeness study.
+def comparator_profile(kernel: NormalizedKernel, pairs) -> np.ndarray:
+    """Transformed-exponential comparators, one (K, m+1) row per pair,
+    for the closeness study.
 
     C = base + (1/2) R * (t E) with R = N1' - L * N1',
     E = exp(i beta t) and base = E + (alpha/beta) sin(beta t)
-    (transformed_exponential).  The sine correction in the base is what
-    keeps S - C at O(1/beta^2) when alpha != 0; with alpha = 0 the base
-    degenerates to the bare exponential.
+    (transformed_exponential).  R does not depend on the mode and is
+    formed once.  The sine correction in the base is what keeps S - C at
+    O(1/beta^2) when alpha != 0; with alpha = 0 the base degenerates to
+    the bare exponential.
     """
-    if pair.in_J:
-        raise ConfigError("comparator needs beta != 0")
-    t = kernel.t
-    h = kernel.h
+    _off_J(pairs, "comparator")
+    t, h = kernel.t, kernel.h
     R = kernel.N1p - convolve(kernel.L, kernel.N1p, h)
-    return transformed_exponential(pair, kernel.alpha, t) \
-        + 0.5 * convolve(R, t * np.exp(1j * pair.beta * t), h)
+    E = np.exp(_column([1j * p.beta for p in pairs]) * t)
+    return transformed_exponential(pairs, kernel.alpha, t) \
+        + 0.5 * convolve(R, t * E, h)
 
 
 def asymptotic_residual(pairs, S: np.ndarray, h: float) -> dict:
@@ -517,11 +556,13 @@ def asymptotic_residual(pairs, S: np.ndarray, h: float) -> dict:
     Row i of S, sampled at j h, belongs to pairs[i], a mode of real
     positive beta.  r_n = sup norm of S_n - exp(i beta_n t); the log-log
     slope against beta over the supplied modes is the headline number.
+    A row that is not finite raises ConvergenceError naming its mode.
     """
     if any(p.beta.imag != 0 or not p.beta.real > 0 for p in pairs):
         raise ConfigError("asymptotic fit needs real positive beta")
     if len(pairs) < 8:
         raise ConfigError("asymptotic fit needs at least 8 real-beta modes")
+    _finite_rows(pairs, S, "S")
     t = np.arange(S.shape[1]) * h
     betas = np.array([p.beta.real for p in pairs])
     sups = np.array([float(np.max(np.abs(row - np.exp(1j * p.beta.real * t))))

@@ -133,8 +133,7 @@ def test_criterion_3_two_route_consistency():
 def test_criterion_4_residual_slope(master):
     ker_pi, _ = master.restrict(PI)
     usable = master.pairs[4:]
-    fit = asymptotic_residual(
-        usable, np.array([refined_S(ker_pi, p) for p in usable]), ker_pi.h)
+    fit = asymptotic_residual(usable, refined_S(ker_pi, usable), ker_pi.h)
     slope = fit["slope"]
     _report(4, f"high-mode residual slope {slope:.4f} (want -1.0 +/- 0.15)",
             abs(slope + 1.0) <= 0.15)

@@ -788,6 +788,78 @@ def test_cli_gram_fails_closed(tmp_path, length, c, family, coefficients,
         assert not store.exists()
 
 
+def test_cli_responses_makes_no_march(tmp_path, monkeypatch):
+    # responses reads the refined S batch only: no mode is marched
+    def refuse(*args, **kwargs):
+        raise AssertionError("responses marched")
+    for module, name in ((volterra, "march_modal"),
+                         (volterra, "compute_responses"),
+                         (cli, "compute_responses")):
+        monkeypatch.setattr(module, name, refuse)
+    doc = base("responses", T=2.5 * PI, N_modes=12, kernel=EXP)
+    assert run(tmp_path, doc, out=tmp_path / "store", grid_h=2e-2) == 0
+
+
+def test_cli_responses_refuses_a_non_finite_S(tmp_path, capsys):
+    # the kernel overflows the S equation at this step: exit 3, no artifacts
+    doc = base("responses", T=6.42, N_modes=13,
+               kernel={"family": "polynomial", "coefficients": [-0.034, 4.2e7]},
+               domain={"geometry": "interval", "lengths": [2.11], "c": 0.03})
+    store = tmp_path / "store"
+    assert run(tmp_path, doc, out=store, grid_h=0.062) == 3
+    assert "refined S of mode 5 is not finite" in capsys.readouterr().err
+    assert not store.exists()
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(length=st.floats(0.5, 4.0), c=st.floats(-2.0, 2.0),
+       family=st.sampled_from(["zero", "exponential_sum", "polynomial"]),
+       coefficients=st.lists(st.one_of(st.floats(-5.0, 5.0),
+                                       st.floats(-1e8, 1e8)),
+                             min_size=1, max_size=2),
+       rate=st.floats(0.0, 5.0), T=st.floats(0.5, 8.0),
+       N_modes=st.integers(12, 20), h=st.floats(1e-2, 0.1))
+# a non-finite refined S (exit 3), and a config the modal march refused
+# although refined S resolves it
+@example(length=2.11, c=0.03, family="polynomial",
+         coefficients=[-0.034, 4.2e7], rate=0.0, T=6.42, N_modes=13, h=0.062)
+@example(length=3.91, c=-1.57, family="exponential_sum", coefficients=[-4.82],
+         rate=0.956, T=3.89, N_modes=15, h=0.031)
+def test_cli_responses_fails_closed(tmp_path, length, c, family, coefficients,
+                                    rate, T, N_modes, h):
+    # any small interval responses config ends in a documented exit code,
+    # and a success writes strict finite JSON and finite CSVs
+    kernel = {"family": family}
+    if family != "zero":
+        kernel["coefficients"] = coefficients
+    if family == "exponential_sum":
+        kernel["rates"] = [rate] * len(coefficients)
+    doc = base("responses", T=T, N_modes=N_modes, kernel=kernel,
+               domain={"geometry": "interval", "lengths": [length], "c": c})
+    store = tmp_path / config_hash(with_h(doc, h))
+    with warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore")
+        code = run(tmp_path, doc, out=store, grid_h=h)
+    assert code in _FAIL_CLOSED
+    if code == 0:
+        (adir,) = store.iterdir()
+        def reject(token):
+            raise AssertionError(f"non-finite {token} in responses.json")
+        meta = json.loads((adir / "responses.json").read_text(),
+                          parse_constant=reject)
+        assert all(math.isfinite(meta[k])
+                   for k in ("slope", "intercept", "grid_h"))
+        assert meta["modes"] == N_modes
+        for name in ("kernel.csv", "residuals.csv"):
+            table = np.loadtxt(adir / name, delimiter=",", ndmin=2)
+            assert np.all(np.isfinite(table)), name
+    else:
+        assert not store.exists()
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(length=st.floats(0.5, 4.0), c=st.floats(-2.0, 2.0),

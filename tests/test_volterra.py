@@ -99,7 +99,8 @@ def test_degenerate_mode_closed_form():
     # side G of the S equation is exactly its transformed-exponential base
     exactS = 1.0 + (c + 1j) * t
     assert np.max(np.abs(r.S[0] - exactS)) < 2e-6
-    assert np.max(np.abs(transformed_exponential(pairs[0], c, t) - exactS)) < 1e-12
+    assert np.max(np.abs(transformed_exponential(pairs, c, t)[0] - exactS)) \
+        < 1e-12
 
 
 # ------------------------------------------------- cross-route consistency
@@ -390,9 +391,10 @@ def test_batch_of_one_equals_batch_row(family):
 def test_refined_S_matches_direct_at_low_modes(memory_kernel):
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 5, alpha=-0.5)
     S = compute_responses(memory_kernel, pairs).S
-    for i, p in enumerate(pairs):
-        Sr = refined_S(memory_kernel, p)
-        assert np.max(np.abs(Sr - S[i])) < 5e-5
+    Sr = refined_S(memory_kernel, pairs)
+    assert Sr.shape == S.shape
+    for i in range(len(pairs)):
+        assert np.max(np.abs(Sr[i] - S[i])) < 5e-5
 
 
 def direct_refined_S(kernel, pair):
@@ -403,7 +405,7 @@ def direct_refined_S(kernel, pair):
     mu = pair.lambda_sq / (b * b)
     t, h = kernel.t, kernel.h
     sb = np.sin(b * t)
-    base = transformed_exponential(pair, kernel.alpha, t)
+    base = transformed_exponential([pair], kernel.alpha, t)[0]
     G = base + convolve(kernel.N1, base, h)
     Q = kernel.N1p[0] * sb + convolve(kernel.N1pp, sb, h)
     W = -mu * kernel.N1 + (mu / b) * Q
@@ -423,9 +425,9 @@ def test_refined_S_matches_direct_march(spec):
     ker = normalize(spec, make_grid(2.5 * PI, 1e-3))
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,), c=spec.c), 40,
                                alpha=ker.alpha)
-    for p in (pairs[0], pairs[9], pairs[39]):
+    picked = [pairs[0], pairs[9], pairs[39]]
+    for p, S in zip(picked, refined_S(ker, picked)):
         ref = direct_refined_S(ker, p)
-        S = refined_S(ker, p)
         assert np.max(np.abs(S - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -436,30 +438,34 @@ def test_refined_S_self_converges():
     vals = []
     for h in (2e-3, 1e-3, 5e-4):
         ker = normalize(spec, make_grid(PI, h))
-        vals.append(refined_S(ker, pair)[-1])
+        vals.append(refined_S(ker, [pair])[0, -1])
     assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[1]) / 3.0
 
 
 def test_refined_S_rejects_degenerate(memory_kernel):
     dom = DomainSpec("interval", (PI,), q=1 - 0.25, c=0.5)
     ker = zero_kernel(1.0, 1e-3, c=0.5)
-    pair = compute_eigenpairs(dom, 1, alpha=0.5)[0]
-    with pytest.raises(ConfigError):
-        refined_S(ker, pair)
+    pairs = compute_eigenpairs(dom, 3, alpha=0.5)
+    assert pairs[0].in_J
+    with pytest.raises(ConfigError, match="refined route"):
+        refined_S(ker, pairs)
+    with pytest.raises(ConfigError, match="comparator"):
+        comparator_profile(ker, pairs)
 
 
 def test_comparator_reduces_to_exponential_without_memory():
     ker = zero_kernel(2.0, 1e-3)
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=0.0)
-    C = comparator_profile(ker, pairs[3])
-    assert np.max(np.abs(C - np.exp(4j * ker.t))) < 1e-12
+    C = comparator_profile(ker, pairs)
+    assert np.max(np.abs(C - np.exp(np.arange(1, 5)[:, None] * 1j * ker.t))) \
+        < 1e-12
 
 
 def test_asymptotic_residual_slope(memory_kernel):
     pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 40, alpha=-0.5)
     usable = pairs[4:]
-    refined = np.array([refined_S(memory_kernel, p) for p in usable])
-    fit = asymptotic_residual(usable, refined, memory_kernel.h)
+    fit = asymptotic_residual(usable, refined_S(memory_kernel, usable),
+                              memory_kernel.h)
     assert fit["indices"] == list(range(5, 41))
     assert -1.15 < fit["slope"] < -0.85
 
@@ -469,6 +475,53 @@ def test_asymptotic_residual_needs_enough_modes(memory_kernel):
     resp = compute_responses(memory_kernel, pairs)
     with pytest.raises(ConfigError, match="at least 8"):
         asymptotic_residual(resp.pairs, resp.S, memory_kernel.h)
+
+
+def test_asymptotic_residual_refuses_a_non_finite_row(memory_kernel):
+    # one NaN row used to give a NaN slope, and an all-NaN batch the
+    # "residuals vanish identically" config error
+    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 12,
+                               alpha=-0.5)[2:]
+    S = refined_S(memory_kernel, pairs)
+    S[3, 100] = np.nan
+    with pytest.raises(ConvergenceError, match="S of mode 6 is not finite"):
+        asymptotic_residual(pairs, S, memory_kernel.h)
+    with pytest.raises(ConvergenceError, match="mode 3"):
+        asymptotic_residual(pairs, np.full_like(S, np.nan), memory_kernel.h)
+
+
+def test_refined_S_refuses_a_non_finite_row():
+    # a kernel that overflows the S equation on a coarse grid; the FFT
+    # division spreads the overflow over the row, so only the mode is named
+    ker = normalize(KernelSpec("polynomial", coefficients=(-0.034, 4.2e7),
+                               c=0.03), make_grid(6.42, 0.062))
+    pairs = compute_eigenpairs(DomainSpec("interval", (2.11,), c=0.03), 13,
+                               alpha=ker.alpha)[4:]
+    with pytest.raises(ConvergenceError,
+                       match="refined S of mode 5 is not finite"):
+        refined_S(ker, pairs)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5])
+def test_refined_batches_are_their_one_pair_calls(c):
+    # every row of a batch equals the call on its pair alone, bit for bit
+    ker = normalize(KernelSpec("exponential_sum", c=c, coefficients=(1.0,),
+                               rates=(1.0,)), make_grid(2.0, 1e-3))
+    pairs = compute_eigenpairs(DomainSpec("interval", (PI,), c=c), 9,
+                               alpha=ker.alpha)
+    for batch in (refined_S, comparator_profile):
+        rows = batch(ker, pairs)
+        assert rows.shape == (9, ker.grid.steps + 1)
+        for p, row in zip(pairs, rows):
+            assert np.array_equal(batch(ker, [p])[0], row)
+    # transformed_exponential on a batch with a pair on J (q = 1 - c^2)
+    on_J = compute_eigenpairs(DomainSpec("interval", (PI,), q=0.75, c=0.5),
+                              4, alpha=0.5)
+    assert on_J[0].in_J and not any(p.in_J for p in on_J[1:])
+    mixed = pairs[:3] + on_J
+    rows = transformed_exponential(mixed, 0.7, ker.t)
+    for p, row in zip(mixed, rows):
+        assert np.array_equal(transformed_exponential([p], 0.7, ker.t)[0], row)
 
 
 # ------------------------------------------------------------- guards
@@ -557,10 +610,10 @@ def test_exact_telegraph_terms_are_the_transformed_exponential():
     for c in (0.0, 0.7, 1.5):               # 1.5: mode 1 overdamped
         pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, c)
         rates, weights = transformed_exponential_terms(pairs, c)
-        for p, r, w in zip(pairs, rates, weights):
-            closed = (w[:, None] * np.exp(r[:, None] * t)).sum(axis=0)
-            assert np.max(np.abs(closed - transformed_exponential(p, c, t))) \
-                <= 1e-13
+        closed = np.einsum("kd,kdt->kt", weights,
+                           np.exp(rates[:, :, None] * t))
+        assert np.max(np.abs(closed - transformed_exponential(pairs, c, t))) \
+            <= 1e-13
 
 
 def test_trailing_zero_polynomial_terms_change_nothing():
