@@ -13,7 +13,8 @@ Output root resolution order: --out flag, config "out" key,
 $MEMWAVE_OUT, ./memwave-out.
 
 Artifacts hold finite numbers only: a NaN or Inf headed for a CSV or
-JSON file stops the run with a convergence error naming the file.
+JSON file stops the run with a convergence error naming the file.  CSV
+values are printed as "%.17g" prints them, by memwave.csvtext.
 
 synthesize writes the control in its factor form (control.control_factors):
 control.csv holds t and one time profile per mode, control_traces.csv
@@ -125,19 +126,16 @@ def _write_json(path, payload, cfg_hash):
 
 
 def _write_csv(path, columns, rows, cfg_hash):
-    # an ndarray goes in whole: list() would split it into row arrays
-    data = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
-                      dtype=float)
+    data = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(data)):
         raise _non_finite(path)
+    # imported here: a run that writes no CSV never compiles it
+    from .csvtext import format_table
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    # one format string per row, applied to Python floats (no numpy
-    # scalars); "%.17g" round-trips every double
-    row_fmt = ",".join(["%.17g"] * data.shape[-1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
-        fh.write("# " + ",".join(columns) + "\n")
-        fh.writelines(row_fmt % tuple(row) for row in data.tolist())
+    with open(path, "wb") as fh:
+        fh.write(f"# config_hash={cfg_hash}\n# {','.join(columns)}\n"
+                 .encode())
+        fh.write(format_table(data))
 
 
 def _read_csv(path):
@@ -224,11 +222,12 @@ def _run_responses(cfg, adir):
     fit = asymptotic_residual(fitted, refined_S(kernel, fitted), kernel.h)
     _write_csv(os.path.join(adir, "kernel.csv"),
                ["t", "N", "Np", "N1", "L"],
-               zip(kernel.t, kernel.N, kernel.Np, kernel.N1, kernel.L),
-               cfg.hash)
+               np.column_stack([kernel.t, kernel.N, kernel.Np, kernel.N1,
+                                kernel.L]), cfg.hash)
     _write_csv(os.path.join(adir, "residuals.csv"),
                ["n", "beta", "sup_residual"],
-               zip(fit["indices"], fit["beta"], fit["residuals"]), cfg.hash)
+               np.column_stack([fit["indices"], fit["beta"],
+                                fit["residuals"]]), cfg.hash)
     _write_json(os.path.join(adir, "responses.json"), {
         "slope": fit["slope"], "intercept": fit["intercept"],
         "fit_from_mode": fit_lo, "modes": len(pairs),
@@ -288,8 +287,8 @@ def _run_synthesize(cfg, adir):
                cfg.hash)
     _write_csv(os.path.join(adir, "coefficients.csv"),
                ["n", "a_re", "a_im"],
-               zip(control.index_set, control.coefficients.real,
-                   control.coefficients.imag), cfg.hash)
+               np.column_stack([control.index_set, control.coefficients.real,
+                                control.coefficients.imag]), cfg.hash)
     _write_json(os.path.join(adir, "synthesis.json"), {
         "index_set": list(control.index_set),
         "residual_max": control.residual_max,
@@ -389,7 +388,7 @@ def _run_sweep(cfg, adir):
     m_vis = [r.m_N for r in reps_v]
     _write_csv(os.path.join(adir, "sweep.csv"),
                ["T", "m_N_telegraph", "m_N_visco"],
-               zip(horizons, m_tel, m_vis), cfg.hash)
+               np.column_stack([horizons, m_tel, m_vis]), cfg.hash)
     _write_json(os.path.join(adir, "sweep.json"), {
         "T": horizons, "m_N_telegraph": m_tel, "m_N_visco": m_vis,
         "frame_lower_telegraph": [r.frame_lower for r in reps_t],

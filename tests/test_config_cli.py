@@ -90,6 +90,17 @@ def test_cli_import_loads_no_numpy_polynomial_and_no_new_modules():
         "memwave.simulate", "memwave.spectral", "memwave.volterra"}
 
 
+def test_cli_import_leaves_the_csv_formatter_to_the_first_write(tmp_path):
+    # setup is timed without a bytecode cache: the formatter is compiled
+    # by the first CSV write, not by the import
+    code = ("import sys, memwave.cli\n"
+            "print('memwave.csvtext' in sys.modules)\n"
+            f"memwave.cli._write_csv({str(tmp_path / 'x.csv')!r}, ['a'], "
+            "[[1.0]], 'h')\n"
+            "print('memwave.csvtext' in sys.modules)\n")
+    assert _fresh_python(code).split() == ["False", "True"]
+
+
 _SCIPY_LOADED = ("sorted(m for m in sys.modules "
                  "if m == 'scipy' or m.startswith('scipy.'))")
 

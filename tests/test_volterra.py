@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from memwave import volterra
 from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
                      asymptotic_residual, comparator_profile,
                      compute_eigenpairs, compute_responses, TimeGrid,
@@ -522,6 +525,31 @@ def test_refined_batches_are_their_one_pair_calls(c):
     rows = transformed_exponential(mixed, 0.7, ker.t)
     for p, row in zip(mixed, rows):
         assert np.array_equal(transformed_exponential([p], 0.7, ker.t)[0], row)
+
+
+def test_refined_S_memory_grows_by_its_rows_alone():
+    # chunks of REFINED_ROWS pairs: a batch three chunks long peaks
+    # above a one-chunk batch by little more than its extra output rows
+    # (one division over the whole batch held every row's spectra and
+    # peaked ~3x higher)
+    ker = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
+                               rates=(1.0,)), make_grid(2.5 * PI, 2e-3))
+    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 28,
+                               alpha=ker.alpha)[4:]
+    assert len(pairs) == 3 * volterra.REFINED_ROWS
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            refined_S(ker, batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, three = peak(pairs[:volterra.REFINED_ROWS]), peak(pairs)
+    row_bytes = 16 * (ker.grid.steps + 1)
+    assert three - one <= 1.25 * (len(pairs) - volterra.REFINED_ROWS) \
+        * row_bytes
 
 
 # ------------------------------------------------------------- guards

@@ -1,0 +1,45 @@
+"""Timing of cli._write_csv on tables shaped like two benchmark artifacts.
+
+control: the rectangle synthesize's control.csv, t and 4 mode profiles
+on the h = 2e-3 grid of T = 2.5 pi (3928 x 5); sweep: the sweep-t
+sweep.csv, 14 horizons and two frame bounds (14 x 3).  The values are
+seeded stand-ins of the same shape and magnitude.  pytest-benchmark
+prints the medians; BENCH_write_csv.json at the repository root records
+them before and after the vectorised formatter.  Both together run in
+well under a second.
+"""
+
+import numpy as np
+import pytest
+
+from memwave.cli import _write_csv
+
+PI = np.pi
+
+
+def control_table():
+    t = np.arange(3928) * 2e-3
+    rng = np.random.default_rng(1)
+    profiles = rng.standard_normal((3928, 4)) * np.sin(t)[:, None]
+    return ["t", "g_mode1", "g_mode2", "g_mode3", "g_mode4"], \
+        np.column_stack([t, profiles])
+
+
+def sweep_table():
+    rng = np.random.default_rng(1)
+    horizons = (1.2 + 0.1 * np.arange(14)) * PI
+    return ["T", "m_N_telegraph", "m_N_visco"], \
+        np.column_stack([horizons, rng.uniform(0, 1, (14, 2))])
+
+
+@pytest.mark.parametrize("table, rounds", [(control_table, 20),
+                                           (sweep_table, 200)],
+                         ids=["control_3928x5", "sweep_14x3"])
+def test_write_csv_speed(benchmark, tmp_path, table, rounds):
+    columns, data = table()
+    path = str(tmp_path / "table.csv")
+    benchmark.pedantic(_write_csv, args=(path, columns, data, "h"),
+                       rounds=rounds, warmup_rounds=2)
+    with open(path) as fh:
+        assert len(fh.read().splitlines()) == len(data) + 2
+    assert np.array_equal(np.loadtxt(path, delimiter=",", ndmin=2), data)
