@@ -9,21 +9,19 @@ controls.  See README.md for the pipeline and the `memwave` CLI.
 
 from .config import RunConfig, SweepSpec, config_hash, from_dict, load
 from .control import (ControlSignal, MomentProblem, TargetState,
-                      assemble_rhs, build_moment_problem, comparator_family,
-                      control_factors, s_family, synthesize, telegraph_family,
-                      viscoelastic_family)
+                      assemble_rhs, build_moment_problem, control_factors,
+                      synthesize, telegraph_family, viscoelastic_family)
 from .errors import (ConfigError, ConvergenceError, InternalConsistencyError,
                      MemwaveError, NotControllableError)
 from .grid import TimeGrid, auto_step, make_grid, trapezoid_weights
 from .kernels import (KernelSpec, NormalizedKernel, convolve, convolve_end,
                       normalize, resolvent)
-from .riesz import (CONDITION_CAP, GramReport, SequenceFamily, biorthogonal,
-                    coefficient_decay_check, gram, gram_sweep,
-                    paley_wiener_check, quadratic_closeness,
-                    sine_cosine_family)
-from .simulate import (SimResult, achieved_coefficients, back_transform,
-                       mode_energies, mode_gaps, route_gap,
-                       simulate_convolution, simulate_march)
+from .riesz import (CONDITION_CAP, GramReport, SequenceFamily, gram,
+                    gram_reports, gram_sweep, paley_wiener_check,
+                    quadratic_closeness)
+from .simulate import (SimResult, achieved_coefficients, mode_energies,
+                       mode_gaps, route_gap, simulate_convolution,
+                       simulate_march)
 from .spectral import (DomainSpec, EigenPair, compute_eigenpairs,
                        sturm_liouville_eigs, trace_diagnostics)
 from .volterra import (ModalResponses, asymptotic_residual,

@@ -14,7 +14,9 @@ $MEMWAVE_OUT, ./memwave-out.
 
 Artifacts hold finite numbers only: a NaN or Inf headed for a CSV or
 JSON file stops the run with a convergence error naming the file.  CSV
-values are printed as "%.17g" prints them, by memwave.csvtext.
+values are printed as "%.17g" prints them: one value at a time in a
+table of fewer than CSV_TABLE_CELLS values, by memwave.csvtext in a
+larger one.
 
 synthesize writes the control in its factor form (control.control_factors):
 control.csv holds t and one time profile per mode, control_traces.csv
@@ -79,6 +81,11 @@ ENV_OUT = "MEMWAVE_OUT"
 # largest |traces.T @ profiles - f| a synthesize run accepts, relative
 # to max |f|
 FACTOR_GAP_TOL = 1e-12
+# tables of fewer values print one value at a time: below this size the
+# fixed cost of csvtext.format_table (~70-100 numpy calls) is more than
+# the per-value "%.17g" it saves (crossover measured by
+# tests/test_write_csv_bench.py, recorded in BENCH_write_csv.json)
+CSV_TABLE_CELLS = 320
 
 
 # ---------------------------------------------------------------- artifacts
@@ -125,17 +132,28 @@ def _write_json(path, payload, cfg_hash):
         fh.write(text + "\n")
 
 
+def _csv_rows(data):
+    """The rows of a 2-D table as "%.17g" prints each value, one value
+    at a time: the bytes csvtext.format_table gives."""
+    row_fmt = ",".join(["%.17g"] * data.shape[-1]) + "\n"
+    return "".join(row_fmt % tuple(row) for row in data.tolist()).encode()
+
+
 def _write_csv(path, columns, rows, cfg_hash):
     data = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(data)):
         raise _non_finite(path)
-    # imported here: a run that writes no CSV never compiles it
-    from .csvtext import format_table
+    if data.size < CSV_TABLE_CELLS:
+        text = _csv_rows(data)
+    else:
+        # imported here: a run that writes no large CSV never compiles it
+        from .csvtext import format_table
+        text = format_table(data)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(f"# config_hash={cfg_hash}\n# {','.join(columns)}\n"
                  .encode())
-        fh.write(format_table(data))
+        fh.write(text)
 
 
 def _read_csv(path):
@@ -348,7 +366,8 @@ def _sweep_grid(cfg):
     The step is the configured one (under "auto", the step T_min would
     get, the finest of any horizon), shrunk to spacing / ceil(spacing / h)
     so that every horizon falls on a grid point when T_min is a multiple
-    of the spacing, and within h/2 of one otherwise.
+    of the spacing, and within h/2 of one otherwise.  A first horizon of
+    fewer than two steps is a config error on either route.
     """
     horizons = cfg.sweep.horizons()
     h = cfg.h
@@ -361,6 +380,11 @@ def _sweep_grid(cfg):
         spacing = (cfg.sweep.T_max - cfg.sweep.T_min) / (len(horizons) - 1)
         h = spacing / math.ceil(spacing / h)
     steps = [round(T / h) for T in horizons]
+    # checked here, before either route: the exact route would read any
+    # horizon, the march route's trapezoid rule needs two steps
+    if not (2 <= steps[0] and all(a < b for a, b in zip(steps, steps[1:]))):
+        raise ConfigError(f"horizon step counts {steps} do not ascend "
+                          f"strictly within [2, {steps[-1]}]")
     return TimeGrid(steps[-1] * h, steps[-1], h), steps
 
 

@@ -65,11 +65,9 @@ import numpy as np
 
 from .errors import ConfigError, InternalConsistencyError, NotControllableError
 from .grid import TimeGrid, make_grid, trapezoid_weights
-from .kernels import NormalizedKernel
 from .riesz import CONDITION_CAP, SequenceFamily, cholesky_solve, gram
 from .spectral import EigenPair
-from .volterra import (ModalResponses, comparator_profile, refined_S,
-                       transformed_exponential)
+from .volterra import ModalResponses, transformed_exponential
 
 # OpenBLAS (0.3, as numpy's wheels ship it) runs a real matrix product of
 # fewer multiply-adds than this on the calling thread
@@ -111,7 +109,6 @@ class TargetState:
 class MomentProblem:
     family: SequenceFamily
     rhs: np.ndarray              # aligned with family.index_set
-    horizon: float
 
 
 @dataclass(frozen=True)
@@ -189,28 +186,8 @@ def viscoelastic_family(responses: ModalResponses,
                           _signed([p.psi for p in pairs]))
 
 
-def _positive_family(profiles: np.ndarray, pairs: Sequence[EigenPair],
-                     label: str, grid: TimeGrid) -> SequenceFamily:
-    """profiles[i] psi_i on the positive indices of pairs."""
-    return SequenceFamily(profiles, tuple(p.index for p in pairs), label,
-                          grid, psi=np.array([p.psi for p in pairs]))
-
-
-def s_family(kernel: NormalizedKernel, pairs: Sequence[EigenPair]) -> SequenceFamily:
-    """Positive-index family S_n psi_n via the mode-uniform route."""
-    return _positive_family(refined_S(kernel, pairs), pairs, "s-refined",
-                            kernel.grid)
-
-
-def comparator_family(kernel: NormalizedKernel,
-                      pairs: Sequence[EigenPair]) -> SequenceFamily:
-    """Positive-index transformed-exponential comparator, C_n psi_n."""
-    return _positive_family(comparator_profile(kernel, pairs), pairs,
-                            "comparator", kernel.grid)
-
-
-def build_moment_problem(family: SequenceFamily, target: TargetState,
-                         horizon: float = None) -> MomentProblem:
+def build_moment_problem(family: SequenceFamily,
+                         target: TargetState) -> MomentProblem:
     """Align the moment data with the family's signed index set."""
     c_pos = assemble_rhs(target)
     rhs = np.empty(family.count, dtype=complex)
@@ -219,8 +196,7 @@ def build_moment_problem(family: SequenceFamily, target: TargetState,
         if k >= target.K:
             raise ConfigError(f"family index {n} beyond target truncation {target.K}")
         rhs[i] = c_pos[k] if n > 0 else np.conj(c_pos[k])
-    return MomentProblem(family, rhs, horizon if horizon is not None
-                         else family.grid.T)
+    return MomentProblem(family, rhs)
 
 
 def _is_symmetric(index_set) -> bool:
@@ -324,7 +300,7 @@ def synthesize(problem: MomentProblem) -> ControlSignal:
     rep = gram(fam)
     if not np.isfinite(rep.cond) or rep.cond > CONDITION_CAP or rep.m_N <= 0:
         raise NotControllableError(
-            f"moment problem not solvable at T={problem.horizon:.6g}: "
+            f"moment problem not solvable at T={fam.grid.T:.6g}: "
             f"m_N={rep.m_N:.3e}, condition={rep.cond:.3e} (cap {CONDITION_CAP:.1e})",
             frame_lower=rep.m_N, condition=rep.cond)
     a = cholesky_solve(rep.gram, problem.rhs)

@@ -9,11 +9,12 @@ a known Laplace form (Pruss, Evolutionary Integral Equations, 1993):
 - the telegraph family: exp(i beta t) + (c / beta) sin(beta t) is two
   exponentials (transformed_exponential_terms).
 
-An exponential-sum family (ExponentialFamily) has its time Gram in
-closed form at any horizon, with no grid (exponential_gram_sweep), and
-its reports go through riesz's checks.  exact_sweep puts the pieces
-together for cli._run_sweep, or returns None, and the sweep marches,
-where the route does not apply or a mode is not certified.
+A family whose time profiles are exponential sums has its time Gram in
+closed form at any horizon, with no grid (_exponential_time_grams).
+exact_sweep puts the pieces together for cli._run_sweep: it hands both
+families' traces and time Grams to riesz.gram_reports, the report path
+of the grid route too, or returns None, and the sweep marches, where
+the route does not apply or a mode is not certified.
 
 The CLI imports this module only when a sweep reaches it, so no other
 run compiles it.
@@ -22,15 +23,13 @@ run compiles it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .control import _signed
 from .kernels import KernelTerms
-from .riesz import _checked, _reports
-from .spectral import EigenPair
+from .riesz import gram_reports
 from .volterra import _forcing_factors
 
 
@@ -186,22 +185,10 @@ def transformed_exponential_terms(pairs, a: float):
     return np.stack([ib, -ib], axis=1), np.stack([1.0 + k, -k], axis=1)
 
 
-@dataclass(frozen=True)
-class ExponentialFamily:
-    """A family whose time profiles are exponential sums,
-    profile_k(t) = sum_j weights[k, j] exp(rates[k, j] t), against the
-    boundary traces psi (count, nodes) with quadrature gamma_weights: a
-    SequenceFamily in closed form, on no grid."""
-
-    rates: np.ndarray            # (count, d) complex
-    weights: np.ndarray          # (count, d) complex
-    label: str
-    psi: np.ndarray              # (count, nodes) complex
-    gamma_weights: np.ndarray    # (nodes,)
-
-
 def _exponential_time_grams(rates, weights, horizons) -> np.ndarray:
-    """int_0^T profile_k conj(profile_l) dt for every T, (H, count, count).
+    """int_0^T profile_k conj(profile_l) dt for every T, (H, count, count),
+    of the profiles profile_k(t) = sum_j weights[k, j] exp(rates[k, j] t),
+    rates and weights (count, d).
 
     Term by term, with x = s + conj(s') over every pair of exponents,
     int_0^T e^(x t) dt = T E(x T), E(y) = expm1(y) / y and E(0) = 1;
@@ -228,30 +215,6 @@ def _exponential_time_grams(rates, weights, horizons) -> np.ndarray:
     return np.array(out)
 
 
-def exponential_gram_sweep(family: ExponentialFamily,
-                           horizons: Sequence[float]) -> list:
-    """The frame bounds of every nested level on [0, T] for every T of
-    horizons, from the exact time Grams (_exponential_time_grams) times
-    the boundary Gram; every horizon passes the checks gram_sweep's do."""
-    psi = family.psi
-    boundary = (psi * family.gamma_weights) @ np.conj(psi).T
-    temporal = _exponential_time_grams(family.rates, family.weights, horizons)
-    return _reports([_checked(boundary * t, family.label) for t in temporal],
-                    family.label)
-
-
-def exponential_family(pairs: Sequence[EigenPair], rates: np.ndarray,
-                       weights: np.ndarray, label: str,
-                       gamma_weights: np.ndarray) -> ExponentialFamily:
-    """The family of control.telegraph_family or viscoelastic_family in
-    closed form: the profile of pair n is sum_j weights[n, j]
-    exp(rates[n, j] t), against the trace psi_n, signed and conjugated
-    as there."""
-    return ExponentialFamily(_signed(rates), _signed(weights), label,
-                             _signed([p.psi for p in pairs]),
-                             np.asarray(gamma_weights, dtype=float))
-
-
 def exact_sweep(kernel, pairs_tel, pairs_vis, c: float, gamma_weights,
                 horizons: Sequence[float]):
     """Frame bounds of the telegraph family (pairs_tel, parameter c) and
@@ -263,10 +226,13 @@ def exact_sweep(kernel, pairs_tel, pairs_vis, c: float, gamma_weights,
     modes = exact_modes(kernel.terms, kernel.alpha, pairs_vis)
     if modes is None:
         return None
-    fam_t = exponential_family(
-        pairs_tel, *transformed_exponential_terms(pairs_tel, c),
-        "telegraph", gamma_weights)
-    fam_v = exponential_family(pairs_vis, modes.roots, modes.Z,
-                               "viscoelastic", gamma_weights)
-    return (exponential_gram_sweep(fam_t, horizons),
-            exponential_gram_sweep(fam_v, horizons))
+    families = ((pairs_tel, *transformed_exponential_terms(pairs_tel, c),
+                 "telegraph"),
+                (pairs_vis, modes.roots, modes.Z, "viscoelastic"))
+    # signed and conjugated as control.telegraph_family and
+    # viscoelastic_family sign and conjugate the profiles on the grid
+    return tuple(gram_reports(_signed([p.psi for p in pairs]), gamma_weights,
+                              _exponential_time_grams(_signed(rates),
+                                                      _signed(weights),
+                                                      horizons), label)
+                 for pairs, rates, weights, label in families)

@@ -26,38 +26,37 @@ time Gram; a dense grid function g (nodes, steps+1) is made only where
 one is needed, for the synthesized control.  One-node families (the
 interval) take psi = 1.
 
-Horizon sweeps.  The composite trapezoid rule is additive over
-adjacent segments: with 0 = k_0 < k_1 < ... the rule on [0, k_i h] is
-the rule on [0, k_{i-1} h] plus the rule on [k_{i-1} h, k_i h] (each
-segment with half weights at its own ends).  `gram_sweep` therefore
-sums the time Gram segment by segment, one pass over the grid, forms
-the boundary Gram once, and takes the nested frame bounds of all
-horizons in one batched eigenvalue call per truncation level; `gram`
-is its one-horizon case, a single segment over the whole grid.
+One report path.  gram_reports turns the traces, their boundary
+quadrature weights and a stack of time Grams, one per horizon, into
+reports: it forms the boundary Gram once, takes its entrywise product
+with each time Gram, and every horizon's Gram passes the finite and
+Hermitian checks, and its nested frame bounds the interlacing check, on
+its own.  Both routes of `sweep-t` feed it:
 
-Exact Grams.  A family whose profiles are exponential sums
-(exact.ExponentialFamily: the telegraph family, and the memory family
-of a closed-form kernel) has time Grams in closed form,
-T sum_{j,l} w_kj conj(w_ml) E((s_kj + conj s_ml) T) with
-E(y) = expm1(y) / y, at any horizon and on no grid
-(exact.exponential_gram_sweep, which `sweep-t` uses where it can).  The
-boundary Gram, the checks and the reports (_checked, _reports) are the
-grid route's.  On either route,
-every horizon's Gram passes the finite and Hermitian checks, and its
-frame bounds the interlacing check, on its own.
+- the grid route (`gram_sweep`; `gram` is its one-horizon case, a
+  single segment over the whole grid).  The composite trapezoid rule is
+  additive over adjacent segments: with 0 = k_0 < k_1 < ... the rule on
+  [0, k_i h] is the rule on [0, k_{i-1} h] plus the rule on
+  [k_{i-1} h, k_i h] (each segment with half weights at its own ends),
+  so the time Grams of all horizons come from one pass over the grid;
+- the exact route (exact.exact_sweep).  Exponential-sum profiles have
+  time Grams in closed form,
+  T sum_{j,l} w_kj conj(w_ml) E((s_kj + conj s_ml) T) with
+  E(y) = expm1(y) / y, at any horizon and on no grid.
+
+The nested frame bounds of all horizons take one batched eigenvalue
+call per truncation level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, ConvergenceError, InternalConsistencyError,
-                     NotControllableError)
+from .errors import ConfigError, ConvergenceError, InternalConsistencyError
 from .grid import TimeGrid, trapezoid_weights
-from .spectral import EigenPair
 
 CONDITION_CAP = 1e8
 
@@ -173,13 +172,6 @@ class GramReport:
         return float(self.condition[-1])
 
 
-def _truncation(family: SequenceFamily, truncation) -> int:
-    N = family.count if truncation is None else truncation
-    if not (1 <= N <= family.count):
-        raise ConfigError(f"truncation {N} outside [1, {family.count}]")
-    return N
-
-
 def _checked(G: np.ndarray, label: str) -> np.ndarray:
     """G after the finite and Hermitian checks, symmetrised."""
     if not np.all(np.isfinite(G)):
@@ -195,28 +187,6 @@ def _checked(G: np.ndarray, label: str) -> np.ndarray:
     return 0.5 * (G + np.conj(G).T)
 
 
-def _grams(family: SequenceFamily, steps: Sequence[int], N: int) -> list:
-    """Checked Grams of the first N members on [0, k h], k in steps.
-
-    One pass over the grid: the trapezoid rule on [0, k_i h] is the rule
-    on [0, k_{i-1} h] plus the rule on [k_{i-1} h, k_i h], so the time
-    Gram of each horizon adds one segment's product to the last one's.
-    """
-    psi, Z = family.psi[:N], family.profiles[:N]
-    boundary = (psi * family.gamma_weights) @ np.conj(psi).T
-    h = family.grid.h
-    grams, temporal, start = [], None, 0
-    for k in steps:
-        seg = Z[:, start:k + 1]
-        w = np.full(k - start + 1, h)
-        w[0] = w[-1] = 0.5 * h
-        part = (seg * w) @ np.conj(seg).T
-        temporal = part if temporal is None else temporal + part
-        grams.append(_checked(boundary * temporal, family.label))
-        start = k
-    return grams
-
-
 def cholesky_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve G x = b for a Hermitian positive definite G: G = L L^H, then
     one solve against L and one against L^H."""
@@ -224,11 +194,16 @@ def cholesky_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.conj(L).T, np.linalg.solve(L, b))
 
 
-def _reports(grams: list, label: str) -> list:
-    """Frame bounds of every nested level of every checked Gram (one per
-    horizon): one batched eigenvalue call per level, each horizon checked
-    on its own."""
-    Gs = np.stack(grams)
+def gram_reports(psi: np.ndarray, gamma_weights: np.ndarray,
+                 temporal, label: str) -> list:
+    """One report per time Gram of temporal (one per horizon): the Gram
+    is the boundary Gram of the traces psi (count, nodes) under the
+    quadrature gamma_weights times the time Gram, entrywise.  Every
+    horizon's Gram passes the finite and Hermitian checks, and its frame
+    bounds, one batched eigenvalue call per nested level, the
+    interlacing check, on its own."""
+    boundary = (psi * gamma_weights) @ np.conj(psi).T
+    Gs = np.stack([_checked(boundary * t, label) for t in temporal])
     N = Gs.shape[1]
     lows = np.empty((len(Gs), N))
     highs = np.empty((len(Gs), N))
@@ -251,21 +226,37 @@ def _reports(grams: list, label: str) -> list:
     return reports
 
 
-def gram(family: SequenceFamily, truncation: int = None) -> GramReport:
-    """Gram matrix plus frame bounds of every nested truncation level."""
-    N = _truncation(family, truncation)
-    return _reports(_grams(family, (family.grid.steps,), N), family.label)[0]
+def _trapezoid_time_grams(profiles: np.ndarray, h: float,
+                          steps: Sequence[int]) -> list:
+    """sum_t w_t Z_n conj Z_k on [0, k h] for every k of steps, from one
+    pass over the grid: the trapezoid rule on [0, k_i h] is the rule on
+    [0, k_{i-1} h] plus the rule on [k_{i-1} h, k_i h], so the time Gram
+    of each horizon adds one segment's product to the last one's."""
+    temporal, start = [], 0
+    for k in steps:
+        seg = profiles[:, start:k + 1]
+        w = np.full(k - start + 1, h)
+        w[0] = w[-1] = 0.5 * h
+        part = (seg * w) @ np.conj(seg).T
+        temporal.append(temporal[-1] + part if temporal else part)
+        start = k
+    return temporal
 
 
 def gram_sweep(family: SequenceFamily, steps: Sequence[int]) -> list:
-    """gram(family.restrict(k)) for every k of a strictly ascending
-    sequence of step counts, from one pass over the grid."""
-    steps = list(steps)
-    if not (steps and 2 <= steps[0] and steps[-1] <= family.grid.steps
-            and all(a < b for a, b in zip(steps, steps[1:]))):
-        raise ConfigError(f"horizon step counts {steps} do not ascend "
-                          f"strictly within [2, {family.grid.steps}]")
-    return _reports(_grams(family, steps, family.count), family.label)
+    """gram(family.restrict(k)) for every k of steps, which must ascend
+    strictly from 2 to at most the grid's step count, from one pass over
+    the grid (cli._sweep_grid checks a sweep's steps before either route
+    runs)."""
+    return gram_reports(family.psi, family.gamma_weights,
+                        _trapezoid_time_grams(family.profiles,
+                                              family.grid.h, steps),
+                        family.label)
+
+
+def gram(family: SequenceFamily) -> GramReport:
+    """Gram matrix plus frame bounds of every nested truncation level."""
+    return gram_sweep(family, (family.grid.steps,))[0]
 
 
 def quadratic_closeness(a: SequenceFamily, b: SequenceFamily,
@@ -296,100 +287,6 @@ def quadratic_closeness(a: SequenceFamily, b: SequenceFamily,
         "block": block,
         "block_sums": blocks,
         "total": float(np.sum(d2)),
-    }
-
-
-def biorthogonal(family: SequenceFamily, truncation: int = None):
-    """In-span biorthogonal family via the inverse Gram.
-
-    Raises the near-degenerate error (carrying m_N) when the Gram
-    condition exceeds CONDITION_CAP: at that point the duals are numerically
-    meaningless, which is the finite-section signature of a horizon
-    below the sharp control time or of too deep a truncation.  The duals
-    of a one-node family are one-node again, with profiles
-    Cinv @ (psi * profiles); multi-node families are refused.
-    """
-    if family.psi.shape[1] != 1:
-        raise ConfigError(
-            f"biorthogonal duals need a one-node family; {family.label!r} "
-            f"has {family.psi.shape[1]} boundary nodes")
-    rep = gram(family, truncation)
-    N = rep.gram.shape[0]
-    if not np.isfinite(rep.cond) or rep.cond > CONDITION_CAP:
-        raise NotControllableError(
-            f"family {family.label!r} near-degenerate at truncation {N}: "
-            f"m_N={rep.m_N:.3e}, condition {rep.cond:.3e} over cap {CONDITION_CAP:.1e}",
-            frame_lower=rep.m_N, condition=rep.cond)
-    Cinv = cholesky_solve(rep.gram, np.eye(N, dtype=complex))
-    residual = float(np.max(np.abs(Cinv @ rep.gram - np.eye(N))))
-    if residual > 1e-8 * max(rep.cond, 1.0):
-        raise InternalConsistencyError(
-            f"biorthogonal residual {residual:.3e} above 1e-8 * condition")
-    profiles = Cinv @ (family.psi[:N] * family.profiles[:N])
-    duals = SequenceFamily(profiles, family.index_set[:N],
-                           f"{family.label}-dual", family.grid, family.gamma_weights)
-    return duals, rep, residual
-
-
-def sine_cosine_family(pairs: Sequence[EigenPair], T: float,
-                       weights: Optional[np.ndarray] = None,
-                       steps: int = None):
-    """Real cosine/sine families spawned by the exponential family.
-
-    Members k_n cos(beta_n t) and k_n sin(beta_n t) on [0, T], built
-    from the conjugate-symmetric exponential extension (beta_{-n} =
-    -beta_n, k_{-n} = k_n) by half-sum and half-difference.  Weights
-    default to 1.
-    """
-    betas = []
-    for p in pairs:
-        if p.beta.imag != 0 or p.beta.real <= 0:
-            raise ConfigError(
-                "sine/cosine construction needs real positive beta "
-                f"(mode {p.index} has beta={p.beta})")
-        betas.append(p.beta.real)
-    betas = np.array(betas)
-    k = np.ones(len(betas)) if weights is None else np.asarray(weights, dtype=float)
-    if k.shape != betas.shape:
-        raise ConfigError("weight vector length must match pairs")
-    grid = TimeGrid(T, steps if steps is not None else max(2, round(T / 1e-3)))
-    t = grid.t
-    cos_members = k[:, None] * np.cos(np.outer(betas, t))
-    sin_members = k[:, None] * np.sin(np.outer(betas, t))
-    idx = tuple(p.index for p in pairs)
-    return (SequenceFamily(cos_members, idx, "cosine", grid),
-            SequenceFamily(sin_members, idx, "sine", grid))
-
-
-def coefficient_decay_check(family: SequenceFamily, combo: np.ndarray,
-                            betas: Optional[np.ndarray] = None) -> dict:
-    """Recover a combination's coefficients and fit their decay.
-
-    Synthesizes Phi = sum combo_n member_n, recovers the coefficients
-    against the biorthogonal family, and fits log |coef| against
-    log beta over the nonzero entries.  An H1-regular combination shows
-    an exponent at or below -1; refuses to run when the family is not
-    certified (recovery through a near-singular Gram is meaningless).
-    """
-    combo = np.asarray(combo, dtype=complex)
-    if combo.shape != (family.count,):
-        raise ConfigError("combo length must match family size")
-    duals, rep, _ = biorthogonal(family)
-    Phi = family.combination(combo)
-    recovered = duals.inner_against(Phi)
-    err = float(np.max(np.abs(recovered - combo)))
-    if betas is None:
-        betas = np.array([abs(i) for i in family.index_set], dtype=float)
-    nz = np.abs(recovered) > 1e-13
-    exponent = None
-    if int(np.sum(nz)) >= 3:
-        exponent = float(np.polyfit(np.log(betas[nz]),
-                                    np.log(np.abs(recovered[nz])), 1)[0])
-    return {
-        "recovered": recovered,
-        "recovery_error": err,
-        "exponent": exponent,
-        "condition": rep.cond,
     }
 
 

@@ -1,6 +1,6 @@
 """Independent verification of synthesized controls in modal form.
 
-Two routes compute the controlled trajectories:
+Two routes compute the end state of the controlled modes:
 
   * the convolution route evaluates the closed-form representations
       theta_n  = -(N * z_n) * F_n
@@ -18,14 +18,12 @@ Two routes compute the controlled trajectories:
 
 Both routes run the K_sim simulated modes as one batch with time on the
 last axis: the forcings F_n form one (K_sim, steps+1) array, a row per
-mode, like the marched theta_n and every trajectory.  The verdict reads
-the end state only, so by default each convolution the end state needs
-is evaluated at the final time alone (kernels.convolve_end, one O(m)
+mode, like the marched theta_n.  The verdict reads
+the end state only, so each convolution the end state needs is
+evaluated at the final time alone (kernels.convolve_end, one O(m)
 contraction): the convolution route contracts N * z_n, z_n and N' * z_n
 against F_n in one call, and the march route reads theta_n'(T) from the
-contraction of N against the marched theta_n.  With trajectories=True
-both routes convolve over the whole grid instead and return every
-sample.
+contraction of N against the marched theta_n.
 
 The march route's forcing N * F_n is needed at every sample.  F = W f,
 with W the (K_sim, nodes) weighted traces and f the (nodes, steps+1)
@@ -39,7 +37,9 @@ convolves the rows of F.
 
 The simulation grid may extend past the control horizon (the control is
 zero-padded), which is how post-control energy conservation is checked
-in the memoryless limit.
+in the memoryless limit: the end states of runs on grids restricted to
+several horizons past the release (NormalizedKernel.restrict) carry the
+same energy.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class SimResult:
     lambda_sq: np.ndarray
     beta: np.ndarray
     grid: TimeGrid
-    trajectories: Optional[dict] = None   # n -> (theta_n(t), theta_n'(t))
 
 
 def _mode_forcing(weighted: np.ndarray, u: np.ndarray,
@@ -124,23 +123,17 @@ def mode_energies(theta_T, theta_t_T, beta) -> np.ndarray:
     return np.abs(theta_T) ** 2 + np.abs(vel) ** 2
 
 
-def _finalize(theta, theta_t, K, lam_sq, beta, grid):
-    """SimResult of modes 1..K_sim from their (K_sim,) end states, or
-    from their (K_sim, length) trajectories, which it then keeps."""
-    keep = theta.ndim == 2
-    theta_T, theta_t_T = (theta[:, -1].copy(), theta_t[:, -1].copy()) \
-        if keep else (theta, theta_t)
+def _finalize(theta_T, theta_t_T, K, lam_sq, beta, grid):
+    """SimResult of modes 1..K_sim from their (K_sim,) end states."""
     tail = float(np.sum(mode_energies(theta_T, theta_t_T, beta)[K:]))
-    traj = {n: (theta[n - 1], theta_t[n - 1])
-            for n in range(1, len(theta) + 1)} if keep else None
     return SimResult(theta_T, theta_t_T, tail, K, len(theta_T), lam_sq,
-                     beta, grid, traj)
+                     beta, grid)
 
 
 def simulate_convolution(responses: ModalResponses, kernel: NormalizedKernel,
                          control: ControlSignal, K_sim: int,
                          gamma_weights: Optional[np.ndarray] = None,
-                         K: int = None, trajectories: bool = False) -> SimResult:
+                         K: int = None) -> SimResult:
     """Primary verification route, via the convolution representations
     of the first K_sim rows of responses, which must be modes 1..K_sim."""
     _check_grids(kernel, control)
@@ -154,12 +147,10 @@ def simulate_convolution(responses: ModalResponses, kernel: NormalizedKernel,
         raise ConfigError("responses live on a different grid")
     F = _mode_forcing(np.array([p.trace.real for p in sim.pairs]) * gw,
                       control.f, length)
-    # N*z, z and N'*z against F in one call, (3, K_sim) at the end or
-    # (3, K_sim, length) over the grid.  z and N'*z are convolved apart
-    # and summed after: summing them first moves theta' by rounding, and
-    # the verify artifacts with it
-    parts = (convolve if trajectories else convolve_end)(
-        np.stack([sim.Nz, sim.z, sim.Npz]), F, kernel.h)
+    # N*z, z and N'*z against F in one call, (3, K_sim) at the end.  z
+    # and N'*z are convolved apart and summed after: summing them first
+    # moves theta' by rounding, and the verify artifacts with it
+    parts = convolve_end(np.stack([sim.Nz, sim.z, sim.Npz]), F, kernel.h)
     theta = -parts[0]
     theta_t = -(parts[1] + parts[2])
     return _finalize(theta, theta_t, K,
@@ -170,7 +161,7 @@ def simulate_convolution(responses: ModalResponses, kernel: NormalizedKernel,
 def simulate_march(kernel: NormalizedKernel, pairs: Sequence[EigenPair],
                    control: ControlSignal, K_sim: int,
                    gamma_weights: Optional[np.ndarray] = None,
-                   K: int = None, trajectories: bool = False) -> SimResult:
+                   K: int = None) -> SimResult:
     """Independent route: direct time-marching of the forced modal system."""
     _check_grids(kernel, control)
     gw = np.ones(control.f.shape[0]) if gamma_weights is None else gamma_weights
@@ -188,30 +179,10 @@ def simulate_march(kernel: NormalizedKernel, pairs: Sequence[EigenPair],
     H = _forcing_convolution(kernel, weighted, control.f, length)
     theta = march_modal(kernel, lam_sq, kernel.alpha, y0=0.0, forcing=-H,
                         label=f"(sim modes 1..{K_sim})")
-    memory = (convolve if trajectories else convolve_end)(kernel.N, theta, h)
-    if trajectories:
-        lam = lam_sq[:, None]
-    else:
-        theta, H, lam = theta[:, -1].copy(), H[:, -1], lam_sq
-    theta_t = 2.0 * kernel.alpha * theta - lam * memory - H
+    memory = convolve_end(kernel.N, theta, h)
+    theta = theta[:, -1].copy()
+    theta_t = 2.0 * kernel.alpha * theta - lam_sq * memory - H[:, -1]
     return _finalize(theta, theta_t, K, lam_sq, beta, kernel.grid)
-
-
-def back_transform(result: SimResult, gamma: float) -> dict:
-    """Physical-state coefficients from the rescaled ones (exact algebra)."""
-    e = np.exp(-2.0 * gamma * result.grid.T)
-    out = {
-        "w_T": e * result.theta_T,
-        "w_t_T": e * (result.theta_t_T - 2.0 * gamma * result.theta_T),
-    }
-    if result.trajectories is not None:
-        t = result.grid.t
-        et = np.exp(-2.0 * gamma * t)
-        out["trajectories"] = {
-            n: (et * th, et * (tht - 2.0 * gamma * th))
-            for n, (th, tht) in result.trajectories.items()
-        }
-    return out
 
 
 def achieved_coefficients(result: SimResult, pairs: Sequence[EigenPair]):
@@ -248,7 +219,8 @@ def route_gap(a: SimResult, b: SimResult, kernel: NormalizedKernel,
     worst = max(_consistency_tol(kernel, by_index[n])
                 for n in range(1, a.K_sim + 1) if n in by_index)
     scale = max(1.0, float(np.max(np.abs(a.theta_t_T))))
-    if gap > worst * scale:
+    # not (a <= tol) rather than a > tol: a NaN fails closed
+    if not gap <= worst * scale:
         raise InternalConsistencyError(
             f"simulation routes disagree: gap {gap:.3e} exceeds "
             f"allowance {worst * scale:.3e}")

@@ -21,14 +21,13 @@ import pytest
 from memwave import (DomainSpec, KernelSpec, NotControllableError,
                      SequenceFamily, TargetState, TimeGrid,
                      achieved_coefficients, asymptotic_residual,
-                     build_moment_problem, coefficient_decay_check,
-                     comparator_family, compute_eigenpairs,
-                     compute_responses, gram, make_grid, march_modal,
-                     normalize, quadratic_closeness, refined_S, s_family,
-                     simulate_convolution, sine_cosine_family,
-                     sturm_liouville_eigs, synthesize, telegraph_family,
-                     viscoelastic_family)
+                     build_moment_problem, comparator_profile,
+                     compute_eigenpairs, compute_responses, gram, make_grid,
+                     march_modal, normalize, quadratic_closeness, refined_S,
+                     simulate_convolution, sturm_liouville_eigs, synthesize,
+                     telegraph_family, viscoelastic_family)
 from memwave.cli import main
+from memwave.riesz import CONDITION_CAP
 from memwave.volterra import _forcing_factors
 
 PI = np.pi
@@ -141,9 +140,15 @@ def test_criterion_4_residual_slope(master):
 
 def test_criterion_5_quadratic_closeness(master):
     ker_pi, _ = master.restrict(PI)
-    out = quadratic_closeness(s_family(ker_pi, master.pairs),
-                              comparator_family(ker_pi, master.pairs),
-                              block=8)
+    pairs, psi = master.pairs, np.array([p.psi for p in master.pairs])
+    # S_n psi_n and C_n psi_n on the positive indices
+    idx = tuple(p.index for p in pairs)
+    out = quadratic_closeness(
+        SequenceFamily(refined_S(ker_pi, pairs), idx, "S", ker_pi.grid,
+                       psi=psi),
+        SequenceFamily(comparator_profile(ker_pi, pairs), idx, "C",
+                       ker_pi.grid, psi=psi),
+        block=8)
     dist = np.sqrt(np.asarray(out["dist_sq"]))
     ns = np.arange(1, 41.0)
     slope = _logfit(ns[ns >= 5], dist[ns >= 5])
@@ -245,8 +250,12 @@ def test_criterion_8_fails_closed(master, tmp_path, capsys):
 
 
 def test_criterion_9_cosine_bound():
-    pairs = compute_eigenpairs(DOM, 40, alpha=0.0)
-    cos_fam, _ = sine_cosine_family(pairs, PI)
+    # {cos(beta_n t)} on [0, pi], beta_n of the interval's first 40 modes
+    betas = np.array([p.beta.real
+                      for p in compute_eigenpairs(DOM, 40, alpha=0.0)])
+    cgrid = TimeGrid(PI, round(PI / 1e-3))
+    cos_fam = SequenceFamily(np.cos(np.outer(betas, cgrid.t)),
+                             tuple(range(1, 41)), "cosine", cgrid)
     m_cos = gram(cos_fam).m_N
 
     grid = TimeGrid(2 * PI, 6000)
@@ -272,9 +281,20 @@ def test_criterion_10_decay_separation():
         combo[1::2] = np.conj(a_pos)
         return combo
 
-    smooth = coefficient_decay_check(fam, signed_combo(-1.5))
-    rough = coefficient_decay_check(fam, signed_combo(-0.1))
-    _report(10, f"decay exponents: smooth {smooth['exponent']:.3f} "
-                f"(want <= -0.8), rough {rough['exponent']:.3f} "
-                f"(want > -0.5)",
-            smooth["exponent"] <= -0.8 and rough["exponent"] > -0.5)
+    rep = gram(fam)
+    assert rep.cond <= CONDITION_CAP
+    n = np.abs(np.array(fam.index_set, dtype=float))
+
+    def exponent(combo):
+        # the coefficients read back through the certified Gram (its
+        # moments against the members are G^T combo), then log |a_n|
+        # fitted against log |n| over the signed indices
+        a = np.linalg.solve(rep.gram.T,
+                            fam.inner_against(fam.combination(combo)))
+        return float(np.polyfit(np.log(n), np.log(np.abs(a)), 1)[0])
+
+    smooth = exponent(signed_combo(-1.5))
+    rough = exponent(signed_combo(-0.1))
+    _report(10, f"decay exponents: smooth {smooth:.3f} (want <= -0.8), "
+                f"rough {rough:.3f} (want > -0.5)",
+            smooth <= -0.8 and rough > -0.5)

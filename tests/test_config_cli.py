@@ -92,13 +92,17 @@ def test_cli_import_loads_no_numpy_polynomial_and_no_new_modules():
 
 def test_cli_import_leaves_the_csv_formatter_to_the_first_write(tmp_path):
     # setup is timed without a bytecode cache: the formatter is compiled
-    # by the first CSV write, not by the import
-    code = ("import sys, memwave.cli\n"
+    # by the first CSV write above the cut, not by the import, and a
+    # sweep-sized table (14 x 3) prints one value at a time without it
+    code = ("import sys, numpy as np, memwave.cli as cli\n"
             "print('memwave.csvtext' in sys.modules)\n"
-            f"memwave.cli._write_csv({str(tmp_path / 'x.csv')!r}, ['a'], "
-            "[[1.0]], 'h')\n"
+            f"cli._write_csv({str(tmp_path / 'x.csv')!r}, ['a', 'b', 'c'], "
+            "np.ones((14, 3)), 'h')\n"
+            "print('memwave.csvtext' in sys.modules)\n"
+            f"cli._write_csv({str(tmp_path / 'y.csv')!r}, ['a'], "
+            "np.ones((cli.CSV_TABLE_CELLS, 1)), 'h')\n"
             "print('memwave.csvtext' in sys.modules)\n")
-    assert _fresh_python(code).split() == ["False", "True"]
+    assert _fresh_python(code).split() == ["False", "False", "True"]
 
 
 _SCIPY_LOADED = ("sorted(m for m in sys.modules "
@@ -746,6 +750,22 @@ def test_write_csv_bytes_match_per_value_formatting(tmp_path):
     lines += [",".join("%.17g" % float(v) for v in row) for row in data]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert path.read_text().splitlines()[2].startswith("-0,0,")
+
+
+def test_write_csv_bytes_match_on_both_sides_of_the_cut(tmp_path):
+    # one value short of CSV_TABLE_CELLS prints one value at a time, the
+    # cut itself goes through csvtext: the bytes are the same
+    rng = np.random.default_rng(3)
+    values = np.concatenate([[-0.0, 0.0, 1e-300, 5e-324, 2.0 ** 53, 1e17,
+                              1e-4, -1e-5, 12345678901234567.0],
+                             rng.standard_normal(cli.CSV_TABLE_CELLS)])
+    for cells in (cli.CSV_TABLE_CELLS - 1, cli.CSV_TABLE_CELLS):
+        data = values[:cells].reshape(-1, 1)
+        path = tmp_path / f"{cells}.csv"
+        _write_csv(str(path), ["a"], data, "h")
+        lines = ["# config_hash=h", "# a"]
+        lines += ["%.17g" % float(v) for v in data[:, 0]]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 _FAIL_CLOSED = {0, 2, 3, 4, 5}

@@ -6,9 +6,9 @@ import pytest
 
 from memwave import (ConfigError, DomainSpec, InternalConsistencyError,
                      KernelSpec, NotControllableError, SequenceFamily, TargetState, TimeGrid, assemble_rhs,
-                     build_moment_problem, comparator_family,
+                     build_moment_problem, comparator_profile,
                      compute_eigenpairs, control_factors, compute_responses, gram, make_grid,
-                     normalize, quadratic_closeness, s_family, synthesize,
+                     normalize, quadratic_closeness, refined_S, synthesize,
                      telegraph_family, viscoelastic_family)
 from memwave.control import (CALLING_THREAD_MACS, _RealPasses,
                               _min_norm_spot_check, _spot_direction,
@@ -51,12 +51,19 @@ def test_moment_problem_alignment():
     prob = build_moment_problem(fam, unit_target(3))
     assert fam.index_set == (1, -1, 2, -2, 3, -3)
     assert np.allclose(prob.rhs, [-1j, 1j, 0, 0, 0, 0])
-    assert prob.horizon == fam.grid.T
+    assert prob.family is fam
     with pytest.raises(ConfigError):
         build_moment_problem(fam, unit_target(2))
 
 
 # --------------------------------------------------------------- families
+
+
+def positive_family(profiles, pairs, kernel):
+    """profiles[i] psi_i on the positive indices of pairs, on the
+    kernel's grid."""
+    return SequenceFamily(profiles, tuple(p.index for p in pairs), "positive",
+                          kernel.grid, psi=np.array([p.psi for p in pairs]))
 
 
 def test_telegraph_members_undamped():
@@ -128,8 +135,9 @@ def test_distance_to_comparator_decays():
     ke = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
                               rates=(1.0,)), grid)
     pairs = compute_eigenpairs(INTERVAL, 12, alpha=ke.alpha)
-    out = quadratic_closeness(s_family(ke, pairs),
-                              comparator_family(ke, pairs), block=4)
+    out = quadratic_closeness(positive_family(refined_S(ke, pairs), pairs, ke),
+                              positive_family(comparator_profile(ke, pairs),
+                                              pairs, ke), block=4)
     dist = np.sqrt(np.asarray(out["dist_sq"]))
     assert np.all(np.diff(dist[1:]) < 0)
     sums = out["block_sums"]
@@ -204,6 +212,8 @@ def test_short_horizon_fails_closed(pairs12):
     assert err.value.exit_code == 4
     assert err.value.frame_lower < 1e-6
     assert "m_N" in str(err.value)
+    # the horizon named is the family's own
+    assert f"not solvable at T={fam.grid.T:.6g}:" in str(err.value)
 
 
 def test_feasibility_monotone_from_precritical(pairs12):

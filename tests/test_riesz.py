@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memwave import (ConfigError, DomainSpec, InternalConsistencyError,
-                     NotControllableError, SequenceFamily, TimeGrid,
-                     biorthogonal, coefficient_decay_check,
-                     compute_eigenpairs, gram,
-                     paley_wiener_check, quadratic_closeness,
-                     sine_cosine_family)
-from memwave.exact import ExponentialFamily, exponential_gram_sweep
+from memwave import (ConfigError, SequenceFamily, TimeGrid, gram,
+                     gram_reports, paley_wiener_check, quadratic_closeness)
+from memwave.exact import _exponential_time_grams
+from memwave.riesz import cholesky_solve
 
 PI = np.pi
 
@@ -27,6 +24,28 @@ def fourier_family(n_max, T, steps=4000, label="fourier"):
     return SequenceFamily(members, idx, label, grid)
 
 
+def dual_profiles(family):
+    """Profiles of the in-span biorthogonal family of a one-node family,
+    inverse Gram times the members: <member_n, dual_k> = delta_nk."""
+    G = gram(family).gram
+    return cholesky_solve(G, np.eye(len(G), dtype=complex)) \
+        @ (family.psi * family.profiles)
+
+
+def recover_coefficients(family, combo):
+    """Coefficients of sum_k combo_k member_k read back through the
+    Gram: its moments against the members are G^T combo."""
+    phi = family.combination(combo)
+    return np.linalg.solve(gram(family).gram.T, family.inner_against(phi))
+
+
+def decay_exponent(coefficients):
+    """Slope of log |a_k| against log |n| over the signed indices 1, -1,
+    2, -2, ..."""
+    n = np.repeat(np.arange(1, len(coefficients) // 2 + 1), 2)
+    return float(np.polyfit(np.log(n), np.log(np.abs(coefficients)), 1)[0])
+
+
 # ------------------------------------------------------------ Gram basics
 
 
@@ -41,9 +60,9 @@ def test_exponential_gram_matches_quadrature():
     weights = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     psi = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     gw = np.array([0.5, 2.0])
-    fam = ExponentialFamily(rates, weights, "exp", psi, gw)
     horizons = [0.5, 2.0, 7.0]
-    reps = exponential_gram_sweep(fam, horizons)
+    reps = gram_reports(psi, gw, _exponential_time_grams(rates, weights,
+                                                         horizons), "exp")
     x, w = np.polynomial.legendre.leggauss(120)
     boundary = (psi * gw) @ np.conj(psi).T
     for T, rep in zip(horizons, reps):
@@ -79,14 +98,19 @@ def test_undercritical_horizon_collapses_bounds():
 
 
 def test_truncation_selects_leading_block():
-    fam = fourier_family(6, 2 * PI)
-    rep = gram(fam, truncation=4)
-    assert rep.gram.shape == (4, 4)
-    # the leading block: members +1, -1, +2, -2
-    full = gram(fam).gram
-    assert np.max(np.abs(rep.gram - full[:4, :4])) <= 1e-14 * np.max(np.abs(full))
-    with pytest.raises(ConfigError):
-        gram(fam, truncation=13)
+    # frame_lower[k - 1] and frame_upper[k - 1] are the bounds of the
+    # first k members (+1, -1, +2, ...), the leading k x k block; the
+    # ramp keeps the bounds apart from level to level
+    fam = fourier_family(6, 2 * PI, steps=1000)
+    fam = SequenceFamily(fam.profiles * (1.0 + 0.3 * fam.grid.t), fam.index_set,
+                         "ramped", fam.grid)
+    rep = gram(fam)
+    for k in range(1, fam.count + 1):
+        sub = gram(fam.subfamily(range(k)))
+        assert np.max(np.abs(sub.gram - rep.gram[:k, :k])) \
+            <= 1e-14 * np.max(np.abs(rep.gram))
+        assert sub.m_N == pytest.approx(rep.frame_lower[k - 1], rel=1e-12)
+        assert sub.M_N == pytest.approx(rep.frame_upper[k - 1], rel=1e-12)
 
 
 def test_constant_and_ramp_gram_oracle():
@@ -105,16 +129,16 @@ def test_biorthogonal_poly_duals_closed_form():
     grid = TimeGrid(1.0, 4000)
     members = np.vstack([np.ones(len(grid)), grid.t]).astype(complex)
     fam = SequenceFamily(members, (1, 2), "poly", grid)
-    duals, rep, residual = biorthogonal(fam)
+    duals = dual_profiles(fam)
     # inverse-Gram combinations: psi_1 = 4 - 6t, psi_2 = -6 + 12t
-    assert np.max(np.abs(duals.members[0].ravel() - (4 - 6 * grid.t))) < 1e-5
-    assert np.max(np.abs(duals.members[1].ravel() - (-6 + 12 * grid.t))) < 1e-5
-    assert residual < 1e-12
+    assert np.max(np.abs(duals[0] - (4 - 6 * grid.t))) < 1e-5
+    assert np.max(np.abs(duals[1] - (-6 + 12 * grid.t))) < 1e-5
 
 
 def test_biorthogonal_duality_property():
     fam = fourier_family(4, 2 * PI)
-    duals, _, _ = biorthogonal(fam)
+    duals = SequenceFamily(dual_profiles(fam), fam.index_set, "dual",
+                           fam.grid)
     for m, member in enumerate(fam.members):
         pair = duals.inner_against(member.ravel())
         expected = np.zeros(8)
@@ -122,48 +146,35 @@ def test_biorthogonal_duality_property():
         assert np.max(np.abs(pair - expected)) < 1e-10
 
 
-def test_biorthogonal_fails_closed_when_degenerate():
-    fam = fourier_family(10, 0.3 * PI)   # far below the critical horizon
-    with pytest.raises(NotControllableError) as err:
-        biorthogonal(fam)
-    assert err.value.frame_lower is not None
-    assert err.value.condition is not None
-    assert err.value.exit_code == 4
-
-
 # ------------------------------------------------------ derived families
 
 
-@pytest.fixture(scope="module")
-def unit_interval_pairs():
-    return compute_eigenpairs(DomainSpec("interval", (PI,)), 12, alpha=0.0)
+def cosine_sine_families(n_max, T, steps):
+    """{cos n t} and {sin n t}, n = 1..n_max, on [0, T]."""
+    grid = TimeGrid(T, steps)
+    bt = np.outer(np.arange(1, n_max + 1), grid.t)
+    idx = tuple(range(1, n_max + 1))
+    return (SequenceFamily(np.cos(bt), idx, "cosine", grid),
+            SequenceFamily(np.sin(bt), idx, "sine", grid))
 
 
-def test_sine_cosine_gram_constants(unit_interval_pairs):
-    cos_fam, sin_fam = sine_cosine_family(unit_interval_pairs, PI)
+def test_sine_cosine_gram_constants():
     # {cos nt} and {sin nt} are orthogonal on [0, pi] with norm^2 = pi/2;
     # endpoint-symmetric integrands make the trapezoid superconvergent
-    for fam in (cos_fam, sin_fam):
+    for fam in cosine_sine_families(12, PI, round(PI / 1e-3)):
         rep = gram(fam)
         assert abs(rep.m_N - PI / 2) < 1e-6
         assert abs(rep.M_N - PI / 2) < 1e-6
 
 
-def test_cosine_bound_vs_exponential_bound(unit_interval_pairs):
-    cos_fam, _ = sine_cosine_family(unit_interval_pairs, PI)
+def test_cosine_bound_vs_exponential_bound():
+    cos_fam, _ = cosine_sine_families(12, PI, round(PI / 1e-3))
     m_cos = gram(cos_fam).m_N
     # the exponential family over the symmetric double horizon: spectrally
     # identical to [0, 2 pi] by shift invariance of the inner products
     m_exp = gram(fourier_family(12, 2 * PI)).m_N
     assert m_cos >= m_exp / 8.0
     assert m_cos == pytest.approx(m_exp / 4.0, rel=1e-6)
-
-
-def test_sine_cosine_rejects_degenerate_modes():
-    dom = DomainSpec("interval", (PI,), q=0.75, c=0.5)
-    pairs = compute_eigenpairs(dom, 2, alpha=0.5)
-    with pytest.raises(ConfigError):
-        sine_cosine_family(pairs, PI)
 
 
 # ------------------------------------------------------------ closeness
@@ -207,21 +218,17 @@ def test_coefficient_recovery_is_exact():
     fam = fourier_family(6, 2 * PI)
     combo = np.zeros(12, dtype=complex)
     combo[4] = 1.0                     # member with index +3
-    out = coefficient_decay_check(fam, combo)
-    assert out["recovery_error"] < 1e-10
-    assert out["exponent"] is None     # a single nonzero entry has no fit
+    assert np.max(np.abs(recover_coefficients(fam, combo) - combo)) < 1e-10
 
 
 def test_decay_exponent_separates_smooth_from_rough():
     fam = fourier_family(10, 2 * PI)
     betas = np.array([abs(n) for n in fam.index_set], dtype=float)
-    smooth = (betas ** -1.5).astype(complex)
-    rough = (betas ** -0.1).astype(complex)
-    out_s = coefficient_decay_check(fam, smooth)
-    out_r = coefficient_decay_check(fam, rough)
-    assert out_s["exponent"] == pytest.approx(-1.5, abs=0.05)
-    assert out_r["exponent"] == pytest.approx(-0.1, abs=0.05)
-    assert out_s["exponent"] < -0.8 < -0.5 < out_r["exponent"]
+    smooth = decay_exponent(recover_coefficients(fam, betas ** -1.5 + 0j))
+    rough = decay_exponent(recover_coefficients(fam, betas ** -0.1 + 0j))
+    assert smooth == pytest.approx(-1.5, abs=0.05)
+    assert rough == pytest.approx(-0.1, abs=0.05)
+    assert smooth < -0.8 < -0.5 < rough
 
 
 # ----------------------------------------------------------- properties

@@ -11,17 +11,16 @@ import json
 import numpy as np
 import pytest
 
-from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
-                     SequenceFamily, TimeGrid, compute_eigenpairs,
+import memwave.exact
+import memwave.riesz
+from memwave import (ConvergenceError, DomainSpec, InternalConsistencyError,
+                     KernelSpec, SequenceFamily, TimeGrid, compute_eigenpairs,
                      compute_responses, gram, gram_sweep, make_grid,
                      normalize, telegraph_family, viscoelastic_family)
 from memwave.cli import _sweep_grid, main
 from memwave.config import config_hash, from_dict
 from memwave.grid import auto_step, trapezoid_weights
-from memwave.kernels import kernel_terms
-from memwave.exact import (exact_modes, exponential_family,
-                           exponential_gram_sweep,
-                           transformed_exponential_terms)
+from memwave.exact import exact_sweep
 
 PI = np.pi
 DOM = DomainSpec("interval", (PI,))
@@ -44,17 +43,15 @@ def sweep(tmp_path, sweep_sec, K=3, grid_h=None, **extra):
     return json.loads((adir / "sweep.json").read_text())
 
 
-def exact_families(spec, c, K, dom=DOM):
-    """Telegraph and viscoelastic families of the exact route."""
-    alpha = c - 0.5 * spec.m0()
-    pairs_tel = compute_eigenpairs(dom, K, c)
-    pairs_vis = compute_eigenpairs(dom, K, alpha)
-    modes = exact_modes(kernel_terms(spec, alpha - c), alpha, pairs_vis)
-    return (exponential_family(pairs_tel,
-                               *transformed_exponential_terms(pairs_tel, c),
-                               "telegraph", dom.gamma_weights()),
-            exponential_family(pairs_vis, modes.roots, modes.Z,
-                               "viscoelastic", dom.gamma_weights()))
+def exact_reports(spec, K, horizons):
+    """The telegraph (c = 0) and viscoelastic reports of the exact route
+    at every horizon; the kernel's grid only carries its closed form."""
+    kernel = normalize(spec, TimeGrid(max(horizons), 8))
+    reps = exact_sweep(kernel, compute_eigenpairs(DOM, K, 0.0),
+                       compute_eigenpairs(DOM, K, kernel.alpha), 0.0,
+                       DOM.gamma_weights(), horizons)
+    assert reps is not None
+    return reps
 
 
 def test_sweep_matches_fresh_families_per_horizon(tmp_path):
@@ -63,10 +60,9 @@ def test_sweep_matches_fresh_families_per_horizon(tmp_path):
                  K=K, grid_h=1e-2)
     # every horizon equals the exact Gram of families built fresh for it
     assert data["route"] == "exact"
-    fam_t, fam_v = exact_families(EXP, 0.0, K)
     for i, T in enumerate(data["T"]):
-        for key, fam in (("telegraph", fam_t), ("visco", fam_v)):
-            (rep,) = exponential_gram_sweep(fam, [T])
+        for key, (rep,) in zip(("telegraph", "visco"),
+                               exact_reports(EXP, K, [T])):
             assert abs(data[f"m_N_{key}"][i] - rep.m_N) <= 1e-12 * rep.M_N
             # the nested curve m_1..m_2K of every horizon
             curve = np.array(data[f"frame_lower_{key}"][i])
@@ -80,9 +76,8 @@ def test_sweep_matches_fresh_families_per_horizon(tmp_path):
     ids=["zero", "exp", "poly"])
 def test_march_sweep_bounds_converge_to_exact_at_order_two(spec):
     K = 3
-    fams = exact_families(spec, 0.0, K)
     horizons = [1.5 * PI, 2 * PI, 2.5 * PI]
-    exact = [exponential_gram_sweep(f, horizons) for f in fams]
+    exact = exact_reports(spec, K, horizons)
     errors = []
     for n in (25, 50, 100):            # h = (pi / 2) / n: every horizon on grid
         grid = TimeGrid(2.5 * PI, 5 * n, 0.5 * PI / n)
@@ -273,12 +268,30 @@ def test_first_horizon_and_gram_are_the_direct_product(families, name):
     assert np.array_equal(gram(fam).gram, direct(fam.grid.steps))
 
 
-def test_gram_sweep_rejects_bad_steps(families):
-    fam = families["visco"]
-    n = fam.grid.steps
-    for steps in ([], [5, 5], [10, 5], [1, 5], [0], [5, n + 1]):
-        with pytest.raises(ConfigError):
-            gram_sweep(fam, steps)
+@pytest.mark.parametrize("kernel", [
+    # exp(-t) tabulated on the 51 samples of the sweep's grid, h = 0.00998
+    KERNEL, {"family": "tabulated",
+             "samples": np.exp(-0.00998 * np.arange(51)).tolist()}],
+    ids=["exact", "march"])
+def test_sweep_rejects_a_first_horizon_under_two_steps(tmp_path, capsys,
+                                                      kernel):
+    # 0.001 rounds to 0 steps of 0.01: both routes refuse it before they
+    # run, and nothing is written
+    doc = {"experiment": "sweep-T", "K": 3, "h": 0.01, "kernel": kernel,
+           "domain": {"geometry": "interval", "lengths": [PI]},
+           "sweep": {"T_min": 0.001, "T_max": 0.5, "steps": 3}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep-t", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert ("horizon step counts [0, 25, 50] do not ascend strictly "
+            "within [2, 50]") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    doc["sweep"]["T_min"] = 0.02                  # two steps: accepted
+    doc["kernel"] = KERNEL
+    path.write_text(json.dumps(doc))
+    assert main(["sweep-t", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 0
 
 
 def test_gram_sweep_checks_every_horizon(families):
@@ -317,3 +330,80 @@ def test_sweep_eigenvalue_calls_do_not_grow_with_horizons(tmp_path,
                                 "steps": H}, K=K, grid_h=2e-2)
         assert len(data["T"]) == H
         assert calls == {"eigvalsh": 2 * 2 * K, "restrict": 0}, H
+
+
+# ------------------------------------------------------------ report checks
+# Both routes hand their time Grams to riesz.gram_reports; each of its
+# checks fires on either route.
+
+TIME_GRAMS = {"grid": (memwave.riesz, "_trapezoid_time_grams"),
+              "exact": (memwave.exact, "_exponential_time_grams")}
+
+
+def route_reports(route):
+    """The memory family's reports at 1.5, 2 and 2.5 pi on one route."""
+    grid = TimeGrid(2.5 * PI, 250)
+    kernel = normalize(EXP, grid)
+    pairs = compute_eigenpairs(DOM, 3, kernel.alpha)
+    if route == "grid":
+        fam = viscoelastic_family(compute_responses(kernel, pairs))
+        return gram_sweep(fam, [150, 200, 250])
+    return exact_sweep(kernel, compute_eigenpairs(DOM, 3, 0.0), pairs, 0.0,
+                       DOM.gamma_weights(), [1.5 * PI, 2 * PI, 2.5 * PI])[1]
+
+
+def corrupt_time_grams(monkeypatch, route, corrupt):
+    """Patch the route's time Grams: corrupt(G) edits the second
+    horizon's in place."""
+    module, name = TIME_GRAMS[route]
+    original = getattr(module, name)
+
+    def patched(*args):
+        temporal = [np.array(t) for t in original(*args)]
+        corrupt(temporal[1])
+        return temporal
+    monkeypatch.setattr(module, name, patched)
+
+
+@pytest.mark.parametrize("route", ["grid", "exact"])
+def test_report_path_refuses_a_non_finite_gram(monkeypatch, route):
+    assert len(route_reports(route)) == 3
+
+    def nan(G):
+        G[0, 1] = np.nan
+    corrupt_time_grams(monkeypatch, route, nan)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        route_reports(route)
+
+
+@pytest.mark.parametrize("route", ["grid", "exact"])
+def test_report_path_refuses_a_non_hermitian_gram(monkeypatch, route):
+    # the allowance is 1e-12 of the Gram's scale: a gap at rounding level
+    # passes, one of 1e-7 of the scale does not
+    for rel, fires in ((1e-15, False), (1e-6, True)):
+        monkeypatch.undo()
+
+        def skew(G):
+            G[0, 1] += rel * np.max(np.abs(G))
+        corrupt_time_grams(monkeypatch, route, skew)
+        if fires:
+            with pytest.raises(InternalConsistencyError,
+                               match="non-Hermitian"):
+                route_reports(route)
+        else:
+            assert len(route_reports(route)) == 3
+
+
+@pytest.mark.parametrize("route", ["grid", "exact"])
+def test_report_path_refuses_bounds_that_break_interlacing(monkeypatch,
+                                                           route):
+    # a manufactured violation: every eigenvalue of the 3 x 3 leading
+    # blocks raised by 1, so m_3 > m_2
+    eigvalsh = np.linalg.eigvalsh
+
+    def bent(a, *args, **kwargs):
+        vals = eigvalsh(a, *args, **kwargs)
+        return vals + 1.0 if a.shape[-1] == 3 else vals
+    monkeypatch.setattr(np.linalg, "eigvalsh", bent)
+    with pytest.raises(InternalConsistencyError, match="interlacing"):
+        route_reports(route)
