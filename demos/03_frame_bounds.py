@@ -9,9 +9,9 @@ transition point as its memoryless comparator: the two curves cross any
 fixed threshold within one sweep step of each other.
 
 Both families are built once, on one grid to the last horizon, and
-gram_sweep reads the frame bounds of every shorter horizon from one pass
-over that grid.  The step divides the horizon spacing, so every horizon
-is a grid point.
+gram_sweep reads the frame bounds of every shorter horizon of both from
+one pass over that grid.  The step divides the horizon spacing, so every
+horizon is a grid point.
 """
 
 import math
@@ -43,8 +43,7 @@ def main():
 
     print(f"lower frame bound m_N of the {2 * K}-member families, h = {h:.4g}")
     print("      T/pi   memoryless      with exp(-t) kernel")
-    for q, rt, rv in zip(quarters, gram_sweep(tel, steps),
-                         gram_sweep(vis, steps)):
+    for q, rt, rv in zip(quarters, *gram_sweep((tel, vis), steps)):
         mark = "  <- critical horizon" if q == 8 else ""
         print(f"    {q / 4:6.2f}   {rt.m_N:.3e}       {rv.m_N:.3e}{mark}")
     print("\nboth curves fall by orders of magnitude below T = 2*pi and")

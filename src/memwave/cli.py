@@ -37,11 +37,15 @@ give both families in closed form, and every horizon's time Gram is
 evaluated exactly, with no grid.  Otherwise (a tabulated kernel, a mode
 on J, or modes exact.exact_modes refuses) it marches once: the
 responses and both families are built on the grid, and riesz.gram_sweep
-reads every horizon's Gram from one pass over it, the time Gram summed
-segment by segment between horizons.  sweep.json names the route taken
-("route": "exact" or "march") and holds each horizon's nested lower
-frame bounds m_1..m_2K of both families (frame_lower_telegraph,
-frame_lower_visco); the artifacts report the horizons as computed, k*h.
+reads every horizon's time Gram from one pass over it, summed segment
+by segment between horizons.  Either route reads both families' frame
+bounds at every horizon in one riesz.gram_reports pass.  sweep.json
+names the route taken ("route": "exact" or "march") and holds each
+horizon's nested lower frame bounds of both families
+(frame_lower_telegraph, frame_lower_visco) at the truncation levels
+listed under "levels": every level of the 2K members up to 32, a
+geometric subsequence of them above (riesz.nested_levels); the
+artifacts report the horizons as computed, k*h.
 
 responses marches no mode: it takes the spectrum, normalizes the kernel
 and fits one refined_S batch (volterra) over the real-beta modes from
@@ -104,7 +108,9 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        if np.iscomplexobj(obj):
+            return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
@@ -406,7 +412,7 @@ def _run_sweep(cfg, adir):
         fam_t = telegraph_family(pairs_tel, cfg.domain.c, grid.T,
                                  steps=grid.steps, gamma_weights=gw)
         fam_v = viscoelastic_family(compute_responses(kernel, pairs_vis), gw)
-        reps = gram_sweep(fam_t, steps), gram_sweep(fam_v, steps)
+        reps = gram_sweep((fam_t, fam_v), steps)
     reps_t, reps_v = reps
     m_tel = [r.m_N for r in reps_t]
     m_vis = [r.m_N for r in reps_v]
@@ -417,6 +423,7 @@ def _run_sweep(cfg, adir):
         "T": horizons, "m_N_telegraph": m_tel, "m_N_visco": m_vis,
         "frame_lower_telegraph": [r.frame_lower for r in reps_t],
         "frame_lower_visco": [r.frame_lower for r in reps_v],
+        "levels": reps_t[0].levels,
         "K": cfg.K, "members": 2 * cfg.K, "grid_h": grid.h, "route": route,
     }, cfg.hash)
     return 0

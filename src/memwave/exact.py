@@ -12,9 +12,11 @@ a known Laplace form (Pruss, Evolutionary Integral Equations, 1993):
 A family whose time profiles are exponential sums has its time Gram in
 closed form at any horizon, with no grid (_exponential_time_grams).
 exact_sweep puts the pieces together for cli._run_sweep: it hands both
-families' traces and time Grams to riesz.gram_reports, the report path
-of the grid route too, or returns None, and the sweep marches, where
-the route does not apply or a mode is not certified.
+families' traces and time Grams to one riesz.gram_reports pass, the
+report path of the grid route too, which gives both families' reports
+at the levels riesz.nested_levels names; or it returns None, and the
+sweep marches, where the route does not apply or a mode is not
+certified.
 
 The CLI imports this module only when a sweep reaches it, so no other
 run compiles it.
@@ -219,8 +221,9 @@ def exact_sweep(kernel, pairs_tel, pairs_vis, c: float, gamma_weights,
                 horizons: Sequence[float]):
     """Frame bounds of the telegraph family (pairs_tel, parameter c) and
     the memory family (pairs_vis) at every horizon, as two lists of
-    reports, or None where the kernel is tabulated, a telegraph pair is
-    on the degenerate set or exact_modes refuses the modes."""
+    reports from one riesz.gram_reports pass, or None where the kernel
+    is tabulated, a telegraph pair is on the degenerate set or
+    exact_modes refuses the modes."""
     if kernel.terms is None or any(p.in_J for p in pairs_tel):
         return None
     modes = exact_modes(kernel.terms, kernel.alpha, pairs_vis)
@@ -231,8 +234,9 @@ def exact_sweep(kernel, pairs_tel, pairs_vis, c: float, gamma_weights,
                 (pairs_vis, modes.roots, modes.Z, "viscoelastic"))
     # signed and conjugated as control.telegraph_family and
     # viscoelastic_family sign and conjugate the profiles on the grid
-    return tuple(gram_reports(_signed([p.psi for p in pairs]), gamma_weights,
-                              _exponential_time_grams(_signed(rates),
-                                                      _signed(weights),
-                                                      horizons), label)
-                 for pairs, rates, weights, label in families)
+    return gram_reports([(_signed([p.psi for p in pairs]),
+                          _exponential_time_grams(_signed(rates),
+                                                  _signed(weights), horizons),
+                          label)
+                         for pairs, rates, weights, label in families],
+                        gamma_weights)

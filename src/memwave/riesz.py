@@ -26,26 +26,37 @@ time Gram; a dense grid function g (nodes, steps+1) is made only where
 one is needed, for the synthesized control.  One-node families (the
 interval) take psi = 1.
 
-One report path.  gram_reports turns the traces, their boundary
-quadrature weights and a stack of time Grams, one per horizon, into
-reports: it forms the boundary Gram once, takes its entrywise product
-with each time Gram, and every horizon's Gram passes the finite and
-Hermitian checks, and its nested frame bounds the interlacing check, on
-its own.  Both routes of `sweep-t` feed it:
+One report pass per sweep.  gram_reports takes every family of a sweep
+at once, each as its traces and a stack of time Grams, one per horizon:
+it forms each family's boundary Gram once, fills one stack with its
+entrywise products with the time Grams, runs the finite and Hermitian
+checks on each family's part of the stack, batched over its horizons,
+and takes the nested frame bounds of every Gram with one batched
+eigenvalue call per truncation level.  Each
+Gram's figures are bit for bit those of a pass over it alone, and the
+first Gram to fail a check, in family order and then horizon order,
+stops the pass with that Gram's error.  Both routes of `sweep-t` feed
+it:
 
-- the grid route (`gram_sweep`; `gram` is its one-horizon case, a
-  single segment over the whole grid).  The composite trapezoid rule is
-  additive over adjacent segments: with 0 = k_0 < k_1 < ... the rule on
-  [0, k_i h] is the rule on [0, k_{i-1} h] plus the rule on
-  [k_{i-1} h, k_i h] (each segment with half weights at its own ends),
-  so the time Grams of all horizons come from one pass over the grid;
+- the grid route (`gram_sweep`; `gram` is its one-family, one-horizon
+  case, a single segment over the whole grid).  The composite
+  trapezoid rule is additive over adjacent segments: with
+  0 = k_0 < k_1 < ... the rule on [0, k_i h] is the rule on
+  [0, k_{i-1} h] plus the rule on [k_{i-1} h, k_i h] (each segment with
+  half weights at its own ends), so the time Grams of all horizons come
+  from one pass over the grid;
 - the exact route (exact.exact_sweep).  Exponential-sum profiles have
   time Grams in closed form,
   T sum_{j,l} w_kj conj(w_ml) E((s_kj + conj s_ml) T) with
   E(y) = expm1(y) / y, at any horizon and on no grid.
 
-The nested frame bounds of all horizons take one batched eigenvalue
-call per truncation level.
+The level set.  A report of n members holds the frame bounds of every
+level up to ALL_LEVELS = 32, then of k -> ceil(1.25 k), and of n
+(nested_levels), so the eigenvalue work per Gram is O(n^3), not the
+O(n^4) of every level.  Interlacing holds along any nested subsequence
+of levels, so the check keeps its meaning (Parlett, The Symmetric
+Eigenvalue Problem, 1980, on the interlacing of nested principal
+submatrices).
 """
 
 from __future__ import annotations
@@ -59,6 +70,9 @@ from .errors import ConfigError, ConvergenceError, InternalConsistencyError
 from .grid import TimeGrid, trapezoid_weights
 
 CONDITION_CAP = 1e8
+# a report holds the frame bounds of every truncation level up to this
+# many members, and of a geometric subsequence of levels above it
+ALL_LEVELS = 32
 
 
 @dataclass(frozen=True)
@@ -108,35 +122,6 @@ class SequenceFamily:
         """
         return self.psi[:, :, None] * self.profiles[:, None, :]
 
-    def _dense(self, g: np.ndarray) -> np.ndarray:
-        return np.asarray(g).reshape(self.psi.shape[1], self.grid.steps + 1)
-
-    def _pair(self, g, psi, profiles) -> np.ndarray:
-        wt = trapezoid_weights(self.grid)
-        return (((psi * self.gamma_weights) @ self._dense(g)) * profiles) @ wt
-
-    def norms_sq(self) -> np.ndarray:
-        wt = trapezoid_weights(self.grid)
-        return ((np.abs(self.psi) ** 2 @ self.gamma_weights)
-                * (np.abs(self.profiles) ** 2 @ wt))
-
-    def inner_against(self, g: np.ndarray) -> np.ndarray:
-        """<g, member_k> for every k (second argument conjugated)."""
-        return self._pair(g, np.conj(self.psi), np.conj(self.profiles))
-
-    def pairing(self, g: np.ndarray) -> np.ndarray:
-        """Bilinear integrals int member_k * g (no conjugation)."""
-        return self._pair(g, self.psi, self.profiles)
-
-    def combination(self, coefficients: np.ndarray,
-                    conjugate: bool = False) -> np.ndarray:
-        """Dense (nodes, steps+1) sum_k a_k member_k, or with conjugate
-        set, sum_k a_k conj(member_k)."""
-        a = np.asarray(coefficients)
-        if conjugate:
-            return (np.conj(self.psi).T * a) @ np.conj(self.profiles)
-        return (self.psi.T * a) @ self.profiles
-
     def subfamily(self, positions: Sequence[int], label: str = None) -> "SequenceFamily":
         pos = list(positions)
         return SequenceFamily(self.profiles[pos], tuple(self.index_set[p] for p in pos),
@@ -155,9 +140,10 @@ class SequenceFamily:
 @dataclass(frozen=True)
 class GramReport:
     gram: np.ndarray
-    frame_lower: np.ndarray      # m_k for k = 1..N
+    frame_lower: np.ndarray      # m_k for every k of levels
     frame_upper: np.ndarray      # M_k
     condition: np.ndarray
+    levels: tuple                # truncation levels k, ascending to N
 
     @property
     def m_N(self) -> float:
@@ -172,19 +158,49 @@ class GramReport:
         return float(self.condition[-1])
 
 
-def _checked(G: np.ndarray, label: str) -> np.ndarray:
-    """G after the finite and Hermitian checks, symmetrised."""
-    if not np.all(np.isfinite(G)):
-        raise ConvergenceError(
-            f"Gram of {label!r} is not finite (NaN or Inf entries); "
-            "the members overflow")
-    herm_gap = float(np.max(np.abs(G - np.conj(G).T)))
-    scale = max(1.0, float(np.max(np.abs(G))))
-    if herm_gap > 1e-12 * scale:
+def nested_levels(n: int) -> tuple:
+    """The truncation levels a report of n members holds: every level up
+    to ALL_LEVELS, then k -> ceil(1.25 k), and always n."""
+    levels = list(range(1, min(n, ALL_LEVELS) + 1))
+    while levels[-1] < n:
+        levels.append(min(n, -(-5 * levels[-1] // 4)))
+    return tuple(levels)
+
+
+def _check(Gs: np.ndarray, label: str) -> None:
+    """Run the finite and Hermitian checks on every Gram of the stack Gs
+    of the family label, then symmetrise the stack in place.  The first
+    Gram to fail, in stack order, raises.
+
+    Each Gram's figures are those of the Gram alone: conj(G).T is written
+    out, so the gap and the symmetrised Gram take the same elementwise
+    operations on the same operands as they would one Gram at a time.
+    """
+    finite = np.all(np.isfinite(Gs), axis=(1, 2))
+    # conj(G).T as a copy, then conjugated in place: a ufunc reading the
+    # transposed view would buffer a second stack
+    flip = Gs.transpose(0, 2, 1).copy()
+    np.conjugate(flip, out=flip)
+    with np.errstate(invalid="ignore"):     # Inf - Inf where not finite
+        np.subtract(Gs, flip, out=flip)
+        size = np.abs(flip)
+        herm_gap = np.max(size, axis=(1, 2))
+        np.abs(Gs, out=size)
+        scale = np.maximum(1.0, np.max(size, axis=(1, 2)))
+    bad = ~finite | (herm_gap > 1e-12 * scale)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if not finite[i]:
+            raise ConvergenceError(
+                f"Gram of {label!r} is not finite (NaN or Inf entries); "
+                "the members overflow")
         raise InternalConsistencyError(
-            f"Gram of {label!r} is non-Hermitian (gap {herm_gap:.3e}); "
+            f"Gram of {label!r} is non-Hermitian (gap {herm_gap[i]:.3e}); "
             "quadrature inconsistency")
-    return 0.5 * (G + np.conj(G).T)
+    flip[...] = Gs.transpose(0, 2, 1)
+    np.conjugate(flip, out=flip)
+    np.add(Gs, flip, out=flip)
+    np.multiply(0.5, flip, out=Gs)
 
 
 def cholesky_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,36 +210,56 @@ def cholesky_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.conj(L).T, np.linalg.solve(L, b))
 
 
-def gram_reports(psi: np.ndarray, gamma_weights: np.ndarray,
-                 temporal, label: str) -> list:
-    """One report per time Gram of temporal (one per horizon): the Gram
-    is the boundary Gram of the traces psi (count, nodes) under the
-    quadrature gamma_weights times the time Gram, entrywise.  Every
-    horizon's Gram passes the finite and Hermitian checks, and its frame
-    bounds, one batched eigenvalue call per nested level, the
-    interlacing check, on its own."""
-    boundary = (psi * gamma_weights) @ np.conj(psi).T
-    Gs = np.stack([_checked(boundary * t, label) for t in temporal])
-    N = Gs.shape[1]
-    lows = np.empty((len(Gs), N))
-    highs = np.empty((len(Gs), N))
-    for k in range(1, N + 1):
+def gram_reports(families: Sequence[tuple],
+                 gamma_weights: np.ndarray) -> list:
+    """One list of reports per family, one report per horizon.
+
+    families holds, for each family, (psi, temporal, label): its traces
+    psi (count, nodes) and its time Grams temporal (H, count, count), one
+    per horizon; every family has the same count and H.  A family's Gram
+    at a horizon is its boundary Gram under the quadrature gamma_weights
+    times the time Gram, entrywise.  All of them fill one
+    (families * H, count, count) stack; each family's part passes the
+    finite and Hermitian checks (_check) as it is filled, which keeps
+    their temporaries to one family's Grams, and the whole stack takes
+    one eigenvalue call per level of nested_levels(count).  Every Gram's
+    frame bounds then pass the interlacing check on their own.
+    """
+    n, H = families[0][0].shape[0], len(families[0][1])
+    Gs = np.empty((len(families) * H, n, n), dtype=complex)
+    for f, (psi, temporal, label) in enumerate(families):
+        if psi.shape[0] != n or len(temporal) != H:
+            raise ConfigError(f"family {label!r} has {psi.shape[0]} members "
+                              f"and {len(temporal)} horizons, not {n} and {H}")
+        boundary = (psi * gamma_weights) @ np.conj(psi).T
+        G = Gs[f * H:(f + 1) * H]
+        # one product per horizon: a broadcast one would buffer a stack
+        for i, t in enumerate(temporal):
+            np.multiply(boundary, t, out=G[i])
+        _check(G, label)
+    levels = nested_levels(n)
+    lows = np.empty((len(Gs), len(levels)))
+    highs = np.empty((len(Gs), len(levels)))
+    for j, k in enumerate(levels):
         vals = np.linalg.eigvalsh(Gs[:, :k, :k])
-        lows[:, k - 1] = vals[:, 0]
-        highs[:, k - 1] = vals[:, -1]
-    reports = []
-    for G, lo, hi in zip(Gs, lows, highs):
-        # Cauchy interlacing, with a little room for eigensolver roundoff
-        slack = 1e-10 * max(1.0, float(hi[-1]))
-        if np.any(np.diff(lo) > slack) or np.any(np.diff(hi) < -slack):
-            raise InternalConsistencyError(
-                f"frame bounds of {label!r} violate interlacing")
-        cond = np.full(N, np.inf)
-        pos = lo > 0
-        with np.errstate(over="ignore"):   # an overflow is an infinite condition
-            cond[pos] = hi[pos] / lo[pos]
-        reports.append(GramReport(G, lo, hi, cond))
-    return reports
+        lows[:, j] = vals[:, 0]
+        highs[:, j] = vals[:, -1]
+    # Cauchy interlacing along the levels, with a little room for
+    # eigensolver roundoff
+    slack = 1e-10 * np.maximum(1.0, highs[:, -1:])
+    broken = (np.any(np.diff(lows) > slack, axis=1)
+              | np.any(np.diff(highs) < -slack, axis=1))
+    if np.any(broken):
+        label = families[int(np.argmax(broken)) // H][2]
+        raise InternalConsistencyError(
+            f"frame bounds of {label!r} violate interlacing")
+    cond = np.full(lows.shape, np.inf)
+    pos = lows > 0
+    with np.errstate(over="ignore"):   # an overflow is an infinite condition
+        cond[pos] = highs[pos] / lows[pos]
+    reports = [GramReport(*parts, levels)
+               for parts in zip(Gs, lows, highs, cond)]
+    return [reports[f * H:(f + 1) * H] for f in range(len(families))]
 
 
 def _trapezoid_time_grams(profiles: np.ndarray, h: float,
@@ -243,20 +279,24 @@ def _trapezoid_time_grams(profiles: np.ndarray, h: float,
     return temporal
 
 
-def gram_sweep(family: SequenceFamily, steps: Sequence[int]) -> list:
-    """gram(family.restrict(k)) for every k of steps, which must ascend
-    strictly from 2 to at most the grid's step count, from one pass over
-    the grid (cli._sweep_grid checks a sweep's steps before either route
-    runs)."""
-    return gram_reports(family.psi, family.gamma_weights,
-                        _trapezoid_time_grams(family.profiles,
-                                              family.grid.h, steps),
-                        family.label)
+def gram_sweep(families: Sequence[SequenceFamily],
+               steps: Sequence[int]) -> list:
+    """[gram(f.restrict(k)) for k in steps] for every family f, from one
+    pass over each family's grid and one report pass over all of them.
+    steps must ascend strictly from 2 to at most every grid's step count
+    (cli._sweep_grid checks a sweep's steps before either route runs),
+    and the families share their count and gamma_weights."""
+    gw = families[0].gamma_weights
+    if any(not np.array_equal(f.gamma_weights, gw) for f in families):
+        raise ConfigError("families of one sweep need the same gamma_weights")
+    return gram_reports([(f.psi, _trapezoid_time_grams(f.profiles, f.grid.h,
+                                                       steps), f.label)
+                         for f in families], gw)
 
 
 def gram(family: SequenceFamily) -> GramReport:
-    """Gram matrix plus frame bounds of every nested truncation level."""
-    return gram_sweep(family, (family.grid.steps,))[0]
+    """Gram matrix plus frame bounds at the nested truncation levels."""
+    return gram_sweep([family], (family.grid.steps,))[0][0]
 
 
 def quadratic_closeness(a: SequenceFamily, b: SequenceFamily,

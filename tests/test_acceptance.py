@@ -30,6 +30,8 @@ from memwave.cli import main
 from memwave.riesz import CONDITION_CAP
 from memwave.volterra import _forcing_factors
 
+from family_reference import combination, inner_against
+
 PI = np.pi
 DOM = DomainSpec("interval", (PI,))
 
@@ -168,9 +170,11 @@ def test_criterion_6_plateau_collapse(master):
         rep_t = gram(telegraph_family(pairs40, 0.0, steps * h, steps=steps))
         _, resp_T = master.restrict(T)
         rep_v = gram(viscoelastic_family(resp_T))
-        # 40 signed modes -> 80 members; m_10 sits at nested position 19
-        ratios[T] = (rep_t.frame_lower[79] / rep_t.frame_lower[19],
-                     rep_v.frame_lower[79] / rep_v.frame_lower[19])
+        # 40 signed modes -> 80 members, the last level; the first 10
+        # modes, level 20, sit at position 19: every level to 32 is kept
+        assert rep_t.levels[19] == 20 and rep_t.levels[-1] == 80
+        ratios[T] = (rep_t.frame_lower[-1] / rep_t.frame_lower[19],
+                     rep_v.frame_lower[-1] / rep_v.frame_lower[19])
     (rt25, rv25), (rt12, rv12) = ratios[2.5 * PI], ratios[1.2 * PI]
     # collapsed bounds are numerically zero and may round slightly
     # negative; the dichotomy test is one-sided on purpose
@@ -290,7 +294,7 @@ def test_criterion_10_decay_separation():
         # moments against the members are G^T combo), then log |a_n|
         # fitted against log |n| over the signed indices
         a = np.linalg.solve(rep.gram.T,
-                            fam.inner_against(fam.combination(combo)))
+                            inner_against(fam, combination(fam, combo)))
         return float(np.polyfit(np.log(n), np.log(np.abs(a)), 1)[0])
 
     smooth = exponent(signed_combo(-1.5))

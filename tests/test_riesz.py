@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memwave import (ConfigError, SequenceFamily, TimeGrid, gram,
-                     gram_reports, paley_wiener_check, quadratic_closeness)
+from memwave import (ConfigError, InternalConsistencyError, SequenceFamily,
+                     TimeGrid, gram, gram_reports, gram_sweep,
+                     paley_wiener_check, quadratic_closeness)
 from memwave.exact import _exponential_time_grams
-from memwave.riesz import cholesky_solve
+from memwave.riesz import cholesky_solve, nested_levels
+
+from family_reference import combination, inner_against, norms_sq
 
 PI = np.pi
 
@@ -24,6 +27,14 @@ def fourier_family(n_max, T, steps=4000, label="fourier"):
     return SequenceFamily(members, idx, label, grid)
 
 
+def ramped_fourier(n_max):
+    """A Fourier family on [0, 2 pi] with profiles ramped by 1 + 0.3 t,
+    so its bounds move from level to level."""
+    fam = fourier_family(n_max, 2 * PI, steps=1000)
+    return SequenceFamily(fam.profiles * (1.0 + 0.3 * fam.grid.t),
+                          fam.index_set, "ramped", fam.grid)
+
+
 def dual_profiles(family):
     """Profiles of the in-span biorthogonal family of a one-node family,
     inverse Gram times the members: <member_n, dual_k> = delta_nk."""
@@ -35,8 +46,8 @@ def dual_profiles(family):
 def recover_coefficients(family, combo):
     """Coefficients of sum_k combo_k member_k read back through the
     Gram: its moments against the members are G^T combo."""
-    phi = family.combination(combo)
-    return np.linalg.solve(gram(family).gram.T, family.inner_against(phi))
+    phi = combination(family, combo)
+    return np.linalg.solve(gram(family).gram.T, inner_against(family, phi))
 
 
 def decay_exponent(coefficients):
@@ -61,8 +72,9 @@ def test_exponential_gram_matches_quadrature():
     psi = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     gw = np.array([0.5, 2.0])
     horizons = [0.5, 2.0, 7.0]
-    reps = gram_reports(psi, gw, _exponential_time_grams(rates, weights,
-                                                         horizons), "exp")
+    (reps,) = gram_reports([(psi, _exponential_time_grams(rates, weights,
+                                                           horizons), "exp")],
+                           gw)
     x, w = np.polynomial.legendre.leggauss(120)
     boundary = (psi * gw) @ np.conj(psi).T
     for T, rep in zip(horizons, reps):
@@ -101,9 +113,7 @@ def test_truncation_selects_leading_block():
     # frame_lower[k - 1] and frame_upper[k - 1] are the bounds of the
     # first k members (+1, -1, +2, ...), the leading k x k block; the
     # ramp keeps the bounds apart from level to level
-    fam = fourier_family(6, 2 * PI, steps=1000)
-    fam = SequenceFamily(fam.profiles * (1.0 + 0.3 * fam.grid.t), fam.index_set,
-                         "ramped", fam.grid)
+    fam = ramped_fourier(6)
     rep = gram(fam)
     for k in range(1, fam.count + 1):
         sub = gram(fam.subfamily(range(k)))
@@ -111,6 +121,67 @@ def test_truncation_selects_leading_block():
             <= 1e-14 * np.max(np.abs(rep.gram))
         assert sub.m_N == pytest.approx(rep.frame_lower[k - 1], rel=1e-12)
         assert sub.M_N == pytest.approx(rep.frame_upper[k - 1], rel=1e-12)
+
+
+def test_nested_levels_keep_every_level_to_32_then_grow_geometrically():
+    assert nested_levels(1) == (1,)
+    assert nested_levels(16) == tuple(range(1, 17))
+    assert nested_levels(32) == tuple(range(1, 33))
+    assert nested_levels(33) == tuple(range(1, 34))
+    assert nested_levels(80) == tuple(range(1, 33)) + (40, 50, 63, 79, 80)
+    for n in (100, 640):
+        levels = nested_levels(n)
+        assert levels[:32] == tuple(range(1, 33)) and levels[-1] == n
+        assert all(b == min(n, -(-5 * a // 4))
+                   for a, b in zip(levels[31:], levels[32:]))
+
+
+def test_sampled_levels_equal_the_full_curve():
+    # 80 members: the report's bounds at its levels are, bit for bit,
+    # those of every leading block's own eigenvalue call
+    rep = gram(ramped_fourier(40))
+    assert rep.levels == nested_levels(80)
+    assert set(range(1, 33)) <= set(rep.levels) and rep.levels[-1] == 80
+    full = [np.linalg.eigvalsh(rep.gram[:k, :k]) for k in range(1, 81)]
+    want_lo = np.array([full[k - 1][0] for k in rep.levels])
+    want_hi = np.array([full[k - 1][-1] for k in rep.levels])
+    assert np.array_equal(rep.frame_lower, want_lo)
+    assert np.array_equal(rep.frame_upper, want_hi)
+    assert np.array_equal(rep.condition, want_hi / want_lo)
+    assert rep.m_N == full[-1][0] and rep.M_N == full[-1][-1]
+
+
+def test_interlacing_fires_at_a_sampled_level_above_32(monkeypatch):
+    # every eigenvalue of the 50 x 50 leading blocks raised by 1, so
+    # m_50 > m_40
+    fam = ramped_fourier(40)
+    assert 50 in gram(fam).levels
+    eigvalsh = np.linalg.eigvalsh
+
+    def bent(a, *args, **kwargs):
+        vals = eigvalsh(a, *args, **kwargs)
+        return vals + 1.0 if a.shape[-1] == 50 else vals
+    monkeypatch.setattr(np.linalg, "eigvalsh", bent)
+    with pytest.raises(InternalConsistencyError, match="interlacing"):
+        gram(fam)
+
+
+def test_one_report_pass_needs_matching_families():
+    # the families of one pass share their member count, horizon count
+    # and (through gram_sweep) their boundary weights
+    T = np.eye(2, dtype=complex)[None]
+    gw = np.ones(1)
+    ones = np.ones((2, 1), dtype=complex)
+    with pytest.raises(ConfigError, match="has 3 members and 1 horizons"):
+        gram_reports([(ones, T, "a"), (np.ones((3, 1)), T, "b")], gw)
+    with pytest.raises(ConfigError, match="has 2 members and 2 horizons"):
+        gram_reports([(ones, T, "a"), (ones, np.concatenate([T, T]), "b")],
+                     gw)
+    fam = fourier_family(1, 2 * PI, steps=100)
+    heavy = SequenceFamily(fam.profiles, fam.index_set, "heavy", fam.grid,
+                           2.0 * fam.gamma_weights)
+    with pytest.raises(ConfigError, match="same gamma_weights"):
+        gram_sweep([fam, heavy], [100])
 
 
 def test_constant_and_ramp_gram_oracle():
@@ -140,7 +211,7 @@ def test_biorthogonal_duality_property():
     duals = SequenceFamily(dual_profiles(fam), fam.index_set, "dual",
                            fam.grid)
     for m, member in enumerate(fam.members):
-        pair = duals.inner_against(member.ravel())
+        pair = inner_against(duals, member.ravel())
         expected = np.zeros(8)
         expected[m] = 1.0
         assert np.max(np.abs(pair - expected)) < 1e-10
@@ -245,7 +316,7 @@ def test_random_families_have_sane_gram(count, steps, seed):
     rep = gram(fam)        # internal interlacing check must not fire
     assert rep.frame_lower[-1] >= -1e-10
     # largest eigenvalue is bounded by the trace
-    assert rep.M_N <= float(np.sum(fam.norms_sq())) + 1e-8
+    assert rep.M_N <= float(np.sum(norms_sq(fam))) + 1e-8
 
 
 def test_scalar_members_promote_to_one_node():

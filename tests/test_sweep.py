@@ -15,8 +15,9 @@ import memwave.exact
 import memwave.riesz
 from memwave import (ConvergenceError, DomainSpec, InternalConsistencyError,
                      KernelSpec, SequenceFamily, TimeGrid, compute_eigenpairs,
-                     compute_responses, gram, gram_sweep, make_grid,
-                     normalize, telegraph_family, viscoelastic_family)
+                     compute_responses, gram, gram_reports, gram_sweep,
+                     make_grid, normalize, telegraph_family,
+                     viscoelastic_family)
 from memwave.cli import _sweep_grid, main
 from memwave.config import config_hash, from_dict
 from memwave.grid import auto_step, trapezoid_weights
@@ -87,9 +88,9 @@ def test_march_sweep_bounds_converge_to_exact_at_order_two(spec):
                                   grid.T, steps=grid.steps),
                  viscoelastic_family(compute_responses(kernel, pairs)))
         errors.append([max(np.max(np.abs(a.frame_lower - b.frame_lower))
-                           for a, b in zip(gram_sweep(f, [3 * n, 4 * n, 5 * n]),
-                                           reps))
-                       for f, reps in zip(march, exact)])
+                           for a, b in zip(march_reps, reps))
+                       for march_reps, reps in zip(
+                           gram_sweep(march, [3 * n, 4 * n, 5 * n]), exact)])
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
     assert np.all(np.abs(ratios - 4.0) < 0.1), ratios
 
@@ -105,8 +106,8 @@ def march_route(doc):
     kernel = normalize(cfg.kernel, grid)
     pairs = compute_eigenpairs(cfg.domain, cfg.K, kernel.alpha)
     fam_v = viscoelastic_family(compute_responses(kernel, pairs), gw)
-    reps = {"telegraph": gram_sweep(fam_t, steps),
-            "visco": gram_sweep(fam_v, steps)}
+    reps = dict(zip(("telegraph", "visco"),
+                    gram_sweep((fam_t, fam_v), steps)))
     return {key: value for name, rs in reps.items() for key, value in (
         (f"m_N_{name}", [r.m_N for r in rs]),
         (f"frame_lower_{name}", [r.frame_lower.tolist() for r in rs]))}
@@ -238,7 +239,7 @@ def horizon_steps(fam):
 def test_gram_sweep_matches_restricted_gram(families, name):
     fam = families[name]
     steps = horizon_steps(fam)
-    reps = gram_sweep(fam, steps)
+    (reps,) = gram_sweep([fam], steps)
     assert len(reps) == len(steps)
     for k, rep in zip(steps, reps):
         want = gram(fam.restrict(k))
@@ -260,7 +261,7 @@ def test_first_horizon_and_gram_are_the_direct_product(families, name):
         G = boundary * ((Z * w) @ np.conj(Z).T)
         return 0.5 * (G + np.conj(G).T)
     steps = horizon_steps(fam)[2:]
-    first = gram_sweep(fam, steps)[0]
+    first = gram_sweep([fam], steps)[0][0]
     assert np.array_equal(first.gram, direct(steps[0]))
     short = gram(fam.restrict(steps[0]))
     for field in ("gram", "frame_lower", "frame_upper", "condition"):
@@ -301,15 +302,15 @@ def test_gram_sweep_checks_every_horizon(families):
     profiles[1, steps[2] + 1] = np.nan             # past the third horizon
     bad = SequenceFamily(profiles, fam.index_set, fam.label, fam.grid,
                          fam.gamma_weights, fam.psi)
-    assert len(gram_sweep(bad, steps[:3])) == 3
+    assert len(gram_sweep([bad], steps[:3])[0]) == 3
     with pytest.raises(ConvergenceError, match="not finite"):
-        gram_sweep(bad, steps)
+        gram_sweep([bad], steps)
 
 
 def test_sweep_eigenvalue_calls_do_not_grow_with_horizons(tmp_path,
                                                          monkeypatch):
-    # one batched eigenvalue call per truncation level and family, and no
-    # restricted family, however many horizons
+    # one batched eigenvalue call per truncation level over both
+    # families, and no restricted family, however many horizons
     calls = {"eigvalsh": 0, "restrict": 0}
     eigvalsh, restrict = np.linalg.eigvalsh, SequenceFamily.restrict
 
@@ -329,7 +330,7 @@ def test_sweep_eigenvalue_calls_do_not_grow_with_horizons(tmp_path,
         data = sweep(tmp_path, {"T_min": T_min, "T_max": 2.5 * PI,
                                 "steps": H}, K=K, grid_h=2e-2)
         assert len(data["T"]) == H
-        assert calls == {"eigvalsh": 2 * 2 * K, "restrict": 0}, H
+        assert calls == {"eigvalsh": 2 * K, "restrict": 0}, H
 
 
 # ------------------------------------------------------------ report checks
@@ -347,31 +348,37 @@ def route_reports(route):
     pairs = compute_eigenpairs(DOM, 3, kernel.alpha)
     if route == "grid":
         fam = viscoelastic_family(compute_responses(kernel, pairs))
-        return gram_sweep(fam, [150, 200, 250])
+        return gram_sweep([fam], [150, 200, 250])[0]
     return exact_sweep(kernel, compute_eigenpairs(DOM, 3, 0.0), pairs, 0.0,
                        DOM.gamma_weights(), [1.5 * PI, 2 * PI, 2.5 * PI])[1]
 
 
-def corrupt_time_grams(monkeypatch, route, corrupt):
-    """Patch the route's time Grams: corrupt(G) edits the second
-    horizon's in place."""
+def corrupt_time_grams(monkeypatch, route, *edits):
+    """Patch the route's time Grams: for each (i, corrupt) of edits,
+    corrupt(G) edits horizon i's in place."""
     module, name = TIME_GRAMS[route]
     original = getattr(module, name)
 
     def patched(*args):
         temporal = [np.array(t) for t in original(*args)]
-        corrupt(temporal[1])
+        for i, corrupt in edits:
+            corrupt(temporal[i])
         return temporal
     monkeypatch.setattr(module, name, patched)
+
+
+def nan(G):
+    G[0, 1] = np.nan
+
+
+def skew(G, rel=1e-6):
+    G[0, 1] += rel * np.max(np.abs(G))
 
 
 @pytest.mark.parametrize("route", ["grid", "exact"])
 def test_report_path_refuses_a_non_finite_gram(monkeypatch, route):
     assert len(route_reports(route)) == 3
-
-    def nan(G):
-        G[0, 1] = np.nan
-    corrupt_time_grams(monkeypatch, route, nan)
+    corrupt_time_grams(monkeypatch, route, (1, nan))
     with pytest.raises(ConvergenceError, match="not finite"):
         route_reports(route)
 
@@ -382,16 +389,81 @@ def test_report_path_refuses_a_non_hermitian_gram(monkeypatch, route):
     # passes, one of 1e-7 of the scale does not
     for rel, fires in ((1e-15, False), (1e-6, True)):
         monkeypatch.undo()
-
-        def skew(G):
-            G[0, 1] += rel * np.max(np.abs(G))
-        corrupt_time_grams(monkeypatch, route, skew)
+        corrupt_time_grams(monkeypatch, route,
+                           (1, lambda G: skew(G, rel)))
         if fires:
             with pytest.raises(InternalConsistencyError,
                                match="non-Hermitian"):
                 route_reports(route)
         else:
             assert len(route_reports(route)) == 3
+
+
+@pytest.mark.parametrize("route", ["grid", "exact"])
+@pytest.mark.parametrize("first, later, error, match", [
+    (skew, nan, InternalConsistencyError, "non-Hermitian"),
+    (nan, skew, ConvergenceError, "not finite")], ids=["skew-nan", "nan-skew"])
+def test_report_path_raises_the_earliest_horizons_error(monkeypatch, route,
+                                                        first, later, error,
+                                                        match):
+    # the whole stack is checked at once; the earlier horizon still wins
+    corrupt_time_grams(monkeypatch, route, (0, first), (2, later))
+    with pytest.raises(error, match=match):
+        route_reports(route)
+
+
+@pytest.mark.parametrize("kinds", [(nan, skew), (skew, nan)],
+                         ids=["nan-skew", "skew-nan"])
+def test_report_pass_raises_in_family_then_horizon_order(kinds):
+    # family "a" fails at its last horizon, family "b" at its first: the
+    # error is a's, of a's kind
+    rng = np.random.default_rng(2)
+    n, H = 4, 3
+    A = rng.standard_normal((2, H, n, n)) + 1j * rng.standard_normal(
+        (2, H, n, n))
+    temporal = A @ np.conj(A).transpose(0, 1, 3, 2)
+    kinds[0](temporal[0, H - 1])
+    kinds[1](temporal[1, 0])
+    error, match = ((ConvergenceError, "Gram of 'a' is not finite")
+                    if kinds[0] is nan else
+                    (InternalConsistencyError, "Gram of 'a' is non-Hermitian"))
+    psi = np.ones((n, 1), dtype=complex)
+    with pytest.raises(error, match=match):
+        gram_reports([(psi, temporal[0], "a"), (psi, temporal[1], "b")],
+                     np.ones(1))
+
+
+@pytest.mark.parametrize("route", ["grid", "exact"])
+def test_stacked_reports_equal_single_family_reports(monkeypatch, route):
+    # one pass over both families gives each Gram the bits of a pass
+    # over its family alone
+    if route == "exact":
+        passes = []
+
+        def recorded(families, gamma_weights):
+            passes.append((families, gamma_weights))
+            return gram_reports(families, gamma_weights)
+        monkeypatch.setattr(memwave.exact, "gram_reports", recorded)
+        stacked = exact_reports(EXP, 4, [1.5 * PI, 2 * PI, 2.5 * PI])
+        (families, gw), = passes
+        singles = [gram_reports([f], gw)[0] for f in families]
+    else:
+        grid = TimeGrid(2.5 * PI, 250)
+        kernel = normalize(EXP, grid)
+        fams = (telegraph_family(compute_eigenpairs(DOM, 4, 0.0), 0.0,
+                                 grid.T, steps=grid.steps),
+                viscoelastic_family(compute_responses(
+                    kernel, compute_eigenpairs(DOM, 4, kernel.alpha))))
+        stacked = gram_sweep(fams, [150, 200, 250])
+        singles = [gram_sweep([f], [150, 200, 250])[0] for f in fams]
+    assert len(stacked) == len(singles) == 2
+    for reps, alone in zip(stacked, singles):
+        assert len(reps) == len(alone) == 3
+        for rep, want in zip(reps, alone):
+            assert rep.levels == want.levels == tuple(range(1, 9))
+            for field in ("gram", "frame_lower", "frame_upper", "condition"):
+                assert np.array_equal(getattr(rep, field),
+                                      getattr(want, field)), field
 
 
 @pytest.mark.parametrize("route", ["grid", "exact"])
