@@ -28,8 +28,9 @@ def main():
     resp = compute_responses(ker, pairs)
 
     target = TargetState(np.eye(K)[0], np.zeros(K), K)
-    fam = viscoelastic_family(resp.head(K))
-    sig = synthesize(build_moment_problem(fam, target))
+    head = resp.head(K)
+    fam = viscoelastic_family(head)
+    sig = synthesize(build_moment_problem(fam, target), head.pairs)
     print(f"synthesized control on [0, {grid.T:.4f}] for target e_1")
     print(f"  members {fam.count}, Gram condition {sig.condition:.1f}, "
           f"m_N {sig.frame_lower:.3f}")

@@ -9,7 +9,7 @@ controls.  See README.md for the pipeline and the `memwave` CLI.
 
 from .config import RunConfig, SweepSpec, config_hash, from_dict, load
 from .control import (ControlSignal, MomentProblem, TargetState,
-                      assemble_rhs, build_moment_problem, control_factors,
+                      assemble_rhs, build_moment_problem,
                       synthesize, telegraph_family, viscoelastic_family)
 from .errors import (ConfigError, ConvergenceError, InternalConsistencyError,
                      MemwaveError, NotControllableError)

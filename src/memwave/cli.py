@@ -18,14 +18,13 @@ values are printed as "%.17g" prints them: one value at a time in a
 table of fewer than CSV_TABLE_CELLS values, by memwave.csvtext in a
 larger one.
 
-synthesize writes the control in its factor form (control.control_factors):
-control.csv holds t and one time profile per mode, control_traces.csv
-one real boundary trace per mode, and the dense control on the boundary
-cylinder is traces.T @ profiles.  Before anything is written the run
-checks that this product, taken over the control's node-row blocks
-(control.node_blocks), rebuilds the dense control to 1e-12 of its
-maximum (exit 5 otherwise) and records the gap as factor_gap in
-synthesis.json.
+synthesize writes the control in the factor form control.synthesize
+returns: control.csv holds t and one time profile per mode,
+control_traces.csv one real boundary trace per mode, and the control on
+the boundary cylinder is traces.T @ profiles; no run builds it densely.
+synthesis.json records factor_gap, the largest gap between that product
+and the control combined from the family, relative to its maximum,
+which synthesize checks to 1e-12 (exit 5 otherwise).
 
 sweep-t reads every horizon k*h of one grid: the step is the configured
 one (T_min's auto step under "auto"), shrunk so that it divides the
@@ -45,7 +44,11 @@ horizon's nested lower frame bounds of both families
 (frame_lower_telegraph, frame_lower_visco) at the truncation levels
 listed under "levels": every level of the 2K members up to 32, a
 geometric subsequence of them above (riesz.nested_levels); the
-artifacts report the horizons as computed, k*h.
+artifacts report the horizons as computed, k*h.  A bound below its
+level's rounding floor k eps M_k is written as 0, and at_floor_telegraph
+and at_floor_visco list the [horizon, level] positions of such bounds in
+the frame_lower lists.  gram stops with exit 3 when m_N is at the floor:
+the Gram is singular to working precision and has no condition number.
 
 responses marches no mode: it takes the spectrum, normalizes the kernel
 and fits one refined_S batch (volterra) over the real-beta modes from
@@ -67,9 +70,8 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .control import (TargetState, build_moment_problem, control_factors,
-                      node_blocks, synthesize, telegraph_family,
-                      viscoelastic_family)
+from .control import (TargetState, build_moment_problem, synthesize,
+                      telegraph_family, viscoelastic_family)
 from .errors import (ConfigError, ConvergenceError, InternalConsistencyError,
                      MemwaveError)
 from .grid import TimeGrid, auto_step, make_grid
@@ -82,9 +84,6 @@ from .volterra import asymptotic_residual, compute_responses, refined_S
 
 DEFAULT_OUT = "memwave-out"
 ENV_OUT = "MEMWAVE_OUT"
-# largest |traces.T @ profiles - f| a synthesize run accepts, relative
-# to max |f|
-FACTOR_GAP_TOL = 1e-12
 # tables of fewer values print one value at a time: below this size the
 # fixed cost of csvtext.format_table (~70-100 numpy calls) is more than
 # the per-value "%.17g" it saves (crossover measured by
@@ -272,6 +271,11 @@ def _family(cfg):
 def _run_gram(cfg, adir):
     _, fam = _family(cfg)
     rep = gram(fam)
+    if rep.at_floor[-1]:
+        raise ConvergenceError(
+            f"Gram of {fam.label!r} is singular to working precision (m_N "
+            f"at its rounding floor, M_N = {rep.M_N:.3e}): no condition "
+            "number for gram.json; nothing written")
     _write_json(os.path.join(adir, "gram.json"), {
         "T": cfg.T, "members": fam.count,
         "frame_lower": rep.m_N, "frame_upper": rep.M_N,
@@ -285,34 +289,25 @@ def _run_gram(cfg, adir):
 
 def _run_synthesize(cfg, adir):
     pairs, fam = _family(cfg)
-    target = _resolve_target(cfg)
-    problem = build_moment_problem(fam, target)
-    control = synthesize(problem)
-    control_csv = os.path.join(adir, "control.csv")
-    f = control.f
-    if not np.all(np.isfinite(f)):
-        raise _non_finite(control_csv)
-    traces, profiles = control_factors(fam, control.coefficients, pairs)
-    # the artifacts hold the factors; they must rebuild the dense control
-    gap = float(np.max([np.max(np.abs(traces.T[rows] @ profiles - f[rows]))
-                        for rows in node_blocks(len(f), profiles.size)]))
-    f_max = float(np.max(np.abs(f)))
-    factor_gap = gap / f_max if f_max > 0 else gap
-    if not factor_gap <= FACTOR_GAP_TOL:
-        raise InternalConsistencyError(
-            f"control factors rebuild the control to {factor_gap:.3e} of "
-            f"its maximum, above {FACTOR_GAP_TOL:.0e}")
+    control = synthesize(build_moment_problem(fam, _resolve_target(cfg)),
+                         pairs)
     modes = [p.index for p in pairs]
-    _write_csv(control_csv, ["t"] + [f"g_mode{n}" for n in modes],
-               np.column_stack([control.grid.t, profiles.T]), cfg.hash)
-    _write_csv(os.path.join(adir, "control_traces.csv"),
+    tables = [("control.csv", ["t"] + [f"g_mode{n}" for n in modes],
+               np.column_stack([control.grid.t, control.profiles.T])),
+              ("control_traces.csv",
                ["node"] + [f"trace_mode{n}" for n in modes],
-               np.column_stack([np.arange(traces.shape[1]), traces.T]),
-               cfg.hash)
-    _write_csv(os.path.join(adir, "coefficients.csv"),
-               ["n", "a_re", "a_im"],
+               np.column_stack([np.arange(control.traces.shape[1]),
+                                control.traces.T])),
+              ("coefficients.csv", ["n", "a_re", "a_im"],
                np.column_stack([control.index_set, control.coefficients.real,
-                                control.coefficients.imag]), cfg.hash)
+                                control.coefficients.imag]))]
+    # every table is checked before the first write: a failed run writes
+    # nothing
+    for name, _, rows in tables:
+        if not np.all(np.isfinite(rows)):
+            raise _non_finite(os.path.join(adir, name))
+    for name, columns, rows in tables:
+        _write_csv(os.path.join(adir, name), columns, rows, cfg.hash)
     _write_json(os.path.join(adir, "synthesis.json"), {
         "index_set": list(control.index_set),
         "residual_max": control.residual_max,
@@ -320,7 +315,7 @@ def _run_synthesize(cfg, adir):
         "condition": control.condition,
         "frame_lower": control.frame_lower,
         "norm": control.norm,
-        "factor_gap": factor_gap,
+        "factor_gap": control.factor_gap,
         "T": cfg.T, "K": cfg.K,
     }, cfg.hash)
     return 0
@@ -331,9 +326,10 @@ def _run_verify(cfg, adir):
     kernel, sim_resp = _responses_for(cfg, cfg.T, count)
     sim_pairs = sim_resp.pairs
     gw = cfg.domain.gamma_weights()
-    fam = viscoelastic_family(sim_resp.head(cfg.K), gw)
+    head = sim_resp.head(cfg.K)
     target = _resolve_target(cfg)
-    control = synthesize(build_moment_problem(fam, target))
+    control = synthesize(build_moment_problem(viscoelastic_family(head, gw),
+                                              target), head.pairs)
     conv = simulate_convolution(sim_resp, kernel, control, cfg.K_sim,
                                 gamma_weights=gw, K=cfg.K)
     march = simulate_march(kernel, sim_pairs, control, cfg.K_sim,
@@ -423,6 +419,10 @@ def _run_sweep(cfg, adir):
         "T": horizons, "m_N_telegraph": m_tel, "m_N_visco": m_vis,
         "frame_lower_telegraph": [r.frame_lower for r in reps_t],
         "frame_lower_visco": [r.frame_lower for r in reps_v],
+        # np.array first: np.argwhere converts a list ~8 us slower
+        "at_floor_telegraph": np.argwhere(np.array([r.at_floor
+                                                    for r in reps_t])),
+        "at_floor_visco": np.argwhere(np.array([r.at_floor for r in reps_v])),
         "levels": reps_t[0].levels,
         "K": cfg.K, "members": 2 * cfg.K, "grid_h": grid.h, "route": route,
     }, cfg.hash)

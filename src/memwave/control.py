@@ -23,37 +23,33 @@ span and can only increase the norm, which the seeded spot-check
 verifies on rank-one directions u (x) s, a uniform draw per node times
 a uniform draw per time sample, each of zero mean and unit variance:
 their covariance is the identity, the first two moments of an iid
-Gaussian field.  Members are kept as factors psi_n (x) Z_n (see riesz),
-so a direction, its projection off the span and the Gram all stay in
-factor form: the moments of u (x) s are a node sum times a time sum,
-and the moments and norm of the projected direction are small
-expressions in the Gram rebuilt from the factors.  g is held as two
-real (nodes, steps+1) arrays, Re g and Im g, and the control f is a
-time-reversed copy of Re g.
-
-Dense passes.  Every pass over a (nodes, steps+1) array (building g,
-its moments, its realness, its norm, and the spot check's one pass over
-g) is real arithmetic on blocks of node rows (_RealPasses), as many
-rows as keep each product under the multiply-adds OpenBLAS runs on the
-calling thread (node_blocks): 8 of the rectangle benchmark's 257 (6 for
-the spot check's product, widened by one column per direction), all
-nodes of a small grid.  The spot check's Gram of the factors sums real
-products over chunks of nodes and of time samples under the same bound.
-A larger product, and even a complex (4, 8) @ (8, 3928), wakes
-OpenBLAS's worker pool, whose threads then spin on the other cores for
-a while after the call returns.
+Gaussian field.
 
 Factor form.  The control is a sum of K real boundary traces times K
 real time profiles.  Each psi_k is a scalar times the real trace of its
 mode, psi_{+n} = s_n trace_n and psi_{-n} = conj(s_n) trace_n with
-s_n = 1/beta_n (1 on the degenerate set), so for any coefficients
+s_n = 1/beta_n (1 on the degenerate set), so
 
     f(x, t) = Re sum_k conj(psi_k(x)) a_k conj(Z_k(T - t))
             = sum_n trace_n(x) g_n(t),
     g_n(t)  = sum_{k = +-n} Re(conj(s_k) a_k conj(Z_k(T - t))).
 
-control_factors returns (trace_n) and (g_n); the CLI writes these and
-not the dense f.
+synthesize returns the control as this pair only (ControlSignal.traces
+and .profiles), and no (nodes, steps+1) array of it is ever kept.  The
+members are rank one too, psi_n (x) Z_n (see riesz), so every integral
+of a factor pair against the family or against another factor pair
+splits into a node sum times a time sum: the moment residual, the L2
+norm and the min-norm spot check read the pair in O(K^2 steps) products.
+
+Sup norms.  The realness check (sup |Im g|) and the factor gap (sup
+|traces.T @ profiles - Re g| over sup |Re g|) read every grid value of
+g = sum_k a_k conj(m_k), combined from the family and the coefficients
+alone, in one pass over tiles of g (_sup_pass), each dropped once read:
+blocks of node rows (node_blocks; 8 of the rectangle benchmark's 257),
+a single long row cut into chunks of time samples.  Every product stays
+under the multiply-adds OpenBLAS runs on the calling thread; a larger
+one, even a complex (4, 8) @ (8, 3928), wakes its worker pool, whose
+threads then spin on the other cores after the call returns.
 """
 
 from __future__ import annotations
@@ -72,6 +68,9 @@ from .volterra import ModalResponses, transformed_exponential
 # OpenBLAS (0.3, as numpy's wheels ship it) runs a real matrix product of
 # fewer multiply-adds than this on the calling thread
 CALLING_THREAD_MACS = 2**19
+# largest |traces.T @ profiles - Re g| synthesize accepts, relative to
+# sup |Re g|
+FACTOR_GAP_TOL = 1e-12
 
 
 def node_blocks(nodes: int, row_macs: int) -> list:
@@ -113,10 +112,16 @@ class MomentProblem:
 
 @dataclass(frozen=True)
 class ControlSignal:
-    f: np.ndarray                # real, (nodes, steps+1)
+    """The control f = traces.T @ profiles on the boundary cylinder, one
+    row per mode in each factor; profiles run in the control's time t,
+    the reverse of the family's."""
+
+    traces: np.ndarray           # real, (K, nodes)
+    profiles: np.ndarray         # real, (K, steps+1)
     coefficients: np.ndarray
     residual: np.ndarray
     imag_max: float
+    factor_gap: float            # sup |f - Re g(T - t)| / sup |Re g|
     condition: float
     frame_lower: float
     norm: float
@@ -133,21 +138,14 @@ def assemble_rhs(target: TargetState) -> np.ndarray:
     return -(target.eta + 1j * target.xi)
 
 
-def _interleave(items):
-    out = []
-    for x in items:
-        out.extend(x)
-    return out
-
-
 def _signed(rows: Sequence[np.ndarray]) -> np.ndarray:
     """Rows over (+1, -1, +2, -2, ...) with conjugate negatives."""
     rows = [np.asarray(r, dtype=complex) for r in rows]
-    return np.array(_interleave((r, np.conj(r)) for r in rows))
+    return np.array([x for r in rows for x in (r, np.conj(r))])
 
 
 def _signed_index(indices):
-    return tuple(_interleave([(n, -n) for n in indices]))
+    return tuple(x for n in indices for x in (n, -n))
 
 
 def telegraph_family(pairs: Sequence[EigenPair], c: float, T: float,
@@ -204,147 +202,84 @@ def _is_symmetric(index_set) -> bool:
     return all(-n in s for n in s)
 
 
-def _conj_products(X, Y, chunks) -> np.ndarray:
-    """sum_r X_rn conj(Y_rk) for complex X and Y given as real (rows,
+def _blocked(X, Y) -> np.ndarray:
+    """X @ Y summed over chunks of the inner axis, each chunk's product
+    under CALLING_THREAD_MACS (node_blocks)."""
+    return sum(X[:, c] @ Y[c]
+               for c in node_blocks(len(Y), len(X) * Y.shape[1]))
+
+
+def _conj_products(X, Y, w) -> np.ndarray:
+    """sum_r w_r X_rn conj(Y_rk) for complex X and Y given as real (rows,
     2 count) arrays of interleaved real and imaginary columns: one real
-    (2 count, 2 count) product per chunk of rows."""
-    P = sum(X[r].T @ Y[r] for r in chunks)
+    (2 count, 2 count) product per chunk of rows (_blocked)."""
+    P = _blocked(X.T * w, Y)
     n = len(P) // 2
     P = P.reshape(n, 2, n, 2)
     return (P[:, 0, :, 0] + P[:, 1, :, 1]) + 1j * (P[:, 1, :, 0] - P[:, 0, :, 1])
 
 
 class _RealPasses:
-    """Real-arithmetic passes over dense (nodes, steps+1) grid functions
-    u = re + i im of a family, one block of node rows (node_blocks) at a
-    time: each product of a block, (rows, 2 count) @ (2 count, steps+1)
-    or (rows, steps+1) @ (steps+1, 2 count), is real and small enough to
-    run on the calling thread.  Complex factors enter as interleaved real
-    and imaginary rows or columns.
+    """Real-arithmetic passes of a family against real factor pairs and
+    against its own dense combinations.  Complex factors enter as
+    interleaved real and imaginary rows or columns, and every product
+    is small enough to run on the calling thread.
     """
 
     def __init__(self, fam: SequenceFamily):
         self.wt = trapezoid_weights(fam.grid)
         self.gw = fam.gamma_weights
-        # u @ W, viewed as complex, is u @ (Z w_t).T for a real dense u
-        self.W = np.ascontiguousarray((fam.profiles * self.wt).T).view(float)
         # rows Re Z_0, Im Z_0, Re Z_1, ...: B.view(float) @ Zs = Re(B @ conj Z)
         self.Zs = np.stack([fam.profiles.real, fam.profiles.imag],
                            axis=1).reshape(-1, len(self.wt))
-        self.psi_w = (fam.psi * fam.gamma_weights).T
-        # u @ psi_wf, viewed as complex, is u @ psi_w for a real u; a
-        # copy, since psi_w's transposed layout fixes pairing's sum order
-        self.psi_wf = np.ascontiguousarray(self.psi_w).view(float)
-        self.conj_psi = np.ascontiguousarray(np.conj(fam.psi).T)
-        self.blocks = node_blocks(len(self.gw), self.W.size)
-        # time samples per (2 count, 2 count) product of the time Gram
-        self.chunks = node_blocks(len(self.wt), len(self.Zs) ** 2)
-        self.sq = np.empty((self.blocks[0].stop, len(self.wt)))
+        # columns Re psi_0, Im psi_0, ...: u @ psi, viewed as complex, is
+        # u @ psi.T for a real u
+        self.psi = np.ascontiguousarray(fam.psi.T).view(float)
+        # tiles of a dense combination: blocks of node rows, a block of
+        # one row cut into chunks of time samples when the row is too long.
+        # A one-row product goes to OpenBLAS's gemv, whose worker threads
+        # start below the bound (~0.88 x 2^19 here): it takes half of it
+        self.tiles = [(r, t) for r in node_blocks(len(self.gw), self.Zs.size)
+                      for t in node_blocks(len(self.wt), len(self.Zs)
+                                           * max(2, r.stop - r.start))]
 
-    def combination(self, a, rows, out):
-        """Re and Im of sum_k a_k conj(member_k) on the node rows, into
-        out (2, rows, steps+1); Im(B @ conj Z) = Re((-i B) @ conj Z)."""
-        B = self.conj_psi[rows] * a
+    def combination(self, a, rows, cols, out):
+        """Re and Im of sum_k a_k conj(member_k) on the node rows and time
+        samples cols, into out (2, rows, cols);
+        Im(B @ conj Z) = Re((-i B) @ conj Z)."""
+        B = np.conj(self.psi.view(complex)[rows]) * a
         return np.matmul(np.stack([B.view(float), (-1j * B).view(float)]),
-                         self.Zs, out=out)
+                         self.Zs[:, cols], out=out)
 
     def gram(self):
         """The Gram <m_n, m_k> from the factors alone: the boundary Gram
         (sum_x w_x psi_n conj psi_k) times the time Gram
         (sum_t w_t Z_n conj Z_k), entrywise."""
-        psi = np.conj(self.conj_psi).view(float)
-        boundary = _conj_products(self.psi_wf, psi,
-                                  node_blocks(len(psi), len(self.Zs) ** 2))
-        return boundary * _conj_products(self.W, self.Zs.T, self.chunks)
+        return (_conj_products(self.psi, self.psi, self.gw)
+                * _conj_products(self.Zs.T, self.Zs.T, self.wt))
 
-    def pairing(self, rows, re, im):
-        """The node rows' share of int member_k * u, for every k."""
-        q = (re @ self.W).view(complex) + 1j * (im @ self.W).view(complex)
-        return np.sum(self.psi_w[rows] * q, axis=0)
-
-    def separable_pairing(self, u, s):
-        """int member_k * (u (x) s) for every k, for real node values u
-        and time values s: the product (u . psi_w[:, k]) (s @ W)_k of
+    def separable_pairing(self, A, B):
+        """int member_k * (A_r (x) B_r) for every k and every row r of
+        the real factors A (r, nodes) and B (r, steps+1), (r, count): the
+        node sum (A_r w_x . psi_k) times the time sum (B_r w_t . Z_k),
         two small real products, with no dense pass."""
-        return (u @ self.psi_wf).view(complex) * (s @ self.W).view(complex)
+        return (_blocked(A * self.gw, self.psi).view(complex)
+                * _blocked(B * self.wt, self.Zs.T).view(complex))
 
-    def abs_sq(self, rows, re, im):
-        """|u|^2 = re^2 + im^2 on the node rows, a new block, and its
-        weighted integral: the node rows' share of the norm squared."""
-        sq = np.square(re)
-        sq += np.square(im, out=self.sq[:rows.stop - rows.start])
-        return sq, float(self.gw[rows] @ (sq @ self.wt))
-
-    def norm_sq(self, rows, re, im):
-        """The node rows' share of the weighted L2 norm squared of u, with
-        no block allocated."""
-        sq = self.sq[:rows.stop - rows.start]
-        total = np.square(re, out=sq) @ self.wt
-        total += np.square(im, out=sq) @ self.wt
-        return float(self.gw[rows] @ total)
+    def inner(self, A, B, C, D):
+        """<A_r (x) B_r, C_q (x) D_q> for every row r of the real factor
+        pair (A, B) and every row q of (C, D), (r, q)."""
+        return _blocked(A * self.gw, C.T) * _blocked(B * self.wt, D.T)
 
 
-def synthesize(problem: MomentProblem) -> ControlSignal:
-    """Minimum-norm real control for the moment problem.
-
-    Fails closed with the not-controllable error (carrying the measured
-    lower frame bound) when the Gram condition exceeds CONDITION_CAP;
-    that is the numerical signature of a horizon at or below the sharp
-    time.  A moment residual or a realness defect above its threshold,
-    or a NaN in either, fails closed with the internal-consistency
-    error.  The result always passes the min-norm spot check (seed 0,
-    5 rank-one directions in factor form, one dense pass over g; see
-    _min_norm_spot_check).
-    """
-    fam = problem.family
-    rep = gram(fam)
-    if not np.isfinite(rep.cond) or rep.cond > CONDITION_CAP or rep.m_N <= 0:
-        raise NotControllableError(
-            f"moment problem not solvable at T={fam.grid.T:.6g}: "
-            f"m_N={rep.m_N:.3e}, condition={rep.cond:.3e} (cap {CONDITION_CAP:.1e})",
-            frame_lower=rep.m_N, condition=rep.cond)
-    a = cholesky_solve(rep.gram, problem.rhs)
-    dense = _RealPasses(fam)
-    g = np.empty((2, fam.psi.shape[1], fam.grid.steps + 1))   # Re g, Im g
-    moments, norm_sq, g_sq_max, imag_max = 0.0, 0.0, 0.0, 0.0
-    for rows in dense.blocks:
-        re, im = dense.combination(a, rows, g[:, rows])
-        moments = moments + dense.pairing(rows, re, im)
-        # one square of the block gives the norm and the realness scale
-        sq, block_norm_sq = dense.abs_sq(rows, re, im)
-        norm_sq += block_norm_sq
-        # np.maximum, not max: a NaN stays NaN
-        g_sq_max = np.maximum(g_sq_max, np.max(sq))
-        imag_max = np.maximum(imag_max, np.max(np.abs(im)))
-    residual = np.abs(moments - problem.rhs)
-    rhs_scale = max(1.0, float(np.max(np.abs(problem.rhs))))
-    # not (a <= tol) rather than a > tol: a NaN fails closed
-    if not float(np.max(residual)) <= 1e-6 * max(1.0, rep.cond) * rhs_scale:
-        raise InternalConsistencyError(
-            f"moment residual {float(np.max(residual)):.3e} out of scale "
-            "for the solved condition number")
-
-    imag_max = float(imag_max)
-    scale = max(1.0, float(np.sqrt(g_sq_max)))
-    if _is_symmetric(fam.index_set) and not imag_max <= 1e-8 * scale:
-        raise InternalConsistencyError(
-            f"synthesized control is not real (sup imag {imag_max:.3e}); "
-            "rhs extension inconsistent with member conjugation")
-
-    norm = float(np.sqrt(norm_sq))
-    _min_norm_spot_check(dense, rep, g, norm, seed=0, dirs=5)
-
-    return ControlSignal(g[0, :, ::-1].copy(), a, residual, imag_max,
-                         rep.cond, rep.m_N, norm, fam.grid, fam.index_set)
-
-
-def control_factors(family: SequenceFamily, coefficients: np.ndarray,
-                    pairs: Sequence[EigenPair]):
+def _factor_form(family: SequenceFamily, coefficients: np.ndarray,
+                 pairs: Sequence[EigenPair]):
     """Real traces (K, nodes) and time profiles (K, steps+1), one row per
     pair in the order given, with traces.T @ profiles the real part of
     the reversed-time combination sum_k a_k conj(member_k).
 
-    Raises the internal-consistency error when a trace is not real.
+    Raises the config error when the pairs are not the family's modes,
+    and the internal-consistency error when a trace is not real.
     """
     row = {p.index: i for i, p in enumerate(pairs)}
     if {abs(n) for n in family.index_set} != set(row):
@@ -354,14 +289,90 @@ def control_factors(family: SequenceFamily, coefficients: np.ndarray,
         raise InternalConsistencyError(
             "boundary trace with a nonzero imaginary part; the control "
             "has no real factor form")
-    s = np.array([1.0 if p.in_J else 1.0 / p.beta for p in pairs])
-    s_k = np.array([s[row[n]] if n > 0 else np.conj(s[row[-n]])
-                    for n in family.index_set])
-    w = np.conj(s_k) * np.asarray(coefficients)
-    terms = np.real(w[:, None] * np.conj(family.profiles[:, ::-1]))
-    profiles = np.zeros((len(pairs), terms.shape[1]))
-    np.add.at(profiles, [row[abs(n)] for n in family.index_set], terms)
+    # psi_k = s_k trace_n for member k = +-n: s = 1/beta_n at +n off the
+    # degenerate set (1 on it), its conjugate at -n
+    s = {p.index: 1.0 if p.in_J else 1.0 / p.beta for p in pairs}
+    w = np.conj([s[n] if n > 0 else np.conj(s[-n])
+                 for n in family.index_set]) * coefficients
+    profiles = np.zeros((len(pairs), family.profiles.shape[1]))
+    for n, wk, Z in zip(family.index_set, w, family.profiles):
+        profiles[row[abs(n)]] += (np.conj(Z[::-1]) * wk).real
     return traces.real.copy(), profiles
+
+
+def _sup_pass(dense: _RealPasses, a, traces, forward):
+    """sup |Im g|, the realness scale max(1, sup |g|) and the factor gap,
+    sup |traces.T @ forward - Re g| over sup |Re g|, for
+    g = sum_k a_k conj(member_k) and the control's profiles forward in
+    the family's time: one pass over the tiles of g (dense.tiles), each
+    dropped once read."""
+    # Re g and Im g of a tile, and a work tile
+    g = np.empty((3, dense.tiles[0][0].stop, dense.tiles[0][1].stop))
+    imag_max, sq, gap, f_max = 0.0, 0.0, 0.0, 0.0
+    for rows, t in dense.tiles:
+        n, m = rows.stop - rows.start, t.stop - t.start
+        re, im = dense.combination(a, rows, t, g[:2, :n, :m])
+        d = np.matmul(traces[:, rows].T, forward[:, t], out=g[2, :n, :m])
+        np.subtract(re, d, out=d)
+        # np.maximum, not max: a NaN stays NaN
+        gap = np.maximum(gap, np.max(np.abs(d, out=d)))
+        f_max = np.maximum(f_max, np.max(np.abs(re, out=d)))
+        imag_max = np.maximum(imag_max, np.max(np.abs(im, out=d)))
+        np.add(np.square(re, out=d), np.square(im, out=im), out=d)
+        sq = np.maximum(sq, np.max(d))
+    return imag_max, max(1.0, np.sqrt(sq)), gap / f_max if f_max > 0 else gap
+
+
+def synthesize(problem: MomentProblem,
+               pairs: Sequence[EigenPair]) -> ControlSignal:
+    """Minimum-norm real control for the moment problem, in factor form
+    over pairs, the family's modes.
+
+    Fails closed with the not-controllable error (carrying the measured
+    lower frame bound) when the Gram condition exceeds CONDITION_CAP;
+    that is the numerical signature of a horizon at or below the sharp
+    time.  A moment residual of the factor pair, a realness defect or a
+    factor gap above its threshold, or a NaN in any of them, fails
+    closed with the internal-consistency error.  The result always
+    passes the min-norm spot check (seed 0, 5 rank-one directions, in
+    factor form; see _min_norm_spot_check).
+    """
+    fam = problem.family
+    rep = gram(fam)
+    if not np.isfinite(rep.cond) or rep.cond > CONDITION_CAP or rep.m_N <= 0:
+        raise NotControllableError(
+            f"moment problem not solvable at T={fam.grid.T:.6g}: "
+            f"m_N={rep.m_N:.3e}, condition={rep.cond:.3e} (cap {CONDITION_CAP:.1e})",
+            frame_lower=rep.m_N, condition=rep.cond)
+    a = cholesky_solve(rep.gram, problem.rhs)
+    traces, profiles = _factor_form(fam, a, pairs)
+    dense = _RealPasses(fam)
+    # the pair in the family's time
+    g = traces, np.ascontiguousarray(profiles[:, ::-1])
+    residual = np.abs(dense.separable_pairing(*g).sum(axis=0) - problem.rhs)
+    rhs_scale = max(1.0, float(np.max(np.abs(problem.rhs))))
+    # not (a <= tol) rather than a > tol: a NaN fails closed
+    if not float(np.max(residual)) <= 1e-6 * max(1.0, rep.cond) * rhs_scale:
+        raise InternalConsistencyError(
+            f"moment residual {float(np.max(residual)):.3e} out of scale "
+            "for the solved condition number")
+
+    imag_max, scale, factor_gap = _sup_pass(dense, a, *g)
+    if _is_symmetric(fam.index_set) and not imag_max <= 1e-8 * scale:
+        raise InternalConsistencyError(
+            f"synthesized control is not real (sup imag {imag_max:.3e}); "
+            "rhs extension inconsistent with member conjugation")
+    if not factor_gap <= FACTOR_GAP_TOL:
+        raise InternalConsistencyError(
+            f"control factors rebuild the control to {factor_gap:.3e} of "
+            f"its maximum, above {FACTOR_GAP_TOL:.0e}")
+
+    # np.maximum, not max: a NaN stays NaN
+    norm = float(np.sqrt(np.maximum(np.sum(dense.inner(*g, *g)), 0.0)))
+    _min_norm_spot_check(dense, rep, *g, norm, seed=0, dirs=5)
+
+    return ControlSignal(traces, profiles, a, residual, imag_max, factor_gap,
+                         rep.cond, rep.m_N, norm, fam.grid, fam.index_set)
 
 
 def _spot_direction(rng, out):
@@ -373,48 +384,36 @@ def _spot_direction(rng, out):
     return out
 
 
-def _spot_terms(dense: _RealPasses, rep, g, seed: int, dirs: int):
+def _spot_terms(dense: _RealPasses, rep, A, B, seed: int, dirs: int):
     """For each of the spot check's directions v = u (x) s: the moments
     m_v of v, the moments of v_perp = v - sum_k x_k conj(m_k) with
-    x = rep.gram^-1 m_v, |v_perp|^2 and |g + v_perp|^2, in factor form.
+    x = rep.gram^-1 m_v, |v_perp|^2 and |g + v_perp|^2, in factor form,
+    for the control g = A.T @ B given as real factors A (r, nodes) and
+    B (r, steps+1) in the family's time.
 
     With G_f the Gram of the factors (_RealPasses.gram, not rep.gram) and
     p_g the moments of g:
 
         moments(v_perp) = m_v - G_f x
         |v_perp|^2      = |u|^2 |s|^2 - 2 Re(x^H m_v) + x^H G_f x
-        |g + v_perp|^2  = |g|^2 + 2 (<Re g, u (x) s> - Re(x^H p_g))
+        |g + v_perp|^2  = |g|^2 + 2 (<g, u (x) s> - Re(x^H p_g))
                           + |v_perp|^2
 
-    Only p_g, |g|^2 and <Re g, u_d (x) s_d> read g, all from one pass
-    over its node-row blocks: one real product of a block of Re g and
-    Im g against W widened by the columns s_d w_t, and the block's
-    squares.
+    p_g, |g|^2 and <g, u_d (x) s_d> are sums of products of the rows
+    of the factors, r (count + r + dirs) of them, with no dense pass.
     """
-    nodes, samples = g.shape[1:]
-    n = len(dense.Zs)
-    # the one product's columns: W, then s_d w_t per direction
-    wide = np.empty((samples, n + dirs))
-    wide[:, :n] = dense.W
-    U, s = np.empty((dirs, nodes)), np.empty(samples)
-    moments_v, uv_sq = np.empty((dirs, n // 2), dtype=complex), np.empty(dirs)
+    U, S = np.empty((dirs, A.shape[1])), np.empty((dirs, B.shape[1]))
     rng = np.random.default_rng(seed)
-    for d, u in enumerate(U):
+    for u, s in zip(U, S):
         _spot_direction(rng, u)
         _spot_direction(rng, s)
-        moments_v[d] = dense.separable_pairing(u, s)
-        uv_sq[d] = (np.square(u) @ dense.gw) * (np.square(s) @ dense.wt)
-        np.multiply(s, dense.wt, out=wide[:, n + d])
+    moments_v = dense.separable_pairing(U, S)
+    uv_sq = (np.square(U) @ dense.gw) * (np.square(S) @ dense.wt)
     xs = np.array([np.linalg.solve(rep.gram, m) for m in moments_v])
     Gx = xs @ dense.gram().T
-    p_g, g_s, g_sq = 0.0, 0.0, 0.0
-    for rows in node_blocks(nodes, wide.size):
-        q = np.matmul(g[:, rows], wide)
-        q_c = q[..., :n].view(complex)
-        p_g = p_g + np.sum(dense.psi_w[rows] * (q_c[0] + 1j * q_c[1]), axis=0)
-        g_s = g_s + np.einsum("dx,x,xd->d", U[:, rows], dense.gw[rows],
-                              q[0, :, n:])
-        g_sq += dense.norm_sq(rows, *g[:, rows])
+    p_g = np.sum(dense.separable_pairing(A, B), axis=0)
+    g_sq = np.sum(dense.inner(A, B, A, B))
+    g_s = np.sum(dense.inner(A, B, U, S), axis=0)
     xh = np.conj(xs)
     v_sq = (uv_sq - 2.0 * np.real(np.sum(xh * moments_v, axis=1))
             + np.real(np.sum(xh * Gx, axis=1)))
@@ -422,9 +421,10 @@ def _spot_terms(dense: _RealPasses, rep, g, seed: int, dirs: int):
     return moments_v, moments_v - Gx, v_sq, perturbed_sq
 
 
-def _min_norm_spot_check(dense: _RealPasses, rep, g, norm,
+def _min_norm_spot_check(dense: _RealPasses, rep, A, B, norm,
                          seed: int, dirs: int):
-    """Perturb g, given as (2, nodes, steps+1) Re g and Im g, by random
+    """Perturb the control g = A.T @ B, real factors A (r, nodes) and
+    B (r, steps+1) of any rank r in the family's time, by random
     span-orthogonal directions; the norm must not drop.
 
     Moments of a conjugated-member combination are exactly Gram-column
@@ -440,15 +440,15 @@ def _min_norm_spot_check(dense: _RealPasses, rep, g, norm,
     outside the span, <e, v_perp> has mean 0 and variance |e|^2, and
     E|v_perp|^2 is unchanged, so the check is as strong.
 
-    The members and v are rank one, so everything the check reads from
-    v_perp has a factor form (_spot_terms): the Gram solve uses rep.gram,
+    The members, v and the rows of the factors are rank one, so every
+    term has a factor form (_spot_terms): the Gram solve uses rep.gram,
     the moments and norms of v_perp use the Gram rebuilt from the
-    factors, so a wrong rep.gram leaves residual moments.  The one dense
-    pass is over g, and no field of v or v_perp is ever built.  A NaN in
-    g, in norm or in the moments fails the check; |g + v_perp|^2, a
-    difference of terms, is clipped at 0 against rounding.
+    factors, so a wrong rep.gram leaves residual moments.  No field of
+    g, v or v_perp is ever built.  A NaN in the factors, in norm or in
+    the moments fails the check; |g + v_perp|^2, a difference of terms,
+    is clipped at 0 against rounding.
     """
-    moments_v, moments, v_sq, perturbed_sq = _spot_terms(dense, rep, g,
+    moments_v, moments, v_sq, perturbed_sq = _spot_terms(dense, rep, A, B,
                                                          seed, dirs)
     # np.maximum, not max: a NaN stays NaN
     perturbed = np.sqrt(np.maximum(perturbed_sq, 0.0))

@@ -197,24 +197,35 @@ def _exponential_time_grams(rates, weights, horizons) -> np.ndarray:
     it is (u(T) conj(u'(T)) - u(0) conj(u'(0))) / x with u = w e^(s t),
     which takes one exponential per exponent and horizon, except where
     |x| T < 1, where the difference would cancel and expm1 takes over.
+
+    Three (count d)^2 arrays stay live: 1 / x, u(0) conj(u'(0)) and one
+    work array that each horizon's terms reuse before they are summed
+    into its slice of the preallocated result.  Only the pairs with
+    |x| min(horizons) < 1 keep x, |x| and u(0) conj(u'(0)) apart:
+    rounding is monotone, so they hold every horizon's |x| T < 1.
     """
     count, d = rates.shape
     s, w = rates.reshape(-1), weights.reshape(-1)
-    x = s[:, None] + np.conj(s)[None, :]
+    out = np.empty((len(horizons), count, count), dtype=complex)
+    inv = s[:, None] + np.conj(s)[None, :]          # x, inverted below
+    near = np.abs(inv)
     ww = w[:, None] * np.conj(w)[None, :]
-    near = np.abs(x)
+    pairs = np.flatnonzero(near * min(horizons, default=0.0) < 1.0)
+    x, near, ww_near = (a.ravel()[pairs] for a in (inv, near, ww))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv = 1.0 / x
-        out = []
-        for T in horizons:
+        np.divide(1.0, inv, out=inv)
+        work = np.empty_like(inv)
+        for T, gram in zip(horizons, out):
             u = w * np.exp(s * T)
-            terms = (u[:, None] * np.conj(u)[None, :] - ww) * inv
+            np.multiply(u[:, None], np.conj(u)[None, :], out=work)
+            np.subtract(work, ww, out=work)
+            np.multiply(work, inv, out=work)
             small = near * T < 1.0
             y = x[small] * T
-            terms[small] = ww[small] * T * np.where(y == 0.0, 1.0,
-                                                    np.expm1(y) / y)
-            out.append(terms.reshape(count, d, count, d).sum(axis=(1, 3)))
-    return np.array(out)
+            work.ravel()[pairs[small]] = ww_near[small] * T * np.where(
+                y == 0.0, 1.0, np.expm1(y) / y)
+            work.reshape(count, d, count, d).sum(axis=(1, 3), out=gram)
+    return out
 
 
 def exact_sweep(kernel, pairs_tel, pairs_vis, c: float, gamma_weights,

@@ -32,7 +32,10 @@ it forms each family's boundary Gram once, fills one stack with its
 entrywise products with the time Grams, runs the finite and Hermitian
 checks on each family's part of the stack, batched over its horizons,
 and takes the nested frame bounds of every Gram with one batched
-eigenvalue call per truncation level.  Each
+eigenvalue call per truncation level.  A lower bound below its level's
+rounding floor k eps M_k is reported as 0 and flagged (at_floor), after
+the interlacing check has read the computed value; one below -k eps M_k
+stops the pass (the Gram is indefinite).  Each
 Gram's figures are bit for bit those of a pass over it alone, and the
 first Gram to fail a check, in family order and then horizon order,
 stops the pass with that Gram's error.  Both routes of `sweep-t` feed
@@ -140,9 +143,10 @@ class SequenceFamily:
 @dataclass(frozen=True)
 class GramReport:
     gram: np.ndarray
-    frame_lower: np.ndarray      # m_k for every k of levels
+    frame_lower: np.ndarray      # m_k for every k of levels, 0 at the floor
     frame_upper: np.ndarray      # M_k
     condition: np.ndarray
+    at_floor: np.ndarray         # m_k computed within k eps M_k of 0
     levels: tuple                # truncation levels k, ascending to N
 
     @property
@@ -253,12 +257,22 @@ def gram_reports(families: Sequence[tuple],
         label = families[int(np.argmax(broken)) // H][2]
         raise InternalConsistencyError(
             f"frame bounds of {label!r} violate interlacing")
+    # within k eps M_k of 0, m_k is rounding (a singular Gram's can come
+    # out at -1e-16 M_k); below -k eps M_k, the Gram is indefinite
+    floor = np.array(levels) * np.finfo(float).eps * highs
+    if np.any(lows < -floor):
+        g = int(np.argmax(np.any(lows < -floor, axis=1)))
+        raise InternalConsistencyError(
+            f"Gram of {families[g // H][2]!r} is not positive semidefinite "
+            f"(lower frame bound {np.min(lows[g]):.3e})")
+    at_floor = lows < floor
+    lows[at_floor] = 0.0
     cond = np.full(lows.shape, np.inf)
     pos = lows > 0
     with np.errstate(over="ignore"):   # an overflow is an infinite condition
         cond[pos] = highs[pos] / lows[pos]
     reports = [GramReport(*parts, levels)
-               for parts in zip(Gs, lows, highs, cond)]
+               for parts in zip(Gs, lows, highs, cond, at_floor)]
     return [reports[f * H:(f + 1) * H] for f in range(len(families))]
 
 

@@ -22,18 +22,17 @@ mode, like the marched theta_n.  The verdict reads
 the end state only, so each convolution the end state needs is
 evaluated at the final time alone (kernels.convolve_end, one O(m)
 contraction): the convolution route contracts N * z_n, z_n and N' * z_n
-against F_n in one call, and the march route reads theta_n'(T) from the
+against F_n, and the march route reads theta_n'(T) from the
 contraction of N against the marched theta_n.
 
-The march route's forcing N * F_n is needed at every sample.  F = W f,
-with W the (K_sim, nodes) weighted traces and f the (nodes, steps+1)
-control, so by linearity of the product trapezoid N * F = W (N * f):
-the same discrete quantity, rounded otherwise.  When the control has
-fewer node rows than there are simulated modes (one on the interval,
-against K_sim = 12 on the benchmark), the route convolves N against
-the node rows and pairs the result with W, 3 transforms where the K_sim
-rows of F take 25; otherwise (the rectangle's 257-node edge) it
-convolves the rows of F.
+The control arrives as its factor pair (control.ControlSignal),
+f = traces.T @ profiles, so the forcings are F = W f =
+(W @ traces.T) @ profiles, W the (K_sim, nodes) weighted traces.  The
+march route needs N * F at every sample; by linearity of the product
+trapezoid it convolves the fewest rows among the node rows of f, the
+K_sim rows of F and the K profiles (_forcing_convolution): one node row
+on the interval (3 transforms where the 12 rows of F take 25), the rows
+of F on the rectangle benchmark's 257-node edge.
 
 The simulation grid may extend past the control horizon (the control is
 zero-padded), which is how post-control energy conservation is checked
@@ -74,46 +73,49 @@ class SimResult:
     grid: TimeGrid
 
 
-def _mode_forcing(weighted: np.ndarray, u: np.ndarray,
+def _mode_forcing(coupling: np.ndarray, profiles: np.ndarray,
                   length: int) -> np.ndarray:
-    """weighted @ u on the simulation grid, (K_sim, length): with u the
-    (nodes, k) control and weighted the weighted traces, the boundary
-    pairing F_n of the control with each mode's trace, zero past the
-    horizon.  Summed over node-row blocks (control.node_blocks) so that
-    no product wakes OpenBLAS's worker pool."""
-    out = np.zeros((len(weighted), length))
-    for rows in node_blocks(len(u), u.shape[1] * len(weighted)):
-        out[:, :u.shape[1]] += weighted[:, rows] @ u[rows]
+    """coupling @ profiles, zero-padded to length, over chunks of time
+    samples (control.node_blocks, half the bound for one row) so that no
+    product wakes OpenBLAS's worker pool."""
+    out = np.zeros((len(coupling), length))
+    for cols in node_blocks(profiles.shape[1],
+                            coupling.shape[1] * max(2, len(coupling))):
+        out[:, cols] = coupling @ profiles[:, cols]
     return out
 
 
 def _forcing_convolution(kernel: NormalizedKernel, weighted: np.ndarray,
-                         f: np.ndarray, length: int) -> np.ndarray:
-    """H_n = N * F_n on the simulation grid, (K_sim, length).
-
-    F = W f with W the weighted traces, so by linearity of the product
-    trapezoid H = W (N * f): the same discrete quantity, rounded
-    otherwise.  A control with fewer node rows than simulated modes
-    (one on the interval, against K_sim) convolves its node rows,
-    zero-padded to the grid, and pairs the result; one with more (the
-    rectangle's edge) convolves the K_sim rows of F.
-    """
-    if len(f) >= len(weighted):
-        return convolve(kernel.N, _mode_forcing(weighted, f, length),
+                         control: ControlSignal, length: int) -> np.ndarray:
+    """H = N * F on the simulation grid, (K_sim, length), as
+    W (N * f), N * F or (W traces.T) (N * profiles), whichever convolves
+    the fewest rows (ties in that order)."""
+    T, P = control.traces, control.profiles
+    if T.shape[1] <= min(len(weighted), len(T)):     # the node rows of f
+        return _mode_forcing(weighted, convolve(
+            kernel.N, _mode_forcing(T.T, P, length), kernel.h), length)
+    coupling = weighted @ T.T
+    if len(weighted) <= len(T):                       # the K_sim rows of F
+        return convolve(kernel.N, _mode_forcing(coupling, P, length),
                         kernel.h)
-    padded = np.zeros((len(f), length))
-    padded[:, :f.shape[1]] = f
-    return _mode_forcing(weighted, convolve(kernel.N, padded, kernel.h),
+    padded = np.pad(P, ((0, 0), (0, length - P.shape[1])))   # K profiles
+    return _mode_forcing(coupling, convolve(kernel.N, padded, kernel.h),
                          length)
 
 
-def _check_grids(kernel: NormalizedKernel, control: ControlSignal):
+def _setup(kernel: NormalizedKernel, control: ControlSignal,
+           gamma_weights, K):
+    """Check the control's grid; the boundary weights, grid length and K,
+    with their defaults."""
     if abs(kernel.h - control.grid.h) > 1e-12 * kernel.h:
         raise ConfigError(
             f"control step {control.grid.h!r} does not match simulation step "
             f"{kernel.h!r}; runs own exactly one step size")
-    if control.f.shape[1] > kernel.grid.steps + 1:
+    if control.profiles.shape[1] > kernel.grid.steps + 1:
         raise ConfigError("control grid longer than simulation grid")
+    return (1.0 if gamma_weights is None else gamma_weights,
+            kernel.grid.steps + 1,
+            max(abs(n) for n in control.index_set) if K is None else K)
 
 
 def mode_energies(theta_T, theta_t_T, beta) -> np.ndarray:
@@ -136,24 +138,19 @@ def simulate_convolution(responses: ModalResponses, kernel: NormalizedKernel,
                          K: int = None) -> SimResult:
     """Primary verification route, via the convolution representations
     of the first K_sim rows of responses, which must be modes 1..K_sim."""
-    _check_grids(kernel, control)
-    gw = np.ones(control.f.shape[0]) if gamma_weights is None else gamma_weights
-    length = kernel.grid.steps + 1
-    K = K if K is not None else max(abs(n) for n in control.index_set)
+    gw, length, K = _setup(kernel, control, gamma_weights, K)
     sim = responses.head(K_sim)
     if [p.index for p in sim.pairs] != list(range(1, K_sim + 1)):
         raise ConfigError(f"simulation needs the responses of modes 1..{K_sim}")
     if sim.grid.steps + 1 != length:
         raise ConfigError("responses live on a different grid")
-    F = _mode_forcing(np.array([p.trace.real for p in sim.pairs]) * gw,
-                      control.f, length)
-    # N*z, z and N'*z against F in one call, (3, K_sim) at the end.  z
-    # and N'*z are convolved apart and summed after: summing them first
-    # moves theta' by rounding, and the verify artifacts with it
-    parts = convolve_end(np.stack([sim.Nz, sim.z, sim.Npz]), F, kernel.h)
-    theta = -parts[0]
-    theta_t = -(parts[1] + parts[2])
-    return _finalize(theta, theta_t, K,
+    weighted = np.array([p.trace.real for p in sim.pairs]) * gw
+    F = _mode_forcing(weighted @ control.traces.T, control.profiles, length)
+    # one call each: a stack would copy the batches.  z and N'*z are
+    # summed after: summing them first moves theta' by rounding
+    Nz, z, Npz = (convolve_end(r, F, kernel.h)
+                  for r in (sim.Nz, sim.z, sim.Npz))
+    return _finalize(-Nz, -(z + Npz), K,
                      np.array([p.lambda_sq for p in sim.pairs]),
                      np.array([p.beta.real for p in sim.pairs]), kernel.grid)
 
@@ -163,10 +160,7 @@ def simulate_march(kernel: NormalizedKernel, pairs: Sequence[EigenPair],
                    gamma_weights: Optional[np.ndarray] = None,
                    K: int = None) -> SimResult:
     """Independent route: direct time-marching of the forced modal system."""
-    _check_grids(kernel, control)
-    gw = np.ones(control.f.shape[0]) if gamma_weights is None else gamma_weights
-    length = kernel.grid.steps + 1
-    K = K if K is not None else max(abs(n) for n in control.index_set)
+    gw, length, K = _setup(kernel, control, gamma_weights, K)
     h = kernel.h
     by_index = {p.index: p for p in pairs}
     missing = [n for n in range(1, K_sim + 1) if n not in by_index]
@@ -176,7 +170,7 @@ def simulate_march(kernel: NormalizedKernel, pairs: Sequence[EigenPair],
     lam_sq = np.array([p.lambda_sq for p in sim])
     beta = np.array([p.beta.real for p in sim])
     weighted = np.array([p.trace.real for p in sim]) * gw
-    H = _forcing_convolution(kernel, weighted, control.f, length)
+    H = _forcing_convolution(kernel, weighted, control, length)
     theta = march_modal(kernel, lam_sq, kernel.alpha, y0=0.0, forcing=-H,
                         label=f"(sim modes 1..{K_sim})")
     memory = convolve_end(kernel.N, theta, h)

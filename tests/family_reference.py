@@ -9,6 +9,7 @@ the second argument of an inner product conjugated, as in riesz:
     inner_against(fam, g)[k] = <g, member_k>
     norms_sq(fam)[k]         = |member_k|^2
     combination(fam, a)      = sum_k a_k member_k  (or conj(member_k))
+    real_factors(fam, a)     = real factors of Re sum_k a_k conj(member_k)
 """
 
 import numpy as np
@@ -45,3 +46,13 @@ def combination(fam, coefficients, conjugate=False):
     if conjugate:
         return (np.conj(fam.psi).T * a) @ np.conj(fam.profiles)
     return (fam.psi.T * a) @ fam.profiles
+
+
+def real_factors(fam, coefficients):
+    """Real factors A (2 count, nodes) and B (2 count, steps+1) with
+    A.T @ B = Re sum_k a_k conj(member_k), member by member:
+    Re(c z) = Re c Re z - Im c Im z with c = conj(psi_k) and
+    z = a_k conj(Z_k)."""
+    c = np.conj(fam.psi)
+    z = np.asarray(coefficients)[:, None] * np.conj(fam.profiles)
+    return np.concatenate([c.real, c.imag]), np.concatenate([z.real, -z.imag])

@@ -203,7 +203,8 @@ def test_criterion_6_plateau_collapse(master):
 
 def test_criterion_7_round_trip(master):
     ker_s, resp_s = master.restrict(2.5 * PI)
-    fam12 = viscoelastic_family(resp_s.head(12))
+    head = resp_s.head(12)
+    fam12 = viscoelastic_family(head)
     rng = np.random.default_rng(42)
     sc = 1 / np.arange(1, 13.0)
     targets = {
@@ -213,7 +214,7 @@ def test_criterion_7_round_trip(master):
     }
     rows, ok = [], True
     for label, tgt in targets.items():
-        sig = synthesize(build_moment_problem(fam12, tgt))
+        sig = synthesize(build_moment_problem(fam12, tgt), head.pairs)
         res = simulate_convolution(resp_s, ker_s, sig, 40)
         xi, eta = achieved_coefficients(res, master.pairs)
         rel = (np.linalg.norm(np.r_[xi[:12] - tgt.xi, eta[:12] - tgt.eta])
@@ -227,11 +228,12 @@ def test_criterion_7_round_trip(master):
 
 def test_criterion_8_fails_closed(master, tmp_path, capsys):
     _, resp_f = master.restrict(0.5 * PI)
-    fam = viscoelastic_family(resp_f.head(12))
+    head = resp_f.head(12)
+    fam = viscoelastic_family(head)
     tgt = TargetState(np.eye(12)[0], np.zeros(12), 12)
     caught = None
     try:
-        synthesize(build_moment_problem(fam, tgt))
+        synthesize(build_moment_problem(fam, tgt), head.pairs)
     except NotControllableError as e:
         caught = e
     reported = (caught is not None and caught.frame_lower < 1e-6

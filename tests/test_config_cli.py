@@ -15,9 +15,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from memwave import ConfigError, SequenceFamily, make_grid
-from memwave import cli, volterra
+from memwave import cli, control, volterra
 from memwave.cli import _write_csv, main
 from memwave.config import EXPERIMENTS, config_hash, from_dict, load
+
+from family_reference import combination
 
 PI = np.pi
 DOM = {"geometry": "interval", "lengths": [PI]}
@@ -381,6 +383,19 @@ def test_cli_tabulated_kernel_at_benchmark_size(tmp_path):
     assert verdict["verdict"] == "PASS"
 
 
+def test_cli_gram_at_the_rounding_floor_exits_three(tmp_path, capsys):
+    # 3 e^-t with 6 modes at T = 3 pi: m_N is at its rounding floor, the
+    # Gram singular to working precision; gram says so and writes
+    # nothing, where it wrote m_N = 4.3e-17 and a condition of 3e16
+    doc = base("gram", T=3 * PI, h=2e-3, K=6,
+               kernel={"family": "exponential_sum", "coefficients": [3.0],
+                       "rates": [1.0]})
+    assert run(tmp_path, doc, out=tmp_path / "store") == 3
+    err = capsys.readouterr().err
+    assert "singular to working precision" in err and "gram.json" in err
+    assert not (tmp_path / "store").exists()
+
+
 def test_cli_config_errors_exit_two(tmp_path, capsys):
     doc = base()
     doc["surprise"] = 1
@@ -525,13 +540,13 @@ def test_cli_verify_nan_z_route_gap_exits_five(tmp_path, capsys,
 
 
 def test_cli_synthesize_writes_control_factors(tmp_path, capsys, monkeypatch):
-    # control.csv and control_traces.csv are the factors of the dense
-    # control: one product rebuilds it
+    # control.csv and control_traces.csv are the factors synthesize
+    # returns: one product rebuilds the control combined from the family
     kept, synthesize = [], cli.synthesize
 
-    def keep(problem):
-        kept.append(synthesize(problem))
-        return kept[-1]
+    def keep(problem, pairs):
+        kept.append((problem, synthesize(problem, pairs)))
+        return kept[-1][1]
     monkeypatch.setattr(cli, "synthesize", keep)
     doc = base("synthesize", T=2.5 * PI, K=2, target="random", seed=1,
                kernel=EXP, domain=dict(RECT, gamma_subset=["right", "top"]))
@@ -542,29 +557,34 @@ def test_cli_synthesize_writes_control_factors(tmp_path, capsys, monkeypatch):
     tcols, tr = cli._read_csv(str(adir / "control_traces.csv"))
     assert cols == ["t", "g_mode1", "g_mode2"]
     assert tcols == ["node", "trace_mode1", "trace_mode2"]
-    f = kept[0].f
-    assert g.shape == (f.shape[1], 3) and tr.shape == (f.shape[0], 3)
-    assert np.array_equal(g[:, 0], kept[0].grid.t)
-    assert np.array_equal(tr[:, 0], np.arange(f.shape[0]))
+    problem, ctrl = kept[0]
+    nodes, samples = ctrl.traces.shape[1], ctrl.profiles.shape[1]
+    assert g.shape == (samples, 3) and tr.shape == (nodes, 3)
+    assert np.array_equal(g[:, 0], ctrl.grid.t)
+    assert np.array_equal(tr[:, 0], np.arange(nodes))
+    assert np.array_equal(g[:, 1:].T, ctrl.profiles)
+    assert np.array_equal(tr[:, 1:].T, ctrl.traces)
+    f = np.real(combination(problem.family, ctrl.coefficients,
+                            conjugate=True))[:, ::-1]
     gap = np.max(np.abs(tr[:, 1:] @ g[:, 1:].T - f)) / np.max(np.abs(f))
     syn = json.loads((adir / "synthesis.json").read_text())
-    assert gap == syn["factor_gap"] and gap <= 1e-12
+    assert syn["factor_gap"] == ctrl.factor_gap <= 1e-12 and gap <= 1e-12
 
     capsys.readouterr()
     assert main(["report", str(adir)]) == 0
     text = capsys.readouterr().out
-    assert f"factor gap            = {gap:.3e}" in text
-    assert f"= 2 modes x {f.shape[0]} nodes" in text
-    assert f"= 2 modes x {f.shape[1]} samples" in text
+    assert f"factor gap            = {ctrl.factor_gap:.3e}" in text
+    assert f"= 2 modes x {nodes} nodes" in text
+    assert f"= 2 modes x {samples} samples" in text
 
 
 def test_cli_synthesize_factor_gap_exits_five(tmp_path, capsys, monkeypatch):
-    control_factors = cli.control_factors
+    factor_form = control._factor_form
 
     def skewed(fam, a, pairs):
-        traces, profiles = control_factors(fam, a, pairs)
+        traces, profiles = factor_form(fam, a, pairs)
         return traces, profiles * (1.0 + 1e-9)
-    monkeypatch.setattr(cli, "control_factors", skewed)
+    monkeypatch.setattr(control, "_factor_form", skewed)
     doc = base("synthesize", T=2.5 * PI, K=2, target="random", kernel=EXP)
     assert run(tmp_path, doc, out=tmp_path / "store", grid_h=1e-2) == 5
     assert "factors rebuild the control" in capsys.readouterr().err
@@ -573,18 +593,21 @@ def test_cli_synthesize_factor_gap_exits_five(tmp_path, capsys, monkeypatch):
 
 def test_cli_synthesize_non_finite_control_exits_three(tmp_path, capsys,
                                                       monkeypatch):
+    # an Inf in either factor stops the run before its first write
     synthesize = cli.synthesize
-
-    def broken(problem):
-        control = synthesize(problem)
-        f = control.f.copy()
-        f[0, -1] = np.inf
-        return dataclasses.replace(control, f=f)
-    monkeypatch.setattr(cli, "synthesize", broken)
     doc = base("synthesize", T=2.5 * PI, K=2, target="random", kernel=EXP)
-    assert run(tmp_path, doc, out=tmp_path / "store", grid_h=1e-2) == 3
-    assert "control.csv" in capsys.readouterr().err
-    assert not (tmp_path / "store").exists()
+    for factor, artifact in (("profiles", "control.csv"),
+                             ("traces", "control_traces.csv")):
+        def broken(problem, pairs):
+            ctrl = synthesize(problem, pairs)
+            values = getattr(ctrl, factor).copy()
+            values[0, -1] = np.inf
+            return dataclasses.replace(ctrl, **{factor: values})
+        monkeypatch.setattr(cli, "synthesize", broken)
+        store = tmp_path / factor
+        assert run(tmp_path, doc, out=store, grid_h=1e-2) == 3
+        assert artifact in capsys.readouterr().err
+        assert not store.exists()
 
 
 def test_cli_rectangle_round_trip_passes(tmp_path):

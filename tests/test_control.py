@@ -4,18 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from memwave import (ConfigError, DomainSpec, InternalConsistencyError,
-                     KernelSpec, NotControllableError, SequenceFamily, TargetState, TimeGrid, assemble_rhs,
-                     build_moment_problem, comparator_profile,
-                     compute_eigenpairs, control_factors, compute_responses, gram, make_grid,
-                     normalize, quadratic_closeness, refined_S, synthesize,
+from memwave import (ConfigError, DomainSpec, EigenPair,
+                     InternalConsistencyError, KernelSpec,
+                     NotControllableError, SequenceFamily, TargetState,
+                     TimeGrid, assemble_rhs, build_moment_problem,
+                     comparator_profile, compute_eigenpairs,
+                     compute_responses, gram, make_grid, normalize,
+                     quadratic_closeness, refined_S, synthesize,
                      telegraph_family, viscoelastic_family)
-from memwave.control import (CALLING_THREAD_MACS, _RealPasses,
-                              _min_norm_spot_check, _spot_direction,
-                              _spot_terms, node_blocks)
+from memwave.control import (CALLING_THREAD_MACS, _RealPasses, _factor_form,
+                              _min_norm_spot_check, _signed, _signed_index,
+                              _spot_direction, _spot_terms, node_blocks)
 from memwave.grid import trapezoid_weights
 
-from family_reference import combination, pairing
+from family_reference import combination, pairing, real_factors
 
 PI = np.pi
 INTERVAL = DomainSpec("interval", (PI,))
@@ -153,20 +155,28 @@ def test_distance_to_comparator_decays():
 # -------------------------------------------------------------- synthesis
 
 
+def unit_pairs(K):
+    """Modes 1..K with trace 1 on one node, beta = 1: psi = 1."""
+    return [EigenPair(n, float(n * n), 1.0 + 0.0j, np.ones(1, dtype=complex),
+                      False, False) for n in range(1, K + 1)]
+
+
 def test_synthesize_orthonormal_family_identity():
     grid = TimeGrid(2 * PI, 4000)
     idx = (1, -1, 2, -2, 3, -3)
     members = np.exp(1j * np.outer(np.array(idx), grid.t)) / np.sqrt(2 * PI)
     fam = SequenceFamily(members, idx, "unit-fourier", grid)
-    sig = synthesize(build_moment_problem(fam, unit_target(3)))
+    sig = synthesize(build_moment_problem(fam, unit_target(3)),
+                     unit_pairs(3))
     # Gram = I, so a = rhs and f(t) = 2 sin(t) / sqrt(2 pi)
     assert np.allclose(sig.coefficients, [-1j, 1j, 0, 0, 0, 0], atol=1e-10)
     expected = 2.0 * np.sin(grid.t) / np.sqrt(2 * PI)
-    assert np.max(np.abs(sig.f[0] - expected)) < 1e-10
+    f = sig.traces.T @ sig.profiles
+    assert np.max(np.abs(f[0] - expected)) < 1e-10
     assert sig.residual_max < 1e-12
     assert sig.imag_max < 1e-12
     assert sig.norm == pytest.approx(np.sqrt(2.0), rel=1e-9)
-    assert sig.f.shape == (1, len(grid))
+    assert f.shape == (1, len(grid)) and sig.traces.shape == (3, 1)
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +186,7 @@ def pairs12():
 
 def test_synthesize_telegraph_round_numbers(pairs12):
     fam = telegraph_family(pairs12, 0.0, 2.5 * PI, steps=round(2.5 * PI / 1e-3))
-    sig = synthesize(build_moment_problem(fam, unit_target(12)))
+    sig = synthesize(build_moment_problem(fam, unit_target(12)), pairs12)
     assert sig.residual_max <= 1e-8 * sig.condition
     assert sig.imag_max <= 1e-12
     assert 3.5 < sig.frame_lower < 4.5
@@ -189,7 +199,7 @@ def test_synthesize_random_targets_stay_real(pairs12):
         rng = np.random.default_rng(seed)
         target = TargetState(rng.standard_normal(12), rng.standard_normal(12), 12)
         prob = build_moment_problem(fam, target)
-        sig = synthesize(prob)
+        sig = synthesize(prob, pairs12)
         assert sig.imag_max <= 1e-10
         scale = max(1.0, float(np.max(np.abs(prob.rhs))))
         assert sig.residual_max <= 1e-8 * sig.condition * scale
@@ -204,13 +214,13 @@ def test_nan_rhs_fails_closed(case):
     rhs = prob.rhs.copy()
     rhs[2] = np.nan
     with pytest.raises(InternalConsistencyError, match="moment residual"):
-        synthesize(dataclasses.replace(prob, rhs=rhs))
+        synthesize(dataclasses.replace(prob, rhs=rhs), pairs)
 
 
 def test_short_horizon_fails_closed(pairs12):
     fam = telegraph_family(pairs12, 0.0, 0.5 * PI, steps=2000)
     with pytest.raises(NotControllableError) as err:
-        synthesize(build_moment_problem(fam, unit_target(12)))
+        synthesize(build_moment_problem(fam, unit_target(12)), pairs12)
     assert err.value.exit_code == 4
     assert err.value.frame_lower < 1e-6
     assert "m_N" in str(err.value)
@@ -224,7 +234,8 @@ def test_feasibility_monotone_from_precritical(pairs12):
     results = {}
     for T in (1.6 * PI, 2.0 * PI, 2.5 * PI, 3.0 * PI):
         fam = telegraph_family(pairs12, 0.0, T, steps=round(T / 2e-3))
-        results[T] = synthesize(build_moment_problem(fam, unit_target(12)))
+        results[T] = synthesize(build_moment_problem(fam, unit_target(12)),
+                                pairs12)
     Ts = sorted(results)
     bounds = [results[T].frame_lower for T in Ts]
     assert all(b2 >= b1 * (1 - 1e-9) for b1, b2 in zip(bounds, bounds[1:]))
@@ -248,6 +259,9 @@ def _factor_case(name):
         pairs = compute_eigenpairs(dom, 3, alpha=0.5)
         return telegraph_family(pairs, 0.5, 2.5 * PI, steps=400,
                                 gamma_weights=dom.gamma_weights()), pairs
+    if name == "long-rows":
+        pairs = compute_eigenpairs(INTERVAL, 20, alpha=0.0)
+        return telegraph_family(pairs, 0.0, 2.5 * PI, steps=8000), pairs
     if name == "spanned":
         # 6 members on 6 time samples: the span is every grid function
         pairs = compute_eigenpairs(INTERVAL, 3, alpha=0.0)
@@ -270,7 +284,7 @@ def test_control_factors_rebuild_the_control(case):
     fam, pairs = _factor_case(case)
     rng = np.random.default_rng(5)
     a = rng.standard_normal(fam.count) + 1j * rng.standard_normal(fam.count)
-    traces, profiles = control_factors(fam, a, pairs)
+    traces, profiles = _factor_form(fam, a, pairs)
     assert traces.dtype == profiles.dtype == float
     assert traces.shape == (len(pairs), fam.psi.shape[1])
     assert profiles.shape == (len(pairs), fam.grid.steps + 1)
@@ -285,9 +299,9 @@ def test_control_factors_refuse_complex_trace():
     bad += pairs[1:]
     a = np.ones(fam.count, dtype=complex)
     with pytest.raises(InternalConsistencyError):
-        control_factors(fam, a, bad)
+        _factor_form(fam, a, bad)
     with pytest.raises(ConfigError):
-        control_factors(fam, a, pairs[:-1])
+        _factor_form(fam, a, pairs[:-1])
 
 
 # ------------------------------------------------------ min-norm spot check
@@ -300,80 +314,90 @@ def _norm_sq(fam, g):
 
 
 def _solved(case):
-    """(family, Gram report, minimum-norm g, its norm) for a random target."""
+    """(family, Gram report, the minimum-norm control as the real factor
+    pair synthesize feeds the spot check, in the family's time, its
+    norm) for a random target."""
     fam, pairs = _factor_case(case)
     rng = np.random.default_rng(3)
     K = len(pairs)
     target = TargetState(rng.standard_normal(K), rng.standard_normal(K), K)
     rep = gram(fam)
     a = np.linalg.solve(rep.gram, build_moment_problem(fam, target).rhs)
-    g = combination(fam, a, conjugate=True)
-    return fam, rep, g, np.sqrt(_norm_sq(fam, g))
+    traces, profiles = _factor_form(fam, a, pairs)
+    B = np.ascontiguousarray(profiles[:, ::-1])
+    return fam, rep, traces, B, np.sqrt(_norm_sq(fam, traces.T @ B))
 
 
-def _spot_check(fam, rep, g, norm):
-    """The spot check of synthesize on a complex g."""
-    _min_norm_spot_check(_RealPasses(fam), rep, np.stack([g.real, g.imag]),
-                         norm, seed=0, dirs=5)
+def _spot_check(fam, rep, A, B, norm):
+    """The spot check of synthesize on the control A.T @ B."""
+    _min_norm_spot_check(_RealPasses(fam), rep, A, B, norm, seed=0, dirs=5)
 
 
-@pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
+@pytest.mark.parametrize("case", ["interval", "rectangle-right-top",
+                                  "long-rows"])
 def test_real_passes_match_the_complex_family_methods(case):
-    # one node, and a last block shorter than the others
+    # one node; a last block of rows shorter than the others; one row of
+    # 40 members x 8001 samples, too long for one product
     fam, _ = _factor_case(case)
     nodes, samples = fam.psi.shape[1], fam.grid.steps + 1
     rng = np.random.default_rng(4)
     a = rng.standard_normal(fam.count) + 1j * rng.standard_normal(fam.count)
     dense = _RealPasses(fam)
-    assert dense.blocks == node_blocks(nodes, 2 * fam.count * samples)
-    sizes = [rows.stop - rows.start for rows in dense.blocks]
-    assert sizes == [1] if case == "interval" else \
-        len(sizes) > 2 and sizes[-1] < sizes[0]
-    # the blocks tile the nodes, and each product of a block stays under
-    # the multiply-adds that OpenBLAS runs on the calling thread
-    assert sum(sizes) == nodes and dense.blocks[0].start == 0
-    assert all(lo.stop == hi.start
-               for lo, hi in zip(dense.blocks, dense.blocks[1:]))
-    assert max(sizes) * 2 * fam.count * samples < CALLING_THREAD_MACS
-    # so do the time Gram's products, one per chunk of time samples
-    chunks = [c.stop - c.start for c in dense.chunks]
-    assert dense.chunks == node_blocks(samples, (2 * fam.count) ** 2)
-    assert sum(chunks) == samples and dense.chunks[0].start == 0
-    assert all(lo.stop == hi.start
-               for lo, hi in zip(dense.chunks, dense.chunks[1:]))
-    assert max(chunks) * (2 * fam.count) ** 2 < CALLING_THREAD_MACS
+    blocks = sorted({rows.start: rows for rows, _ in dense.tiles}.values(),
+                    key=lambda rows: rows.start)
+    assert blocks == node_blocks(nodes, 2 * fam.count * samples)
+    sizes = [rows.stop - rows.start for rows in blocks]
+    chunks = [[t for r, t in dense.tiles if r == rows] for rows in blocks]
+    assert {"interval": sizes == [1] and len(chunks[0]) == 1,
+            "rectangle-right-top": len(sizes) > 2 and sizes[-1] < sizes[0]
+            and all(len(c) == 1 for c in chunks),
+            "long-rows": sizes == [1] and len(chunks[0]) > 1}[case]
+    # the tiles cover the nodes and the samples in order, and each tile's
+    # product stays under the multiply-adds that OpenBLAS runs on the
+    # calling thread
+    assert sum(sizes) == nodes and blocks[0].start == 0
+    assert all(lo.stop == hi.start for lo, hi in zip(blocks, blocks[1:]))
+    for ts in chunks:
+        assert ts[0].start == 0 and ts[-1].stop == samples
+        assert all(lo.stop == hi.start for lo, hi in zip(ts, ts[1:]))
+    assert max((r.stop - r.start) * 2 * fam.count * (t.stop - t.start)
+               for r, t in dense.tiles) < CALLING_THREAD_MACS
     parts = np.empty((2, nodes, samples))
-    moments, norm_sq = 0.0, 0.0
-    for rows in dense.blocks:
-        re, im = dense.combination(a, rows, parts[:, rows])
-        moments = moments + dense.pairing(rows, re, im)
-        norm_sq += dense.norm_sq(rows, re, im)
+    for rows, t in dense.tiles:
+        dense.combination(a, rows, t, parts[:, rows, t])
     g = combination(fam, a, conjugate=True)
     assert np.max(np.abs(parts[0] + 1j * parts[1] - g)) \
         <= 1e-14 * np.max(np.abs(g))
-    want = pairing(fam, g)
+    # the factor-form moments and norm of Re g, a real pair of rank
+    # 2 count, against the complex passes over Re g
+    A, B = real_factors(fam, a)
+    moments = np.sum(dense.separable_pairing(A, B), axis=0)
+    want = pairing(fam, g.real)
     assert np.max(np.abs(moments - want)) <= 1e-14 * np.max(np.abs(want))
-    assert norm_sq == pytest.approx(_norm_sq(fam, g), rel=1e-14)
+    assert np.sum(dense.inner(A, B, A, B)) == pytest.approx(
+        _norm_sq(fam, g.real), rel=1e-14)
     G = dense.gram()
     assert np.max(np.abs(G - gram(fam).gram)) <= 1e-14 * np.max(np.abs(G))
 
 
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
 def test_separable_pairing_matches_the_dense_pairing(case):
-    # the spot check's factor moments of u (x) s against the blocked
-    # pairing of the materialised outer product
+    # the spot check's factor moments of u (x) s, and of a rank-3 pair,
+    # against the pairing of the materialised field
     fam, _ = _factor_case(case)
     dense = _RealPasses(fam)
     rng = np.random.default_rng(0)
     u = _spot_direction(rng, np.empty(fam.psi.shape[1]))
     s = _spot_direction(rng, np.empty(fam.grid.steps + 1))
-    v = np.outer(u, s)
-    want = sum(dense.pairing(rows, v[rows], 0.0 * v[rows])
-               for rows in dense.blocks)
-    got = dense.separable_pairing(u, s)
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    assert np.max(np.abs(got - pairing(fam, v))) \
-        <= 1e-13 * np.max(np.abs(want))
+    want = pairing(fam, np.outer(u, s))
+    got = dense.separable_pairing(u[None], s[None])
+    assert got.shape == (1, fam.count)
+    assert np.max(np.abs(got[0] - want)) <= 1e-13 * np.max(np.abs(want))
+    A = rng.standard_normal((3, fam.psi.shape[1]))
+    B = rng.standard_normal((3, fam.grid.steps + 1))
+    want = pairing(fam, A.T @ B)
+    got = np.sum(dense.separable_pairing(A, B), axis=0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top", "spanned"])
@@ -381,9 +405,10 @@ def test_spot_terms_match_the_dense_projection(case):
     # the factor-form moments and norms of each direction's v_perp against
     # v_perp materialised with the family's complex methods; on "spanned"
     # v lies in the span, so |v_perp|^2 is a near-total cancellation
-    fam, rep, g, norm = _solved(case)
+    fam, rep, A, B, norm = _solved(case)
     moments_v, moments, v_sq, perturbed_sq = _spot_terms(
-        _RealPasses(fam), rep, np.stack([g.real, g.imag]), seed=0, dirs=5)
+        _RealPasses(fam), rep, A, B, seed=0, dirs=5)
+    g = A.T @ B
     rng = np.random.default_rng(0)
     for d in range(5):
         u = _spot_direction(rng, np.empty(g.shape[0]))
@@ -398,46 +423,51 @@ def test_spot_terms_match_the_dense_projection(case):
                                                 abs=tol)
         if case == "spanned":
             assert abs(v_sq[d]) <= tol
-    _spot_check(fam, rep, g, norm)
+    _spot_check(fam, rep, A, B, norm)
 
 
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
 def test_spot_check_catches_a_control_off_minimum_norm(case):
-    fam, rep, g, norm = _solved(case)
-    _spot_check(fam, rep, g, norm)
+    fam, rep, A, B, norm = _solved(case)
+    _spot_check(fam, rep, A, B, norm)
     # the check's own first direction, u (x) s with u drawn first,
     # projected off the span with the family's complex methods:
     # g - 0.75 v_perp solves the same moments with a larger norm, and
-    # adding v_perp back lowers it
+    # adding v_perp back lowers it.  As a real pair it is g's K rows,
+    # u (x) -0.75 s and the span component 0.75 Re sum_k x_k conj(m_k)
+    # in 4K rows (real_factors): rank 5K + 1
     rng = np.random.default_rng(0)
-    u = _spot_direction(rng, np.empty(g.shape[0]))
-    v = np.outer(u, _spot_direction(rng, np.empty(g.shape[1])))
-    x = np.linalg.solve(rep.gram, pairing(fam, v))
-    v_perp = v - combination(fam, x, conjugate=True)
-    bad = g - 0.75 * v_perp
+    u = _spot_direction(rng, np.empty(A.shape[1]))
+    s = _spot_direction(rng, np.empty(B.shape[1]))
+    x = np.linalg.solve(rep.gram, pairing(fam, np.outer(u, s)))
+    Ax, Bx = real_factors(fam, x)
+    bad_A = np.concatenate([A, u[None], Ax])
+    bad_B = np.concatenate([B, -0.75 * s[None], 0.75 * Bx])
+    assert len(bad_A) == 5 * len(A) + 1
     with pytest.raises(InternalConsistencyError, match="minimum-norm violated"):
-        _spot_check(fam, rep, bad, np.sqrt(_norm_sq(fam, bad)))
+        _spot_check(fam, rep, bad_A, bad_B,
+                    np.sqrt(_norm_sq(fam, bad_A.T @ bad_B)))
 
 
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
 def test_spot_check_fails_closed_on_nan(case):
-    fam, rep, g, norm = _solved(case)
-    bad = g.copy()
+    fam, rep, A, B, norm = _solved(case)
+    bad = B.copy()
     bad[-1, -1] = np.nan
     with pytest.raises(InternalConsistencyError, match="minimum-norm violated"):
-        _spot_check(fam, rep, bad, norm)
+        _spot_check(fam, rep, A, bad, norm)
     with pytest.raises(InternalConsistencyError, match="minimum-norm violated"):
-        _spot_check(fam, rep, g, np.nan)
+        _spot_check(fam, rep, A, B, np.nan)
 
 
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
 def test_spot_check_catches_a_wrong_gram(case):
     # a Gram scaled by 2 removes half of the span component
-    fam, rep, g, norm = _solved(case)
+    fam, rep, A, B, norm = _solved(case)
     wrong = dataclasses.replace(rep, gram=2.0 * rep.gram)
     with pytest.raises(InternalConsistencyError,
                        match="span projection left residual moments"):
-        _spot_check(fam, wrong, g, norm)
+        _spot_check(fam, wrong, A, B, norm)
 
 
 def test_spot_directions_have_zero_mean_and_unit_variance():
@@ -474,24 +504,92 @@ def test_rank_one_directions_have_identity_covariance():
 
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top"])
 def test_spot_check_leaves_g_unchanged(case):
-    fam, rep, g, norm = _solved(case)
-    parts = np.stack([g.real, g.imag])
-    before = parts.copy()
-    _min_norm_spot_check(_RealPasses(fam), rep, parts, norm, seed=0, dirs=5)
-    assert np.array_equal(parts.view(np.uint64), before.view(np.uint64))
+    # the control's factors come back bit for bit
+    fam, rep, A, B, norm = _solved(case)
+    before = A.copy(), B.copy()
+    _spot_check(fam, rep, A, B, norm)
+    for after, kept in zip((A, B), before):
+        assert np.array_equal(after.view(np.uint64), kept.view(np.uint64))
 
 
 def test_spot_check_memory_stays_under_one_dense_array():
-    # rank-one directions in factor form and one blocked pass over g: a
-    # dense direction, a projected field or a copy of g would each add a
-    # dense array
-    fam, rep, g, norm = _solved("rectangle-right-top")
-    dense, parts = _RealPasses(fam), np.stack([g.real, g.imag])
+    # rank-one directions and the control in factor form: a dense
+    # direction, a projected field or the control itself would each add
+    # a dense array
+    fam, rep, A, B, norm = _solved("rectangle-right-top")
+    dense = _RealPasses(fam)
     tracemalloc.start()
     try:
-        _min_norm_spot_check(dense, rep, parts, norm, seed=0, dirs=5)
+        _min_norm_spot_check(dense, rep, A, B, norm, seed=0, dirs=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    nodes, samples = g.shape
+    nodes, samples = A.shape[1], B.shape[1]
     assert peak <= 0.15 * nodes * samples * 8
+
+
+# ------------------------------------------------------- factor-form checks
+
+
+def _scaled_fourier_case(betas):
+    """(family, pairs) of three modes with the given beta_n, whose
+    scalars s_n = 1/beta_n are not real, on exponentials exp(+-i n t)
+    over one period and a two-node boundary: a well-conditioned family
+    where conj(s_n) and s_n differ."""
+    grid = TimeGrid(2 * PI, 2000)
+    traces = np.array([[1.0, 0.5], [0.25, -1.0], [1.0, 1.0]])
+    pairs = [EigenPair(n, float(n * n), b, tr / b, False, False)
+             for n, (b, tr) in enumerate(zip(betas, traces), 1)]
+    fam = SequenceFamily(_signed([np.exp(1j * n * grid.t) for n in (1, 2, 3)]),
+                         _signed_index([1, 2, 3]), "scaled-fourier", grid,
+                         psi=_signed([p.psi for p in pairs]))
+    return fam, pairs
+
+
+def test_merge_defect_fails_closed():
+    # s_k in place of conj(s_k) for mode 2's members when they merge into
+    # its profile: pairs that give mode 2 beta_2 conjugated (and the same
+    # real trace) make synthesize merge with s_k where the family has
+    # conj(s_k).  The moment residual, the spot check or the factor gap
+    # must refuse the control.  Dyadic betas keep every trace exactly
+    # real, so the trace check does not stop it first
+    betas = [1.0 + 1.0j, 2.0 - 2.0j, 0.5 + 0.5j]
+    fam, pairs = _scaled_fourier_case(betas)
+    rng = np.random.default_rng(2)
+    target = TargetState(rng.standard_normal(3), rng.standard_normal(3), 3)
+    problem = build_moment_problem(fam, target)
+    sig = synthesize(problem, pairs)
+    assert sig.factor_gap <= 1e-12 and sig.imag_max <= 1e-12
+    _, merged = _scaled_fourier_case([betas[0], np.conj(betas[1]), betas[2]])
+    assert np.array_equal(merged[1].trace, pairs[1].trace)
+    assert not np.array_equal(merged[1].psi, pairs[1].psi)
+    with pytest.raises(InternalConsistencyError,
+                       match="moment residual|minimum-norm|factors rebuild"):
+        synthesize(problem, merged)
+
+
+def test_synthesize_memory_stays_under_a_quarter_dense_array():
+    # the rectangle benchmark's synthesize: one edge of 257 nodes, K = 4,
+    # h = 2e-3 over 2.5 pi.  The control stays in factor form, and the
+    # sup-norm pass holds one block of node rows at a time
+    grid = make_grid(2.5 * PI, 2e-3)
+    ke = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
+                              rates=(1.0,)), grid)
+    dom = DomainSpec("rectangle", (PI, PI), gamma_subset=("right",))
+    pairs = compute_eigenpairs(dom, 4, alpha=ke.alpha)
+    fam = viscoelastic_family(compute_responses(ke, pairs),
+                              dom.gamma_weights())
+    rng = np.random.default_rng(1)
+    target = TargetState(rng.standard_normal(4), rng.standard_normal(4), 4)
+    problem = build_moment_problem(fam, target)
+    tracemalloc.start()
+    try:
+        sig = synthesize(problem, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nodes, samples = fam.psi.shape[1], grid.steps + 1
+    assert (nodes, samples) == (257, 3928)
+    assert sig.traces.shape == (4, nodes)
+    assert sig.profiles.shape == (4, samples)
+    assert peak < 0.25 * nodes * samples * 8

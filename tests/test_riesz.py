@@ -166,6 +166,59 @@ def test_interlacing_fires_at_a_sampled_level_above_32(monkeypatch):
         gram(fam)
 
 
+def test_lower_bounds_below_the_rounding_floor_read_zero(monkeypatch):
+    # a rank-3 Gram of 6 members with eigenvalues 1e6, 1 and 1e-3: the
+    # leading blocks of 4 to 6 members are singular, and their computed
+    # lower bounds are rounding noise of either sign.  Those below the
+    # floor k eps M_k read 0 and are flagged; the others keep their bits
+    rng = np.random.default_rng(0)
+    V = np.linalg.qr(rng.standard_normal((6, 3))
+                     + 1j * rng.standard_normal((6, 3)))[0]
+    G = (V * [1e6, 1.0, 1e-3]) @ np.conj(V).T
+    ((rep,),) = gram_reports([(np.ones((6, 1)), G[None], "rank-3")],
+                             np.ones(1))
+    raw = np.array([np.linalg.eigvalsh(rep.gram[:k, :k])[0]
+                    for k in rep.levels])
+    high = np.array([np.linalg.eigvalsh(rep.gram[:k, :k])[-1]
+                     for k in rep.levels])
+    floor = np.array(rep.levels) * np.finfo(float).eps * high
+    assert rep.levels == (1, 2, 3, 4, 5, 6)
+    assert list(rep.at_floor) == [False] * 3 + [True] * 3
+    assert np.array_equal(rep.at_floor, raw < floor)
+    assert np.all(raw >= -floor) and np.any(raw[3:] < 0.0)
+    assert np.array_equal(rep.frame_lower, np.where(raw < floor, 0.0, raw))
+    assert np.all(np.isinf(rep.condition[3:])) and rep.m_N == 0.0
+    assert np.array_equal(rep.condition[:3], high[:3] / raw[:3])
+    # interlacing reads the computed bounds: a level-4 bound bent to -1,
+    # below level 5's, fails, though the floor would write both as 0
+    eigvalsh = np.linalg.eigvalsh
+
+    def bent(a, *args, **kwargs):
+        vals = eigvalsh(a, *args, **kwargs)
+        if a.shape[-1] == 4:
+            vals[..., 0] = -1.0
+        return vals
+    monkeypatch.setattr(np.linalg, "eigvalsh", bent)
+    with pytest.raises(InternalConsistencyError, match="interlacing"):
+        gram_reports([(np.ones((6, 1)), G[None], "rank-3")], np.ones(1))
+
+
+def test_indefinite_gram_fails_closed():
+    # a Gram with eigenvalue -0.1 M (as a sign or quadrature defect
+    # would make it) is no rounding floor: the pass stops naming the
+    # family, where the floor would have written its bound as 0
+    rng = np.random.default_rng(0)
+    V = np.linalg.qr(rng.standard_normal((6, 3))
+                     + 1j * rng.standard_normal((6, 3)))[0]
+    good = (V * [1e6, 1.0, 1e-3]) @ np.conj(V).T
+    bad = (V * [1e6, 1.0, -1e5]) @ np.conj(V).T
+    ones = np.ones((6, 1))
+    with pytest.raises(InternalConsistencyError,
+                       match="'indefinite' is not positive semidefinite"):
+        gram_reports([(ones, good[None], "rank-3"),
+                      (ones, bad[None], "indefinite")], np.ones(1))
+
+
 def test_one_report_pass_needs_matching_families():
     # the families of one pass share their member count, horizon count
     # and (through gram_sweep) their boundary weights

@@ -29,10 +29,16 @@ def rel_err(got, want):
 
 
 @pytest.fixture(scope="module")
-def rect_family():
+def rect_pairs():
     grid = make_grid(2.5 * PI, 2e-2)
     kernel = normalize(EXP, grid)
     pairs = compute_eigenpairs(RECT, K, kernel.alpha)
+    return kernel, pairs
+
+
+@pytest.fixture(scope="module")
+def rect_family(rect_pairs):
+    kernel, pairs = rect_pairs
     return viscoelastic_family(compute_responses(kernel, pairs),
                                RECT.gamma_weights())
 
@@ -80,13 +86,15 @@ def test_pairings_match_dense(rect_family):
     assert rel_err(pairing(fam, g), pair) < 1e-12
     assert rel_err(inner_against(fam, g), inner) < 1e-12
     assert rel_err(norms_sq(fam), norms) < 1e-12
-    # synthesize's real-arithmetic passes, block by block
+    # synthesize's real-arithmetic passes over a real factor pair
     passes = _RealPasses(fam)
-    assert rel_err(sum(passes.pairing(rows, g.real[rows], g.imag[rows])
-                       for rows in passes.blocks), pair) < 1e-12
-    assert sum(passes.norm_sq(rows, g.real[rows], g.imag[rows])
-               for rows in passes.blocks) == pytest.approx(
-        np.sum(np.abs(g) ** 2 * weights), rel=1e-12)
+    A = rng.standard_normal((2, weights.shape[0]))
+    B = rng.standard_normal((2, weights.shape[1]))
+    f = A.T @ B
+    assert rel_err(np.sum(passes.separable_pairing(A, B), axis=0),
+                   np.sum(members * f * weights, axis=(1, 2))) < 1e-12
+    assert np.sum(passes.inner(A, B, A, B)) == pytest.approx(
+        np.sum(f ** 2 * weights), rel=1e-12)
     a = rng.standard_normal(fam.count) + 1j * rng.standard_normal(fam.count)
     assert rel_err(combination(fam, a),
                    np.tensordot(a, members, axes=1)) < 1e-12
@@ -127,18 +135,18 @@ def test_quadratic_closeness_matches_dense(rect_family):
         quadratic_closeness(fam, moved)
 
 
-def test_synthesized_control_matches_dense(rect_family):
+def test_synthesized_control_matches_dense(rect_family, rect_pairs):
     fam = rect_family
     rng = np.random.default_rng(11)
     target = TargetState(rng.standard_normal(K), rng.standard_normal(K), K)
     problem = build_moment_problem(fam, target)
-    sig = synthesize(problem)
+    sig = synthesize(problem, rect_pairs[1])
     members, weights = dense(fam)
     G = dense_gram(members, weights)
     a = np.linalg.solve(G, problem.rhs)
     g = np.tensordot(a, np.conj(members), axes=1)
     assert rel_err(sig.coefficients, a) < 1e-12
-    assert rel_err(sig.f, np.real(g[:, ::-1])) < 1e-12
+    assert rel_err(sig.traces.T @ sig.profiles, np.real(g[:, ::-1])) < 1e-12
     assert sig.norm == pytest.approx(
         np.sqrt(np.sum(np.abs(g) ** 2 * weights)), rel=1e-12)
     moments = np.sum(members * g * weights, axis=(1, 2))

@@ -22,11 +22,18 @@ DOM = DomainSpec("interval", (PI,))
 EXP_KERNEL = KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,))
 
 
+def factor_control(grid, traces, profiles):
+    """Wrap a raw factor pair, f = traces.T @ profiles, without going
+    through synthesis."""
+    return ControlSignal(np.asarray(traces, float),
+                         np.asarray(profiles, float), np.zeros(2),
+                         np.zeros(2), 0.0, 0.0, 1.0, 1.0, 0.0, grid, (1, -1))
+
+
 def manual_control(grid, profile):
-    """Wrap a raw boundary signal without going through synthesis."""
-    prof = np.asarray(profile, float)[None, :]
-    return ControlSignal(prof, np.zeros(2), np.zeros(2), 0.0, 1.0, 1.0, 0.0,
-                         grid, (1, -1))
+    """Wrap a raw one-node boundary signal, trace 1."""
+    return factor_control(grid, np.ones((1, 1)),
+                          np.asarray(profile, float)[None, :])
 
 
 def zero_setup(T, h, modes, c=0.0):
@@ -172,11 +179,12 @@ def controlled_run():
     ke = normalize(EXP_KERNEL, grid)
     pairs = compute_eigenpairs(DOM, 24, alpha=ke.alpha)
     resp = compute_responses(ke, pairs)
-    fam = viscoelastic_family(resp.head(6))
+    head = resp.head(6)
+    fam = viscoelastic_family(head)
     rng = np.random.default_rng(7)
     target = TargetState(rng.standard_normal(6) / np.arange(1, 7),
                          rng.standard_normal(6) / np.arange(1, 7), 6)
-    sig = synthesize(build_moment_problem(fam, target))
+    sig = synthesize(build_moment_problem(fam, target), head.pairs)
     return ke, pairs, resp, target, sig
 
 
@@ -215,8 +223,10 @@ def test_mode_gaps_are_the_route_gap_per_mode():
 def test_verify_convolution_calls(tmp_path, monkeypatch):
     # the verify_interval benchmark config (h = 1e-3, K = 4, K_sim = 12,
     # one boundary node): one full convolution assembles N*z and N'*z,
-    # one builds the march route's forcing H, and the end state takes two
-    # end-sample contractions; no other FFT runs.  Every transform runs
+    # one builds the march route's forcing H, and the end state takes four
+    # end-sample contractions (N*z, z and N'*z against F, one call each so
+    # that no stack copies the batches, and N against the marched theta);
+    # no other FFT runs.  Every transform runs
     # along the last axis, and each sequence is counted: the assembly
     # transforms N, N' and the 12 z forward and its 24 products back,
     # and H = W (N * f) transforms N and the control's node row forward
@@ -257,33 +267,38 @@ def test_verify_convolution_calls(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "out")]) == 0
     # inverse transforms of up to four product rows, straight into the
     # result: 2 x 3 chunks of the assembly's (2, 12) and one for H
-    assert calls == {"convolve": 2, "convolve_end": 2, "rfft": 4,
+    assert calls == {"convolve": 2, "convolve_end": 4, "rfft": 4,
                      "irfft": 7}
     assert rows == {"rfft": 14 + 2, "irfft": 24 + 1}
 
 
-def _column_route(kernel, weighted, f, length):
+def _column_route(kernel, weighted, control, length):
     """H = N * F with F the K_sim mode forcings, one row per mode."""
     return memwave.kernels.convolve(
-        kernel.N, memwave.simulate._mode_forcing(weighted, f, length),
+        kernel.N, memwave.simulate._mode_forcing(
+            weighted @ control.traces.T, control.profiles, length),
         kernel.h)
 
 
 @pytest.mark.parametrize("padded", [False, True])
 @pytest.mark.parametrize("case", ["interval", "interval-both-ends",
-                                  "rectangle-right"])
+                                  "rectangle-right", "rectangle-right-rank-2"])
 def test_node_rank_forcing_matches_the_column_route(case, padded,
                                                      monkeypatch):
-    # H = N * (W f) = W (N * f) by linearity of the product trapezoid:
-    # with fewer node rows than modes the march route convolves the
-    # control's rows, which moves H and the end state by rounding only;
-    # the rectangle's 257-node edge keeps the column route, bit for bit.
+    # H = N * (W f) = W (N * f) = (W traces.T) (N * profiles) by linearity
+    # of the product trapezoid: the march route convolves the fewest rows
+    # among the control's node rows (the interval's one or two), its K
+    # profiles (2 on the rectangle's 257-node edge, against K_sim = 6) and
+    # the K_sim rows of F (8 profiles there), which moves H and the end
+    # state by rounding only, and keeps the column route bit for bit.
     # The control fills the simulation grid, or (padded) stops short of
     # it and is zero-padded
     dom = {"interval": DOM,
            "interval-both-ends": DomainSpec("interval", (PI,),
                                             gamma_subset=("left", "right")),
-           "rectangle-right": DomainSpec("rectangle", (PI, PI))}[case]
+           "rectangle-right": DomainSpec("rectangle", (PI, PI)),
+           "rectangle-right-rank-2": DomainSpec("rectangle", (PI, PI))}[case]
+    K = 2 if case == "rectangle-right-rank-2" else 8
     grid = make_grid(2.0, 2e-3)
     ke = normalize(EXP_KERNEL, grid)
     K_sim = 6
@@ -293,15 +308,23 @@ def test_node_rank_forcing_matches_the_column_route(case, padded,
     nodes = len(gw)
     cgrid = grid.restrict(800) if padded else grid
     rng = np.random.default_rng(5)
-    f = np.sin(np.outer(rng.uniform(1, 4, nodes), cgrid.t)
-               + rng.uniform(0, 2 * PI, (nodes, 1)))
-    ctrl = ControlSignal(f, np.zeros(2), np.zeros(2), 0.0, 1.0, 1.0, 0.0,
-                         cgrid, (1, -1))
+    ctrl = factor_control(
+        cgrid, rng.standard_normal((K, nodes)),
+        np.sin(np.outer(rng.uniform(1, 4, K), cgrid.t)
+               + rng.uniform(0, 2 * PI, (K, 1))))
     length = len(grid)
-    H = memwave.simulate._forcing_convolution(ke, weighted, f, length)
-    ref = _column_route(ke, weighted, f, length)
+    convolved, convolve = [], memwave.simulate.convolve
+
+    def counted(f, g, h):
+        convolved.append(len(g))
+        return convolve(f, g, h)
+    monkeypatch.setattr(memwave.simulate, "convolve", counted)
+    H = memwave.simulate._forcing_convolution(ke, weighted, ctrl, length)
+    assert convolved == [min(nodes, K, K_sim)]
+    monkeypatch.undo()
+    ref = _column_route(ke, weighted, ctrl, length)
     assert H.shape == ref.shape == (K_sim, length)
-    if nodes >= K_sim:
+    if min(nodes, K) > K_sim:
         assert np.array_equal(H, ref)
     else:
         assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))

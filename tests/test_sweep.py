@@ -7,6 +7,7 @@ that divides the horizon spacing, and gram_sweep must equal gram on the
 restricted family."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,3 +480,101 @@ def test_report_path_refuses_bounds_that_break_interlacing(monkeypatch,
     monkeypatch.setattr(np.linalg, "eigvalsh", bent)
     with pytest.raises(InternalConsistencyError, match="interlacing"):
         route_reports(route)
+
+
+def _reference_time_grams(rates, weights, horizons):
+    """The closed-form time Grams as one formula per horizon, every
+    temporary kept: the reference _exponential_time_grams must equal bit
+    for bit."""
+    count, d = rates.shape
+    s, w = rates.reshape(-1), weights.reshape(-1)
+    x = s[:, None] + np.conj(s)[None, :]
+    ww = w[:, None] * np.conj(w)[None, :]
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = 1.0 / x
+        for T in horizons:
+            u = w * np.exp(s * T)
+            terms = (u[:, None] * np.conj(u)[None, :] - ww) * inv
+            small = np.abs(x) * T < 1.0
+            y = x[small] * T
+            terms[small] = ww[small] * T * np.where(y == 0.0, 1.0,
+                                                    np.expm1(y) / y)
+            out.append(terms.reshape(count, d, count, d).sum(axis=(1, 3)))
+    return np.array(out)
+
+
+def _exact_profiles(K, c=0.0, spec=EXP):
+    """Signed (rates, weights) of the memory family of the kernel spec
+    and of the telegraph family with parameter c, K modes each, on the
+    interval of length pi."""
+    kernel = normalize(spec, TimeGrid(2.5 * PI, 8))
+    modes = memwave.exact.exact_modes(
+        kernel.terms, kernel.alpha, compute_eigenpairs(DOM, K, kernel.alpha))
+    tel = memwave.exact.transformed_exponential_terms(
+        compute_eigenpairs(DOM, K, c), c)
+    signed = memwave.control._signed
+    return [(signed(modes.roots), signed(modes.Z)),
+            tuple(signed(a) for a in tel)]
+
+
+@pytest.mark.parametrize("K", [8, 60])
+def test_exponential_time_grams_match_the_reference_bit_for_bit(K):
+    # 14 sweep horizons at K = 8 and 60, a zero horizon takes the expm1
+    # branch at every pair, and profiles of 2, 3 and 4 exponentials
+    # (telegraph, exp(-t), a two-term kernel) sum 4, 9 and 16 terms per
+    # member pair
+    horizons = list(np.linspace(1.2 * PI, 2.5 * PI, 14))
+    two = KernelSpec("exponential_sum", coefficients=(1.0, 0.5),
+                     rates=(1.0, 3.0))
+    cases = _exact_profiles(K, c=0.5) + _exact_profiles(K, spec=two)[:1]
+    assert [r.shape[1] for r, _ in cases] == [3, 2, 4]
+    for rates, weights in cases:
+        for Ts in (horizons, [0.0, 0.3]):
+            got = memwave.exact._exponential_time_grams(rates, weights, Ts)
+            want = _reference_time_grams(rates, weights, Ts)
+            assert got.shape == want.shape == (len(Ts), 2 * K, 2 * K)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_exponential_time_grams_memory_is_three_work_arrays():
+    # the memory family at K = 80 (160 members of 3 exponents each) over
+    # 14 horizons: 1 / x, u(0) conj(u'(0)) and one work array beside the
+    # result, where five to six such arrays, a per-horizon list and its
+    # copy were live.  On top, whatever the size: np.sum's buffered
+    # reduction over two axes (two buffers of numpy's 8192 elements) and
+    # vectors of count d entries, 0.28 MB here, allowed 0.5 MB
+    (rates, weights), _ = _exact_profiles(80)
+    horizons = list(np.linspace(1.2 * PI, 2.5 * PI, 14))
+    tracemalloc.start()
+    try:
+        grams = memwave.exact._exponential_time_grams(rates, weights,
+                                                      horizons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    work = rates.size ** 2 * 16
+    assert rates.size == 480 and grams.shape == (14, 160, 160)
+    assert peak <= 3 * work + grams.nbytes + 2**19
+
+
+def test_sweep_writes_no_bound_below_the_rounding_floor(tmp_path):
+    # the zero kernel with c = 1.5 puts mode 1 past alpha^2 = 2.25 > 1:
+    # both families are singular from level 2 at every horizon, and their
+    # computed lower bounds come out at -1e-16 M_N (-3.4e4 for the memory
+    # family at 3 pi).  They are written as 0, flagged
+    data = sweep(tmp_path, {"T_min": 1.5 * PI, "T_max": 3 * PI, "steps": 7},
+                 K=6, grid_h=2e-3, kernel={"family": "zero"},
+                 domain={"geometry": "interval", "lengths": [PI], "c": 1.5})
+    assert data["route"] == "exact"
+    for name in ("telegraph", "visco"):
+        bounds = np.array(data[f"frame_lower_{name}"])
+        assert bounds.shape == (7, 12)
+        flags = np.zeros(bounds.shape, dtype=bool)
+        for i, j in data[f"at_floor_{name}"]:       # [horizon, level]
+            flags[i, j] = True
+        assert np.all(bounds >= 0.0) and np.all(bounds[flags] == 0.0)
+        assert np.all(flags[:, 1:]) and data[f"m_N_{name}"] == [0.0] * 7
+    rows = np.loadtxt(next(tmp_path.glob("sweep-t-*")) / "sweep.csv",
+                      delimiter=",")
+    assert np.all(rows[:, 1:] == 0.0)
