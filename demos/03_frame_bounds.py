@@ -34,7 +34,7 @@ def main():
     grid = TimeGrid(steps[-1] * h, steps[-1], h)
 
     pairs_t = compute_eigenpairs(DomainSpec("interval", (PI,)), K, 0.0)
-    tel = telegraph_family(pairs_t, 0.0, grid.T, steps=grid.steps)
+    tel = telegraph_family(pairs_t, 0.0, grid)
     ker = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
                                rates=(1.0,)), grid)
     pairs_v = compute_eigenpairs(DomainSpec("interval", (PI,)), K,

@@ -30,7 +30,7 @@ def main():
     target = TargetState(np.eye(K)[0], np.zeros(K), K)
     head = resp.head(K)
     fam = viscoelastic_family(head)
-    sig = synthesize(build_moment_problem(fam, target), head.pairs)
+    sig = synthesize(build_moment_problem(fam, target))
     print(f"synthesized control on [0, {grid.T:.4f}] for target e_1")
     print(f"  members {fam.count}, Gram condition {sig.condition:.1f}, "
           f"m_N {sig.frame_lower:.3f}")

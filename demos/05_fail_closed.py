@@ -19,7 +19,7 @@ def attempt(T):
                                alpha=ker.alpha)
     fam = viscoelastic_family(compute_responses(ker, pairs))
     target = TargetState(np.eye(K)[0], np.zeros(K), K)
-    return synthesize(build_moment_problem(fam, target), pairs)
+    return synthesize(build_moment_problem(fam, target))
 
 
 def main():

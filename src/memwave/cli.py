@@ -264,12 +264,11 @@ def _family(cfg):
     # synthesized control and its verification live on the same grid
     _, responses = _responses_for(cfg, cfg.T, cfg.K,
                                   grid_count=max(cfg.K, cfg.K_sim))
-    return responses.pairs, viscoelastic_family(responses,
-                                                cfg.domain.gamma_weights())
+    return viscoelastic_family(responses, cfg.domain.gamma_weights())
 
 
 def _run_gram(cfg, adir):
-    _, fam = _family(cfg)
+    fam = _family(cfg)
     rep = gram(fam)
     if rep.at_floor[-1]:
         raise ConvergenceError(
@@ -288,10 +287,9 @@ def _run_gram(cfg, adir):
 
 
 def _run_synthesize(cfg, adir):
-    pairs, fam = _family(cfg)
-    control = synthesize(build_moment_problem(fam, _resolve_target(cfg)),
-                         pairs)
-    modes = [p.index for p in pairs]
+    control = synthesize(build_moment_problem(_family(cfg),
+                                              _resolve_target(cfg)))
+    modes = control.index_set[::2]
     tables = [("control.csv", ["t"] + [f"g_mode{n}" for n in modes],
                np.column_stack([control.grid.t, control.profiles.T])),
               ("control_traces.csv",
@@ -325,15 +323,12 @@ def _run_verify(cfg, adir):
     count = max(cfg.K, cfg.K_sim)
     kernel, sim_resp = _responses_for(cfg, cfg.T, count)
     sim_pairs = sim_resp.pairs
-    gw = cfg.domain.gamma_weights()
-    head = sim_resp.head(cfg.K)
     target = _resolve_target(cfg)
-    control = synthesize(build_moment_problem(viscoelastic_family(head, gw),
-                                              target), head.pairs)
-    conv = simulate_convolution(sim_resp, kernel, control, cfg.K_sim,
-                                gamma_weights=gw, K=cfg.K)
-    march = simulate_march(kernel, sim_pairs, control, cfg.K_sim,
-                           gamma_weights=gw, K=cfg.K)
+    control = synthesize(build_moment_problem(
+        viscoelastic_family(sim_resp.head(cfg.K), cfg.domain.gamma_weights()),
+        target))
+    conv = simulate_convolution(sim_resp, kernel, control, cfg.K_sim)
+    march = simulate_march(kernel, sim_pairs, control, cfg.K_sim)
     gap = route_gap(conv, march, kernel, sim_pairs)
     xi_hat, eta_hat = achieved_coefficients(conv, sim_pairs)
     err = max(float(np.max(np.abs(xi_hat[:cfg.K] - target.xi))),
@@ -405,8 +400,7 @@ def _run_sweep(cfg, adir):
                        horizons)
     if reps is None:
         route = "march"
-        fam_t = telegraph_family(pairs_tel, cfg.domain.c, grid.T,
-                                 steps=grid.steps, gamma_weights=gw)
+        fam_t = telegraph_family(pairs_tel, cfg.domain.c, grid, gw)
         fam_v = viscoelastic_family(compute_responses(kernel, pairs_vis), gw)
         reps = gram_sweep((fam_t, fam_v), steps)
     reps_t, reps_v = reps

@@ -7,11 +7,16 @@ then read the physical control as f(x, t) = g(x, T - t).
 
 Index convention.  Families live on the signed index set without zero,
 interleaved (+1, -1, +2, -2, ...) so that nested Gram truncations grow
-symmetrically.  The member at -n is the conjugate of the member at n,
-and the data extend as c_{-n} = conj(c_n); together these make the
+symmetrically.  Member +n is the real boundary trace of mode n, the
+conormal derivative of a real eigenfunction, times s_n P_n, its time
+profile P_n scaled by s_n = 1/beta_n (1 on the degenerate set); member
+-n is the same trace times conj(s_n P_n), the conjugate of member +n.
+_members is the one place that knows this sign and scale convention.
+The data extend as c_{-n} = conj(c_n); together these make the
 minimum-norm solution real automatically (its conjugate solves the same
 constraints inside the same span, and the solution there is unique).
-The realness of the synthesized control is still asserted numerically.
+The realness of the synthesized control is still asserted numerically,
+on every family.
 
 Minimum-norm mechanics.  The solution is sought in span{conj(m_k)}:
 writing g = sum a_k conj(m_k), the constraints become Gram . a = c with
@@ -26,20 +31,21 @@ their covariance is the identity, the first two moments of an iid
 Gaussian field.
 
 Factor form.  The control is a sum of K real boundary traces times K
-real time profiles.  Each psi_k is a scalar times the real trace of its
-mode, psi_{+n} = s_n trace_n and psi_{-n} = conj(s_n) trace_n with
-s_n = 1/beta_n (1 on the degenerate set), so
+real time profiles.  A family's traces psi_k are real, the same trace
+for the members +n and -n, so
 
-    f(x, t) = Re sum_k conj(psi_k(x)) a_k conj(Z_k(T - t))
+    f(x, t) = Re sum_k a_k psi_k(x) conj(P_k(T - t))
             = sum_n trace_n(x) g_n(t),
-    g_n(t)  = sum_{k = +-n} Re(conj(s_k) a_k conj(Z_k(T - t))).
+    g_n(t)  = sum_{k = +-n} Re(a_k conj(P_k(T - t))),
 
-synthesize returns the control as this pair only (ControlSignal.traces
-and .profiles), and no (nodes, steps+1) array of it is ever kept.  The
-members are rank one too, psi_n (x) Z_n (see riesz), so every integral
-of a factor pair against the family or against another factor pair
-splits into a node sum times a time sum: the moment residual, the L2
-norm and the min-norm spot check read the pair in O(K^2 steps) products.
+read off the family alone (_factor_form), with P_k the family's scaled
+profiles.  synthesize returns the control as this pair only
+(ControlSignal.traces and .profiles), and no (nodes, steps+1) array of
+it is ever kept.  The members are rank one too, psi_k (x) P_k (see
+riesz), so every integral of a factor pair against the family or
+against another factor pair splits into a node sum times a time sum:
+the moment residual, the L2 norm and the min-norm spot check read the
+pair in O(K^2 steps) products.
 
 Sup norms.  The realness check (sup |Im g|) and the factor gap (sup
 |traces.T @ profiles - Re g| over sup |Re g|) read every grid value of
@@ -55,12 +61,12 @@ threads then spin on the other cores after the call returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InternalConsistencyError, NotControllableError
-from .grid import TimeGrid, make_grid, trapezoid_weights
+from .grid import TimeGrid, trapezoid_weights
 from .riesz import CONDITION_CAP, SequenceFamily, cholesky_solve, gram
 from .spectral import EigenPair
 from .volterra import ModalResponses, transformed_exponential
@@ -118,6 +124,7 @@ class ControlSignal:
 
     traces: np.ndarray           # real, (K, nodes)
     profiles: np.ndarray         # real, (K, steps+1)
+    gamma_weights: np.ndarray    # the family's boundary quadrature weights
     coefficients: np.ndarray
     residual: np.ndarray
     imag_max: float
@@ -138,50 +145,59 @@ def assemble_rhs(target: TargetState) -> np.ndarray:
     return -(target.eta + 1j * target.xi)
 
 
-def _signed(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """Rows over (+1, -1, +2, -2, ...) with conjugate negatives."""
-    rows = [np.asarray(r, dtype=complex) for r in rows]
-    return np.array([x for r in rows for x in (r, np.conj(r))])
+def _members(pairs: Sequence[EigenPair], profiles: np.ndarray):
+    """The signed members of pairs with the time profiles P (K, ...),
+    one row per pair in the order given: the rows (2K, ...), over the
+    signed index set (+1, -1, +2, -2, ...), and the real traces
+    (2K, nodes).  Row +n is s_n P_n and row -n its conjugate, with
+    s_n = 1/beta_n (1 on the degenerate set), against the real trace of
+    mode n at both; the rows are scaled in place, so the signed rows
+    are the one array made.
 
-
-def _signed_index(indices):
-    return tuple(x for n in indices for x in (n, -n))
-
-
-def telegraph_family(pairs: Sequence[EigenPair], c: float, T: float,
-                     gamma_param: Optional[float] = None,
-                     steps: int = None,
-                     gamma_weights=None) -> SequenceFamily:
-    """Memoryless comparator family on [0, T].
-
-    The time profile is the transformed exponential with a = gp,
-    exp(i beta t) + (gp/beta) sin(beta t), and 1 + (gp + i) t on the
-    degenerate set, against the unscaled trace.  gp defaults to the
-    velocity coefficient c; any other value (zero included) spans the
-    same space, and gp = 0 gives pure exponentials.  gamma_weights are the boundary quadrature
-    weights (DomainSpec.gamma_weights; ones by default).
+    Raises the internal-consistency error when a trace is not real.
     """
-    gp = c if gamma_param is None else gamma_param
-    grid = make_grid(T, 1e-3) if steps is None else TimeGrid(T, steps)
-    return SequenceFamily(_signed(transformed_exponential(pairs, gp, grid.t)),
-                          _signed_index([p.index for p in pairs]),
-                          "telegraph", grid, gamma_weights,
-                          _signed([p.psi for p in pairs]))
+    traces = np.array([p.trace for p in pairs])
+    if np.any(traces.imag != 0):
+        raise InternalConsistencyError(
+            "boundary trace with a nonzero imaginary part; the control "
+            "has no real factor form")
+    rows = np.empty((2 * len(pairs),) + profiles.shape[1:], dtype=complex)
+    rows[::2] = profiles
+    scale = np.array([1.0 if p.in_J else 1.0 / p.beta for p in pairs])
+    rows[::2] *= scale.reshape((-1,) + (1,) * (rows.ndim - 1))
+    np.conjugate(rows[::2], out=rows[1::2])
+    return (rows, tuple(x for p in pairs for x in (p.index, -p.index)),
+            np.repeat(traces.real, 2, axis=0))
+
+
+def telegraph_family(pairs: Sequence[EigenPair], c: float, grid: TimeGrid,
+                     gamma_weights=None) -> SequenceFamily:
+    """Memoryless comparator family on grid.
+
+    The time profile is the transformed exponential with a = c,
+    exp(i beta t) + (c/beta) sin(beta t), and 1 + (c + i) t on the
+    degenerate set (_members scales and signs it).  gamma_weights are
+    the boundary quadrature weights (DomainSpec.gamma_weights; ones by
+    default).
+    """
+    rows, index, traces = _members(pairs,
+                                   transformed_exponential(pairs, c, grid.t))
+    return SequenceFamily(rows, index, "telegraph", grid, gamma_weights,
+                          traces)
 
 
 def viscoelastic_family(responses: ModalResponses,
                         gamma_weights=None) -> SequenceFamily:
-    """Family of modal responses against their trace profiles, Z_n psi_n,
-    in the batch's order of modes, on the batch's grid.
+    """Family of the modal responses Z_n (_members scales and signs
+    them) against their real traces, in the batch's order of modes, on
+    the batch's grid.
 
     gamma_weights are the boundary quadrature weights the simulator
     pairs the control with (DomainSpec.gamma_weights; ones by default).
     """
-    pairs = responses.pairs
-    return SequenceFamily(_signed(responses.Z),
-                          _signed_index([p.index for p in pairs]),
-                          "viscoelastic", responses.grid, gamma_weights,
-                          _signed([p.psi for p in pairs]))
+    rows, index, traces = _members(responses.pairs, responses.Z)
+    return SequenceFamily(rows, index, "viscoelastic", responses.grid,
+                          gamma_weights, traces)
 
 
 def build_moment_problem(family: SequenceFamily,
@@ -195,11 +211,6 @@ def build_moment_problem(family: SequenceFamily,
             raise ConfigError(f"family index {n} beyond target truncation {target.K}")
         rhs[i] = c_pos[k] if n > 0 else np.conj(c_pos[k])
     return MomentProblem(family, rhs)
-
-
-def _is_symmetric(index_set) -> bool:
-    s = set(index_set)
-    return all(-n in s for n in s)
 
 
 def _blocked(X, Y) -> np.ndarray:
@@ -221,9 +232,9 @@ def _conj_products(X, Y, w) -> np.ndarray:
 
 class _RealPasses:
     """Real-arithmetic passes of a family against real factor pairs and
-    against its own dense combinations.  Complex factors enter as
-    interleaved real and imaginary rows or columns, and every product
-    is small enough to run on the calling thread.
+    against its own dense combinations.  The traces are real; the
+    complex profiles enter as interleaved real and imaginary rows, and
+    every product is small enough to run on the calling thread.
     """
 
     def __init__(self, fam: SequenceFamily):
@@ -232,9 +243,7 @@ class _RealPasses:
         # rows Re Z_0, Im Z_0, Re Z_1, ...: B.view(float) @ Zs = Re(B @ conj Z)
         self.Zs = np.stack([fam.profiles.real, fam.profiles.imag],
                            axis=1).reshape(-1, len(self.wt))
-        # columns Re psi_0, Im psi_0, ...: u @ psi, viewed as complex, is
-        # u @ psi.T for a real u
-        self.psi = np.ascontiguousarray(fam.psi.T).view(float)
+        self.psi = np.ascontiguousarray(fam.psi.T)      # (nodes, count)
         # tiles of a dense combination: blocks of node rows, a block of
         # one row cut into chunks of time samples when the row is too long.
         # A one-row product goes to OpenBLAS's gemv, whose worker threads
@@ -247,15 +256,15 @@ class _RealPasses:
         """Re and Im of sum_k a_k conj(member_k) on the node rows and time
         samples cols, into out (2, rows, cols);
         Im(B @ conj Z) = Re((-i B) @ conj Z)."""
-        B = np.conj(self.psi.view(complex)[rows]) * a
+        B = self.psi[rows] * a
         return np.matmul(np.stack([B.view(float), (-1j * B).view(float)]),
                          self.Zs[:, cols], out=out)
 
     def gram(self):
         """The Gram <m_n, m_k> from the factors alone: the boundary Gram
-        (sum_x w_x psi_n conj psi_k) times the time Gram
+        (sum_x w_x psi_n psi_k) times the time Gram
         (sum_t w_t Z_n conj Z_k), entrywise."""
-        return (_conj_products(self.psi, self.psi, self.gw)
+        return (_blocked(self.psi.T * self.gw, self.psi)
                 * _conj_products(self.Zs.T, self.Zs.T, self.wt))
 
     def separable_pairing(self, A, B):
@@ -263,7 +272,7 @@ class _RealPasses:
         the real factors A (r, nodes) and B (r, steps+1), (r, count): the
         node sum (A_r w_x . psi_k) times the time sum (B_r w_t . Z_k),
         two small real products, with no dense pass."""
-        return (_blocked(A * self.gw, self.psi).view(complex)
+        return (_blocked(A * self.gw, self.psi)
                 * _blocked(B * self.wt, self.Zs.T).view(complex))
 
     def inner(self, A, B, C, D):
@@ -272,32 +281,24 @@ class _RealPasses:
         return _blocked(A * self.gw, C.T) * _blocked(B * self.wt, D.T)
 
 
-def _factor_form(family: SequenceFamily, coefficients: np.ndarray,
-                 pairs: Sequence[EigenPair]):
+def _factor_form(family: SequenceFamily, coefficients: np.ndarray):
     """Real traces (K, nodes) and time profiles (K, steps+1), one row per
-    pair in the order given, with traces.T @ profiles the real part of
-    the reversed-time combination sum_k a_k conj(member_k).
+    (+n, -n) pair of the family's rows, with traces.T @ profiles the
+    real part of the reversed-time combination sum_k a_k conj(member_k).
 
-    Raises the config error when the pairs are not the family's modes,
-    and the internal-consistency error when a trace is not real.
+    Raises the config error when the rows are not such pairs of one
+    trace, as _members makes them.
     """
-    row = {p.index: i for i, p in enumerate(pairs)}
-    if {abs(n) for n in family.index_set} != set(row):
-        raise ConfigError("pairs do not match the family's modes")
-    traces = np.array([p.trace for p in pairs])
-    if np.any(traces.imag != 0):
-        raise InternalConsistencyError(
-            "boundary trace with a nonzero imaginary part; the control "
-            "has no real factor form")
-    # psi_k = s_k trace_n for member k = +-n: s = 1/beta_n at +n off the
-    # degenerate set (1 on it), its conjugate at -n
-    s = {p.index: 1.0 if p.in_J else 1.0 / p.beta for p in pairs}
-    w = np.conj([s[n] if n > 0 else np.conj(s[-n])
-                 for n in family.index_set]) * coefficients
-    profiles = np.zeros((len(pairs), family.profiles.shape[1]))
-    for n, wk, Z in zip(family.index_set, w, family.profiles):
-        profiles[row[abs(n)]] += (np.conj(Z[::-1]) * wk).real
-    return traces.real.copy(), profiles
+    index, psi = family.index_set, family.psi
+    if (family.count % 2 or any(n <= 0 or m != -n for n, m
+                                in zip(index[::2], index[1::2]))
+            or not np.array_equal(psi[::2], psi[1::2])):
+        raise ConfigError("family rows are not (+n, -n) pairs of one real "
+                          "trace; the control has no factor form")
+    profiles = np.zeros((family.count // 2, family.profiles.shape[1]))
+    for k, (ak, P) in enumerate(zip(coefficients, family.profiles)):
+        profiles[k // 2] += (ak * np.conj(P[::-1])).real
+    return psi[::2].copy(), profiles
 
 
 def _sup_pass(dense: _RealPasses, a, traces, forward):
@@ -323,10 +324,9 @@ def _sup_pass(dense: _RealPasses, a, traces, forward):
     return imag_max, max(1.0, np.sqrt(sq)), gap / f_max if f_max > 0 else gap
 
 
-def synthesize(problem: MomentProblem,
-               pairs: Sequence[EigenPair]) -> ControlSignal:
+def synthesize(problem: MomentProblem) -> ControlSignal:
     """Minimum-norm real control for the moment problem, in factor form
-    over pairs, the family's modes.
+    over the family's modes (_factor_form).
 
     Fails closed with the not-controllable error (carrying the measured
     lower frame bound) when the Gram condition exceeds CONDITION_CAP;
@@ -345,7 +345,7 @@ def synthesize(problem: MomentProblem,
             f"m_N={rep.m_N:.3e}, condition={rep.cond:.3e} (cap {CONDITION_CAP:.1e})",
             frame_lower=rep.m_N, condition=rep.cond)
     a = cholesky_solve(rep.gram, problem.rhs)
-    traces, profiles = _factor_form(fam, a, pairs)
+    traces, profiles = _factor_form(fam, a)
     dense = _RealPasses(fam)
     # the pair in the family's time
     g = traces, np.ascontiguousarray(profiles[:, ::-1])
@@ -358,7 +358,7 @@ def synthesize(problem: MomentProblem,
             "for the solved condition number")
 
     imag_max, scale, factor_gap = _sup_pass(dense, a, *g)
-    if _is_symmetric(fam.index_set) and not imag_max <= 1e-8 * scale:
+    if not imag_max <= 1e-8 * scale:
         raise InternalConsistencyError(
             f"synthesized control is not real (sup imag {imag_max:.3e}); "
             "rhs extension inconsistent with member conjugation")
@@ -371,8 +371,9 @@ def synthesize(problem: MomentProblem,
     norm = float(np.sqrt(np.maximum(np.sum(dense.inner(*g, *g)), 0.0)))
     _min_norm_spot_check(dense, rep, *g, norm, seed=0, dirs=5)
 
-    return ControlSignal(traces, profiles, a, residual, imag_max, factor_gap,
-                         rep.cond, rep.m_N, norm, fam.grid, fam.index_set)
+    return ControlSignal(traces, profiles, fam.gamma_weights, a, residual,
+                         imag_max, factor_gap, rep.cond, rep.m_N, norm,
+                         fam.grid, fam.index_set)
 
 
 def _spot_direction(rng, out):

@@ -11,12 +11,14 @@ a known Laplace form (Pruss, Evolutionary Integral Equations, 1993):
 
 A family whose time profiles are exponential sums has its time Gram in
 closed form at any horizon, with no grid (_exponential_time_grams).
-exact_sweep puts the pieces together for cli._run_sweep: it hands both
-families' traces and time Grams to one riesz.gram_reports pass, the
-report path of the grid route too, which gives both families' reports
-at the levels riesz.nested_levels names; or it returns None, and the
-sweep marches, where the route does not apply or a mode is not
-certified.
+exact_sweep puts the pieces together for cli._run_sweep: it scales and
+signs each family's exponential weights with control._members, the
+helper that builds the grid families (_exponential_members), and hands
+both families' real traces and time Grams to one riesz.gram_reports
+pass, the report path of the grid route too, which gives both
+families' reports at the levels riesz.nested_levels names; or it
+returns None, and the sweep marches, where the route does not apply or
+a mode is not certified.
 
 The CLI imports this module only when a sweep reaches it, so no other
 run compiles it.
@@ -29,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .control import _signed
+from .control import _members
 from .kernels import KernelTerms
 from .riesz import gram_reports
 from .volterra import _forcing_factors
@@ -228,6 +230,18 @@ def _exponential_time_grams(rates, weights, horizons) -> np.ndarray:
     return out
 
 
+def _exponential_members(pairs, rates, weights):
+    """Rates and weights (2K, d) of the signed members of pairs whose
+    time profiles are the exponential sums of rates and weights (K, d),
+    and their real traces (2K, nodes): the weights scaled and signed by
+    control._members, as the grid families' profiles are, and member
+    -n, the conjugate of member +n, on the conjugate exponents."""
+    weights, _, traces = _members(pairs, weights)
+    rates = np.repeat(rates, 2, axis=0)
+    np.conjugate(rates[1::2], out=rates[1::2])
+    return rates, weights, traces
+
+
 def exact_sweep(kernel, pairs_tel, pairs_vis, c: float, gamma_weights,
                 horizons: Sequence[float]):
     """Frame bounds of the telegraph family (pairs_tel, parameter c) and
@@ -240,14 +254,11 @@ def exact_sweep(kernel, pairs_tel, pairs_vis, c: float, gamma_weights,
     modes = exact_modes(kernel.terms, kernel.alpha, pairs_vis)
     if modes is None:
         return None
-    families = ((pairs_tel, *transformed_exponential_terms(pairs_tel, c),
-                 "telegraph"),
-                (pairs_vis, modes.roots, modes.Z, "viscoelastic"))
-    # signed and conjugated as control.telegraph_family and
-    # viscoelastic_family sign and conjugate the profiles on the grid
-    return gram_reports([(_signed([p.psi for p in pairs]),
-                          _exponential_time_grams(_signed(rates),
-                                                  _signed(weights), horizons),
-                          label)
-                         for pairs, rates, weights, label in families],
+    tel = _exponential_members(pairs_tel,
+                               *transformed_exponential_terms(pairs_tel, c))
+    vis = _exponential_members(pairs_vis, modes.roots, modes.Z)
+    return gram_reports([(traces, _exponential_time_grams(rates, weights,
+                                                          horizons), label)
+                         for (rates, weights, traces), label
+                         in ((tel, "telegraph"), (vis, "viscoelastic"))],
                         gamma_weights)

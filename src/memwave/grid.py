@@ -3,9 +3,9 @@
 Every run owns exactly one (step, horizon) grid and all modules share
 it; cross-grid interpolation is deliberately unsupported.  Grids are
 always built from an integer step count, and the step is carried as a
-field: a fresh grid takes h = T/steps, a restriction or extension
-inherits its parent's h, so shorter horizons reuse the same step and
-the same sample times bit for bit.
+field: a fresh grid takes h = T/steps, a restriction inherits its
+parent's h, so shorter horizons reuse the same step and the same sample
+times bit for bit.
 """
 
 from __future__ import annotations
@@ -58,12 +58,6 @@ class TimeGrid:
         if steps == self.steps:
             return self
         return TimeGrid(steps * self.h, steps, self.h)
-
-    def extend(self, factor: int = 2) -> "TimeGrid":
-        """Longer grid with the same step size (factor times the steps)."""
-        if factor < 1:
-            raise ConfigError("extension factor must be >= 1")
-        return TimeGrid(self.T * factor, self.steps * factor, self.h)
 
 
 def make_grid(T: float, h: float) -> TimeGrid:

@@ -14,10 +14,13 @@ once here, used everywhere.
 Separable representation.  Every member is rank one, a boundary trace
 times a time profile, m_k(x, t) = psi_k(x) Z_k(t), so a family keeps
 the two factors, psi (count, nodes) and profiles (count, steps+1), and
-never the dense (count, nodes, steps+1) outer products.  The weighted
-inner product over the boundary cylinder splits with them:
+never the dense (count, nodes, steps+1) outer products.  psi is the
+real, unscaled trace, the conormal derivative of a real eigenfunction;
+any complex scale of a member (1/beta, and its conjugate at -n: see
+control._members) lives in its time profile.  The weighted inner
+product over the boundary cylinder splits with the factors:
 
-    Gram_nk         = (sum_x w_x psi_n conj psi_k) * (sum_t w_t Z_n conj Z_k)
+    Gram_nk         = (sum_x w_x psi_n psi_k) * (sum_t w_t Z_n conj Z_k)
     int m_k g       = sum_t ((psi w_x) @ g)_kt Z_kt w_t
     sum_k a_k m_k   = (psi.T * a) @ profiles
 
@@ -82,9 +85,10 @@ ALL_LEVELS = 32
 class SequenceFamily:
     """Indexed family of separable Gamma-valued grid functions on [0, T].
 
-    Member k is psi[k] (x) profiles[k]; psi defaults to ones (count, 1),
-    a one-node family.  gamma_weights are the boundary quadrature
-    weights (ones by default).
+    Member k is psi[k] (x) profiles[k], psi the real trace; psi
+    defaults to ones (count, 1), a one-node family, and a complex psi is
+    a config error.  gamma_weights are the boundary quadrature weights
+    (ones by default).
     """
 
     profiles: np.ndarray         # (count, steps+1) complex time profiles
@@ -92,7 +96,7 @@ class SequenceFamily:
     label: str
     grid: TimeGrid
     gamma_weights: np.ndarray = None
-    psi: np.ndarray = None       # (count, nodes) complex boundary traces
+    psi: np.ndarray = None       # (count, nodes) real boundary traces
 
     def __post_init__(self):
         z = np.asarray(self.profiles, dtype=complex)
@@ -100,8 +104,11 @@ class SequenceFamily:
             raise ConfigError(f"profile array shape {z.shape} does not match grid")
         if z.shape[0] != len(self.index_set):
             raise ConfigError("index_set length does not match member count")
-        psi = (np.ones((z.shape[0], 1), dtype=complex) if self.psi is None
-               else np.asarray(self.psi, dtype=complex))
+        if np.iscomplexobj(self.psi):
+            raise ConfigError("boundary traces must be real; a complex "
+                              "scale belongs in the time profile")
+        psi = (np.ones((z.shape[0], 1)) if self.psi is None
+               else np.asarray(self.psi, dtype=float))
         if psi.ndim != 2 or psi.shape[0] != z.shape[0]:
             raise ConfigError(f"trace array shape {psi.shape} does not match "
                               f"{z.shape[0]} members")
@@ -219,10 +226,11 @@ def gram_reports(families: Sequence[tuple],
     """One list of reports per family, one report per horizon.
 
     families holds, for each family, (psi, temporal, label): its traces
-    psi (count, nodes) and its time Grams temporal (H, count, count), one
-    per horizon; every family has the same count and H.  A family's Gram
-    at a horizon is its boundary Gram under the quadrature gamma_weights
-    times the time Gram, entrywise.  All of them fill one
+    psi (count, nodes), real in every family the pipeline builds, and its
+    time Grams temporal (H, count, count), one per horizon; every family
+    has the same count and H.  A family's Gram at a horizon is its
+    boundary Gram under the quadrature gamma_weights times the time
+    Gram, entrywise.  All of them fill one
     (families * H, count, count) stack; each family's part passes the
     finite and Hermitian checks (_check) as it is filled, which keeps
     their temporaries to one family's Grams, and the whole stack takes
@@ -235,7 +243,9 @@ def gram_reports(families: Sequence[tuple],
         if psi.shape[0] != n or len(temporal) != H:
             raise ConfigError(f"family {label!r} has {psi.shape[0]} members "
                               f"and {len(temporal)} horizons, not {n} and {H}")
-        boundary = (psi * gamma_weights) @ np.conj(psi).T
+        # complex once: a real boundary would be cast again in every
+        # product below
+        boundary = ((psi * gamma_weights) @ np.conj(psi).T).astype(complex)
         G = Gs[f * H:(f + 1) * H]
         # one product per horizon: a broadcast one would buffer a stack
         for i, t in enumerate(temporal):
@@ -328,10 +338,10 @@ def quadratic_closeness(a: SequenceFamily, b: SequenceFamily,
         raise ConfigError("closeness needs identical grids and member shapes")
     if not np.array_equal(a.psi, b.psi):
         raise ConfigError("closeness needs identical boundary traces")
-    # |psi_k (x) (Z_k - Z'_k)|^2 = |psi_k|^2 |Z_k - Z'_k|^2: the profile
+    # |psi_k (x) (Z_k - Z'_k)|^2 = psi_k^2 |Z_k - Z'_k|^2: the profile
     # difference is taken before squaring, so nothing cancels
     D = a.profiles - b.profiles
-    d2 = ((np.abs(a.psi) ** 2 @ a.gamma_weights)
+    d2 = ((a.psi ** 2 @ a.gamma_weights)
           * (np.real(D * np.conj(D)) @ trapezoid_weights(a.grid)))
     nblocks = len(d2) // block
     blocks = [float(np.sum(d2[i * block:(i + 1) * block])) for i in range(nblocks)]

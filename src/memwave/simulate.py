@@ -26,8 +26,10 @@ against F_n, and the march route reads theta_n'(T) from the
 contraction of N against the marched theta_n.
 
 The control arrives as its factor pair (control.ControlSignal),
-f = traces.T @ profiles, so the forcings are F = W f =
-(W @ traces.T) @ profiles, W the (K_sim, nodes) weighted traces.  The
+f = traces.T @ profiles, and carries the boundary quadrature weights
+and the modes 1..K of the family it was solved against, so the
+forcings are F = W f = (W @ traces.T) @ profiles, W the (K_sim, nodes)
+real traces of the simulated modes under the control's weights.  The
 march route needs N * F at every sample; by linearity of the product
 trapezoid it convolves the fewest rows among the node rows of f, the
 K_sim rows of F and the K profiles (_forcing_convolution): one node row
@@ -44,7 +46,7 @@ same energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,19 +105,22 @@ def _forcing_convolution(kernel: NormalizedKernel, weighted: np.ndarray,
                          length)
 
 
-def _setup(kernel: NormalizedKernel, control: ControlSignal,
-           gamma_weights, K):
-    """Check the control's grid; the boundary weights, grid length and K,
-    with their defaults."""
+def _setup(kernel: NormalizedKernel, control: ControlSignal, sim):
+    """Check the control's grid and boundary node count against the
+    simulation's; the (K_sim, nodes) weighted traces of the simulated
+    pairs sim, the grid length and K, the control's modes."""
     if abs(kernel.h - control.grid.h) > 1e-12 * kernel.h:
         raise ConfigError(
             f"control step {control.grid.h!r} does not match simulation step "
             f"{kernel.h!r}; runs own exactly one step size")
     if control.profiles.shape[1] > kernel.grid.steps + 1:
         raise ConfigError("control grid longer than simulation grid")
-    return (1.0 if gamma_weights is None else gamma_weights,
-            kernel.grid.steps + 1,
-            max(abs(n) for n in control.index_set) if K is None else K)
+    traces = np.array([p.trace.real for p in sim])
+    if traces.shape[1] != control.traces.shape[1]:
+        raise ConfigError("control and simulated modes have different "
+                          "numbers of boundary nodes")
+    return (traces * control.gamma_weights, kernel.grid.steps + 1,
+            max(abs(n) for n in control.index_set))
 
 
 def mode_energies(theta_T, theta_t_T, beta) -> np.ndarray:
@@ -133,18 +138,15 @@ def _finalize(theta_T, theta_t_T, K, lam_sq, beta, grid):
 
 
 def simulate_convolution(responses: ModalResponses, kernel: NormalizedKernel,
-                         control: ControlSignal, K_sim: int,
-                         gamma_weights: Optional[np.ndarray] = None,
-                         K: int = None) -> SimResult:
+                         control: ControlSignal, K_sim: int) -> SimResult:
     """Primary verification route, via the convolution representations
     of the first K_sim rows of responses, which must be modes 1..K_sim."""
-    gw, length, K = _setup(kernel, control, gamma_weights, K)
     sim = responses.head(K_sim)
     if [p.index for p in sim.pairs] != list(range(1, K_sim + 1)):
         raise ConfigError(f"simulation needs the responses of modes 1..{K_sim}")
+    weighted, length, K = _setup(kernel, control, sim.pairs)
     if sim.grid.steps + 1 != length:
         raise ConfigError("responses live on a different grid")
-    weighted = np.array([p.trace.real for p in sim.pairs]) * gw
     F = _mode_forcing(weighted @ control.traces.T, control.profiles, length)
     # one call each: a stack would copy the batches.  z and N'*z are
     # summed after: summing them first moves theta' by rounding
@@ -156,20 +158,17 @@ def simulate_convolution(responses: ModalResponses, kernel: NormalizedKernel,
 
 
 def simulate_march(kernel: NormalizedKernel, pairs: Sequence[EigenPair],
-                   control: ControlSignal, K_sim: int,
-                   gamma_weights: Optional[np.ndarray] = None,
-                   K: int = None) -> SimResult:
+                   control: ControlSignal, K_sim: int) -> SimResult:
     """Independent route: direct time-marching of the forced modal system."""
-    gw, length, K = _setup(kernel, control, gamma_weights, K)
     h = kernel.h
     by_index = {p.index: p for p in pairs}
     missing = [n for n in range(1, K_sim + 1) if n not in by_index]
     if missing:
         raise ConfigError(f"simulation needs eigenpair {missing[0]}")
     sim = [by_index[n] for n in range(1, K_sim + 1)]
+    weighted, length, K = _setup(kernel, control, sim)
     lam_sq = np.array([p.lambda_sq for p in sim])
     beta = np.array([p.beta.real for p in sim])
-    weighted = np.array([p.trace.real for p in sim]) * gw
     H = _forcing_convolution(kernel, weighted, control, length)
     theta = march_modal(kernel, lam_sq, kernel.alpha, y0=0.0, forcing=-H,
                         label=f"(sim modes 1..{K_sim})")

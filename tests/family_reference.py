@@ -10,6 +10,12 @@ the second argument of an inner product conjugated, as in riesz:
     norms_sq(fam)[k]         = |member_k|^2
     combination(fam, a)      = sum_k a_k member_k  (or conj(member_k))
     real_factors(fam, a)     = real factors of Re sum_k a_k conj(member_k)
+
+and the Gram of a family in the complex representation the pipeline
+kept before a family's traces were real (complex_gram,
+complex_exponential_grams): member +n the complex trace
+trace_n / beta_n (EigenPair.psi) times the unscaled time profile,
+member -n the conjugate of both.
 """
 
 import numpy as np
@@ -56,3 +62,38 @@ def real_factors(fam, coefficients):
     c = np.conj(fam.psi)
     z = np.asarray(coefficients)[:, None] * np.conj(fam.profiles)
     return np.concatenate([c.real, c.imag]), np.concatenate([z.real, -z.imag])
+
+
+def conjugate_pairs(rows):
+    """Rows over (+1, -1, +2, -2, ...), row -n the conjugate of row +n."""
+    rows = np.asarray(rows, dtype=complex)
+    out = np.empty((2 * len(rows),) + rows.shape[1:], dtype=complex)
+    out[::2] = rows
+    out[1::2] = np.conj(rows)
+    return out
+
+
+def _complex_boundary(pairs, gamma_weights):
+    psi = conjugate_pairs([p.psi for p in pairs])
+    return (psi * gamma_weights) @ np.conj(psi).T
+
+
+def complex_gram(pairs, profiles, grid, gamma_weights):
+    """The Gram of the family of pairs with the unscaled time profiles
+    (K, steps+1) on grid, in the complex representation."""
+    Z = conjugate_pairs(profiles)
+    return (_complex_boundary(pairs, gamma_weights)
+            * ((Z * trapezoid_weights(grid)) @ np.conj(Z).T))
+
+
+def complex_exponential_grams(pairs, rates, weights, horizons,
+                              gamma_weights):
+    """The Grams (H, 2K, 2K) at horizons of the family of pairs whose
+    unscaled time profiles are the exponential sums of rates and weights
+    (K, d), in the complex representation."""
+    # imported here: the CLI tests import this module, and memwave.exact
+    # loads only with the runs that reach it
+    from memwave.exact import _exponential_time_grams
+    return (_complex_boundary(pairs, gamma_weights)
+            * _exponential_time_grams(conjugate_pairs(rates),
+                                      conjugate_pairs(weights), horizons))

@@ -142,13 +142,16 @@ def test_criterion_4_residual_slope(master):
 
 def test_criterion_5_quadratic_closeness(master):
     ker_pi, _ = master.restrict(PI)
-    pairs, psi = master.pairs, np.array([p.psi for p in master.pairs])
-    # S_n psi_n and C_n psi_n on the positive indices
+    pairs = master.pairs
+    psi = np.array([p.trace.real for p in pairs])
+    scale = np.array([1.0 / p.beta for p in pairs])[:, None]
+    # the trace of mode n times S_n / beta_n and C_n / beta_n on the
+    # positive indices
     idx = tuple(p.index for p in pairs)
     out = quadratic_closeness(
-        SequenceFamily(refined_S(ker_pi, pairs), idx, "S", ker_pi.grid,
-                       psi=psi),
-        SequenceFamily(comparator_profile(ker_pi, pairs), idx, "C",
+        SequenceFamily(refined_S(ker_pi, pairs) * scale, idx, "S",
+                       ker_pi.grid, psi=psi),
+        SequenceFamily(comparator_profile(ker_pi, pairs) * scale, idx, "C",
                        ker_pi.grid, psi=psi),
         block=8)
     dist = np.sqrt(np.asarray(out["dist_sq"]))
@@ -167,7 +170,8 @@ def test_criterion_6_plateau_collapse(master):
     ratios = {}
     for T in (2.5 * PI, 1.2 * PI):
         steps = round(T / h)
-        rep_t = gram(telegraph_family(pairs40, 0.0, steps * h, steps=steps))
+        rep_t = gram(telegraph_family(pairs40, 0.0, TimeGrid(steps * h,
+                                                             steps)))
         _, resp_T = master.restrict(T)
         rep_v = gram(viscoelastic_family(resp_T))
         # 40 signed modes -> 80 members, the last level; the first 10
@@ -185,8 +189,8 @@ def test_criterion_6_plateau_collapse(master):
     mt, mv = [], []
     for T in horizons:
         steps = round(T / h)
-        mt.append(gram(telegraph_family(pairs5, 0.0, steps * h,
-                                        steps=steps)).m_N)
+        mt.append(gram(telegraph_family(pairs5, 0.0,
+                                        TimeGrid(steps * h, steps))).m_N)
         _, rT = master.restrict(T)
         mv.append(gram(viscoelastic_family(rT.head(5))).m_N)
     mt, mv = np.array(mt), np.array(mv)
@@ -214,7 +218,7 @@ def test_criterion_7_round_trip(master):
     }
     rows, ok = [], True
     for label, tgt in targets.items():
-        sig = synthesize(build_moment_problem(fam12, tgt), head.pairs)
+        sig = synthesize(build_moment_problem(fam12, tgt))
         res = simulate_convolution(resp_s, ker_s, sig, 40)
         xi, eta = achieved_coefficients(res, master.pairs)
         rel = (np.linalg.norm(np.r_[xi[:12] - tgt.xi, eta[:12] - tgt.eta])
@@ -233,7 +237,7 @@ def test_criterion_8_fails_closed(master, tmp_path, capsys):
     tgt = TargetState(np.eye(12)[0], np.zeros(12), 12)
     caught = None
     try:
-        synthesize(build_moment_problem(fam, tgt), head.pairs)
+        synthesize(build_moment_problem(fam, tgt))
     except NotControllableError as e:
         caught = e
     reported = (caught is not None and caught.frame_lower < 1e-6
@@ -276,7 +280,7 @@ def test_criterion_9_cosine_bound():
 
 def test_criterion_10_decay_separation():
     pairs = compute_eigenpairs(DOM, 40, 0.0)
-    fam = telegraph_family(pairs, 0.0, 2.5 * PI, steps=round(2.5 * PI / 1e-3))
+    fam = telegraph_family(pairs, 0.0, make_grid(2.5 * PI, 1e-3))
     rng = np.random.default_rng(5)
     phases = np.exp(2j * PI * rng.random(40))
 

@@ -544,8 +544,8 @@ def test_cli_synthesize_writes_control_factors(tmp_path, capsys, monkeypatch):
     # returns: one product rebuilds the control combined from the family
     kept, synthesize = [], cli.synthesize
 
-    def keep(problem, pairs):
-        kept.append((problem, synthesize(problem, pairs)))
+    def keep(problem):
+        kept.append((problem, synthesize(problem)))
         return kept[-1][1]
     monkeypatch.setattr(cli, "synthesize", keep)
     doc = base("synthesize", T=2.5 * PI, K=2, target="random", seed=1,
@@ -581,8 +581,8 @@ def test_cli_synthesize_writes_control_factors(tmp_path, capsys, monkeypatch):
 def test_cli_synthesize_factor_gap_exits_five(tmp_path, capsys, monkeypatch):
     factor_form = control._factor_form
 
-    def skewed(fam, a, pairs):
-        traces, profiles = factor_form(fam, a, pairs)
+    def skewed(fam, a):
+        traces, profiles = factor_form(fam, a)
         return traces, profiles * (1.0 + 1e-9)
     monkeypatch.setattr(control, "_factor_form", skewed)
     doc = base("synthesize", T=2.5 * PI, K=2, target="random", kernel=EXP)
@@ -598,8 +598,8 @@ def test_cli_synthesize_non_finite_control_exits_three(tmp_path, capsys,
     doc = base("synthesize", T=2.5 * PI, K=2, target="random", kernel=EXP)
     for factor, artifact in (("profiles", "control.csv"),
                              ("traces", "control_traces.csv")):
-        def broken(problem, pairs):
-            ctrl = synthesize(problem, pairs)
+        def broken(problem):
+            ctrl = synthesize(problem)
             values = getattr(ctrl, factor).copy()
             values[0, -1] = np.inf
             return dataclasses.replace(ctrl, **{factor: values})

@@ -13,7 +13,7 @@ from memwave import (ConfigError, DomainSpec, EigenPair,
                      quadratic_closeness, refined_S, synthesize,
                      telegraph_family, viscoelastic_family)
 from memwave.control import (CALLING_THREAD_MACS, _RealPasses, _factor_form,
-                              _min_norm_spot_check, _signed, _signed_index,
+                              _members, _min_norm_spot_check,
                               _spot_direction, _spot_terms, node_blocks)
 from memwave.grid import trapezoid_weights
 
@@ -50,8 +50,8 @@ def test_target_state_validation():
 
 
 def test_moment_problem_alignment():
-    fam = telegraph_family(compute_eigenpairs(INTERVAL, 3, 0.0), 0.0, PI,
-                           steps=400)
+    fam = telegraph_family(compute_eigenpairs(INTERVAL, 3, 0.0), 0.0,
+                           TimeGrid(PI, 400))
     prob = build_moment_problem(fam, unit_target(3))
     assert fam.index_set == (1, -1, 2, -2, 3, -3)
     assert np.allclose(prob.rhs, [-1j, 1j, 0, 0, 0, 0])
@@ -64,15 +64,17 @@ def test_moment_problem_alignment():
 
 
 def positive_family(profiles, pairs, kernel):
-    """profiles[i] psi_i on the positive indices of pairs, on the
-    kernel's grid."""
-    return SequenceFamily(profiles, tuple(p.index for p in pairs), "positive",
-                          kernel.grid, psi=np.array([p.psi for p in pairs]))
+    """The real trace of pair i times profiles[i] / beta_i, on the
+    positive indices of pairs, on the kernel's grid."""
+    scale = np.array([1.0 / p.beta for p in pairs])[:, None]
+    return SequenceFamily(profiles * scale, tuple(p.index for p in pairs),
+                          "positive", kernel.grid,
+                          psi=np.array([p.trace.real for p in pairs]))
 
 
 def test_telegraph_members_undamped():
     pairs = compute_eigenpairs(INTERVAL, 4, 0.0)
-    fam = telegraph_family(pairs, 0.0, 2 * PI, steps=2000)
+    fam = telegraph_family(pairs, 0.0, TimeGrid(2 * PI, 2000))
     t = fam.grid.t
     for i, n in enumerate(fam.index_set):
         p = pairs[abs(n) - 1]
@@ -88,28 +90,29 @@ def test_telegraph_degenerate_member():
     dom = DomainSpec("interval", (PI,), q=0.75, c=0.5)
     pairs = compute_eigenpairs(dom, 2, alpha=0.5)
     assert pairs[0].in_J and not pairs[1].in_J
-    fam = telegraph_family(pairs, 0.5, PI, steps=500)
+    fam = telegraph_family(pairs, 0.5, TimeGrid(PI, 500))
     t = fam.grid.t
     expected = pairs[0].psi * (1.0 + (0.5 + 1j) * t)
     assert np.max(np.abs(fam.members[0].ravel() - expected)) < 1e-12
 
 
-def test_gamma_param_variants_share_horizons():
+def test_pure_exponentials_share_horizons():
+    # the profiles of the damped modes with a = c and with a = 0 (pure
+    # exponentials) span the same space
     dom = DomainSpec("interval", (PI,), c=0.5)
     pairs = compute_eigenpairs(dom, 5, alpha=0.5)
 
-    def m_of(T, gp):
-        fam = telegraph_family(pairs, 0.5, T, gamma_param=gp,
-                               steps=round(T / 2e-3))
-        return gram(fam).m_N
+    def m_of(T, a):
+        return gram(telegraph_family(pairs, a,
+                                     TimeGrid(T, round(T / 2e-3)))).m_N
 
-    for gp in (0.0, None):
-        short, full, longer = (m_of(T, gp) for T in
+    for a in (0.0, 0.5):
+        short, full, longer = (m_of(T, a) for T in
                                (0.8 * PI, 2.0 * PI, 2.5 * PI))
         assert short < 1e-5 * full          # collapse below the sharp time
         assert 0.5 < longer / full < 2.0    # plateau above it
     # the two variants certify the same horizons at comparable levels
-    assert 1 / 3 < m_of(2.5 * PI, 0.0) / m_of(2.5 * PI, None) < 3
+    assert 1 / 3 < m_of(2.5 * PI, 0.0) / m_of(2.5 * PI, 0.5) < 3
 
 
 def test_viscoelastic_matches_memoryless_comparator():
@@ -117,8 +120,7 @@ def test_viscoelastic_matches_memoryless_comparator():
     kz = normalize(KernelSpec("zero"), grid)
     pairs = compute_eigenpairs(INTERVAL, 3, alpha=0.0)
     vis = viscoelastic_family(compute_responses(kz, pairs))
-    tel = telegraph_family(pairs, 0.0, 2 * PI, gamma_param=0.0,
-                           steps=grid.steps)
+    tel = telegraph_family(pairs, 0.0, grid)
     assert np.max(np.abs(vis.members - tel.members)) < 1e-5
 
 
@@ -155,19 +157,12 @@ def test_distance_to_comparator_decays():
 # -------------------------------------------------------------- synthesis
 
 
-def unit_pairs(K):
-    """Modes 1..K with trace 1 on one node, beta = 1: psi = 1."""
-    return [EigenPair(n, float(n * n), 1.0 + 0.0j, np.ones(1, dtype=complex),
-                      False, False) for n in range(1, K + 1)]
-
-
 def test_synthesize_orthonormal_family_identity():
     grid = TimeGrid(2 * PI, 4000)
     idx = (1, -1, 2, -2, 3, -3)
     members = np.exp(1j * np.outer(np.array(idx), grid.t)) / np.sqrt(2 * PI)
     fam = SequenceFamily(members, idx, "unit-fourier", grid)
-    sig = synthesize(build_moment_problem(fam, unit_target(3)),
-                     unit_pairs(3))
+    sig = synthesize(build_moment_problem(fam, unit_target(3)))
     # Gram = I, so a = rhs and f(t) = 2 sin(t) / sqrt(2 pi)
     assert np.allclose(sig.coefficients, [-1j, 1j, 0, 0, 0, 0], atol=1e-10)
     expected = 2.0 * np.sin(grid.t) / np.sqrt(2 * PI)
@@ -185,8 +180,8 @@ def pairs12():
 
 
 def test_synthesize_telegraph_round_numbers(pairs12):
-    fam = telegraph_family(pairs12, 0.0, 2.5 * PI, steps=round(2.5 * PI / 1e-3))
-    sig = synthesize(build_moment_problem(fam, unit_target(12)), pairs12)
+    fam = telegraph_family(pairs12, 0.0, make_grid(2.5 * PI, 1e-3))
+    sig = synthesize(build_moment_problem(fam, unit_target(12)))
     assert sig.residual_max <= 1e-8 * sig.condition
     assert sig.imag_max <= 1e-12
     assert 3.5 < sig.frame_lower < 4.5
@@ -194,12 +189,12 @@ def test_synthesize_telegraph_round_numbers(pairs12):
 
 
 def test_synthesize_random_targets_stay_real(pairs12):
-    fam = telegraph_family(pairs12, 0.0, 2.5 * PI, steps=4000)
+    fam = telegraph_family(pairs12, 0.0, TimeGrid(2.5 * PI, 4000))
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         target = TargetState(rng.standard_normal(12), rng.standard_normal(12), 12)
         prob = build_moment_problem(fam, target)
-        sig = synthesize(prob, pairs12)
+        sig = synthesize(prob)
         assert sig.imag_max <= 1e-10
         scale = max(1.0, float(np.max(np.abs(prob.rhs))))
         assert sig.residual_max <= 1e-8 * sig.condition * scale
@@ -214,13 +209,13 @@ def test_nan_rhs_fails_closed(case):
     rhs = prob.rhs.copy()
     rhs[2] = np.nan
     with pytest.raises(InternalConsistencyError, match="moment residual"):
-        synthesize(dataclasses.replace(prob, rhs=rhs), pairs)
+        synthesize(dataclasses.replace(prob, rhs=rhs))
 
 
 def test_short_horizon_fails_closed(pairs12):
-    fam = telegraph_family(pairs12, 0.0, 0.5 * PI, steps=2000)
+    fam = telegraph_family(pairs12, 0.0, TimeGrid(0.5 * PI, 2000))
     with pytest.raises(NotControllableError) as err:
-        synthesize(build_moment_problem(fam, unit_target(12)), pairs12)
+        synthesize(build_moment_problem(fam, unit_target(12)))
     assert err.value.exit_code == 4
     assert err.value.frame_lower < 1e-6
     assert "m_N" in str(err.value)
@@ -233,9 +228,8 @@ def test_feasibility_monotone_from_precritical(pairs12):
     # with a frame bound no worse and a condition number no worse
     results = {}
     for T in (1.6 * PI, 2.0 * PI, 2.5 * PI, 3.0 * PI):
-        fam = telegraph_family(pairs12, 0.0, T, steps=round(T / 2e-3))
-        results[T] = synthesize(build_moment_problem(fam, unit_target(12)),
-                                pairs12)
+        fam = telegraph_family(pairs12, 0.0, make_grid(T, 2e-3))
+        results[T] = synthesize(build_moment_problem(fam, unit_target(12)))
     Ts = sorted(results)
     bounds = [results[T].frame_lower for T in Ts]
     assert all(b2 >= b1 * (1 - 1e-9) for b1, b2 in zip(bounds, bounds[1:]))
@@ -257,24 +251,24 @@ def _factor_case(name):
     if name == "rectangle-right-top":
         dom = DomainSpec("rectangle", (PI, PI), gamma_subset=("right", "top"))
         pairs = compute_eigenpairs(dom, 3, alpha=0.5)
-        return telegraph_family(pairs, 0.5, 2.5 * PI, steps=400,
-                                gamma_weights=dom.gamma_weights()), pairs
+        return telegraph_family(pairs, 0.5, TimeGrid(2.5 * PI, 400),
+                                dom.gamma_weights()), pairs
     if name == "long-rows":
         pairs = compute_eigenpairs(INTERVAL, 20, alpha=0.0)
-        return telegraph_family(pairs, 0.0, 2.5 * PI, steps=8000), pairs
+        return telegraph_family(pairs, 0.0, TimeGrid(2.5 * PI, 8000)), pairs
     if name == "spanned":
         # 6 members on 6 time samples: the span is every grid function
         pairs = compute_eigenpairs(INTERVAL, 3, alpha=0.0)
-        return telegraph_family(pairs, 0.0, 3.0, steps=5), pairs
+        return telegraph_family(pairs, 0.0, TimeGrid(3.0, 5)), pairs
     if name == "degenerate":
         dom = DomainSpec("interval", (PI,), q=0.75, c=0.5)
         pairs = compute_eigenpairs(dom, 2, alpha=0.5)
         assert pairs[0].in_J
-        return telegraph_family(pairs, 0.5, PI, steps=500), pairs
+        return telegraph_family(pairs, 0.5, TimeGrid(PI, 500)), pairs
     dom = DomainSpec("interval", (PI,), c=3.0)            # overdamped
     pairs = compute_eigenpairs(dom, 3, alpha=3.0)
     assert pairs[0].beta.real == 0 and pairs[0].beta.imag > 0
-    return telegraph_family(pairs, 3.0, PI, steps=500), pairs
+    return telegraph_family(pairs, 3.0, TimeGrid(PI, 500)), pairs
 
 
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top",
@@ -284,7 +278,7 @@ def test_control_factors_rebuild_the_control(case):
     fam, pairs = _factor_case(case)
     rng = np.random.default_rng(5)
     a = rng.standard_normal(fam.count) + 1j * rng.standard_normal(fam.count)
-    traces, profiles = _factor_form(fam, a, pairs)
+    traces, profiles = _factor_form(fam, a)
     assert traces.dtype == profiles.dtype == float
     assert traces.shape == (len(pairs), fam.psi.shape[1])
     assert profiles.shape == (len(pairs), fam.grid.steps + 1)
@@ -294,14 +288,62 @@ def test_control_factors_rebuild_the_control(case):
 
 
 def test_control_factors_refuse_complex_trace():
-    fam, pairs = _factor_case("interval")
-    bad = [dataclasses.replace(pairs[0], psi=pairs[0].psi * (1 + 1j))]
-    bad += pairs[1:]
-    a = np.ones(fam.count, dtype=complex)
-    with pytest.raises(InternalConsistencyError):
-        _factor_form(fam, a, bad)
-    with pytest.raises(ConfigError):
-        _factor_form(fam, a, pairs[:-1])
+    # the trace check runs where a family is built: an imaginary beta
+    # (overdamped) still gives a real trace, psi beta, and a family; a
+    # trace with an imaginary part gives none, on either constructor
+    for case in ("interval", "overdamped"):
+        fam, pairs = _factor_case(case)
+        assert fam.psi.dtype == float
+        bad = [dataclasses.replace(pairs[0], psi=pairs[0].psi * (1 + 1j))]
+        bad += pairs[1:]
+        grid = fam.grid
+        responses = compute_responses(normalize(KernelSpec("zero"), grid),
+                                      pairs)
+        for build in (lambda: telegraph_family(bad, 0.0, grid),
+                      lambda: viscoelastic_family(
+                          dataclasses.replace(responses, pairs=tuple(bad)))):
+            with pytest.raises(InternalConsistencyError,
+                               match="boundary trace with a nonzero "
+                                     "imaginary part; the control has no "
+                                     "real factor form") as err:
+                build()
+            assert err.value.exit_code == 5
+
+
+def _paired(fam, positions, psi=None):
+    """fam's rows at positions, over its index set at positions, against
+    psi (the rows' own traces by default)."""
+    return SequenceFamily(fam.profiles[positions],
+                          tuple(fam.index_set[p] for p in positions),
+                          fam.label, fam.grid, fam.gamma_weights,
+                          fam.psi[positions] if psi is None else psi)
+
+
+@pytest.mark.parametrize("defect", ["positive-only", "swapped", "unpaired",
+                                    "two-traces"])
+def test_synthesize_refuses_rows_that_are_not_pairs(defect):
+    # the factor form merges rows (+n, -n) of one real trace: any other
+    # layout is a config error (exit 2), not a control
+    fam, pairs = _factor_case("rectangle-right-top")
+    K = len(pairs)
+    rows = list(range(2 * K))
+    bad = {"positive-only": _paired(fam, rows[::2]),
+           "swapped": _paired(fam, [1, 0] + rows[2:]),
+           "unpaired": _paired(fam, [0, 3, 2, 1] + rows[4:]),
+           "two-traces": _paired(fam, rows, fam.psi * ([[1.0], [0.5]] * K))
+           }[defect]
+    with pytest.raises(ConfigError, match=r"not \(\+n, -n\) pairs") as err:
+        synthesize(build_moment_problem(bad, unit_target(K)))
+    assert err.value.exit_code == 2
+
+
+def test_families_refuse_a_complex_psi():
+    fam, _ = _factor_case("interval")
+    with pytest.raises(ConfigError, match="boundary traces must be real") \
+            as err:
+        SequenceFamily(fam.profiles, fam.index_set, fam.label, fam.grid,
+                       fam.gamma_weights, fam.psi.astype(complex))
+    assert err.value.exit_code == 2
 
 
 # ------------------------------------------------------ min-norm spot check
@@ -323,7 +365,7 @@ def _solved(case):
     target = TargetState(rng.standard_normal(K), rng.standard_normal(K), K)
     rep = gram(fam)
     a = np.linalg.solve(rep.gram, build_moment_problem(fam, target).rhs)
-    traces, profiles = _factor_form(fam, a, pairs)
+    traces, profiles = _factor_form(fam, a)
     B = np.ascontiguousarray(profiles[:, ::-1])
     return fam, rep, traces, B, np.sqrt(_norm_sq(fam, traces.T @ B))
 
@@ -535,37 +577,53 @@ def _scaled_fourier_case(betas):
     """(family, pairs) of three modes with the given beta_n, whose
     scalars s_n = 1/beta_n are not real, on exponentials exp(+-i n t)
     over one period and a two-node boundary: a well-conditioned family
-    where conj(s_n) and s_n differ."""
+    where conj(s_n) and s_n differ.  Dyadic betas keep every trace
+    exactly real."""
     grid = TimeGrid(2 * PI, 2000)
     traces = np.array([[1.0, 0.5], [0.25, -1.0], [1.0, 1.0]])
     pairs = [EigenPair(n, float(n * n), b, tr / b, False, False)
              for n, (b, tr) in enumerate(zip(betas, traces), 1)]
-    fam = SequenceFamily(_signed([np.exp(1j * n * grid.t) for n in (1, 2, 3)]),
-                         _signed_index([1, 2, 3]), "scaled-fourier", grid,
-                         psi=_signed([p.psi for p in pairs]))
-    return fam, pairs
+    rows, index, psi = _members(
+        pairs, np.exp(1j * np.outer([1, 2, 3], grid.t)))
+    return SequenceFamily(rows, index, "scaled-fourier", grid, psi=psi), pairs
+
+
+def _merge_defect_refused(beta2, refusal):
+    """Member -2 scaled by s_2 where the convention has conj(s_2): the
+    family is no longer conjugate-symmetric, so the minimum-norm control
+    has an imaginary part, and its real part misses the moments.
+    synthesize must refuse it with exit 5 and a message matching
+    refusal."""
+    betas = [1.0 + 1.0j, beta2, 0.5 + 0.5j]
+    fam, pairs = _scaled_fourier_case(betas)
+    assert np.array_equal(fam.psi, np.repeat([p.trace.real for p in pairs],
+                                             2, axis=0))
+    rng = np.random.default_rng(2)
+    target = TargetState(rng.standard_normal(3), rng.standard_normal(3), 3)
+    sig = synthesize(build_moment_problem(fam, target))
+    assert sig.factor_gap <= 1e-12 and sig.imag_max <= 1e-12
+    profiles = fam.profiles.copy()
+    profiles[3] = np.exp(-2j * fam.grid.t) / beta2
+    assert not np.array_equal(profiles[3], fam.profiles[3])
+    bad = SequenceFamily(profiles, fam.index_set, fam.label, fam.grid,
+                         psi=fam.psi)
+    with pytest.raises(InternalConsistencyError, match=refusal) as err:
+        synthesize(build_moment_problem(bad, target))
+    assert err.value.exit_code == 5
 
 
 def test_merge_defect_fails_closed():
-    # s_k in place of conj(s_k) for mode 2's members when they merge into
-    # its profile: pairs that give mode 2 beta_2 conjugated (and the same
-    # real trace) make synthesize merge with s_k where the family has
-    # conj(s_k).  The moment residual, the spot check or the factor gap
-    # must refuse the control.  Dyadic betas keep every trace exactly
-    # real, so the trace check does not stop it first
-    betas = [1.0 + 1.0j, 2.0 - 2.0j, 0.5 + 0.5j]
-    fam, pairs = _scaled_fourier_case(betas)
-    rng = np.random.default_rng(2)
-    target = TargetState(rng.standard_normal(3), rng.standard_normal(3), 3)
-    problem = build_moment_problem(fam, target)
-    sig = synthesize(problem, pairs)
-    assert sig.factor_gap <= 1e-12 and sig.imag_max <= 1e-12
-    _, merged = _scaled_fourier_case([betas[0], np.conj(betas[1]), betas[2]])
-    assert np.array_equal(merged[1].trace, pairs[1].trace)
-    assert not np.array_equal(merged[1].psi, pairs[1].psi)
-    with pytest.raises(InternalConsistencyError,
-                       match="moment residual|minimum-norm|factors rebuild"):
-        synthesize(problem, merged)
+    # s_2 - conj(s_2) of the size of s_2: the realness check, now on
+    # every family, the moment residual or the factor gap
+    _merge_defect_refused(2.0 - 2.0j,
+                          "moment residual|not real|factors rebuild")
+
+
+def test_small_merge_defect_fails_the_realness_check():
+    # s_2 - conj(s_2) of 2^-20 |s_2|: below the moment residual's
+    # allowance, so the realness check alone refuses it
+    _merge_defect_refused(2.0 - 2.0**-20 * 1j,
+                          "synthesized control is not real")
 
 
 def test_synthesize_memory_stays_under_a_quarter_dense_array():
@@ -584,7 +642,7 @@ def test_synthesize_memory_stays_under_a_quarter_dense_array():
     problem = build_moment_problem(fam, target)
     tracemalloc.start()
     try:
-        sig = synthesize(problem, pairs)
+        sig = synthesize(problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

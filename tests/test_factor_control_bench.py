@@ -40,11 +40,10 @@ def config(domain, h):
 @pytest.mark.parametrize("h", [2e-3, 1e-3])
 @pytest.mark.parametrize("domain", ["rectangle", "interval"])
 def test_synthesize_stage_speed(benchmark, domain, h):
-    # the moment problem and pairs as the CLI builds them
+    # the moment problem as the CLI builds it
     cfg = from_dict(config(domain, h))
-    pairs, fam = _family(cfg)
-    problem = build_moment_problem(fam, _resolve_target(cfg))
-    control = benchmark.pedantic(synthesize, args=(problem, pairs),
+    problem = build_moment_problem(_family(cfg), _resolve_target(cfg))
+    control = benchmark.pedantic(synthesize, args=(problem,),
                                  rounds=10, warmup_rounds=1)
     nodes = problem.family.psi.shape[1]
     assert nodes == (257 if domain == "rectangle" else 1)

@@ -32,14 +32,6 @@ def test_restrict_rejects_extension():
         g.restrict(11)
 
 
-def test_extend_doubles_horizon():
-    g = TimeGrid(1.0, 10)
-    e = g.extend(2)
-    assert e.steps == 20
-    assert e.h == g.h
-    assert np.array_equal(e.t[:11], g.t)
-
-
 def test_degenerate_grids_rejected():
     with pytest.raises(ConfigError):
         TimeGrid(1.0, 1)

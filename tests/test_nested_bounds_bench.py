@@ -14,8 +14,8 @@ import pytest
 
 from memwave import (DomainSpec, KernelSpec, TimeGrid, compute_eigenpairs,
                      gram_reports, normalize)
-from memwave.control import _signed
-from memwave.exact import _exponential_time_grams, exact_modes
+from memwave.exact import (_exponential_members, _exponential_time_grams,
+                           exact_modes)
 from memwave.riesz import nested_levels
 
 PI = np.pi
@@ -28,9 +28,9 @@ def memory_family(K):
     kernel = normalize(EXP, TimeGrid(2.5 * PI, 8))
     pairs = compute_eigenpairs(DOM, K, kernel.alpha)
     modes = exact_modes(kernel.terms, kernel.alpha, pairs)
-    temporal = _exponential_time_grams(_signed(modes.roots),
-                                       _signed(modes.Z), [2.5 * PI])
-    return _signed([p.psi for p in pairs]), temporal, "viscoelastic"
+    rates, weights, traces = _exponential_members(pairs, modes.roots, modes.Z)
+    return (traces, _exponential_time_grams(rates, weights, [2.5 * PI]),
+            "viscoelastic")
 
 
 @pytest.mark.parametrize("K, rounds", [(8, 100), (40, 30), (80, 10)])

@@ -140,7 +140,7 @@ def test_synthesized_control_matches_dense(rect_family, rect_pairs):
     rng = np.random.default_rng(11)
     target = TargetState(rng.standard_normal(K), rng.standard_normal(K), K)
     problem = build_moment_problem(fam, target)
-    sig = synthesize(problem, rect_pairs[1])
+    sig = synthesize(problem)
     members, weights = dense(fam)
     G = dense_gram(members, weights)
     a = np.linalg.solve(G, problem.rhs)

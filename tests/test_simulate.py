@@ -22,12 +22,15 @@ DOM = DomainSpec("interval", (PI,))
 EXP_KERNEL = KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,))
 
 
-def factor_control(grid, traces, profiles):
-    """Wrap a raw factor pair, f = traces.T @ profiles, without going
-    through synthesis."""
-    return ControlSignal(np.asarray(traces, float),
-                         np.asarray(profiles, float), np.zeros(2),
-                         np.zeros(2), 0.0, 0.0, 1.0, 1.0, 0.0, grid, (1, -1))
+def factor_control(grid, traces, profiles, gamma_weights=None):
+    """Wrap a raw factor pair, f = traces.T @ profiles, for mode 1 under
+    the boundary weights (ones by default), without going through
+    synthesis."""
+    traces = np.asarray(traces, float)
+    gw = np.ones(traces.shape[1]) if gamma_weights is None else gamma_weights
+    return ControlSignal(traces, np.asarray(profiles, float), gw,
+                         np.zeros(2), np.zeros(2), 0.0, 0.0, 1.0, 1.0, 0.0,
+                         grid, (1, -1))
 
 
 def manual_control(grid, profile):
@@ -184,7 +187,7 @@ def controlled_run():
     rng = np.random.default_rng(7)
     target = TargetState(rng.standard_normal(6) / np.arange(1, 7),
                          rng.standard_normal(6) / np.arange(1, 7), 6)
-    sig = synthesize(build_moment_problem(fam, target), head.pairs)
+    sig = synthesize(build_moment_problem(fam, target))
     return ke, pairs, resp, target, sig
 
 
@@ -311,7 +314,7 @@ def test_node_rank_forcing_matches_the_column_route(case, padded,
     ctrl = factor_control(
         cgrid, rng.standard_normal((K, nodes)),
         np.sin(np.outer(rng.uniform(1, 4, K), cgrid.t)
-               + rng.uniform(0, 2 * PI, (K, 1))))
+               + rng.uniform(0, 2 * PI, (K, 1))), gw)
     length = len(grid)
     convolved, convolve = [], memwave.simulate.convolve
 
@@ -328,10 +331,10 @@ def test_node_rank_forcing_matches_the_column_route(case, padded,
         assert np.array_equal(H, ref)
     else:
         assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
-    node = simulate_march(ke, pairs, ctrl, K_sim, gw)
+    node = simulate_march(ke, pairs, ctrl, K_sim)
     monkeypatch.setattr(memwave.simulate, "_forcing_convolution",
                         _column_route)
-    column = simulate_march(ke, pairs, ctrl, K_sim, gw)
+    column = simulate_march(ke, pairs, ctrl, K_sim)
     for field in ("theta_T", "theta_t_T"):
         a, b = getattr(node, field), getattr(column, field)
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
@@ -356,6 +359,18 @@ def test_control_longer_than_simulation_rejected():
     resp = compute_responses(kz, pairs)
     with pytest.raises(ConfigError):
         simulate_convolution(resp, kz, ctrl, 2)
+
+
+def test_control_on_another_boundary_rejected():
+    # the simulator weighs the modes' traces with the control's own
+    # boundary weights, so the two must have as many boundary nodes
+    grid, kz, pairs = zero_setup(2.0, 2e-3, 2)
+    ctrl = factor_control(grid, np.ones((1, 2)), np.sin(grid.t)[None, :])
+    resp = compute_responses(kz, pairs)
+    for run in (lambda: simulate_convolution(resp, kz, ctrl, 2),
+                lambda: simulate_march(kz, pairs, ctrl, 2)):
+        with pytest.raises(ConfigError, match="numbers of boundary nodes"):
+            run()
 
 
 def test_missing_modes_rejected():

@@ -86,7 +86,7 @@ def test_march_sweep_bounds_converge_to_exact_at_order_two(spec):
         kernel = normalize(spec, grid)
         pairs = compute_eigenpairs(DOM, K, kernel.alpha)
         march = (telegraph_family(compute_eigenpairs(DOM, K, 0.0), 0.0,
-                                  grid.T, steps=grid.steps),
+                                  grid),
                  viscoelastic_family(compute_responses(kernel, pairs)))
         errors.append([max(np.max(np.abs(a.frame_lower - b.frame_lower))
                            for a, b in zip(march_reps, reps))
@@ -103,7 +103,7 @@ def march_route(doc):
     c = cfg.domain.c
     gw = cfg.domain.gamma_weights()
     fam_t = telegraph_family(compute_eigenpairs(cfg.domain, cfg.K, c), c,
-                             grid.T, steps=grid.steps, gamma_weights=gw)
+                             grid, gw)
     kernel = normalize(cfg.kernel, grid)
     pairs = compute_eigenpairs(cfg.domain, cfg.K, kernel.alpha)
     fam_v = viscoelastic_family(compute_responses(kernel, pairs), gw)
@@ -218,8 +218,7 @@ def families():
     grid = make_grid(2.5 * PI, 1e-2)
     kernel = normalize(EXP, grid)
     pairs = compute_eigenpairs(DOM, 4, kernel.alpha)
-    tel = telegraph_family(compute_eigenpairs(DOM, 4, 0.0), 0.0, grid.T,
-                           steps=grid.steps)
+    tel = telegraph_family(compute_eigenpairs(DOM, 4, 0.0), 0.0, grid)
     vis = viscoelastic_family(compute_responses(kernel, pairs))
     rgrid = make_grid(2.5 * PI, 2e-2)
     rkernel = normalize(EXP, rgrid)
@@ -452,7 +451,7 @@ def test_stacked_reports_equal_single_family_reports(monkeypatch, route):
         grid = TimeGrid(2.5 * PI, 250)
         kernel = normalize(EXP, grid)
         fams = (telegraph_family(compute_eigenpairs(DOM, 4, 0.0), 0.0,
-                                 grid.T, steps=grid.steps),
+                                 grid),
                 viscoelastic_family(compute_responses(
                     kernel, compute_eigenpairs(DOM, 4, kernel.alpha))))
         stacked = gram_sweep(fams, [150, 200, 250])
@@ -509,13 +508,13 @@ def _exact_profiles(K, c=0.0, spec=EXP):
     and of the telegraph family with parameter c, K modes each, on the
     interval of length pi."""
     kernel = normalize(spec, TimeGrid(2.5 * PI, 8))
-    modes = memwave.exact.exact_modes(
-        kernel.terms, kernel.alpha, compute_eigenpairs(DOM, K, kernel.alpha))
-    tel = memwave.exact.transformed_exponential_terms(
-        compute_eigenpairs(DOM, K, c), c)
-    signed = memwave.control._signed
-    return [(signed(modes.roots), signed(modes.Z)),
-            tuple(signed(a) for a in tel)]
+    pairs = compute_eigenpairs(DOM, K, kernel.alpha)
+    modes = memwave.exact.exact_modes(kernel.terms, kernel.alpha, pairs)
+    pairs_tel = compute_eigenpairs(DOM, K, c)
+    members = memwave.exact._exponential_members
+    return [members(pairs, modes.roots, modes.Z)[:2],
+            members(pairs_tel, *memwave.exact.transformed_exponential_terms(
+                pairs_tel, c))[:2]]
 
 
 @pytest.mark.parametrize("K", [8, 60])
