@@ -15,24 +15,26 @@ PI = np.pi
 
 def main():
     dom = DomainSpec("interval", (PI,))
-    pairs = compute_eigenpairs(dom, 8, alpha=0.0)
+    modes = compute_eigenpairs(dom, 8, alpha=0.0)
     print("interval(pi), control boundary at x=pi")
-    print("  n  lambda^2   trace gamma_a(psi_n)/beta_n at x=pi")
-    for p in pairs[:5]:
-        print(f"  {p.index}  {p.lambda_sq:8.3f}   {p.psi[0].real: .6f}")
-    print("  (traces alternate in sign and stay bounded: the scaled")
-    print("   normal derivative of sin(nx) at pi is sqrt(2/pi)*(-1)^n)")
+    print("  n  lambda^2   trace at x=pi   trace / beta_n")
+    for n, lam, trace, beta in zip(modes.index[:5], modes.lambda_sq,
+                                   modes.trace[:, 0], modes.beta.real):
+        print(f"  {n}  {lam:8.3f}   {trace: .6f}       {trace / beta: .6f}")
+    print("  (the scaled traces alternate in sign and stay bounded: the")
+    print("   normal derivative of sin(nx) at pi over n is "
+          "sqrt(2/pi)*(-1)^n)")
 
     rect = DomainSpec("rectangle", (PI, PI), gamma_subset=("right",))
-    rpairs = compute_eigenpairs(rect, 40, alpha=0.0)
-    lam = np.array([p.lambda_sq for p in rpairs])
+    rmodes = compute_eigenpairs(rect, 40, alpha=0.0)
+    lam = rmodes.lambda_sq
     n = np.arange(1, 41)
     slope = np.polyfit(np.log(n[9:]), np.log(lam[9:]), 1)[0]
     print(f"\nrectangle(pi x pi): first eigenvalues {lam[:6]}")
     print(f"  growth of lambda_n^2 ~ n^s with s = {slope:.3f}"
           f"  (Weyl in d=2 predicts 1)")
-    diag = trace_diagnostics(rpairs)
-    print(f"  trace diagnostics: {diag['flagged']!r} flagged of {len(rpairs)}")
+    diag = trace_diagnostics(rmodes)
+    print(f"  trace diagnostics: {diag['flagged']!r} flagged of {len(rmodes)}")
 
 
 if __name__ == "__main__":

@@ -33,13 +33,13 @@ def main():
     steps = [round(q * spacing / h) for q in quarters]
     grid = TimeGrid(steps[-1] * h, steps[-1], h)
 
-    pairs_t = compute_eigenpairs(DomainSpec("interval", (PI,)), K, 0.0)
-    tel = telegraph_family(pairs_t, 0.0, grid)
+    modes_t = compute_eigenpairs(DomainSpec("interval", (PI,)), K, 0.0)
+    tel = telegraph_family(modes_t, 0.0, grid)
     ker = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
                                rates=(1.0,)), grid)
-    pairs_v = compute_eigenpairs(DomainSpec("interval", (PI,)), K,
+    modes_v = compute_eigenpairs(DomainSpec("interval", (PI,)), K,
                                  alpha=ker.alpha)
-    vis = viscoelastic_family(compute_responses(ker, pairs_v))
+    vis = viscoelastic_family(compute_responses(ker, modes_v))
 
     print(f"lower frame bound m_N of the {2 * K}-member families, h = {h:.4g}")
     print("      T/pi   memoryless      with exp(-t) kernel")

@@ -15,9 +15,9 @@ def attempt(T):
     grid = make_grid(T, 5e-3)
     ker = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
                                rates=(1.0,)), grid)
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), K,
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,)), K,
                                alpha=ker.alpha)
-    fam = viscoelastic_family(compute_responses(ker, pairs))
+    fam = viscoelastic_family(compute_responses(ker, modes))
     target = TargetState(np.eye(K)[0], np.zeros(K), K)
     return synthesize(build_moment_problem(fam, target))
 

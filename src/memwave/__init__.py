@@ -22,7 +22,7 @@ from .riesz import (CONDITION_CAP, GramReport, SequenceFamily, gram,
 from .simulate import (SimResult, achieved_coefficients, mode_energies,
                        mode_gaps, route_gap, simulate_convolution,
                        simulate_march)
-from .spectral import (DomainSpec, EigenPair, compute_eigenpairs,
+from .spectral import (DomainSpec, Spectrum, compute_eigenpairs,
                        sturm_liouville_eigs, trace_diagnostics)
 from .volterra import (ModalResponses, asymptotic_residual,
                        comparator_profile, compute_responses, march_modal,

@@ -195,15 +195,13 @@ def _grid_for(cfg, T, count):
 
 def _spectrum(cfg, count):
     alpha, gamma = _alpha_of(cfg)
-    pairs = compute_eigenpairs(cfg.domain, count, alpha)
-    return pairs, alpha, gamma
+    return compute_eigenpairs(cfg.domain, count, alpha), alpha, gamma
 
 
 def _responses_for(cfg, T, count, grid_count=None):
-    pairs, alpha, gamma = _spectrum(cfg, count)
-    grid = _grid_for(cfg, T, grid_count or count)
-    kernel = normalize(cfg.kernel, grid)
-    return kernel, compute_responses(kernel, pairs)
+    modes, _, _ = _spectrum(cfg, count)
+    kernel = normalize(cfg.kernel, _grid_for(cfg, T, grid_count or count))
+    return kernel, compute_responses(kernel, modes)
 
 
 def _resolve_target(cfg):
@@ -218,16 +216,17 @@ def _resolve_target(cfg):
 # ---------------------------------------------------------------- commands
 
 def _run_spectrum(cfg, adir):
-    pairs, alpha, gamma = _spectrum(cfg, cfg.N_modes)
-    diag = trace_diagnostics(pairs, cfg.domain.gamma_weights())
-    rows = [(p.index, p.lambda_sq, p.beta.real, p.beta.imag,
-             diag["norms"][i], int(p.in_J), int(p.in_O))
-            for i, p in enumerate(pairs)]
+    modes, alpha, gamma = _spectrum(cfg, cfg.N_modes)
+    diag = trace_diagnostics(modes, cfg.domain.gamma_weights())
     _write_csv(os.path.join(adir, "eigenpairs.csv"),
                ["n", "lambda_sq", "beta_re", "beta_im",
-                "trace_norm", "in_J", "in_O"], rows, cfg.hash)
+                "trace_norm", "in_J", "in_O"],
+               np.column_stack([modes.index, modes.lambda_sq,
+                                modes.beta.real, modes.beta.imag,
+                                diag["norms"], modes.in_J, modes.in_O]),
+               cfg.hash)
     _write_json(os.path.join(adir, "spectrum.json"), {
-        "alpha": alpha, "gamma": gamma, "count": len(pairs),
+        "alpha": alpha, "gamma": gamma, "count": len(modes),
         "trace_norm_min": diag["min"], "trace_norm_max": diag["max"],
         "flagged": diag["flagged"],
     }, cfg.hash)
@@ -235,13 +234,13 @@ def _run_spectrum(cfg, adir):
 
 
 def _run_responses(cfg, adir):
-    pairs, _, _ = _spectrum(cfg, cfg.N_modes)
+    modes, _, _ = _spectrum(cfg, cfg.N_modes)
     kernel = normalize(cfg.kernel, _grid_for(cfg, cfg.T, cfg.N_modes))
     # fit the real-beta modes of the asymptotic window only; the first
     # few modes sit in the pre-asymptotic regime and flatten the exponent
     fit_lo = 5
-    fitted = [p for p in pairs if p.index >= fit_lo
-              and p.beta.imag == 0 and p.beta.real > 0]
+    fitted = modes.take((modes.index >= fit_lo) & (modes.beta.imag == 0)
+                        & (modes.beta.real > 0))
     fit = asymptotic_residual(fitted, refined_S(kernel, fitted), kernel.h)
     _write_csv(os.path.join(adir, "kernel.csv"),
                ["t", "N", "Np", "N1", "L"],
@@ -253,7 +252,7 @@ def _run_responses(cfg, adir):
                                 fit["residuals"]]), cfg.hash)
     _write_json(os.path.join(adir, "responses.json"), {
         "slope": fit["slope"], "intercept": fit["intercept"],
-        "fit_from_mode": fit_lo, "modes": len(pairs),
+        "fit_from_mode": fit_lo, "modes": len(modes),
         "grid_steps": kernel.grid.steps, "grid_h": kernel.h,
     }, cfg.hash)
     return 0
@@ -320,17 +319,16 @@ def _run_synthesize(cfg, adir):
 
 
 def _run_verify(cfg, adir):
-    count = max(cfg.K, cfg.K_sim)
-    kernel, sim_resp = _responses_for(cfg, cfg.T, count)
-    sim_pairs = sim_resp.pairs
+    # the config holds K_sim >= K for verify
+    kernel, sim_resp = _responses_for(cfg, cfg.T, cfg.K_sim)
     target = _resolve_target(cfg)
     control = synthesize(build_moment_problem(
         viscoelastic_family(sim_resp.head(cfg.K), cfg.domain.gamma_weights()),
         target))
-    conv = simulate_convolution(sim_resp, kernel, control, cfg.K_sim)
-    march = simulate_march(kernel, sim_pairs, control, cfg.K_sim)
-    gap = route_gap(conv, march, kernel, sim_pairs)
-    xi_hat, eta_hat = achieved_coefficients(conv, sim_pairs)
+    conv = simulate_convolution(sim_resp, kernel, control)
+    march = simulate_march(kernel, sim_resp.modes, control)
+    gap = route_gap(conv, march, kernel)
+    xi_hat, eta_hat = achieved_coefficients(conv)
     err = max(float(np.max(np.abs(xi_hat[:cfg.K] - target.xi))),
               float(np.max(np.abs(eta_hat[:cfg.K] - target.eta))))
     tol = 1e-6 * max(1.0, control.condition ** 0.5)
@@ -338,8 +336,9 @@ def _run_verify(cfg, adir):
     # per mode: the route gap of modes 1..K_sim and the spillover energy
     # of modes K+1..K_sim, whose sum is the tail energy
     gaps = mode_gaps(conv, march)
-    spill = mode_energies(conv.theta_T, conv.theta_t_T, conv.beta)[cfg.K:]
-    z_ratios = sim_resp.z_gap_ratio[:cfg.K_sim]
+    spill = mode_energies(conv.theta_T, conv.theta_t_T,
+                          conv.modes.beta.real)[cfg.K:]
+    z_ratios = sim_resp.z_gap_ratio
     _write_json(os.path.join(adir, "verdict.json"), {
         "verdict": verdict,
         "achieved_error": err, "tolerance": tol,
@@ -390,18 +389,18 @@ def _run_sweep(cfg, adir):
     gw = cfg.domain.gamma_weights()
     grid, steps = _sweep_grid(cfg)
     horizons = [k * grid.h for k in steps]
-    pairs_tel = compute_eigenpairs(cfg.domain, cfg.K, cfg.domain.c)
-    pairs_vis = compute_eigenpairs(cfg.domain, cfg.K, alpha)
+    modes_tel = compute_eigenpairs(cfg.domain, cfg.K, cfg.domain.c)
+    modes_vis = compute_eigenpairs(cfg.domain, cfg.K, alpha)
     kernel = normalize(cfg.kernel, grid)
     # imported here: no other run compiles the exact route
     from .exact import exact_sweep
     route = "exact"
-    reps = exact_sweep(kernel, pairs_tel, pairs_vis, cfg.domain.c, gw,
+    reps = exact_sweep(kernel, modes_tel, modes_vis, cfg.domain.c, gw,
                        horizons)
     if reps is None:
         route = "march"
-        fam_t = telegraph_family(pairs_tel, cfg.domain.c, grid, gw)
-        fam_v = viscoelastic_family(compute_responses(kernel, pairs_vis), gw)
+        fam_t = telegraph_family(modes_tel, cfg.domain.c, grid, gw)
+        fam_v = viscoelastic_family(compute_responses(kernel, modes_vis), gw)
         reps = gram_sweep((fam_t, fam_v), steps)
     reps_t, reps_v = reps
     m_tel = [r.m_N for r in reps_t]

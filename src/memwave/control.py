@@ -61,14 +61,13 @@ threads then spin on the other cores after the call returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InternalConsistencyError, NotControllableError
 from .grid import TimeGrid, trapezoid_weights
 from .riesz import CONDITION_CAP, SequenceFamily, cholesky_solve, gram
-from .spectral import EigenPair
+from .spectral import Spectrum
 from .volterra import ModalResponses, transformed_exponential
 
 # OpenBLAS (0.3, as numpy's wheels ship it) runs a real matrix product of
@@ -145,32 +144,25 @@ def assemble_rhs(target: TargetState) -> np.ndarray:
     return -(target.eta + 1j * target.xi)
 
 
-def _members(pairs: Sequence[EigenPair], profiles: np.ndarray):
-    """The signed members of pairs with the time profiles P (K, ...),
-    one row per pair in the order given: the rows (2K, ...), over the
+def _members(modes: Spectrum, profiles: np.ndarray):
+    """The signed members of modes with the time profiles P (K, ...),
+    one row per mode in the batch's order: the rows (2K, ...), over the
     signed index set (+1, -1, +2, -2, ...), and the real traces
     (2K, nodes).  Row +n is s_n P_n and row -n its conjugate, with
     s_n = 1/beta_n (1 on the degenerate set), against the real trace of
     mode n at both; the rows are scaled in place, so the signed rows
     are the one array made.
-
-    Raises the internal-consistency error when a trace is not real.
     """
-    traces = np.array([p.trace for p in pairs])
-    if np.any(traces.imag != 0):
-        raise InternalConsistencyError(
-            "boundary trace with a nonzero imaginary part; the control "
-            "has no real factor form")
-    rows = np.empty((2 * len(pairs),) + profiles.shape[1:], dtype=complex)
+    rows = np.empty((2 * len(modes),) + profiles.shape[1:], dtype=complex)
     rows[::2] = profiles
-    scale = np.array([1.0 if p.in_J else 1.0 / p.beta for p in pairs])
+    scale = 1.0 / np.where(modes.in_J, 1.0, modes.beta)
     rows[::2] *= scale.reshape((-1,) + (1,) * (rows.ndim - 1))
     np.conjugate(rows[::2], out=rows[1::2])
-    return (rows, tuple(x for p in pairs for x in (p.index, -p.index)),
-            np.repeat(traces.real, 2, axis=0))
+    return (rows, tuple(x for n in modes.index.tolist() for x in (n, -n)),
+            np.repeat(modes.trace, 2, axis=0))
 
 
-def telegraph_family(pairs: Sequence[EigenPair], c: float, grid: TimeGrid,
+def telegraph_family(modes: Spectrum, c: float, grid: TimeGrid,
                      gamma_weights=None) -> SequenceFamily:
     """Memoryless comparator family on grid.
 
@@ -180,8 +172,8 @@ def telegraph_family(pairs: Sequence[EigenPair], c: float, grid: TimeGrid,
     the boundary quadrature weights (DomainSpec.gamma_weights; ones by
     default).
     """
-    rows, index, traces = _members(pairs,
-                                   transformed_exponential(pairs, c, grid.t))
+    rows, index, traces = _members(modes,
+                                   transformed_exponential(modes, c, grid.t))
     return SequenceFamily(rows, index, "telegraph", grid, gamma_weights,
                           traces)
 
@@ -195,7 +187,7 @@ def viscoelastic_family(responses: ModalResponses,
     gamma_weights are the boundary quadrature weights the simulator
     pairs the control with (DomainSpec.gamma_weights; ones by default).
     """
-    rows, index, traces = _members(responses.pairs, responses.Z)
+    rows, index, traces = _members(responses.modes, responses.Z)
     return SequenceFamily(rows, index, "viscoelastic", responses.grid,
                           gamma_weights, traces)
 

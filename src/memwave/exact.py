@@ -34,6 +34,7 @@ import numpy as np
 from .control import _members
 from .kernels import KernelTerms
 from .riesz import gram_reports
+from .spectral import Spectrum
 from .volterra import _forcing_factors
 
 
@@ -122,7 +123,7 @@ def _coincide(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def exact_modes(terms: KernelTerms, alpha: float,
-                pairs) -> Optional[ExactModes]:
+                modes: Spectrum) -> Optional[ExactModes]:
     """Exact modal responses of a closed-form kernel, or None.
 
     With N-hat = NQ / Q (_rational_form), the modal equations give
@@ -132,7 +133,7 @@ def exact_modes(terms: KernelTerms, alpha: float,
     on a (K, d, d) stack of companion matrices, and the residues are
     Q(s_k) / Den'(s_k) and (s_k + i beta) NQ(s_k) / Den'(s_k).
 
-    Returns None, and the caller marches, when a pair is on the
+    Returns None, and the caller marches, when a mode is on the
     degenerate set, when Den's coefficients, a root or a residue are not
     finite, when two roots of a mode's Den, or a root of Den and one of
     Q, lie within ROOT_GAP of each other relative to the larger of their
@@ -143,15 +144,15 @@ def exact_modes(terms: KernelTerms, alpha: float,
       (c) z'(0) = 2 alpha and Z'(0) = 2 alpha + i beta, the modal
           equations at t = 0 with N(0) = 1 and N'(0) = 0.
     """
-    if not pairs or any(p.in_J for p in pairs):
+    if not len(modes) or modes.in_J.any():
         return None
     # every overflow or NaN below ends in a refusal, not in a warning
     with np.errstate(all="ignore"):
         Q, NQ, poly, q_roots = _rational_form(terms)
         if not _reproduces_kernel(terms, poly, Q, NQ):
             return None
-        lam = np.array([p.lambda_sq for p in pairs])
-        K, d = len(pairs), len(Q)
+        lam = modes.lambda_sq
+        K, d = len(modes), len(Q)
         den = np.convolve([1.0, terms.rate - 2.0 * alpha], Q) \
             + lam[:, None] * np.concatenate([[0.0, 0.0], NQ])
         if not np.all(np.isfinite(den)):
@@ -165,7 +166,7 @@ def exact_modes(terms: KernelTerms, alpha: float,
         if _coincide(w, w) or _coincide(
                 w, np.broadcast_to(q_roots, (K, len(q_roots)))):
             return None
-        ib = _forcing_factors(pairs)
+        ib = _forcing_factors(modes)
         dden = _horner(den[:, :-1] * np.arange(d, 0, -1), w)
         s = w + terms.rate
         z = _horner(Q, w) / dden
@@ -180,11 +181,11 @@ def exact_modes(terms: KernelTerms, alpha: float,
         return ExactModes(s, z, Z)
 
 
-def transformed_exponential_terms(pairs, a: float):
+def transformed_exponential_terms(modes: Spectrum, a: float):
     """transformed_exponential off the degenerate set as an exponential
     sum, (1 + a/(2 i beta)) e^(i beta t) - (a/(2 i beta)) e^(-i beta t):
     rates and weights, each (K, 2)."""
-    ib = 1j * np.array([p.beta for p in pairs])
+    ib = 1j * modes.beta
     k = a / (2.0 * ib)
     return np.stack([ib, -ib], axis=1), np.stack([1.0 + k, -k], axis=1)
 
@@ -230,33 +231,33 @@ def _exponential_time_grams(rates, weights, horizons) -> np.ndarray:
     return out
 
 
-def _exponential_members(pairs, rates, weights):
-    """Rates and weights (2K, d) of the signed members of pairs whose
+def _exponential_members(modes: Spectrum, rates, weights):
+    """Rates and weights (2K, d) of the signed members of modes whose
     time profiles are the exponential sums of rates and weights (K, d),
     and their real traces (2K, nodes): the weights scaled and signed by
     control._members, as the grid families' profiles are, and member
     -n, the conjugate of member +n, on the conjugate exponents."""
-    weights, _, traces = _members(pairs, weights)
+    weights, _, traces = _members(modes, weights)
     rates = np.repeat(rates, 2, axis=0)
     np.conjugate(rates[1::2], out=rates[1::2])
     return rates, weights, traces
 
 
-def exact_sweep(kernel, pairs_tel, pairs_vis, c: float, gamma_weights,
-                horizons: Sequence[float]):
-    """Frame bounds of the telegraph family (pairs_tel, parameter c) and
-    the memory family (pairs_vis) at every horizon, as two lists of
+def exact_sweep(kernel, modes_tel: Spectrum, modes_vis: Spectrum, c: float,
+                gamma_weights, horizons: Sequence[float]):
+    """Frame bounds of the telegraph family (modes_tel, parameter c) and
+    the memory family (modes_vis) at every horizon, as two lists of
     reports from one riesz.gram_reports pass, or None where the kernel
-    is tabulated, a telegraph pair is on the degenerate set or
+    is tabulated, a telegraph mode is on the degenerate set or
     exact_modes refuses the modes."""
-    if kernel.terms is None or any(p.in_J for p in pairs_tel):
+    if kernel.terms is None or modes_tel.in_J.any():
         return None
-    modes = exact_modes(kernel.terms, kernel.alpha, pairs_vis)
-    if modes is None:
+    exact = exact_modes(kernel.terms, kernel.alpha, modes_vis)
+    if exact is None:
         return None
-    tel = _exponential_members(pairs_tel,
-                               *transformed_exponential_terms(pairs_tel, c))
-    vis = _exponential_members(pairs_vis, modes.roots, modes.Z)
+    tel = _exponential_members(modes_tel,
+                               *transformed_exponential_terms(modes_tel, c))
+    vis = _exponential_members(modes_vis, exact.roots, exact.Z)
     return gram_reports([(traces, _exponential_time_grams(rates, weights,
                                                           horizons), label)
                          for (rates, weights, traces), label

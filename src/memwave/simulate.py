@@ -16,14 +16,15 @@ Two routes compute the end state of the controlled modes:
     directly and knows nothing about the family.  Agreement of the two
     within the scheme allowance is the end-to-end cross-validation.
 
-Both routes run the K_sim simulated modes as one batch with time on the
-last axis: the forcings F_n form one (K_sim, steps+1) array, a row per
-mode, like the marched theta_n.  The verdict reads
-the end state only, so each convolution the end state needs is
-evaluated at the final time alone (kernels.convolve_end, one O(m)
-contraction): the convolution route contracts N * z_n, z_n and N' * z_n
-against F_n, and the march route reads theta_n'(T) from the
-contraction of N against the marched theta_n.
+Both routes simulate the Spectrum batch (spectral) they are handed,
+which must be the modes 1..K_sim, as one batch with time on the last
+axis: the forcings F_n form one (K_sim, steps+1) array, a row per mode,
+like the marched theta_n.  The verdict reads the end state only, so
+each convolution the end state needs is evaluated at the final time
+alone (kernels.convolve_end, one O(m) contraction): the convolution
+route contracts N * z_n, z_n and N' * z_n against F_n, and the march
+route reads theta_n'(T) from the contraction of N against the marched
+theta_n.
 
 The control arrives as its factor pair (control.ControlSignal),
 f = traces.T @ profiles, and carries the boundary quadrature weights
@@ -46,7 +47,6 @@ same energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -54,13 +54,13 @@ from .control import ControlSignal, node_blocks
 from .errors import ConfigError, InternalConsistencyError
 from .grid import TimeGrid
 from .kernels import NormalizedKernel, convolve, convolve_end
-from .spectral import EigenPair
+from .spectral import Spectrum
 from .volterra import ModalResponses, march_modal, _consistency_tol
 
 
 @dataclass(frozen=True)
 class SimResult:
-    theta_T: np.ndarray          # per mode 1..K_sim, value at the final time
+    theta_T: np.ndarray          # per simulated mode, value at the final time
     theta_t_T: np.ndarray
     tail_energy: float           # spillover into modes K+1..K_sim, summed in
                                  # the state norm (position^2 + velocity^2
@@ -68,10 +68,8 @@ class SimResult:
                                  # theta'/beta); the naive theta'^2+lam^2
                                  # theta^2 weighting diverges with K_sim for
                                  # boundary-controlled states and is not used
-    K: int
-    K_sim: int
-    lambda_sq: np.ndarray
-    beta: np.ndarray
+    K: int                       # the control's modes 1..K
+    modes: Spectrum              # the simulated modes 1..K_sim
     grid: TimeGrid
 
 
@@ -105,22 +103,28 @@ def _forcing_convolution(kernel: NormalizedKernel, weighted: np.ndarray,
                          length)
 
 
-def _setup(kernel: NormalizedKernel, control: ControlSignal, sim):
-    """Check the control's grid and boundary node count against the
-    simulation's; the (K_sim, nodes) weighted traces of the simulated
-    pairs sim, the grid length and K, the control's modes."""
+def _setup(kernel: NormalizedKernel, control: ControlSignal,
+           modes: Spectrum):
+    """Check the simulated modes (1..K_sim in order, at least the
+    control's modes 1..K) and the control's grid and boundary node count
+    against the simulation's; the (K_sim, nodes) weighted traces of the
+    modes, the grid length and K."""
+    K = max(abs(n) for n in control.index_set)
+    if not np.array_equal(modes.index, np.arange(1, len(modes) + 1)):
+        raise ConfigError("simulation needs the modes 1..K_sim in order")
+    if K > len(modes):
+        raise ConfigError(f"control over modes 1..{K} but only "
+                          f"{len(modes)} simulated modes")
     if abs(kernel.h - control.grid.h) > 1e-12 * kernel.h:
         raise ConfigError(
             f"control step {control.grid.h!r} does not match simulation step "
             f"{kernel.h!r}; runs own exactly one step size")
     if control.profiles.shape[1] > kernel.grid.steps + 1:
         raise ConfigError("control grid longer than simulation grid")
-    traces = np.array([p.trace.real for p in sim])
-    if traces.shape[1] != control.traces.shape[1]:
+    if modes.trace.shape[1] != control.traces.shape[1]:
         raise ConfigError("control and simulated modes have different "
                           "numbers of boundary nodes")
-    return (traces * control.gamma_weights, kernel.grid.steps + 1,
-            max(abs(n) for n in control.index_set))
+    return modes.trace * control.gamma_weights, kernel.grid.steps + 1, K
 
 
 def mode_energies(theta_T, theta_t_T, beta) -> np.ndarray:
@@ -130,66 +134,47 @@ def mode_energies(theta_T, theta_t_T, beta) -> np.ndarray:
     return np.abs(theta_T) ** 2 + np.abs(vel) ** 2
 
 
-def _finalize(theta_T, theta_t_T, K, lam_sq, beta, grid):
+def _finalize(theta_T, theta_t_T, K, modes, grid):
     """SimResult of modes 1..K_sim from their (K_sim,) end states."""
-    tail = float(np.sum(mode_energies(theta_T, theta_t_T, beta)[K:]))
-    return SimResult(theta_T, theta_t_T, tail, K, len(theta_T), lam_sq,
-                     beta, grid)
+    tail = float(np.sum(mode_energies(theta_T, theta_t_T,
+                                      modes.beta.real)[K:]))
+    return SimResult(theta_T, theta_t_T, tail, K, modes, grid)
 
 
 def simulate_convolution(responses: ModalResponses, kernel: NormalizedKernel,
-                         control: ControlSignal, K_sim: int) -> SimResult:
+                         control: ControlSignal) -> SimResult:
     """Primary verification route, via the convolution representations
-    of the first K_sim rows of responses, which must be modes 1..K_sim."""
-    sim = responses.head(K_sim)
-    if [p.index for p in sim.pairs] != list(range(1, K_sim + 1)):
-        raise ConfigError(f"simulation needs the responses of modes 1..{K_sim}")
-    weighted, length, K = _setup(kernel, control, sim.pairs)
-    if sim.grid.steps + 1 != length:
+    of every row of responses, which must be modes 1..K_sim."""
+    weighted, length, K = _setup(kernel, control, responses.modes)
+    if responses.grid.steps + 1 != length:
         raise ConfigError("responses live on a different grid")
     F = _mode_forcing(weighted @ control.traces.T, control.profiles, length)
     # one call each: a stack would copy the batches.  z and N'*z are
     # summed after: summing them first moves theta' by rounding
     Nz, z, Npz = (convolve_end(r, F, kernel.h)
-                  for r in (sim.Nz, sim.z, sim.Npz))
-    return _finalize(-Nz, -(z + Npz), K,
-                     np.array([p.lambda_sq for p in sim.pairs]),
-                     np.array([p.beta.real for p in sim.pairs]), kernel.grid)
+                  for r in (responses.Nz, responses.z, responses.Npz))
+    return _finalize(-Nz, -(z + Npz), K, responses.modes, kernel.grid)
 
 
-def simulate_march(kernel: NormalizedKernel, pairs: Sequence[EigenPair],
-                   control: ControlSignal, K_sim: int) -> SimResult:
-    """Independent route: direct time-marching of the forced modal system."""
-    h = kernel.h
-    by_index = {p.index: p for p in pairs}
-    missing = [n for n in range(1, K_sim + 1) if n not in by_index]
-    if missing:
-        raise ConfigError(f"simulation needs eigenpair {missing[0]}")
-    sim = [by_index[n] for n in range(1, K_sim + 1)]
-    weighted, length, K = _setup(kernel, control, sim)
-    lam_sq = np.array([p.lambda_sq for p in sim])
-    beta = np.array([p.beta.real for p in sim])
+def simulate_march(kernel: NormalizedKernel, modes: Spectrum,
+                   control: ControlSignal) -> SimResult:
+    """Independent route: direct time-marching of the forced modal
+    system of modes, which must be modes 1..K_sim."""
+    weighted, length, K = _setup(kernel, control, modes)
     H = _forcing_convolution(kernel, weighted, control, length)
-    theta = march_modal(kernel, lam_sq, kernel.alpha, y0=0.0, forcing=-H,
-                        label=f"(sim modes 1..{K_sim})")
-    memory = convolve_end(kernel.N, theta, h)
+    theta = march_modal(kernel, modes.lambda_sq, kernel.alpha, y0=0.0,
+                        forcing=-H, label=f"(sim modes 1..{len(modes)})")
+    memory = convolve_end(kernel.N, theta, kernel.h)
     theta = theta[:, -1].copy()
-    theta_t = 2.0 * kernel.alpha * theta - lam_sq * memory - H[:, -1]
-    return _finalize(theta, theta_t, K, lam_sq, beta, kernel.grid)
+    theta_t = 2.0 * kernel.alpha * theta - modes.lambda_sq * memory - H[:, -1]
+    return _finalize(theta, theta_t, K, modes, kernel.grid)
 
 
-def achieved_coefficients(result: SimResult, pairs: Sequence[EigenPair]):
+def achieved_coefficients(result: SimResult):
     """Read (xi, eta) off the final state, honoring the degenerate-set basis."""
-    by_index = {p.index: p for p in pairs}
-    xi = result.theta_T.copy()
-    eta = np.empty_like(xi)
-    for n in range(1, len(xi) + 1):
-        p = by_index[n]
-        if p.in_J:
-            eta[n - 1] = result.theta_t_T[n - 1]
-        else:
-            eta[n - 1] = result.theta_t_T[n - 1] / p.beta.real
-    return xi, eta
+    m = result.modes
+    return (result.theta_T.copy(),
+            result.theta_t_T / np.where(m.in_J, 1.0, m.beta.real))
 
 
 def mode_gaps(a: SimResult, b: SimResult) -> np.ndarray:
@@ -199,8 +184,7 @@ def mode_gaps(a: SimResult, b: SimResult) -> np.ndarray:
                       np.abs(a.theta_t_T - b.theta_t_T))
 
 
-def route_gap(a: SimResult, b: SimResult, kernel: NormalizedKernel,
-              pairs: Sequence[EigenPair]) -> float:
+def route_gap(a: SimResult, b: SimResult, kernel: NormalizedKernel) -> float:
     """Largest end-state disagreement between the two routes.
 
     The gap is validated against the scheme allowance of the stiffest
@@ -208,9 +192,7 @@ def route_gap(a: SimResult, b: SimResult, kernel: NormalizedKernel,
     ingredient) is broken, not merely inaccurate.
     """
     gap = float(np.max(mode_gaps(a, b)))
-    by_index = {p.index: p for p in pairs}
-    worst = max(_consistency_tol(kernel, by_index[n])
-                for n in range(1, a.K_sim + 1) if n in by_index)
+    worst = float(np.max(_consistency_tol(kernel, a.modes.beta)))
     scale = max(1.0, float(np.max(np.abs(a.theta_t_T))))
     # not (a <= tol) rather than a > tol: a NaN fails closed
     if not gap <= worst * scale:

@@ -8,17 +8,21 @@ solve with Richardson extrapolation for variable 1-D coefficients.
 Conventions.  Eigenfunctions are L2-normalized and satisfy
 A phi_n = -lambda_n^2 phi_n with A = div(a grad) + q.  The conormal
 trace is a * (outward normal derivative) on the controlled boundary
-part.  Off the degenerate set J the stored trace profile is divided by
-beta_n = sqrt(lambda_n^2 - alpha^2); on J it is stored unscaled.  The
-square root uses the principal branch, so beta is purely imaginary with
-nonnegative imaginary part whenever lambda_n^2 < alpha^2.
+part, stored real and unscaled, exactly as the geometry code computes
+it.  beta_n = sqrt(lambda_n^2 - alpha^2), 0 on the degenerate set J,
+takes the principal branch, so beta is purely imaginary with
+nonnegative imaginary part whenever lambda_n^2 < alpha^2.  Any 1/beta
+scale belongs to the consumer (control._members).
+
+compute_eigenpairs returns the modes as one Spectrum batch, an array
+per field with one row per mode in ascending lambda_n^2; Spectrum.take
+is its one row selection.
 """
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, fields
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -83,38 +87,36 @@ class DomainSpec:
         return np.concatenate(ws)
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    index: int
-    lambda_sq: float
-    beta: complex
-    psi: np.ndarray          # trace profile on Gamma nodes (complex)
-    in_J: bool
-    in_O: bool
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """The modes 1..K, one row per mode in ascending lambda_sq."""
 
-    @property
-    def trace(self) -> np.ndarray:
-        """Unscaled conormal trace values (psi with the beta scaling undone)."""
-        return self.psi if self.in_J else self.psi * self.beta
+    index: np.ndarray        # (K,) int, the mode numbers
+    lambda_sq: np.ndarray    # (K,)
+    beta: np.ndarray         # (K,) complex
+    trace: np.ndarray        # (K, nodes) real conormal traces on Gamma
+    in_J: np.ndarray         # (K,) bool, beta = 0
+    in_O: np.ndarray         # (K,) bool, lambda_sq = 0
 
+    def __len__(self) -> int:
+        return len(self.index)
 
-def _beta_from(lambda_sq: float, alpha: float) -> complex:
-    d = lambda_sq - alpha * alpha
-    if abs(d) <= _SET_TOL * (1.0 + abs(lambda_sq) + alpha * alpha):
-        return 0.0 + 0.0j
-    b = cmath.sqrt(complex(d, 0.0))
-    if b.imag < 0:
-        b = -b
-    return b
+    def take(self, rows) -> "Spectrum":
+        """The batch of rows: a slice, an index array or a boolean mask."""
+        return Spectrum(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-def _pair(index, lambda_sq, trace, alpha) -> EigenPair:
-    beta = _beta_from(lambda_sq, alpha)
-    in_J = beta == 0
-    in_O = abs(lambda_sq) <= _SET_TOL
-    trace = np.asarray(trace, dtype=complex)
-    psi = trace if in_J else trace / beta
-    return EigenPair(index, float(lambda_sq), beta, psi, in_J, in_O)
+def _spectrum(lambda_sq, trace, alpha: float) -> Spectrum:
+    """The batch of modes 1..K from their eigenvalues (K,) and traces
+    (K, nodes)."""
+    lam = np.asarray(lambda_sq, dtype=float)
+    d = lam - alpha * alpha
+    # principal branch, imaginary part >= 0 for d < 0
+    beta = np.where(np.abs(d) <= _SET_TOL * (1.0 + np.abs(lam) + alpha * alpha),
+                    0.0, np.sqrt(d.astype(complex)))
+    return Spectrum(np.arange(1, len(lam) + 1), lam, beta,
+                    np.asarray(trace, dtype=float), beta == 0,
+                    np.abs(lam) <= _SET_TOL)
 
 
 def sturm_liouville_eigs(a, q, length: float, count: int, nx: int):
@@ -162,18 +164,11 @@ def _interval_variable(dom: DomainSpec, count: int, alpha: float, nx: int):
     h = length / (2 * nx)
     a_l = dom.a(np.array([0.0]))[0] if callable(dom.a) else float(dom.a)
     a_r = dom.a(np.array([length]))[0] if callable(dom.a) else float(dom.a)
-    pairs = []
-    for i in range(count):
-        v = vec[:, i]
-        tr = []
-        for side in dom.gamma_subset:
-            if side == "left":
-                # one-sided second-order derivative, outward normal -x
-                tr.append(-a_l * (4.0 * v[0] - v[1]) / (2.0 * h))
-            else:
-                tr.append(a_r * (-4.0 * v[-1] + v[-2]) / (2.0 * h))
-        pairs.append(_pair(i + 1, lam[i], np.array(tr), alpha))
-    return pairs
+    # one-sided second-order derivatives, outward normal -x on the left
+    trace = [-a_l * (4.0 * vec[0] - vec[1]) / (2.0 * h) if side == "left"
+             else a_r * (-4.0 * vec[-1] + vec[-2]) / (2.0 * h)
+             for side in dom.gamma_subset]
+    return _spectrum(lam, np.stack(trace, axis=1), alpha)
 
 
 def _interval_constant(dom: DomainSpec, count: int, alpha: float):
@@ -181,17 +176,12 @@ def _interval_constant(dom: DomainSpec, count: int, alpha: float):
     a0, q0 = float(dom.a), float(dom.q)
     k = np.pi / length
     amp = np.sqrt(2.0 / length)
-    pairs = []
-    for n in range(1, count + 1):
-        lam_sq = a0 * (n * k) ** 2 - q0
-        tr = []
-        for side in dom.gamma_subset:
-            if side == "left":
-                tr.append(-a0 * amp * n * k)
-            else:
-                tr.append(a0 * amp * n * k * (-1.0) ** n)
-        pairs.append(_pair(n, lam_sq, np.array(tr), alpha))
-    return pairs
+    n = np.arange(1, count + 1)
+    # Python's float power: numpy's square rounds some (n k)^2 differently
+    lam_sq = [a0 * (m * k) ** 2 - q0 for m in n.tolist()]
+    trace = [-a0 * amp * n * k if side == "left"
+             else a0 * amp * n * k * (-1.0) ** n for side in dom.gamma_subset]
+    return _spectrum(lam_sq, np.stack(trace, axis=1), alpha)
 
 
 def _rectangle(dom: DomainSpec, count: int, alpha: float):
@@ -208,32 +198,27 @@ def _rectangle(dom: DomainSpec, count: int, alpha: float):
     modes.sort(key=lambda m: (m[0], m[1]))
     if modes[count - 1][0] >= a0 * (mmax * np.pi / max(lx, ly)) ** 2 - q0:
         raise ConfigError("mode count too large for the enumeration bound")
-    modes = modes[:count]
+    lam_sq, mx, my = zip(*modes[:count])
+    mx, my = np.array(mx)[:, None], np.array(my)[:, None]
 
     amp = 2.0 / np.sqrt(lx * ly)
-    pairs = []
-    for idx, (lam_sq, mx, my) in enumerate(modes):
-        tr = []
-        for edge in dom.gamma_subset:
-            if edge in ("left", "right"):
-                s = np.linspace(0.0, ly, _EDGE_NODES)
-                profile = amp * np.sin(my * np.pi * s / ly)
-                deriv = a0 * mx * np.pi / lx
-                tr.append(-deriv * profile if edge == "left"
-                          else deriv * (-1.0) ** mx * profile)
-            else:
-                s = np.linspace(0.0, lx, _EDGE_NODES)
-                profile = amp * np.sin(mx * np.pi * s / lx)
-                deriv = a0 * my * np.pi / ly
-                tr.append(-deriv * profile if edge == "bottom"
-                          else deriv * (-1.0) ** my * profile)
-        pairs.append(_pair(idx + 1, lam_sq, np.concatenate(tr), alpha))
-    return pairs
+    trace = []
+    for edge in dom.gamma_subset:
+        # the edge's own index m, the index n along it, and their lengths
+        m, n, lm, ln = (mx, my, lx, ly) if edge in ("left", "right") \
+            else (my, mx, ly, lx)
+        s = np.linspace(0.0, ln, _EDGE_NODES)
+        profile = amp * np.sin(n * np.pi * s / ln)
+        deriv = a0 * m * np.pi / lm
+        trace.append(-deriv * profile if edge in ("left", "bottom")
+                     else deriv * (-1.0) ** m * profile)
+    return _spectrum(lam_sq, np.concatenate(trace, axis=1), alpha)
 
 
 def compute_eigenpairs(domain: DomainSpec, count: int, alpha: float,
-                       nx: int = 4000) -> list:
-    """First `count` eigenpairs sorted by lambda_sq, traces on Gamma.
+                       nx: int = 4000) -> Spectrum:
+    """The first `count` modes as one Spectrum batch, sorted by
+    lambda_sq, traces on Gamma.
 
     nx controls the coarse mesh of the variable-coefficient path (the
     fine mesh is 2*nx and the reported eigenvalues are Richardson
@@ -242,44 +227,47 @@ def compute_eigenpairs(domain: DomainSpec, count: int, alpha: float,
     if count < 1:
         raise ConfigError("count must be >= 1")
     try:
-        if domain.geometry == "rectangle":
-            pairs = _rectangle(domain, count, alpha)
-        elif callable(domain.a) or callable(domain.q):
-            pairs = _interval_variable(domain, count, alpha, nx)
-        else:
-            pairs = _interval_constant(domain, count, alpha)
+        # an overflow ends in the finiteness check, not in a warning
+        with np.errstate(all="ignore"):
+            if domain.geometry == "rectangle":
+                modes = _rectangle(domain, count, alpha)
+            elif callable(domain.a) or callable(domain.q):
+                modes = _interval_variable(domain, count, alpha, nx)
+            else:
+                modes = _interval_constant(domain, count, alpha)
     except OverflowError:
-        pairs = None
-    if pairs is None or not all(
-            np.isfinite(p.lambda_sq) and np.isfinite(p.beta)
-            and np.all(np.isfinite(p.psi)) for p in pairs):
+        modes = None
+    if modes is None or not all(np.all(np.isfinite(x)) for x in (
+            modes.lambda_sq, modes.beta, modes.trace)):
         raise ConfigError(
             f"the first {count} eigenpairs of {domain.geometry} "
             f"{list(domain.lengths)} (alpha = {alpha:.6g}) leave the "
             "floating-point range")
-    return pairs
+    return modes
 
 
-def trace_diagnostics(pairs: Sequence[EigenPair],
+def trace_diagnostics(modes: Spectrum,
                       gamma_weights: Optional[np.ndarray] = None) -> dict:
-    """Per-mode trace norms with a dead-trace flag list.
+    """Per-mode norms of the beta-scaled trace, with a dead-trace flag
+    list.
 
-    A vanishing trace would contradict the observability of the mode
-    from the chosen boundary part, so flagged indices indicate a badly
-    chosen Gamma rather than a numerical artifact.
+    The norm is the weighted L2 norm over Gamma of trace / beta off the
+    degenerate set and of the trace itself on it, |trace| / |beta| and
+    |trace|.  A vanishing trace would contradict the observability of
+    the mode from the chosen boundary part, so flagged indices indicate
+    a badly chosen Gamma rather than a numerical artifact.
     """
-    if not pairs:
-        raise ConfigError("trace_diagnostics needs at least one pair")
+    if not len(modes):
+        raise ConfigError("trace_diagnostics needs at least one mode")
     if gamma_weights is None:
-        gamma_weights = np.ones(len(pairs[0].psi))
-    norms = np.array([np.sqrt(np.sum(gamma_weights * np.abs(p.psi) ** 2))
-                      for p in pairs])
-    flagged = [p.index for p, nrm in zip(pairs, norms) if nrm < EPS_TRACE]
+        gamma_weights = np.ones(modes.trace.shape[1])
+    scaled = modes.trace / np.where(modes.in_J, 1.0, modes.beta)[:, None]
+    norms = np.sqrt(np.sum(gamma_weights * np.abs(scaled) ** 2, axis=1))
     return {
-        "indices": [p.index for p in pairs],
+        "indices": modes.index.tolist(),
         "norms": norms,
         "min": float(norms.min()),
         "max": float(norms.max()),
-        "flagged": flagged,
+        "flagged": modes.index[norms < EPS_TRACE].tolist(),
         "eps_trace": EPS_TRACE,
     }

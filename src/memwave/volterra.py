@@ -52,12 +52,13 @@ bury the O(1/beta^2) closeness signal at high modes: it recasts S as a
 fixed-kernel integral equation whose quadrature error does not
 accumulate with beta.  It marches nothing and is a batch like the
 marches: transformed_exponential, refined_S and comparator_profile take
-a sequence of pairs and return one (K, m+1) row per pair.  refined_S
-builds and solves the S equations REFINED_ROWS pairs at a time (one
-convolve per kernel field and one series division per chunk), so no
-division holds the whole batch's spectra.  A row is its one-pair call
-bit for bit, in any batch or chunk: the per-pair scalars are taken in
-Python complex arithmetic and stacked.
+a Spectrum batch (spectral) and return one (K, m+1) row per mode.
+refined_S builds and solves the S equations REFINED_ROWS modes at a
+time (one convolve per kernel field and one series division per chunk,
+each chunk a Spectrum.take of the batch), so no division holds the
+whole batch's spectra.  A row is its one-mode call bit for bit, in any
+batch or chunk: the per-mode scalars that involve a complex division
+are taken in Python complex arithmetic and stacked (_column).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .errors import ConfigError, ConvergenceError, InternalConsistencyError
 from .grid import TimeGrid
 from .kernels import (KernelTerms, NormalizedKernel, convolve, decay_integral,
                       series_divide)
-from .spectral import EigenPair
+from .spectral import Spectrum
 
 
 # the (K, m+1) fields of a ModalResponses batch
@@ -83,14 +84,14 @@ class ModalResponses:
     """The modal responses of a batch of modes, time on the last axis.
 
     Row i of z, Z, Nz and Npz, and entry i of z_gap_ratio, belong to
-    pairs[i].  Z is the variation-of-constants assembly; Nz = N * z and
-    Npz = N' * z are the discrete ingredients the simulator reuses
+    row i of modes.  Z is the variation-of-constants assembly; Nz = N * z
+    and Npz = N' * z are the discrete ingredients the simulator reuses
     verbatim; z_gap_ratio is each mode's two-route Z gap over its
     allowance on the grid the batch was marched on.  grid is
     TimeGrid(m h, m, h) on the kernel's step h.
     """
 
-    pairs: tuple             # EigenPair per row
+    modes: Spectrum
     z: np.ndarray            # (K, m+1) real
     Z: np.ndarray            # (K, m+1) complex
     Nz: np.ndarray           # (K, m+1)
@@ -107,7 +108,7 @@ class ModalResponses:
 
     def head(self, k: int) -> "ModalResponses":
         """The batch of the first k modes."""
-        return replace(self, pairs=self.pairs[:k],
+        return replace(self, modes=self.modes.take(slice(k)),
                        z_gap_ratio=self.z_gap_ratio[:k],
                        **{f: getattr(self, f)[:k] for f in _ROWS})
 
@@ -403,14 +404,14 @@ def march_modal(kernel: NormalizedKernel, lam_sq, alpha: float,
     return Y.reshape(batch + (m + 1,))
 
 
-def _forcing_factors(pairs) -> np.ndarray:
-    """i beta per pair, or i on the degenerate set: the factor of N in
+def _forcing_factors(modes: Spectrum) -> np.ndarray:
+    """i beta per mode, or i on the degenerate set: the factor of N in
     the forcing of Z and in its variation-of-constants assembly."""
-    return np.array([1j if p.in_J else 1j * p.beta for p in pairs])
+    return np.where(modes.in_J, 1j, 1j * modes.beta)
 
 
-def _consistency_tol(kernel: NormalizedKernel, pair: EigenPair) -> float:
-    """Allowance 10 * C * h^2 for the two-route cross-check.
+def _consistency_tol(kernel: NormalizedKernel, beta) -> np.ndarray:
+    """Allowance 10 * C * h^2 for the two-route cross-check, per beta.
 
     C combines the Gronwall envelope with a phase-accumulation factor;
     it is deliberately generous (a real quadrature bug shows up orders
@@ -420,15 +421,15 @@ def _consistency_tol(kernel: NormalizedKernel, pair: EigenPair) -> float:
     T = kernel.grid.T
     a = kernel.alpha
     C = (1.0 + abs(a) * T) * math.exp(min(2.0 * abs(a) * T, 60.0)) \
-        * (1.0 + abs(pair.beta) * T / 10.0)
+        * (1.0 + np.abs(beta) * T / 10.0)
     return 10.0 * C * kernel.h ** 2
 
 
-def _assemble_Z(kernel: NormalizedKernel, pairs, z: np.ndarray,
+def _assemble_Z(kernel: NormalizedKernel, modes: Spectrum, z: np.ndarray,
                 Z_march: np.ndarray):
     """Variation-of-constants Z from z, checked against the marched Z.
 
-    z and Z_march are (K, m+1), one row per pair.  Returns
+    z and Z_march are (K, m+1), one row per mode.  Returns
     (Z_voc, N*z, N'*z), each (K, m+1), and each mode's gap over its
     allowance, (K,); disagreement of a mode beyond its scheme allowance
     (or a NaN gap) flags a quadrature bug.
@@ -436,115 +437,118 @@ def _assemble_Z(kernel: NormalizedKernel, pairs, z: np.ndarray,
     # N and N' against every mode in one call, (2, K, m+1): z is
     # transformed once, and each row is its one-row call bit for bit
     Nz, Npz = convolve(np.stack([kernel.N, kernel.Np])[:, None], z, kernel.h)
-    Z_voc = z + Npz + _forcing_factors(pairs)[:, None] * Nz
+    Z_voc = z + Npz + _forcing_factors(modes)[:, None] * Nz
     gaps = np.max(np.abs(Z_march - Z_voc), axis=1)
-    tols = np.array([_consistency_tol(kernel, p) for p in pairs])
-    for p, gap, tol in zip(pairs, gaps, tols):
-        if not gap <= tol:
-            raise InternalConsistencyError(
-                f"Z routes disagree on mode {p.index}: gap {gap:.3e} "
-                f"exceeds allowance {tol:.3e}")
+    tols = _consistency_tol(kernel, modes.beta)
+    bad = ~(gaps <= tols)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InternalConsistencyError(
+            f"Z routes disagree on mode {modes.index[i]}: gap {gaps[i]:.3e} "
+            f"exceeds allowance {tols[i]:.3e}")
     return Z_voc, Nz, Npz, gaps / tols
 
 
-def compute_responses(kernel: NormalizedKernel, pairs) -> ModalResponses:
-    """The responses of pairs, every mode marched in one batch.
+def compute_responses(kernel: NormalizedKernel,
+                      modes: Spectrum) -> ModalResponses:
+    """The responses of modes, every mode marched in one batch.
 
     One z march and one Z march advance all modes together, and the
     variation-of-constants assembly convolves the whole batch at once;
     its two-route check stays per mode.
     """
-    pairs = tuple(pairs)
-    lam = np.array([p.lambda_sq for p in pairs])
-    label = f"(modes {', '.join(str(p.index) for p in pairs)})"
+    lam = modes.lambda_sq
+    label = f"(modes {', '.join(map(str, modes.index.tolist()))})"
     z = march_modal(kernel, lam, kernel.alpha, y0=1.0, label=label)
     Z_march = march_modal(
         kernel, lam, kernel.alpha, y0=1.0, label=label,
-        forcing=kernel.Np + _forcing_factors(pairs)[:, None] * kernel.N)
-    Z, Nz, Npz, ratios = _assemble_Z(kernel, pairs, z, Z_march)
+        forcing=kernel.Np + _forcing_factors(modes)[:, None] * kernel.N)
+    Z, Nz, Npz, ratios = _assemble_Z(kernel, modes, z, Z_march)
     m, h = kernel.grid.steps, kernel.h
-    return ModalResponses(pairs, z, Z, Nz, Npz, ratios, TimeGrid(m * h, m, h),
+    return ModalResponses(modes, z, Z, Nz, Npz, ratios, TimeGrid(m * h, m, h),
                           kernel.alpha)
 
 
 def _column(values) -> np.ndarray:
-    """A (K, 1) complex column of per-pair scalars.  The caller takes
-    each in Python complex arithmetic, as a one-pair call would: numpy's
-    complex division rounds differently."""
+    """A (K, 1) complex column of per-mode scalars.  The caller takes
+    each complex quotient in Python complex arithmetic, as a one-mode
+    call would: numpy's complex division rounds differently."""
     return np.array(values, dtype=complex).reshape(-1, 1)
 
 
-def transformed_exponential(pairs, a: float, t: np.ndarray) -> np.ndarray:
+def transformed_exponential(modes: Spectrum, a: float,
+                            t: np.ndarray) -> np.ndarray:
     """exp(i beta t) + (a/beta) sin(beta t), or 1 + (a + i) t on the
-    degenerate set, one (K, m+1) row per pair: the base profiles of the
+    degenerate set, one (K, m+1) row per mode: the base profiles of the
     memoryless family with damping parameter a, and of the comparator
     and S equations with a = alpha."""
-    ab = _column([0.0 if p.in_J else a / p.beta for p in pairs])
-    out = np.exp(_column([1j * p.beta for p in pairs]) * t) \
-        + ab * np.sin(_column([p.beta for p in pairs]) * t)
-    out[np.array([p.in_J for p in pairs], dtype=bool)] = 1.0 + (a + 1j) * t
+    beta = modes.beta[:, None]
+    ab = _column([0.0 if J else a / b
+                  for b, J in zip(modes.beta.tolist(), modes.in_J)])
+    out = np.exp(1j * beta * t) + ab * np.sin(beta * t)
+    out[modes.in_J] = 1.0 + (a + 1j) * t
     return out
 
 
-def _finite_rows(pairs, rows: np.ndarray, what: str) -> np.ndarray:
-    """rows, or ConvergenceError naming the first pair whose row is not
+def _finite_rows(modes: Spectrum, rows: np.ndarray, what: str) -> np.ndarray:
+    """rows, or ConvergenceError naming the first mode whose row is not
     finite."""
     bad = ~np.all(np.isfinite(rows), axis=1)
     if bad.any():
         raise ConvergenceError(f"{what} of mode "
-                               f"{pairs[int(np.argmax(bad))].index} is not finite")
+                               f"{modes.index[np.argmax(bad)]} is not finite")
     return rows
 
 
-def _off_J(pairs, what: str):
-    if any(p.in_J for p in pairs):
+def _off_J(modes: Spectrum, what: str):
+    if modes.in_J.any():
         raise ConfigError(f"{what} needs beta != 0")
 
 
-def refined_S(kernel: NormalizedKernel, pairs) -> np.ndarray:
-    """Mode-uniform S of every pair, one (K, m+1) row each, via its
+def refined_S(kernel: NormalizedKernel, modes: Spectrum) -> np.ndarray:
+    """Mode-uniform S of every mode, one (K, m+1) row each, via its
     fixed-kernel integral equation.
 
     S = G + W * S with W = -mu N1 + (mu/beta) Q, where mu is
     lambda^2/beta^2 and Q = N1'(0) sin(beta t) + N1'' * sin(beta t).
     W(0) = 0 drops the implicit weight, and the product trapezoid is one
-    series division (kernels.series_divide) per REFINED_ROWS pairs, after
+    series division (kernels.series_divide) per REFINED_ROWS modes, after
     one convolve per kernel field.  The quadrature error here stays
     O(h^2) uniformly in beta because the oscillatory factors sit inside
     nonaccumulating convolutions.  Raises ConvergenceError naming the
     first mode whose row is not finite (the division spreads an overflow
     over the whole row, so no step is named).
     """
-    _off_J(pairs, "refined route")
-    pairs = list(pairs)
-    S = np.empty((len(pairs), kernel.grid.steps + 1), dtype=complex)
+    _off_J(modes, "refined route")
+    S = np.empty((len(modes), kernel.grid.steps + 1), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(pairs), REFINED_ROWS):
-            chunk = pairs[start:start + REFINED_ROWS]
-            S[start:start + len(chunk)] = series_divide(
-                *_S_equation(kernel, chunk))
-    return _finite_rows(pairs, S, "refined S")
+        for start in range(0, len(modes), REFINED_ROWS):
+            rows = slice(start, start + REFINED_ROWS)
+            S[rows] = series_divide(*_S_equation(kernel, modes.take(rows)))
+    return _finite_rows(modes, S, "refined S")
 
 
-def _S_equation(kernel: NormalizedKernel, pairs):
+def _S_equation(kernel: NormalizedKernel, modes: Spectrum):
     """The sides of S (1 - h W) = G - h W S(0) / 2, S(0) = G(0), as the
     (numerator, denominator) of refined_S's series division; the
     chunk's other fields are released on return."""
-    mu = [p.lambda_sq / (p.beta * p.beta) for p in pairs]
+    beta = modes.beta.tolist()
+    mu = [lam / (b * b) for lam, b in zip(modes.lambda_sq.tolist(), beta)]
     t, h = kernel.t, kernel.h
-    sb = np.sin(_column([p.beta for p in pairs]) * t)
-    base = transformed_exponential(pairs, kernel.alpha, t)
+    sb = np.sin(modes.beta[:, None] * t)
+    base = transformed_exponential(modes, kernel.alpha, t)
     G = base + convolve(kernel.N1, base, h)
     Q = kernel.N1p[0] * sb + convolve(kernel.N1pp, sb, h)
     W = -_column(mu) * kernel.N1 \
-        + _column([m / p.beta for m, p in zip(mu, pairs)]) * Q
+        + _column([m / b for m, b in zip(mu, beta)]) * Q
     den = -h * W
     den[:, 0] = 1.0
     return G - 0.5 * h * G[:, :1] * W, den
 
 
-def comparator_profile(kernel: NormalizedKernel, pairs) -> np.ndarray:
-    """Transformed-exponential comparators, one (K, m+1) row per pair,
+def comparator_profile(kernel: NormalizedKernel,
+                       modes: Spectrum) -> np.ndarray:
+    """Transformed-exponential comparators, one (K, m+1) row per mode,
     for the closeness study.
 
     C = base + (1/2) R * (t E) with R = N1' - L * N1',
@@ -554,31 +558,30 @@ def comparator_profile(kernel: NormalizedKernel, pairs) -> np.ndarray:
     O(1/beta^2) when alpha != 0; with alpha = 0 the base degenerates to
     the bare exponential.
     """
-    _off_J(pairs, "comparator")
+    _off_J(modes, "comparator")
     t, h = kernel.t, kernel.h
     R = kernel.N1p - convolve(kernel.L, kernel.N1p, h)
-    E = np.exp(_column([1j * p.beta for p in pairs]) * t)
-    return transformed_exponential(pairs, kernel.alpha, t) \
+    E = np.exp(1j * modes.beta[:, None] * t)
+    return transformed_exponential(modes, kernel.alpha, t) \
         + 0.5 * convolve(R, t * E, h)
 
 
-def asymptotic_residual(pairs, S: np.ndarray, h: float) -> dict:
+def asymptotic_residual(modes: Spectrum, S: np.ndarray, h: float) -> dict:
     """Distance of each S_n from its pure oscillation, with a decay fit.
 
-    Row i of S, sampled at j h, belongs to pairs[i], a mode of real
+    Row i of S, sampled at j h, belongs to row i of modes, a mode of real
     positive beta.  r_n = sup norm of S_n - exp(i beta_n t); the log-log
     slope against beta over the supplied modes is the headline number.
     A row that is not finite raises ConvergenceError naming its mode.
     """
-    if any(p.beta.imag != 0 or not p.beta.real > 0 for p in pairs):
+    betas = modes.beta.real
+    if np.any((modes.beta.imag != 0) | ~(betas > 0)):
         raise ConfigError("asymptotic fit needs real positive beta")
-    if len(pairs) < 8:
+    if len(modes) < 8:
         raise ConfigError("asymptotic fit needs at least 8 real-beta modes")
-    _finite_rows(pairs, S, "S")
+    _finite_rows(modes, S, "S")
     t = np.arange(S.shape[1]) * h
-    betas = np.array([p.beta.real for p in pairs])
-    sups = np.array([float(np.max(np.abs(row - np.exp(1j * p.beta.real * t))))
-                     for p, row in zip(pairs, S)])
+    sups = np.max(np.abs(S - np.exp(1j * betas[:, None] * t)), axis=1)
     ok = sups > 0
     if int(ok.sum()) < 2:
         raise ConfigError(
@@ -586,7 +589,7 @@ def asymptotic_residual(pairs, S: np.ndarray, h: float) -> dict:
             "(a memoryless kernel leaves nothing to fit)")
     slope, intercept = np.polyfit(np.log(betas[ok]), np.log(sups[ok]), 1)
     return {
-        "indices": [p.index for p in pairs],
+        "indices": modes.index.tolist(),
         "beta": betas,
         "residuals": sups,
         "slope": float(slope),

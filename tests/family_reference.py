@@ -14,8 +14,8 @@ the second argument of an inner product conjugated, as in riesz:
 and the Gram of a family in the complex representation the pipeline
 kept before a family's traces were real (complex_gram,
 complex_exponential_grams): member +n the complex trace
-trace_n / beta_n (EigenPair.psi) times the unscaled time profile,
-member -n the conjugate of both.
+trace_n / beta_n (trace_n on the degenerate set) times the unscaled
+time profile, member -n the conjugate of both.
 """
 
 import numpy as np
@@ -73,27 +73,29 @@ def conjugate_pairs(rows):
     return out
 
 
-def _complex_boundary(pairs, gamma_weights):
-    psi = conjugate_pairs([p.psi for p in pairs])
+def _complex_boundary(modes, gamma_weights):
+    psi = conjugate_pairs(
+        modes.trace / np.where(modes.in_J, 1.0, modes.beta)[:, None])
     return (psi * gamma_weights) @ np.conj(psi).T
 
 
-def complex_gram(pairs, profiles, grid, gamma_weights):
-    """The Gram of the family of pairs with the unscaled time profiles
-    (K, steps+1) on grid, in the complex representation."""
+def complex_gram(modes, profiles, grid, gamma_weights):
+    """The Gram of the family of the modes (a spectral.Spectrum) with
+    the unscaled time profiles (K, steps+1) on grid, in the complex
+    representation."""
     Z = conjugate_pairs(profiles)
-    return (_complex_boundary(pairs, gamma_weights)
+    return (_complex_boundary(modes, gamma_weights)
             * ((Z * trapezoid_weights(grid)) @ np.conj(Z).T))
 
 
-def complex_exponential_grams(pairs, rates, weights, horizons,
+def complex_exponential_grams(modes, rates, weights, horizons,
                               gamma_weights):
-    """The Grams (H, 2K, 2K) at horizons of the family of pairs whose
+    """The Grams (H, 2K, 2K) at horizons of the family of modes whose
     unscaled time profiles are the exponential sums of rates and weights
     (K, d), in the complex representation."""
     # imported here: the CLI tests import this module, and memwave.exact
     # loads only with the runs that reach it
     from memwave.exact import _exponential_time_grams
-    return (_complex_boundary(pairs, gamma_weights)
+    return (_complex_boundary(modes, gamma_weights)
             * _exponential_time_grams(conjugate_pairs(rates),
                                       conjugate_pairs(weights), horizons))

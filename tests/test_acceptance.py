@@ -51,32 +51,31 @@ def master():
     grid = make_grid(3 * PI, 1e-3)
     ker = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
                                rates=(1.0,)), grid)
-    pairs = compute_eigenpairs(DOM, 40, alpha=ker.alpha)
-    resp = compute_responses(ker, pairs)
+    modes = compute_eigenpairs(DOM, 40, alpha=ker.alpha)
+    resp = compute_responses(ker, modes)
 
     def restrict(T):
         steps = round(T / grid.h)
         return ker.restrict(steps), resp.restrict(steps)
 
-    return SimpleNamespace(grid=grid, ker=ker, pairs=pairs, resp=resp,
+    return SimpleNamespace(grid=grid, ker=ker, modes=modes, resp=resp,
                            restrict=restrict)
 
 
 def test_criterion_1_spectrum():
-    pairs = compute_eigenpairs(DOM, 40, alpha=0.0)
-    exact = all(p.lambda_sq == float(p.index ** 2) for p in pairs)
+    modes = compute_eigenpairs(DOM, 40, alpha=0.0)
+    exact = bool(np.all(modes.lambda_sq == modes.index ** 2.0))
 
     # finite-difference path on the same operator; nx=6000 holds all 40
     # modes below 1e-6 (measured 2.15e-7; nx=4000 leaves mode 40 at 1.1e-6)
     dom_var = DomainSpec("interval", (PI,), a=lambda x: 1.0 + 0 * x,
                          q=lambda x: 0.0 * x)
-    lam = np.array([p.lambda_sq
-                    for p in compute_eigenpairs(dom_var, 40, 0.0, nx=6000)])
+    lam = compute_eigenpairs(dom_var, 40, 0.0, nx=6000).lambda_sq
     fd_err = float(np.max(np.abs(lam - np.arange(1, 41.0) ** 2)))
 
     # Weyl counting in d=2: lambda_(n) grows like n^(2/d) = n
     rect = compute_eigenpairs(DomainSpec("rectangle", (PI, PI)), 60, 0.0)
-    lam2 = np.array([p.lambda_sq for p in rect])
+    lam2 = rect.lambda_sq
     slope = _logfit(np.arange(10, 61.0), lam2[9:])
     _report(1, f"spectrum: interval exact={exact}, fd err {fd_err:.2e}, "
                f"rectangle growth slope {slope:.3f}",
@@ -119,12 +118,11 @@ def test_criterion_3_two_route_consistency():
         ker = normalize(KernelSpec("exponential_sum", c=c,
                                    coefficients=(1.0,), rates=(1.0,)), grid)
         dom = DomainSpec("interval", (PI,), c=c)
-        pairs = compute_eigenpairs(dom, 40, alpha=ker.alpha)
+        modes = compute_eigenpairs(dom, 40, alpha=ker.alpha)
         # the marched route against the assembled one, every mode at once
-        Zm = march_modal(ker, np.array([p.lambda_sq for p in pairs]),
-                         ker.alpha, forcing=ker.Np
-                         + _forcing_factors(pairs)[:, None] * ker.N)
-        Zv = compute_responses(ker, pairs).Z
+        Zm = march_modal(ker, modes.lambda_sq, ker.alpha, forcing=ker.Np
+                         + _forcing_factors(modes)[:, None] * ker.N)
+        Zv = compute_responses(ker, modes).Z
         gaps[c] = float(np.max(np.abs(Zv - Zm)))
     _report(3, f"route gap over 40 modes: c=0 {gaps[0.0]:.2e}, "
                f"c=0.5 {gaps[0.5]:.2e}",
@@ -133,7 +131,7 @@ def test_criterion_3_two_route_consistency():
 
 def test_criterion_4_residual_slope(master):
     ker_pi, _ = master.restrict(PI)
-    usable = master.pairs[4:]
+    usable = master.modes.take(slice(4, None))
     fit = asymptotic_residual(usable, refined_S(ker_pi, usable), ker_pi.h)
     slope = fit["slope"]
     _report(4, f"high-mode residual slope {slope:.4f} (want -1.0 +/- 0.15)",
@@ -142,17 +140,16 @@ def test_criterion_4_residual_slope(master):
 
 def test_criterion_5_quadratic_closeness(master):
     ker_pi, _ = master.restrict(PI)
-    pairs = master.pairs
-    psi = np.array([p.trace.real for p in pairs])
-    scale = np.array([1.0 / p.beta for p in pairs])[:, None]
+    modes = master.modes
+    scale = 1.0 / modes.beta[:, None]
     # the trace of mode n times S_n / beta_n and C_n / beta_n on the
     # positive indices
-    idx = tuple(p.index for p in pairs)
+    idx = tuple(modes.index.tolist())
     out = quadratic_closeness(
-        SequenceFamily(refined_S(ker_pi, pairs) * scale, idx, "S",
-                       ker_pi.grid, psi=psi),
-        SequenceFamily(comparator_profile(ker_pi, pairs) * scale, idx, "C",
-                       ker_pi.grid, psi=psi),
+        SequenceFamily(refined_S(ker_pi, modes) * scale, idx, "S",
+                       ker_pi.grid, psi=modes.trace),
+        SequenceFamily(comparator_profile(ker_pi, modes) * scale, idx, "C",
+                       ker_pi.grid, psi=modes.trace),
         block=8)
     dist = np.sqrt(np.asarray(out["dist_sq"]))
     ns = np.arange(1, 41.0)
@@ -166,11 +163,11 @@ def test_criterion_5_quadratic_closeness(master):
 
 def test_criterion_6_plateau_collapse(master):
     h = master.grid.h
-    pairs40 = master.pairs
+    modes40 = master.modes
     ratios = {}
     for T in (2.5 * PI, 1.2 * PI):
         steps = round(T / h)
-        rep_t = gram(telegraph_family(pairs40, 0.0, TimeGrid(steps * h,
+        rep_t = gram(telegraph_family(modes40, 0.0, TimeGrid(steps * h,
                                                              steps)))
         _, resp_T = master.restrict(T)
         rep_v = gram(viscoelastic_family(resp_T))
@@ -185,11 +182,11 @@ def test_criterion_6_plateau_collapse(master):
     dichotomy = (rt25 >= 0.5 and rv25 >= 0.5 and rt12 <= 0.1 and rv12 <= 0.1)
 
     horizons = PI * np.arange(4, 13) / 4
-    pairs5 = compute_eigenpairs(DOM, 5, 0.0)
+    modes5 = compute_eigenpairs(DOM, 5, 0.0)
     mt, mv = [], []
     for T in horizons:
         steps = round(T / h)
-        mt.append(gram(telegraph_family(pairs5, 0.0,
+        mt.append(gram(telegraph_family(modes5, 0.0,
                                         TimeGrid(steps * h, steps))).m_N)
         _, rT = master.restrict(T)
         mv.append(gram(viscoelastic_family(rT.head(5))).m_N)
@@ -219,8 +216,8 @@ def test_criterion_7_round_trip(master):
     rows, ok = [], True
     for label, tgt in targets.items():
         sig = synthesize(build_moment_problem(fam12, tgt))
-        res = simulate_convolution(resp_s, ker_s, sig, 40)
-        xi, eta = achieved_coefficients(res, master.pairs)
+        xi, eta = achieved_coefficients(
+            simulate_convolution(resp_s, ker_s, sig))
         rel = (np.linalg.norm(np.r_[xi[:12] - tgt.xi, eta[:12] - tgt.eta])
                / np.linalg.norm(np.r_[tgt.xi, tgt.eta]))
         ok = ok and (rel <= 1e-3 and sig.imag_max <= 1e-12
@@ -261,8 +258,7 @@ def test_criterion_8_fails_closed(master, tmp_path, capsys):
 
 def test_criterion_9_cosine_bound():
     # {cos(beta_n t)} on [0, pi], beta_n of the interval's first 40 modes
-    betas = np.array([p.beta.real
-                      for p in compute_eigenpairs(DOM, 40, alpha=0.0)])
+    betas = compute_eigenpairs(DOM, 40, alpha=0.0).beta.real
     cgrid = TimeGrid(PI, round(PI / 1e-3))
     cos_fam = SequenceFamily(np.cos(np.outer(betas, cgrid.t)),
                              tuple(range(1, 41)), "cosine", cgrid)
@@ -279,8 +275,8 @@ def test_criterion_9_cosine_bound():
 
 
 def test_criterion_10_decay_separation():
-    pairs = compute_eigenpairs(DOM, 40, 0.0)
-    fam = telegraph_family(pairs, 0.0, make_grid(2.5 * PI, 1e-3))
+    modes = compute_eigenpairs(DOM, 40, 0.0)
+    fam = telegraph_family(modes, 0.0, make_grid(2.5 * PI, 1e-3))
     rng = np.random.default_rng(5)
     phases = np.exp(2j * PI * rng.random(40))
 

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from memwave import (ConfigError, DomainSpec, EigenPair,
-                     InternalConsistencyError, KernelSpec,
-                     NotControllableError, SequenceFamily, TargetState,
+from memwave import (ConfigError, DomainSpec, InternalConsistencyError,
+                     KernelSpec, NotControllableError, SequenceFamily,
+                     Spectrum, TargetState,
                      TimeGrid, assemble_rhs, build_moment_problem,
                      comparator_profile, compute_eigenpairs,
                      compute_responses, gram, make_grid, normalize,
@@ -63,22 +63,21 @@ def test_moment_problem_alignment():
 # --------------------------------------------------------------- families
 
 
-def positive_family(profiles, pairs, kernel):
-    """The real trace of pair i times profiles[i] / beta_i, on the
-    positive indices of pairs, on the kernel's grid."""
-    scale = np.array([1.0 / p.beta for p in pairs])[:, None]
-    return SequenceFamily(profiles * scale, tuple(p.index for p in pairs),
-                          "positive", kernel.grid,
-                          psi=np.array([p.trace.real for p in pairs]))
+def positive_family(profiles, modes, kernel):
+    """The real trace of mode i times profiles[i] / beta_i, on the
+    positive indices of modes, on the kernel's grid."""
+    return SequenceFamily(profiles / modes.beta[:, None],
+                          tuple(modes.index.tolist()), "positive",
+                          kernel.grid, psi=modes.trace)
 
 
 def test_telegraph_members_undamped():
-    pairs = compute_eigenpairs(INTERVAL, 4, 0.0)
-    fam = telegraph_family(pairs, 0.0, TimeGrid(2 * PI, 2000))
+    modes = compute_eigenpairs(INTERVAL, 4, 0.0)
+    fam = telegraph_family(modes, 0.0, TimeGrid(2 * PI, 2000))
     t = fam.grid.t
     for i, n in enumerate(fam.index_set):
-        p = pairs[abs(n) - 1]
-        expected = p.psi * np.exp(1j * n * t)
+        k = abs(n) - 1
+        expected = modes.trace[k] / modes.beta[k] * np.exp(1j * n * t)
         assert np.max(np.abs(fam.members[i].ravel() - expected)) < 1e-12
     # |psi_n|^2 = 2/pi for every mode, so a full period gives Gram = 4 I
     rep = gram(fam)
@@ -88,11 +87,12 @@ def test_telegraph_members_undamped():
 
 def test_telegraph_degenerate_member():
     dom = DomainSpec("interval", (PI,), q=0.75, c=0.5)
-    pairs = compute_eigenpairs(dom, 2, alpha=0.5)
-    assert pairs[0].in_J and not pairs[1].in_J
-    fam = telegraph_family(pairs, 0.5, TimeGrid(PI, 500))
+    modes = compute_eigenpairs(dom, 2, alpha=0.5)
+    assert modes.in_J.tolist() == [True, False]
+    fam = telegraph_family(modes, 0.5, TimeGrid(PI, 500))
     t = fam.grid.t
-    expected = pairs[0].psi * (1.0 + (0.5 + 1j) * t)
+    # unscaled on J
+    expected = modes.trace[0] * (1.0 + (0.5 + 1j) * t)
     assert np.max(np.abs(fam.members[0].ravel() - expected)) < 1e-12
 
 
@@ -100,10 +100,10 @@ def test_pure_exponentials_share_horizons():
     # the profiles of the damped modes with a = c and with a = 0 (pure
     # exponentials) span the same space
     dom = DomainSpec("interval", (PI,), c=0.5)
-    pairs = compute_eigenpairs(dom, 5, alpha=0.5)
+    modes = compute_eigenpairs(dom, 5, alpha=0.5)
 
     def m_of(T, a):
-        return gram(telegraph_family(pairs, a,
+        return gram(telegraph_family(modes, a,
                                      TimeGrid(T, round(T / 2e-3)))).m_N
 
     for a in (0.0, 0.5):
@@ -118,9 +118,9 @@ def test_pure_exponentials_share_horizons():
 def test_viscoelastic_matches_memoryless_comparator():
     grid = make_grid(2 * PI, 5e-4)
     kz = normalize(KernelSpec("zero"), grid)
-    pairs = compute_eigenpairs(INTERVAL, 3, alpha=0.0)
-    vis = viscoelastic_family(compute_responses(kz, pairs))
-    tel = telegraph_family(pairs, 0.0, grid)
+    modes = compute_eigenpairs(INTERVAL, 3, alpha=0.0)
+    vis = viscoelastic_family(compute_responses(kz, modes))
+    tel = telegraph_family(modes, 0.0, grid)
     assert np.max(np.abs(vis.members - tel.members)) < 1e-5
 
 
@@ -128,8 +128,8 @@ def test_viscoelastic_conjugate_negatives():
     grid = make_grid(PI, 2e-3)
     ke = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
                               rates=(1.0,)), grid)
-    pairs = compute_eigenpairs(INTERVAL, 3, alpha=ke.alpha)
-    vis = viscoelastic_family(compute_responses(ke, pairs))
+    modes = compute_eigenpairs(INTERVAL, 3, alpha=ke.alpha)
+    vis = viscoelastic_family(compute_responses(ke, modes))
     for i, n in enumerate(vis.index_set):
         if n < 0:
             j = vis.index_set.index(-n)
@@ -140,10 +140,10 @@ def test_distance_to_comparator_decays():
     grid = make_grid(PI, 1e-3)
     ke = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
                               rates=(1.0,)), grid)
-    pairs = compute_eigenpairs(INTERVAL, 12, alpha=ke.alpha)
-    out = quadratic_closeness(positive_family(refined_S(ke, pairs), pairs, ke),
-                              positive_family(comparator_profile(ke, pairs),
-                                              pairs, ke), block=4)
+    modes = compute_eigenpairs(INTERVAL, 12, alpha=ke.alpha)
+    out = quadratic_closeness(positive_family(refined_S(ke, modes), modes, ke),
+                              positive_family(comparator_profile(ke, modes),
+                                              modes, ke), block=4)
     dist = np.sqrt(np.asarray(out["dist_sq"]))
     assert np.all(np.diff(dist[1:]) < 0)
     sums = out["block_sums"]
@@ -175,12 +175,12 @@ def test_synthesize_orthonormal_family_identity():
 
 
 @pytest.fixture(scope="module")
-def pairs12():
+def modes12():
     return compute_eigenpairs(INTERVAL, 12, alpha=0.0)
 
 
-def test_synthesize_telegraph_round_numbers(pairs12):
-    fam = telegraph_family(pairs12, 0.0, make_grid(2.5 * PI, 1e-3))
+def test_synthesize_telegraph_round_numbers(modes12):
+    fam = telegraph_family(modes12, 0.0, make_grid(2.5 * PI, 1e-3))
     sig = synthesize(build_moment_problem(fam, unit_target(12)))
     assert sig.residual_max <= 1e-8 * sig.condition
     assert sig.imag_max <= 1e-12
@@ -188,8 +188,8 @@ def test_synthesize_telegraph_round_numbers(pairs12):
     assert sig.condition < 10.0
 
 
-def test_synthesize_random_targets_stay_real(pairs12):
-    fam = telegraph_family(pairs12, 0.0, TimeGrid(2.5 * PI, 4000))
+def test_synthesize_random_targets_stay_real(modes12):
+    fam = telegraph_family(modes12, 0.0, TimeGrid(2.5 * PI, 4000))
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         target = TargetState(rng.standard_normal(12), rng.standard_normal(12), 12)
@@ -204,16 +204,16 @@ def test_synthesize_random_targets_stay_real(pairs12):
 def test_nan_rhs_fails_closed(case):
     # a NaN moment datum gives a NaN control; NaN > tol is False, so the
     # residual comparison must be not (residual <= tol)
-    fam, pairs = _factor_case(case)
-    prob = build_moment_problem(fam, unit_target(len(pairs)))
+    fam, modes = _factor_case(case)
+    prob = build_moment_problem(fam, unit_target(len(modes)))
     rhs = prob.rhs.copy()
     rhs[2] = np.nan
     with pytest.raises(InternalConsistencyError, match="moment residual"):
         synthesize(dataclasses.replace(prob, rhs=rhs))
 
 
-def test_short_horizon_fails_closed(pairs12):
-    fam = telegraph_family(pairs12, 0.0, TimeGrid(0.5 * PI, 2000))
+def test_short_horizon_fails_closed(modes12):
+    fam = telegraph_family(modes12, 0.0, TimeGrid(0.5 * PI, 2000))
     with pytest.raises(NotControllableError) as err:
         synthesize(build_moment_problem(fam, unit_target(12)))
     assert err.value.exit_code == 4
@@ -223,12 +223,12 @@ def test_short_horizon_fails_closed(pairs12):
     assert f"not solvable at T={fam.grid.T:.6g}:" in str(err.value)
 
 
-def test_feasibility_monotone_from_precritical(pairs12):
+def test_feasibility_monotone_from_precritical(modes12):
     # once solvable at a pre-plateau horizon, every longer horizon solves
     # with a frame bound no worse and a condition number no worse
     results = {}
     for T in (1.6 * PI, 2.0 * PI, 2.5 * PI, 3.0 * PI):
-        fam = telegraph_family(pairs12, 0.0, make_grid(T, 2e-3))
+        fam = telegraph_family(modes12, 0.0, make_grid(T, 2e-3))
         results[T] = synthesize(build_moment_problem(fam, unit_target(12)))
     Ts = sorted(results)
     bounds = [results[T].frame_lower for T in Ts]
@@ -241,73 +241,70 @@ def test_feasibility_monotone_from_precritical(pairs12):
 
 
 def _factor_case(name):
-    """(family, pairs) for one trace/beta regime of the factor form."""
+    """(family, modes) for one trace/beta regime of the factor form."""
     if name == "interval":
         grid = make_grid(2.5 * PI, 1e-2)
         ke = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
                                   rates=(1.0,)), grid)
-        pairs = compute_eigenpairs(INTERVAL, 3, alpha=ke.alpha)
-        return viscoelastic_family(compute_responses(ke, pairs)), pairs
+        modes = compute_eigenpairs(INTERVAL, 3, alpha=ke.alpha)
+        return viscoelastic_family(compute_responses(ke, modes)), modes
     if name == "rectangle-right-top":
         dom = DomainSpec("rectangle", (PI, PI), gamma_subset=("right", "top"))
-        pairs = compute_eigenpairs(dom, 3, alpha=0.5)
-        return telegraph_family(pairs, 0.5, TimeGrid(2.5 * PI, 400),
-                                dom.gamma_weights()), pairs
+        modes = compute_eigenpairs(dom, 3, alpha=0.5)
+        return telegraph_family(modes, 0.5, TimeGrid(2.5 * PI, 400),
+                                dom.gamma_weights()), modes
     if name == "long-rows":
-        pairs = compute_eigenpairs(INTERVAL, 20, alpha=0.0)
-        return telegraph_family(pairs, 0.0, TimeGrid(2.5 * PI, 8000)), pairs
+        modes = compute_eigenpairs(INTERVAL, 20, alpha=0.0)
+        return telegraph_family(modes, 0.0, TimeGrid(2.5 * PI, 8000)), modes
     if name == "spanned":
         # 6 members on 6 time samples: the span is every grid function
-        pairs = compute_eigenpairs(INTERVAL, 3, alpha=0.0)
-        return telegraph_family(pairs, 0.0, TimeGrid(3.0, 5)), pairs
+        modes = compute_eigenpairs(INTERVAL, 3, alpha=0.0)
+        return telegraph_family(modes, 0.0, TimeGrid(3.0, 5)), modes
     if name == "degenerate":
         dom = DomainSpec("interval", (PI,), q=0.75, c=0.5)
-        pairs = compute_eigenpairs(dom, 2, alpha=0.5)
-        assert pairs[0].in_J
-        return telegraph_family(pairs, 0.5, TimeGrid(PI, 500)), pairs
+        modes = compute_eigenpairs(dom, 2, alpha=0.5)
+        assert modes.in_J[0]
+        return telegraph_family(modes, 0.5, TimeGrid(PI, 500)), modes
     dom = DomainSpec("interval", (PI,), c=3.0)            # overdamped
-    pairs = compute_eigenpairs(dom, 3, alpha=3.0)
-    assert pairs[0].beta.real == 0 and pairs[0].beta.imag > 0
-    return telegraph_family(pairs, 3.0, TimeGrid(PI, 500)), pairs
+    modes = compute_eigenpairs(dom, 3, alpha=3.0)
+    assert modes.beta[0].real == 0 and modes.beta[0].imag > 0
+    return telegraph_family(modes, 3.0, TimeGrid(PI, 500)), modes
 
 
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top",
                                   "degenerate", "overdamped"])
 def test_control_factors_rebuild_the_control(case):
     # for any coefficients, no conjugate symmetry assumed
-    fam, pairs = _factor_case(case)
+    fam, modes = _factor_case(case)
     rng = np.random.default_rng(5)
     a = rng.standard_normal(fam.count) + 1j * rng.standard_normal(fam.count)
     traces, profiles = _factor_form(fam, a)
     assert traces.dtype == profiles.dtype == float
-    assert traces.shape == (len(pairs), fam.psi.shape[1])
-    assert profiles.shape == (len(pairs), fam.grid.steps + 1)
+    assert traces.shape == (len(modes), fam.psi.shape[1])
+    assert profiles.shape == (len(modes), fam.grid.steps + 1)
     want = np.real(combination(fam, a, conjugate=True))[:, ::-1]
     gap = np.max(np.abs(traces.T @ profiles - want))
     assert gap <= 1e-12 * np.max(np.abs(want))
 
 
 def test_control_factors_refuse_complex_trace():
-    # the trace check runs where a family is built: an imaginary beta
-    # (overdamped) still gives a real trace, psi beta, and a family; a
-    # trace with an imaginary part gives none, on either constructor
+    # the trace check is the family's own (SequenceFamily): an imaginary
+    # beta (overdamped) still gives a real trace and a family; a trace
+    # with an imaginary part gives none, on either constructor
     for case in ("interval", "overdamped"):
-        fam, pairs = _factor_case(case)
+        fam, modes = _factor_case(case)
         assert fam.psi.dtype == float
-        bad = [dataclasses.replace(pairs[0], psi=pairs[0].psi * (1 + 1j))]
-        bad += pairs[1:]
+        bad = dataclasses.replace(modes, trace=modes.trace * (1 + 1j))
         grid = fam.grid
         responses = compute_responses(normalize(KernelSpec("zero"), grid),
-                                      pairs)
+                                      modes)
         for build in (lambda: telegraph_family(bad, 0.0, grid),
                       lambda: viscoelastic_family(
-                          dataclasses.replace(responses, pairs=tuple(bad)))):
-            with pytest.raises(InternalConsistencyError,
-                               match="boundary trace with a nonzero "
-                                     "imaginary part; the control has no "
-                                     "real factor form") as err:
+                          dataclasses.replace(responses, modes=bad))):
+            with pytest.raises(ConfigError,
+                               match="boundary traces must be real") as err:
                 build()
-            assert err.value.exit_code == 5
+            assert err.value.exit_code == 2
 
 
 def _paired(fam, positions, psi=None):
@@ -324,8 +321,8 @@ def _paired(fam, positions, psi=None):
 def test_synthesize_refuses_rows_that_are_not_pairs(defect):
     # the factor form merges rows (+n, -n) of one real trace: any other
     # layout is a config error (exit 2), not a control
-    fam, pairs = _factor_case("rectangle-right-top")
-    K = len(pairs)
+    fam, modes = _factor_case("rectangle-right-top")
+    K = len(modes)
     rows = list(range(2 * K))
     bad = {"positive-only": _paired(fam, rows[::2]),
            "swapped": _paired(fam, [1, 0] + rows[2:]),
@@ -359,9 +356,9 @@ def _solved(case):
     """(family, Gram report, the minimum-norm control as the real factor
     pair synthesize feeds the spot check, in the family's time, its
     norm) for a random target."""
-    fam, pairs = _factor_case(case)
+    fam, modes = _factor_case(case)
     rng = np.random.default_rng(3)
-    K = len(pairs)
+    K = len(modes)
     target = TargetState(rng.standard_normal(K), rng.standard_normal(K), K)
     rep = gram(fam)
     a = np.linalg.solve(rep.gram, build_moment_problem(fam, target).rhs)
@@ -574,18 +571,19 @@ def test_spot_check_memory_stays_under_one_dense_array():
 
 
 def _scaled_fourier_case(betas):
-    """(family, pairs) of three modes with the given beta_n, whose
+    """(family, modes) of three modes with the given beta_n, whose
     scalars s_n = 1/beta_n are not real, on exponentials exp(+-i n t)
     over one period and a two-node boundary: a well-conditioned family
-    where conj(s_n) and s_n differ.  Dyadic betas keep every trace
-    exactly real."""
+    where conj(s_n) and s_n differ."""
     grid = TimeGrid(2 * PI, 2000)
-    traces = np.array([[1.0, 0.5], [0.25, -1.0], [1.0, 1.0]])
-    pairs = [EigenPair(n, float(n * n), b, tr / b, False, False)
-             for n, (b, tr) in enumerate(zip(betas, traces), 1)]
+    off_J = np.zeros(3, dtype=bool)
+    modes = Spectrum(np.arange(1, 4), np.array([1.0, 4.0, 9.0]),
+                     np.array(betas, dtype=complex),
+                     np.array([[1.0, 0.5], [0.25, -1.0], [1.0, 1.0]]),
+                     off_J, off_J)
     rows, index, psi = _members(
-        pairs, np.exp(1j * np.outer([1, 2, 3], grid.t)))
-    return SequenceFamily(rows, index, "scaled-fourier", grid, psi=psi), pairs
+        modes, np.exp(1j * np.outer([1, 2, 3], grid.t)))
+    return SequenceFamily(rows, index, "scaled-fourier", grid, psi=psi), modes
 
 
 def _merge_defect_refused(beta2, refusal):
@@ -595,9 +593,8 @@ def _merge_defect_refused(beta2, refusal):
     synthesize must refuse it with exit 5 and a message matching
     refusal."""
     betas = [1.0 + 1.0j, beta2, 0.5 + 0.5j]
-    fam, pairs = _scaled_fourier_case(betas)
-    assert np.array_equal(fam.psi, np.repeat([p.trace.real for p in pairs],
-                                             2, axis=0))
+    fam, modes = _scaled_fourier_case(betas)
+    assert np.array_equal(fam.psi, np.repeat(modes.trace, 2, axis=0))
     rng = np.random.default_rng(2)
     target = TargetState(rng.standard_normal(3), rng.standard_normal(3), 3)
     sig = synthesize(build_moment_problem(fam, target))
@@ -634,8 +631,8 @@ def test_synthesize_memory_stays_under_a_quarter_dense_array():
     ke = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
                               rates=(1.0,)), grid)
     dom = DomainSpec("rectangle", (PI, PI), gamma_subset=("right",))
-    pairs = compute_eigenpairs(dom, 4, alpha=ke.alpha)
-    fam = viscoelastic_family(compute_responses(ke, pairs),
+    modes = compute_eigenpairs(dom, 4, alpha=ke.alpha)
+    fam = viscoelastic_family(compute_responses(ke, modes),
                               dom.gamma_weights())
     rng = np.random.default_rng(1)
     target = TargetState(rng.standard_normal(4), rng.standard_normal(4), 4)

@@ -1,10 +1,13 @@
 """The families the pipeline builds hold the real, unscaled boundary
-trace once per member +-n, with the complex scale 1/beta_n (its
-conjugate at -n) in the time profile.  Their Grams are those of the
+trace once per member +-n, bit for bit the trace spectral computes,
+with the complex scale 1/beta_n (its conjugate at -n) in the time
+profile.  Their Grams are those of the
 complex representation the pipeline kept before (trace / beta against
 the unscaled profile, rebuilt in family_reference), to rounding, on
 both Gram routes: the grid route (riesz.gram) and the exact route
 (exact.exact_sweep)."""
+
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ import memwave.exact
 from memwave import (DomainSpec, KernelSpec, TimeGrid, compute_eigenpairs,
                      compute_responses, gram, gram_reports, normalize,
                      telegraph_family, viscoelastic_family)
+from memwave.cli import main
 from memwave.control import _RealPasses
 from memwave.exact import (exact_modes, exact_sweep,
                            transformed_exponential_terms)
@@ -47,32 +51,32 @@ def _setup(case, steps=400):
 def _exact_inputs(monkeypatch, case):
     """The families exact_sweep hands its report pass, or None where the
     route does not apply."""
-    dom, grid, kernel, c, pairs_tel, pairs_vis = _setup(case)
+    dom, grid, kernel, c, modes_tel, modes_vis = _setup(case)
     passes = []
 
     def recorded(families, gamma_weights):
         passes.append(families)
         return gram_reports(families, gamma_weights)
     monkeypatch.setattr(memwave.exact, "gram_reports", recorded)
-    reps = exact_sweep(kernel, pairs_tel, pairs_vis, c, dom.gamma_weights(),
+    reps = exact_sweep(kernel, modes_tel, modes_vis, c, dom.gamma_weights(),
                        HORIZONS)
     return None if reps is None else (passes[0], reps)
 
 
-def _real_traces(pairs):
-    return np.repeat([p.trace.real for p in pairs], 2, axis=0)
+def _real_traces(modes):
+    return np.repeat(modes.trace, 2, axis=0)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_pipeline_families_hold_the_real_trace(case, monkeypatch):
-    dom, grid, kernel, c, pairs_tel, pairs_vis = _setup(case)
+    dom, grid, kernel, c, modes_tel, modes_vis = _setup(case)
     gw = dom.gamma_weights()
-    families = [(telegraph_family(pairs_tel, c, grid, gw), pairs_tel),
-                (viscoelastic_family(compute_responses(kernel, pairs_vis),
-                                     gw), pairs_vis)]
-    for fam, pairs in families:
+    families = [(telegraph_family(modes_tel, c, grid, gw), modes_tel),
+                (viscoelastic_family(compute_responses(kernel, modes_vis),
+                                     gw), modes_vis)]
+    for fam, modes in families:
         assert fam.psi.dtype == float
-        assert np.array_equal(fam.psi, _real_traces(pairs))
+        assert np.array_equal(fam.psi, _real_traces(modes))
         assert fam.index_set == tuple(x for n in range(1, K + 1)
                                       for x in (n, -n))
         # the synthesize passes keep the real traces, with no complex view
@@ -83,22 +87,22 @@ def test_pipeline_families_hold_the_real_trace(case, monkeypatch):
     if case == "c=1":
         assert exact is None         # a telegraph mode on J: the sweep marches
         return
-    for (psi, _, label), pairs in zip(exact[0], (pairs_tel, pairs_vis)):
+    for (psi, _, label), modes in zip(exact[0], (modes_tel, modes_vis)):
         assert psi.dtype == float, label
-        assert np.array_equal(psi, _real_traces(pairs)), label
+        assert np.array_equal(psi, _real_traces(modes)), label
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_grid_route_gram_matches_the_complex_representation(case):
-    dom, grid, kernel, c, pairs_tel, pairs_vis = _setup(case)
+    dom, grid, kernel, c, modes_tel, modes_vis = _setup(case)
     gw = dom.gamma_weights()
-    responses = compute_responses(kernel, pairs_vis)
-    for fam, pairs, profiles in (
-            (telegraph_family(pairs_tel, c, grid, gw), pairs_tel,
-             transformed_exponential(pairs_tel, c, grid.t)),
-            (viscoelastic_family(responses, gw), pairs_vis, responses.Z)):
+    responses = compute_responses(kernel, modes_vis)
+    for fam, modes, profiles in (
+            (telegraph_family(modes_tel, c, grid, gw), modes_tel,
+             transformed_exponential(modes_tel, c, grid.t)),
+            (viscoelastic_family(responses, gw), modes_vis, responses.Z)):
         G = gram(fam).gram
-        want = complex_gram(pairs, profiles, grid, gw)
+        want = complex_gram(modes, profiles, grid, gw)
         assert np.max(np.abs(G - want)) <= 1e-14 * np.max(np.abs(want)), \
             fam.label
         # and the synthesize passes' own Gram, from the real factors
@@ -109,14 +113,80 @@ def test_grid_route_gram_matches_the_complex_representation(case):
 @pytest.mark.parametrize("case", ["interval", "rectangle-two-edges"])
 def test_exact_route_gram_matches_the_complex_representation(case,
                                                              monkeypatch):
-    dom, grid, kernel, c, pairs_tel, pairs_vis = _setup(case)
+    dom, grid, kernel, c, modes_tel, modes_vis = _setup(case)
     _, reps = _exact_inputs(monkeypatch, case)
-    modes = exact_modes(kernel.terms, kernel.alpha, pairs_vis)
+    exact = exact_modes(kernel.terms, kernel.alpha, modes_vis)
     wants = (complex_exponential_grams(
-                 pairs_tel, *transformed_exponential_terms(pairs_tel, c),
+                 modes_tel, *transformed_exponential_terms(modes_tel, c),
                  HORIZONS, dom.gamma_weights()),
-             complex_exponential_grams(pairs_vis, modes.roots, modes.Z,
+             complex_exponential_grams(modes_vis, exact.roots, exact.Z,
                                        HORIZONS, dom.gamma_weights()))
     for family_reps, want in zip(reps, wants):
         for rep, G in zip(family_reps, want):
             assert np.max(np.abs(rep.gram - G)) <= 1e-14 * np.max(np.abs(G))
+
+
+# the domains of the trace test, with the config's domain section
+TRACE_CASES = {
+    "interval": (DomainSpec("interval", (PI,)),
+                 {"geometry": "interval", "lengths": [PI]}),
+    "rectangle-two-edges": (DomainSpec("rectangle", (PI, PI),
+                                       gamma_subset=("right", "top")),
+                            {"geometry": "rectangle", "lengths": [PI, PI],
+                             "gamma_subset": ["right", "top"]}),
+}
+
+
+def _formula_traces(dom, count):
+    """The conormal traces (count, nodes) of the first count modes of a
+    unit-coefficient interval (right end) or rectangle (right and top
+    edges), one mode at a time, in the order of operations of spectral's
+    analytic formulas."""
+    a0 = 1.0
+    if dom.geometry == "interval":
+        (length,) = dom.lengths
+        k, amp = np.pi / length, np.sqrt(2.0 / length)
+        return np.array([[a0 * amp * n * k * (-1.0) ** n]
+                         for n in range(1, count + 1)])
+    lx, ly = dom.lengths
+    amp = 2.0 / np.sqrt(lx * ly)
+    modes = sorted(((a0 * ((mx * np.pi / lx) ** 2 + (my * np.pi / ly) ** 2),
+                     mx, my) for mx in range(1, 9) for my in range(1, 9)),
+                   key=lambda m: (m[0], m[1]))[:count]
+    rows = []
+    for _, mx, my in modes:
+        right = amp * np.sin(my * np.pi * np.linspace(0.0, ly, 257) / ly)
+        top = amp * np.sin(mx * np.pi * np.linspace(0.0, lx, 257) / lx)
+        rows.append(np.concatenate([
+            a0 * mx * np.pi / lx * (-1.0) ** mx * right,
+            a0 * my * np.pi / ly * (-1.0) ** my * top]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_families_and_control_traces_hold_the_computed_trace(case, tmp_path):
+    # no 1/beta round trip: at alpha = -0.5 the families' traces and the
+    # synthesized control's are the formula's values bit for bit (trace /
+    # beta * beta missed them by one ulp in 5 of the interval's 12 values)
+    dom, section = TRACE_CASES[case]
+    want = _formula_traces(dom, 12)
+    grid = TimeGrid(2.5 * PI, 400)
+    kernel = normalize(EXP, grid)
+    assert kernel.alpha == -0.5
+    modes = compute_eigenpairs(dom, 12, kernel.alpha)
+    assert np.array_equal(modes.trace, want)
+    gw = dom.gamma_weights()
+    for fam in (telegraph_family(modes, kernel.alpha, grid, gw),
+                viscoelastic_family(compute_responses(kernel, modes), gw)):
+        assert np.array_equal(fam.psi[::2], want), fam.label
+    doc = {"experiment": "synthesize", "domain": section,
+           "kernel": {"family": "exponential_sum", "coefficients": [1.0],
+                      "rates": [1.0]},
+           "T": 3.0 * PI, "h": 2e-3, "K": 12, "target": "random", "seed": 1}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["synthesize", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    (csv,) = (tmp_path / "out").glob("*/control_traces.csv")
+    table = np.loadtxt(csv, delimiter=",", comments="#", ndmin=2)
+    assert np.array_equal(table[:, 1:].T, want)

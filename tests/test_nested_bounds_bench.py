@@ -26,9 +26,9 @@ EXP = KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,))
 def memory_family(K):
     """(psi, time Grams, label) of the exact memory family at 2.5 pi."""
     kernel = normalize(EXP, TimeGrid(2.5 * PI, 8))
-    pairs = compute_eigenpairs(DOM, K, kernel.alpha)
-    modes = exact_modes(kernel.terms, kernel.alpha, pairs)
-    rates, weights, traces = _exponential_members(pairs, modes.roots, modes.Z)
+    modes = compute_eigenpairs(DOM, K, kernel.alpha)
+    exact = exact_modes(kernel.terms, kernel.alpha, modes)
+    rates, weights, traces = _exponential_members(modes, exact.roots, exact.Z)
     return (traces, _exponential_time_grams(rates, weights, [2.5 * PI]),
             "viscoelastic")
 

@@ -29,17 +29,16 @@ def rel_err(got, want):
 
 
 @pytest.fixture(scope="module")
-def rect_pairs():
+def rect_modes():
     grid = make_grid(2.5 * PI, 2e-2)
     kernel = normalize(EXP, grid)
-    pairs = compute_eigenpairs(RECT, K, kernel.alpha)
-    return kernel, pairs
+    return kernel, compute_eigenpairs(RECT, K, kernel.alpha)
 
 
 @pytest.fixture(scope="module")
-def rect_family(rect_pairs):
-    kernel, pairs = rect_pairs
-    return viscoelastic_family(compute_responses(kernel, pairs),
+def rect_family(rect_modes):
+    kernel, modes = rect_modes
+    return viscoelastic_family(compute_responses(kernel, modes),
                                RECT.gamma_weights())
 
 
@@ -135,7 +134,7 @@ def test_quadratic_closeness_matches_dense(rect_family):
         quadratic_closeness(fam, moved)
 
 
-def test_synthesized_control_matches_dense(rect_family, rect_pairs):
+def test_synthesized_control_matches_dense(rect_family, rect_modes):
     fam = rect_family
     rng = np.random.default_rng(11)
     target = TargetState(rng.standard_normal(K), rng.standard_normal(K), K)

@@ -9,7 +9,8 @@ import memwave.kernels
 import memwave.simulate
 import memwave.volterra
 from memwave import (ConfigError, ControlSignal, DomainSpec,
-                     InternalConsistencyError, KernelSpec, TargetState,
+                     InternalConsistencyError, KernelSpec, SimResult,
+                     TargetState,
                      achieved_coefficients,
                      build_moment_problem, compute_eigenpairs,
                      compute_responses, make_grid, mode_energies, mode_gaps,
@@ -22,15 +23,16 @@ DOM = DomainSpec("interval", (PI,))
 EXP_KERNEL = KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,))
 
 
-def factor_control(grid, traces, profiles, gamma_weights=None):
-    """Wrap a raw factor pair, f = traces.T @ profiles, for mode 1 under
-    the boundary weights (ones by default), without going through
-    synthesis."""
+def factor_control(grid, traces, profiles, gamma_weights=None, K=1):
+    """Wrap a raw factor pair, f = traces.T @ profiles, for the modes
+    1..K under the boundary weights (ones by default), without going
+    through synthesis."""
     traces = np.asarray(traces, float)
     gw = np.ones(traces.shape[1]) if gamma_weights is None else gamma_weights
     return ControlSignal(traces, np.asarray(profiles, float), gw,
-                         np.zeros(2), np.zeros(2), 0.0, 0.0, 1.0, 1.0, 0.0,
-                         grid, (1, -1))
+                         np.zeros(2 * K), np.zeros(2 * K), 0.0, 0.0, 1.0, 1.0,
+                         0.0, grid,
+                         tuple(x for n in range(1, K + 1) for x in (n, -n)))
 
 
 def manual_control(grid, profile):
@@ -39,22 +41,21 @@ def manual_control(grid, profile):
                           np.asarray(profile, float)[None, :])
 
 
-def zero_setup(T, h, modes, c=0.0):
+def zero_setup(T, h, count, c=0.0):
     grid = make_grid(T, h)
     kz = normalize(KernelSpec("zero", c=c), grid)
-    pairs = compute_eigenpairs(DOM, modes, alpha=c)
-    return grid, kz, pairs
+    return grid, kz, compute_eigenpairs(DOM, count, alpha=c)
 
 
 # ------------------------------------------------------------ trivial oracles
 
 
 def test_zero_control_gives_zero_state():
-    grid, kz, pairs = zero_setup(2.0, 2e-3, 4)
+    grid, kz, modes = zero_setup(2.0, 2e-3, 4)
     ctrl = manual_control(grid, np.zeros(len(grid)))
-    resp = compute_responses(kz, pairs)
-    for res in (simulate_convolution(resp, kz, ctrl, 4),
-                simulate_march(kz, pairs, ctrl, 4)):
+    resp = compute_responses(kz, modes)
+    for res in (simulate_convolution(resp, kz, ctrl),
+                simulate_march(kz, modes, ctrl)):
         assert np.all(res.theta_T == 0.0)
         assert np.all(res.theta_t_T == 0.0)
         assert res.tail_energy == 0.0
@@ -64,30 +65,28 @@ def test_sine_formula_oracle():
     # memoryless undamped: position coefficient reduces to the windowed
     # sine transform of the control against the scaled boundary trace
     T = 2.0
-    grid, kz, pairs = zero_setup(T, 1e-3, 3)
+    grid, kz, modes = zero_setup(T, 1e-3, 3)
     poly = grid.t ** 2 * (T - grid.t)
     ctrl = manual_control(grid, poly)
-    resp = compute_responses(kz, pairs)
-    res = simulate_convolution(resp, kz, ctrl, 3)
-    for p in pairs:
-        b = p.beta.real
-        trace = float(np.real(p.trace[0]))
+    resp = compute_responses(kz, modes)
+    res = simulate_convolution(resp, kz, ctrl)
+    for b, trace, theta in zip(modes.beta.real, modes.trace[:, 0],
+                               res.theta_T):
         ref = -trace / b * quad(
             lambda s: np.sin(b * s) * (T - s) ** 2 * (T - (T - s)),
             0.0, T, limit=200)[0]
-        assert abs(res.theta_T[p.index - 1] - ref) < 1e-5
+        assert abs(theta - ref) < 1e-5
 
 
 def test_superposition():
-    grid, kz, pairs = zero_setup(2.0, 2e-3, 5)
+    grid = make_grid(2.0, 2e-3)
     ke = normalize(EXP_KERNEL, grid)
-    pairs = compute_eigenpairs(DOM, 5, alpha=ke.alpha)
-    resp = compute_responses(ke, pairs)
+    resp = compute_responses(ke, compute_eigenpairs(DOM, 5, alpha=ke.alpha))
     f1 = np.sin(grid.t)
     f2 = np.cos(3 * grid.t) * grid.t
-    r1 = simulate_convolution(resp, ke, manual_control(grid, f1), 5)
-    r2 = simulate_convolution(resp, ke, manual_control(grid, f2), 5)
-    r12 = simulate_convolution(resp, ke, manual_control(grid, f1 + f2), 5)
+    r1 = simulate_convolution(resp, ke, manual_control(grid, f1))
+    r2 = simulate_convolution(resp, ke, manual_control(grid, f2))
+    r12 = simulate_convolution(resp, ke, manual_control(grid, f1 + f2))
     assert np.max(np.abs(r12.theta_T - (r1.theta_T + r2.theta_T))) < 1e-10
     assert np.max(np.abs(r12.theta_t_T - (r1.theta_t_T + r2.theta_t_T))) < 1e-10
 
@@ -98,12 +97,12 @@ def test_superposition():
 def two_route_gap(h):
     grid = make_grid(2.0, h)
     ke = normalize(EXP_KERNEL, grid)
-    pairs = compute_eigenpairs(DOM, 3, alpha=ke.alpha)
+    modes = compute_eigenpairs(DOM, 3, alpha=ke.alpha)
     ctrl = manual_control(grid, np.sin(grid.t) * (2.0 - grid.t))
-    resp = compute_responses(ke, pairs)
-    a = simulate_convolution(resp, ke, ctrl, 3)
-    b = simulate_march(ke, pairs, ctrl, 3)
-    return route_gap(a, b, ke, pairs), a, b, ke, pairs
+    resp = compute_responses(ke, modes)
+    a = simulate_convolution(resp, ke, ctrl)
+    b = simulate_march(ke, modes, ctrl)
+    return route_gap(a, b, ke), a, b, ke
 
 
 def test_two_routes_converge_at_order_two():
@@ -113,15 +112,15 @@ def test_two_routes_converge_at_order_two():
 
 
 def test_route_gap_check_trips_on_corruption():
-    _, a, b, ke, pairs = two_route_gap(2e-3)
+    _, a, b, ke = two_route_gap(2e-3)
     bad = dataclasses.replace(a, theta_T=a.theta_T + 1.0)
     with pytest.raises(InternalConsistencyError):
-        route_gap(bad, b, ke, pairs)
+        route_gap(bad, b, ke)
     # a NaN end state fails closed: the gap is NaN, not below the allowance
     theta_T = a.theta_T.copy()
     theta_T[1] = np.nan
     with pytest.raises(InternalConsistencyError):
-        route_gap(dataclasses.replace(a, theta_T=theta_T), b, ke, pairs)
+        route_gap(dataclasses.replace(a, theta_T=theta_T), b, ke)
 
 
 def test_energy_constant_after_control_release():
@@ -132,7 +131,7 @@ def test_energy_constant_after_control_release():
     h, T_ctrl = 2e-3, 2.5
     grid_ext = make_grid(T_ctrl + 2 * PI, h)
     kz = normalize(KernelSpec("zero"), grid_ext)
-    pairs = compute_eigenpairs(DOM, 6, alpha=0.0)
+    modes = compute_eigenpairs(DOM, 6, alpha=0.0)
     cut = round(T_ctrl / h)
     ctrl = manual_control(grid_ext.restrict(cut),
                           np.sin(2 * grid_ext.restrict(cut).t) ** 2)
@@ -140,9 +139,9 @@ def test_energy_constant_after_control_release():
     # from the first sample past the control's last one, which the
     # trapezoid rule still weighs by half at the release itself
     for steps in np.linspace(cut + 1, grid_ext.steps, 9).round().astype(int):
-        res = simulate_march(kz.restrict(steps), pairs, ctrl, 6)
+        res = simulate_march(kz.restrict(steps), modes, ctrl)
         energies.append(np.sum(res.theta_t_T.real ** 2
-                               + res.lambda_sq * res.theta_T.real ** 2))
+                               + res.modes.lambda_sq * res.theta_T.real ** 2))
     drift = np.max(np.abs(np.array(energies) - energies[0])) / energies[0]
     assert drift <= 1e-4
 
@@ -152,18 +151,14 @@ def test_energy_constant_after_control_release():
 
 def test_achieved_coefficients_degenerate_branch():
     dom = DomainSpec("interval", (PI,), q=0.75, c=0.5)
-    pairs = compute_eigenpairs(dom, 2, alpha=0.5)
-    assert pairs[0].in_J
-    grid = make_grid(1.0, 1e-2)
-    res_args = dict(tail_energy=0.0,
-                    K=2, K_sim=2, lambda_sq=np.array([p.lambda_sq for p in pairs]),
-                    beta=np.array([p.beta.real for p in pairs]), grid=grid)
-    from memwave import SimResult
+    modes = compute_eigenpairs(dom, 2, alpha=0.5)
+    assert modes.in_J[0]
     res = SimResult(theta_T=np.array([0.2, 0.4]),
-                    theta_t_T=np.array([0.3, 0.6]), **res_args)
-    xi, eta = achieved_coefficients(res, pairs)
+                    theta_t_T=np.array([0.3, 0.6]), tail_energy=0.0, K=2,
+                    modes=modes, grid=make_grid(1.0, 1e-2))
+    xi, eta = achieved_coefficients(res)
     assert xi[0] == 0.2 and eta[0] == 0.3          # velocity read directly
-    assert eta[1] == pytest.approx(0.6 / pairs[1].beta.real)
+    assert eta[1] == pytest.approx(0.6 / modes.beta[1].real)
 
 
 def test_mode_energy_weighting():
@@ -180,21 +175,20 @@ def test_mode_energy_weighting():
 def controlled_run():
     grid = make_grid(2.5 * PI, 2e-3)
     ke = normalize(EXP_KERNEL, grid)
-    pairs = compute_eigenpairs(DOM, 24, alpha=ke.alpha)
-    resp = compute_responses(ke, pairs)
+    resp = compute_responses(ke, compute_eigenpairs(DOM, 24, alpha=ke.alpha))
     head = resp.head(6)
     fam = viscoelastic_family(head)
     rng = np.random.default_rng(7)
     target = TargetState(rng.standard_normal(6) / np.arange(1, 7),
                          rng.standard_normal(6) / np.arange(1, 7), 6)
     sig = synthesize(build_moment_problem(fam, target))
-    return ke, pairs, resp, target, sig
+    return ke, resp, target, sig
 
 
 def test_controlled_modes_hit_target(controlled_run):
-    ke, pairs, resp, target, sig = controlled_run
-    res = simulate_convolution(resp, ke, sig, 24)
-    xi, eta = achieved_coefficients(res, pairs)
+    ke, resp, target, sig = controlled_run
+    res = simulate_convolution(resp, ke, sig)
+    xi, eta = achieved_coefficients(res)
     scale = np.linalg.norm(np.r_[target.xi, target.eta])
     err = np.linalg.norm(np.r_[xi[:6] - target.xi, eta[:6] - target.eta]) / scale
     # the convolution route shares its discrete ingredients with the
@@ -204,15 +198,15 @@ def test_controlled_modes_hit_target(controlled_run):
 
 
 def test_tail_spillover_weakens_with_mode_index(controlled_run):
-    ke, pairs, resp, _, sig = controlled_run
-    res = simulate_convolution(resp, ke, sig, 24)
+    ke, resp, _, sig = controlled_run
+    res = simulate_convolution(resp, ke, sig)
     assert np.isfinite(res.tail_energy) and res.tail_energy > 0
-    en = mode_energies(res.theta_T, res.theta_t_T, res.beta)
+    en = mode_energies(res.theta_T, res.theta_t_T, res.modes.beta.real)
     near, far = en[6:12], en[12:24]
     assert far.max() < near.max()
     assert far.mean() < near.mean()
     # doubling the simulated band only appends weaker modes
-    half = simulate_convolution(resp, ke, sig, 12)
+    half = simulate_convolution(resp.head(12), ke, sig)
     assert np.max(np.abs(half.theta_T - res.theta_T[:12])) < 1e-14
 
 
@@ -305,9 +299,9 @@ def test_node_rank_forcing_matches_the_column_route(case, padded,
     grid = make_grid(2.0, 2e-3)
     ke = normalize(EXP_KERNEL, grid)
     K_sim = 6
-    pairs = compute_eigenpairs(dom, K_sim, alpha=ke.alpha)
+    modes = compute_eigenpairs(dom, K_sim, alpha=ke.alpha)
     gw = dom.gamma_weights()
-    weighted = np.array([p.trace.real for p in pairs]) * gw
+    weighted = modes.trace * gw
     nodes = len(gw)
     cgrid = grid.restrict(800) if padded else grid
     rng = np.random.default_rng(5)
@@ -331,10 +325,10 @@ def test_node_rank_forcing_matches_the_column_route(case, padded,
         assert np.array_equal(H, ref)
     else:
         assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
-    node = simulate_march(ke, pairs, ctrl, K_sim)
+    node = simulate_march(ke, modes, ctrl)
     monkeypatch.setattr(memwave.simulate, "_forcing_convolution",
                         _column_route)
-    column = simulate_march(ke, pairs, ctrl, K_sim)
+    column = simulate_march(ke, modes, ctrl)
     for field in ("theta_T", "theta_t_T"):
         a, b = getattr(node, field), getattr(column, field)
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
@@ -344,40 +338,50 @@ def test_node_rank_forcing_matches_the_column_route(case, padded,
 
 
 def test_grid_mismatch_rejected():
-    grid, kz, pairs = zero_setup(2.0, 2e-3, 2)
+    grid, kz, modes = zero_setup(2.0, 2e-3, 2)
     other = make_grid(2.0, 1e-2)
     ctrl = manual_control(other, np.zeros(len(other)))
-    resp = compute_responses(kz, pairs)
+    resp = compute_responses(kz, modes)
     with pytest.raises(ConfigError):
-        simulate_convolution(resp, kz, ctrl, 2)
+        simulate_convolution(resp, kz, ctrl)
 
 
 def test_control_longer_than_simulation_rejected():
-    grid, kz, pairs = zero_setup(2.0, 2e-3, 2)
+    grid, kz, modes = zero_setup(2.0, 2e-3, 2)
     longer = make_grid(3.0, 2e-3)
     ctrl = manual_control(longer, np.zeros(len(longer)))
-    resp = compute_responses(kz, pairs)
+    resp = compute_responses(kz, modes)
     with pytest.raises(ConfigError):
-        simulate_convolution(resp, kz, ctrl, 2)
+        simulate_convolution(resp, kz, ctrl)
 
 
 def test_control_on_another_boundary_rejected():
     # the simulator weighs the modes' traces with the control's own
     # boundary weights, so the two must have as many boundary nodes
-    grid, kz, pairs = zero_setup(2.0, 2e-3, 2)
+    grid, kz, modes = zero_setup(2.0, 2e-3, 2)
     ctrl = factor_control(grid, np.ones((1, 2)), np.sin(grid.t)[None, :])
-    resp = compute_responses(kz, pairs)
-    for run in (lambda: simulate_convolution(resp, kz, ctrl, 2),
-                lambda: simulate_march(kz, pairs, ctrl, 2)):
+    resp = compute_responses(kz, modes)
+    for run in (lambda: simulate_convolution(resp, kz, ctrl),
+                lambda: simulate_march(kz, modes, ctrl)):
         with pytest.raises(ConfigError, match="numbers of boundary nodes"):
             run()
 
 
 def test_missing_modes_rejected():
-    grid, kz, pairs = zero_setup(2.0, 2e-3, 2)
+    grid, kz, modes = zero_setup(2.0, 2e-3, 4)
+    resp = compute_responses(kz, modes)
+    # a control over modes 1..4, simulated on modes 1..2
+    ctrl = factor_control(grid, np.ones((4, 1)),
+                          np.sin(np.outer(np.arange(1, 5), grid.t)), K=4)
+    with pytest.raises(ConfigError, match="only 2 simulated modes"):
+        simulate_convolution(resp.head(2), kz, ctrl)
+    with pytest.raises(ConfigError, match="only 2 simulated modes"):
+        simulate_march(kz, modes.take(slice(2)), ctrl)
+    # modes that are not 1..n
     ctrl = manual_control(grid, np.sin(grid.t))
-    resp = compute_responses(kz, pairs)
-    with pytest.raises(ConfigError):
-        simulate_convolution(resp, kz, ctrl, 4)       # responses stop at 2
-    with pytest.raises(ConfigError):
-        simulate_march(kz, pairs, ctrl, 4)
+    for rows in ([1, 2], [1, 0]):
+        with pytest.raises(ConfigError, match="modes 1..K_sim in order"):
+            simulate_convolution(compute_responses(kz, modes.take(rows)), kz,
+                                 ctrl)
+        with pytest.raises(ConfigError, match="modes 1..K_sim in order"):
+            simulate_march(kz, modes.take(rows), ctrl)

@@ -84,10 +84,10 @@ def test_march_sweep_bounds_converge_to_exact_at_order_two(spec):
     for n in (25, 50, 100):            # h = (pi / 2) / n: every horizon on grid
         grid = TimeGrid(2.5 * PI, 5 * n, 0.5 * PI / n)
         kernel = normalize(spec, grid)
-        pairs = compute_eigenpairs(DOM, K, kernel.alpha)
+        modes = compute_eigenpairs(DOM, K, kernel.alpha)
         march = (telegraph_family(compute_eigenpairs(DOM, K, 0.0), 0.0,
                                   grid),
-                 viscoelastic_family(compute_responses(kernel, pairs)))
+                 viscoelastic_family(compute_responses(kernel, modes)))
         errors.append([max(np.max(np.abs(a.frame_lower - b.frame_lower))
                            for a, b in zip(march_reps, reps))
                        for march_reps, reps in zip(
@@ -105,8 +105,8 @@ def march_route(doc):
     fam_t = telegraph_family(compute_eigenpairs(cfg.domain, cfg.K, c), c,
                              grid, gw)
     kernel = normalize(cfg.kernel, grid)
-    pairs = compute_eigenpairs(cfg.domain, cfg.K, kernel.alpha)
-    fam_v = viscoelastic_family(compute_responses(kernel, pairs), gw)
+    modes = compute_eigenpairs(cfg.domain, cfg.K, kernel.alpha)
+    fam_v = viscoelastic_family(compute_responses(kernel, modes), gw)
     reps = dict(zip(("telegraph", "visco"),
                     gram_sweep((fam_t, fam_v), steps)))
     return {key: value for name, rs in reps.items() for key, value in (
@@ -217,13 +217,13 @@ def families():
     family of the rectangle's 257-node right edge."""
     grid = make_grid(2.5 * PI, 1e-2)
     kernel = normalize(EXP, grid)
-    pairs = compute_eigenpairs(DOM, 4, kernel.alpha)
+    modes = compute_eigenpairs(DOM, 4, kernel.alpha)
     tel = telegraph_family(compute_eigenpairs(DOM, 4, 0.0), 0.0, grid)
-    vis = viscoelastic_family(compute_responses(kernel, pairs))
+    vis = viscoelastic_family(compute_responses(kernel, modes))
     rgrid = make_grid(2.5 * PI, 2e-2)
     rkernel = normalize(EXP, rgrid)
-    rpairs = compute_eigenpairs(RECT, 3, rkernel.alpha)
-    rect = viscoelastic_family(compute_responses(rkernel, rpairs),
+    rmodes = compute_eigenpairs(RECT, 3, rkernel.alpha)
+    rect = viscoelastic_family(compute_responses(rkernel, rmodes),
                                RECT.gamma_weights())
     assert rect.psi.shape[1] > 1
     return {"telegraph": tel, "visco": vis, "rectangle": rect}
@@ -345,11 +345,11 @@ def route_reports(route):
     """The memory family's reports at 1.5, 2 and 2.5 pi on one route."""
     grid = TimeGrid(2.5 * PI, 250)
     kernel = normalize(EXP, grid)
-    pairs = compute_eigenpairs(DOM, 3, kernel.alpha)
+    modes = compute_eigenpairs(DOM, 3, kernel.alpha)
     if route == "grid":
-        fam = viscoelastic_family(compute_responses(kernel, pairs))
+        fam = viscoelastic_family(compute_responses(kernel, modes))
         return gram_sweep([fam], [150, 200, 250])[0]
-    return exact_sweep(kernel, compute_eigenpairs(DOM, 3, 0.0), pairs, 0.0,
+    return exact_sweep(kernel, compute_eigenpairs(DOM, 3, 0.0), modes, 0.0,
                        DOM.gamma_weights(), [1.5 * PI, 2 * PI, 2.5 * PI])[1]
 
 
@@ -508,13 +508,13 @@ def _exact_profiles(K, c=0.0, spec=EXP):
     and of the telegraph family with parameter c, K modes each, on the
     interval of length pi."""
     kernel = normalize(spec, TimeGrid(2.5 * PI, 8))
-    pairs = compute_eigenpairs(DOM, K, kernel.alpha)
-    modes = memwave.exact.exact_modes(kernel.terms, kernel.alpha, pairs)
-    pairs_tel = compute_eigenpairs(DOM, K, c)
+    modes = compute_eigenpairs(DOM, K, kernel.alpha)
+    exact = memwave.exact.exact_modes(kernel.terms, kernel.alpha, modes)
+    modes_tel = compute_eigenpairs(DOM, K, c)
     members = memwave.exact._exponential_members
-    return [members(pairs, modes.roots, modes.Z)[:2],
-            members(pairs_tel, *memwave.exact.transformed_exponential_terms(
-                pairs_tel, c))[:2]]
+    return [members(modes, exact.roots, exact.Z)[:2],
+            members(modes_tel, *memwave.exact.transformed_exponential_terms(
+                modes_tel, c))[:2]]
 
 
 @pytest.mark.parametrize("K", [8, 60])

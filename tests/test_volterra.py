@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from memwave import volterra
 from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
-                     asymptotic_residual, comparator_profile,
+                     Spectrum, asymptotic_residual, comparator_profile,
                      compute_eigenpairs, compute_responses, TimeGrid,
                      convolve, make_grid, march_modal, normalize, refined_S)
 from memwave import InternalConsistencyError
@@ -22,16 +23,16 @@ def zero_kernel(T, h, c=0.0):
     return normalize(KernelSpec("zero", c=c), make_grid(T, h))
 
 
-def Z_forcing(kernel, pairs):
-    """The forcing of the Z equation, a row per pair."""
-    return kernel.Np + _forcing_factors(pairs)[:, None] * kernel.N
+def Z_forcing(kernel, modes):
+    """The forcing of the Z equation, a row per mode."""
+    return kernel.Np + _forcing_factors(modes)[:, None] * kernel.N
 
 
-def marched_Z(kernel, pairs):
-    """Z of every pair by the direct march, the route the
+def marched_Z(kernel, modes):
+    """Z of every mode by the direct march, the route the
     variation-of-constants assembly is checked against."""
-    return march_modal(kernel, np.array([p.lambda_sq for p in pairs]),
-                       kernel.alpha, forcing=Z_forcing(kernel, pairs))
+    return march_modal(kernel, modes.lambda_sq, kernel.alpha,
+                       forcing=Z_forcing(kernel, modes))
 
 
 @pytest.fixture(scope="module")
@@ -81,20 +82,20 @@ def test_z_order_two_under_halving():
 def test_Z_pure_exponential_oracle():
     # memoryless undamped: the assembled response is exactly e^{i n t}
     ker = zero_kernel(2 * PI, 1e-3)
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, alpha=0.0)
-    Z = compute_responses(ker, pairs).Z
-    for i, p in enumerate(pairs):
-        assert np.max(np.abs(Z[i] - np.exp(1j * p.index * ker.t))) < 2e-5
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, alpha=0.0)
+    Z = compute_responses(ker, modes).Z
+    assert np.max(np.abs(Z - np.exp(1j * modes.index[:, None] * ker.t))) \
+        < 2e-5
 
 
 def test_degenerate_mode_closed_form():
     # J-mode construction q = 1 - c^2 (memoryless): exact polynomial form
     c = 0.5
     dom = DomainSpec("interval", (PI,), q=1 - c * c, c=c)
-    pairs = compute_eigenpairs(dom, 1, alpha=c)
-    assert pairs[0].in_J
+    modes = compute_eigenpairs(dom, 1, alpha=c)
+    assert modes.in_J[0]
     ker = zero_kernel(2.0, 1e-3, c=c)
-    r = compute_responses(ker, pairs)
+    r = compute_responses(ker, modes)
     t = ker.t
     exactZ = np.exp(c * t) * (1.0 + (c + 1j) * t)
     assert np.max(np.abs(r.Z[0] - exactZ)) < 2e-6
@@ -102,7 +103,7 @@ def test_degenerate_mode_closed_form():
     # side G of the S equation is exactly its transformed-exponential base
     exactS = 1.0 + (c + 1j) * t
     assert np.max(np.abs(r.S[0] - exactS)) < 2e-6
-    assert np.max(np.abs(transformed_exponential(pairs, c, t)[0] - exactS)) \
+    assert np.max(np.abs(transformed_exponential(modes, c, t)[0] - exactS)) \
         < 1e-12
 
 
@@ -114,8 +115,8 @@ def test_two_route_agreement_memory(c):
     dom = DomainSpec("interval", (PI,), c=c)
     ker = normalize(KernelSpec("exponential_sum", c=c, coefficients=(1.0,),
                                rates=(1.0,)), make_grid(PI, 1e-3))
-    pairs = compute_eigenpairs(dom, 40, alpha=ker.alpha)
-    some = pairs[::7] + [pairs[-1]]
+    some = compute_eigenpairs(dom, 40, alpha=ker.alpha).take(
+        [0, 7, 14, 21, 28, 35, 39])
     Zv = compute_responses(ker, some).Z
     worst = float(np.max(np.abs(Zv - marched_Z(ker, some))))
     assert worst < 1e-5
@@ -124,43 +125,44 @@ def test_two_route_agreement_memory(c):
 def test_route_gap_shrinks_with_grid():
     dom = DomainSpec("interval", (PI,))
     spec = KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,))
-    pair = compute_eigenpairs(dom, 12, alpha=-0.5)[11]
+    mode = compute_eigenpairs(dom, 12, alpha=-0.5).take([11])
     gaps = []
     for h in (2e-3, 1e-3):
         ker = normalize(spec, make_grid(PI, h))
-        Zv = compute_responses(ker, [pair]).Z
-        gaps.append(float(np.max(np.abs(Zv - marched_Z(ker, [pair])))))
+        Zv = compute_responses(ker, mode).Z
+        gaps.append(float(np.max(np.abs(Zv - marched_Z(ker, mode)))))
     assert gaps[1] < gaps[0] / 3.0
 
 
 def test_responses_keep_their_z_route_gap_ratio(memory_kernel):
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=-0.5)
-    resp = compute_responses(memory_kernel, pairs)
-    Zm = marched_Z(memory_kernel, pairs)
-    for i, p in enumerate(pairs):
-        gap = np.max(np.abs(resp.Z[i] - Zm[i]))
-        ratio = resp.z_gap_ratio[i]
-        assert ratio == pytest.approx(gap / _consistency_tol(memory_kernel, p))
-        assert 0.0 < ratio < 1.0
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=-0.5)
+    resp = compute_responses(memory_kernel, modes)
+    gaps = np.max(np.abs(resp.Z - marched_Z(memory_kernel, modes)), axis=1)
+    ratios = resp.z_gap_ratio
+    assert ratios == pytest.approx(
+        gaps / _consistency_tol(memory_kernel, modes.beta))
+    assert np.all((0.0 < ratios) & (ratios < 1.0))
 
 
 def test_nan_z_route_gap_fails_closed(memory_kernel):
     # a NaN gap compares False against any allowance; it must not pass
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 2, alpha=-0.5)
-    z = march_modal(memory_kernel, pairs[1].lambda_sq, memory_kernel.alpha)
-    Zm = marched_Z(memory_kernel, [pairs[1]])
+    mode = compute_eigenpairs(DomainSpec("interval", (PI,)), 2,
+                              alpha=-0.5).take([1])
+    z = march_modal(memory_kernel, mode.lambda_sq, memory_kernel.alpha)
+    Zm = marched_Z(memory_kernel, mode)
     Zm[0, Zm.shape[1] // 2] = np.nan
-    with pytest.raises(InternalConsistencyError, match="gap nan"):
-        _assemble_Z(memory_kernel, [pairs[1]], z[None], Zm)
+    with pytest.raises(InternalConsistencyError, match="mode 2: gap nan"):
+        _assemble_Z(memory_kernel, mode, z, Zm)
 
 
 def test_restriction_matches_fresh_computation(memory_kernel):
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 2, alpha=-0.5)
-    full = compute_responses(memory_kernel, pairs[1:])
+    mode = compute_eigenpairs(DomainSpec("interval", (PI,)), 2,
+                              alpha=-0.5).take([1])
+    full = compute_responses(memory_kernel, mode)
     half_steps = memory_kernel.grid.steps // 2
     sliced = full.restrict(half_steps)
     fresh_ker = memory_kernel.restrict(half_steps)
-    fresh = compute_responses(fresh_ker, pairs[1:])
+    fresh = compute_responses(fresh_ker, mode)
     assert sliced.grid == fresh.grid == fresh_ker.grid
     # marches are causal: restriction of the fields is exact
     assert np.array_equal(sliced.z, fresh.z)
@@ -173,19 +175,18 @@ def test_restriction_matches_fresh_computation(memory_kernel):
 
 def test_batch_independence(memory_kernel):
     # a mode's result must not depend on which other modes share its batch
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 12, alpha=-0.5)
-    some = [pairs[1], pairs[6], pairs[10]]
-    big = compute_responses(memory_kernel, pairs)
-    small = compute_responses(memory_kernel, some)
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 12, alpha=-0.5)
+    rows = [1, 6, 10]
+    big = compute_responses(memory_kernel, modes)
+    small = compute_responses(memory_kernel, modes.take(rows))
     march = {len(batch): marched_Z(memory_kernel, batch)
-             for batch in (pairs, some)}
-    for j, p in enumerate(some):
-        i = p.index - 1                     # the row of p in the big batch
+             for batch in (modes, modes.take(rows))}
+    for j, i in enumerate(rows):            # row i of the big batch
         assert np.array_equal(big.z[i], small.z[j])
         assert np.array_equal(big.Z[i], small.Z[j])
         assert np.array_equal(march[12][i], march[3][j])
-        one = compute_responses(memory_kernel, [p])
-        Zm = marched_Z(memory_kernel, [p])[0]
+        one = compute_responses(memory_kernel, modes.take([i]))
+        Zm = marched_Z(memory_kernel, modes.take([i]))[0]
         assert np.max(np.abs(big.z[i] - one.z[0])) \
             <= 1e-14 * np.max(np.abs(one.z[0]))
         assert np.max(np.abs(big.Z[i] - one.Z[0])) \
@@ -276,10 +277,10 @@ def test_tabulated_batch_row_equals_single_mode():
     # own single-mode march
     grid = make_grid(2.5 * PI, 1e-3)
     ker = normalize(_tabulated_exp(grid), grid)
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 12,
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 12,
                                alpha=ker.alpha)
-    lams = np.array([p.lambda_sq for p in pairs])
-    forcing = Z_forcing(ker, pairs)
+    lams = modes.lambda_sq
+    forcing = Z_forcing(ker, modes)
     z = march_modal(ker, lams, ker.alpha)
     Z = march_modal(ker, lams, ker.alpha, forcing=forcing)
     for i in (0, 5, 11):
@@ -326,10 +327,10 @@ def test_tabulated_march_overflow_fails_closed():
 def test_assembled_convolutions_are_the_one_kernel_calls(memory_kernel):
     # N and N' are convolved against z in one batched call, which gives
     # each row the bits of its one-kernel call
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=-0.5)
-    resp = compute_responses(memory_kernel, pairs)
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=-0.5)
+    resp = compute_responses(memory_kernel, modes)
     h = memory_kernel.h
-    for i in range(len(pairs)):
+    for i in range(len(modes)):
         z = resp.z[i]
         assert np.array_equal(resp.Nz[i], convolve(memory_kernel.N, z, h))
         assert np.array_equal(resp.Npz[i], convolve(memory_kernel.Np, z, h))
@@ -392,23 +393,22 @@ def test_batch_of_one_equals_batch_row(family):
 
 
 def test_refined_S_matches_direct_at_low_modes(memory_kernel):
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 5, alpha=-0.5)
-    S = compute_responses(memory_kernel, pairs).S
-    Sr = refined_S(memory_kernel, pairs)
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 5, alpha=-0.5)
+    S = compute_responses(memory_kernel, modes).S
+    Sr = refined_S(memory_kernel, modes)
     assert Sr.shape == S.shape
-    for i in range(len(pairs)):
-        assert np.max(np.abs(Sr[i] - S[i])) < 5e-5
+    assert np.all(np.max(np.abs(Sr - S), axis=1) < 5e-5)
 
 
-def direct_refined_S(kernel, pair):
-    """Reference refined S: the product-trapezoid march of S = G + W*S,
-    O(m^2), on the same G and W as refined_S (W(0) = 0 makes each step
-    explicit)."""
-    b = pair.beta
-    mu = pair.lambda_sq / (b * b)
+def direct_refined_S(kernel, mode):
+    """Reference refined S of a one-mode batch: the product-trapezoid
+    march of S = G + W*S, O(m^2), on the same G and W as refined_S
+    (W(0) = 0 makes each step explicit)."""
+    (b,), (lam,) = mode.beta.tolist(), mode.lambda_sq.tolist()
+    mu = lam / (b * b)
     t, h = kernel.t, kernel.h
     sb = np.sin(b * t)
-    base = transformed_exponential([pair], kernel.alpha, t)[0]
+    base = transformed_exponential(mode, kernel.alpha, t)[0]
     G = base + convolve(kernel.N1, base, h)
     Q = kernel.N1p[0] * sb + convolve(kernel.N1pp, sb, h)
     W = -mu * kernel.N1 + (mu / b) * Q
@@ -426,47 +426,47 @@ def direct_refined_S(kernel, pair):
 ])
 def test_refined_S_matches_direct_march(spec):
     ker = normalize(spec, make_grid(2.5 * PI, 1e-3))
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,), c=spec.c), 40,
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,), c=spec.c), 40,
                                alpha=ker.alpha)
-    picked = [pairs[0], pairs[9], pairs[39]]
-    for p, S in zip(picked, refined_S(ker, picked)):
-        ref = direct_refined_S(ker, p)
+    rows = [0, 9, 39]
+    for i, S in zip(rows, refined_S(ker, modes.take(rows))):
+        ref = direct_refined_S(ker, modes.take([i]))
         assert np.max(np.abs(S - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_refined_S_self_converges():
     dom = DomainSpec("interval", (PI,))
     spec = KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,))
-    pair = compute_eigenpairs(dom, 30, alpha=-0.5)[29]
+    mode = compute_eigenpairs(dom, 30, alpha=-0.5).take([29])
     vals = []
     for h in (2e-3, 1e-3, 5e-4):
         ker = normalize(spec, make_grid(PI, h))
-        vals.append(refined_S(ker, [pair])[0, -1])
+        vals.append(refined_S(ker, mode)[0, -1])
     assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[1]) / 3.0
 
 
 def test_refined_S_rejects_degenerate(memory_kernel):
     dom = DomainSpec("interval", (PI,), q=1 - 0.25, c=0.5)
     ker = zero_kernel(1.0, 1e-3, c=0.5)
-    pairs = compute_eigenpairs(dom, 3, alpha=0.5)
-    assert pairs[0].in_J
+    modes = compute_eigenpairs(dom, 3, alpha=0.5)
+    assert modes.in_J[0]
     with pytest.raises(ConfigError, match="refined route"):
-        refined_S(ker, pairs)
+        refined_S(ker, modes)
     with pytest.raises(ConfigError, match="comparator"):
-        comparator_profile(ker, pairs)
+        comparator_profile(ker, modes)
 
 
 def test_comparator_reduces_to_exponential_without_memory():
     ker = zero_kernel(2.0, 1e-3)
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=0.0)
-    C = comparator_profile(ker, pairs)
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=0.0)
+    C = comparator_profile(ker, modes)
     assert np.max(np.abs(C - np.exp(np.arange(1, 5)[:, None] * 1j * ker.t))) \
         < 1e-12
 
 
 def test_asymptotic_residual_slope(memory_kernel):
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 40, alpha=-0.5)
-    usable = pairs[4:]
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 40, alpha=-0.5)
+    usable = modes.take(slice(4, None))
     fit = asymptotic_residual(usable, refined_S(memory_kernel, usable),
                               memory_kernel.h)
     assert fit["indices"] == list(range(5, 41))
@@ -474,23 +474,23 @@ def test_asymptotic_residual_slope(memory_kernel):
 
 
 def test_asymptotic_residual_needs_enough_modes(memory_kernel):
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=-0.5)
-    resp = compute_responses(memory_kernel, pairs)
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=-0.5)
+    resp = compute_responses(memory_kernel, modes)
     with pytest.raises(ConfigError, match="at least 8"):
-        asymptotic_residual(resp.pairs, resp.S, memory_kernel.h)
+        asymptotic_residual(resp.modes, resp.S, memory_kernel.h)
 
 
 def test_asymptotic_residual_refuses_a_non_finite_row(memory_kernel):
     # one NaN row used to give a NaN slope, and an all-NaN batch the
     # "residuals vanish identically" config error
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 12,
-                               alpha=-0.5)[2:]
-    S = refined_S(memory_kernel, pairs)
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 12,
+                               alpha=-0.5).take(slice(2, None))
+    S = refined_S(memory_kernel, modes)
     S[3, 100] = np.nan
     with pytest.raises(ConvergenceError, match="S of mode 6 is not finite"):
-        asymptotic_residual(pairs, S, memory_kernel.h)
+        asymptotic_residual(modes, S, memory_kernel.h)
     with pytest.raises(ConvergenceError, match="mode 3"):
-        asymptotic_residual(pairs, np.full_like(S, np.nan), memory_kernel.h)
+        asymptotic_residual(modes, np.full_like(S, np.nan), memory_kernel.h)
 
 
 def test_refined_S_refuses_a_non_finite_row():
@@ -498,45 +498,48 @@ def test_refined_S_refuses_a_non_finite_row():
     # division spreads the overflow over the row, so only the mode is named
     ker = normalize(KernelSpec("polynomial", coefficients=(-0.034, 4.2e7),
                                c=0.03), make_grid(6.42, 0.062))
-    pairs = compute_eigenpairs(DomainSpec("interval", (2.11,), c=0.03), 13,
-                               alpha=ker.alpha)[4:]
+    modes = compute_eigenpairs(DomainSpec("interval", (2.11,), c=0.03), 13,
+                               alpha=ker.alpha).take(slice(4, None))
     with pytest.raises(ConvergenceError,
                        match="refined S of mode 5 is not finite"):
-        refined_S(ker, pairs)
+        refined_S(ker, modes)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5])
 def test_refined_batches_are_their_one_pair_calls(c):
-    # every row of a batch equals the call on its pair alone, bit for bit
+    # every row of a batch equals the call on its mode alone, bit for bit
     ker = normalize(KernelSpec("exponential_sum", c=c, coefficients=(1.0,),
                                rates=(1.0,)), make_grid(2.0, 1e-3))
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,), c=c), 9,
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,), c=c), 9,
                                alpha=ker.alpha)
     for batch in (refined_S, comparator_profile):
-        rows = batch(ker, pairs)
+        rows = batch(ker, modes)
         assert rows.shape == (9, ker.grid.steps + 1)
-        for p, row in zip(pairs, rows):
-            assert np.array_equal(batch(ker, [p])[0], row)
-    # transformed_exponential on a batch with a pair on J (q = 1 - c^2)
+        for i, row in enumerate(rows):
+            assert np.array_equal(batch(ker, modes.take([i]))[0], row)
+    # transformed_exponential on a batch with a mode on J (q = 1 - c^2)
     on_J = compute_eigenpairs(DomainSpec("interval", (PI,), q=0.75, c=0.5),
                               4, alpha=0.5)
-    assert on_J[0].in_J and not any(p.in_J for p in on_J[1:])
-    mixed = pairs[:3] + on_J
+    assert on_J.in_J.tolist() == [True, False, False, False]
+    mixed = Spectrum(*(np.concatenate([getattr(modes, f.name)[:3],
+                                       getattr(on_J, f.name)])
+                       for f in dataclasses.fields(Spectrum)))
     rows = transformed_exponential(mixed, 0.7, ker.t)
-    for p, row in zip(mixed, rows):
-        assert np.array_equal(transformed_exponential([p], 0.7, ker.t)[0], row)
+    for i, row in enumerate(rows):
+        assert np.array_equal(
+            transformed_exponential(mixed.take([i]), 0.7, ker.t)[0], row)
 
 
 def test_refined_S_memory_grows_by_its_rows_alone():
-    # chunks of REFINED_ROWS pairs: a batch three chunks long peaks
+    # chunks of REFINED_ROWS modes: a batch three chunks long peaks
     # above a one-chunk batch by little more than its extra output rows
     # (one division over the whole batch held every row's spectra and
     # peaked ~3x higher)
     ker = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
                                rates=(1.0,)), make_grid(2.5 * PI, 2e-3))
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 28,
-                               alpha=ker.alpha)[4:]
-    assert len(pairs) == 3 * volterra.REFINED_ROWS
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 28,
+                               alpha=ker.alpha).take(slice(4, None))
+    assert len(modes) == 3 * volterra.REFINED_ROWS
 
     def peak(batch):
         tracemalloc.start()
@@ -546,9 +549,10 @@ def test_refined_S_memory_grows_by_its_rows_alone():
         finally:
             tracemalloc.stop()
 
-    one, three = peak(pairs[:volterra.REFINED_ROWS]), peak(pairs)
+    one = peak(modes.take(slice(volterra.REFINED_ROWS)))
+    three = peak(modes)
     row_bytes = 16 * (ker.grid.steps + 1)
-    assert three - one <= 1.25 * (len(pairs) - volterra.REFINED_ROWS) \
+    assert three - one <= 1.25 * (len(modes) - volterra.REFINED_ROWS) \
         * row_bytes
 
 
@@ -597,21 +601,20 @@ EXACT_KERNELS = {
 def exact_of(spec, K, length=PI):
     gamma = -0.5 * spec.m0()
     alpha = spec.c + gamma
-    pairs = compute_eigenpairs(DomainSpec("interval", (length,), c=spec.c),
+    modes = compute_eigenpairs(DomainSpec("interval", (length,), c=spec.c),
                                K, alpha)
-    return exact_modes(kernel_terms(spec, gamma), alpha, pairs), alpha, pairs
+    return exact_modes(kernel_terms(spec, gamma), alpha, modes), alpha, modes
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_KERNELS))
 def test_exact_modes_start_at_one(name):
     # z(0) = Z(0) = 1 and the modal equations at t = 0, z'(0) = 2 alpha and
     # Z'(0) = 2 alpha + i beta, to rounding
-    modes, alpha, pairs = exact_of(EXACT_KERNELS[name], 12)
-    beta = np.array([p.beta for p in pairs])
-    for res, at0, slope in ((modes.z, 1.0, 2 * alpha),
-                            (modes.Z, 1.0, 2 * alpha + 1j * beta)):
+    exact, alpha, modes = exact_of(EXACT_KERNELS[name], 12)
+    for res, at0, slope in ((exact.z, 1.0, 2 * alpha),
+                            (exact.Z, 1.0, 2 * alpha + 1j * modes.beta)):
         assert np.max(np.abs(res.sum(axis=1) - at0)) <= 1e-13
-        assert np.max(np.abs((res * modes.roots).sum(axis=1) - slope)
+        assert np.max(np.abs((res * exact.roots).sum(axis=1) - slope)
                       / (1.0 + np.abs(slope))) <= 1e-13
 
 
@@ -621,12 +624,12 @@ def test_march_converges_to_exact_modes_at_order_two(name):
     errors = []
     for n in (200, 400, 800):
         ker = normalize(spec, TimeGrid(PI, n, PI / n))
-        pairs = compute_eigenpairs(DomainSpec("interval", (PI,), c=spec.c),
+        modes = compute_eigenpairs(DomainSpec("interval", (PI,), c=spec.c),
                                    4, ker.alpha)
-        resp = compute_responses(ker, pairs)
-        modes = exact_modes(ker.terms, ker.alpha, pairs)
-        E = np.exp(modes.roots[:, :, None] * ker.t)
-        z, Z = (np.einsum("kd,kdt->kt", r, E) for r in (modes.z, modes.Z))
+        resp = compute_responses(ker, modes)
+        exact = exact_modes(ker.terms, ker.alpha, modes)
+        E = np.exp(exact.roots[:, :, None] * ker.t)
+        z, Z = (np.einsum("kd,kdt->kt", r, E) for r in (exact.z, exact.Z))
         errors.append([np.max(np.abs(getattr(resp, f) - x))
                        for f, x in (("z", z), ("Z", Z))])
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
@@ -636,11 +639,11 @@ def test_march_converges_to_exact_modes_at_order_two(name):
 def test_exact_telegraph_terms_are_the_transformed_exponential():
     t = np.linspace(0.0, 2.0, 41)
     for c in (0.0, 0.7, 1.5):               # 1.5: mode 1 overdamped
-        pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, c)
-        rates, weights = transformed_exponential_terms(pairs, c)
+        modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, c)
+        rates, weights = transformed_exponential_terms(modes, c)
         closed = np.einsum("kd,kdt->kt", weights,
                            np.exp(rates[:, :, None] * t))
-        assert np.max(np.abs(closed - transformed_exponential(pairs, c, t))) \
+        assert np.max(np.abs(closed - transformed_exponential(modes, c, t))) \
             <= 1e-13
 
 
@@ -656,14 +659,14 @@ def test_exact_modes_refuse_what_they_cannot_certify():
     exp = KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,))
     terms = kernel_terms(exp, -0.5)
     # a mode on the degenerate set: exp(-t) with c = 1.5 has alpha = 1
-    modes, _, pairs = exact_of(KernelSpec("exponential_sum", c=1.5,
+    exact, _, modes = exact_of(KernelSpec("exponential_sum", c=1.5,
                                           coefficients=(1.0,),
                                           rates=(1.0,)), 3)
-    assert pairs[0].in_J and modes is None
+    assert modes.in_J[0] and exact is None
     # Den's coefficients overflow
-    pairs = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, -0.5)
-    assert exact_modes(terms, 1e308, pairs) is None
-    assert exact_modes(terms, -0.5, pairs) is not None
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, -0.5)
+    assert exact_modes(terms, 1e308, modes) is None
+    assert exact_modes(terms, -0.5, modes) is not None
     # a root of Den meets one of Q: M = -exp(-t) normalises to N = 1, so
     # NQ / Q = w / (w (w + 1)) and Den vanishes at w = 0
     minus = KernelSpec("exponential_sum", coefficients=(-1.0,), rates=(1.0,))
