@@ -337,7 +337,7 @@ def _run_verify(cfg, adir):
     # of modes K+1..K_sim, whose sum is the tail energy
     gaps = mode_gaps(conv, march)
     spill = mode_energies(conv.theta_T, conv.theta_t_T,
-                          conv.modes.beta.real)[cfg.K:]
+                          conv.modes.beta)[cfg.K:]
     z_ratios = sim_resp.z_gap_ratio
     _write_json(os.path.join(adir, "verdict.json"), {
         "verdict": verdict,

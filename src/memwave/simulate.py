@@ -16,6 +16,12 @@ Two routes compute the end state of the controlled modes:
     directly and knows nothing about the family.  Agreement of the two
     within the scheme allowance is the end-to-end cross-validation.
 
+The simulator takes the control the family was solved for: its traces
+must be the simulated modes' own, bit for bit (both are spectral's
+computed trace), so a control solved on another boundary is refused.
+An overdamped mode (imaginary beta) has no settled velocity basis, so
+the read-off (achieved_coefficients) and the energies refuse it.
+
 Both routes simulate the Spectrum batch (spectral) they are handed,
 which must be the modes 1..K_sim, as one batch with time on the last
 axis: the forcings F_n form one (K_sim, steps+1) array, a row per mode,
@@ -35,7 +41,12 @@ march route needs N * F at every sample; by linearity of the product
 trapezoid it convolves the fewest rows among the node rows of f, the
 K_sim rows of F and the K profiles (_forcing_convolution): one node row
 on the interval (3 transforms where the 12 rows of F take 25), the rows
-of F on the rectangle benchmark's 257-node edge.
+of F on the rectangle benchmark's 257-node edge.  The march is linear
+too, and takes its forcing as real rows (volterra.march_modal): on a
+one-node boundary, as on the interval, N * F_n = w_n (N * f), so the
+one row N * f is marched as a row every mode shares and each response
+is scaled by -w_n afterwards, with no (K_sim, steps+1) forcing built;
+other boundaries march N * F, a row per mode.
 
 The simulation grid may extend past the control horizon (the control is
 zero-padded), which is how post-control energy conservation is checked
@@ -103,12 +114,30 @@ def _forcing_convolution(kernel: NormalizedKernel, weighted: np.ndarray,
                          length)
 
 
+def _forcing_rows(kernel: NormalizedKernel, weighted: np.ndarray,
+                  control: ControlSignal, length: int):
+    """The march's forcing rows and the per-mode scale s that makes them
+    the forcings H = N * F, H_k = s_k rows_k.  A one-node control forces
+    mode k with w_k (N * f): the one row N * f, (1, length), is shared by
+    every mode and s = w, (K_sim,).  Any other control gives H
+    (_forcing_convolution), a row per mode, (K_sim, 1, length), and
+    s = 1."""
+    if control.traces.shape[1] == 1:
+        return convolve(kernel.N, _mode_forcing(
+            control.traces.T, control.profiles, length),
+            kernel.h), weighted[:, 0]
+    return _forcing_convolution(kernel, weighted, control,
+                                length)[:, None], 1.0
+
+
 def _setup(kernel: NormalizedKernel, control: ControlSignal,
            modes: Spectrum):
     """Check the simulated modes (1..K_sim in order, at least the
-    control's modes 1..K) and the control's grid and boundary node count
-    against the simulation's; the (K_sim, nodes) weighted traces of the
-    modes, the grid length and K."""
+    control's modes 1..K), the control's grid against the simulation's,
+    and the control's traces against the traces of modes 1..K, which
+    they are, bit for bit, when the control was solved for these modes
+    (the family carries spectral's computed trace): the (K_sim, nodes)
+    weighted traces of the modes, the grid length and K."""
     K = max(abs(n) for n in control.index_set)
     if not np.array_equal(modes.index, np.arange(1, len(modes) + 1)):
         raise ConfigError("simulation needs the modes 1..K_sim in order")
@@ -121,14 +150,31 @@ def _setup(kernel: NormalizedKernel, control: ControlSignal,
             f"{kernel.h!r}; runs own exactly one step size")
     if control.profiles.shape[1] > kernel.grid.steps + 1:
         raise ConfigError("control grid longer than simulation grid")
-    if modes.trace.shape[1] != control.traces.shape[1]:
-        raise ConfigError("control and simulated modes have different "
-                          "numbers of boundary nodes")
+    if not np.array_equal(control.traces, modes.trace[:K]):
+        raise ConfigError(
+            f"control traces {control.traces.shape} are not the traces of "
+            f"the simulated modes 1..{K} {modes.trace[:K].shape}: the "
+            f"control was solved on another boundary or for other modes")
     return modes.trace * control.gamma_weights, kernel.grid.steps + 1, K
 
 
+def _damped_basis(beta, index):
+    """ConfigError naming the first overdamped mode (imaginary beta off
+    the degenerate set), whose velocity basis is not settled."""
+    over = np.asarray(beta).imag != 0.0
+    if over.any():
+        i = int(np.argmax(over))
+        raise ConfigError(
+            f"mode {index[i]} is overdamped (beta = {complex(beta[i]):.4g}): "
+            f"its velocity coefficient and state energy are not defined yet")
+
+
 def mode_energies(theta_T, theta_t_T, beta) -> np.ndarray:
-    """Per-mode state-norm energy; beta = 0 marks the degenerate basis."""
+    """Per-mode state-norm energy of the modes 1..n with beta (complex or
+    real); beta = 0 marks the degenerate basis.  An overdamped mode
+    (imaginary beta) raises ConfigError naming it."""
+    _damped_basis(beta, np.arange(1, len(beta) + 1))
+    beta = np.real(beta)
     safe = np.where(beta == 0.0, 1.0, beta)
     vel = np.where(beta == 0.0, theta_t_T, theta_t_T / safe)
     return np.abs(theta_T) ** 2 + np.abs(vel) ** 2
@@ -136,8 +182,7 @@ def mode_energies(theta_T, theta_t_T, beta) -> np.ndarray:
 
 def _finalize(theta_T, theta_t_T, K, modes, grid):
     """SimResult of modes 1..K_sim from their (K_sim,) end states."""
-    tail = float(np.sum(mode_energies(theta_T, theta_t_T,
-                                      modes.beta.real)[K:]))
+    tail = float(np.sum(mode_energies(theta_T, theta_t_T, modes.beta)[K:]))
     return SimResult(theta_T, theta_t_T, tail, K, modes, grid)
 
 
@@ -159,20 +204,27 @@ def simulate_convolution(responses: ModalResponses, kernel: NormalizedKernel,
 def simulate_march(kernel: NormalizedKernel, modes: Spectrum,
                    control: ControlSignal) -> SimResult:
     """Independent route: direct time-marching of the forced modal
-    system of modes, which must be modes 1..K_sim."""
+    system of modes, which must be modes 1..K_sim.
+
+    The march gives the zero-state response u of mode k to its forcing
+    row (_forcing_rows), and theta_k = -s_k u is scaled afterwards.
+    """
     weighted, length, K = _setup(kernel, control, modes)
-    H = _forcing_convolution(kernel, weighted, control, length)
-    theta = march_modal(kernel, modes.lambda_sq, kernel.alpha, y0=0.0,
-                        forcing=-H, label=f"(sim modes 1..{len(modes)})")
-    memory = convolve_end(kernel.N, theta, kernel.h)
-    theta = theta[:, -1].copy()
-    theta_t = 2.0 * kernel.alpha * theta - modes.lambda_sq * memory - H[:, -1]
-    return _finalize(theta, theta_t, K, modes, kernel.grid)
+    rows, scale = _forcing_rows(kernel, weighted, control, length)
+    u = march_modal(kernel, modes.lambda_sq, kernel.alpha, y0=0.0,
+                    forcing=rows, label=f"(sim modes 1..{len(modes)})")[:, 1]
+    memory = convolve_end(kernel.N, u, kernel.h)
+    u_T = u[:, -1]
+    u_t = 2.0 * kernel.alpha * u_T - modes.lambda_sq * memory \
+        + rows[..., 0, -1]
+    return _finalize(-scale * u_T, -scale * u_t, K, modes, kernel.grid)
 
 
 def achieved_coefficients(result: SimResult):
-    """Read (xi, eta) off the final state, honoring the degenerate-set basis."""
+    """Read (xi, eta) off the final state, honoring the degenerate-set
+    basis; an overdamped mode raises ConfigError naming it."""
     m = result.modes
+    _damped_basis(m.beta, m.index)
     return (result.theta_T.copy(),
             result.theta_t_T / np.where(m.in_J, 1.0, m.beta.real))
 

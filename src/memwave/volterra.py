@@ -13,38 +13,50 @@ trapezoid rule of the equivalent second-order form, so it is
 unconditionally stable at any step for the memoryless limit and remains
 stable at the default grids for the smooth kernels supported here.
 
-Cost model for a march of m steps over K modes.  For the closed-form
-families N is known exactly (kernels.KernelTerms), so the
+One march, real columns.  The scheme is linear, so march_modal marches
+real columns only: the response to y(0) = y0 and the zero-state
+response to each real forcing row, the rows (r, m+1) shared by every
+mode or (K, r, m+1) given per mode.  compute_responses makes one call
+with the rows (N', N): column 0 is z, and the marched Z is
+z + Y' + i beta Y with Y' and Y the responses to N' and N, never formed
+as a complex forcing.
+
+Cost model for a march of m steps over K modes and r rows.  For the
+closed-form families N is known exactly (kernels.KernelTerms), so the
 product-trapezoid history sum is carried exactly by a handful of states
 per mode, and one step is a fixed linear map on d = 2 + (polynomial
 terms) + (decay rates) numbers.  The march applies it BLOCK = B steps
-at a time with batched matrix products (_march_blocks): O(m K (B + d))
-flops and ceil(m/B) Python iterations.  A tabulated kernel has no
-closed form; eliminating the memory integral turns its whole march into
-one power-series division over all modes (_march_series,
-kernels.series_divide), O(K m log m) by Newton iteration with FFT
-products.  On closed forms that division is 7-10x slower than the block
-march (~15 ms against ~2 ms for a z and a Z march of 12 modes at
-h = 1e-3), so they keep the block march.  The discretisation is the
-same either way; only the rounding differs.
+at a time with batched matrix products (_march_blocks), the map and its
+powers built once for every column: O(m K (1 + r) (B + d)) flops,
+ceil(m/B) Python iterations for the response to y0 and log2(m/B)
+doubling passes for the rows.  A tabulated kernel has no closed form;
+eliminating the memory integral turns its whole march into one
+power-series division over all modes and columns (_march_series,
+kernels.series_divide), O(K (1 + r) m log m) by Newton iteration with
+FFT products, each mode's 1/den found once.  On closed forms that
+division is ~14x slower than the block march (~43 ms against ~3 ms for
+the march of 12 modes with the rows N' and N at h = 1e-3), so they keep
+the block march.  The discretisation is the same either way; only the
+rounding differs.
 
 Layout.  A batch of K modes is (K, m+1), time on the last axis, as
 everywhere else in memwave (family profiles, the control, the
-simulator): the forcing and the result of march_modal, and every field
-of the ModalResponses batch that compute_responses returns.  Every FFT
+simulator): every column of march_modal's result, and every field of
+the ModalResponses batch that compute_responses returns.  Every FFT
 then runs along contiguous rows, and a row of a batch is its one-mode
 call bit for bit.
 
 Z is additionally assembled by the variation-of-constants identity
-Z = z + N'*z + i beta (N*z), and the two routes are cross-checked; the
-assembled route is the one the batch keeps because the forward
-simulator shares its discrete ingredients, which keeps the synthesis /
-verification loop exactly consistent.  The assembly uses FFT
-convolutions of the sampled kernel, never the recurrence, so the check
-stays independent of the march; it convolves N and N' together against
-every mode of a batch in one call, which transforms z once and each of
-the 2K products back on its own.  The batch keeps z, Z, N*z and N'*z;
-S = exp(-alpha t) Z is computed when read.
+Z = z + N'*z + i beta (N*z), and the two routes are cross-checked, on
+the real differences Y' - N'*z and Y - N*z; the assembled route is the
+one the batch keeps because the forward simulator shares its discrete
+ingredients, which keeps the synthesis / verification loop exactly
+consistent.  The assembly uses FFT convolutions of the sampled kernel,
+never the recurrence, so the check stays independent of the march; it
+convolves N and N' together against every mode of a batch in one call,
+which transforms z once and each of the 2K products back on its own.
+The batch keeps z, N*z and N'*z; Z and S = exp(-alpha t) Z are computed
+when read.
 
 The refined small-residual route (refined_S / comparator_profile) exists
 because the marched phase error grows like T beta^3 h^2 / 12 and would
@@ -76,29 +88,34 @@ from .spectral import Spectrum
 
 
 # the (K, m+1) fields of a ModalResponses batch
-_ROWS = ("z", "Z", "Nz", "Npz")
+_ROWS = ("z", "Nz", "Npz")
 
 
 @dataclass(frozen=True)
 class ModalResponses:
     """The modal responses of a batch of modes, time on the last axis.
 
-    Row i of z, Z, Nz and Npz, and entry i of z_gap_ratio, belong to
-    row i of modes.  Z is the variation-of-constants assembly; Nz = N * z
-    and Npz = N' * z are the discrete ingredients the simulator reuses
-    verbatim; z_gap_ratio is each mode's two-route Z gap over its
-    allowance on the grid the batch was marched on.  grid is
-    TimeGrid(m h, m, h) on the kernel's step h.
+    Row i of z, Nz and Npz, and entry i of z_gap_ratio, belong to row i
+    of modes.  Nz = N * z and Npz = N' * z are the discrete ingredients
+    the simulator reuses verbatim; z_gap_ratio is each mode's two-route
+    Z gap over its allowance on the grid the batch was marched on.  grid
+    is TimeGrid(m h, m, h) on the kernel's step h.
     """
 
     modes: Spectrum
     z: np.ndarray            # (K, m+1) real
-    Z: np.ndarray            # (K, m+1) complex
     Nz: np.ndarray           # (K, m+1)
     Npz: np.ndarray          # (K, m+1)
     z_gap_ratio: np.ndarray  # (K,)
     grid: TimeGrid
     alpha: float
+
+    @property
+    def Z(self) -> np.ndarray:
+        """The variation-of-constants Z = z + N'*z + i beta (N*z), with i
+        on the degenerate set, computed when read."""
+        return self.z + self.Npz + _forcing_factors(self.modes)[:, None] \
+            * self.Nz
 
     @property
     def S(self) -> np.ndarray:
@@ -140,8 +157,8 @@ BLOCK = 64
 REFINED_ROWS = 8
 
 
-def _step_map(terms: KernelTerms, h: float, A, B, Be0):
-    """One march step as the linear map x_j = M x_{j-1} + b F_{j-1}.
+def _step_map(terms: KernelTerms, h: float, A, B, Be0, D):
+    """One march step as the linear map x_j = M x_{j-1} + b G_{j-1}.
 
     The state of a mode is x = (y, I, S_0..S_P, Phi_1..Phi_D): the value,
     the memory integral and the history sums of N's closed form
@@ -155,8 +172,9 @@ def _step_map(terms: KernelTerms, h: float, A, B, Be0):
     Phi, so no entry of W is a difference of large numbers.  The history
     part of the memory integral is P_j = g s_j with g = B h (poly, a),
     and the trapezoid step over D reads
-        y_j = A y_{j-1} - I_{j-1} - P_j + F_{j-1},   I_j = P_j + Be0 y_j.
-    A, B and Be0 are (K,) arrays; returns M (K, d, d) and b (K, d).
+        y_j = A y_{j-1} - I_{j-1} - P_j + G_{j-1} / D,   I_j = P_j + Be0 y_j,
+    with G the trapezoided forcing, whose 1/D the map carries in b.
+    A, B, Be0 and D are (K,) arrays; returns M (K, d, d) and b (K, d).
     """
     rho = math.exp(terms.rate * h)
     npoly = len(terms.poly)
@@ -182,117 +200,136 @@ def _step_map(terms: KernelTerms, h: float, A, B, Be0):
     M[:, 0, 1] = -1.0
     M[:, 1] = P + Be0[:, None] * M[:, 0]
     b = np.zeros((K, ns + 2))
-    b[:, 0] = 1.0
-    b[:, 1] = Be0
+    b[:, 0] = 1.0 / D
+    b[:, 1] = Be0 / D
     return M, b
 
 
-def _march_blocks(kernel: NormalizedKernel, A, B, Be0, y0, F,
-                  dtype) -> np.ndarray:
-    """y_0..y_m of x_j = M x_{j-1} + b F_{j-1} (_step_map), BLOCK steps
-    per product.
+def _march_blocks(kernel: NormalizedKernel, A, B, Be0, D, y0: float,
+                  G) -> np.ndarray:
+    """y_0..y_m of x_j = M x_{j-1} + b G_{j-1} (_step_map), BLOCK steps
+    per product: the response to y0 and the zero-state response to each
+    row of G, (1 + r, K, m+1).
 
     From a block start state x_s,
-        y_{s+i} = e_0 M^i x_s + sum_{l<i} e_0 M^(i-1-l) b F_{s+l},
+        y_{s+i} = e_0 M^i x_s + sum_{l<i} e_0 M^(i-1-l) b G_{s+l},
     a zero-input part and a lower-triangular Toeplitz zero-state part,
     each one batched matrix product over every block at once; only the
-    block start states are carried, by a loop of ceil(m/BLOCK) tiny
-    updates.  M is real, so complex data runs as its real and imaginary
-    parts (rows of the same products).  Blocks are rows: BLAS gives a row
-    the same bits whatever the row count, so a march restricted to k
-    steps equals a fresh k-step march; a one-row product would go
-    through gemv, which sums in another order, hence at least two blocks.
-    The zero-state product takes BLOCK rows at a time (a lone last row
-    joins the chunk before it, for the same reason): a (BLOCK, BLOCK) @
-    (BLOCK, BLOCK) product runs on the calling thread, where all rows at
-    once, on a long grid, wake OpenBLAS's worker pool to spin on the
-    other cores (see control.node_blocks).
-    F is (K, m) or None, and is released once copied; returns (K, m+1).
+    block start states are carried.  The response to y0 carries them by
+    a loop of ceil(m/BLOCK) tiny updates and has a zero-input product of
+    its own, in the shapes of a march without rows, so it gets the same
+    bits with rows or without; it is zero, and not marched, when y0 is.
+    The rows are G (r, m), shared by every mode, or (K, r, m): matmul
+    broadcasts either against the per-mode matrices, so shared rows get
+    the bits of the same rows given per mode.  Blocks are rows: BLAS
+    gives a row the same bits whatever the row count, so a march
+    restricted to k steps equals a fresh k-step march; a one-row product
+    would go through gemv, which sums in another order, hence at least
+    two blocks.  The zero-state product takes BLOCK rows at a time (a
+    lone last row joins the chunk before it, for the same reason): a
+    (BLOCK, BLOCK) @ (BLOCK, BLOCK) product runs on the calling thread,
+    where all rows at once, on a long grid, wake OpenBLAS's worker pool
+    to spin on the other cores (see control.node_blocks).
     """
-    M, b = _step_map(kernel.terms, kernel.h, A, B, Be0)
+    M, b = _step_map(kernel.terms, kernel.h, A, B, Be0, D)
     m = kernel.grid.steps
     K, d, _ = M.shape
-    c = 2 if dtype is complex else 1
+    r = 0 if G is None else G.shape[-2]
     nb = max(-(-m // BLOCK), 2)
     Mi = np.empty((BLOCK + 1, K, d, d))          # Mi[i] = M^i
     Mi[0] = np.eye(d)
     for i in range(1, BLOCK + 1):
         Mi[i] = Mi[i - 1] @ M
-    # zero-input rows e_0 M^i (i = 1..B) as (K, d, B), M^i b (i < B)
+    # zero-input rows e_0 M^i (i = 1..B) as (K, d, B)
     R = np.ascontiguousarray(Mi[1:, :, 0, :].transpose(1, 2, 0))
-    Mb = np.einsum("ikde,ke->kid", Mi[:BLOCK], b)
     MBT = np.ascontiguousarray(Mi[BLOCK].transpose(0, 2, 1))
-    y0_parts = np.asarray(y0, dtype=dtype).reshape(1).view(float)
-    X = np.empty((nb, K, c, d))                   # block start states
-    X[0] = 0.0
-    X[0, :, :, 0] = y0_parts
-    X[0, :, :, 2] = -0.5 * y0_parts
-    if F is None:
-        Y = np.zeros((K, c * nb, BLOCK))
-        for k in range(nb - 1):
-            X[k + 1] = X[k] @ MBT
+    out = np.empty((1 + r, K, m + 1))
+    out[:, :, 0] = 0.0
+    if y0 == 0.0:
+        out[0] = 0.0
     else:
-        Fb = np.zeros((K, c, nb * BLOCK))
-        Fb[:, 0, :m] = F.real
-        if c == 2:
-            Fb[:, 1, :m] = F.imag
-        del F       # peak memory: the caller keeps no reference
-        Fb = Fb.reshape(K, c * nb, BLOCK)
-        # zero-state: T[l, i] = e_0 M^(i-l) b for i >= l, else 0
-        padded = np.concatenate([np.zeros((K, BLOCK - 1)), Mb[:, :, 0]], axis=1)
-        T = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(
-            padded, BLOCK, axis=1)[:, ::-1])
-        Y = np.empty((K, c * nb, BLOCK))
-        stops = list(range(BLOCK, c * nb - 1, BLOCK)) + [c * nb]
-        for start, stop in zip([0] + stops, stops):
-            np.matmul(Fb[:, start:stop], T, out=Y[:, start:stop])
-        # block-end state drive sum_l M^(B-1-l) b F_{s+l}
-        GF = (Fb @ np.ascontiguousarray(Mb[:, ::-1])).reshape(
-            K, c, nb, d).transpose(2, 0, 1, 3)
-        del Fb, T   # freed before the zero-input product: peak memory
+        X = np.zeros((nb, K, 1, d))              # block start states
+        X[0, :, 0, 0] = y0
+        X[0, :, 0, 2] = -0.5 * y0
         for k in range(nb - 1):
-            X[k + 1] = X[k] @ MBT + GF[k]
-    Y += np.ascontiguousarray(X.transpose(1, 2, 0, 3)).reshape(
-        K, c * nb, d) @ R
-    Y = Y.reshape(K, c, nb * BLOCK)
-    out = np.empty((K, m + 1), dtype=dtype)
-    out[:, 0] = y0
-    out.real[:, 1:] = Y[:, 0, :m]
-    if c == 2:
-        out.imag[:, 1:] = Y[:, 1, :m]
+            np.matmul(X[k], MBT, out=X[k + 1])
+        Y = np.ascontiguousarray(X.transpose(1, 2, 0, 3)).reshape(
+            K, nb, d) @ R
+        out[0, :, 0] = y0
+        out[0, :, 1:] = Y.reshape(K, nb * BLOCK)[:, :m]
+    if r == 0:
+        return out
+    lead = G.shape[:-2]                          # () shared, (K,) per mode
+    Gb = np.zeros(lead + (r, nb * BLOCK))
+    Gb[..., :m] = G
+    Gb = Gb.reshape(lead + (r * nb, BLOCK))
+    # zero-state: T[l, i] = e_0 M^(i-l) b for i >= l, else 0, from the
+    # drives M^i b (i < B)
+    Mb = np.einsum("ikde,ke->kid", Mi[:BLOCK], b)
+    padded = np.concatenate([np.zeros((K, BLOCK - 1)), Mb[:, :, 0]], axis=1)
+    T = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(
+        padded, BLOCK, axis=1)[:, ::-1])
+    Y = np.empty((K, r * nb, BLOCK))
+    stops = list(range(BLOCK, r * nb - 1, BLOCK)) + [r * nb]
+    for start, stop in zip([0] + stops, stops):
+        np.matmul(Gb[..., start:stop, :], T, out=Y[:, start:stop])
+    # block-end state drive sum_l M^(B-1-l) b G_{s+l}
+    GF = (Gb @ np.ascontiguousarray(Mb[:, ::-1])).reshape(K, r, nb, d)
+    del Gb, T   # freed before the zero-input product: peak memory
+    # block start states x_k = sum_{j<k} GF_j (M^B)^(k-1-j) as a prefix
+    # scan by doubling: after the pass of shift s, x_k holds the terms
+    # j >= k - 2s.  Each pass multiplies every block (at least two rows),
+    # so a block's bits do not depend on the block count
+    X = np.zeros((K, r, nb, d))
+    X[:, :, 1:] = GF[:, :, :-1]
+    P, s = MBT, 1
+    while s < nb:
+        X[:, :, s:] += (X.reshape(K, r * nb, d) @ P).reshape(
+            K, r, nb, d)[:, :, :nb - s]
+        P, s = P @ P, 2 * s
+    Y += X.reshape(K, r * nb, d) @ R
+    out[1:, :, 1:] = Y.reshape(K, r, nb * BLOCK)[..., :m].transpose(1, 0, 2)
     return out
 
 
-def _march_series(kernel: NormalizedKernel, A, B, Be0, y0, F,
-                  dtype, steps: int = None) -> np.ndarray:
+def _march_series(kernel: NormalizedKernel, A, B, Be0, D, y0: float, G,
+                  steps: int = None) -> np.ndarray:
     """The same march for kernels without a closed form, as one series
-    division (kernels.series_divide) over all modes, O(K m log m).
+    division (kernels.series_divide) over all modes and columns,
+    O(K (1 + r) m log m); (1 + r, K, steps+1) like _march_blocks.
 
     With Nt the series of N with Nt_0 = 0, the history part is
     P = B h (Nt y - Nt y_0 / 2) and the memory integral
     I = P + Be0 (y - y_0); summing the step over j >= 1 eliminates I:
         y [1 - (A - Be0) x + B h (1 + x) Nt]
-            = y_0 (1 + Be0 x) + x F + B h (1 + x) Nt y_0 / 2.
-    The division is causal: cut to its first steps+1 terms (F to its
-    first steps samples) it is the march over the first `steps` steps.
+            = y_0 (1 + Be0 x) + x G / D + B h (1 + x) Nt y_0 / 2.
+    Every column of a mode shares its den, so each mode's 1/den is
+    found once.  The division is causal: cut to its first steps+1 terms
+    (G to its first steps samples) it is the march over the first
+    `steps` steps.
     """
-    Nt = np.concatenate([[0.0], kernel.N[1:(steps or kernel.grid.steps) + 1]])
+    n = (steps or kernel.grid.steps) + 1
+    Nt = np.concatenate([[0.0], kernel.N[1:n]])
     # B h (1 + x) Nt, one row per mode
     den = (B * kernel.h)[:, None] * (Nt + np.concatenate([[0.0], Nt[:-1]]))
-    num = (0.5 * y0) * den.astype(dtype)
-    num[:, 0] = y0
-    num[:, 1] += y0 * Be0
-    if F is not None:
-        num[:, 1:] += F
+    r = 0 if G is None else G.shape[-2]
+    num = np.zeros((1 + r, len(A), n))
+    num[0] = (0.5 * y0) * den
+    num[0, :, 0] = y0
+    num[0, :, 1] += y0 * Be0
+    if r:
+        rows = np.broadcast_to(G, (len(A),) + G.shape[-2:])
+        num[1:, :, 1:] = rows[..., :n - 1].transpose(1, 0, 2) / D[:, None]
     den[:, 0] = 1.0
     den[:, 1] -= A - Be0
     return series_divide(num, den)
 
 
-def _series_overflow(kernel: NormalizedKernel, A, B, Be0, y0, F, dtype,
+def _series_overflow(kernel: NormalizedKernel, A, B, Be0, D, y0: float, G,
                      bound: float, Y: np.ndarray):
-    """(step, row, value) of the first step at which the series march
-    Y leaves the envelope bound, its start y0 lying inside.
+    """(step, column, mode, value) of the first step at which the series
+    march Y (1 + r, K, m+1) leaves the envelope bound, its start y0
+    lying inside.
 
     One FFT division spreads an overflow to every step, so Y cannot say
     where it began.  Bisection on the cut divisions of _march_series
@@ -304,55 +341,74 @@ def _series_overflow(kernel: NormalizedKernel, A, B, Be0, y0, F, dtype,
     with np.errstate(over="ignore", invalid="ignore"):
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            cut = _march_series(kernel, A, B, Be0, y0,
-                                None if F is None else F[:, :mid], dtype, mid)
+            cut = _march_series(kernel, A, B, Be0, D, y0, G, mid)
             if np.all(np.abs(cut) <= bound):
                 lo = mid
             else:
                 hi, Y = mid, cut
-    row = int(np.argmax(~(np.abs(Y[:, hi]) <= bound)))
-    return hi, row, Y[row, hi]
+    mask = ~(np.abs(Y[..., hi]) <= bound)
+    col, row = np.unravel_index(int(np.argmax(mask)), mask.shape)
+    return hi, int(col), int(row), Y[col, row, hi]
 
 
 def _first(bad: np.ndarray):
-    """(step, row) of the first True in time of a (K, steps) mask."""
-    j = int(np.argmax(bad.any(axis=0)))
-    return j, int(np.argmax(bad[:, j]))
+    """(step, *index) of the first True in time of a (..., steps) mask,
+    index the first True at that step over the leading axes."""
+    j = int(np.argmax(bad.reshape(-1, bad.shape[-1]).any(axis=0)))
+    return (j,) + tuple(int(i) for i in np.unravel_index(
+        int(np.argmax(bad[..., j])), bad.shape[:-1]))
 
 
-def _trapezoid_forcing(forcing: np.ndarray, h: float, D, dtype, where: str,
+def _where(mode, row) -> str:
+    """' in batch row <mode>, forcing row <row>', each part where given."""
+    parts = [f"{what} row {i}" for what, i in (("batch", mode),
+                                              ("forcing", row))
+             if i is not None]
+    return " in " + ", ".join(parts) if parts else ""
+
+
+def _trapezoid_forcing(forcing: np.ndarray, h: float,
                        label: str) -> np.ndarray:
-    """F_{j-1} = h (f_{j-1} + f_j) / (2 D), the forcing of step j, (K, m).
+    """G_{j-1} = h (f_{j-1} + f_j) / 2, the forcing of step j, of every
+    row: (r, m) or (K, r, m).
 
-    Raises ConvergenceError at the first step where it is not finite: a
-    block product would spread 0 * NaN back to the start of the block.
+    Raises ConvergenceError at the first step where it is not finite,
+    naming the row (and the batch row of per-mode rows): a block product
+    would spread 0 * NaN back to the start of the block.
     """
-    f = forcing.reshape(-1, forcing.shape[-1])
-    F = np.add(f[:, :-1], f[:, 1:], dtype=dtype)   # in place: one temporary
-    F *= 0.5 * h
-    F /= D[:, None]
-    bad = ~np.isfinite(F)
+    G = np.add(forcing[..., :-1], forcing[..., 1:])
+    G *= 0.5 * h
+    bad = ~np.isfinite(G)
     if bad.any():
-        j, row = _first(bad)
+        j, *index = _first(bad)
+        mode, row = index if len(index) == 2 else (None, index[0])
         raise ConvergenceError(
             f"modal march forcing is not finite at step {j + 1} "
-            f"(t={(j + 1) * h:.4g}){where.format(row)} {label}")
-    return F
+            f"(t={(j + 1) * h:.4g}){_where(mode, row)} {label}")
+    return G
 
 
 def march_modal(kernel: NormalizedKernel, lam_sq, alpha: float,
-                y0=1.0, forcing: np.ndarray = None, label: str = "") -> np.ndarray:
-    """Implicit-trapezoid / product-trapezoid march of the modal equation.
+                y0: float = 1.0, forcing: np.ndarray = None,
+                label: str = "") -> np.ndarray:
+    """Implicit-trapezoid / product-trapezoid march of the modal equation
+    y' = 2 alpha y - lam_sq (N * y) + f, real, column by column.
 
-    Solves y' = 2 alpha y - lam_sq (N * y) + forcing with y(0) = y0.
-    lam_sq is a scalar, or a (K,) array marched as one batch of modes
-    with forcing of shape (K, m+1); time is the last axis of the result,
-    (m+1,) or (K, m+1), and a row of a batch is its one-mode march bit
-    for bit.  A single mode is a batch of one.  Raises ConvergenceError
-    at the first step whose forcing is not finite, and at the first step
-    whose value is not finite or leaves the Gronwall envelope, which at
-    these grids only happens for invalid input (a non-normalized kernel
-    or a degenerate step).
+    lam_sq is a scalar, or a (K,) array marched as one batch of modes.
+    Without forcing the result is the response to y(0) = y0 (f = 0),
+    (m+1,) or (K, m+1).  forcing holds r real rows f: (r, m+1), shared
+    by every mode, or (K, r, m+1), r rows per mode.  The result is then
+    (1 + r, m+1) or (K, 1 + r, m+1): column 0 the response to y0, column
+    1 + i the zero-state response (y(0) = 0) to row i, so the response
+    to y0 and a sum of rows is, by linearity, the sum of its columns.
+    Time is the last axis.  A row of a batch is its one-mode march bit
+    for bit, shared rows get the bits of the same rows given per mode,
+    and the response to y0 gets the same bits with rows or without.  A
+    single mode is a batch of one.  Raises ConvergenceError at the first
+    step whose forcing is not finite, and at the first step whose value
+    is not finite or leaves the Gronwall envelope, which at these grids
+    only happens for invalid input (a non-normalized kernel or a
+    degenerate step); both name the batch row and the forcing row.
     """
     h = kernel.h
     m = kernel.grid.steps
@@ -361,47 +417,47 @@ def march_modal(kernel: NormalizedKernel, lam_sq, alpha: float,
     batch = lam.shape
     if len(batch) > 1:
         raise ConfigError(f"lam_sq must be a scalar or a 1-D array, got {batch}")
-    if forcing is not None and forcing.shape != batch + (m + 1,):
-        raise ConfigError(f"forcing shape {forcing.shape} does not match "
-                          f"{batch + (m + 1,)}")
+    if forcing is not None and (np.iscomplexobj(forcing) or forcing.ndim < 2
+                                or forcing.shape[-1] != m + 1
+                                or forcing.shape[:-2] not in ((), batch)):
+        raise ConfigError(f"forcing must be real rows (r, {m + 1}), or "
+                          f"(K, r, {m + 1}) for a batch of K modes, got "
+                          f"{forcing.dtype} {forcing.shape}")
+    y0 = float(y0)
     lam = lam.reshape(-1)
-    where = " in batch row {}" if batch else ""
     D = 1.0 - alpha * h + lam * h * h * N0 / 4.0
     if not np.all(D > 1e-12):
         raise ConvergenceError(
             f"degenerate implicit step (D={np.min(D):.3e}) {label}")
     bound = growth_envelope(alpha, kernel.grid.T) * (1.0 + 1e-9)
 
-    dtype = complex if np.iscomplexobj(forcing) or isinstance(y0, complex) \
-        else float
     # The trapezoid step over D reads y_j = A y_{j-1} - (I_{j-1} + P_j) + F_j
     # with I the memory integral and P_j its history part
     # h (N_j y_0 / 2 + sum_{0<k<j} N_{j-k} y_k), both scaled by
-    # B = lam_sq h / (2 D).
+    # B = lam_sq h / (2 D), and F the trapezoided forcing G over D.
     A = (1.0 + alpha * h) / D
     B = 0.5 * lam * h / D
     Be0 = B * (0.5 * h * N0)
+    G = None if forcing is None else _trapezoid_forcing(forcing, h, label)
     march = _march_series if kernel.terms is None else _march_blocks
     with np.errstate(over="ignore", invalid="ignore"):
-        # F goes straight to the march, which may free it early
-        Y = march(kernel, A, B, Be0, y0, None if forcing is None else
-                  _trapezoid_forcing(forcing, h, D, dtype, where, label),
-                  dtype)
+        Y = march(kernel, A, B, Be0, D, y0, G)       # (1 + r, K, m+1)
 
-    bad = ~(np.abs(Y) <= bound)
-    if bad.any():
-        j, row = _first(bad)
-        y = Y[row, j]
+    # max and min carry a NaN through: it fails the comparison
+    if not (Y.max() <= bound and -Y.min() <= bound):
+        j, col, row = _first(~(np.abs(Y) <= bound))
+        y = Y[col, row, j]
         if kernel.terms is None and abs(y0) <= bound:
-            j, row, y = _series_overflow(
-                kernel, A, B, Be0, y0, None if forcing is None else
-                _trapezoid_forcing(forcing, h, D, dtype, where, label),
-                dtype, bound, Y)
+            j, col, row, y = _series_overflow(kernel, A, B, Be0, D, y0, G,
+                                              bound, Y)
         raise ConvergenceError(
             f"modal march left the Gronwall envelope at step {j} "
-            f"(t={j * h:.4g}){where.format(row)}: |y|={abs(y):.3e}, "
-            f"bound {bound:.3e}; non-finite input or step too large {label}")
-    return Y.reshape(batch + (m + 1,))
+            f"(t={j * h:.4g})"
+            f"{_where(row if batch else None, col - 1 if col else None)}"
+            f": |y|={abs(y):.3e}, bound {bound:.3e}; non-finite input or "
+            f"step too large {label}")
+    Y = Y.transpose(1, 0, 2).reshape(batch + Y.shape[:1] + Y.shape[2:])
+    return Y if forcing is not None else Y[..., 0, :]
 
 
 def _forcing_factors(modes: Spectrum) -> np.ndarray:
@@ -425,20 +481,24 @@ def _consistency_tol(kernel: NormalizedKernel, beta) -> np.ndarray:
     return 10.0 * C * kernel.h ** 2
 
 
-def _assemble_Z(kernel: NormalizedKernel, modes: Spectrum, z: np.ndarray,
-                Z_march: np.ndarray):
-    """Variation-of-constants Z from z, checked against the marched Z.
+def _z_route_gaps(kernel: NormalizedKernel, modes: Spectrum, dNp: np.ndarray,
+                  dN: np.ndarray) -> np.ndarray:
+    """Each mode's two-route Z gap over its allowance, (K,).
 
-    z and Z_march are (K, m+1), one row per mode.  Returns
-    (Z_voc, N*z, N'*z), each (K, m+1), and each mode's gap over its
-    allowance, (K,); disagreement of a mode beyond its scheme allowance
-    (or a NaN gap) flags a quadrature bug.
+    The marched Z is z + Y' + f Y and the assembled one z + N'*z + f N*z,
+    with Y' and Y the marched responses to N' and N and f the forcing
+    factor, so their difference is dNp + f dN, from the real differences
+    dNp = Y' - N'*z and dN = Y - N*z, (K, m+1).  A mode whose gap passes
+    its allowance (or is NaN) flags a quadrature bug.
     """
-    # N and N' against every mode in one call, (2, K, m+1): z is
-    # transformed once, and each row is its one-row call bit for bit
-    Nz, Npz = convolve(np.stack([kernel.N, kernel.Np])[:, None], z, kernel.h)
-    Z_voc = z + Npz + _forcing_factors(modes)[:, None] * Nz
-    gaps = np.max(np.abs(Z_march - Z_voc), axis=1)
+    f = _forcing_factors(modes)[:, None]
+    re = dN * f.real            # |dNp + f dN|^2, two temporaries
+    re += dNp
+    re *= re
+    im = dN * f.imag
+    im *= im
+    re += im
+    gaps = np.sqrt(np.max(re, axis=1))
     tols = _consistency_tol(kernel, modes.beta)
     bad = ~(gaps <= tols)
     if bad.any():
@@ -446,26 +506,32 @@ def _assemble_Z(kernel: NormalizedKernel, modes: Spectrum, z: np.ndarray,
         raise InternalConsistencyError(
             f"Z routes disagree on mode {modes.index[i]}: gap {gaps[i]:.3e} "
             f"exceeds allowance {tols[i]:.3e}")
-    return Z_voc, Nz, Npz, gaps / tols
+    return gaps / tols
 
 
 def compute_responses(kernel: NormalizedKernel,
                       modes: Spectrum) -> ModalResponses:
     """The responses of modes, every mode marched in one batch.
 
-    One z march and one Z march advance all modes together, and the
-    variation-of-constants assembly convolves the whole batch at once;
-    its two-route check stays per mode.
+    One march gives z and the zero-state responses to N' and N, from
+    which the marched Z is z + Y' + i beta Y by linearity; the
+    variation-of-constants assembly convolves the whole batch at once,
+    and its two-route check stays per mode.
     """
-    lam = modes.lambda_sq
     label = f"(modes {', '.join(map(str, modes.index.tolist()))})"
-    z = march_modal(kernel, lam, kernel.alpha, y0=1.0, label=label)
-    Z_march = march_modal(
-        kernel, lam, kernel.alpha, y0=1.0, label=label,
-        forcing=kernel.Np + _forcing_factors(modes)[:, None] * kernel.N)
-    Z, Nz, Npz, ratios = _assemble_Z(kernel, modes, z, Z_march)
+    Y = march_modal(kernel, modes.lambda_sq, kernel.alpha, y0=1.0,
+                    forcing=np.stack([kernel.Np, kernel.N]), label=label)
+    z = Y[:, 0].copy()          # the batch keeps z, not all three columns
+    # N and N' against every mode in one call, (2, K, m+1): z is
+    # transformed once, and each row is its one-row call bit for bit
+    Nz, Npz = convolve(np.stack([kernel.N, kernel.Np])[:, None], z, kernel.h)
+    # the real differences of the routes, over the marched columns
+    dNp, dN = Y[:, 1], Y[:, 2]
+    dNp -= Npz
+    dN -= Nz
+    ratios = _z_route_gaps(kernel, modes, dNp, dN)
     m, h = kernel.grid.steps, kernel.h
-    return ModalResponses(modes, z, Z, Nz, Npz, ratios, TimeGrid(m * h, m, h),
+    return ModalResponses(modes, z, Nz, Npz, ratios, TimeGrid(m * h, m, h),
                           kernel.alpha)
 
 

@@ -119,9 +119,11 @@ def test_criterion_3_two_route_consistency():
                                    coefficients=(1.0,), rates=(1.0,)), grid)
         dom = DomainSpec("interval", (PI,), c=c)
         modes = compute_eigenpairs(dom, 40, alpha=ker.alpha)
-        # the marched route against the assembled one, every mode at once
-        Zm = march_modal(ker, modes.lambda_sq, ker.alpha, forcing=ker.Np
-                         + _forcing_factors(modes)[:, None] * ker.N)
+        # the marched route against the assembled one, every mode at
+        # once: z + Y' + i beta Y from one march with the rows (N', N)
+        Y = march_modal(ker, modes.lambda_sq, ker.alpha,
+                        forcing=np.stack([ker.Np, ker.N]))
+        Zm = Y[:, 0] + Y[:, 1] + _forcing_factors(modes)[:, None] * Y[:, 2]
         Zv = compute_responses(ker, modes).Z
         gaps[c] = float(np.max(np.abs(Zv - Zm)))
     _report(3, f"route gap over 40 modes: c=0 {gaps[0.0]:.2e}, "

@@ -23,22 +23,25 @@ DOM = DomainSpec("interval", (PI,))
 EXP_KERNEL = KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,))
 
 
-def factor_control(grid, traces, profiles, gamma_weights=None, K=1):
-    """Wrap a raw factor pair, f = traces.T @ profiles, for the modes
-    1..K under the boundary weights (ones by default), without going
-    through synthesis."""
-    traces = np.asarray(traces, float)
+def factor_control(grid, modes, profiles, gamma_weights=None):
+    """Wrap raw time profiles as the control f = traces.T @ profiles
+    over the modes 1..K, K = len(profiles), with their traces and the
+    boundary weights (ones by default), without going through
+    synthesis."""
+    profiles = np.asarray(profiles, float)
+    K = len(profiles)
+    traces = modes.trace[:K]
     gw = np.ones(traces.shape[1]) if gamma_weights is None else gamma_weights
-    return ControlSignal(traces, np.asarray(profiles, float), gw,
-                         np.zeros(2 * K), np.zeros(2 * K), 0.0, 0.0, 1.0, 1.0,
-                         0.0, grid,
+    return ControlSignal(traces, profiles, gw, np.zeros(2 * K),
+                         np.zeros(2 * K), 0.0, 0.0, 1.0, 1.0, 0.0, grid,
                          tuple(x for n in range(1, K + 1) for x in (n, -n)))
 
 
-def manual_control(grid, profile):
-    """Wrap a raw one-node boundary signal, trace 1."""
-    return factor_control(grid, np.ones((1, 1)),
-                          np.asarray(profile, float)[None, :])
+def manual_control(grid, profile, modes):
+    """Wrap a raw signal at a one-node boundary as the control of mode
+    1, f = profile (to rounding)."""
+    return factor_control(grid, modes, np.asarray(profile, float)[None, :]
+                          / modes.trace[0, 0])
 
 
 def zero_setup(T, h, count, c=0.0):
@@ -52,7 +55,7 @@ def zero_setup(T, h, count, c=0.0):
 
 def test_zero_control_gives_zero_state():
     grid, kz, modes = zero_setup(2.0, 2e-3, 4)
-    ctrl = manual_control(grid, np.zeros(len(grid)))
+    ctrl = manual_control(grid, np.zeros(len(grid)), modes)
     resp = compute_responses(kz, modes)
     for res in (simulate_convolution(resp, kz, ctrl),
                 simulate_march(kz, modes, ctrl)):
@@ -67,7 +70,7 @@ def test_sine_formula_oracle():
     T = 2.0
     grid, kz, modes = zero_setup(T, 1e-3, 3)
     poly = grid.t ** 2 * (T - grid.t)
-    ctrl = manual_control(grid, poly)
+    ctrl = manual_control(grid, poly, modes)
     resp = compute_responses(kz, modes)
     res = simulate_convolution(resp, kz, ctrl)
     for b, trace, theta in zip(modes.beta.real, modes.trace[:, 0],
@@ -84,9 +87,9 @@ def test_superposition():
     resp = compute_responses(ke, compute_eigenpairs(DOM, 5, alpha=ke.alpha))
     f1 = np.sin(grid.t)
     f2 = np.cos(3 * grid.t) * grid.t
-    r1 = simulate_convolution(resp, ke, manual_control(grid, f1))
-    r2 = simulate_convolution(resp, ke, manual_control(grid, f2))
-    r12 = simulate_convolution(resp, ke, manual_control(grid, f1 + f2))
+    r1, r2, r12 = (simulate_convolution(resp, ke,
+                                        manual_control(grid, f, resp.modes))
+                   for f in (f1, f2, f1 + f2))
     assert np.max(np.abs(r12.theta_T - (r1.theta_T + r2.theta_T))) < 1e-10
     assert np.max(np.abs(r12.theta_t_T - (r1.theta_t_T + r2.theta_t_T))) < 1e-10
 
@@ -98,7 +101,7 @@ def two_route_gap(h):
     grid = make_grid(2.0, h)
     ke = normalize(EXP_KERNEL, grid)
     modes = compute_eigenpairs(DOM, 3, alpha=ke.alpha)
-    ctrl = manual_control(grid, np.sin(grid.t) * (2.0 - grid.t))
+    ctrl = manual_control(grid, np.sin(grid.t) * (2.0 - grid.t), modes)
     resp = compute_responses(ke, modes)
     a = simulate_convolution(resp, ke, ctrl)
     b = simulate_march(ke, modes, ctrl)
@@ -123,6 +126,34 @@ def test_route_gap_check_trips_on_corruption():
         route_gap(dataclasses.replace(a, theta_T=theta_T), b, ke)
 
 
+def test_planted_forcing_defect_trips_the_route_gap(monkeypatch):
+    # the route check is not vacuous: an O(h) trapezoid-weight defect in
+    # the march route's forcing trips route_gap.  N * f vanishes at
+    # t = 0, so the planted defect drops the 1/2 end weight of the last
+    # sample, G_{m-1} = h (f_{m-1} / 2 + f_m); c = 0.5 makes alpha = 0,
+    # where the allowance carries no growth factor
+    grid = make_grid(2.5 * PI, 2e-3)
+    ke = normalize(dataclasses.replace(EXP_KERNEL, c=0.5), grid)
+    resp = compute_responses(ke, compute_eigenpairs(
+        DomainSpec("interval", (PI,), c=0.5), 8, alpha=ke.alpha))
+    rng = np.random.default_rng(1)
+    target = TargetState(rng.standard_normal(4) / np.arange(1, 5),
+                         rng.standard_normal(4) / np.arange(1, 5), 4)
+    sig = synthesize(build_moment_problem(viscoelastic_family(resp.head(4)),
+                                          target))
+    conv = simulate_convolution(resp, ke, sig)
+    route_gap(conv, simulate_march(ke, resp.modes, sig), ke)
+    trapezoid = memwave.volterra._trapezoid_forcing
+
+    def planted(forcing, h, label):
+        G = trapezoid(forcing, h, label)
+        G[..., -1] += 0.5 * h * forcing[..., -1]
+        return G
+    monkeypatch.setattr(memwave.volterra, "_trapezoid_forcing", planted)
+    with pytest.raises(InternalConsistencyError, match="routes disagree"):
+        route_gap(conv, simulate_march(ke, resp.modes, sig), ke)
+
+
 def test_energy_constant_after_control_release():
     # wave limit: once the boundary input stops, the modal energy
     # sum theta'^2 + lambda^2 theta^2 is a conserved quantity; the end
@@ -134,7 +165,7 @@ def test_energy_constant_after_control_release():
     modes = compute_eigenpairs(DOM, 6, alpha=0.0)
     cut = round(T_ctrl / h)
     ctrl = manual_control(grid_ext.restrict(cut),
-                          np.sin(2 * grid_ext.restrict(cut).t) ** 2)
+                          np.sin(2 * grid_ext.restrict(cut).t) ** 2, modes)
     energies = []
     # from the first sample past the control's last one, which the
     # trapezoid rule still weighs by half at the release itself
@@ -159,6 +190,27 @@ def test_achieved_coefficients_degenerate_branch():
     xi, eta = achieved_coefficients(res)
     assert xi[0] == 0.2 and eta[0] == 0.3          # velocity read directly
     assert eta[1] == pytest.approx(0.6 / modes.beta[1].real)
+
+
+def test_overdamped_modes_fail_closed():
+    # imaginary beta off the degenerate set has no velocity basis yet:
+    # the read-off and the energies refuse it, naming the mode, where
+    # they divided by beta.real = 0 and weighed it as a degenerate mode.
+    # c = 1.5 on the interval makes mode 1 (lambda^2 = 1) overdamped
+    grid, kz, modes = zero_setup(2.0, 2e-3, 3, c=1.5)
+    assert modes.beta[0].imag > 0 and not modes.in_J[0]
+    resp = compute_responses(kz, modes)
+    ctrl = manual_control(grid, np.sin(grid.t), modes)
+    for run in (lambda: simulate_convolution(resp, kz, ctrl),
+                lambda: simulate_march(kz, modes, ctrl)):
+        with pytest.raises(ConfigError, match="mode 1 is overdamped"):
+            run()
+    res = SimResult(theta_T=np.ones(3), theta_t_T=np.ones(3), tail_energy=0.0,
+                    K=1, modes=modes, grid=grid)
+    with pytest.raises(ConfigError, match="mode 1 is overdamped"):
+        achieved_coefficients(res)
+    with pytest.raises(ConfigError, match="mode 1 is overdamped"):
+        mode_energies(res.theta_T, res.theta_t_T, modes.beta)
 
 
 def test_mode_energy_weighting():
@@ -286,19 +338,22 @@ def test_node_rank_forcing_matches_the_column_route(case, padded,
     # of the product trapezoid: the march route convolves the fewest rows
     # among the control's node rows (the interval's one or two), its K
     # profiles (2 on the rectangle's 257-node edge, against K_sim = 6) and
-    # the K_sim rows of F (8 profiles there), which moves H and the end
-    # state by rounding only, and keeps the column route bit for bit.
-    # The control fills the simulation grid, or (padded) stops short of
-    # it and is zero-padded
+    # the K_sim rows of F (a tie with K = 6 profiles there), which moves H
+    # and the end state by rounding only.  A one-node control marches
+    # the one row N * f shared by every mode and scales each response by
+    # the mode's weight, again rounding against the column route, whose
+    # per-mode rows H the march takes as they are.  The control fills
+    # the simulation grid, or (padded) stops short of it and is
+    # zero-padded
     dom = {"interval": DOM,
            "interval-both-ends": DomainSpec("interval", (PI,),
                                             gamma_subset=("left", "right")),
            "rectangle-right": DomainSpec("rectangle", (PI, PI)),
            "rectangle-right-rank-2": DomainSpec("rectangle", (PI, PI))}[case]
-    K = 2 if case == "rectangle-right-rank-2" else 8
+    K_sim = 6
+    K = 2 if case == "rectangle-right-rank-2" else K_sim
     grid = make_grid(2.0, 2e-3)
     ke = normalize(EXP_KERNEL, grid)
-    K_sim = 6
     modes = compute_eigenpairs(dom, K_sim, alpha=ke.alpha)
     gw = dom.gamma_weights()
     weighted = modes.trace * gw
@@ -306,9 +361,8 @@ def test_node_rank_forcing_matches_the_column_route(case, padded,
     cgrid = grid.restrict(800) if padded else grid
     rng = np.random.default_rng(5)
     ctrl = factor_control(
-        cgrid, rng.standard_normal((K, nodes)),
-        np.sin(np.outer(rng.uniform(1, 4, K), cgrid.t)
-               + rng.uniform(0, 2 * PI, (K, 1))), gw)
+        cgrid, modes, np.sin(np.outer(rng.uniform(1, 4, K), cgrid.t)
+                             + rng.uniform(0, 2 * PI, (K, 1))), gw)
     length = len(grid)
     convolved, convolve = [], memwave.simulate.convolve
 
@@ -321,13 +375,13 @@ def test_node_rank_forcing_matches_the_column_route(case, padded,
     monkeypatch.undo()
     ref = _column_route(ke, weighted, ctrl, length)
     assert H.shape == ref.shape == (K_sim, length)
-    if min(nodes, K) > K_sim:
+    if min(nodes, K) >= K_sim:
         assert np.array_equal(H, ref)
     else:
         assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
     node = simulate_march(ke, modes, ctrl)
-    monkeypatch.setattr(memwave.simulate, "_forcing_convolution",
-                        _column_route)
+    monkeypatch.setattr(memwave.simulate, "_forcing_rows",
+                        lambda *args: (_column_route(*args)[:, None], 1.0))
     column = simulate_march(ke, modes, ctrl)
     for field in ("theta_T", "theta_t_T"):
         a, b = getattr(node, field), getattr(column, field)
@@ -340,7 +394,7 @@ def test_node_rank_forcing_matches_the_column_route(case, padded,
 def test_grid_mismatch_rejected():
     grid, kz, modes = zero_setup(2.0, 2e-3, 2)
     other = make_grid(2.0, 1e-2)
-    ctrl = manual_control(other, np.zeros(len(other)))
+    ctrl = manual_control(other, np.zeros(len(other)), modes)
     resp = compute_responses(kz, modes)
     with pytest.raises(ConfigError):
         simulate_convolution(resp, kz, ctrl)
@@ -349,21 +403,46 @@ def test_grid_mismatch_rejected():
 def test_control_longer_than_simulation_rejected():
     grid, kz, modes = zero_setup(2.0, 2e-3, 2)
     longer = make_grid(3.0, 2e-3)
-    ctrl = manual_control(longer, np.zeros(len(longer)))
+    ctrl = manual_control(longer, np.zeros(len(longer)), modes)
     resp = compute_responses(kz, modes)
     with pytest.raises(ConfigError):
         simulate_convolution(resp, kz, ctrl)
 
 
 def test_control_on_another_boundary_rejected():
-    # the simulator weighs the modes' traces with the control's own
-    # boundary weights, so the two must have as many boundary nodes
+    # the simulator forces the modes with the control's traces, so they
+    # must be the simulated modes' own: a control solved on the
+    # rectangle's right edge, simulated against modes on its top edge
+    # (as many nodes, other traces), and a control on two nodes against
+    # one-node modes, are refused
+    grid = make_grid(2.5 * PI, 2e-2)
+    edges = {}
+    for edge in ("right", "top"):
+        dom = DomainSpec("rectangle", (PI, PI), gamma_subset=(edge,))
+        ke = normalize(EXP_KERNEL, grid)
+        edges[edge] = (compute_responses(
+            ke, compute_eigenpairs(dom, 3, alpha=ke.alpha)), ke,
+            dom.gamma_weights())
+    resp, ke, gw = edges["right"]
+    target = TargetState(np.array([1.0, 0.0]), np.array([0.0, 0.5]), 2)
+    ctrl = synthesize(build_moment_problem(
+        viscoelastic_family(resp.head(2), gw), target))
+    top = edges["top"][0]
+    assert top.modes.trace.shape == resp.modes.trace.shape
+    for run in (lambda: simulate_convolution(top, ke, ctrl),
+                lambda: simulate_march(ke, top.modes, ctrl)):
+        with pytest.raises(ConfigError, match="another boundary"):
+            run()
+    # the right edge's own modes accept it
+    xi, _ = achieved_coefficients(simulate_convolution(resp, ke, ctrl))
+    assert abs(xi[0] - 1.0) <= 1e-8
     grid, kz, modes = zero_setup(2.0, 2e-3, 2)
-    ctrl = factor_control(grid, np.ones((1, 2)), np.sin(grid.t)[None, :])
+    ctrl = dataclasses.replace(manual_control(grid, np.sin(grid.t), modes),
+                               traces=np.ones((1, 2)))
     resp = compute_responses(kz, modes)
     for run in (lambda: simulate_convolution(resp, kz, ctrl),
                 lambda: simulate_march(kz, modes, ctrl)):
-        with pytest.raises(ConfigError, match="numbers of boundary nodes"):
+        with pytest.raises(ConfigError, match="another boundary"):
             run()
 
 
@@ -371,14 +450,14 @@ def test_missing_modes_rejected():
     grid, kz, modes = zero_setup(2.0, 2e-3, 4)
     resp = compute_responses(kz, modes)
     # a control over modes 1..4, simulated on modes 1..2
-    ctrl = factor_control(grid, np.ones((4, 1)),
-                          np.sin(np.outer(np.arange(1, 5), grid.t)), K=4)
+    ctrl = factor_control(grid, modes,
+                          np.sin(np.outer(np.arange(1, 5), grid.t)))
     with pytest.raises(ConfigError, match="only 2 simulated modes"):
         simulate_convolution(resp.head(2), kz, ctrl)
     with pytest.raises(ConfigError, match="only 2 simulated modes"):
         simulate_march(kz, modes.take(slice(2)), ctrl)
     # modes that are not 1..n
-    ctrl = manual_control(grid, np.sin(grid.t))
+    ctrl = manual_control(grid, np.sin(grid.t), modes)
     for rows in ([1, 2], [1, 0]):
         with pytest.raises(ConfigError, match="modes 1..K_sim in order"):
             simulate_convolution(compute_responses(kz, modes.take(rows)), kz,

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,10 +11,11 @@ from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
                      compute_eigenpairs, compute_responses, TimeGrid,
                      convolve, make_grid, march_modal, normalize, refined_S)
 from memwave import InternalConsistencyError
+from memwave.cli import main
 from memwave.kernels import kernel_terms
 from memwave.exact import exact_modes, transformed_exponential_terms
-from memwave.volterra import (BLOCK, _assemble_Z, _consistency_tol,
-                              _forcing_factors, growth_envelope,
+from memwave.volterra import (BLOCK, _consistency_tol, _forcing_factors,
+                              _z_route_gaps, growth_envelope,
                               transformed_exponential)
 
 PI = np.pi
@@ -23,16 +25,20 @@ def zero_kernel(T, h, c=0.0):
     return normalize(KernelSpec("zero", c=c), make_grid(T, h))
 
 
-def Z_forcing(kernel, modes):
-    """The forcing of the Z equation, a row per mode."""
-    return kernel.Np + _forcing_factors(modes)[:, None] * kernel.N
+def Z_rows(kernel):
+    """The real rows of the Z forcing N' + i beta N, shared by every
+    mode."""
+    return np.stack([kernel.Np, kernel.N])
 
 
 def marched_Z(kernel, modes):
     """Z of every mode by the direct march, the route the
-    variation-of-constants assembly is checked against."""
-    return march_modal(kernel, modes.lambda_sq, kernel.alpha,
-                       forcing=Z_forcing(kernel, modes))
+    variation-of-constants assembly is checked against: z + Y' + f Y,
+    by linearity, from one march with the rows (N', N), f the forcing
+    factor of each mode."""
+    Y = march_modal(kernel, modes.lambda_sq, kernel.alpha,
+                    forcing=Z_rows(kernel))
+    return Y[:, 0] + Y[:, 1] + _forcing_factors(modes)[:, None] * Y[:, 2]
 
 
 @pytest.fixture(scope="module")
@@ -144,15 +150,48 @@ def test_responses_keep_their_z_route_gap_ratio(memory_kernel):
     assert np.all((0.0 < ratios) & (ratios < 1.0))
 
 
+def test_planted_forcing_defect_trips_the_Z_check(tmp_path, monkeypatch,
+                                                  capsys):
+    # the two-route check is not vacuous: an O(h) defect in the march's
+    # forcing, the 1/2 end weight of the first sample dropped,
+    # G_0 = h (f_0 + f_1 / 2) (the rows N' and N do not vanish at t = 0),
+    # fails verify with the internal-consistency exit.  c = 0.5 makes
+    # alpha = 0, where the allowance carries no growth factor
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "experiment": "verify",
+        "domain": {"geometry": "interval", "lengths": [PI], "c": 0.5},
+        "kernel": {"family": "exponential_sum", "coefficients": [1.0],
+                   "rates": [1.0]},
+        "T": 2.5 * PI, "h": 1e-2, "K": 4, "K_sim": 6, "target": "random",
+        "seed": 1}))
+
+    def verify():
+        return main(["verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert verify() == 0
+    trapezoid = volterra._trapezoid_forcing
+
+    def planted(forcing, h, label):
+        G = trapezoid(forcing, h, label)
+        G[..., 0] += 0.5 * h * forcing[..., 0]
+        return G
+    monkeypatch.setattr(volterra, "_trapezoid_forcing", planted)
+    assert verify() == 5
+    assert "Z routes disagree on mode 1" in capsys.readouterr().err
+
+
 def test_nan_z_route_gap_fails_closed(memory_kernel):
     # a NaN gap compares False against any allowance; it must not pass
     mode = compute_eigenpairs(DomainSpec("interval", (PI,)), 2,
                               alpha=-0.5).take([1])
-    z = march_modal(memory_kernel, mode.lambda_sq, memory_kernel.alpha)
-    Zm = marched_Z(memory_kernel, mode)
-    Zm[0, Zm.shape[1] // 2] = np.nan
+    ker = memory_kernel
+    Y = march_modal(ker, mode.lambda_sq, ker.alpha, forcing=Z_rows(ker))
+    Nz, Npz = (convolve(k, Y[:, 0], ker.h) for k in (ker.N, ker.Np))
+    dN = Y[:, 2] - Nz
+    dN[0, dN.shape[1] // 2] = np.nan
     with pytest.raises(InternalConsistencyError, match="mode 2: gap nan"):
-        _assemble_Z(memory_kernel, mode, z, Zm)
+        _z_route_gaps(ker, mode, Y[:, 1] - Npz, dN)
 
 
 def test_restriction_matches_fresh_computation(memory_kernel):
@@ -244,15 +283,21 @@ def test_march_matches_direct_sum(family):
     z = march_modal(ker, lam, ker.alpha)
     ref = direct_march(ker, lam, ker.alpha)
     assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
-    forcing = ker.Np + 3j * ker.N
-    Z = march_modal(ker, lam, ker.alpha, forcing=forcing)
-    ref = direct_march(ker, lam, ker.alpha, forcing=forcing)
+    # each forcing row's zero-state response, and by linearity the
+    # response to y0 and the complex forcing N' + 3i N
+    rows = Z_rows(ker)
+    Y = march_modal(ker, lam, ker.alpha, forcing=rows)
+    assert Y.shape == (3, len(ker.t))
+    for y, f in zip(Y[1:], rows):
+        ref = direct_march(ker, lam, ker.alpha, y0=0.0, forcing=f)
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+    ref = direct_march(ker, lam, ker.alpha, forcing=ker.Np + 3j * ker.N)
+    Z = Y[0] + Y[1] + 3j * Y[2]
     assert np.max(np.abs(Z - ref)) <= 1e-12 * np.max(np.abs(ref))
     # a batch row is the same march as the single mode
     lams = np.array([1.0, lam, 25.0])
-    Zb = march_modal(ker, lams, ker.alpha,
-                     forcing=np.repeat(forcing[None], 3, axis=0))
-    assert np.max(np.abs(Zb[1] - Z)) <= 1e-14 * np.max(np.abs(Z))
+    Yb = march_modal(ker, lams, ker.alpha, forcing=rows)
+    assert np.max(np.abs(Yb[1] - Y)) <= 1e-14 * np.max(np.abs(Y))
 
 
 @pytest.mark.parametrize("b", [1e-6, 1e-9, 1e-12])
@@ -265,9 +310,9 @@ def test_small_rate_has_no_cancellation(b):
     exact = np.exp(2.0 * ker.gamma * t) * (1.0 - np.expm1(-b * t) / b)
     assert np.max(np.abs(ker.N - exact)) <= 1e-13 * np.max(np.abs(exact))
     lam = 4.0
-    forcing = ker.Np + 2j * ker.N
-    for f in (None, forcing):
-        y = march_modal(ker, lam, ker.alpha, forcing=f)
+    Y = march_modal(ker, lam, ker.alpha, forcing=Z_rows(ker))
+    for y, f in ((march_modal(ker, lam, ker.alpha), None),
+                 (Y[0] + Y[1] + 2j * Y[2], ker.Np + 2j * ker.N)):
         ref = direct_march(ker, lam, ker.alpha, forcing=f)
         assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -280,14 +325,14 @@ def test_tabulated_batch_row_equals_single_mode():
     modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 12,
                                alpha=ker.alpha)
     lams = modes.lambda_sq
-    forcing = Z_forcing(ker, modes)
+    rows = Z_rows(ker)
     z = march_modal(ker, lams, ker.alpha)
-    Z = march_modal(ker, lams, ker.alpha, forcing=forcing)
+    Y = march_modal(ker, lams, ker.alpha, forcing=rows)
     for i in (0, 5, 11):
         one = march_modal(ker, lams[i], ker.alpha)
         assert np.max(np.abs(z[i] - one)) <= 1e-14 * np.max(np.abs(one))
-        one = march_modal(ker, lams[i], ker.alpha, forcing=forcing[i])
-        assert np.max(np.abs(Z[i] - one)) <= 1e-14 * np.max(np.abs(one))
+        one = march_modal(ker, lams[i], ker.alpha, forcing=rows)
+        assert np.max(np.abs(Y[i] - one)) <= 1e-14 * np.max(np.abs(one))
 
 
 def _first_envelope_exit(kernel, lam_sq, steps=50):
@@ -317,11 +362,18 @@ def test_tabulated_march_overflow_fails_closed():
                                   rates=(1.0,)), grid)
     with pytest.raises(ConvergenceError, match=f"at step {j} "):
         march_modal(closed, -1e6, closed.alpha)
-    # in a forced batch, the step and the row of the mode that leaves
+    # in a forced batch, the step and the row of the mode that leaves,
+    # and the forcing row whose response leaves when y0 = 0
     forcing = np.stack([ker.N, ker.Np])
+    lams = np.array([4.0, -1e6])
     with pytest.raises(ConvergenceError,
                        match=f"at step {j} .* in batch row 1:"):
-        march_modal(ker, np.array([4.0, -1e6]), ker.alpha, forcing=forcing)
+        march_modal(ker, lams, ker.alpha, forcing=forcing)
+    for kernel in (ker, closed):
+        with pytest.raises(ConvergenceError,
+                           match="in batch row 1, forcing row [01]:"):
+            march_modal(kernel, lams, kernel.alpha, y0=0.0,
+                        forcing=np.stack([kernel.N, kernel.Np]))
 
 
 def test_assembled_convolutions_are_the_one_kernel_calls(memory_kernel):
@@ -337,10 +389,12 @@ def test_assembled_convolutions_are_the_one_kernel_calls(memory_kernel):
 
 
 def _oracle_batch(family, steps, h=1e-2):
+    """A kernel, three modes and their forcing rows (N', k N), k = 1, 3,
+    5, one pair per mode, (3, 2, steps+1)."""
     grid = TimeGrid(steps * h, steps, h)
     ker = normalize(ORACLE_KERNELS[family](grid), grid)
     lams = np.array([1.0, 9.0, 30.0])
-    forcing = np.stack([ker.Np + 1j * k * ker.N for k in (1, 3, 5)])
+    forcing = np.stack([np.stack([ker.Np, k * ker.N]) for k in (1, 3, 5)])
     return ker, lams, forcing
 
 
@@ -349,11 +403,13 @@ def _oracle_batch(family, steps, h=1e-2):
 def test_block_boundaries_match_direct_sum(family, steps):
     ker, lams, forcing = _oracle_batch(family, steps)
     z = march_modal(ker, lams, ker.alpha)
-    Z = march_modal(ker, lams, ker.alpha, forcing=forcing)
-    assert z.shape == (3, steps + 1) and Z.shape == (3, steps + 1)
+    Y = march_modal(ker, lams, ker.alpha, forcing=forcing)
+    assert z.shape == (3, steps + 1) and Y.shape == (3, 3, steps + 1)
     for i, lam in enumerate(lams):
-        for y, f in ((z[i], None), (Z[i], forcing[i])):
-            ref = direct_march(ker, lam, ker.alpha, forcing=f)
+        for y, y0, f in ((z[i], 1.0, None), (Y[i, 0], 1.0, None),
+                         (Y[i, 1], 0.0, forcing[i, 0]),
+                         (Y[i, 2], 0.0, forcing[i, 1])):
+            ref = direct_march(ker, lam, ker.alpha, y0=y0, forcing=f)
             assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -365,10 +421,12 @@ def test_restricted_march_equals_fresh_march(k):
     short = ker.restrict(k)
     assert np.array_equal(march_modal(ker, lams, ker.alpha)[:, :k + 1],
                           march_modal(short, lams, short.alpha))
-    for f in (forcing, forcing.imag):
-        assert np.array_equal(
-            march_modal(ker, lams, ker.alpha, forcing=f)[:, :k + 1],
-            march_modal(short, lams, short.alpha, forcing=f[:, :k + 1]))
+    # rows per mode and shared rows, from y0 = 1 and from rest
+    for f in (forcing, forcing[0], forcing[0, 1:]):
+        for y0 in (1.0, 0.0):
+            assert np.array_equal(
+                march_modal(ker, lams, ker.alpha, y0, f)[..., :k + 1],
+                march_modal(short, lams, short.alpha, y0, f[..., :k + 1]))
 
 
 @pytest.mark.parametrize("family", ["polynomial", "tabulated"])
@@ -377,16 +435,64 @@ def test_batch_of_one_equals_batch_row(family):
     # march and on the series march alike
     ker, lams, forcing = _oracle_batch(family, 4 * BLOCK + 5)
     z = march_modal(ker, lams, ker.alpha)
-    Z = march_modal(ker, lams, ker.alpha, forcing=forcing)
+    Y = march_modal(ker, lams, ker.alpha, forcing=forcing)
     for i, lam in enumerate(lams):
         one = march_modal(ker, lams[i:i + 1], ker.alpha)
         assert np.array_equal(one[0], z[i])
         assert np.array_equal(march_modal(ker, lam, ker.alpha), z[i])
         one = march_modal(ker, lams[i:i + 1], ker.alpha,
                           forcing=forcing[i:i + 1])
-        assert np.array_equal(one[0], Z[i])
+        assert np.array_equal(one[0], Y[i])
         assert np.array_equal(
-            march_modal(ker, lam, ker.alpha, forcing=forcing[i].copy()), Z[i])
+            march_modal(ker, lam, ker.alpha, forcing=forcing[i].copy()), Y[i])
+    # the response to y0 gets the same bits with rows or without
+    assert np.array_equal(Y[:, 0], z)
+
+
+@pytest.mark.parametrize("family", ["exponential_sum", "tabulated"])
+def test_shared_rows_are_the_rows_given_per_mode(family):
+    # rows every mode shares, (r, m+1), and the same rows given to each
+    # mode, (K, r, m+1), run through the same products: the same bits,
+    # on the block march and on the series march
+    ker, lams, forcing = _oracle_batch(family, 3 * BLOCK + 9)
+    for y0 in (1.0, 0.0):
+        for rows in (forcing[1], forcing[1, 1:]):
+            per_mode = np.repeat(rows[None], len(lams), axis=0)
+            assert np.array_equal(
+                march_modal(ker, lams, ker.alpha, y0, rows),
+                march_modal(ker, lams, ker.alpha, y0, per_mode))
+
+
+def _complex_march(kernel, lams, factors):
+    """The marched Z as a complex march computes it: the real and the
+    imaginary part of the forcing N' + f N as rows of one march, per
+    mode, with y0 = 1 entering the real part only."""
+    rows = np.stack([np.stack([kernel.Np + f.real * kernel.N,
+                               f.imag * kernel.N]) for f in factors])
+    Y = march_modal(kernel, lams, kernel.alpha, forcing=rows)
+    return Y[:, 0] + Y[:, 1] + 1j * Y[:, 2]
+
+
+@pytest.mark.parametrize("family", ["exponential_sum", "tabulated"])
+def test_marched_Z_matches_the_complex_march(family):
+    # z + Y' + f Y from the shared rows (N', N) is the complex march of
+    # N' + f N to rounding, on the block march and on the series march,
+    # for real beta, imaginary beta and the degenerate set (f = i): the
+    # kernel shifts alpha to c - 1/2, so c = 2 makes mode 1 (lambda^2 = 1)
+    # overdamped and c = 1.5 puts it on the degenerate set
+    grid = make_grid(2.5 * PI, 2e-3)
+    spec = (_tabulated_exp(grid) if family == "tabulated" else
+            KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,)))
+    for c, mode_1 in ((0.0, "real"), (2.0, "overdamped"), (1.5, "J")):
+        ker = normalize(dataclasses.replace(spec, c=c), grid)
+        modes = compute_eigenpairs(DomainSpec("interval", (PI,), c=c), 6,
+                                   alpha=ker.alpha)
+        assert {"real": modes.beta[0].imag == 0 and not modes.in_J[0],
+                "overdamped": modes.beta[0].imag > 0,
+                "J": modes.in_J[0]}[mode_1]
+        Zm = marched_Z(ker, modes)
+        ref = _complex_march(ker, modes.lambda_sq, _forcing_factors(modes))
+        assert np.max(np.abs(Zm - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # ------------------------------------------------------- refined S and G
@@ -569,20 +675,40 @@ def test_march_envelope_tripwire():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_march_rejects_nonfinite_forcing(bad):
     ker = zero_kernel(1.0, 1e-3)
-    with pytest.raises(ConvergenceError, match="step 1 "):
-        march_modal(ker, 1.0, 0.0, forcing=np.full(1001, bad))
+    with pytest.raises(ConvergenceError, match="step 1 .* forcing row 0 "):
+        march_modal(ker, 1.0, 0.0, forcing=np.full((1, 1001), bad))
+    lams = np.array([1.0, 4.0, 9.0])
     forcing = np.zeros((3, 1001))
     forcing[2, 500:] = bad
-    with pytest.raises(ConvergenceError, match="step 500 .* row 2"):
-        march_modal(ker, np.array([1.0, 4.0, 9.0]), 0.0, forcing=forcing)
+    with pytest.raises(ConvergenceError,
+                       match="step 500 .* in forcing row 2 "):
+        march_modal(ker, lams, 0.0, forcing=forcing)
+    forcing = np.zeros((3, 2, 1001))
+    forcing[2, 1, 500:] = bad
+    with pytest.raises(ConvergenceError,
+                       match="step 500 .* in batch row 2, forcing row 1 "):
+        march_modal(ker, lams, 0.0, forcing=forcing)
+
+
+def test_march_takes_real_rows_only():
+    # the march is real: a complex forcing is two real rows, and rows
+    # come as (r, m+1) or (K, r, m+1) for a batch of K modes
+    ker = zero_kernel(1.0, 1e-2)
+    lams = np.array([1.0, 4.0])
+    for bad in (np.zeros((1, 101), complex), np.zeros(101),
+                np.zeros((3, 1, 101)), np.zeros((2, 1, 100))):
+        with pytest.raises(ConfigError, match="forcing must be real rows"):
+            march_modal(ker, lams, 0.0, forcing=bad)
+    with pytest.raises(ConfigError, match="forcing must be real rows"):
+        march_modal(ker, 1.0, 0.0, forcing=np.zeros((2, 1, 101)))
 
 
 def test_forced_zero_forcing_matches_homogeneous(memory_kernel):
     lam = 9.0
     y_h = march_modal(memory_kernel, lam, memory_kernel.alpha)
     y_f = march_modal(memory_kernel, lam, memory_kernel.alpha, y0=1.0,
-                      forcing=np.zeros(len(memory_kernel.t)))
-    assert np.max(np.abs(y_h - y_f)) < 1e-14
+                      forcing=np.zeros((1, len(memory_kernel.t))))
+    assert np.array_equal(y_f[0], y_h) and not y_f[1].any()
 
 
 # ------------------------------------------------------------ exact modes
