@@ -34,7 +34,7 @@ def main():
     print(f"  members {fam.count}, Gram condition {sig.condition:.1f}, "
           f"m_N {sig.frame_lower:.3f}")
     print(f"  moment residual {sig.residual_max:.2e}, "
-          f"sup |Im f| {sig.imag_max:.2e}, L2 norm {sig.norm:.3f}")
+          f"factor gap {sig.factor_gap:.2e}, L2 norm {sig.norm:.3f}")
 
     # the simulator runs every mode of the batch, 1..K_SIM
     res = simulate_convolution(resp, ker, sig)

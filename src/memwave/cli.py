@@ -22,9 +22,12 @@ synthesize writes the control in the factor form control.synthesize
 returns: control.csv holds t and one time profile per mode,
 control_traces.csv one real boundary trace per mode, and the control on
 the boundary cylinder is traces.T @ profiles; no run builds it densely.
+coefficients.csv holds one row per mode, n, a_U and a_V: the real
+coefficients of the family's rows U_n and V_n (control._members).
 synthesis.json records factor_gap, the largest gap between that product
 and the control combined from the family, relative to its maximum,
-which synthesize checks to 1e-12 (exit 5 otherwise).
+which synthesize checks to 1e-12 (exit 5 otherwise).  gram writes the
+real Gram of those rows, entrywise in absolute value, to gram_abs.csv.
 
 sweep-t reads every horizon k*h of one grid: the step is the configured
 one (T_min's auto step under "auto"), shrunk so that it divides the
@@ -42,8 +45,9 @@ bounds at every horizon in one riesz.gram_reports pass.  sweep.json
 names the route taken ("route": "exact" or "march") and holds each
 horizon's nested lower frame bounds of both families
 (frame_lower_telegraph, frame_lower_visco) at the truncation levels
-listed under "levels": every level of the 2K members up to 32, a
-geometric subsequence of them above (riesz.nested_levels); the
+listed under "levels": every level of the 2K members U_1, V_1, U_2,
+... up to 32, a geometric subsequence of them above
+(riesz.nested_levels), so an odd level 2j - 1 ends on U_j alone; the
 artifacts report the horizons as computed, k*h.  A bound below its
 level's rounding floor k eps M_k is written as 0, and at_floor_telegraph
 and at_floor_visco list the [horizon, level] positions of such bounds in
@@ -107,15 +111,11 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return [_jsonable(v) for v in obj.tolist()]
         return obj.tolist()
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
         return int(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     return obj
 
 
@@ -289,15 +289,15 @@ def _run_synthesize(cfg, adir):
     control = synthesize(build_moment_problem(_family(cfg),
                                               _resolve_target(cfg)))
     modes = control.index_set[::2]
+    a = control.coefficients
     tables = [("control.csv", ["t"] + [f"g_mode{n}" for n in modes],
                np.column_stack([control.grid.t, control.profiles.T])),
               ("control_traces.csv",
                ["node"] + [f"trace_mode{n}" for n in modes],
                np.column_stack([np.arange(control.traces.shape[1]),
                                 control.traces.T])),
-              ("coefficients.csv", ["n", "a_re", "a_im"],
-               np.column_stack([control.index_set, control.coefficients.real,
-                                control.coefficients.imag]))]
+              ("coefficients.csv", ["n", "a_U", "a_V"],
+               np.column_stack([modes, a[::2], a[1::2]]))]
     # every table is checked before the first write: a failed run writes
     # nothing
     for name, _, rows in tables:
@@ -308,7 +308,6 @@ def _run_synthesize(cfg, adir):
     _write_json(os.path.join(adir, "synthesis.json"), {
         "index_set": list(control.index_set),
         "residual_max": control.residual_max,
-        "imag_max": control.imag_max,
         "condition": control.condition,
         "frame_lower": control.frame_lower,
         "norm": control.norm,
@@ -475,7 +474,6 @@ def _render_report(adir):
             d = json.load(fh)
         lines += ["## Synthesis", "",
                   f"moment residual (max) = {d['residual_max']:.3e}",
-                  f"imaginary leak (max)  = {d['imag_max']:.3e}",
                   f"Gram condition        = {d['condition']:.3e}",
                   f"control L2 norm       = {d['norm']:.6g}"]
         if "factor_gap" in d:

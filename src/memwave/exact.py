@@ -4,21 +4,25 @@ Both families of a closed-form kernel are finite exponential sums with
 a known Laplace form (Pruss, Evolutionary Integral Equations, 1993):
 
 - the memory family: N-hat = NQ / Q (kernels.KernelTerms), so each
-  mode's z and Z are residue sums over the roots of
-  Den = (s - 2 alpha) Q + lambda^2 NQ (exact_modes);
-- the telegraph family: exp(i beta t) + (c / beta) sin(beta t) is two
-  exponentials (transformed_exponential_terms).
+  mode's rows U = z + N'*z and V = N*z are residue sums over the roots
+  of Den = (s - 2 alpha) Q + lambda^2 NQ (exact_modes);
+- the telegraph family: U = cos(beta t) + (c / beta) sin(beta t) and
+  V = sin(beta t) / beta are two exponentials each
+  (transformed_exponential_terms).
 
 A family whose time profiles are exponential sums has its time Gram in
 closed form at any horizon, with no grid (_exponential_time_grams).
-exact_sweep puts the pieces together for cli._run_sweep: it scales and
-signs each family's exponential weights with control._members, the
-helper that builds the grid families (_exponential_members), and hands
-both families' real traces and time Grams to one riesz.gram_reports
-pass, the report path of the grid route too, which gives both
-families' reports at the levels riesz.nested_levels names; or it
-returns None, and the sweep marches, where the route does not apply or
-a mode is not certified.
+The rows are real functions, so the closed form is real up to rounding:
+_real_time_grams checks each Gram's imaginary part against its scale
+before taking the real part, the realness check of the pipeline.
+exact_sweep puts the pieces together for cli._run_sweep: it scales each
+family's exponential weights with control._members, the helper that
+builds the grid families (_exponential_members), and hands both
+families' real traces and time Grams to one riesz.gram_reports pass,
+the report path of the grid route too, which gives both families'
+reports at the levels riesz.nested_levels names; or it returns None,
+and the sweep marches, where the route does not apply or a mode is not
+certified.
 
 The CLI imports this module only when a sweep reaches it, so no other
 run compiles it.
@@ -32,27 +36,28 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .control import _members
+from .errors import InternalConsistencyError
 from .kernels import KernelTerms
 from .riesz import gram_reports
 from .spectral import Spectrum
-from .volterra import _forcing_factors
 
 
 # Relative distance at or below which two roots of a mode's Den, or a root
 # of Den and a root of Q, count as one: exact_modes refuses the modes.
 ROOT_GAP = 1e-6
 # Allowance of the exact route's certificates, relative to the sum of the
-# magnitudes each one adds up: rounding level.
+# magnitudes each one adds up, and of the imaginary part of a closed-form
+# time Gram, relative to the largest entry of its real part: rounding level.
 EXACT_TOL = 1e-12
 
 
 class ExactModes(NamedTuple):
-    """Modal responses as exponential sums, one row per mode:
-    z(t) = sum_k z[k] exp(roots[k] t) and Z(t) = sum_k Z[k] exp(roots[k] t)."""
+    """The memory family's rows as exponential sums, one row per mode:
+    U(t) = sum_k U[k] exp(roots[k] t) and V(t) = sum_k V[k] exp(roots[k] t)."""
 
     roots: np.ndarray        # (K, d) complex roots of Den
-    z: np.ndarray            # (K, d) residues of z-hat
-    Z: np.ndarray            # (K, d) residues of Z-hat
+    U: np.ndarray            # (K, d) residues of U-hat = s NQ / Den
+    V: np.ndarray            # (K, d) residues of V-hat = NQ / Den
 
 
 def _horner(coefficients: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -126,12 +131,13 @@ def exact_modes(terms: KernelTerms, alpha: float,
                 modes: Spectrum) -> Optional[ExactModes]:
     """Exact modal responses of a closed-form kernel, or None.
 
-    With N-hat = NQ / Q (_rational_form), the modal equations give
-    z-hat = Q / Den and Z-hat = (s + i beta) NQ / Den with
-    Den = (s - 2 alpha) Q + lambda^2 NQ, monic of degree d = deg Q + 1.
-    The roots of every mode's Den come from one np.linalg.eigvals call
-    on a (K, d, d) stack of companion matrices, and the residues are
-    Q(s_k) / Den'(s_k) and (s_k + i beta) NQ(s_k) / Den'(s_k).
+    With N-hat = NQ / Q (_rational_form), the modal equation gives
+    z-hat = Q / Den with Den = (s - 2 alpha) Q + lambda^2 NQ, monic of
+    degree d = deg Q + 1, so V = N*z has V-hat = NQ / Den and
+    U = z + N'*z has U-hat = s N-hat z-hat = s NQ / Den (N(0) = 1).  The
+    roots of every mode's Den come from one np.linalg.eigvals call on a
+    (K, d, d) stack of companion matrices, and the residues are
+    s_k NQ(s_k) / Den'(s_k) and NQ(s_k) / Den'(s_k).
 
     Returns None, and the caller marches, when a mode is on the
     degenerate set, when Den's coefficients, a root or a residue are not
@@ -140,9 +146,9 @@ def exact_modes(terms: KernelTerms, alpha: float,
     magnitudes and 1 (_coincide), or when a certificate fails.  The
     certificates, each to EXACT_TOL of the magnitudes it sums:
       (a) NQ / Q reproduces N-hat (_reproduces_kernel);
-      (b) z(0) = Z(0) = 1, the residues summed;
-      (c) z'(0) = 2 alpha and Z'(0) = 2 alpha + i beta, the modal
-          equations at t = 0 with N(0) = 1 and N'(0) = 0.
+      (b) U(0) = 1 and V(0) = 0, the residues summed;
+      (c) U'(0) = 2 alpha and V'(0) = 1, the modal equation at t = 0
+          with N(0) = 1 and N'(0) = 0.
     """
     if not len(modes) or modes.in_J.any():
         return None
@@ -166,28 +172,28 @@ def exact_modes(terms: KernelTerms, alpha: float,
         if _coincide(w, w) or _coincide(
                 w, np.broadcast_to(q_roots, (K, len(q_roots)))):
             return None
-        ib = _forcing_factors(modes)
         dden = _horner(den[:, :-1] * np.arange(d, 0, -1), w)
         s = w + terms.rate
-        z = _horner(Q, w) / dden
-        Z = (s + ib[:, None]) * _horner(NQ, w) / dden
-        checks = ((z, 1.0), (Z, 1.0), (z * s, 2.0 * alpha),
-                  (Z * s, 2.0 * alpha + ib))
+        V = _horner(NQ, w) / dden
+        U = s * V
+        checks = ((U, 1.0), (V, 0.0), (U * s, 2.0 * alpha), (V * s, 1.0))
         ok = all(np.all(np.abs(np.sum(r, axis=1) - want)
                         <= EXACT_TOL * np.sum(np.abs(r), axis=1))
                  for r, want in checks)
-        if not (ok and np.all(np.isfinite(z)) and np.all(np.isfinite(Z))):
+        if not (ok and np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
             return None
-        return ExactModes(s, z, Z)
+        return ExactModes(s, U, V)
 
 
-def transformed_exponential_terms(modes: Spectrum, a: float):
-    """transformed_exponential off the degenerate set as an exponential
-    sum, (1 + a/(2 i beta)) e^(i beta t) - (a/(2 i beta)) e^(-i beta t):
-    rates and weights, each (K, 2)."""
+def transformed_exponential_terms(modes: Spectrum, c: float):
+    """The telegraph rows off the degenerate set as exponential sums on
+    the rates (i beta, -i beta): V = sin(beta t) / beta has the weights
+    (1, -1) / (2 i beta) and U = cos(beta t) + c V the weights
+    (1/2, 1/2) + c (1, -1) / (2 i beta).  Rates, U and V weights, each
+    (K, 2)."""
     ib = 1j * modes.beta
-    k = a / (2.0 * ib)
-    return np.stack([ib, -ib], axis=1), np.stack([1.0 + k, -k], axis=1)
+    V = np.stack([1.0 / (2.0 * ib), -1.0 / (2.0 * ib)], axis=1)
+    return np.stack([ib, -ib], axis=1), 0.5 + c * V, V
 
 
 def _exponential_time_grams(rates, weights, horizons) -> np.ndarray:
@@ -231,16 +237,33 @@ def _exponential_time_grams(rates, weights, horizons) -> np.ndarray:
     return out
 
 
-def _exponential_members(modes: Spectrum, rates, weights):
-    """Rates and weights (2K, d) of the signed members of modes whose
-    time profiles are the exponential sums of rates and weights (K, d),
-    and their real traces (2K, nodes): the weights scaled and signed by
-    control._members, as the grid families' profiles are, and member
-    -n, the conjugate of member +n, on the conjugate exponents."""
-    weights, _, traces = _members(modes, weights)
-    rates = np.repeat(rates, 2, axis=0)
-    np.conjugate(rates[1::2], out=rates[1::2])
-    return rates, weights, traces
+def _exponential_members(modes: Spectrum, rates, U, V):
+    """Rates and weights (2K, d) of the rows of modes whose time profiles
+    U and V are exponential sums on the rates (K, d) with the weights U
+    and V (K, d), and their real traces (2K, nodes): the weights scaled
+    by control._members, as the grid families' profiles are, and both
+    rows of a mode on its rates."""
+    weights, _, traces = _members(modes, U, V)
+    return np.repeat(rates, 2, axis=0), weights, traces
+
+
+def _real_time_grams(grams: np.ndarray, label: str) -> np.ndarray:
+    """The real part of the closed-form time Grams (H, count, count) of
+    the real rows of the family label, once each Gram's imaginary part
+    is within EXACT_TOL of the largest entry of its real part; otherwise
+    the internal-consistency error.  A Gram whose real part is not
+    finite is left to the report pass's finite check."""
+    real = grams.real.copy()
+    with np.errstate(invalid="ignore"):
+        scale = np.max(np.abs(real), axis=(1, 2))
+        leak = np.max(np.abs(grams.imag), axis=(1, 2))
+    bad = np.isfinite(scale) & ~(leak <= EXACT_TOL * scale)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InternalConsistencyError(
+            f"closed-form time Gram of {label!r} is not real (imaginary "
+            f"part {leak[i]:.3e} of {scale[i]:.3e})")
+    return real
 
 
 def exact_sweep(kernel, modes_tel: Spectrum, modes_vis: Spectrum, c: float,
@@ -257,9 +280,9 @@ def exact_sweep(kernel, modes_tel: Spectrum, modes_vis: Spectrum, c: float,
         return None
     tel = _exponential_members(modes_tel,
                                *transformed_exponential_terms(modes_tel, c))
-    vis = _exponential_members(modes_vis, exact.roots, exact.Z)
-    return gram_reports([(traces, _exponential_time_grams(rates, weights,
-                                                          horizons), label)
+    vis = _exponential_members(modes_vis, *exact)
+    return gram_reports([(traces, _real_time_grams(_exponential_time_grams(
+                              rates, weights, horizons), label), label)
                          for (rates, weights, traces), label
                          in ((tel, "telegraph"), (vis, "viscoelastic"))],
                         gamma_weights)

@@ -8,21 +8,22 @@ is the signature of an undercritical horizon.  Cauchy interlacing makes
 m_N nonincreasing and M_N nondecreasing, which doubles as a self-check
 on the eigenvalue computation.
 
-Inner-product convention: the second argument is conjugated.  Stated
-once here, used everywhere.
+Real families.  Every member is rank one and real, a boundary trace
+times a time profile, m_k(x, t) = psi_k(x) P_k(t), so a family keeps
+the two real factors, psi (count, nodes) and profiles (count, steps+1),
+and never the dense (count, nodes, steps+1) outer products.  psi is the
+unscaled trace, the conormal derivative of a real eigenfunction; the
+scale of a member lives in its time profile (control._members makes
+the rows U_n and V_n of each mode).  A complex trace or profile is a
+config error.  The weighted inner product over the boundary cylinder
+splits with the factors:
 
-Separable representation.  Every member is rank one, a boundary trace
-times a time profile, m_k(x, t) = psi_k(x) Z_k(t), so a family keeps
-the two factors, psi (count, nodes) and profiles (count, steps+1), and
-never the dense (count, nodes, steps+1) outer products.  psi is the
-real, unscaled trace, the conormal derivative of a real eigenfunction;
-any complex scale of a member (1/beta, and its conjugate at -n: see
-control._members) lives in its time profile.  The weighted inner
-product over the boundary cylinder splits with the factors:
-
-    Gram_nk         = (sum_x w_x psi_n psi_k) * (sum_t w_t Z_n conj Z_k)
-    int m_k g       = sum_t ((psi w_x) @ g)_kt Z_kt w_t
+    Gram_nk         = (sum_x w_x psi_n psi_k) * (sum_t w_t P_n P_k)
+    int m_k g       = sum_t ((psi w_x) @ g)_kt P_kt w_t
     sum_k a_k m_k   = (psi.T * a) @ profiles
+
+so every Gram is real symmetric, and its eigenvalues come from a real
+eigvalsh.
 
 The Gram is the entrywise (Hadamard) product of a boundary Gram and a
 time Gram; a dense grid function g (nodes, steps+1) is made only where
@@ -32,7 +33,7 @@ interval) take psi = 1.
 One report pass per sweep.  gram_reports takes every family of a sweep
 at once, each as its traces and a stack of time Grams, one per horizon:
 it forms each family's boundary Gram once, fills one stack with its
-entrywise products with the time Grams, runs the finite and Hermitian
+entrywise products with the time Grams, runs the finite and symmetry
 checks on each family's part of the stack, batched over its horizons,
 and takes the nested frame bounds of every Gram with one batched
 eigenvalue call per truncation level.  A lower bound below its level's
@@ -54,7 +55,9 @@ it:
 - the exact route (exact.exact_sweep).  Exponential-sum profiles have
   time Grams in closed form,
   T sum_{j,l} w_kj conj(w_ml) E((s_kj + conj s_ml) T) with
-  E(y) = expm1(y) / y, at any horizon and on no grid.
+  E(y) = expm1(y) / y, at any horizon and on no grid; the profiles are
+  real, so exact takes the real part of each Gram once its imaginary
+  part is checked to be rounding.
 
 The level set.  A report of n members holds the frame bounds of every
 level up to ALL_LEVELS = 32, then of k -> ceil(1.25 k), and of n
@@ -85,13 +88,13 @@ ALL_LEVELS = 32
 class SequenceFamily:
     """Indexed family of separable Gamma-valued grid functions on [0, T].
 
-    Member k is psi[k] (x) profiles[k], psi the real trace; psi
-    defaults to ones (count, 1), a one-node family, and a complex psi is
-    a config error.  gamma_weights are the boundary quadrature weights
+    Member k is psi[k] (x) profiles[k], both real; psi defaults to ones
+    (count, 1), a one-node family, and a complex psi or profile is a
+    config error.  gamma_weights are the boundary quadrature weights
     (ones by default).
     """
 
-    profiles: np.ndarray         # (count, steps+1) complex time profiles
+    profiles: np.ndarray         # (count, steps+1) real time profiles
     index_set: tuple             # signed indices aligned with the rows
     label: str
     grid: TimeGrid
@@ -99,14 +102,16 @@ class SequenceFamily:
     psi: np.ndarray = None       # (count, nodes) real boundary traces
 
     def __post_init__(self):
-        z = np.asarray(self.profiles, dtype=complex)
+        if np.iscomplexobj(self.profiles):
+            raise ConfigError("time profiles must be real: a family is "
+                              "the real rows U_n and V_n of each mode")
+        z = np.asarray(self.profiles, dtype=float)
         if z.ndim != 2 or z.shape[1] != self.grid.steps + 1:
             raise ConfigError(f"profile array shape {z.shape} does not match grid")
         if z.shape[0] != len(self.index_set):
             raise ConfigError("index_set length does not match member count")
         if np.iscomplexobj(self.psi):
-            raise ConfigError("boundary traces must be real; a complex "
-                              "scale belongs in the time profile")
+            raise ConfigError("boundary traces must be real")
         psi = (np.ones((z.shape[0], 1)) if self.psi is None
                else np.asarray(self.psi, dtype=float))
         if psi.ndim != 2 or psi.shape[0] != z.shape[0]:
@@ -179,26 +184,25 @@ def nested_levels(n: int) -> tuple:
 
 
 def _check(Gs: np.ndarray, label: str) -> None:
-    """Run the finite and Hermitian checks on every Gram of the stack Gs
-    of the family label, then symmetrise the stack in place.  The first
-    Gram to fail, in stack order, raises.
+    """Run the finite and symmetry checks on every Gram of the real stack
+    Gs of the family label, then symmetrise the stack in place.  The
+    first Gram to fail, in stack order, raises.
 
-    Each Gram's figures are those of the Gram alone: conj(G).T is written
-    out, so the gap and the symmetrised Gram take the same elementwise
+    Each Gram's figures are those of the Gram alone: G.T is written out,
+    so the gap and the symmetrised Gram take the same elementwise
     operations on the same operands as they would one Gram at a time.
     """
     finite = np.all(np.isfinite(Gs), axis=(1, 2))
-    # conj(G).T as a copy, then conjugated in place: a ufunc reading the
-    # transposed view would buffer a second stack
+    # G.T as a copy: a ufunc reading the transposed view would buffer a
+    # second stack
     flip = Gs.transpose(0, 2, 1).copy()
-    np.conjugate(flip, out=flip)
     with np.errstate(invalid="ignore"):     # Inf - Inf where not finite
         np.subtract(Gs, flip, out=flip)
-        size = np.abs(flip)
-        herm_gap = np.max(size, axis=(1, 2))
-        np.abs(Gs, out=size)
-        scale = np.maximum(1.0, np.max(size, axis=(1, 2)))
-    bad = ~finite | (herm_gap > 1e-12 * scale)
+        np.abs(flip, out=flip)
+        sym_gap = np.max(flip, axis=(1, 2))
+        np.abs(Gs, out=flip)
+        scale = np.maximum(1.0, np.max(flip, axis=(1, 2)))
+    bad = ~finite | (sym_gap > 1e-12 * scale)
     if np.any(bad):
         i = int(np.argmax(bad))
         if not finite[i]:
@@ -206,46 +210,43 @@ def _check(Gs: np.ndarray, label: str) -> None:
                 f"Gram of {label!r} is not finite (NaN or Inf entries); "
                 "the members overflow")
         raise InternalConsistencyError(
-            f"Gram of {label!r} is non-Hermitian (gap {herm_gap[i]:.3e}); "
+            f"Gram of {label!r} is not symmetric (gap {sym_gap[i]:.3e}); "
             "quadrature inconsistency")
     flip[...] = Gs.transpose(0, 2, 1)
-    np.conjugate(flip, out=flip)
     np.add(Gs, flip, out=flip)
     np.multiply(0.5, flip, out=Gs)
 
 
 def cholesky_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve G x = b for a Hermitian positive definite G: G = L L^H, then
-    one solve against L and one against L^H."""
+    """Solve G x = b for a symmetric positive definite G: G = L L^T, then
+    one solve against L and one against L^T."""
     L = np.linalg.cholesky(G)
-    return np.linalg.solve(np.conj(L).T, np.linalg.solve(L, b))
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def gram_reports(families: Sequence[tuple],
                  gamma_weights: np.ndarray) -> list:
     """One list of reports per family, one report per horizon.
 
-    families holds, for each family, (psi, temporal, label): its traces
-    psi (count, nodes), real in every family the pipeline builds, and its
-    time Grams temporal (H, count, count), one per horizon; every family
-    has the same count and H.  A family's Gram at a horizon is its
+    families holds, for each family, (psi, temporal, label): its real
+    traces psi (count, nodes) and its real time Grams temporal
+    (H, count, count), one per horizon; every family has the same count
+    and H.  A family's Gram at a horizon is its
     boundary Gram under the quadrature gamma_weights times the time
     Gram, entrywise.  All of them fill one
     (families * H, count, count) stack; each family's part passes the
-    finite and Hermitian checks (_check) as it is filled, which keeps
+    finite and symmetry checks (_check) as it is filled, which keeps
     their temporaries to one family's Grams, and the whole stack takes
     one eigenvalue call per level of nested_levels(count).  Every Gram's
     frame bounds then pass the interlacing check on their own.
     """
     n, H = families[0][0].shape[0], len(families[0][1])
-    Gs = np.empty((len(families) * H, n, n), dtype=complex)
+    Gs = np.empty((len(families) * H, n, n))
     for f, (psi, temporal, label) in enumerate(families):
         if psi.shape[0] != n or len(temporal) != H:
             raise ConfigError(f"family {label!r} has {psi.shape[0]} members "
                               f"and {len(temporal)} horizons, not {n} and {H}")
-        # complex once: a real boundary would be cast again in every
-        # product below
-        boundary = ((psi * gamma_weights) @ np.conj(psi).T).astype(complex)
+        boundary = (psi * gamma_weights) @ psi.T
         G = Gs[f * H:(f + 1) * H]
         # one product per horizon: a broadcast one would buffer a stack
         for i, t in enumerate(temporal):
@@ -288,7 +289,7 @@ def gram_reports(families: Sequence[tuple],
 
 def _trapezoid_time_grams(profiles: np.ndarray, h: float,
                           steps: Sequence[int]) -> list:
-    """sum_t w_t Z_n conj Z_k on [0, k h] for every k of steps, from one
+    """sum_t w_t P_n P_k on [0, k h] for every k of steps, from one
     pass over the grid: the trapezoid rule on [0, k_i h] is the rule on
     [0, k_{i-1} h] plus the rule on [k_{i-1} h, k_i h], so the time Gram
     of each horizon adds one segment's product to the last one's."""
@@ -297,7 +298,7 @@ def _trapezoid_time_grams(profiles: np.ndarray, h: float,
         seg = profiles[:, start:k + 1]
         w = np.full(k - start + 1, h)
         w[0] = w[-1] = 0.5 * h
-        part = (seg * w) @ np.conj(seg).T
+        part = (seg * w) @ seg.T
         temporal.append(temporal[-1] + part if temporal else part)
         start = k
     return temporal
@@ -338,11 +339,10 @@ def quadratic_closeness(a: SequenceFamily, b: SequenceFamily,
         raise ConfigError("closeness needs identical grids and member shapes")
     if not np.array_equal(a.psi, b.psi):
         raise ConfigError("closeness needs identical boundary traces")
-    # |psi_k (x) (Z_k - Z'_k)|^2 = psi_k^2 |Z_k - Z'_k|^2: the profile
+    # |psi_k (x) (P_k - P'_k)|^2 = psi_k^2 (P_k - P'_k)^2: the profile
     # difference is taken before squaring, so nothing cancels
-    D = a.profiles - b.profiles
     d2 = ((a.psi ** 2 @ a.gamma_weights)
-          * (np.real(D * np.conj(D)) @ trapezoid_weights(a.grid)))
+          * ((a.profiles - b.profiles) ** 2 @ trapezoid_weights(a.grid)))
     nblocks = len(d2) // block
     blocks = [float(np.sum(d2[i * block:(i + 1) * block])) for i in range(nblocks)]
     return {

@@ -19,8 +19,10 @@ Two routes compute the end state of the controlled modes:
 The simulator takes the control the family was solved for: its traces
 must be the simulated modes' own, bit for bit (both are spectral's
 computed trace), so a control solved on another boundary is refused.
-An overdamped mode (imaginary beta) has no settled velocity basis, so
-the read-off (achieved_coefficients) and the energies refuse it.
+The velocity of mode n is read as theta_n' / |beta_n|, the scale of
+the family's row U_n (control._row_scale), and as theta_n' on the
+degenerate set; for real beta, |beta| is beta.real bit for bit, and an
+overdamped mode (imaginary beta) takes the same basis.
 
 Both routes simulate the Spectrum batch (spectral) they are handed,
 which must be the modes 1..K_sim, as one batch with time on the last
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlSignal, node_blocks
+from .control import ControlSignal, _row_scale, node_blocks
 from .errors import ConfigError, InternalConsistencyError
 from .grid import TimeGrid
 from .kernels import NormalizedKernel, convolve, convolve_end
@@ -76,7 +78,7 @@ class SimResult:
     tail_energy: float           # spillover into modes K+1..K_sim, summed in
                                  # the state norm (position^2 + velocity^2
                                  # with the velocity read in the mode basis,
-                                 # theta'/beta); the naive theta'^2+lam^2
+                                 # theta'/|beta|); the naive theta'^2+lam^2
                                  # theta^2 weighting diverges with K_sim for
                                  # boundary-controlled states and is not used
     K: int                       # the control's modes 1..K
@@ -158,26 +160,11 @@ def _setup(kernel: NormalizedKernel, control: ControlSignal,
     return modes.trace * control.gamma_weights, kernel.grid.steps + 1, K
 
 
-def _damped_basis(beta, index):
-    """ConfigError naming the first overdamped mode (imaginary beta off
-    the degenerate set), whose velocity basis is not settled."""
-    over = np.asarray(beta).imag != 0.0
-    if over.any():
-        i = int(np.argmax(over))
-        raise ConfigError(
-            f"mode {index[i]} is overdamped (beta = {complex(beta[i]):.4g}): "
-            f"its velocity coefficient and state energy are not defined yet")
-
-
 def mode_energies(theta_T, theta_t_T, beta) -> np.ndarray:
     """Per-mode state-norm energy of the modes 1..n with beta (complex or
-    real); beta = 0 marks the degenerate basis.  An overdamped mode
-    (imaginary beta) raises ConfigError naming it."""
-    _damped_basis(beta, np.arange(1, len(beta) + 1))
-    beta = np.real(beta)
-    safe = np.where(beta == 0.0, 1.0, beta)
-    vel = np.where(beta == 0.0, theta_t_T, theta_t_T / safe)
-    return np.abs(theta_T) ** 2 + np.abs(vel) ** 2
+    real); beta = 0 marks the degenerate basis."""
+    return (np.abs(theta_T) ** 2
+            + np.abs(theta_t_T / _row_scale(beta)) ** 2)
 
 
 def _finalize(theta_T, theta_t_T, K, modes, grid):
@@ -221,12 +208,10 @@ def simulate_march(kernel: NormalizedKernel, modes: Spectrum,
 
 
 def achieved_coefficients(result: SimResult):
-    """Read (xi, eta) off the final state, honoring the degenerate-set
-    basis; an overdamped mode raises ConfigError naming it."""
-    m = result.modes
-    _damped_basis(m.beta, m.index)
+    """Read (xi, eta) off the final state, eta = theta' / |beta| and
+    theta' on the degenerate set."""
     return (result.theta_T.copy(),
-            result.theta_t_T / np.where(m.in_J, 1.0, m.beta.real))
+            result.theta_t_T / _row_scale(result.modes.beta))
 
 
 def mode_gaps(a: SimResult, b: SimResult) -> np.ndarray:

@@ -11,8 +11,9 @@ trace is a * (outward normal derivative) on the controlled boundary
 part, stored real and unscaled, exactly as the geometry code computes
 it.  beta_n = sqrt(lambda_n^2 - alpha^2), 0 on the degenerate set J,
 takes the principal branch, so beta is purely imaginary with
-nonnegative imaginary part whenever lambda_n^2 < alpha^2.  Any 1/beta
-scale belongs to the consumer (control._members).
+nonnegative imaginary part whenever lambda_n^2 < alpha^2.  The
+1/|beta| scale of a family's rows belongs to the consumer
+(control._members).
 
 compute_eigenpairs returns the modes as one Spectrum batch, an array
 per field with one row per mode in ascending lambda_n^2; Spectrum.take

@@ -48,15 +48,16 @@ call bit for bit.
 
 Z is additionally assembled by the variation-of-constants identity
 Z = z + N'*z + i beta (N*z), and the two routes are cross-checked, on
-the real differences Y' - N'*z and Y - N*z; the assembled route is the
-one the batch keeps because the forward simulator shares its discrete
-ingredients, which keeps the synthesis / verification loop exactly
-consistent.  The assembly uses FFT convolutions of the sampled kernel,
-never the recurrence, so the check stays independent of the march; it
-convolves N and N' together against every mode of a batch in one call,
-which transforms z once and each of the 2K products back on its own.
-The batch keeps z, N*z and N'*z; Z and S = exp(-alpha t) Z are computed
-when read.
+the real differences Y' - N'*z and Y - N*z; the assembled ingredients
+are the ones the batch keeps because the forward simulator shares them,
+which keeps the synthesis / verification loop exactly consistent.  The
+assembly uses FFT convolutions of the sampled kernel, never the
+recurrence, so the check stays independent of the march; it convolves
+N and N' together against every mode of a batch in one call, which
+transforms z once and each of the 2K products back on its own.  The
+batch keeps z, N*z and N'*z: the real rows U = z + N'*z and V = N*z of
+the memory family (control.viscoelastic_family) are read off them, and
+Z = U + i beta V is never formed.
 
 The refined small-residual route (refined_S / comparator_profile) exists
 because the marched phase error grows like T beta^3 h^2 / 12 and would
@@ -108,20 +109,6 @@ class ModalResponses:
     Npz: np.ndarray          # (K, m+1)
     z_gap_ratio: np.ndarray  # (K,)
     grid: TimeGrid
-    alpha: float
-
-    @property
-    def Z(self) -> np.ndarray:
-        """The variation-of-constants Z = z + N'*z + i beta (N*z), with i
-        on the degenerate set, computed when read."""
-        return self.z + self.Npz + _forcing_factors(self.modes)[:, None] \
-            * self.Nz
-
-    @property
-    def S(self) -> np.ndarray:
-        """exp(-alpha t) Z, computed when read."""
-        t = np.arange(self.grid.steps + 1) * self.grid.h
-        return np.exp(-self.alpha * t) * self.Z
 
     def head(self, k: int) -> "ModalResponses":
         """The batch of the first k modes."""
@@ -132,9 +119,8 @@ class ModalResponses:
     def restrict(self, steps: int) -> "ModalResponses":
         """Exact restriction to [0, steps h] on the same step.
 
-        The march and both convolutions are causal and Z is assembled
-        pointwise from them, so slicing is the same computation on the
-        shorter grid.  z_gap_ratio is not recomputed: it stays the full
+        The march and both convolutions are causal, so slicing is the
+        same computation on the shorter grid.  z_gap_ratio is not recomputed: it stays the full
         horizon's gap over the full horizon's allowance.
         """
         return replace(self, grid=self.grid.restrict(steps),
@@ -531,8 +517,7 @@ def compute_responses(kernel: NormalizedKernel,
     dN -= Nz
     ratios = _z_route_gaps(kernel, modes, dNp, dN)
     m, h = kernel.grid.steps, kernel.h
-    return ModalResponses(modes, z, Nz, Npz, ratios, TimeGrid(m * h, m, h),
-                          kernel.alpha)
+    return ModalResponses(modes, z, Nz, Npz, ratios, TimeGrid(m * h, m, h))
 
 
 def _column(values) -> np.ndarray:

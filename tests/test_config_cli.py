@@ -384,12 +384,13 @@ def test_cli_tabulated_kernel_at_benchmark_size(tmp_path):
 
 
 def test_cli_gram_at_the_rounding_floor_exits_three(tmp_path, capsys):
-    # 3 e^-t with 6 modes at T = 3 pi: m_N is at its rounding floor, the
-    # Gram singular to working precision; gram says so and writes
-    # nothing, where it wrote m_N = 4.3e-17 and a condition of 3e16
-    doc = base("gram", T=3 * PI, h=2e-3, K=6,
-               kernel={"family": "exponential_sum", "coefficients": [3.0],
-                       "rates": [1.0]})
+    # the zero kernel with c = 3.5 and 6 modes at T = 3 pi: mode 1 is
+    # overdamped, its rows U_1 and V_1 both grow as exp((alpha + kappa) t)
+    # with alpha + kappa = 6.85 against exp(0.15 t), so m_N is at its
+    # rounding floor, the Gram singular to working precision; gram says
+    # so and writes nothing
+    doc = base("gram", T=3 * PI, h=2e-3, K=6, kernel={"family": "zero"},
+               domain={"geometry": "interval", "lengths": [PI], "c": 3.5})
     assert run(tmp_path, doc, out=tmp_path / "store") == 3
     err = capsys.readouterr().err
     assert "singular to working precision" in err and "gram.json" in err
@@ -429,6 +430,57 @@ def test_cli_overdamped_gram_exits_four_without_warning(tmp_path, capsys):
     assert code == 4
     assert "condition=inf" in capsys.readouterr().err
     assert not (tmp_path / "store").exists()
+
+
+# 3 exp(-t) on the interval of length pi: alpha = -1.5, so mode 1
+# (lambda^2 = 1) is overdamped, beta_1 = 1.118 i
+OVERDAMPED = dict(K=6, h=2e-3, kernel={"family": "exponential_sum",
+                                       "coefficients": [3.0], "rates": [1.0]})
+
+
+def test_cli_overdamped_memory_family_synthesizes_and_verifies(tmp_path):
+    # the rows U_1 and V_1 of the overdamped mode stay independent, so at
+    # 3 pi the Gram is regular (m_N 6.0e-8, condition 2.1e7, under the
+    # cap), and the forward simulation, reading mode 1's velocity as
+    # theta' / |beta_1|, hits the target
+    store = tmp_path / "store"
+    common = dict(OVERDAMPED, T=3 * PI, target="random", seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, base("synthesize", **common), out=store,
+                   name="s.json") == 0
+        assert run(tmp_path, base("verify", **common), out=store,
+                   name="v.json") == 0
+    (syn,) = store.glob("synthesize-*/synthesis.json")
+    syn = json.loads(syn.read_text())
+    assert syn["frame_lower"] == pytest.approx(6.03e-8, rel=0.01)
+    assert syn["condition"] < 1e8 and syn["factor_gap"] <= 1e-12
+    (verdict,) = store.glob("verify-*/verdict.json")
+    verdict = json.loads(verdict.read_text())
+    assert verdict["verdict"] == "PASS"
+    assert verdict["achieved_error"] <= verdict["tolerance"]
+
+
+def test_cli_report_renders_a_fresh_synthesis(tmp_path, capsys):
+    doc = base("synthesize", T=2.5 * PI, K=3, target="random", seed=2,
+               kernel=EXP)
+    store = tmp_path / "store"
+    assert run(tmp_path, doc, out=store, grid_h=1e-2) == 0
+    adir = adir_of(store, "synthesize", doc, 1e-2)
+    syn = json.loads((adir / "synthesis.json").read_text())
+    assert set(syn) == {"index_set", "residual_max", "condition",
+                        "frame_lower", "norm", "factor_gap", "T", "K",
+                        "config_hash"}
+    cols, coefficients = cli._read_csv(str(adir / "coefficients.csv"))
+    assert cols == ["n", "a_U", "a_V"]
+    assert np.array_equal(coefficients[:, 0], [1, 2, 3])
+    capsys.readouterr()
+    assert main(["report", str(adir)]) == 0
+    text = capsys.readouterr().out
+    assert "## Synthesis" in text and "imag" not in text
+    assert f"moment residual (max) = {syn['residual_max']:.3e}" in text
+    assert f"Gram condition        = {syn['condition']:.3e}" in text
+    assert (adir / "report.md").read_text().strip() == text.strip()
 
 
 @pytest.mark.parametrize("command,doc", [
@@ -500,7 +552,7 @@ def test_cli_synthesize_then_verify_passes(tmp_path, capsys):
     assert (sdir / "control.csv").exists()
     syn = json.loads((sdir / "synthesis.json").read_text())
     assert syn["residual_max"] <= 1e-8 * syn["condition"]
-    assert syn["imag_max"] <= 1e-12
+    assert "imag_max" not in syn
 
     assert run(tmp_path, vdoc, out=store, grid_h=5e-3, name="v.json") == 0
     vdir = adir_of(store, "verify", vdoc, 5e-3)
@@ -564,8 +616,7 @@ def test_cli_synthesize_writes_control_factors(tmp_path, capsys, monkeypatch):
     assert np.array_equal(tr[:, 0], np.arange(nodes))
     assert np.array_equal(g[:, 1:].T, ctrl.profiles)
     assert np.array_equal(tr[:, 1:].T, ctrl.traces)
-    f = np.real(combination(problem.family, ctrl.coefficients,
-                            conjugate=True))[:, ::-1]
+    f = combination(problem.family, ctrl.coefficients)[:, ::-1]
     gap = np.max(np.abs(tr[:, 1:] @ g[:, 1:].T - f)) / np.max(np.abs(f))
     syn = json.loads((adir / "synthesis.json").read_text())
     assert syn["factor_gap"] == ctrl.factor_gap <= 1e-12 and gap <= 1e-12
@@ -792,6 +843,11 @@ def test_write_csv_bytes_match_on_both_sides_of_the_cut(tmp_path):
 
 
 _FAIL_CLOSED = {0, 2, 3, 4, 5}
+# c for the fail-closed tests: with the kernel strengths (gamma = -M(0)/2)
+# it draws alpha = c + gamma past sqrt(lambda_1) = pi / length (on the
+# interval), so mode 1 is real, overdamped (imaginary beta) or on the
+# degenerate set
+OVERDAMPING_C = st.one_of(st.floats(-2.0, 2.0), st.floats(-6.0, 6.0))
 
 
 @settings(max_examples=25, deadline=None,
@@ -916,7 +972,7 @@ def test_cli_responses_fails_closed(tmp_path, length, c, family, coefficients,
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(length=st.floats(0.5, 4.0), c=st.floats(-2.0, 2.0),
+@given(length=st.floats(0.5, 4.0), c=OVERDAMPING_C,
        family=st.sampled_from(["zero", "exponential_sum", "polynomial"]),
        coefficients=st.lists(st.one_of(st.floats(-5.0, 5.0),
                                        st.floats(-1e8, 1e8)),
@@ -928,6 +984,11 @@ def test_cli_responses_fails_closed(tmp_path, length, c, family, coefficients,
 # found by this test: K_sim < K (traceback)
 @example(length=1.0, c=0.0, family="zero", coefficients=[0.0], rate=0.0,
          T=1.0, K=3, K_sim=2, h=0.0625, seed=0)
+# overdamped mode 1: 3 exp(-t) (alpha = -1.5) and c = 1.5 (alpha = 1.5)
+@example(length=PI, c=0.0, family="exponential_sum", coefficients=[3.0],
+         rate=1.0, T=3 * PI, K=3, K_sim=4, h=0.02, seed=1)
+@example(length=PI, c=1.5, family="zero", coefficients=[0.0], rate=0.0,
+         T=3 * PI, K=3, K_sim=4, h=0.02, seed=1)
 def test_cli_verify_fails_closed(tmp_path, length, c, family, coefficients,
                                  rate, T, K, K_sim, h, seed):
     # any small interval verify config ends in a documented exit code, and
@@ -980,13 +1041,20 @@ def test_cli_verify_fails_closed(tmp_path, length, c, family, coefficients,
 @given(geometry=st.sampled_from(["interval", "rectangle"]),
        lengths=st.tuples(st.floats(0.5, 4.0), st.floats(0.5, 4.0)),
        gamma_subset=st.sampled_from([["right"], ["right", "top"]]),
-       c=st.floats(-2.0, 2.0),
+       c=OVERDAMPING_C,
        family=st.sampled_from(["zero", "exponential_sum", "polynomial"]),
        coefficients=st.lists(st.one_of(st.floats(-5.0, 5.0),
                                        st.floats(-1e8, 1e8)),
                              min_size=1, max_size=2),
        rate=st.floats(0.0, 5.0), T=st.floats(0.5, 8.0), K=st.integers(1, 3),
        h=st.floats(1e-2, 0.1), seed=st.integers(0, 3))
+# overdamped mode 1: 3 exp(-t) (alpha = -1.5) and c = 1.5 (alpha = 1.5)
+@example(geometry="interval", lengths=(PI, PI), gamma_subset=["right"],
+         c=0.0, family="exponential_sum", coefficients=[3.0], rate=1.0,
+         T=3 * PI, K=3, h=0.02, seed=1)
+@example(geometry="interval", lengths=(PI, PI), gamma_subset=["right"],
+         c=1.5, family="zero", coefficients=[0.0], rate=0.0, T=3 * PI, K=3,
+         h=0.02, seed=1)
 def test_cli_synthesize_fails_closed(tmp_path, geometry, lengths,
                                      gamma_subset, c, family, coefficients,
                                      rate, T, K, h, seed):
@@ -1019,8 +1087,8 @@ def test_cli_synthesize_fails_closed(tmp_path, geometry, lengths,
         syn = json.loads((adir / "synthesis.json").read_text(),
                          parse_constant=reject)
         assert all(math.isfinite(syn[k]) for k in
-                   ("residual_max", "imag_max", "condition", "frame_lower",
-                    "norm", "factor_gap"))
+                   ("residual_max", "condition", "frame_lower", "norm",
+                    "factor_gap"))
         assert syn["factor_gap"] <= 1e-12
         for name in ("control.csv", "control_traces.csv", "coefficients.csv"):
             table = np.loadtxt(adir / name, delimiter=",", ndmin=2)
@@ -1031,7 +1099,7 @@ def test_cli_synthesize_fails_closed(tmp_path, geometry, lengths,
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(length=st.floats(0.5, 4.0), c=st.floats(-2.0, 2.0),
+@given(length=st.floats(0.5, 4.0), c=OVERDAMPING_C,
        family=st.sampled_from(["zero", "exponential_sum", "polynomial"]),
        coefficients=st.lists(st.one_of(st.floats(-5.0, 5.0),
                                        st.floats(-1e8, 1e8)),
@@ -1047,6 +1115,9 @@ def test_cli_synthesize_fails_closed(tmp_path, geometry, lengths,
          rate=1.0, h=0.05, K=2, T_min=2.0, span=4.0, steps=3)
 @example(length=1.0, c=-1.3, family="exponential_sum", coefficients=[2.0],
          rate=0.5, h=0.05, K=3, T_min=1.0, span=2.0, steps=3)
+# both families overdamped at mode 1: 3 exp(-t) (alpha = -1.5) with c = 1.5
+@example(length=PI, c=1.5, family="exponential_sum", coefficients=[3.0],
+         rate=1.0, h=0.02, K=4, T_min=1.5 * PI, span=1.5 * PI, steps=4)
 def test_cli_sweep_fails_closed(tmp_path, length, c, family, coefficients,
                                 rate, h, K, T_min, span, steps):
     # any small interval sweep-t config ends in a documented exit code, and

@@ -6,20 +6,20 @@ import pytest
 
 from memwave import (ConfigError, DomainSpec, InternalConsistencyError,
                      KernelSpec, NotControllableError, SequenceFamily,
-                     Spectrum, TargetState,
-                     TimeGrid, assemble_rhs, build_moment_problem,
+                     TargetState, TimeGrid, assemble_rhs, build_moment_problem,
                      comparator_profile, compute_eigenpairs,
                      compute_responses, gram, make_grid, normalize,
                      quadratic_closeness, refined_S, synthesize,
                      telegraph_family, viscoelastic_family)
 from memwave.control import (CALLING_THREAD_MACS, _RealPasses, _factor_form,
-                              _members, _min_norm_spot_check,
-                              _spot_direction, _spot_terms, node_blocks)
+                              _min_norm_spot_check, _spot_direction,
+                              _spot_terms, node_blocks)
 from memwave.grid import trapezoid_weights
 
 from family_reference import combination, pairing, real_factors
 
 PI = np.pi
+R2 = np.sqrt(2.0)
 INTERVAL = DomainSpec("interval", (PI,))
 
 
@@ -34,12 +34,14 @@ def unit_target(K, mode=1, velocity=False):
 
 
 def test_assemble_rhs_conventions():
+    # -sqrt2 eta_n on U_n, then -sqrt2 xi_n on V_n, mode by mode
     c = assemble_rhs(unit_target(3))
-    assert np.allclose(c, [-1j, 0, 0])
+    assert c.dtype == float
+    assert np.array_equal(c, [0, -R2, 0, 0, 0, 0])
     c = assemble_rhs(unit_target(3, velocity=True))
-    assert np.allclose(c, [-1, 0, 0])
+    assert np.array_equal(c, [-R2, 0, 0, 0, 0, 0])
     mixed = TargetState(np.array([1.0, 0.0]), np.array([0.0, 2.0]), 2)
-    assert np.allclose(assemble_rhs(mixed), [-1j, -2.0])
+    assert np.array_equal(assemble_rhs(mixed), [0, -R2, -2 * R2, 0])
 
 
 def test_target_state_validation():
@@ -54,21 +56,33 @@ def test_moment_problem_alignment():
                            TimeGrid(PI, 400))
     prob = build_moment_problem(fam, unit_target(3))
     assert fam.index_set == (1, -1, 2, -2, 3, -3)
-    assert np.allclose(prob.rhs, [-1j, 1j, 0, 0, 0, 0])
+    assert np.array_equal(prob.rhs, [0, -R2, 0, 0, 0, 0])
     assert prob.family is fam
-    with pytest.raises(ConfigError):
+    # the data follow the index set: +n takes eta_n, -n takes xi_n
+    target = TargetState(np.array([1.0, 2.0, 3.0]),
+                         np.array([4.0, 5.0, 6.0]), 3)
+    sub = fam.subfamily([3, 0, 4])
+    assert sub.index_set == (-2, 1, 3)
+    assert np.array_equal(build_moment_problem(sub, target).rhs,
+                          -R2 * np.array([2.0, 4.0, 6.0]))
+    with pytest.raises(ConfigError, match="family index 3 beyond"):
         build_moment_problem(fam, unit_target(2))
 
 
 # --------------------------------------------------------------- families
 
 
-def positive_family(profiles, modes, kernel):
-    """The real trace of mode i times profiles[i] / beta_i, on the
-    positive indices of modes, on the kernel's grid."""
-    return SequenceFamily(profiles / modes.beta[:, None],
-                          tuple(modes.index.tolist()), "positive",
-                          kernel.grid, psi=modes.trace)
+def split_family(profiles, modes, kernel):
+    """The real trace of mode i times the real and the imaginary part of
+    the complex profiles[i] / beta_i, as the rows (+i, -i), on the
+    kernel's grid: the squared distance of two such families, summed
+    over a mode's two rows, is that of the complex profiles."""
+    Z = profiles / modes.beta[:, None]
+    rows = np.stack([Z.real, Z.imag], axis=1).reshape(-1, Z.shape[1])
+    return SequenceFamily(rows, tuple(x for n in modes.index.tolist()
+                                      for x in (n, -n)),
+                          "split", kernel.grid,
+                          psi=np.repeat(modes.trace, 2, axis=0))
 
 
 def test_telegraph_members_undamped():
@@ -77,7 +91,8 @@ def test_telegraph_members_undamped():
     t = fam.grid.t
     for i, n in enumerate(fam.index_set):
         k = abs(n) - 1
-        expected = modes.trace[k] / modes.beta[k] * np.exp(1j * n * t)
+        wave = np.cos(abs(n) * t) if n > 0 else np.sin(abs(n) * t)
+        expected = R2 * modes.trace[k] / abs(n) * wave
         assert np.max(np.abs(fam.members[i].ravel() - expected)) < 1e-12
     # |psi_n|^2 = 2/pi for every mode, so a full period gives Gram = 4 I
     rep = gram(fam)
@@ -91,9 +106,10 @@ def test_telegraph_degenerate_member():
     assert modes.in_J.tolist() == [True, False]
     fam = telegraph_family(modes, 0.5, TimeGrid(PI, 500))
     t = fam.grid.t
-    # unscaled on J
-    expected = modes.trace[0] * (1.0 + (0.5 + 1j) * t)
-    assert np.max(np.abs(fam.members[0].ravel() - expected)) < 1e-12
+    # U = 1 + c t and V = t on J, scaled by sqrt2 alone
+    for row, profile in ((0, 1.0 + 0.5 * t), (1, t)):
+        expected = R2 * modes.trace[0] * profile
+        assert np.max(np.abs(fam.members[row].ravel() - expected)) < 1e-12
 
 
 def test_pure_exponentials_share_horizons():
@@ -124,27 +140,16 @@ def test_viscoelastic_matches_memoryless_comparator():
     assert np.max(np.abs(vis.members - tel.members)) < 1e-5
 
 
-def test_viscoelastic_conjugate_negatives():
-    grid = make_grid(PI, 2e-3)
-    ke = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
-                              rates=(1.0,)), grid)
-    modes = compute_eigenpairs(INTERVAL, 3, alpha=ke.alpha)
-    vis = viscoelastic_family(compute_responses(ke, modes))
-    for i, n in enumerate(vis.index_set):
-        if n < 0:
-            j = vis.index_set.index(-n)
-            assert np.array_equal(vis.members[i], np.conj(vis.members[j]))
-
-
 def test_distance_to_comparator_decays():
     grid = make_grid(PI, 1e-3)
     ke = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
                               rates=(1.0,)), grid)
     modes = compute_eigenpairs(INTERVAL, 12, alpha=ke.alpha)
-    out = quadratic_closeness(positive_family(refined_S(ke, modes), modes, ke),
-                              positive_family(comparator_profile(ke, modes),
-                                              modes, ke), block=4)
-    dist = np.sqrt(np.asarray(out["dist_sq"]))
+    out = quadratic_closeness(split_family(refined_S(ke, modes), modes, ke),
+                              split_family(comparator_profile(ke, modes),
+                                           modes, ke), block=8)
+    d2 = np.asarray(out["dist_sq"])
+    dist = np.sqrt(d2[::2] + d2[1::2])
     assert np.all(np.diff(dist[1:]) < 0)
     sums = out["block_sums"]
     assert all(sums[i] > sums[i + 1] for i in range(len(sums) - 1))
@@ -158,18 +163,20 @@ def test_distance_to_comparator_decays():
 
 
 def test_synthesize_orthonormal_family_identity():
+    # the rows cos(n t) and sin(n t) over one period, both over sqrt(pi)
     grid = TimeGrid(2 * PI, 4000)
     idx = (1, -1, 2, -2, 3, -3)
-    members = np.exp(1j * np.outer(np.array(idx), grid.t)) / np.sqrt(2 * PI)
+    n = np.abs(np.array(idx))[:, None]
+    members = np.where(np.array(idx)[:, None] > 0, np.cos(n * grid.t),
+                       np.sin(n * grid.t)) / np.sqrt(PI)
     fam = SequenceFamily(members, idx, "unit-fourier", grid)
     sig = synthesize(build_moment_problem(fam, unit_target(3)))
-    # Gram = I, so a = rhs and f(t) = 2 sin(t) / sqrt(2 pi)
-    assert np.allclose(sig.coefficients, [-1j, 1j, 0, 0, 0, 0], atol=1e-10)
-    expected = 2.0 * np.sin(grid.t) / np.sqrt(2 * PI)
+    # Gram = I, so a = rhs and f(t) = -sqrt2 sin(2 pi - t) / sqrt(pi)
+    assert np.allclose(sig.coefficients, [0, -R2, 0, 0, 0, 0], atol=1e-10)
+    expected = R2 * np.sin(grid.t) / np.sqrt(PI)
     f = sig.traces.T @ sig.profiles
     assert np.max(np.abs(f[0] - expected)) < 1e-10
     assert sig.residual_max < 1e-12
-    assert sig.imag_max < 1e-12
     assert sig.norm == pytest.approx(np.sqrt(2.0), rel=1e-9)
     assert f.shape == (1, len(grid)) and sig.traces.shape == (3, 1)
 
@@ -183,7 +190,6 @@ def test_synthesize_telegraph_round_numbers(modes12):
     fam = telegraph_family(modes12, 0.0, make_grid(2.5 * PI, 1e-3))
     sig = synthesize(build_moment_problem(fam, unit_target(12)))
     assert sig.residual_max <= 1e-8 * sig.condition
-    assert sig.imag_max <= 1e-12
     assert 3.5 < sig.frame_lower < 4.5
     assert sig.condition < 10.0
 
@@ -195,7 +201,8 @@ def test_synthesize_random_targets_stay_real(modes12):
         target = TargetState(rng.standard_normal(12), rng.standard_normal(12), 12)
         prob = build_moment_problem(fam, target)
         sig = synthesize(prob)
-        assert sig.imag_max <= 1e-10
+        assert prob.rhs.dtype == sig.coefficients.dtype == float
+        assert sig.traces.dtype == sig.profiles.dtype == float
         scale = max(1.0, float(np.max(np.abs(prob.rhs))))
         assert sig.residual_max <= 1e-8 * sig.condition * scale
 
@@ -274,15 +281,15 @@ def _factor_case(name):
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top",
                                   "degenerate", "overdamped"])
 def test_control_factors_rebuild_the_control(case):
-    # for any coefficients, no conjugate symmetry assumed
+    # for any coefficients: two per mode, on its rows U_n and V_n
     fam, modes = _factor_case(case)
     rng = np.random.default_rng(5)
-    a = rng.standard_normal(fam.count) + 1j * rng.standard_normal(fam.count)
+    a = rng.standard_normal(fam.count)
     traces, profiles = _factor_form(fam, a)
     assert traces.dtype == profiles.dtype == float
     assert traces.shape == (len(modes), fam.psi.shape[1])
     assert profiles.shape == (len(modes), fam.grid.steps + 1)
-    want = np.real(combination(fam, a, conjugate=True))[:, ::-1]
+    want = combination(fam, a)[:, ::-1]
     gap = np.max(np.abs(traces.T @ profiles - want))
     assert gap <= 1e-12 * np.max(np.abs(want))
 
@@ -319,19 +326,27 @@ def _paired(fam, positions, psi=None):
 @pytest.mark.parametrize("defect", ["positive-only", "swapped", "unpaired",
                                     "two-traces"])
 def test_synthesize_refuses_rows_that_are_not_pairs(defect):
-    # the factor form merges rows (+n, -n) of one real trace: any other
-    # layout is a config error (exit 2), not a control
+    # the factor form merges consecutive rows of one real trace, the rows
+    # U_n and V_n of a mode: any other layout is a config error (exit 2),
+    # not a control.  The merge reads the traces, not the index set, so
+    # swapping V_1 and U_2 is a defect; swapping a mode's own two rows
+    # (with their indices) is not, and gives the same control
     fam, modes = _factor_case("rectangle-right-top")
     K = len(modes)
     rows = list(range(2 * K))
     bad = {"positive-only": _paired(fam, rows[::2]),
-           "swapped": _paired(fam, [1, 0] + rows[2:]),
+           "swapped": _paired(fam, [0, 2, 1] + rows[3:]),
            "unpaired": _paired(fam, [0, 3, 2, 1] + rows[4:]),
            "two-traces": _paired(fam, rows, fam.psi * ([[1.0], [0.5]] * K))
            }[defect]
-    with pytest.raises(ConfigError, match=r"not \(\+n, -n\) pairs") as err:
+    with pytest.raises(ConfigError, match=r"not \(U_n, V_n\) pairs") as err:
         synthesize(build_moment_problem(bad, unit_target(K)))
     assert err.value.exit_code == 2
+    own = synthesize(build_moment_problem(_paired(fam, [1, 0] + rows[2:]),
+                                          unit_target(K)))
+    want = synthesize(build_moment_problem(fam, unit_target(K)))
+    assert np.max(np.abs(own.profiles - want.profiles)) \
+        <= 1e-12 * np.max(np.abs(want.profiles))
 
 
 def test_families_refuse_a_complex_psi():
@@ -380,11 +395,11 @@ def test_real_passes_match_the_complex_family_methods(case):
     fam, _ = _factor_case(case)
     nodes, samples = fam.psi.shape[1], fam.grid.steps + 1
     rng = np.random.default_rng(4)
-    a = rng.standard_normal(fam.count) + 1j * rng.standard_normal(fam.count)
+    a = rng.standard_normal(fam.count)
     dense = _RealPasses(fam)
     blocks = sorted({rows.start: rows for rows, _ in dense.tiles}.values(),
                     key=lambda rows: rows.start)
-    assert blocks == node_blocks(nodes, 2 * fam.count * samples)
+    assert blocks == node_blocks(nodes, fam.count * samples)
     sizes = [rows.stop - rows.start for rows in blocks]
     chunks = [[t for r, t in dense.tiles if r == rows] for rows in blocks]
     assert {"interval": sizes == [1] and len(chunks[0]) == 1,
@@ -399,22 +414,21 @@ def test_real_passes_match_the_complex_family_methods(case):
     for ts in chunks:
         assert ts[0].start == 0 and ts[-1].stop == samples
         assert all(lo.stop == hi.start for lo, hi in zip(ts, ts[1:]))
-    assert max((r.stop - r.start) * 2 * fam.count * (t.stop - t.start)
+    assert max((r.stop - r.start) * fam.count * (t.stop - t.start)
                for r, t in dense.tiles) < CALLING_THREAD_MACS
-    parts = np.empty((2, nodes, samples))
+    parts = np.empty((nodes, samples))
     for rows, t in dense.tiles:
-        dense.combination(a, rows, t, parts[:, rows, t])
-    g = combination(fam, a, conjugate=True)
-    assert np.max(np.abs(parts[0] + 1j * parts[1] - g)) \
-        <= 1e-14 * np.max(np.abs(g))
-    # the factor-form moments and norm of Re g, a real pair of rank
-    # 2 count, against the complex passes over Re g
+        dense.combination(a, rows, t, parts[rows, t])
+    g = combination(fam, a)
+    assert np.max(np.abs(parts - g)) <= 1e-14 * np.max(np.abs(g))
+    # the factor-form moments and norm of g, a real pair of rank count,
+    # against the reference passes over g
     A, B = real_factors(fam, a)
     moments = np.sum(dense.separable_pairing(A, B), axis=0)
-    want = pairing(fam, g.real)
+    want = pairing(fam, g)
     assert np.max(np.abs(moments - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.sum(dense.inner(A, B, A, B)) == pytest.approx(
-        _norm_sq(fam, g.real), rel=1e-14)
+        _norm_sq(fam, g), rel=1e-14)
     G = dense.gram()
     assert np.max(np.abs(G - gram(fam).gram)) <= 1e-14 * np.max(np.abs(G))
 
@@ -442,7 +456,7 @@ def test_separable_pairing_matches_the_dense_pairing(case):
 @pytest.mark.parametrize("case", ["interval", "rectangle-right-top", "spanned"])
 def test_spot_terms_match_the_dense_projection(case):
     # the factor-form moments and norms of each direction's v_perp against
-    # v_perp materialised with the family's complex methods; on "spanned"
+    # v_perp materialised with the reference passes; on "spanned"
     # v lies in the span, so |v_perp|^2 is a near-total cancellation
     fam, rep, A, B, norm = _solved(case)
     moments_v, moments, v_sq, perturbed_sq = _spot_terms(
@@ -454,7 +468,7 @@ def test_spot_terms_match_the_dense_projection(case):
         v = np.outer(u, _spot_direction(rng, np.empty(g.shape[1])))
         tol = 1e-10 * _norm_sq(fam, v)
         x = np.linalg.solve(rep.gram, pairing(fam, v))
-        v_perp = v - combination(fam, x, conjugate=True)
+        v_perp = v - combination(fam, x)
         assert np.max(np.abs(moments_v[d] - pairing(fam, v))) <= tol
         assert np.max(np.abs(moments[d] - pairing(fam, v_perp))) <= tol
         assert v_sq[d] == pytest.approx(_norm_sq(fam, v_perp), abs=tol)
@@ -470,11 +484,11 @@ def test_spot_check_catches_a_control_off_minimum_norm(case):
     fam, rep, A, B, norm = _solved(case)
     _spot_check(fam, rep, A, B, norm)
     # the check's own first direction, u (x) s with u drawn first,
-    # projected off the span with the family's complex methods:
+    # projected off the span with the reference passes:
     # g - 0.75 v_perp solves the same moments with a larger norm, and
     # adding v_perp back lowers it.  As a real pair it is g's K rows,
-    # u (x) -0.75 s and the span component 0.75 Re sum_k x_k conj(m_k)
-    # in 4K rows (real_factors): rank 5K + 1
+    # u (x) -0.75 s and the span component 0.75 sum_k x_k m_k in 2K
+    # rows (real_factors): rank 3K + 1
     rng = np.random.default_rng(0)
     u = _spot_direction(rng, np.empty(A.shape[1]))
     s = _spot_direction(rng, np.empty(B.shape[1]))
@@ -482,7 +496,7 @@ def test_spot_check_catches_a_control_off_minimum_norm(case):
     Ax, Bx = real_factors(fam, x)
     bad_A = np.concatenate([A, u[None], Ax])
     bad_B = np.concatenate([B, -0.75 * s[None], 0.75 * Bx])
-    assert len(bad_A) == 5 * len(A) + 1
+    assert len(bad_A) == 3 * len(A) + 1
     with pytest.raises(InternalConsistencyError, match="minimum-norm violated"):
         _spot_check(fam, rep, bad_A, bad_B,
                     np.sqrt(_norm_sq(fam, bad_A.T @ bad_B)))
@@ -567,60 +581,53 @@ def test_spot_check_memory_stays_under_one_dense_array():
     assert peak <= 0.15 * nodes * samples * 8
 
 
-# ------------------------------------------------------- factor-form checks
+# ------------------------------------------------------- planted defects
 
 
-def _scaled_fourier_case(betas):
-    """(family, modes) of three modes with the given beta_n, whose
-    scalars s_n = 1/beta_n are not real, on exponentials exp(+-i n t)
-    over one period and a two-node boundary: a well-conditioned family
-    where conj(s_n) and s_n differ."""
-    grid = TimeGrid(2 * PI, 2000)
-    off_J = np.zeros(3, dtype=bool)
-    modes = Spectrum(np.arange(1, 4), np.array([1.0, 4.0, 9.0]),
-                     np.array(betas, dtype=complex),
-                     np.array([[1.0, 0.5], [0.25, -1.0], [1.0, 1.0]]),
-                     off_J, off_J)
-    rows, index, psi = _members(
-        modes, np.exp(1j * np.outer([1, 2, 3], grid.t)))
-    return SequenceFamily(rows, index, "scaled-fourier", grid, psi=psi), modes
+def test_families_refuse_a_complex_profile():
+    # a family is the real rows U_n and V_n of its modes: a profile with
+    # an imaginary part, however small, is a config error (exit 2), on
+    # the constructor and on every family built from it
+    fam, _ = _factor_case("interval")
+    with pytest.raises(ConfigError, match="time profiles must be real") \
+            as err:
+        SequenceFamily(fam.profiles * (1.0 + 1e-12j), fam.index_set,
+                       fam.label, fam.grid, fam.gamma_weights, fam.psi)
+    assert err.value.exit_code == 2
 
 
-def _merge_defect_refused(beta2, refusal):
-    """Member -2 scaled by s_2 where the convention has conj(s_2): the
-    family is no longer conjugate-symmetric, so the minimum-norm control
-    has an imaginary part, and its real part misses the moments.
-    synthesize must refuse it with exit 5 and a message matching
-    refusal."""
-    betas = [1.0 + 1.0j, beta2, 0.5 + 0.5j]
-    fam, modes = _scaled_fourier_case(betas)
-    assert np.array_equal(fam.psi, np.repeat(modes.trace, 2, axis=0))
-    rng = np.random.default_rng(2)
-    target = TargetState(rng.standard_normal(3), rng.standard_normal(3), 3)
-    sig = synthesize(build_moment_problem(fam, target))
-    assert sig.factor_gap <= 1e-12 and sig.imag_max <= 1e-12
-    profiles = fam.profiles.copy()
-    profiles[3] = np.exp(-2j * fam.grid.t) / beta2
-    assert not np.array_equal(profiles[3], fam.profiles[3])
-    bad = SequenceFamily(profiles, fam.index_set, fam.label, fam.grid,
-                         psi=fam.psi)
-    with pytest.raises(InternalConsistencyError, match=refusal) as err:
-        synthesize(build_moment_problem(bad, target))
-    assert err.value.exit_code == 5
+def test_exact_route_refuses_a_complex_time_gram(tmp_path, capsys,
+                                                 monkeypatch):
+    # one V weight of the exact memory rows times (1 + 1e-6 i) makes the
+    # row complex: its closed-form time Gram has an imaginary part far
+    # above rounding, which the sweep refuses with exit 5, writing
+    # nothing, where taking its real part would hide the defect
+    import json
 
+    import memwave.exact
+    from memwave.cli import main
+    exact_modes = memwave.exact.exact_modes
 
-def test_merge_defect_fails_closed():
-    # s_2 - conj(s_2) of the size of s_2: the realness check, now on
-    # every family, the moment residual or the factor gap
-    _merge_defect_refused(2.0 - 2.0j,
-                          "moment residual|not real|factors rebuild")
-
-
-def test_small_merge_defect_fails_the_realness_check():
-    # s_2 - conj(s_2) of 2^-20 |s_2|: below the moment residual's
-    # allowance, so the realness check alone refuses it
-    _merge_defect_refused(2.0 - 2.0**-20 * 1j,
-                          "synthesized control is not real")
+    def planted(*args):
+        exact = exact_modes(*args)
+        V = exact.V.copy()
+        V[1, 0] *= 1.0 + 1e-6j
+        return exact._replace(V=V)
+    monkeypatch.setattr(memwave.exact, "exact_modes", planted)
+    doc = {"experiment": "sweep-T", "K": 4, "h": 1e-2,
+           "domain": {"geometry": "interval", "lengths": [PI]},
+           "kernel": {"family": "exponential_sum", "coefficients": [1.0],
+                      "rates": [1.0]},
+           "sweep": {"T_min": 2.0 * PI, "T_max": 2.5 * PI, "steps": 2}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    store = tmp_path / "store"
+    assert main(["sweep-t", "--config", str(cfg), "--out", str(store)]) == 5
+    err = capsys.readouterr().err
+    assert "closed-form time Gram of 'viscoelastic' is not real" in err
+    assert not store.exists()
+    monkeypatch.setattr(memwave.exact, "exact_modes", exact_modes)
+    assert main(["sweep-t", "--config", str(cfg), "--out", str(store)]) == 0
 
 
 def test_synthesize_memory_stays_under_a_quarter_dense_array():

@@ -1,11 +1,11 @@
-"""The families the pipeline builds hold the real, unscaled boundary
-trace once per member +-n, bit for bit the trace spectral computes,
-with the complex scale 1/beta_n (its conjugate at -n) in the time
-profile.  Their Grams are those of the
-complex representation the pipeline kept before (trace / beta against
-the unscaled profile, rebuilt in family_reference), to rounding, on
-both Gram routes: the grid route (riesz.gram) and the exact route
-(exact.exact_sweep)."""
+"""The families the pipeline builds are real: each mode gives the rows
+sqrt2 U_n / |beta_n| and sqrt2 V_n against the real, unscaled boundary
+trace, bit for bit the trace spectral computes.  Per mode these are a
+unitary 2 x 2 map of the complex pair paired at -beta (rebuilt in
+family_reference), so their Grams have the same eigenvalues at every
+even truncation level, on both Gram routes: the grid route
+(riesz.gram) and the exact route (exact.exact_sweep), for real,
+imaginary (overdamped) and degenerate-set modes."""
 
 import json
 
@@ -20,9 +20,9 @@ from memwave.cli import main
 from memwave.control import _RealPasses
 from memwave.exact import (exact_modes, exact_sweep,
                            transformed_exponential_terms)
-from memwave.volterra import transformed_exponential
 
-from family_reference import complex_exponential_grams, complex_gram
+from family_reference import (paired_exponential_grams, paired_gram,
+                              telegraph_profiles)
 
 PI = np.pi
 EXP = KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,))
@@ -35,9 +35,19 @@ CASES = {
     # mode 1 on the degenerate set J of both families: beta_1 = 0
     "c=1": (DomainSpec("interval", (PI,), c=1.0),
             KernelSpec("zero", c=1.0), 1.0),
+    # mode 1 overdamped in both families: 3 exp(-t) gives alpha = -1.5
+    # and c = 1.5 the telegraph alpha = 1.5, both past lambda_1 = 1
+    "overdamped": (DomainSpec("interval", (PI,)),
+                   KernelSpec("exponential_sum", coefficients=(3.0,),
+                              rates=(1.0,)), 1.5),
 }
 K = 6
 HORIZONS = [1.5 * PI, 2.5 * PI]
+# where the eigenvalues are compared; the modes each case must reach
+CONDITION = 1e4
+MUST_COMPARE = {"interval": ("telegraph", 12), "c=1": ("telegraph", 2),
+                "rectangle-two-edges": ("viscoelastic", 12),
+                "overdamped": ("viscoelastic", 2)}
 
 
 def _setup(case, steps=400):
@@ -67,6 +77,25 @@ def _real_traces(modes):
     return np.repeat(modes.trace, 2, axis=0)
 
 
+def _compare_levels(rep, reference):
+    """The even truncation levels 2j at which rep's condition is at most
+    CONDITION, after checking that rep's bounds there are the extreme
+    eigenvalues of the reference's leading 2j x 2j block: to 1e-12
+    relative, plus the rounding floor k eps M_k the report pass itself
+    allows a computed bound."""
+    compared = []
+    for k, lo, hi, cond in zip(rep.levels, rep.frame_lower,
+                               rep.frame_upper, rep.condition):
+        if k % 2 or not cond <= CONDITION:
+            continue
+        vals = np.linalg.eigvalsh(reference[:k, :k])
+        floor = k * np.finfo(float).eps * vals[-1]
+        assert abs(lo - vals[0]) <= 1e-12 * vals[0] + floor, k
+        assert abs(hi - vals[-1]) <= 1e-12 * vals[-1] + floor, k
+        compared.append(k)
+    return compared
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_pipeline_families_hold_the_real_trace(case, monkeypatch):
     dom, grid, kernel, c, modes_tel, modes_vis = _setup(case)
@@ -75,20 +104,21 @@ def test_pipeline_families_hold_the_real_trace(case, monkeypatch):
                 (viscoelastic_family(compute_responses(kernel, modes_vis),
                                      gw), modes_vis)]
     for fam, modes in families:
-        assert fam.psi.dtype == float
+        assert fam.psi.dtype == fam.profiles.dtype == float
         assert np.array_equal(fam.psi, _real_traces(modes))
         assert fam.index_set == tuple(x for n in range(1, K + 1)
                                       for x in (n, -n))
-        # the synthesize passes keep the real traces, with no complex view
+        # the synthesize passes keep the real factors
         passes = _RealPasses(fam)
-        assert passes.psi.dtype == float
+        assert passes.psi.dtype == passes.P.dtype == float
         assert passes.psi.shape == (fam.psi.shape[1], 2 * K)
     exact = _exact_inputs(monkeypatch, case)
     if case == "c=1":
         assert exact is None         # a telegraph mode on J: the sweep marches
         return
-    for (psi, _, label), modes in zip(exact[0], (modes_tel, modes_vis)):
-        assert psi.dtype == float, label
+    for (psi, temporal, label), modes in zip(exact[0],
+                                             (modes_tel, modes_vis)):
+        assert psi.dtype == temporal.dtype == float, label
         assert np.array_equal(psi, _real_traces(modes)), label
 
 
@@ -97,33 +127,41 @@ def test_grid_route_gram_matches_the_complex_representation(case):
     dom, grid, kernel, c, modes_tel, modes_vis = _setup(case)
     gw = dom.gamma_weights()
     responses = compute_responses(kernel, modes_vis)
-    for fam, modes, profiles in (
+    compared = {}
+    for fam, modes, (U, V) in (
             (telegraph_family(modes_tel, c, grid, gw), modes_tel,
-             transformed_exponential(modes_tel, c, grid.t)),
-            (viscoelastic_family(responses, gw), modes_vis, responses.Z)):
-        G = gram(fam).gram
-        want = complex_gram(modes, profiles, grid, gw)
-        assert np.max(np.abs(G - want)) <= 1e-14 * np.max(np.abs(want)), \
-            fam.label
+             telegraph_profiles(modes_tel, c, grid.t)),
+            (viscoelastic_family(responses, gw), modes_vis,
+             (responses.z + responses.Npz, responses.Nz))):
+        rep = gram(fam)
+        compared[fam.label] = _compare_levels(
+            rep, paired_gram(modes, U, V, grid, gw))
         # and the synthesize passes' own Gram, from the real factors
-        assert np.max(np.abs(_RealPasses(fam).gram() - want)) \
-            <= 1e-14 * np.max(np.abs(want)), fam.label
+        G = _RealPasses(fam).gram()
+        assert np.max(np.abs(G - rep.gram)) <= 1e-14 * np.max(np.abs(G))
+    label, level = MUST_COMPARE[case]
+    assert level in compared[label], compared
 
 
-@pytest.mark.parametrize("case", ["interval", "rectangle-two-edges"])
+@pytest.mark.parametrize("case", ["interval", "overdamped",
+                                  "rectangle-two-edges"])
 def test_exact_route_gram_matches_the_complex_representation(case,
                                                              monkeypatch):
     dom, grid, kernel, c, modes_tel, modes_vis = _setup(case)
     _, reps = _exact_inputs(monkeypatch, case)
     exact = exact_modes(kernel.terms, kernel.alpha, modes_vis)
-    wants = (complex_exponential_grams(
+    wants = (paired_exponential_grams(
                  modes_tel, *transformed_exponential_terms(modes_tel, c),
                  HORIZONS, dom.gamma_weights()),
-             complex_exponential_grams(modes_vis, exact.roots, exact.Z,
-                                       HORIZONS, dom.gamma_weights()))
-    for family_reps, want in zip(reps, wants):
+             paired_exponential_grams(modes_vis, *exact, HORIZONS,
+                                      dom.gamma_weights()))
+    compared = {}
+    for label, family_reps, want in zip(("telegraph", "viscoelastic"),
+                                        reps, wants):
         for rep, G in zip(family_reps, want):
-            assert np.max(np.abs(rep.gram - G)) <= 1e-14 * np.max(np.abs(G))
+            compared.setdefault(label, []).extend(_compare_levels(rep, G))
+    label, level = MUST_COMPARE[case]
+    assert level in compared[label], compared
 
 
 # the domains of the trace test, with the config's domain section

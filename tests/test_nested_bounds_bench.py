@@ -3,7 +3,7 @@ family: the memory family of the interval of length pi with the kernel
 exp(-t), at the one horizon 2.5 pi, for K = 8, 40 and 80 modes (16, 80
 and 160 members).  Its closed-form time Gram is built once, outside the
 timed call, so the figure is the boundary product, the finite and
-Hermitian checks and the nested frame bounds at riesz.nested_levels.
+symmetry checks and the nested frame bounds at riesz.nested_levels.
 pytest-benchmark prints the medians; BENCH_nested_bounds.json at the
 repository root records them, with K = 160, which is timed outside this
 suite.  All of it runs in about a second.
@@ -28,8 +28,8 @@ def memory_family(K):
     kernel = normalize(EXP, TimeGrid(2.5 * PI, 8))
     modes = compute_eigenpairs(DOM, K, kernel.alpha)
     exact = exact_modes(kernel.terms, kernel.alpha, modes)
-    rates, weights, traces = _exponential_members(modes, exact.roots, exact.Z)
-    return (traces, _exponential_time_grams(rates, weights, [2.5 * PI]),
+    rates, weights, traces = _exponential_members(modes, *exact)
+    return (traces, _exponential_time_grams(rates, weights, [2.5 * PI]).real,
             "viscoelastic")
 
 

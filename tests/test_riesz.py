@@ -20,11 +20,17 @@ def interleave(n_max):
     return tuple(out)
 
 
+def fourier_rows(idx, t):
+    """cos(n t) at +n and sin(n t) at -n: the real rows of the
+    exponentials exp(+-i n t), (e + conj e) / 2 and (e - conj e) / 2i."""
+    n = np.array(idx)[:, None]
+    return np.where(n > 0, np.cos(np.abs(n) * t), np.sin(np.abs(n) * t))
+
+
 def fourier_family(n_max, T, steps=4000, label="fourier"):
     grid = TimeGrid(T, steps)
     idx = interleave(n_max)
-    members = np.exp(1j * np.outer(np.array(idx), grid.t))
-    return SequenceFamily(members, idx, label, grid)
+    return SequenceFamily(fourier_rows(idx, grid.t), idx, label, grid)
 
 
 def ramped_fourier(n_max):
@@ -39,7 +45,7 @@ def dual_profiles(family):
     """Profiles of the in-span biorthogonal family of a one-node family,
     inverse Gram times the members: <member_n, dual_k> = delta_nk."""
     G = gram(family).gram
-    return cholesky_solve(G, np.eye(len(G), dtype=complex)) \
+    return cholesky_solve(G, np.eye(len(G))) \
         @ (family.psi * family.profiles)
 
 
@@ -63,39 +69,37 @@ def decay_exponent(coefficients):
 def test_exponential_gram_matches_quadrature():
     # exponents whose pair sums s + conj(s') cover 0, the expm1 branch
     # (|x| T < 1, here down to 2e-4) and the difference branch, with
-    # growth and decay; Gauss-Legendre on 120 nodes is exact to rounding
+    # growth and decay; Gauss-Legendre on 120 nodes is exact to rounding.
+    # Complex weights: the closed form holds for any exponential sum, the
+    # real rows of the pipeline among them
     rates = np.array([[0.0, 1e-4, -0.3 + 2.0j],
                       [0.5j, -0.5j, 0.2 - 1.0j],
                       [-1.5 + 3.0j, 1e-4 + 0.7j, -0.05]])
     rng = np.random.default_rng(5)
     weights = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    psi = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    gw = np.array([0.5, 2.0])
     horizons = [0.5, 2.0, 7.0]
-    (reps,) = gram_reports([(psi, _exponential_time_grams(rates, weights,
-                                                           horizons), "exp")],
-                           gw)
+    grams = _exponential_time_grams(rates, weights, horizons)
     x, w = np.polynomial.legendre.leggauss(120)
-    boundary = (psi * gw) @ np.conj(psi).T
-    for T, rep in zip(horizons, reps):
+    for T, got in zip(horizons, grams):
         t = 0.5 * T * (x + 1.0)
         profiles = np.einsum("kd,kdt->kt", weights,
                              np.exp(rates[:, :, None] * t))
-        G = boundary * ((profiles * (0.5 * T * w)) @ np.conj(profiles).T)
-        assert np.max(np.abs(rep.gram - G)) <= 1e-13 * np.max(np.abs(G)), T
+        G = (profiles * (0.5 * T * w)) @ np.conj(profiles).T
+        assert np.max(np.abs(got - G)) <= 1e-13 * np.max(np.abs(G)), T
 
 
 def test_fourier_gram_orthogonal():
     fam = fourier_family(6, 2 * PI)
     G = gram(fam).gram
     # full-period trapezoid is exact for these trigonometric polynomials
-    assert np.max(np.abs(G - 2 * PI * np.eye(12))) < 1e-10
+    assert G.dtype == float
+    assert np.max(np.abs(G - PI * np.eye(12))) < 1e-10
 
 
 def test_gram_report_frame_bounds_nested():
     rep = gram(fourier_family(5, 2 * PI))
-    assert rep.m_N == pytest.approx(2 * PI, rel=1e-10)
-    assert rep.M_N == pytest.approx(2 * PI, rel=1e-10)
+    assert rep.m_N == pytest.approx(PI, rel=1e-10)
+    assert rep.M_N == pytest.approx(PI, rel=1e-10)
     assert rep.cond == pytest.approx(1.0, rel=1e-9)
     # Cauchy interlacing: lower bounds fall, upper bounds rise with k
     assert np.all(np.diff(rep.frame_lower) <= 1e-10)
@@ -172,9 +176,8 @@ def test_lower_bounds_below_the_rounding_floor_read_zero(monkeypatch):
     # lower bounds are rounding noise of either sign.  Those below the
     # floor k eps M_k read 0 and are flagged; the others keep their bits
     rng = np.random.default_rng(0)
-    V = np.linalg.qr(rng.standard_normal((6, 3))
-                     + 1j * rng.standard_normal((6, 3)))[0]
-    G = (V * [1e6, 1.0, 1e-3]) @ np.conj(V).T
+    V = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+    G = (V * [1e6, 1.0, 1e-3]) @ V.T
     ((rep,),) = gram_reports([(np.ones((6, 1)), G[None], "rank-3")],
                              np.ones(1))
     raw = np.array([np.linalg.eigvalsh(rep.gram[:k, :k])[0]
@@ -208,10 +211,9 @@ def test_indefinite_gram_fails_closed():
     # would make it) is no rounding floor: the pass stops naming the
     # family, where the floor would have written its bound as 0
     rng = np.random.default_rng(0)
-    V = np.linalg.qr(rng.standard_normal((6, 3))
-                     + 1j * rng.standard_normal((6, 3)))[0]
-    good = (V * [1e6, 1.0, 1e-3]) @ np.conj(V).T
-    bad = (V * [1e6, 1.0, -1e5]) @ np.conj(V).T
+    V = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+    good = (V * [1e6, 1.0, 1e-3]) @ V.T
+    bad = (V * [1e6, 1.0, -1e5]) @ V.T
     ones = np.ones((6, 1))
     with pytest.raises(InternalConsistencyError,
                        match="'indefinite' is not positive semidefinite"):
@@ -222,9 +224,9 @@ def test_indefinite_gram_fails_closed():
 def test_one_report_pass_needs_matching_families():
     # the families of one pass share their member count, horizon count
     # and (through gram_sweep) their boundary weights
-    T = np.eye(2, dtype=complex)[None]
+    T = np.eye(2)[None]
     gw = np.ones(1)
-    ones = np.ones((2, 1), dtype=complex)
+    ones = np.ones((2, 1))
     with pytest.raises(ConfigError, match="has 3 members and 1 horizons"):
         gram_reports([(ones, T, "a"), (np.ones((3, 1)), T, "b")], gw)
     with pytest.raises(ConfigError, match="has 2 members and 2 horizons"):
@@ -241,7 +243,7 @@ def test_constant_and_ramp_gram_oracle():
     # members {1, t} on [0,1]: hand-computed Gram [[1,1/2],[1/2,1/3]]
     grid = TimeGrid(1.0, 2000)
     members = np.vstack([np.ones(len(grid)), grid.t])
-    fam = SequenceFamily(members.astype(complex), (1, 2), "poly", grid)
+    fam = SequenceFamily(members, (1, 2), "poly", grid)
     G = gram(fam).gram
     assert np.max(np.abs(G - [[1.0, 0.5], [0.5, 1.0 / 3.0]])) < 1e-7
 
@@ -251,7 +253,7 @@ def test_constant_and_ramp_gram_oracle():
 
 def test_biorthogonal_poly_duals_closed_form():
     grid = TimeGrid(1.0, 4000)
-    members = np.vstack([np.ones(len(grid)), grid.t]).astype(complex)
+    members = np.vstack([np.ones(len(grid)), grid.t])
     fam = SequenceFamily(members, (1, 2), "poly", grid)
     duals = dual_profiles(fam)
     # inverse-Gram combinations: psi_1 = 4 - 6t, psi_2 = -6 + 12t
@@ -295,8 +297,9 @@ def test_cosine_bound_vs_exponential_bound():
     cos_fam, _ = cosine_sine_families(12, PI, round(PI / 1e-3))
     m_cos = gram(cos_fam).m_N
     # the exponential family over the symmetric double horizon: spectrally
-    # identical to [0, 2 pi] by shift invariance of the inner products
-    m_exp = gram(fourier_family(12, 2 * PI)).m_N
+    # identical to [0, 2 pi] by shift invariance of the inner products,
+    # and there sqrt2 times a unitary map of the rows cos(n t), sin(n t)
+    m_exp = 2.0 * gram(fourier_family(12, 2 * PI)).m_N
     assert m_cos >= m_exp / 8.0
     assert m_cos == pytest.approx(m_exp / 4.0, rel=1e-6)
 
@@ -340,7 +343,7 @@ def test_paley_wiener_tail_bound():
 
 def test_coefficient_recovery_is_exact():
     fam = fourier_family(6, 2 * PI)
-    combo = np.zeros(12, dtype=complex)
+    combo = np.zeros(12)
     combo[4] = 1.0                     # member with index +3
     assert np.max(np.abs(recover_coefficients(fam, combo) - combo)) < 1e-10
 
@@ -348,8 +351,8 @@ def test_coefficient_recovery_is_exact():
 def test_decay_exponent_separates_smooth_from_rough():
     fam = fourier_family(10, 2 * PI)
     betas = np.array([abs(n) for n in fam.index_set], dtype=float)
-    smooth = decay_exponent(recover_coefficients(fam, betas ** -1.5 + 0j))
-    rough = decay_exponent(recover_coefficients(fam, betas ** -0.1 + 0j))
+    smooth = decay_exponent(recover_coefficients(fam, betas ** -1.5))
+    rough = decay_exponent(recover_coefficients(fam, betas ** -0.1))
     assert smooth == pytest.approx(-1.5, abs=0.05)
     assert rough == pytest.approx(-0.1, abs=0.05)
     assert smooth < -0.8 < -0.5 < rough
@@ -363,8 +366,7 @@ def test_decay_exponent_separates_smooth_from_rough():
 def test_random_families_have_sane_gram(count, steps, seed):
     rng = np.random.default_rng(seed)
     grid = TimeGrid(1.0, steps)
-    members = rng.standard_normal((count, steps + 1)) \
-        + 1j * rng.standard_normal((count, steps + 1))
+    members = rng.standard_normal((count, steps + 1))
     fam = SequenceFamily(members, tuple(range(1, count + 1)), "random", grid)
     rep = gram(fam)        # internal interlacing check must not fire
     assert rep.frame_lower[-1] >= -1e-10
@@ -374,7 +376,7 @@ def test_random_families_have_sane_gram(count, steps, seed):
 
 def test_scalar_members_promote_to_one_node():
     grid = TimeGrid(1.0, 100)
-    fam = SequenceFamily(np.ones((2, 101), dtype=complex), (1, 2), "flat", grid)
+    fam = SequenceFamily(np.ones((2, 101)), (1, 2), "flat", grid)
     assert fam.members.shape == (2, 1, 101)
     assert fam.psi.shape == (2, 1) and np.all(fam.psi == 1)
 
@@ -392,7 +394,7 @@ def test_restrict_slices_members_and_keeps_step():
     short = fam.restrict(300)
     assert short.grid == fam.grid.restrict(300)
     assert short.grid.h == fam.grid.h and short.index_set == fam.index_set
-    fresh = np.exp(1j * np.outer(np.array(fam.index_set), short.grid.t))
+    fresh = fourier_rows(fam.index_set, short.grid.t)
     assert np.array_equal(short.members[:, 0, :], fresh)
     assert fam.restrict(400).grid is fam.grid
     with pytest.raises(ConfigError):

@@ -33,7 +33,7 @@ def factor_control(grid, modes, profiles, gamma_weights=None):
     traces = modes.trace[:K]
     gw = np.ones(traces.shape[1]) if gamma_weights is None else gamma_weights
     return ControlSignal(traces, profiles, gw, np.zeros(2 * K),
-                         np.zeros(2 * K), 0.0, 0.0, 1.0, 1.0, 0.0, grid,
+                         np.zeros(2 * K), 0.0, 1.0, 1.0, 0.0, grid,
                          tuple(x for n in range(1, K + 1) for x in (n, -n)))
 
 
@@ -193,24 +193,27 @@ def test_achieved_coefficients_degenerate_branch():
 
 
 def test_overdamped_modes_fail_closed():
-    # imaginary beta off the degenerate set has no velocity basis yet:
-    # the read-off and the energies refuse it, naming the mode, where
-    # they divided by beta.real = 0 and weighed it as a degenerate mode.
-    # c = 1.5 on the interval makes mode 1 (lambda^2 = 1) overdamped
+    # imaginary beta off the degenerate set reads its velocity as
+    # theta' / |beta|, the scale of the family's row U_n: finite, and
+    # not the degenerate set's raw theta'.  c = 1.5 on the interval
+    # makes mode 1 (lambda^2 = 1) overdamped, |beta_1| = sqrt(5) / 2
     grid, kz, modes = zero_setup(2.0, 2e-3, 3, c=1.5)
     assert modes.beta[0].imag > 0 and not modes.in_J[0]
     resp = compute_responses(kz, modes)
     ctrl = manual_control(grid, np.sin(grid.t), modes)
-    for run in (lambda: simulate_convolution(resp, kz, ctrl),
-                lambda: simulate_march(kz, modes, ctrl)):
-        with pytest.raises(ConfigError, match="mode 1 is overdamped"):
-            run()
+    conv = simulate_convolution(resp, kz, ctrl)
+    march = simulate_march(kz, modes, ctrl)
+    assert np.isfinite(route_gap(conv, march, kz))   # within the allowance
+    xi, eta = achieved_coefficients(conv)
+    assert np.all(np.isfinite(eta)) and np.array_equal(xi, conv.theta_T)
+    assert eta[0] == conv.theta_t_T[0] / (np.sqrt(5.0) / 2.0)
+    # the real modes keep beta.real, bit for bit
+    assert np.array_equal(eta[1:], conv.theta_t_T[1:] / modes.beta[1:].real)
     res = SimResult(theta_T=np.ones(3), theta_t_T=np.ones(3), tail_energy=0.0,
                     K=1, modes=modes, grid=grid)
-    with pytest.raises(ConfigError, match="mode 1 is overdamped"):
-        achieved_coefficients(res)
-    with pytest.raises(ConfigError, match="mode 1 is overdamped"):
-        mode_energies(res.theta_T, res.theta_t_T, modes.beta)
+    energies = mode_energies(res.theta_T, res.theta_t_T, modes.beta)
+    assert energies[0] == pytest.approx(1.0 + 0.8)
+    assert np.array_equal(energies[1:], 1.0 + (1.0 / modes.beta[1:].real) ** 2)
 
 
 def test_mode_energy_weighting():

@@ -363,7 +363,7 @@ def corrupt_time_grams(monkeypatch, route, *edits):
         temporal = [np.array(t) for t in original(*args)]
         for i, corrupt in edits:
             corrupt(temporal[i])
-        return temporal
+        return np.array(temporal)
     monkeypatch.setattr(module, name, patched)
 
 
@@ -385,6 +385,7 @@ def test_report_path_refuses_a_non_finite_gram(monkeypatch, route):
 
 @pytest.mark.parametrize("route", ["grid", "exact"])
 def test_report_path_refuses_a_non_hermitian_gram(monkeypatch, route):
+    # the real Grams' symmetry check
     # the allowance is 1e-12 of the Gram's scale: a gap at rounding level
     # passes, one of 1e-7 of the scale does not
     for rel, fires in ((1e-15, False), (1e-6, True)):
@@ -393,7 +394,7 @@ def test_report_path_refuses_a_non_hermitian_gram(monkeypatch, route):
                            (1, lambda G: skew(G, rel)))
         if fires:
             with pytest.raises(InternalConsistencyError,
-                               match="non-Hermitian"):
+                               match="not symmetric"):
                 route_reports(route)
         else:
             assert len(route_reports(route)) == 3
@@ -401,7 +402,7 @@ def test_report_path_refuses_a_non_hermitian_gram(monkeypatch, route):
 
 @pytest.mark.parametrize("route", ["grid", "exact"])
 @pytest.mark.parametrize("first, later, error, match", [
-    (skew, nan, InternalConsistencyError, "non-Hermitian"),
+    (skew, nan, InternalConsistencyError, "not symmetric"),
     (nan, skew, ConvergenceError, "not finite")], ids=["skew-nan", "nan-skew"])
 def test_report_path_raises_the_earliest_horizons_error(monkeypatch, route,
                                                         first, later, error,
@@ -419,15 +420,14 @@ def test_report_pass_raises_in_family_then_horizon_order(kinds):
     # error is a's, of a's kind
     rng = np.random.default_rng(2)
     n, H = 4, 3
-    A = rng.standard_normal((2, H, n, n)) + 1j * rng.standard_normal(
-        (2, H, n, n))
-    temporal = A @ np.conj(A).transpose(0, 1, 3, 2)
+    A = rng.standard_normal((2, H, n, n))
+    temporal = A @ A.transpose(0, 1, 3, 2)
     kinds[0](temporal[0, H - 1])
     kinds[1](temporal[1, 0])
     error, match = ((ConvergenceError, "Gram of 'a' is not finite")
                     if kinds[0] is nan else
-                    (InternalConsistencyError, "Gram of 'a' is non-Hermitian"))
-    psi = np.ones((n, 1), dtype=complex)
+                    (InternalConsistencyError, "Gram of 'a' is not symmetric"))
+    psi = np.ones((n, 1))
     with pytest.raises(error, match=match):
         gram_reports([(psi, temporal[0], "a"), (psi, temporal[1], "b")],
                      np.ones(1))
@@ -512,7 +512,7 @@ def _exact_profiles(K, c=0.0, spec=EXP):
     exact = memwave.exact.exact_modes(kernel.terms, kernel.alpha, modes)
     modes_tel = compute_eigenpairs(DOM, K, c)
     members = memwave.exact._exponential_members
-    return [members(modes, exact.roots, exact.Z)[:2],
+    return [members(modes, *exact)[:2],
             members(modes_tel, *memwave.exact.transformed_exponential_terms(
                 modes_tel, c))[:2]]
 
@@ -558,13 +558,15 @@ def test_exponential_time_grams_memory_is_three_work_arrays():
 
 
 def test_sweep_writes_no_bound_below_the_rounding_floor(tmp_path):
-    # the zero kernel with c = 1.5 puts mode 1 past alpha^2 = 2.25 > 1:
-    # both families are singular from level 2 at every horizon, and their
-    # computed lower bounds come out at -1e-16 M_N (-3.4e4 for the memory
-    # family at 3 pi).  They are written as 0, flagged
+    # the zero kernel with c = 5.5 overdamps modes 1..5 (alpha^2 = 30.25):
+    # mode 1's rows U_1 and V_1 are multiples of exp(kappa t),
+    # kappa = 5.41, to working precision (their other exponential is
+    # exp(-2 kappa T) < 1e-22 of it from 1.5 pi on), so both families are
+    # singular from level 2 at every horizon, and their computed lower
+    # bounds are rounding noise.  They are written as 0, flagged
     data = sweep(tmp_path, {"T_min": 1.5 * PI, "T_max": 3 * PI, "steps": 7},
                  K=6, grid_h=2e-3, kernel={"family": "zero"},
-                 domain={"geometry": "interval", "lengths": [PI], "c": 1.5})
+                 domain={"geometry": "interval", "lengths": [PI], "c": 5.5})
     assert data["route"] == "exact"
     for name in ("telegraph", "visco"):
         bounds = np.array(data[f"frame_lower_{name}"])
@@ -577,3 +579,21 @@ def test_sweep_writes_no_bound_below_the_rounding_floor(tmp_path):
     rows = np.loadtxt(next(tmp_path.glob("sweep-t-*")) / "sweep.csv",
                       delimiter=",")
     assert np.all(rows[:, 1:] == 0.0)
+
+
+def test_sweep_overdamped_memory_family_keeps_its_bound(tmp_path):
+    # 3 exp(-t) makes mode 1 overdamped (alpha = -1.5, beta_1 = 1.118 i):
+    # its rows U_1 and V_1 stay independent, so the memory family's bound
+    # is positive at every horizon and, from 2 pi on, never at the
+    # rounding floor at the full level
+    data = sweep(tmp_path, {"T_min": 1.5 * PI, "T_max": 3 * PI, "steps": 7},
+                 K=6, grid_h=2e-3,
+                 kernel={"family": "exponential_sum", "coefficients": [3.0],
+                         "rates": [1.0]})
+    assert data["route"] == "exact"
+    T, m_N = np.array(data["T"]), np.array(data["m_N_visco"])
+    assert np.all(m_N > 0)
+    full = len(data["levels"]) - 1
+    assert not [i for i, j in data["at_floor_visco"]
+                if j == full and T[i] >= 2 * PI * (1 - 1e-12)]
+    assert m_N[-1] == pytest.approx(6.03e-8, rel=0.01)

@@ -18,6 +18,8 @@ from memwave.volterra import (BLOCK, _consistency_tol, _forcing_factors,
                               _z_route_gaps, growth_envelope,
                               transformed_exponential)
 
+from family_reference import S_of, Z_of
+
 PI = np.pi
 
 
@@ -89,7 +91,7 @@ def test_Z_pure_exponential_oracle():
     # memoryless undamped: the assembled response is exactly e^{i n t}
     ker = zero_kernel(2 * PI, 1e-3)
     modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, alpha=0.0)
-    Z = compute_responses(ker, modes).Z
+    Z = Z_of(compute_responses(ker, modes))
     assert np.max(np.abs(Z - np.exp(1j * modes.index[:, None] * ker.t))) \
         < 2e-5
 
@@ -104,11 +106,11 @@ def test_degenerate_mode_closed_form():
     r = compute_responses(ker, modes)
     t = ker.t
     exactZ = np.exp(c * t) * (1.0 + (c + 1j) * t)
-    assert np.max(np.abs(r.Z[0] - exactZ)) < 2e-6
+    assert np.max(np.abs(Z_of(r)[0] - exactZ)) < 2e-6
     # S = e^{-alpha t} Z follows 1 + (c + i) t; with N1 = 0 the right-hand
     # side G of the S equation is exactly its transformed-exponential base
     exactS = 1.0 + (c + 1j) * t
-    assert np.max(np.abs(r.S[0] - exactS)) < 2e-6
+    assert np.max(np.abs(S_of(r, ker.alpha)[0] - exactS)) < 2e-6
     assert np.max(np.abs(transformed_exponential(modes, c, t)[0] - exactS)) \
         < 1e-12
 
@@ -123,7 +125,7 @@ def test_two_route_agreement_memory(c):
                                rates=(1.0,)), make_grid(PI, 1e-3))
     some = compute_eigenpairs(dom, 40, alpha=ker.alpha).take(
         [0, 7, 14, 21, 28, 35, 39])
-    Zv = compute_responses(ker, some).Z
+    Zv = Z_of(compute_responses(ker, some))
     worst = float(np.max(np.abs(Zv - marched_Z(ker, some))))
     assert worst < 1e-5
 
@@ -135,7 +137,7 @@ def test_route_gap_shrinks_with_grid():
     gaps = []
     for h in (2e-3, 1e-3):
         ker = normalize(spec, make_grid(PI, h))
-        Zv = compute_responses(ker, mode).Z
+        Zv = Z_of(compute_responses(ker, mode))
         gaps.append(float(np.max(np.abs(Zv - marched_Z(ker, mode)))))
     assert gaps[1] < gaps[0] / 3.0
 
@@ -143,7 +145,7 @@ def test_route_gap_shrinks_with_grid():
 def test_responses_keep_their_z_route_gap_ratio(memory_kernel):
     modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=-0.5)
     resp = compute_responses(memory_kernel, modes)
-    gaps = np.max(np.abs(resp.Z - marched_Z(memory_kernel, modes)), axis=1)
+    gaps = np.max(np.abs(Z_of(resp) - marched_Z(memory_kernel, modes)), axis=1)
     ratios = resp.z_gap_ratio
     assert ratios == pytest.approx(
         gaps / _consistency_tol(memory_kernel, modes.beta))
@@ -205,8 +207,8 @@ def test_restriction_matches_fresh_computation(memory_kernel):
     assert sliced.grid == fresh.grid == fresh_ker.grid
     # marches are causal: restriction of the fields is exact
     assert np.array_equal(sliced.z, fresh.z)
-    assert np.max(np.abs(sliced.Z - fresh.Z)) < 1e-13
-    assert np.max(np.abs(sliced.S - fresh.S)) < 1e-13
+    for f in ("Nz", "Npz"):
+        assert np.max(np.abs(getattr(sliced, f) - getattr(fresh, f))) < 1e-13
     # the Z-route headroom is the full horizon's, not the short grid's
     assert sliced.z_gap_ratio == full.z_gap_ratio
     assert 0.0 < fresh.z_gap_ratio[0] < 1.0
@@ -222,14 +224,14 @@ def test_batch_independence(memory_kernel):
              for batch in (modes, modes.take(rows))}
     for j, i in enumerate(rows):            # row i of the big batch
         assert np.array_equal(big.z[i], small.z[j])
-        assert np.array_equal(big.Z[i], small.Z[j])
+        assert np.array_equal(Z_of(big)[i], Z_of(small)[j])
         assert np.array_equal(march[12][i], march[3][j])
         one = compute_responses(memory_kernel, modes.take([i]))
         Zm = marched_Z(memory_kernel, modes.take([i]))[0]
         assert np.max(np.abs(big.z[i] - one.z[0])) \
             <= 1e-14 * np.max(np.abs(one.z[0]))
-        assert np.max(np.abs(big.Z[i] - one.Z[0])) \
-            <= 1e-14 * np.max(np.abs(one.Z[0]))
+        assert np.max(np.abs(Z_of(big)[i] - Z_of(one)[0])) \
+            <= 1e-14 * np.max(np.abs(Z_of(one)[0]))
         assert np.max(np.abs(march[12][i] - Zm)) <= 1e-14 * np.max(np.abs(Zm))
 
 
@@ -500,7 +502,7 @@ def test_marched_Z_matches_the_complex_march(family):
 
 def test_refined_S_matches_direct_at_low_modes(memory_kernel):
     modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 5, alpha=-0.5)
-    S = compute_responses(memory_kernel, modes).S
+    S = S_of(compute_responses(memory_kernel, modes), memory_kernel.alpha)
     Sr = refined_S(memory_kernel, modes)
     assert Sr.shape == S.shape
     assert np.all(np.max(np.abs(Sr - S), axis=1) < 5e-5)
@@ -583,7 +585,8 @@ def test_asymptotic_residual_needs_enough_modes(memory_kernel):
     modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=-0.5)
     resp = compute_responses(memory_kernel, modes)
     with pytest.raises(ConfigError, match="at least 8"):
-        asymptotic_residual(resp.modes, resp.S, memory_kernel.h)
+        asymptotic_residual(resp.modes, S_of(resp, memory_kernel.alpha),
+                            memory_kernel.h)
 
 
 def test_asymptotic_residual_refuses_a_non_finite_row(memory_kernel):
@@ -734,11 +737,10 @@ def exact_of(spec, K, length=PI):
 
 @pytest.mark.parametrize("name", sorted(EXACT_KERNELS))
 def test_exact_modes_start_at_one(name):
-    # z(0) = Z(0) = 1 and the modal equations at t = 0, z'(0) = 2 alpha and
-    # Z'(0) = 2 alpha + i beta, to rounding
+    # U(0) = 1, V(0) = 0 and the modal equation at t = 0, U'(0) = 2 alpha
+    # and V'(0) = 1, to rounding
     exact, alpha, modes = exact_of(EXACT_KERNELS[name], 12)
-    for res, at0, slope in ((exact.z, 1.0, 2 * alpha),
-                            (exact.Z, 1.0, 2 * alpha + 1j * modes.beta)):
+    for res, at0, slope in ((exact.U, 1.0, 2 * alpha), (exact.V, 0.0, 1.0)):
         assert np.max(np.abs(res.sum(axis=1) - at0)) <= 1e-13
         assert np.max(np.abs((res * exact.roots).sum(axis=1) - slope)
                       / (1.0 + np.abs(slope))) <= 1e-13
@@ -755,9 +757,9 @@ def test_march_converges_to_exact_modes_at_order_two(name):
         resp = compute_responses(ker, modes)
         exact = exact_modes(ker.terms, ker.alpha, modes)
         E = np.exp(exact.roots[:, :, None] * ker.t)
-        z, Z = (np.einsum("kd,kdt->kt", r, E) for r in (exact.z, exact.Z))
-        errors.append([np.max(np.abs(getattr(resp, f) - x))
-                       for f, x in (("z", z), ("Z", Z))])
+        U, V = (np.einsum("kd,kdt->kt", r, E) for r in (exact.U, exact.V))
+        errors.append([np.max(np.abs(x - y)) for x, y in
+                       ((resp.z + resp.Npz, U), (resp.Nz, V))])
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
     assert np.all(np.abs(ratios - 4.0) < 0.1), ratios
 
@@ -766,8 +768,9 @@ def test_exact_telegraph_terms_are_the_transformed_exponential():
     t = np.linspace(0.0, 2.0, 41)
     for c in (0.0, 0.7, 1.5):               # 1.5: mode 1 overdamped
         modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, c)
-        rates, weights = transformed_exponential_terms(modes, c)
-        closed = np.einsum("kd,kdt->kt", weights,
+        rates, U, V = transformed_exponential_terms(modes, c)
+        # U + i beta V, the transformed exponential
+        closed = np.einsum("kd,kdt->kt", U + 1j * modes.beta[:, None] * V,
                            np.exp(rates[:, :, None] * t))
         assert np.max(np.abs(closed - transformed_exponential(modes, c, t))) \
             <= 1e-13
