@@ -7,13 +7,16 @@ Each run writes its artifacts under  {out}/{experiment}-{hash}/  where
 hash is the config hash; reruns of the same config land in the same
 directory with byte-identical contents.  --grid-h H is the config key
 "h": H, validated like it and part of the hash, so one config run at
-two steps writes two directories.  The directory is created by the
-first artifact written, so a run that fails before writing leaves none.
-Output root resolution order: --out flag, config "out" key,
-$MEMWAVE_OUT, ./memwave-out.
+two steps writes two directories.  Output root resolution order: --out
+flag, config "out" key, $MEMWAVE_OUT, ./memwave-out.
 
-Artifacts hold finite numbers only: a NaN or Inf headed for a CSV or
-JSON file stops the run with a convergence error naming the file.  CSV
+Each experiment's runner computes and returns its exit code and its
+artifacts, and does no I/O; main hands them to one writer.  Artifacts
+hold finite numbers only, and the writer builds and checks every
+artifact's bytes before it creates the directory: a NaN or Inf headed
+for a CSV or JSON file stops the run with a convergence error naming
+the file, and a run that fails writes nothing.  The one failed run
+that writes is a verify FAIL (exit 5), which writes its verdict.  CSV
 values are printed as "%.17g" prints them: one value at a time in a
 table of fewer than CSV_TABLE_CELLS values, by memwave.csvtext in a
 larger one.
@@ -124,17 +127,14 @@ def _non_finite(path):
         f"non-finite value (NaN or Inf) headed for {path}; nothing written")
 
 
-def _write_json(path, payload, cfg_hash):
-    payload = dict(payload)
-    payload["config_hash"] = cfg_hash
+def _json_text(path, payload, cfg_hash):
+    payload = dict(payload, config_hash=cfg_hash)
     try:
         text = json.dumps(_jsonable(payload), sort_keys=True, indent=2,
                           allow_nan=False)
     except ValueError:
         raise _non_finite(path) from None
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    return ((text + "\n").encode(),)
 
 
 def _csv_rows(data):
@@ -144,7 +144,9 @@ def _csv_rows(data):
     return "".join(row_fmt % tuple(row) for row in data.tolist()).encode()
 
 
-def _write_csv(path, columns, rows, cfg_hash):
+def _csv_text(path, columns, rows, cfg_hash):
+    """The two header lines and the table, kept apart so that the table
+    is written as it is built, never copied into one buffer."""
     data = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(data)):
         raise _non_finite(path)
@@ -154,11 +156,24 @@ def _write_csv(path, columns, rows, cfg_hash):
         # imported here: a run that writes no large CSV never compiles it
         from .csvtext import format_table
         text = format_table(data)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n# {','.join(columns)}\n"
-                 .encode())
-        fh.write(text)
+    return (f"# config_hash={cfg_hash}\n# {','.join(columns)}\n".encode(),
+            text)
+
+
+def _write_artifacts(adir, artifacts, cfg_hash):
+    """Write a run's artifacts, (name, payload) for JSON and (name,
+    columns, rows) for CSV, into adir.  Every artifact's bytes are built
+    and checked first, so a run whose artifacts fail the check creates
+    no directory and writes nothing."""
+    texts = []
+    for name, *content in artifacts:
+        path = os.path.join(adir, name)
+        build = _csv_text if len(content) == 2 else _json_text
+        texts.append((path, build(path, *content, cfg_hash)))
+    os.makedirs(adir, exist_ok=True)
+    for path, parts in texts:
+        with open(path, "wb") as fh:
+            fh.writelines(parts)
 
 
 def _read_csv(path):
@@ -215,25 +230,23 @@ def _resolve_target(cfg):
 
 # ---------------------------------------------------------------- commands
 
-def _run_spectrum(cfg, adir):
+def _run_spectrum(cfg):
     modes, alpha, gamma = _spectrum(cfg, cfg.N_modes)
     diag = trace_diagnostics(modes, cfg.domain.gamma_weights())
-    _write_csv(os.path.join(adir, "eigenpairs.csv"),
-               ["n", "lambda_sq", "beta_re", "beta_im",
-                "trace_norm", "in_J", "in_O"],
-               np.column_stack([modes.index, modes.lambda_sq,
-                                modes.beta.real, modes.beta.imag,
-                                diag["norms"], modes.in_J, modes.in_O]),
-               cfg.hash)
-    _write_json(os.path.join(adir, "spectrum.json"), {
-        "alpha": alpha, "gamma": gamma, "count": len(modes),
-        "trace_norm_min": diag["min"], "trace_norm_max": diag["max"],
-        "flagged": diag["flagged"],
-    }, cfg.hash)
-    return 0
+    return 0, [
+        ("eigenpairs.csv", ["n", "lambda_sq", "beta_re", "beta_im",
+                            "trace_norm", "in_J", "in_O"],
+         np.column_stack([modes.index, modes.lambda_sq,
+                          modes.beta.real, modes.beta.imag,
+                          diag["norms"], modes.in_J, modes.in_O])),
+        ("spectrum.json", {
+            "alpha": alpha, "gamma": gamma, "count": len(modes),
+            "trace_norm_min": diag["min"], "trace_norm_max": diag["max"],
+            "flagged": diag["flagged"],
+        })]
 
 
-def _run_responses(cfg, adir):
+def _run_responses(cfg):
     modes, _, _ = _spectrum(cfg, cfg.N_modes)
     kernel = normalize(cfg.kernel, _grid_for(cfg, cfg.T, cfg.N_modes))
     # fit the real-beta modes of the asymptotic window only; the first
@@ -242,20 +255,17 @@ def _run_responses(cfg, adir):
     fitted = modes.take((modes.index >= fit_lo) & (modes.beta.imag == 0)
                         & (modes.beta.real > 0))
     fit = asymptotic_residual(fitted, refined_S(kernel, fitted), kernel.h)
-    _write_csv(os.path.join(adir, "kernel.csv"),
-               ["t", "N", "Np", "N1", "L"],
-               np.column_stack([kernel.t, kernel.N, kernel.Np, kernel.N1,
-                                kernel.L]), cfg.hash)
-    _write_csv(os.path.join(adir, "residuals.csv"),
-               ["n", "beta", "sup_residual"],
-               np.column_stack([fit["indices"], fit["beta"],
-                                fit["residuals"]]), cfg.hash)
-    _write_json(os.path.join(adir, "responses.json"), {
-        "slope": fit["slope"], "intercept": fit["intercept"],
-        "fit_from_mode": fit_lo, "modes": len(modes),
-        "grid_steps": kernel.grid.steps, "grid_h": kernel.h,
-    }, cfg.hash)
-    return 0
+    return 0, [
+        ("kernel.csv", ["t", "N", "Np", "N1", "L"],
+         np.column_stack([kernel.t, kernel.N, kernel.Np, kernel.N1,
+                          kernel.L])),
+        ("residuals.csv", ["n", "beta", "sup_residual"],
+         np.column_stack([fit["indices"], fit["beta"], fit["residuals"]])),
+        ("responses.json", {
+            "slope": fit["slope"], "intercept": fit["intercept"],
+            "fit_from_mode": fit_lo, "modes": len(modes),
+            "grid_steps": kernel.grid.steps, "grid_h": kernel.h,
+        })]
 
 
 def _family(cfg):
@@ -266,7 +276,7 @@ def _family(cfg):
     return viscoelastic_family(responses, cfg.domain.gamma_weights())
 
 
-def _run_gram(cfg, adir):
+def _run_gram(cfg):
     fam = _family(cfg)
     rep = gram(fam)
     if rep.at_floor[-1]:
@@ -274,50 +284,41 @@ def _run_gram(cfg, adir):
             f"Gram of {fam.label!r} is singular to working precision (m_N "
             f"at its rounding floor, M_N = {rep.M_N:.3e}): no condition "
             "number for gram.json; nothing written")
-    _write_json(os.path.join(adir, "gram.json"), {
-        "T": cfg.T, "members": fam.count,
-        "frame_lower": rep.m_N, "frame_upper": rep.M_N,
-        "condition": rep.cond,
-    }, cfg.hash)
-    _write_csv(os.path.join(adir, "gram_abs.csv"),
-               [f"k{j}" for j in range(rep.gram.shape[1])],
-               np.abs(rep.gram), cfg.hash)
-    return 0
+    return 0, [
+        ("gram.json", {
+            "T": cfg.T, "members": fam.count,
+            "frame_lower": rep.m_N, "frame_upper": rep.M_N,
+            "condition": rep.cond,
+        }),
+        ("gram_abs.csv", [f"k{j}" for j in range(rep.gram.shape[1])],
+         np.abs(rep.gram))]
 
 
-def _run_synthesize(cfg, adir):
+def _run_synthesize(cfg):
     control = synthesize(build_moment_problem(_family(cfg),
                                               _resolve_target(cfg)))
     modes = control.index_set[::2]
     a = control.coefficients
-    tables = [("control.csv", ["t"] + [f"g_mode{n}" for n in modes],
-               np.column_stack([control.grid.t, control.profiles.T])),
-              ("control_traces.csv",
-               ["node"] + [f"trace_mode{n}" for n in modes],
-               np.column_stack([np.arange(control.traces.shape[1]),
-                                control.traces.T])),
-              ("coefficients.csv", ["n", "a_U", "a_V"],
-               np.column_stack([modes, a[::2], a[1::2]]))]
-    # every table is checked before the first write: a failed run writes
-    # nothing
-    for name, _, rows in tables:
-        if not np.all(np.isfinite(rows)):
-            raise _non_finite(os.path.join(adir, name))
-    for name, columns, rows in tables:
-        _write_csv(os.path.join(adir, name), columns, rows, cfg.hash)
-    _write_json(os.path.join(adir, "synthesis.json"), {
-        "index_set": list(control.index_set),
-        "residual_max": control.residual_max,
-        "condition": control.condition,
-        "frame_lower": control.frame_lower,
-        "norm": control.norm,
-        "factor_gap": control.factor_gap,
-        "T": cfg.T, "K": cfg.K,
-    }, cfg.hash)
-    return 0
+    return 0, [
+        ("control.csv", ["t"] + [f"g_mode{n}" for n in modes],
+         np.column_stack([control.grid.t, control.profiles.T])),
+        ("control_traces.csv", ["node"] + [f"trace_mode{n}" for n in modes],
+         np.column_stack([np.arange(control.traces.shape[1]),
+                          control.traces.T])),
+        ("coefficients.csv", ["n", "a_U", "a_V"],
+         np.column_stack([modes, a[::2], a[1::2]])),
+        ("synthesis.json", {
+            "index_set": list(control.index_set),
+            "residual_max": control.residual_max,
+            "condition": control.condition,
+            "frame_lower": control.frame_lower,
+            "norm": control.norm,
+            "factor_gap": control.factor_gap,
+            "T": cfg.T, "K": cfg.K,
+        })]
 
 
-def _run_verify(cfg, adir):
+def _run_verify(cfg):
     # the config holds K_sim >= K for verify
     kernel, sim_resp = _responses_for(cfg, cfg.T, cfg.K_sim)
     target = _resolve_target(cfg)
@@ -338,7 +339,7 @@ def _run_verify(cfg, adir):
     spill = mode_energies(conv.theta_T, conv.theta_t_T,
                           conv.modes.beta)[cfg.K:]
     z_ratios = sim_resp.z_gap_ratio
-    _write_json(os.path.join(adir, "verdict.json"), {
+    return (0 if verdict == "PASS" else 5), [("verdict.json", {
         "verdict": verdict,
         "achieved_error": err, "tolerance": tol,
         "route_gap": gap,
@@ -351,8 +352,7 @@ def _run_verify(cfg, adir):
         "z_route_gap_ratio_per_mode": z_ratios,
         "worst_z_route_mode": int(np.argmax(z_ratios)) + 1,
         "K": cfg.K, "K_sim": cfg.K_sim, "T": cfg.T,
-    }, cfg.hash)
-    return 0 if verdict == "PASS" else 5
+    })]
 
 
 def _sweep_grid(cfg):
@@ -383,7 +383,7 @@ def _sweep_grid(cfg):
     return TimeGrid(steps[-1] * h, steps[-1], h), steps
 
 
-def _run_sweep(cfg, adir):
+def _run_sweep(cfg):
     alpha, gamma = _alpha_of(cfg)
     gw = cfg.domain.gamma_weights()
     grid, steps = _sweep_grid(cfg)
@@ -404,21 +404,22 @@ def _run_sweep(cfg, adir):
     reps_t, reps_v = reps
     m_tel = [r.m_N for r in reps_t]
     m_vis = [r.m_N for r in reps_v]
-    _write_csv(os.path.join(adir, "sweep.csv"),
-               ["T", "m_N_telegraph", "m_N_visco"],
-               np.column_stack([horizons, m_tel, m_vis]), cfg.hash)
-    _write_json(os.path.join(adir, "sweep.json"), {
-        "T": horizons, "m_N_telegraph": m_tel, "m_N_visco": m_vis,
-        "frame_lower_telegraph": [r.frame_lower for r in reps_t],
-        "frame_lower_visco": [r.frame_lower for r in reps_v],
-        # np.array first: np.argwhere converts a list ~8 us slower
-        "at_floor_telegraph": np.argwhere(np.array([r.at_floor
-                                                    for r in reps_t])),
-        "at_floor_visco": np.argwhere(np.array([r.at_floor for r in reps_v])),
-        "levels": reps_t[0].levels,
-        "K": cfg.K, "members": 2 * cfg.K, "grid_h": grid.h, "route": route,
-    }, cfg.hash)
-    return 0
+    return 0, [
+        ("sweep.csv", ["T", "m_N_telegraph", "m_N_visco"],
+         np.column_stack([horizons, m_tel, m_vis])),
+        ("sweep.json", {
+            "T": horizons, "m_N_telegraph": m_tel, "m_N_visco": m_vis,
+            "frame_lower_telegraph": [r.frame_lower for r in reps_t],
+            "frame_lower_visco": [r.frame_lower for r in reps_v],
+            # np.array first: np.argwhere converts a list ~8 us slower
+            "at_floor_telegraph": np.argwhere(np.array([r.at_floor
+                                                        for r in reps_t])),
+            "at_floor_visco": np.argwhere(np.array([r.at_floor
+                                                    for r in reps_v])),
+            "levels": reps_t[0].levels,
+            "K": cfg.K, "members": 2 * cfg.K, "grid_h": grid.h,
+            "route": route,
+        })]
 
 
 # ---------------------------------------------------------------- report
@@ -568,7 +569,8 @@ def main(argv=None) -> int:
         cfg = cfgmod.load(args.config, experiment, args.grid_h)
         out_root = _resolve_out(args.out, cfg.out)
         adir = _artifact_dir(out_root, cfg)
-        code = _RUNNERS[experiment](cfg, adir)
+        code, artifacts = _RUNNERS[experiment](cfg)
+        _write_artifacts(adir, artifacts, cfg.hash)
         if code == 0:
             print(f"ok: artifacts in {adir}")
         else:

@@ -108,6 +108,20 @@ class NormalizedKernel:
             return self.parent.L[:self.grid.steps + 1]
         return resolvent(self.N1, self.grid)
 
+    def check_finite(self, *names: str) -> None:
+        """ConvergenceError at the first of the named fields that is not
+        finite, naming it and its first such step: the exponential
+        rescaling overflowed there.  normalize checks N and N'; the
+        routes that read N1, N1' and N1'' check those."""
+        for name in names:
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                raise ConvergenceError(
+                    f"normalize: kernel field {name} is not finite from "
+                    f"step {bad[0]} (t = {self.t[bad[0]]:.6g}); gamma = "
+                    f"{self.gamma:.6g}, alpha = {self.alpha:.6g}: the "
+                    "exponential rescaling overflows")
+
     @property
     def h(self) -> float:
         return self.grid.h
@@ -392,7 +406,8 @@ def normalize(spec: KernelSpec, grid: TimeGrid) -> NormalizedKernel:
     alpha = spec.c + gamma
 
     # a large kernel coefficient overflows the exponentials (exp(-alpha t)
-    # with alpha ~ -M(0)/2); the finite check below reports it instead
+    # with alpha ~ -M(0)/2); the finite checks report it instead, of N
+    # and N' here and of the N1 fields where they are read
     with np.errstate(over="ignore", invalid="ignore"):
         Nt = 1.0 + I
         E2 = np.exp(2.0 * gamma * t)
@@ -409,14 +424,7 @@ def normalize(spec: KernelSpec, grid: TimeGrid) -> NormalizedKernel:
         N1p = Em * (Npp - alpha * Np)
         N1pp = Em * (Nppp - 2.0 * alpha * Npp + alpha ** 2 * Np)
 
-    for name, values in (("N", N), ("Np", Np), ("N1", N1), ("N1p", N1p),
-                         ("N1pp", N1pp)):
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ConvergenceError(
-                f"normalize: kernel field {name} is not finite from step "
-                f"{bad[0]} (t = {t[bad[0]]:.6g}); gamma = {gamma:.6g}, "
-                f"alpha = {alpha:.6g}: the exponential rescaling overflows")
-
-    return NormalizedKernel(gamma, alpha, N, Np, N1, N1p, N1pp, grid, spec,
-                            kernel_terms(spec, gamma))
+    kernel = NormalizedKernel(gamma, alpha, N, Np, N1, N1p, N1pp, grid,
+                              spec, kernel_terms(spec, gamma))
+    kernel.check_finite("N", "Np")
+    return kernel

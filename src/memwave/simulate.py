@@ -40,15 +40,16 @@ and the modes 1..K of the family it was solved against, so the
 forcings are F = W f = (W @ traces.T) @ profiles, W the (K_sim, nodes)
 real traces of the simulated modes under the control's weights.  The
 march route needs N * F at every sample; by linearity of the product
-trapezoid it convolves the fewest rows among the node rows of f, the
-K_sim rows of F and the K profiles (_forcing_convolution): one node row
-on the interval (3 transforms where the 12 rows of F take 25), the rows
-of F on the rectangle benchmark's 257-node edge.  The march is linear
-too, and takes its forcing as real rows (volterra.march_modal): on a
-one-node boundary, as on the interval, N * F_n = w_n (N * f), so the
-one row N * f is marched as a row every mode shares and each response
-is scaled by -w_n afterwards, with no (K_sim, steps+1) forcing built;
-other boundaries march N * F, a row per mode.
+trapezoid it factors F = C R and convolves the r rows of R once
+(_forcing_rows): R is the node rows of f when there are at most K of
+them (the interval's one or two: 3 transforms where the 12 rows of F
+take 25), else the K profiles (the rectangle's 257-node edge), and C
+the matching coupling W or W @ traces.T.  The march is linear too, and
+takes its forcing as real rows (volterra.march_modal): with one row
+(r = 1), as on a one-node boundary or for K = 1, N * F_n = C_n (N * R),
+so the one row N * R is marched as a row every mode shares and each
+response is scaled by -C_n afterwards, with no (K_sim, steps+1) forcing
+built; more rows march C (N * R), a row per mode.
 
 The simulation grid may extend past the control horizon (the control is
 zero-padded), which is how post-control energy conservation is checked
@@ -98,38 +99,24 @@ def _mode_forcing(coupling: np.ndarray, profiles: np.ndarray,
     return out
 
 
-def _forcing_convolution(kernel: NormalizedKernel, weighted: np.ndarray,
-                         control: ControlSignal, length: int) -> np.ndarray:
-    """H = N * F on the simulation grid, (K_sim, length), as
-    W (N * f), N * F or (W traces.T) (N * profiles), whichever convolves
-    the fewest rows (ties in that order)."""
-    T, P = control.traces, control.profiles
-    if T.shape[1] <= min(len(weighted), len(T)):     # the node rows of f
-        return _mode_forcing(weighted, convolve(
-            kernel.N, _mode_forcing(T.T, P, length), kernel.h), length)
-    coupling = weighted @ T.T
-    if len(weighted) <= len(T):                       # the K_sim rows of F
-        return convolve(kernel.N, _mode_forcing(coupling, P, length),
-                        kernel.h)
-    padded = np.pad(P, ((0, 0), (0, length - P.shape[1])))   # K profiles
-    return _mode_forcing(coupling, convolve(kernel.N, padded, kernel.h),
-                         length)
-
-
 def _forcing_rows(kernel: NormalizedKernel, weighted: np.ndarray,
                   control: ControlSignal, length: int):
     """The march's forcing rows and the per-mode scale s that makes them
-    the forcings H = N * F, H_k = s_k rows_k.  A one-node control forces
-    mode k with w_k (N * f): the one row N * f, (1, length), is shared by
-    every mode and s = w, (K_sim,).  Any other control gives H
-    (_forcing_convolution), a row per mode, (K_sim, 1, length), and
-    s = 1."""
-    if control.traces.shape[1] == 1:
-        return convolve(kernel.N, _mode_forcing(
-            control.traces.T, control.profiles, length),
-            kernel.h), weighted[:, 0]
-    return _forcing_convolution(kernel, weighted, control,
-                                length)[:, None], 1.0
+    the forcings H = N * F, H_k = s_k rows_k.  F = C R with R the
+    control's node rows when it has at most K nodes, else its K profiles
+    zero-padded, and C the matching (K_sim, r) coupling, so H = C (N * R)
+    convolves the r rows of R once.  One row (r = 1), (1, length), is
+    shared by every mode with s = C[:, 0], (K_sim,); more give C (N * R),
+    a row per mode, (K_sim, 1, length), and s = 1."""
+    T, P = control.traces, control.profiles
+    if T.shape[1] <= len(T):
+        C, R = weighted, _mode_forcing(T.T, P, length)
+    else:
+        C, R = weighted @ T.T, np.pad(P, ((0, 0), (0, length - P.shape[1])))
+    NR = convolve(kernel.N, R, kernel.h)
+    if len(R) == 1:
+        return NR, C[:, 0]
+    return _mode_forcing(C, NR, length)[:, None], 1.0
 
 
 def _setup(kernel: NormalizedKernel, control: ControlSignal,

@@ -468,14 +468,18 @@ def _consistency_tol(kernel: NormalizedKernel, beta) -> np.ndarray:
 
 
 def _z_route_gaps(kernel: NormalizedKernel, modes: Spectrum, dNp: np.ndarray,
-                  dN: np.ndarray) -> np.ndarray:
+                  dN: np.ndarray, z: np.ndarray, Nz: np.ndarray,
+                  Npz: np.ndarray) -> np.ndarray:
     """Each mode's two-route Z gap over its allowance, (K,).
 
     The marched Z is z + Y' + f Y and the assembled one z + N'*z + f N*z,
     with Y' and Y the marched responses to N' and N and f the forcing
     factor, so their difference is dNp + f dN, from the real differences
     dNp = Y' - N'*z and dN = Y - N*z, (K, m+1).  A mode whose gap passes
-    its allowance (or is NaN) flags a quadrature bug.
+    its allowance (or is NaN) flags a quadrature bug, unless the gap is
+    within 1e-10 of the mode's max_t |Z|: then the allowance lies below
+    the rounding of the responses themselves (its growth factor is
+    capped), and the mode is not resolved to working precision.
     """
     f = _forcing_factors(modes)[:, None]
     re = dN * f.real            # |dNp + f dN|^2, two temporaries
@@ -486,12 +490,18 @@ def _z_route_gaps(kernel: NormalizedKernel, modes: Spectrum, dNp: np.ndarray,
     re += im
     gaps = np.sqrt(np.max(re, axis=1))
     tols = _consistency_tol(kernel, modes.beta)
-    bad = ~(gaps <= tols)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InternalConsistencyError(
-            f"Z routes disagree on mode {modes.index[i]}: gap {gaps[i]:.3e} "
-            f"exceeds allowance {tols[i]:.3e}")
+    bad = np.flatnonzero(~(gaps <= tols))
+    if bad.size:
+        Z = np.max(np.abs(z[bad] + Npz[bad] + f[bad] * Nz[bad]), axis=1)
+        defect = bad[~(gaps[bad] <= 1e-10 * Z)]
+        i = defect[0] if defect.size else bad[0]
+        message = (f"Z routes disagree on mode {modes.index[i]}: gap "
+                   f"{gaps[i]:.3e} exceeds allowance {tols[i]:.3e}")
+        if defect.size:
+            raise InternalConsistencyError(message)
+        raise ConvergenceError(
+            f"{message}, but it is rounding of max |Z| {Z[0]:.3e}: the "
+            "responses are not resolved to working precision")
     return gaps / tols
 
 
@@ -515,7 +525,7 @@ def compute_responses(kernel: NormalizedKernel,
     dNp, dN = Y[:, 1], Y[:, 2]
     dNp -= Npz
     dN -= Nz
-    ratios = _z_route_gaps(kernel, modes, dNp, dN)
+    ratios = _z_route_gaps(kernel, modes, dNp, dN, z, Nz, Npz)
     m, h = kernel.grid.steps, kernel.h
     return ModalResponses(modes, z, Nz, Npz, ratios, TimeGrid(m * h, m, h))
 
@@ -567,10 +577,13 @@ def refined_S(kernel: NormalizedKernel, modes: Spectrum) -> np.ndarray:
     one convolve per kernel field.  The quadrature error here stays
     O(h^2) uniformly in beta because the oscillatory factors sit inside
     nonaccumulating convolutions.  Raises ConvergenceError naming the
-    first mode whose row is not finite (the division spreads an overflow
-    over the whole row, so no step is named).
+    first N1 field that is not finite (NormalizedKernel.check_finite)
+    before any convolution, and the first mode whose row is not finite
+    (the division spreads an overflow over the whole row, so no step is
+    named).
     """
     _off_J(modes, "refined route")
+    kernel.check_finite("N1", "N1p", "N1pp")
     S = np.empty((len(modes), kernel.grid.steps + 1), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(modes), REFINED_ROWS):
@@ -607,9 +620,11 @@ def comparator_profile(kernel: NormalizedKernel,
     (transformed_exponential).  R does not depend on the mode and is
     formed once.  The sine correction in the base is what keeps S - C at
     O(1/beta^2) when alpha != 0; with alpha = 0 the base degenerates to
-    the bare exponential.
+    the bare exponential.  An N1 field that is not finite raises
+    ConvergenceError before any convolution.
     """
     _off_J(modes, "comparator")
+    kernel.check_finite("N1", "N1p", "N1pp")
     t, h = kernel.t, kernel.h
     R = kernel.N1p - convolve(kernel.L, kernel.N1p, h)
     E = np.exp(1j * modes.beta[:, None] * t)

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from memwave import ConfigError, SequenceFamily, make_grid
-from memwave import cli, control, volterra
-from memwave.cli import _write_csv, main
+from memwave import cli, control, exact, volterra
+from memwave.cli import _write_artifacts, main
 from memwave.config import EXPERIMENTS, config_hash, from_dict, load
 
 from family_reference import combination
@@ -98,11 +98,11 @@ def test_cli_import_leaves_the_csv_formatter_to_the_first_write(tmp_path):
     # sweep-sized table (14 x 3) prints one value at a time without it
     code = ("import sys, numpy as np, memwave.cli as cli\n"
             "print('memwave.csvtext' in sys.modules)\n"
-            f"cli._write_csv({str(tmp_path / 'x.csv')!r}, ['a', 'b', 'c'], "
-            "np.ones((14, 3)), 'h')\n"
+            f"cli._write_artifacts({str(tmp_path)!r}, [('x.csv', "
+            "['a', 'b', 'c'], np.ones((14, 3)))], 'h')\n"
             "print('memwave.csvtext' in sys.modules)\n"
-            f"cli._write_csv({str(tmp_path / 'y.csv')!r}, ['a'], "
-            "np.ones((cli.CSV_TABLE_CELLS, 1)), 'h')\n"
+            f"cli._write_artifacts({str(tmp_path)!r}, [('y.csv', ['a'], "
+            "np.ones((cli.CSV_TABLE_CELLS, 1)))], 'h')\n"
             "print('memwave.csvtext' in sys.modules)\n")
     assert _fresh_python(code).split() == ["False", "False", "True"]
 
@@ -526,18 +526,24 @@ def test_cli_non_finite_artifact_exits_three(tmp_path, capsys):
 
 
 def test_cli_kernel_overflow_exits_three_at_normalize(tmp_path, capsys):
-    # a huge kernel coefficient overflows the exponential rescaling; the
-    # run stops in normalize, before any warning or artifact
-    doc = base("gram", T=2.5 * PI, K=3,
-               kernel={"family": "exponential_sum",
-                       "coefficients": [1e6], "rates": [1.0]})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = run(tmp_path, doc, out=tmp_path / "store", grid_h=1e-2)
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "normalize" in err and "N1" in err and "step 1" in err
-    assert not (tmp_path / "store").exists()
+    # a huge negative kernel coefficient overflows the exponential
+    # rescaling of N; the run stops in normalize, before any warning or
+    # artifact.  A huge positive one overflows only the N1 fields, which
+    # the refined route of responses reads: it stops there
+    for command, doc, coefficient, field in (
+            ("gram", base("gram", T=2.5 * PI, K=3), -1e6, "field N "),
+            ("responses", base("responses", T=2.5 * PI, N_modes=12), 1e6,
+             "field N1 ")):
+        doc["kernel"] = {"family": "exponential_sum",
+                         "coefficients": [coefficient], "rates": [1.0]}
+        store = tmp_path / command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(tmp_path, doc, out=store, grid_h=1e-2)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "normalize" in err and field in err and "step 1 " in err
+        assert not store.exists()
 
 
 def test_cli_synthesize_then_verify_passes(tmp_path, capsys):
@@ -589,6 +595,19 @@ def test_cli_verify_nan_z_route_gap_exits_five(tmp_path, capsys,
     assert run(tmp_path, doc, out=tmp_path / "store", grid_h=1e-2) == 5
     assert "Z routes disagree on mode 1: gap nan" in capsys.readouterr().err
     assert not (tmp_path / "store").exists()
+
+
+def test_cli_z_route_gap_at_rounding_exits_three(tmp_path, capsys):
+    # c = 5.5 with no memory: |z_1| grows to ~2e44 over 3 pi, where the
+    # capped allowance (1.5e24) lies below the rounding of the responses;
+    # the gap (3.5e29) is rounding, a convergence failure, not a defect
+    doc = base("gram", T=3 * PI, K=6, kernel={"family": "zero"},
+               domain=dict(DOM, c=5.5))
+    store = tmp_path / "store"
+    assert run(tmp_path, doc, out=store, grid_h=2e-3) == 3
+    err = capsys.readouterr().err
+    assert "mode 1" in err and "rounding of max |Z|" in err
+    assert not store.exists()
 
 
 def test_cli_synthesize_writes_control_factors(tmp_path, capsys, monkeypatch):
@@ -659,6 +678,51 @@ def test_cli_synthesize_non_finite_control_exits_three(tmp_path, capsys,
         assert run(tmp_path, doc, out=store, grid_h=1e-2) == 3
         assert artifact in capsys.readouterr().err
         assert not store.exists()
+
+
+def _nan_first(values):
+    values = np.array(values, dtype=float)
+    values.flat[0] = np.nan
+    return values
+
+
+_LAST_ARTIFACT_NAN = {
+    # experiment: config, its last artifact, and the function whose
+    # result poison rewrites with a NaN headed for that artifact alone
+    "spectrum": (base(K=4, N_modes=6), "spectrum.json", cli,
+                 "trace_diagnostics", lambda d: dict(d, max=np.nan)),
+    "responses": (base("responses", T=2.5 * PI, N_modes=12, kernel=EXP),
+                  "responses.json", cli, "asymptotic_residual",
+                  lambda fit: dict(fit, slope=np.nan)),
+    "gram": (base("gram", T=2.5 * PI, K=2, kernel=EXP), "gram_abs.csv",
+             cli, "gram",
+             lambda rep: dataclasses.replace(rep, gram=_nan_first(rep.gram))),
+    # the first level's bound: sweep.csv holds the last level's, m_N
+    "sweep-t": (base("sweep-T", K=2, kernel=EXP,
+                     sweep={"T_min": 2.0 * PI, "T_max": 2.5 * PI,
+                            "steps": 2}), "sweep.json", exact, "exact_sweep",
+                lambda reps: (reps[0], [
+                    dataclasses.replace(r, frame_lower=_nan_first(
+                        r.frame_lower)) for r in reps[1]])),
+    "synthesize": (base("synthesize", T=2.5 * PI, K=2, target="random",
+                        kernel=EXP), "synthesis.json", cli, "synthesize",
+                   lambda ctrl: dataclasses.replace(ctrl, norm=np.nan)),
+}
+
+
+@pytest.mark.parametrize("command", list(_LAST_ARTIFACT_NAN))
+def test_cli_nan_in_the_last_artifact_writes_nothing(tmp_path, capsys,
+                                                     monkeypatch, command):
+    # every artifact is checked before the directory exists: a NaN headed
+    # for a run's last file leaves none of the files before it on disk
+    doc, artifact, module, name, poison = _LAST_ARTIFACT_NAN[command]
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: poison(fn(*args)))
+    store = tmp_path / "store"
+    assert run(tmp_path, doc, command=command, out=store, grid_h=2e-2) == 3
+    err = capsys.readouterr().err
+    assert artifact in err and "nothing written" in err
+    assert not store.exists()
 
 
 def test_cli_rectangle_round_trip_passes(tmp_path):
@@ -819,7 +883,8 @@ def test_write_csv_bytes_match_per_value_formatting(tmp_path):
                      [3.0, -7.0, -2.5e-17, 0.1, -1.7976931348623157e308],
                      [12345678901234567.0, -1.0 / 3.0, 2.0 ** 53, -1e-5, PI]])
     path = tmp_path / "x.csv"
-    _write_csv(str(path), ["a", "b", "c", "d", "e"], data, "h")
+    _write_artifacts(str(tmp_path), [("x.csv", ["a", "b", "c", "d", "e"],
+                                      data)], "h")
     lines = ["# config_hash=h", "# a,b,c,d,e"]
     lines += [",".join("%.17g" % float(v) for v in row) for row in data]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
@@ -836,7 +901,7 @@ def test_write_csv_bytes_match_on_both_sides_of_the_cut(tmp_path):
     for cells in (cli.CSV_TABLE_CELLS - 1, cli.CSV_TABLE_CELLS):
         data = values[:cells].reshape(-1, 1)
         path = tmp_path / f"{cells}.csv"
-        _write_csv(str(path), ["a"], data, "h")
+        _write_artifacts(str(tmp_path), [(path.name, ["a"], data)], "h")
         lines = ["# config_hash=h", "# a"]
         lines += ["%.17g" % float(v) for v in data[:, 0]]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
@@ -848,6 +913,19 @@ _FAIL_CLOSED = {0, 2, 3, 4, 5}
 # interval), so mode 1 is real, overdamped (imaginary beta) or on the
 # degenerate set
 OVERDAMPING_C = st.one_of(st.floats(-2.0, 2.0), st.floats(-6.0, 6.0))
+# boundaries the verify fail-closed test draws, (geometry, dimensions,
+# edges): one node, the interval's two ends and the rectangle's
+# 257-node edge
+_VERIFY_BOUNDARIES = {"interval-right": ("interval", 1, ["right"]),
+                      "interval-both-ends": ("interval", 1,
+                                             ["left", "right"]),
+                      "rectangle-right": ("rectangle", 2, ["right"])}
+
+
+def _verify_domain(boundary, length, c):
+    geometry, dims, edges = _VERIFY_BOUNDARIES[boundary]
+    return {"geometry": geometry, "lengths": [length] * dims,
+            "gamma_subset": edges, "c": c}
 
 
 @settings(max_examples=25, deadline=None,
@@ -980,19 +1058,23 @@ def test_cli_responses_fails_closed(tmp_path, length, c, family, coefficients,
        rate=st.one_of(st.floats(0.0, 5.0), st.floats(0.0, 1e-6),
                       st.floats(0.0, 1e-300)),
        T=st.floats(0.5, 8.0), K=st.integers(1, 3), K_sim=st.integers(1, 4),
-       h=st.floats(1e-2, 0.1), seed=st.integers(0, 3))
+       h=st.floats(1e-2, 0.1), seed=st.integers(0, 3),
+       boundary=st.sampled_from(list(_VERIFY_BOUNDARIES)))
 # found by this test: K_sim < K (traceback)
 @example(length=1.0, c=0.0, family="zero", coefficients=[0.0], rate=0.0,
-         T=1.0, K=3, K_sim=2, h=0.0625, seed=0)
+         T=1.0, K=3, K_sim=2, h=0.0625, seed=0, boundary="interval-right")
 # overdamped mode 1: 3 exp(-t) (alpha = -1.5) and c = 1.5 (alpha = 1.5)
 @example(length=PI, c=0.0, family="exponential_sum", coefficients=[3.0],
-         rate=1.0, T=3 * PI, K=3, K_sim=4, h=0.02, seed=1)
+         rate=1.0, T=3 * PI, K=3, K_sim=4, h=0.02, seed=1,
+         boundary="interval-right")
 @example(length=PI, c=1.5, family="zero", coefficients=[0.0], rate=0.0,
-         T=3 * PI, K=3, K_sim=4, h=0.02, seed=1)
+         T=3 * PI, K=3, K_sim=4, h=0.02, seed=1, boundary="interval-right")
 def test_cli_verify_fails_closed(tmp_path, length, c, family, coefficients,
-                                 rate, T, K, K_sim, h, seed):
-    # any small interval verify config ends in a documented exit code, and
-    # a success writes a finite strict-JSON verdict
+                                 rate, T, K, K_sim, h, seed, boundary):
+    # any small verify config ends in a documented exit code, and a
+    # success writes a finite strict-JSON verdict; on the interval's two
+    # ends and the rectangle's 257-node edge the march takes a forcing
+    # row per mode, or one shared row for K = 1
     kernel = {"family": family}
     if family != "zero":
         kernel["coefficients"] = coefficients
@@ -1000,7 +1082,7 @@ def test_cli_verify_fails_closed(tmp_path, length, c, family, coefficients,
         kernel["rates"] = [rate] * len(coefficients)
     doc = base("verify", T=T, K=K, K_sim=K_sim, target="random", seed=seed,
                kernel=kernel,
-               domain={"geometry": "interval", "lengths": [length], "c": c})
+               domain=_verify_domain(boundary, length, c))
     store = tmp_path / config_hash(with_h(doc, h))
     with warnings.catch_warnings(), \
             contextlib.redirect_stdout(io.StringIO()), \

@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from memwave import (ConfigError, ConvergenceError, KernelSpec,
-                     NormalizedKernel, TimeGrid, convolve, convolve_end,
-                     make_grid, normalize, resolvent)
+from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
+                     NormalizedKernel, TimeGrid, comparator_profile,
+                     compute_eigenpairs, convolve, convolve_end, make_grid,
+                     normalize, refined_S, resolvent)
 from memwave.kernels import (_fast_len, decay_integral, kernel_terms,
                              series_divide, series_product)
 
@@ -372,15 +373,30 @@ def test_kernel_spec_validation():
 
 
 def test_normalize_overflow_fails_closed():
-    # M(0) = 1e6 makes exp(-alpha t) overflow from the first step on
-    spec = KernelSpec("exponential_sum", coefficients=(1e6,), rates=(1.0,))
+    # M(0) = -1e6 makes N = exp(1e6 t) (1 + int M) overflow from the first
+    # step on
+    spec = KernelSpec("exponential_sum", coefficients=(-1e6,), rates=(1.0,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError) as err:
             normalize(spec, make_grid(2.5 * np.pi, 1e-2))
     assert err.value.exit_code == 3
-    assert "normalize" in str(err.value) and "N1 " in str(err.value)
+    assert "normalize" in str(err.value) and "field N " in str(err.value)
     assert "step 1 " in str(err.value)
+    # M(0) = 1e6 overflows exp(-alpha t) only, so N1 and its derivatives:
+    # normalize passes, and the refined route, which reads them, stops
+    # before its first convolution
+    spec = KernelSpec("exponential_sum", coefficients=(1e6,), rates=(1.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = normalize(spec, make_grid(2.5 * np.pi, 1e-2))
+        modes = compute_eigenpairs(DomainSpec("interval", (np.pi,)), 3,
+                                   alpha=kernel.alpha)
+        for route in (refined_S, comparator_profile):
+            with pytest.raises(ConvergenceError) as err:
+                route(kernel, modes)
+            assert "field N1 " in str(err.value)
+            assert "step 1 " in str(err.value)
 
 
 def test_vanishing_rate_takes_rate_zero_limit():

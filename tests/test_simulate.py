@@ -334,27 +334,29 @@ def _column_route(kernel, weighted, control, length):
 
 @pytest.mark.parametrize("padded", [False, True])
 @pytest.mark.parametrize("case", ["interval", "interval-both-ends",
-                                  "rectangle-right", "rectangle-right-rank-2"])
+                                  "rectangle-right", "rectangle-right-rank-2",
+                                  "rectangle-right-rank-1"])
 def test_node_rank_forcing_matches_the_column_route(case, padded,
                                                      monkeypatch):
     # H = N * (W f) = W (N * f) = (W traces.T) (N * profiles) by linearity
-    # of the product trapezoid: the march route convolves the fewest rows
-    # among the control's node rows (the interval's one or two), its K
-    # profiles (2 on the rectangle's 257-node edge, against K_sim = 6) and
-    # the K_sim rows of F (a tie with K = 6 profiles there), which moves H
-    # and the end state by rounding only.  A one-node control marches
-    # the one row N * f shared by every mode and scales each response by
-    # the mode's weight, again rounding against the column route, whose
-    # per-mode rows H the march takes as they are.  The control fills
-    # the simulation grid, or (padded) stops short of it and is
-    # zero-padded
+    # of the product trapezoid: the march route convolves the control's
+    # node rows (the interval's one or two) when there are at most K of
+    # them, else its K profiles (6, 2 or 1 on the rectangle's 257-node
+    # edge, against K_sim = 6), which moves H and the end state by
+    # rounding only.  One row (one node, or K = 1) is marched once,
+    # shared by every mode, and each response is scaled by the mode's
+    # coupling, again rounding against the column route, whose per-mode
+    # rows H the march takes as they are.  The control fills the
+    # simulation grid, or (padded) stops short of it and is zero-padded
     dom = {"interval": DOM,
            "interval-both-ends": DomainSpec("interval", (PI,),
                                             gamma_subset=("left", "right")),
            "rectangle-right": DomainSpec("rectangle", (PI, PI)),
-           "rectangle-right-rank-2": DomainSpec("rectangle", (PI, PI))}[case]
+           "rectangle-right-rank-2": DomainSpec("rectangle", (PI, PI)),
+           "rectangle-right-rank-1": DomainSpec("rectangle", (PI, PI))}[case]
     K_sim = 6
-    K = 2 if case == "rectangle-right-rank-2" else K_sim
+    K = {"rectangle-right-rank-2": 2,
+         "rectangle-right-rank-1": 1}.get(case, K_sim)
     grid = make_grid(2.0, 2e-3)
     ke = normalize(EXP_KERNEL, grid)
     modes = compute_eigenpairs(dom, K_sim, alpha=ke.alpha)
@@ -373,15 +375,18 @@ def test_node_rank_forcing_matches_the_column_route(case, padded,
         convolved.append(len(g))
         return convolve(f, g, h)
     monkeypatch.setattr(memwave.simulate, "convolve", counted)
-    H = memwave.simulate._forcing_convolution(ke, weighted, ctrl, length)
-    assert convolved == [min(nodes, K, K_sim)]
+    rows, scale = memwave.simulate._forcing_rows(ke, weighted, ctrl, length)
+    assert convolved == [min(nodes, K)]
     monkeypatch.undo()
+    if min(nodes, K) == 1:
+        assert rows.shape == (1, length) and scale.shape == (K_sim,)
+        H = scale[:, None] * rows
+    else:
+        assert rows.shape == (K_sim, 1, length) and scale == 1.0
+        H = rows[:, 0]
     ref = _column_route(ke, weighted, ctrl, length)
     assert H.shape == ref.shape == (K_sim, length)
-    if min(nodes, K) >= K_sim:
-        assert np.array_equal(H, ref)
-    else:
-        assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
     node = simulate_march(ke, modes, ctrl)
     monkeypatch.setattr(memwave.simulate, "_forcing_rows",
                         lambda *args: (_column_route(*args)[:, None], 1.0))

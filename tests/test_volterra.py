@@ -193,7 +193,7 @@ def test_nan_z_route_gap_fails_closed(memory_kernel):
     dN = Y[:, 2] - Nz
     dN[0, dN.shape[1] // 2] = np.nan
     with pytest.raises(InternalConsistencyError, match="mode 2: gap nan"):
-        _z_route_gaps(ker, mode, Y[:, 1] - Npz, dN)
+        _z_route_gaps(ker, mode, Y[:, 1] - Npz, dN, Y[:, 0], Nz, Npz)
 
 
 def test_restriction_matches_fresh_computation(memory_kernel):

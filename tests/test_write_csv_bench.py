@@ -1,5 +1,6 @@
-"""Timing of cli._write_csv on tables shaped like two benchmark artifacts,
-and of its two formatters around the size where it switches.
+"""Timing of the CSV write (cli._write_artifacts) on tables shaped like
+two benchmark artifacts, and of its two formatters around the size where
+it switches.
 
 control: the rectangle synthesize's control.csv, t and 4 mode profiles
 on the h = 2e-3 grid of T = 2.5 pi (3928 x 5); sweep: the sweep-t
@@ -15,7 +16,7 @@ runs in well under a second.
 import numpy as np
 import pytest
 
-from memwave.cli import _csv_rows, _write_csv
+from memwave.cli import _csv_rows, _write_artifacts
 from memwave.csvtext import format_table
 
 PI = np.pi
@@ -42,8 +43,9 @@ def sweep_table():
 def test_write_csv_speed(benchmark, tmp_path, table, rounds):
     columns, data = table()
     path = str(tmp_path / "table.csv")
-    benchmark.pedantic(_write_csv, args=(path, columns, data, "h"),
-                       rounds=rounds, warmup_rounds=2)
+    benchmark.pedantic(_write_artifacts,
+                       args=(str(tmp_path), [("table.csv", columns, data)],
+                             "h"), rounds=rounds, warmup_rounds=2)
     with open(path) as fh:
         assert len(fh.read().splitlines()) == len(data) + 2
     assert np.array_equal(np.loadtxt(path, delimiter=",", ndmin=2), data)
