@@ -64,11 +64,15 @@ products.
 Sup norm.  The factor gap (sup |traces.T @ profiles - g| over sup |g|)
 reads every grid value of g = sum_k a_k m_k, combined from the family
 and the coefficients alone, in one pass over tiles of g (_sup_pass),
-each dropped once read: blocks of node rows (node_blocks), a single
-long row cut into chunks of time samples.  Every product stays under
-the multiply-adds OpenBLAS runs on the calling thread; a larger one
-wakes its worker pool, whose threads then spin on the other cores after
-the call returns.
+each dropped once read: blocks of node rows (riesz.node_blocks), a
+single long row cut into chunks of time samples.  Every product stays
+under the multiply-adds OpenBLAS runs on the calling thread
+(riesz.CALLING_THREAD_MACS).  It is the one part of synthesize that
+grows as nodes x steps x K.  Each tile takes two products (g, and the
+factors' rebuild of it), one difference, and one max and one min over
+g and the difference together: sup |x| = max(max x, -min x), read with
+no |x| written.  |x| is exact, so the gap keeps the bits of max |x|; a
+NaN propagates through max and min, and abs makes a zero +0.
 """
 
 from __future__ import annotations
@@ -79,24 +83,14 @@ import numpy as np
 
 from .errors import ConfigError, InternalConsistencyError, NotControllableError
 from .grid import TimeGrid, trapezoid_weights
-from .riesz import CONDITION_CAP, SequenceFamily, cholesky_solve, gram
+from .riesz import (CONDITION_CAP, SequenceFamily, _blocked, cholesky_solve,
+                    gram, node_blocks)
 from .spectral import Spectrum
 from .volterra import ModalResponses
 
-# OpenBLAS (0.3, as numpy's wheels ship it) runs a real matrix product of
-# fewer multiply-adds than this on the calling thread
-CALLING_THREAD_MACS = 2**19
 # largest |traces.T @ profiles - g| synthesize accepts, relative to sup |g|
 FACTOR_GAP_TOL = 1e-12
 SQRT2 = np.sqrt(2.0)
-
-
-def node_blocks(nodes: int, row_macs: int) -> list:
-    """Slices of consecutive node rows that cover range(nodes): as many
-    rows each (at least one) as keep a product of row_macs multiply-adds
-    per row under CALLING_THREAD_MACS."""
-    rows = max(1, (CALLING_THREAD_MACS - 1) // row_macs)
-    return [slice(s, min(s + rows, nodes)) for s in range(0, nodes, rows)]
 
 
 @dataclass(frozen=True)
@@ -233,13 +227,6 @@ def build_moment_problem(family: SequenceFamily,
                          assemble_rhs(target)[2 * np.abs(n) - 2 + (n < 0)])
 
 
-def _blocked(X, Y) -> np.ndarray:
-    """X @ Y summed over chunks of the inner axis, each chunk's product
-    under CALLING_THREAD_MACS (node_blocks)."""
-    return sum(X[:, c] @ Y[c]
-               for c in node_blocks(len(Y), len(X) * Y.shape[1]))
-
-
 class _RealPasses:
     """Passes of a family against real factor pairs and against its own
     dense combinations, every product small enough to run on the calling
@@ -307,17 +294,23 @@ def _sup_pass(dense: _RealPasses, a, traces, forward):
     g = sum_k a_k member_k and the control's profiles forward in the
     family's time: one pass over the tiles of g (dense.tiles), each
     dropped once read."""
-    # g on a tile, and a work tile
-    g = np.empty((2, dense.tiles[0][0].stop, dense.tiles[0][1].stop))
-    gap, g_max = 0.0, 0.0
+    # g on a tile and the gap on it, each tile contiguous in its row
+    rows, t = dense.tiles[0]
+    buf = np.empty((2, rows.stop * t.stop))
+    highs, lows = [], []
     for rows, t in dense.tiles:
-        n, m = rows.stop - rows.start, t.stop - t.start
-        tile = dense.combination(a, rows, t, g[0, :n, :m])
-        d = np.matmul(traces[:, rows].T, forward[:, t], out=g[1, :n, :m])
+        shape = rows.stop - rows.start, t.stop - t.start
+        pair = buf[:, :shape[0] * shape[1]]
+        tile = dense.combination(a, rows, t, pair[0].reshape(shape))
+        d = np.matmul(traces[:, rows].T, forward[:, t],
+                      out=pair[1].reshape(shape))
         np.subtract(tile, d, out=d)
-        # np.maximum, not max: a NaN stays NaN
-        gap = np.maximum(gap, np.max(np.abs(d, out=d)))
-        g_max = np.maximum(g_max, np.max(np.abs(tile, out=tile)))
+        # sup |x| = max(max x, -min x), read with no |x| written
+        highs.append(pair.max(axis=1))
+        lows.append(pair.min(axis=1))
+    # np.maximum, not max: a NaN stays NaN; abs makes a zero +0
+    g_max, gap = abs(np.maximum(np.max(highs, axis=0),
+                                -np.min(lows, axis=0)))
     return gap / g_max if g_max > 0 else gap
 
 

@@ -15,14 +15,20 @@ is done on whole arrays:
   least 1e16 > 2^53), so D = hi + rint(lo) is the 17-digit integer
   rounded half to even, as "%.17g" rounds; a carry to 10^17 raises E.
 - Digit text.  D splits into a leading digit and four groups of four
-  digits, each mapped to its ASCII digits through a 10^4-entry table
-  that also blanks the trailing zeros of D to NUL.
+  digits, one contiguous int64 array each.  A table (_GROUPS) maps each
+  to its ASCII digits: whole when a later group is not zero (the
+  groups' nonzero flags joined by two ORs), else with its trailing
+  zeros blanked to NUL.  Each group's gather writes its column of one
+  (n, 5) uint32 array, so a value's text is one contiguous row.
 - Layout.  Values are sorted by (E, sign), and each group of equal E
   and sign is laid out with slices into fixed-width cells: sign, then
   "ddd.ddd" for E >= 0 (the integer part gets its zeros back, and the
   point is NUL when no digit follows it) or "0.000ddd" for E < 0, and a
   separator in the last byte.  The cells go back to table order, and
   one mask drops their NUL bytes.
+- Memory.  Each large array is dropped once read, so a call holds
+  about two tables of cells at its peak: the pages a call adds to the
+  heap are, on a large table, as costly as a pass over it.
 
 Every other value (zeros, |v| < 1e-4 or >= 1e17, where "%.17g" writes
 exponent notation or a bare 0, and NaN or Inf) is printed with "%.17g"
@@ -82,7 +88,7 @@ def _decimal(a):
     # log10 rounds up to 17 just below 1e17, never below -4 from 1e-4
     E = np.minimum(np.floor(np.log10(a)), 16).astype(np.int8)
     while True:
-        hi, lo = _two_product(a, _POW10[16 - E])
+        hi, lo = _two_product(a, np.take(_POW10, 16 - E))
         # the exact product hi + lo must lie in [1e16, 1e17)
         if not ((hi <= 1e16) | (hi >= 1e17)).any():
             break
@@ -102,42 +108,38 @@ def _decimal(a):
 def _text(D):
     """(n, 20) ASCII of the 17-digit integers D: three NUL bytes, then
     the digits with the trailing zeros blanked to NUL."""
+    # the leading digit and the four groups of four digits
     u = D // 10 ** 8
-    v = D - u * 10 ** 8
-    u4, v4 = u // 10 ** 4, v // 10 ** 4
-    # rows: the leading digit and the four groups, each over all values
-    groups = np.empty((5, len(D)), dtype=np.int64)
-    lead = np.floor_divide(u4, 10 ** 4, out=groups[0])
-    np.subtract(u4, lead * 10 ** 4, out=groups[1])
-    np.subtract(u, u4 * 10 ** 4, out=groups[2])
-    groups[3] = v4
-    np.subtract(v, v4 * 10 ** 4, out=groups[4])
+    v = np.multiply(u, 10 ** 8)
+    np.subtract(D, v, out=v)
+    lead, g1, g3 = u // 10 ** 8, u // 10 ** 4, v // 10 ** 4
+    t = np.multiply(g1, 10 ** 4)
+    g2 = np.subtract(u, t, out=u)
+    g4 = np.subtract(v, np.multiply(g3, 10 ** 4, out=t), out=v)
+    g1 -= np.multiply(lead, 10 ** 4, out=t)
+    # group k is printed whole when a later group is not zero
+    whole3 = g4 != 0
+    whole2 = whole3 | (g3 != 0)
+    whole1 = whole2 | (g2 != 0)
+    # one table row per value: each group's gather writes its column
+    out = np.empty((len(D), 5), dtype=np.uint32)
     lead += 2 * 10 ** 4
-    # a group is printed whole when a later one is not zero
-    later = np.logical_or.accumulate(groups[:1:-1] != 0)
-    groups[3:0:-1] += 10 ** 4 * later
-    return np.take(_GROUPS, groups.T, mode="clip").view(np.uint8)
+    np.take(_GROUPS, lead, out=out[:, 0], mode="clip")
+    for k, (g, whole) in enumerate(((g1, whole1), (g2, whole2),
+                                    (g3, whole3)), 1):
+        np.add(g, 10 ** 4, out=g, where=whole)
+        np.take(_GROUPS, g, out=out[:, k], mode="clip")
+    np.take(_GROUPS, g4, out=out[:, 4], mode="clip")
+    return out.view(np.uint8)
 
 
-def format_table(data) -> bytes:
-    """The rows of a 2-D float table as "%.17g" text, "," between the
-    values of a row and "\\n" after each row."""
-    data = np.asarray(data, dtype=float)
-    if data.size == 0:
-        return b"\n" * len(data)
-    rows, cols = data.shape
-    flat = data.ravel()
-    a = np.abs(flat)
-    fixed = (a >= 1e-4) & (a < 1e17)         # False for NaN
-    # every other value is laid out as 1 here and redone below
-    E, D = _decimal(np.where(fixed, a, 1.0))
-    key = 2 * E + np.signbit(flat)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    text = _text(D[order])
-    cells = np.zeros((flat.size, _WIDTH), dtype=np.uint8)
+def _layout(key, text):
+    """The (n, _WIDTH) cells of the values sorted by key = 2 E + sign,
+    each laid out from its digit text (_text) and NUL where no text
+    falls."""
+    cells = np.zeros((len(key), _WIDTH), dtype=np.uint8)
     bounds = [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist(),
-              flat.size]
+              len(key)]
     for lo, hi in zip(bounds, bounds[1:]):
         e, s = divmod(int(key[lo]), 2)
         block, digits = cells[lo:hi], text[lo:hi, 3:]
@@ -156,16 +158,44 @@ def format_table(data) -> bytes:
             for k in range(s + 2, s + 1 - e):
                 block[:, k] = _ZERO
             block[:, s + 1 - e:s + 18 - e] = digits
+    return cells
+
+
+def format_table(data) -> bytes:
+    """The rows of a 2-D float table as "%.17g" text, "," between the
+    values of a row and "\\n" after each row."""
+    data = np.asarray(data, dtype=float)
+    if data.size == 0:
+        return b"\n" * len(data)
+    cols = data.shape[1]
+    flat = data.ravel()
+    a = np.abs(flat)
+    fixed = (a >= 1e-4) & (a < 1e17)         # False for NaN
+    # every other value is laid out as 1 here and redone below
+    a[~fixed] = 1.0
+    # each array is dropped once read (see Memory above)
+    E, D = _decimal(a)
+    key = 2 * E + np.signbit(flat)
+    del a, E
+    order = np.argsort(key, kind="stable")
+    D = D[order]
+    cells = _layout(key[order], _text(D))
+    del D, key
+    # the cells back in table order
     inverse = np.empty_like(order)
     inverse[order] = np.arange(flat.size)
-    cells = np.take(cells, inverse, axis=0)
+    del order
+    table = np.take(cells, inverse, axis=0)
+    del cells, inverse
     rest = (~fixed).nonzero()[0]
     if rest.size:
         texts = "".join(("%.17g" % v).ljust(_WIDTH, "\0")
                         for v in flat[rest].tolist())
-        cells[rest] = np.frombuffer(texts.encode(), dtype=np.uint8).reshape(
+        table[rest] = np.frombuffer(texts.encode(), dtype=np.uint8).reshape(
             -1, _WIDTH)
-    table = cells.reshape(rows, cols, _WIDTH)
-    table[:, :-1, -1] = ord(",")
-    table[:, -1, -1] = ord("\n")
-    return cells[cells != 0].tobytes()
+    # the last byte of a cell: "," or, for a row's last value, "\\n"
+    table[:, -1] = ord(",")
+    table[cols - 1::cols, -1] = ord("\n")
+    text = table[table != 0]
+    del table
+    return text.tobytes()

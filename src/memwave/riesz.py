@@ -79,9 +79,29 @@ from .errors import ConfigError, ConvergenceError, InternalConsistencyError
 from .grid import TimeGrid, trapezoid_weights
 
 CONDITION_CAP = 1e8
+# OpenBLAS (0.3, as numpy's wheels ship it) runs a real matrix product of
+# fewer multiply-adds than this on the calling thread; a larger one wakes
+# its worker pool, whose threads then spin on the other cores after the
+# call returns
+CALLING_THREAD_MACS = 2**19
 # a report holds the frame bounds of every truncation level up to this
 # many members, and of a geometric subsequence of levels above it
 ALL_LEVELS = 32
+
+
+def node_blocks(nodes: int, row_macs: int) -> list:
+    """Slices of consecutive node rows that cover range(nodes): as many
+    rows each (at least one) as keep a product of row_macs multiply-adds
+    per row under CALLING_THREAD_MACS."""
+    rows = max(1, (CALLING_THREAD_MACS - 1) // row_macs)
+    return [slice(s, min(s + rows, nodes)) for s in range(0, nodes, rows)]
+
+
+def _blocked(X, Y) -> np.ndarray:
+    """X @ Y summed over chunks of the inner axis, each chunk's product
+    under CALLING_THREAD_MACS (node_blocks)."""
+    return sum(X[:, c] @ Y[c]
+               for c in node_blocks(len(Y), len(X) * Y.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -292,13 +312,15 @@ def _trapezoid_time_grams(profiles: np.ndarray, h: float,
     """sum_t w_t P_n P_k on [0, k h] for every k of steps, from one
     pass over the grid: the trapezoid rule on [0, k_i h] is the rule on
     [0, k_{i-1} h] plus the rule on [k_{i-1} h, k_i h], so the time Gram
-    of each horizon adds one segment's product to the last one's."""
+    of each horizon adds one segment's product to the last one's.  Each
+    segment's product is summed over chunks of its samples, every chunk
+    under CALLING_THREAD_MACS (_blocked)."""
     temporal, start = [], 0
     for k in steps:
         seg = profiles[:, start:k + 1]
         w = np.full(k - start + 1, h)
         w[0] = w[-1] = 0.5 * h
-        part = (seg * w) @ seg.T
+        part = _blocked(seg * w, seg.T)
         temporal.append(temporal[-1] + part if temporal else part)
         start = k
     return temporal

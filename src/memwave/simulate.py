@@ -64,10 +64,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlSignal, _row_scale, node_blocks
+from .control import ControlSignal, _row_scale
 from .errors import ConfigError, InternalConsistencyError
 from .grid import TimeGrid
 from .kernels import NormalizedKernel, convolve, convolve_end
+from .riesz import node_blocks
 from .spectral import Spectrum
 from .volterra import ModalResponses, march_modal, _consistency_tol
 
@@ -90,7 +91,7 @@ class SimResult:
 def _mode_forcing(coupling: np.ndarray, profiles: np.ndarray,
                   length: int) -> np.ndarray:
     """coupling @ profiles, zero-padded to length, over chunks of time
-    samples (control.node_blocks, half the bound for one row) so that no
+    samples (riesz.node_blocks, half the bound for one row) so that no
     product wakes OpenBLAS's worker pool."""
     out = np.zeros((len(coupling), length))
     for cols in node_blocks(profiles.shape[1],

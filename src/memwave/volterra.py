@@ -215,7 +215,7 @@ def _march_blocks(kernel: NormalizedKernel, A, B, Be0, D, y0: float,
     lone last row joins the chunk before it, for the same reason): a
     (BLOCK, BLOCK) @ (BLOCK, BLOCK) product runs on the calling thread,
     where all rows at once, on a long grid, wake OpenBLAS's worker pool
-    to spin on the other cores (see control.node_blocks).
+    to spin on the other cores (see riesz.node_blocks).
     """
     M, b = _step_map(kernel.terms, kernel.h, A, B, Be0, D)
     m = kernel.grid.steps

@@ -660,6 +660,24 @@ def test_cli_synthesize_factor_gap_exits_five(tmp_path, capsys, monkeypatch):
     assert "factors rebuild the control" in capsys.readouterr().err
     assert not (tmp_path / "store").exists()
 
+    # the pass reads every tile: on the benchmark's one-edge rectangle (17
+    # node blocks) a skew of the last block's traces alone fails the run.
+    # That block is the corner node, whose trace is rounding, so the skew
+    # is 1e-9 of the largest trace, added
+    def last_block_skewed(fam, a):
+        traces, profiles = factor_form(fam, a)
+        tiles = control._RealPasses(fam).tiles
+        assert len({rows.start for rows, _ in tiles}) == 17
+        traces[:, tiles[-1][0]] += 1e-9 * np.max(np.abs(traces))
+        return traces, profiles
+    monkeypatch.setattr(control, "_factor_form", last_block_skewed)
+    doc = base("synthesize", T=2.5 * PI, K=4, target="random", kernel=EXP,
+               domain=RECT)
+    assert run(tmp_path, doc, out=tmp_path / "rect", grid_h=2e-3,
+               name="rect.json") == 5
+    assert "factors rebuild the control" in capsys.readouterr().err
+    assert not (tmp_path / "rect").exists()
+
 
 def test_cli_synthesize_non_finite_control_exits_three(tmp_path, capsys,
                                                       monkeypatch):
@@ -831,15 +849,19 @@ def test_cli_grid_h_enters_the_config_hash(tmp_path):
 
 
 def test_cli_runs_leave_no_blas_worker_spinning(tmp_path):
-    # every matrix product of verify, synthesize and sweep-t is real and small
-    # enough for OpenBLAS to run it on the calling thread, so its worker
-    # pool never wakes: no CPU time accrues on another thread during a
-    # run or in the 50 ms after it, when woken workers would still spin.
+    # every matrix product of verify, synthesize, gram and sweep-t is real
+    # and small enough for OpenBLAS to run it on the calling thread, so its
+    # worker pool never wakes: no CPU time accrues on another thread during
+    # a run or in the 50 ms after it, when woken workers would still spin.
     # On one vCPU OpenBLAS starts no workers and this passes trivially.
     common = dict(T=2.5 * PI, target="random", seed=1, kernel=EXP)
     rect = dict(common, K=2, K_sim=4, domain=RECT)
     runs = (("verify", base("verify", h=1e-3, K=4, K_sim=12, **common),
              None),                          # the verify_interval benchmark
+            # 24 members at h = 1e-3: the time Gram is summed over chunks
+            # of samples
+            ("synthesize", base("synthesize", h=1e-3, K=12, **common), None),
+            ("gram", base("gram", h=1e-3, K=12, **common), None),
             ("synthesize", base("synthesize", **rect), 2e-2),
             ("verify", base("verify", **rect), 2e-2),
             ("sweep-t", base("sweep-T", h=2e-3, K=8, kernel=EXP,

@@ -11,10 +11,10 @@ from memwave import (ConfigError, DomainSpec, InternalConsistencyError,
                      compute_responses, gram, make_grid, normalize,
                      quadratic_closeness, refined_S, synthesize,
                      telegraph_family, viscoelastic_family)
-from memwave.control import (CALLING_THREAD_MACS, _RealPasses, _factor_form,
-                              _min_norm_spot_check, _spot_direction,
-                              _spot_terms, node_blocks)
+from memwave.control import (_RealPasses, _factor_form, _min_norm_spot_check,
+                              _spot_direction, _spot_terms)
 from memwave.grid import trapezoid_weights
+from memwave.riesz import CALLING_THREAD_MACS, node_blocks
 
 from family_reference import combination, pairing, real_factors
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from memwave.csvtext import format_table
+from memwave.csvtext import _text, format_table
 
 
 def per_value(data):
@@ -80,3 +80,29 @@ def test_format_table_fallback_and_empty():
                        12345678901234567.0]])
     assert format_table(table) == per_value(table)
     assert format_table(np.empty((0, 3))) == b""
+
+
+def test_text_of_every_pattern_of_zero_groups():
+    # 17-digit integers with each of the 16 patterns of zero 4-digit
+    # groups, and 10^16: every one a multiple of 16, so a double holds it
+    # and "%.17g" prints its 17 digits
+    rng = np.random.default_rng(5)
+    values = [10 ** 16]
+    for pattern in range(16):
+        for draw in range(12):
+            digits = int(rng.integers(1, 10))
+            for k in range(4):
+                # a nonzero group: 1000, 1600 or a draw, a multiple of 16
+                # in the last place
+                group = (0 if not pattern >> k & 1 else
+                         (1000, 1600)[k == 3] if draw == 0 else
+                         int(rng.integers(1, 625)) * 16 if k == 3 else
+                         int(rng.integers(1, 10 ** 4)))
+                digits = digits * 10 ** 4 + group
+            values.append(digits)
+    expected = b"".join(
+        b"\0" * 3 + ("%.17g" % float(v)).rstrip("0").ljust(17, "\0").encode()
+        for v in values)
+    text = _text(np.array(values, dtype=np.int64))
+    assert text.shape == (len(values), 20)
+    assert text.tobytes() == expected

@@ -3,7 +3,8 @@ two benchmark artifacts, and of its two formatters around the size where
 it switches.
 
 control: the rectangle synthesize's control.csv, t and 4 mode profiles
-on the h = 2e-3 grid of T = 2.5 pi (3928 x 5); sweep: the sweep-t
+on the h = 2e-3 grid of T = 2.5 pi (3928 x 5) and on the h = 1e-3 grid
+(7855 x 5); sweep: the sweep-t
 sweep.csv, 14 horizons and two frame bounds (14 x 3).  The values are
 seeded stand-ins of the same shape and magnitude.  The crossover tests
 time the per-value rows (cli._csv_rows) and csvtext.format_table on
@@ -22,12 +23,16 @@ from memwave.csvtext import format_table
 PI = np.pi
 
 
-def control_table():
-    t = np.arange(3928) * 2e-3
+def control_table(rows=3928, h=2e-3):
+    t = np.arange(rows) * h
     rng = np.random.default_rng(1)
-    profiles = rng.standard_normal((3928, 4)) * np.sin(t)[:, None]
+    profiles = rng.standard_normal((rows, 4)) * np.sin(t)[:, None]
     return ["t", "g_mode1", "g_mode2", "g_mode3", "g_mode4"], \
         np.column_stack([t, profiles])
+
+
+def control_table_fine():
+    return control_table(7855, 1e-3)
 
 
 def sweep_table():
@@ -38,8 +43,10 @@ def sweep_table():
 
 
 @pytest.mark.parametrize("table, rounds", [(control_table, 20),
+                                           (control_table_fine, 10),
                                            (sweep_table, 200)],
-                         ids=["control_3928x5", "sweep_14x3"])
+                         ids=["control_3928x5", "control_7855x5",
+                              "sweep_14x3"])
 def test_write_csv_speed(benchmark, tmp_path, table, rounds):
     columns, data = table()
     path = str(tmp_path / "table.csv")
