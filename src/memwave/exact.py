@@ -11,7 +11,11 @@ a known Laplace form (Pruss, Evolutionary Integral Equations, 1993):
   (transformed_exponential_terms).
 
 A family whose time profiles are exponential sums has its time Gram in
-closed form at any horizon, with no grid (_exponential_time_grams).
+closed form at any horizon, with no grid (_exponential_time_grams, the
+exponential-family Gram of Young, An Introduction to Nonharmonic Fourier
+Series, 1980).  Both rows of a mode share its exponents, so the pair
+integrals int_0^T exp((s + conj s') t) dt are formed once per pair of
+distinct exponents and contracted with the two rows' weights.
 The rows are real functions, so the closed form is real up to rounding:
 _real_time_grams checks each Gram's imaginary part against its scale
 before taking the real part, the realness check of the pipeline.
@@ -196,55 +200,114 @@ def transformed_exponential_terms(modes: Spectrum, c: float):
     return np.stack([ib, -ib], axis=1), 0.5 + c * V, V
 
 
+# Horizons per pass of _exponential_time_grams: with two rows on each
+# exponent, the pair integrals of 4 horizons take the (2 K d)^2 entries
+# that one horizon's member-pair terms took, and each numpy call of a pass
+# serves 4 horizons
+HORIZONS_PER_PASS = 4
+
+
+def _view(buf: np.ndarray, shape) -> np.ndarray:
+    """The leading entries of the flat array buf, as an array of shape."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _multiply_add(terms, out, prod):
+    """out = the sum of a * b over the pairs (a, b) of terms, left to
+    right, each product after the first written to prod."""
+    for k, (a, b) in enumerate(terms):
+        np.multiply(a, b, out=prod if k else out)
+        if k:
+            np.add(out, prod, out=out)
+
+
 def _exponential_time_grams(rates, weights, horizons) -> np.ndarray:
     """int_0^T profile_k conj(profile_l) dt for every T, (H, count, count),
-    of the profiles profile_k(t) = sum_j weights[k, j] exp(rates[k, j] t),
-    rates and weights (count, d).
+    of the profiles profile_k(t) = sum_j weights[k, j] exp(rates[i, j] t)
+    with i = k // r: rates (R, d) and weights (count, d), count = R r with
+    r <= d, so the rows i r ... i r + r - 1 share the exponents rates[i].
 
-    Term by term, with x = s + conj(s') over every pair of exponents,
-    int_0^T e^(x t) dt = T E(x T), E(y) = expm1(y) / y and E(0) = 1;
-    it is (u(T) conj(u'(T)) - u(0) conj(u'(0))) / x with u = w e^(s t),
-    which takes one exponential per exponent and horizon, except where
-    |x| T < 1, where the difference would cancel and expm1 takes over.
+    The pair integrals I_T(p, q) = int_0^T exp(x t) dt, x = s_p +
+    conj(s_q) (the scalar case of Van Loan's exponential integrals, IEEE
+    Trans. Automat. Control 23, 1978), are formed once per pair of the
+    R d distinct exponents: I_T = (e_p conj(e_q) - 1) / x with
+    e = exp(s T), one exponential per exponent and horizon, except where
+    |x| T < 1, where the difference would cancel and T E(x T),
+    E(y) = expm1(y) / y and E(0) = 1, takes over.  With
+    w[i, a, j] = weights[i r + a, j], the Gram is the contraction
 
-    Three (count d)^2 arrays stay live: 1 / x, u(0) conj(u'(0)) and one
-    work array that each horizon's terms reuse before they are summed
-    into its slice of the preallocated result.  Only the pairs with
-    |x| min(horizons) < 1 keep x, |x| and u(0) conj(u'(0)) apart:
-    rounding is monotone, so they hold every horizon's |x| T < 1.
+        G_T[(i, a), (l, b)] = sum_m (sum_j w[i, a, j] I_T[(i, j), (l, m)])
+                              conj(w[l, b, m]),
+
+    two d-term multiply-adds (_multiply_add), elementwise, not BLAS.  The
+    pair integrals' columns run over (m, l), l inner, so both sums read
+    rows of R or R d contiguous entries; the Grams come out in (b, l)
+    column order and are transposed into the result.
+
+    The horizons go HORIZONS_PER_PASS at a time.  1 / x, the pass's pair
+    integrals, its half contraction and one product array are the work
+    arrays, each reused from pass to pass; the pass's Grams reuse the
+    pair integrals' array.  Only the pairs with |x| min(horizons) < 1 are
+    tested at every horizon: rounding is monotone, so they hold every
+    horizon's |x| T < 1.
     """
-    count, d = rates.shape
-    s, w = rates.reshape(-1), weights.reshape(-1)
-    out = np.empty((len(horizons), count, count), dtype=complex)
-    inv = s[:, None] + np.conj(s)[None, :]          # x, inverted below
-    near = np.abs(inv)
-    ww = w[:, None] * np.conj(w)[None, :]
+    R, d = rates.shape
+    r = len(weights) // R
+    H, n = len(horizons), R * d
+    out = np.empty((H, R * r, R * r), dtype=complex)
+    s = rates.reshape(-1)
+    w = weights.reshape(R, r, d)
+    wc = np.conj(w).transpose(2, 1, 0)              # [m, b, l]
+    T = np.asarray(horizons, dtype=float)[:, None]
+    inv = s[:, None] + np.conj(rates.T.reshape(-1))  # x, inverted below
+    near = np.abs(inv).ravel()
     pairs = np.flatnonzero(near * min(horizons, default=0.0) < 1.0)
-    x, near, ww_near = (a.ravel()[pairs] for a in (inv, near, ww))
+    # every horizon's pairs with |x| T < 1, in (horizon, pair) order
+    hits, col = np.nonzero(near[pairs] * T < 1.0)
+    del near
+    pairs = pairs[col]
+    y = inv.ravel()[pairs] * T[hits, 0]
+    P = HORIZONS_PER_PASS
+    bounds = np.searchsorted(hits, np.arange(0, H + P, P))
+    pair_buf = np.empty(min(H, P) * n * n, dtype=complex)
+    half_buf = np.empty(min(H, P) * R * r * n, dtype=complex)
+    prod_buf = np.empty_like(half_buf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        near_terms = T[hits, 0] * np.where(y == 0.0, 1.0, np.expm1(y) / y)
+        e = np.exp(s * T)
+        ec = np.conj(e.reshape(H, R, d).transpose(0, 2, 1)).reshape(H, n)
         np.divide(1.0, inv, out=inv)
-        work = np.empty_like(inv)
-        for T, gram in zip(horizons, out):
-            u = w * np.exp(s * T)
-            np.multiply(u[:, None], np.conj(u)[None, :], out=work)
-            np.subtract(work, ww, out=work)
-            np.multiply(work, inv, out=work)
-            small = near * T < 1.0
-            y = x[small] * T
-            work.ravel()[pairs[small]] = ww_near[small] * T * np.where(
-                y == 0.0, 1.0, np.expm1(y) / y)
-            work.reshape(count, d, count, d).sum(axis=(1, 3), out=gram)
+        for start, first, end in zip(range(0, H, P), bounds, bounds[1:]):
+            h = min(P, H - start)
+            I = _view(pair_buf, (h, n, n))
+            np.multiply(e[start:start + h, :, None],
+                        ec[start:start + h, None, :], out=I)
+            np.subtract(I, 1.0, out=I)
+            np.multiply(I, inv, out=I)
+            I.reshape(-1)[(hits[first:end] - start) * n * n
+                          + pairs[first:end]] = near_terms[first:end]
+            I = I.reshape(h, R, d, 1, n)
+            half = _view(half_buf, (h, R, r, n))
+            _multiply_add(((w[:, :, j, None], I[:, :, j]) for j in range(d)),
+                          half, _view(prod_buf, half.shape))
+            half = half.reshape(h, R, r, 1, d, R)
+            gram = _view(pair_buf, (h, R, r, r, R))  # [h, i, a, b, l]
+            _multiply_add(((half[:, :, :, :, m], wc[m]) for m in range(d)),
+                          gram, _view(prod_buf, gram.shape))
+            out[start:start + h].reshape(h, R, r, R, r)[...] = \
+                gram.transpose(0, 1, 2, 4, 3)
     return out
 
 
 def _exponential_members(modes: Spectrum, rates, U, V):
-    """Rates and weights (2K, d) of the rows of modes whose time profiles
-    U and V are exponential sums on the rates (K, d) with the weights U
-    and V (K, d), and their real traces (2K, nodes): the weights scaled
-    by control._members, as the grid families' profiles are, and both
-    rows of a mode on its rates."""
+    """Rates (K, d) and weights (2K, d) of the rows of modes whose time
+    profiles U and V are exponential sums on the rates (K, d) with the
+    weights U and V (K, d), and their real traces (2K, nodes): the
+    weights scaled by control._members, as the grid families' profiles
+    are, and both rows of mode n, 2n and 2n + 1, on its rates[n]
+    (_exponential_time_grams)."""
     weights, _, traces = _members(modes, U, V)
-    return np.repeat(rates, 2, axis=0), weights, traces
+    return rates, weights, traces
 
 
 def _real_time_grams(grams: np.ndarray, label: str) -> np.ndarray:

@@ -90,15 +90,26 @@ class NormalizedKernel:
     alpha: float
     N: np.ndarray
     Np: np.ndarray      # N'
-    N1: np.ndarray      # exp(-alpha t) N'
-    N1p: np.ndarray
-    N1pp: np.ndarray
     grid: TimeGrid
     spec: KernelSpec = field(repr=False, default=None)
     # exact closed form of N (kernel_terms); None for tabulated
     terms: Optional["KernelTerms"] = None
-    # the kernel this one restricts, which owns the resolvent
+    # the kernel this one restricts, which owns the resolvent and the N1
+    # fields
     parent: Optional["NormalizedKernel"] = field(default=None, repr=False)
+
+    @cached_property
+    def _n1(self) -> tuple:
+        """(N1, N1', N1''), computed on first read (_n1_fields); a
+        restriction slices its parent's."""
+        if self.parent is not None:
+            return tuple(f[:self.grid.steps + 1] for f in self.parent._n1)
+        return _n1_fields(self)
+
+    N1 = property(lambda self: self._n1[0],
+                  doc="exp(-alpha t) N', computed on first read")
+    N1p = property(lambda self: self._n1[1], doc="N1'")
+    N1pp = property(lambda self: self._n1[2], doc="N1''")
 
     @cached_property
     def L(self) -> np.ndarray:
@@ -133,17 +144,16 @@ class NormalizedKernel:
     def restrict(self, steps: int) -> "NormalizedKernel":
         """Restriction to the first `steps` intervals of the same grid.
 
-        All stored fields are pointwise in t and the terms do not depend
-        on the horizon, so restriction is exact.  The resolvent is causal
-        too, but its FFT division is not bit for bit: the restriction
-        reads the slice of the outermost parent's resolvent, so it is
-        exact by construction.
+        All fields are pointwise in t and the terms do not depend on the
+        horizon, so restriction is exact.  The resolvent is causal too,
+        but its FFT division is not bit for bit: the restriction reads the
+        slice of the outermost parent's resolvent, and of its N1 fields,
+        so it is exact by construction.
         """
-        g = self.grid.restrict(steps)
         k = steps + 1
-        return NormalizedKernel(self.gamma, self.alpha, self.N[:k], self.Np[:k],
-                                self.N1[:k], self.N1p[:k], self.N1pp[:k],
-                                g, self.spec, self.terms, self.parent or self)
+        return NormalizedKernel(self.gamma, self.alpha, self.N[:k],
+                                self.Np[:k], self.grid.restrict(steps),
+                                self.spec, self.terms, self.parent or self)
 
 
 def decay_integral(b: float, t):
@@ -191,32 +201,29 @@ def kernel_terms(spec: KernelSpec, gamma: float) -> Optional[KernelTerms]:
     return None
 
 
-def _closed_form_m(spec: KernelSpec, t: np.ndarray):
-    """M, M', M'' and int_0^t M for the closed-form families."""
+def _closed_form_m(spec: KernelSpec, t: np.ndarray, derivatives=False):
+    """M and int_0^t M for the closed-form families, or M' and M'' with
+    derivatives."""
     if spec.family == "zero":
-        z = np.zeros_like(t)
-        return z, z.copy(), z.copy(), z.copy()
+        return np.zeros_like(t), np.zeros_like(t)
     if spec.family == "exponential_sum":
-        M = np.zeros_like(t)
-        Mp = np.zeros_like(t)
-        Mpp = np.zeros_like(t)
-        I = np.zeros_like(t)
+        first, second = np.zeros_like(t), np.zeros_like(t)
         for a, b in zip(spec.coefficients, spec.rates):
             e = np.exp(-b * t)
-            M += a * e
-            Mp += -a * b * e
-            Mpp += a * b * b * e
-            I += a * decay_integral(b, t)
-        return M, Mp, Mpp, I
+            if derivatives:
+                first += -a * b * e
+                second += a * b * b * e
+            else:
+                first += a * e
+                second += a * decay_integral(b, t)
+        return first, second
     if spec.family == "polynomial":
+        poly = np.polynomial.polynomial
         cs = np.asarray(spec.coefficients, dtype=float)
-        M = np.polynomial.polynomial.polyval(t, cs)
-        Mp = np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyder(cs)) \
-            if len(cs) > 1 else np.zeros_like(t)
-        Mpp = np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyder(cs, 2)) \
-            if len(cs) > 2 else np.zeros_like(t)
-        I = np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyint(cs))
-        return M, Mp, Mpp, I
+        if not derivatives:
+            return poly.polyval(t, cs), poly.polyval(t, poly.polyint(cs))
+        return tuple(poly.polyval(t, poly.polyder(cs, k))
+                     if len(cs) > k else np.zeros_like(t) for k in (1, 2))
     raise ConfigError(f"no closed form for family {spec.family!r}")
 
 
@@ -390,41 +397,52 @@ def resolvent(N1: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
 
 def normalize(spec: KernelSpec, grid: TimeGrid) -> NormalizedKernel:
-    """Normalized kernel fields on the shared grid.
+    """Normalized kernel N and N' on the shared grid; the N1 fields
+    follow on first read (_n1_fields).
 
     Closed-form families get exact derivatives; tabulated input falls
     back to finite differences with a stability guard.
     """
-    t = grid.t
     if spec.family == "tabulated":
-        M, Mp, Mpp, I = _tabulated_m(spec, grid)
+        M, _, _, I = _tabulated_m(spec, grid)
     else:
-        M, Mp, Mpp, I = _closed_form_m(spec, t)
-
-    m0 = spec.m0()
-    gamma = -0.5 * m0
+        M, I = _closed_form_m(spec, grid.t)
+    gamma = -0.5 * spec.m0()
     alpha = spec.c + gamma
-
     # a large kernel coefficient overflows the exponentials (exp(-alpha t)
     # with alpha ~ -M(0)/2); the finite checks report it instead, of N
     # and N' here and of the N1 fields where they are read
     with np.errstate(over="ignore", invalid="ignore"):
         Nt = 1.0 + I
-        E2 = np.exp(2.0 * gamma * t)
+        E2 = np.exp(2.0 * gamma * grid.t)
         N = E2 * Nt
         # 2*gamma + M(0) = 0 exactly, so Np[0] is an exact zero
         Np = E2 * (2.0 * gamma * Nt + M)
+    kernel = NormalizedKernel(gamma, alpha, N, Np, grid, spec,
+                              kernel_terms(spec, gamma))
+    kernel.check_finite("N", "Np")
+    return kernel
+
+
+def _n1_fields(kernel: NormalizedKernel) -> tuple:
+    """(N1, N1', N1'') of the kernel normalize made, from M, its
+    derivatives and its integral, which are computed again here."""
+    gamma, alpha, t = kernel.gamma, kernel.alpha, kernel.t
+    if kernel.spec.family == "tabulated":
+        M, Mp, Mpp, I = _tabulated_m(kernel.spec, kernel.grid)
+    else:
+        (M, I), (Mp, Mpp) = (_closed_form_m(kernel.spec, t, derivatives)
+                             for derivatives in (False, True))
+    Np = kernel.Np
+    with np.errstate(over="ignore", invalid="ignore"):
+        Nt = 1.0 + I
+        E2 = np.exp(2.0 * gamma * t)
         Npp = E2 * (4.0 * gamma ** 2 * Nt + 4.0 * gamma * M + Mp)
         Nppp = E2 * (8.0 * gamma ** 3 * Nt + 12.0 * gamma ** 2 * M
                      + 6.0 * gamma * Mp + Mpp)
-
         Em = np.exp(-alpha * t)
         N1 = Em * Np
         N1[0] = 0.0
         N1p = Em * (Npp - alpha * Np)
         N1pp = Em * (Nppp - 2.0 * alpha * Npp + alpha ** 2 * Np)
-
-    kernel = NormalizedKernel(gamma, alpha, N, Np, N1, N1p, N1pp, grid,
-                              spec, kernel_terms(spec, gamma))
-    kernel.check_finite("N", "Np")
-    return kernel
+    return N1, N1p, N1pp

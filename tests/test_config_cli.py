@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from memwave import ConfigError, SequenceFamily, make_grid
-from memwave import cli, control, exact, volterra
+from memwave import cli, control, exact, kernels, volterra
 from memwave.cli import _write_artifacts, main
 from memwave.config import EXPERIMENTS, config_hash, from_dict, load
 
@@ -1008,6 +1008,37 @@ def test_cli_responses_makes_no_march(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, refuse)
     doc = base("responses", T=2.5 * PI, N_modes=12, kernel=EXP)
     assert run(tmp_path, doc, out=tmp_path / "store", grid_h=2e-2) == 0
+
+
+def test_cli_runs_but_responses_compute_no_n1_field(tmp_path, monkeypatch):
+    # N1, N1' and N1'' are computed on first read, and only responses
+    # reads them: verify (interval, and a tabulated kernel), synthesize
+    # on the rectangle and both routes of sweep-t never do
+    calls = []
+    n1_fields = kernels._n1_fields
+    monkeypatch.setattr(kernels, "_n1_fields",
+                        lambda kernel: calls.append(1) or n1_fields(kernel))
+    sweep = {"T_min": 1.5 * PI, "T_max": 2.5 * PI, "steps": 3}
+    # exp(-t) on the sweep's own grid, which the exact route refuses
+    t = cli._sweep_grid(from_dict(base("sweep-T", sweep=sweep, h=0.02)))[0].t
+    tabulated = {"family": "tabulated", "samples": np.exp(-t).tolist()}
+    for doc in (base("verify", T=2.5 * PI, K=2, K_sim=3, target="random",
+                     seed=1, kernel=EXP),
+                base("verify", T=2.5 * PI, K=2, K_sim=3, target="random",
+                     seed=1, kernel=tabulated_exp(2.5 * PI, 0.02)),
+                base("synthesize", T=2.5 * PI, K=2, target="random", seed=1,
+                     kernel=EXP, domain={"geometry": "rectangle",
+                                         "lengths": [PI, PI],
+                                         "gamma_subset": ["right"]}),
+                base("sweep-T", K=3, kernel=EXP, sweep=sweep),
+                base("sweep-T", K=3, kernel=tabulated, sweep=sweep)):
+        command = doc["experiment"].lower()
+        assert run(tmp_path, doc, command=command, out=tmp_path / "store",
+                   grid_h=0.02) == 0, command
+    assert calls == []
+    doc = base("responses", T=2.5 * PI, N_modes=12, kernel=EXP)
+    assert run(tmp_path, doc, out=tmp_path / "store", grid_h=2e-2) == 0
+    assert calls == [1]
 
 
 def test_cli_responses_refuses_a_non_finite_S(tmp_path, capsys):

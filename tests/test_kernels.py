@@ -7,8 +7,9 @@ from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
                      NormalizedKernel, TimeGrid, comparator_profile,
                      compute_eigenpairs, convolve, convolve_end, make_grid,
                      normalize, refined_S, resolvent)
-from memwave.kernels import (_fast_len, decay_integral, kernel_terms,
-                             series_divide, series_product)
+from memwave.kernels import (_closed_form_m, _fast_len, _tabulated_m,
+                             decay_integral, kernel_terms, series_divide,
+                             series_product)
 
 # closed forms used as oracles below (single decaying exponential M = e^{-t}):
 #   gamma = -1/2, N(t) = 2 e^{-t} - e^{-2t}
@@ -334,6 +335,49 @@ def test_nested_restriction_reads_the_outermost_resolvent(exp_kernel):
     inner = exp_kernel.restrict(700).restrict(200)
     assert inner.parent is exp_kernel
     assert np.array_equal(inner.L, exp_kernel.L[:201])
+
+
+def _eager_n1_fields(M, Mp, Mpp, I, gamma, alpha, t):
+    """N1, N1' and N1'' by the derivative chain of the module docstring,
+    each evaluated in the one expression normalize has always used."""
+    Nt = 1.0 + I
+    E2 = np.exp(2.0 * gamma * t)
+    Np = E2 * (2.0 * gamma * Nt + M)
+    Npp = E2 * (4.0 * gamma ** 2 * Nt + 4.0 * gamma * M + Mp)
+    Nppp = E2 * (8.0 * gamma ** 3 * Nt + 12.0 * gamma ** 2 * M
+                 + 6.0 * gamma * Mp + Mpp)
+    Em = np.exp(-alpha * t)
+    N1 = Em * Np
+    N1[0] = 0.0
+    return (N1, Em * (Npp - alpha * Np),
+            Em * (Nppp - 2.0 * alpha * Npp + alpha ** 2 * Np))
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec("zero", c=0.3),
+    KernelSpec("exponential_sum", c=0.2, coefficients=(1.0, 0.5),
+               rates=(1.0, 3.0)),
+    KernelSpec("polynomial", coefficients=(1.0, -1.0, 0.25)),
+    KernelSpec("tabulated", samples=np.exp(-make_grid(2.0, 1e-3).t))])
+def test_n1_fields_are_computed_on_first_read_bit_for_bit(grid, spec):
+    # normalize makes N and N' alone; the N1 fields, read later, carry
+    # the bits of the eager derivative chain, and a restriction's are
+    # the slices of its parent's
+    ker = normalize(spec, grid)
+    assert "_n1" not in vars(ker)
+    t = grid.t
+    if spec.family == "tabulated":
+        M, Mp, Mpp, I = _tabulated_m(spec, grid)
+    else:
+        (M, I), (Mp, Mpp) = (_closed_form_m(spec, t, derivatives)
+                             for derivatives in (False, True))
+    want = _eager_n1_fields(M, Mp, Mpp, I, ker.gamma, ker.alpha, t)
+    inner = ker.restrict(700).restrict(200)
+    for name, field in zip(("N1", "N1p", "N1pp"), want):
+        assert np.array_equal(getattr(ker, name).view(np.uint64),
+                              field.view(np.uint64)), name
+        assert np.array_equal(getattr(inner, name), field[:201]), name
+    assert np.shares_memory(inner.N1, ker.N1)
 
 
 def test_tabulated_kernel_matches_closed_form(grid):

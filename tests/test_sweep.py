@@ -483,8 +483,42 @@ def test_report_path_refuses_bounds_that_break_interlacing(monkeypatch,
 
 def _reference_time_grams(rates, weights, horizons):
     """The closed-form time Grams as one formula per horizon, every
-    temporary kept: the reference _exponential_time_grams must equal bit
-    for bit."""
+    temporary kept: the pair integrals of the distinct exponents, rows
+    (i, j) and columns (m, l), contracted over j and then over m, each
+    sum left to right.  _exponential_time_grams must equal it bit for
+    bit."""
+    R, d = rates.shape
+    r = len(weights) // R
+    s, s_col = rates.reshape(-1), rates.T.reshape(-1)
+    x = s[:, None] + np.conj(s_col)[None, :]
+    w = weights.reshape(R, r, d)
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = 1.0 / x
+        for T in horizons:
+            e = np.exp(s * T)
+            e_col = np.exp(s_col * T)
+            pair = (e[:, None] * np.conj(e_col)[None, :] - 1.0) * inv
+            small = np.abs(x) * T < 1.0
+            y = x[small] * T
+            pair[small] = T * np.where(y == 0.0, 1.0, np.expm1(y) / y)
+            pair = pair.reshape(R, d, 1, d * R)     # [i, j, -, (m, l)]
+            half = w[:, :, 0, None] * pair[:, 0]
+            for j in range(1, d):
+                half = half + w[:, :, j, None] * pair[:, j]
+            half = half.reshape(R, r, 1, d, R)      # [i, a, -, m, l]
+            wc = np.conj(w).transpose(2, 1, 0)      # [m, b, l]
+            G = half[:, :, :, 0] * wc[0]
+            for m in range(1, d):
+                G = G + half[:, :, :, m] * wc[m]
+            out.append(G.transpose(0, 1, 3, 2).reshape(R * r, R * r))
+    return np.array(out)
+
+
+def _all_pairs_time_grams(rates, weights, horizons):
+    """The closed-form time Grams summed over every pair of the members'
+    exponents, rates (count, d) repeated for each member: the oracle the
+    distinct-exponent Grams agree with to rounding."""
     count, d = rates.shape
     s, w = rates.reshape(-1), weights.reshape(-1)
     x = s[:, None] + np.conj(s)[None, :]
@@ -506,7 +540,7 @@ def _reference_time_grams(rates, weights, horizons):
 def _exact_profiles(K, c=0.0, spec=EXP):
     """Signed (rates, weights) of the memory family of the kernel spec
     and of the telegraph family with parameter c, K modes each, on the
-    interval of length pi."""
+    interval of length pi: rates (K, d), weights (2K, d)."""
     kernel = normalize(spec, TimeGrid(2.5 * PI, 8))
     modes = compute_eigenpairs(DOM, K, kernel.alpha)
     exact = memwave.exact.exact_modes(kernel.terms, kernel.alpha, modes)
@@ -517,32 +551,57 @@ def _exact_profiles(K, c=0.0, spec=EXP):
                 modes_tel, c))[:2]]
 
 
-@pytest.mark.parametrize("K", [8, 60])
-def test_exponential_time_grams_match_the_reference_bit_for_bit(K):
-    # 14 sweep horizons at K = 8 and 60, a zero horizon takes the expm1
-    # branch at every pair, and profiles of 2, 3 and 4 exponentials
-    # (telegraph, exp(-t), a two-term kernel) sum 4, 9 and 16 terms per
-    # member pair
-    horizons = list(np.linspace(1.2 * PI, 2.5 * PI, 14))
+def _gram_cases(K):
+    """Profiles of 2, 3 and 4 exponentials (telegraph, exp(-t), a
+    two-term kernel), two rows on each mode's exponents, and the exp(-t)
+    rows with the exponents repeated per row, one row on each."""
     two = KernelSpec("exponential_sum", coefficients=(1.0, 0.5),
                      rates=(1.0, 3.0))
     cases = _exact_profiles(K, c=0.5) + _exact_profiles(K, spec=two)[:1]
-    assert [r.shape[1] for r, _ in cases] == [3, 2, 4]
+    rates, weights = cases[0]
+    return cases + [(np.repeat(rates, 2, axis=0), weights)]
+
+
+GRAM_HORIZONS = (list(np.linspace(1.2 * PI, 2.5 * PI, 14)), [0.0, 0.3])
+
+
+@pytest.mark.parametrize("K", [8, 60])
+def test_exponential_time_grams_match_the_reference_bit_for_bit(K):
+    # 14 sweep horizons at K = 8 and 60 (three full passes and one of
+    # two horizons), and a zero horizon, which takes the expm1 branch at
+    # every pair
+    cases = _gram_cases(K)
+    assert [(len(w) // len(r), r.shape[1]) for r, w in cases] == \
+        [(2, 3), (2, 2), (2, 4), (1, 3)]
     for rates, weights in cases:
-        for Ts in (horizons, [0.0, 0.3]):
+        for Ts in GRAM_HORIZONS:
             got = memwave.exact._exponential_time_grams(rates, weights, Ts)
             want = _reference_time_grams(rates, weights, Ts)
             assert got.shape == want.shape == (len(Ts), 2 * K, 2 * K)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("K", [8, 60])
+def test_exponential_time_grams_match_the_all_pairs_sums(K):
+    # the distinct exponents' pair integrals, contracted, against the sum
+    # over every pair of the members' exponents: rounding apart
+    for rates, weights in _gram_cases(K)[:3]:
+        for Ts in GRAM_HORIZONS:
+            got = memwave.exact._exponential_time_grams(rates, weights, Ts)
+            want = _all_pairs_time_grams(np.repeat(rates, 2, axis=0),
+                                         weights, Ts)
+            scale = np.max(np.abs(want), axis=(1, 2))
+            gap = np.max(np.abs(got - want), axis=(1, 2))
+            assert np.all(gap <= 1e-14 * scale), gap / scale
+
+
 def test_exponential_time_grams_memory_is_three_work_arrays():
-    # the memory family at K = 80 (160 members of 3 exponents each) over
-    # 14 horizons: 1 / x, u(0) conj(u'(0)) and one work array beside the
-    # result, where five to six such arrays, a per-horizon list and its
-    # copy were live.  On top, whatever the size: np.sum's buffered
-    # reduction over two axes (two buffers of numpy's 8192 elements) and
-    # vectors of count d entries, 0.28 MB here, allowed 0.5 MB
+    # the memory family at K = 80 (160 members on 240 exponents) over 14
+    # horizons, within the three (2 K d)^2 arrays of the all-pairs sum
+    # beside the result: 1 / x (K d)^2, a pass's 4 horizons of pair
+    # integrals 4 (K d)^2, and its half contraction and product, 4 (2K)
+    # (K d) each, 2.6 such arrays.  On top, whatever the size: vectors of
+    # count d entries and the near pairs' indices, allowed 0.5 MB
     (rates, weights), _ = _exact_profiles(80)
     horizons = list(np.linspace(1.2 * PI, 2.5 * PI, 14))
     tracemalloc.start()
@@ -552,9 +611,54 @@ def test_exponential_time_grams_memory_is_three_work_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    work = rates.size ** 2 * 16
-    assert rates.size == 480 and grams.shape == (14, 160, 160)
+    work = weights.size ** 2 * 16
+    assert rates.shape == (80, 3) and grams.shape == (14, 160, 160)
     assert peak <= 3 * work + grams.nbytes + 2**19
+
+
+def exact_route(doc):
+    """exact_sweep's two lists of reports for the sweep-t config doc."""
+    cfg = from_dict(doc)
+    grid, steps = _sweep_grid(cfg)
+    kernel = normalize(cfg.kernel, grid)
+    return exact_sweep(kernel,
+                       compute_eigenpairs(cfg.domain, cfg.K, cfg.domain.c),
+                       compute_eigenpairs(cfg.domain, cfg.K, kernel.alpha),
+                       cfg.domain.c, cfg.domain.gamma_weights(),
+                       [k * grid.h for k in steps])
+
+
+SWEEP_DOC = {"experiment": "sweep-T", "h": 2e-3, "K": 8,
+             "domain": {"geometry": "interval", "lengths": [PI]},
+             "kernel": KERNEL, "sweep": {"T_min": 1.2 * PI,
+                                         "T_max": 2.5 * PI, "steps": 14}}
+
+
+@pytest.mark.parametrize("change", [
+    {},                                             # the benchmark sweep
+    {"K": 6, "kernel": {"family": "exponential_sum", "coefficients": [3.0],
+                        "rates": [1.0]},
+     "sweep": {"T_min": 1.5 * PI, "T_max": 3 * PI, "steps": 7}},
+    {"kernel": {"family": "exponential_sum", "coefficients": [1.0, 0.5],
+                "rates": [1.0, 3.0]}}])
+def test_exact_sweep_bounds_match_the_all_pairs_grams(monkeypatch, change):
+    # every frame bound m_k and M_k within 32 k eps M_k of the bounds of
+    # the all-pairs Grams, and the same rounding-floor flags
+    doc = {**SWEEP_DOC, **change}
+    new = exact_route(doc)
+    monkeypatch.setattr(
+        memwave.exact, "_exponential_time_grams",
+        lambda rates, weights, horizons: _all_pairs_time_grams(
+            np.repeat(rates, len(weights) // len(rates), axis=0), weights,
+            horizons))
+    old = exact_route(doc)
+    for a, b in zip(sum(new, []), sum(old, [])):
+        assert a.levels == b.levels
+        allowed = 32 * np.array(a.levels) * np.finfo(float).eps \
+            * b.frame_upper
+        assert np.all(np.abs(a.frame_lower - b.frame_lower) <= allowed)
+        assert np.all(np.abs(a.frame_upper - b.frame_upper) <= allowed)
+        assert np.array_equal(a.at_floor, b.at_floor)
 
 
 def test_sweep_writes_no_bound_below_the_rounding_floor(tmp_path):
