@@ -34,19 +34,22 @@ real Gram of those rows, entrywise in absolute value, to gram_abs.csv.
 
 sweep-t reads every horizon k*h of one grid: the step is the configured
 one (T_min's auto step under "auto"), shrunk so that it divides the
-horizon spacing, and the kernel is normalized on that grid to the last
-horizon first.  Where the kernel has a closed form and no mode lies on
-the degenerate set, the sweep takes the exact route (memwave.exact): the
-modal roots and residues and the telegraph profiles' two exponentials
-give both families in closed form, and every horizon's time Gram is
-evaluated exactly, with no grid.  Otherwise (a tabulated kernel, a mode
-on J, or modes exact.exact_modes refuses) it marches once: the
-responses and both families are built on the grid, and riesz.gram_sweep
-reads every horizon's time Gram from one pass over it, summed segment
-by segment between horizons.  Either route reads both families' frame
-bounds at every horizon in one riesz.gram_reports pass.  sweep.json
-names the route taken ("route": "exact" or "march") and holds each
-horizon's nested lower frame bounds of both families
+horizon spacing.  Where the kernel has a closed form and no mode lies
+on the degenerate set, the sweep takes the exact route (memwave.exact):
+the kernel's closed form (kernels.kernel_terms), the modal roots and
+residues and the telegraph profiles' two exponentials give both
+families in closed form, and every horizon's time Gram is evaluated
+exactly, with no grid; the kernel is not sampled.  Otherwise (a
+tabulated kernel, a mode on J, or modes exact.exact_modes refuses) the
+kernel is normalized on the grid to the last horizon and the sweep
+marches once: the responses and both families are built on the grid,
+and riesz.gram_sweep reads every horizon's time Gram from one pass over
+it, summed segment by segment between horizons.  A closed-form kernel
+whose exponentials overflow fails on the exact route at the Gram's
+finite check, on the march route at normalize's.  Either route reads
+both families' frame bounds at every horizon in one riesz.gram_reports
+pass.  sweep.json names the route taken ("route": "exact" or "march")
+and holds each horizon's nested lower frame bounds of both families
 (frame_lower_telegraph, frame_lower_visco) at the truncation levels
 listed under "levels": every level of the 2K members U_1, V_1, U_2,
 ... up to 32, a geometric subsequence of them above
@@ -82,7 +85,7 @@ from .control import (TargetState, build_moment_problem, synthesize,
 from .errors import (ConfigError, ConvergenceError, InternalConsistencyError,
                      MemwaveError)
 from .grid import TimeGrid, auto_step, make_grid
-from .kernels import normalize
+from .kernels import kernel_terms, normalize
 from .riesz import gram, gram_sweep
 from .simulate import (achieved_coefficients, mode_energies, mode_gaps,
                        route_gap, simulate_convolution, simulate_march)
@@ -390,14 +393,14 @@ def _run_sweep(cfg):
     horizons = [k * grid.h for k in steps]
     modes_tel = compute_eigenpairs(cfg.domain, cfg.K, cfg.domain.c)
     modes_vis = compute_eigenpairs(cfg.domain, cfg.K, alpha)
-    kernel = normalize(cfg.kernel, grid)
     # imported here: no other run compiles the exact route
     from .exact import exact_sweep
     route = "exact"
-    reps = exact_sweep(kernel, modes_tel, modes_vis, cfg.domain.c, gw,
-                       horizons)
+    reps = exact_sweep(kernel_terms(cfg.kernel, gamma), alpha, modes_tel,
+                       modes_vis, cfg.domain.c, gw, horizons)
     if reps is None:
         route = "march"
+        kernel = normalize(cfg.kernel, grid)
         fam_t = telegraph_family(modes_tel, cfg.domain.c, grid, gw)
         fam_v = viscoelastic_family(compute_responses(kernel, modes_vis), gw)
         reps = gram_sweep((fam_t, fam_v), steps)

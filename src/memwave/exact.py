@@ -15,18 +15,21 @@ closed form at any horizon, with no grid (_exponential_time_grams, the
 exponential-family Gram of Young, An Introduction to Nonharmonic Fourier
 Series, 1980).  Both rows of a mode share its exponents, so the pair
 integrals int_0^T exp((s + conj s') t) dt are formed once per pair of
-distinct exponents and contracted with the two rows' weights.
+distinct exponents and contracted with the two rows' weights, a block of
+at most PAIR_BLOCK_BYTES at a time: several horizons, or a run of modes
+at one horizon.
 The rows are real functions, so the closed form is real up to rounding:
 _real_time_grams checks each Gram's imaginary part against its scale
 before taking the real part, the realness check of the pipeline.
-exact_sweep puts the pieces together for cli._run_sweep: it scales each
-family's exponential weights with control._members, the helper that
-builds the grid families (_exponential_members), and hands both
-families' real traces and time Grams to one riesz.gram_reports pass,
-the report path of the grid route too, which gives both families'
-reports at the levels riesz.nested_levels names; or it returns None,
-and the sweep marches, where the route does not apply or a mode is not
-certified.
+exact_sweep puts the pieces together for cli._run_sweep from the
+kernel's closed form (kernels.kernel_terms) and its shift alpha, with
+no kernel sampled on a grid: it scales each family's exponential
+weights with control._members, the helper that builds the grid families
+(_exponential_members), and hands both families' real traces and time
+Grams to one riesz.gram_reports pass, the report path of the grid route
+too, which gives both families' reports at the levels
+riesz.nested_levels names; or it returns None, and the sweep marches,
+where the route does not apply or a mode is not certified.
 
 The CLI imports this module only when a sweep reaches it, so no other
 run compiles it.
@@ -200,11 +203,11 @@ def transformed_exponential_terms(modes: Spectrum, c: float):
     return np.stack([ib, -ib], axis=1), 0.5 + c * V, V
 
 
-# Horizons per pass of _exponential_time_grams: with two rows on each
-# exponent, the pair integrals of 4 horizons take the (2 K d)^2 entries
-# that one horizon's member-pair terms took, and each numpy call of a pass
-# serves 4 horizons
-HORIZONS_PER_PASS = 4
+# Bytes of one block of _exponential_time_grams' pair integrals: a block
+# and the arrays contracted from it stay in a core's L2 cache.  Of 128 KiB
+# to 2 MiB, 512 KiB timed best at K = 8, 80 and 320 on a 2-vCPU Xeon with
+# 2 MiB of L2 per core (BENCH_exact_blocks.json).
+PAIR_BLOCK_BYTES = 2**19
 
 
 def _view(buf: np.ndarray, shape) -> np.ndarray:
@@ -244,11 +247,16 @@ def _exponential_time_grams(rates, weights, horizons) -> np.ndarray:
     rows of R or R d contiguous entries; the Grams come out in (b, l)
     column order and are transposed into the result.
 
-    The horizons go HORIZONS_PER_PASS at a time.  1 / x, the pass's pair
-    integrals, its half contraction and one product array are the work
-    arrays, each reused from pass to pass; the pass's Grams reuse the
-    pair integrals' array.  Only the pairs with |x| min(horizons) < 1 are
-    tested at every horizon: rounding is monotone, so they hold every
+    The pair integrals are formed and contracted a block at a time, each
+    block within PAIR_BLOCK_BYTES: as many horizons as fit when one
+    horizon's fit, otherwise a run of modes (the rows (i, j) of modes
+    i0 .. i1 - 1) at one horizon, the horizons inner so that the run's
+    rows of 1 / x are read from cache.  Every entry takes the same
+    operations in the same order whatever the blocks.  1 / x, the block's
+    pair integrals, its half contraction and one product array are the
+    work arrays, each reused from block to block; the block's Grams reuse
+    the pair integrals' array.  Only the pairs with |x| min(horizons) < 1
+    are tested at every horizon: rounding is monotone, so they hold every
     horizon's |x| T < 1.
     """
     R, d = rates.shape
@@ -262,40 +270,53 @@ def _exponential_time_grams(rates, weights, horizons) -> np.ndarray:
     inv = s[:, None] + np.conj(rates.T.reshape(-1))  # x, inverted below
     near = np.abs(inv).ravel()
     pairs = np.flatnonzero(near * min(horizons, default=0.0) < 1.0)
-    # every horizon's pairs with |x| T < 1, in (horizon, pair) order
+    # every horizon's pairs with |x| T < 1, in (horizon, pair) order, and
+    # their positions in the pair integrals of all horizons, (H, n, n)
     hits, col = np.nonzero(near[pairs] * T < 1.0)
     del near
     pairs = pairs[col]
     y = inv.ravel()[pairs] * T[hits, 0]
-    P = HORIZONS_PER_PASS
-    bounds = np.searchsorted(hits, np.arange(0, H + P, P))
-    pair_buf = np.empty(min(H, P) * n * n, dtype=complex)
-    half_buf = np.empty(min(H, P) * R * r * n, dtype=complex)
+    spots = hits * n * n + pairs
+    # modes per block, and horizons per block where all modes fit
+    M = max(1, PAIR_BLOCK_BYTES // (d * n * 16))
+    P, M = max(1, M // R), min(M, R)
+    pair_buf = np.empty(min(H, P) * M * d * n, dtype=complex)
+    half_buf = np.empty(min(H, P) * M * r * n, dtype=complex)
     prod_buf = np.empty_like(half_buf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         near_terms = T[hits, 0] * np.where(y == 0.0, 1.0, np.expm1(y) / y)
         e = np.exp(s * T)
         ec = np.conj(e.reshape(H, R, d).transpose(0, 2, 1)).reshape(H, n)
         np.divide(1.0, inv, out=inv)
-        for start, first, end in zip(range(0, H, P), bounds, bounds[1:]):
-            h = min(P, H - start)
-            I = _view(pair_buf, (h, n, n))
-            np.multiply(e[start:start + h, :, None],
-                        ec[start:start + h, None, :], out=I)
-            np.subtract(I, 1.0, out=I)
-            np.multiply(I, inv, out=I)
-            I.reshape(-1)[(hits[first:end] - start) * n * n
-                          + pairs[first:end]] = near_terms[first:end]
-            I = I.reshape(h, R, d, 1, n)
-            half = _view(half_buf, (h, R, r, n))
-            _multiply_add(((w[:, :, j, None], I[:, :, j]) for j in range(d)),
-                          half, _view(prod_buf, half.shape))
-            half = half.reshape(h, R, r, 1, d, R)
-            gram = _view(pair_buf, (h, R, r, r, R))  # [h, i, a, b, l]
-            _multiply_add(((half[:, :, :, :, m], wc[m]) for m in range(d)),
-                          gram, _view(prod_buf, gram.shape))
-            out[start:start + h].reshape(h, R, r, R, r)[...] = \
-                gram.transpose(0, 1, 2, 4, 3)
+        for i0 in range(0, R, M):
+            i1 = min(R, i0 + M)
+            k, rows = i1 - i0, slice(i0 * d, i1 * d)
+            for h0 in range(0, H, P):
+                h1 = min(H, h0 + P)
+                h = h1 - h0
+                # the block is a run of spots: all of horizons h0 .. h1 - 1
+                # (k = R), or modes i0 .. i1 - 1 of horizon h0 (h = 1)
+                start = h0 * n * n + i0 * d * n
+                first, end = np.searchsorted(
+                    spots, (start, (h1 - 1) * n * n + i1 * d * n))
+                I = _view(pair_buf, (h, k * d, n))
+                np.multiply(e[h0:h1, rows, None], ec[h0:h1, None, :], out=I)
+                np.subtract(I, 1.0, out=I)
+                np.multiply(I, inv[rows], out=I)
+                I.reshape(-1)[spots[first:end] - start] = \
+                    near_terms[first:end]
+                I = I.reshape(h, k, d, 1, n)
+                half = _view(half_buf, (h, k, r, n))
+                _multiply_add(((w[i0:i1, :, j, None], I[:, :, j])
+                               for j in range(d)),
+                              half, _view(prod_buf, half.shape))
+                half = half.reshape(h, k, r, 1, d, R)
+                gram = _view(pair_buf, (h, k, r, r, R))  # [h, i, a, b, l]
+                _multiply_add(((half[:, :, :, :, m], wc[m])
+                               for m in range(d)),
+                              gram, _view(prod_buf, gram.shape))
+                out[h0:h1].reshape(h, R, r, R, r)[:, i0:i1] = \
+                    gram.transpose(0, 1, 2, 4, 3)
     return out
 
 
@@ -329,16 +350,20 @@ def _real_time_grams(grams: np.ndarray, label: str) -> np.ndarray:
     return real
 
 
-def exact_sweep(kernel, modes_tel: Spectrum, modes_vis: Spectrum, c: float,
+def exact_sweep(terms: Optional[KernelTerms], alpha: float,
+                modes_tel: Spectrum, modes_vis: Spectrum, c: float,
                 gamma_weights, horizons: Sequence[float]):
     """Frame bounds of the telegraph family (modes_tel, parameter c) and
-    the memory family (modes_vis) at every horizon, as two lists of
-    reports from one riesz.gram_reports pass, or None where the kernel
-    is tabulated, a telegraph mode is on the degenerate set or
-    exact_modes refuses the modes."""
-    if kernel.terms is None or modes_tel.in_J.any():
+    the memory family (modes_vis) of the kernel with the closed form
+    terms (kernels.kernel_terms) and the shift alpha at every horizon,
+    as two lists of reports from one riesz.gram_reports pass, or None
+    where the kernel is tabulated (terms is None), a telegraph mode is
+    on the degenerate set or exact_modes refuses the modes.  No grid is
+    sampled: a kernel whose exponentials overflow at the horizons leaves
+    its Gram not finite, which the report pass refuses."""
+    if terms is None or modes_tel.in_J.any():
         return None
-    exact = exact_modes(kernel.terms, kernel.alpha, modes_vis)
+    exact = exact_modes(terms, alpha, modes_vis)
     if exact is None:
         return None
     tel = _exponential_members(modes_tel,

@@ -8,8 +8,10 @@ built once, outside the timed call, in a process of its own
 call's round trip to the worker, and extra_info holds the worker's own
 median time of the call; BENCH_exact_grams.json at the repository root
 records them against the sums over every pair of the members' exponents
-that the Grams were before, with K = 320, which is timed outside this
-suite.  All of it runs in about two seconds.
+that the Grams were before, and BENCH_exact_blocks.json against the
+passes of 4 horizons that blocks of exact.PAIR_BLOCK_BYTES replaced, each
+with K = 320, which is timed outside this suite.  All of it runs in
+about two seconds.
 """
 
 import numpy as np

@@ -68,8 +68,8 @@ def _exact_inputs(monkeypatch, case):
         passes.append(families)
         return gram_reports(families, gamma_weights)
     monkeypatch.setattr(memwave.exact, "gram_reports", recorded)
-    reps = exact_sweep(kernel, modes_tel, modes_vis, c, dom.gamma_weights(),
-                       HORIZONS)
+    reps = exact_sweep(kernel.terms, kernel.alpha, modes_tel, modes_vis, c,
+                       dom.gamma_weights(), HORIZONS)
     return None if reps is None else (passes[0], reps)
 
 

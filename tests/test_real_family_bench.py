@@ -100,7 +100,8 @@ def test_exact_sweep_speed(benchmark, K_sweep, rounds):
     grid, steps = _sweep_grid(cfg)
     kernel = normalize(cfg.kernel, grid)
     dom = cfg.domain
-    args = (kernel, compute_eigenpairs(dom, K_sweep, dom.c),
+    args = (kernel.terms, kernel.alpha,
+            compute_eigenpairs(dom, K_sweep, dom.c),
             compute_eigenpairs(dom, K_sweep, kernel.alpha), dom.c,
             dom.gamma_weights(), [k * grid.h for k in steps])
     reps = benchmark.pedantic(exact_sweep, args=args, rounds=rounds,

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import memwave.cli
 import memwave.exact
 import memwave.riesz
 from memwave import (ConvergenceError, DomainSpec, InternalConsistencyError,
@@ -19,10 +20,11 @@ from memwave import (ConvergenceError, DomainSpec, InternalConsistencyError,
                      compute_responses, gram, gram_reports, gram_sweep,
                      make_grid, normalize, telegraph_family,
                      viscoelastic_family)
-from memwave.cli import _sweep_grid, main
+from memwave.cli import _alpha_of, _sweep_grid, main
 from memwave.config import config_hash, from_dict
 from memwave.grid import auto_step, trapezoid_weights
 from memwave.exact import exact_sweep
+from memwave.kernels import kernel_terms
 
 PI = np.pi
 DOM = DomainSpec("interval", (PI,))
@@ -49,7 +51,8 @@ def exact_reports(spec, K, horizons):
     """The telegraph (c = 0) and viscoelastic reports of the exact route
     at every horizon; the kernel's grid only carries its closed form."""
     kernel = normalize(spec, TimeGrid(max(horizons), 8))
-    reps = exact_sweep(kernel, compute_eigenpairs(DOM, K, 0.0),
+    reps = exact_sweep(kernel.terms, kernel.alpha,
+                       compute_eigenpairs(DOM, K, 0.0),
                        compute_eigenpairs(DOM, K, kernel.alpha), 0.0,
                        DOM.gamma_weights(), horizons)
     assert reps is not None
@@ -126,6 +129,17 @@ def tabulated_on_sweep_grid(sec, h):
 SEC = {"T_min": 1.5 * PI, "T_max": 2.5 * PI, "steps": 3}
 
 
+def count_normalize(monkeypatch):
+    """The list of sweep-t's normalize calls, one entry per call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return normalize(*args)
+    monkeypatch.setattr(memwave.cli, "normalize", counted)
+    return calls
+
+
 @pytest.mark.parametrize("kernel, c", [
     (tabulated_on_sweep_grid(SEC, 2e-2), 0.0),
     (KERNEL, 1.0),                 # telegraph mode 1 on J: alpha = c = 1
@@ -135,14 +149,17 @@ SEC = {"T_min": 1.5 * PI, "T_max": 2.5 * PI, "steps": 3}
      0.0),
     (KERNEL, 1.2018347375208056),  # a double root of mode 1's Den
 ], ids=["tabulated", "telegraph-J", "memory-J", "Q-root", "double-root"])
-def test_fallbacks_take_the_march_route(tmp_path, kernel, c):
+def test_fallbacks_take_the_march_route(tmp_path, monkeypatch, kernel, c):
+    # the march normalizes the kernel once, on the sweep's grid
     domain = {"geometry": "interval", "lengths": [PI], "c": c}
     doc = {"experiment": "sweep-T", "domain": domain, "kernel": kernel,
            "K": 3, "sweep": SEC, "h": 2e-2}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
+    calls = count_normalize(monkeypatch)
     assert main(["sweep-t", "--config", str(path), "--out",
                  str(tmp_path)]) == 0
+    assert len(calls) == 1
     data = json.loads((tmp_path / f"sweep-t-{config_hash(doc)}" /
                        "sweep.json").read_text())
     assert data["route"] == "march"
@@ -349,7 +366,8 @@ def route_reports(route):
     if route == "grid":
         fam = viscoelastic_family(compute_responses(kernel, modes))
         return gram_sweep([fam], [150, 200, 250])[0]
-    return exact_sweep(kernel, compute_eigenpairs(DOM, 3, 0.0), modes, 0.0,
+    return exact_sweep(kernel.terms, kernel.alpha,
+                       compute_eigenpairs(DOM, 3, 0.0), modes, 0.0,
                        DOM.gamma_weights(), [1.5 * PI, 2 * PI, 2.5 * PI])[1]
 
 
@@ -581,6 +599,25 @@ def test_exponential_time_grams_match_the_reference_bit_for_bit(K):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("blocks", ["horizons", "modes", "one-mode"])
+def test_exponential_time_grams_blocks_match_the_reference_bit_for_bit(
+        monkeypatch, blocks):
+    # budgets at K = 8 that cut the pair integrals into blocks of 4
+    # horizons (the last block takes 2 of the 14), of 3 modes at one
+    # horizon (the last block takes 2 of the 8, or 1 of the 16 rows of the
+    # repeated exponents), and of one mode, the budget below one mode's
+    for rates, weights in _gram_cases(8):
+        R, d = rates.shape
+        mode = d * R * d * 16               # one mode's pair integrals
+        budget = {"horizons": 4 * R * mode, "modes": 3 * mode,
+                  "one-mode": mode - 1}[blocks]
+        monkeypatch.setattr(memwave.exact, "PAIR_BLOCK_BYTES", budget)
+        for Ts in GRAM_HORIZONS:
+            got = memwave.exact._exponential_time_grams(rates, weights, Ts)
+            want = _reference_time_grams(rates, weights, Ts)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("K", [8, 60])
 def test_exponential_time_grams_match_the_all_pairs_sums(K):
     # the distinct exponents' pair integrals, contracted, against the sum
@@ -616,14 +653,41 @@ def test_exponential_time_grams_memory_is_three_work_arrays():
     assert peak <= 3 * work + grams.nbytes + 2**19
 
 
+def test_exponential_time_grams_memory_is_one_block():
+    # the memory family at K = 80 (160 members on 240 exponents) over 14
+    # horizons: one horizon's pair integrals, (K d)^2 entries, exceed
+    # PAIR_BLOCK_BYTES, so a block is a run of modes.  Beside the result
+    # and 1 / x, (K d)^2 entries, the work is the block's pair integrals,
+    # within PAIR_BLOCK_BYTES, its half contraction and product, r / d of
+    # that each, and exp(s T) and its conjugate, 14 K d entries each.  On
+    # top: vectors of count d entries and the near pairs' indices,
+    # allowed 0.5 MB
+    (rates, weights), _ = _exact_profiles(80)
+    horizons = list(np.linspace(1.2 * PI, 2.5 * PI, 14))
+    tracemalloc.start()
+    try:
+        grams = memwave.exact._exponential_time_grams(rates, weights,
+                                                      horizons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (R, d), r = rates.shape, len(weights) // len(rates)
+    pairs = (R * d) ** 2 * 16
+    block = memwave.exact.PAIR_BLOCK_BYTES
+    assert (R, d, r) == (80, 3, 2) and pairs > block
+    assert peak <= grams.nbytes + pairs + block * (1 + 2 * r / d) \
+        + 2 * len(horizons) * R * d * 16 + 2**19
+
+
 def exact_route(doc):
-    """exact_sweep's two lists of reports for the sweep-t config doc."""
+    """exact_sweep's two lists of reports for the sweep-t config doc,
+    from the kernel's closed form, as sweep-t calls it."""
     cfg = from_dict(doc)
     grid, steps = _sweep_grid(cfg)
-    kernel = normalize(cfg.kernel, grid)
-    return exact_sweep(kernel,
+    alpha, gamma = _alpha_of(cfg)
+    return exact_sweep(kernel_terms(cfg.kernel, gamma), alpha,
                        compute_eigenpairs(cfg.domain, cfg.K, cfg.domain.c),
-                       compute_eigenpairs(cfg.domain, cfg.K, kernel.alpha),
+                       compute_eigenpairs(cfg.domain, cfg.K, alpha),
                        cfg.domain.c, cfg.domain.gamma_weights(),
                        [k * grid.h for k in steps])
 
@@ -634,13 +698,16 @@ SWEEP_DOC = {"experiment": "sweep-T", "h": 2e-3, "K": 8,
                                          "T_max": 2.5 * PI, "steps": 14}}
 
 
-@pytest.mark.parametrize("change", [
+EXACT_CHANGES = [
     {},                                             # the benchmark sweep
     {"K": 6, "kernel": {"family": "exponential_sum", "coefficients": [3.0],
                         "rates": [1.0]},
      "sweep": {"T_min": 1.5 * PI, "T_max": 3 * PI, "steps": 7}},
     {"kernel": {"family": "exponential_sum", "coefficients": [1.0, 0.5],
-                "rates": [1.0, 3.0]}}])
+                "rates": [1.0, 3.0]}}]
+
+
+@pytest.mark.parametrize("change", EXACT_CHANGES)
 def test_exact_sweep_bounds_match_the_all_pairs_grams(monkeypatch, change):
     # every frame bound m_k and M_k within 32 k eps M_k of the bounds of
     # the all-pairs Grams, and the same rounding-floor flags
@@ -659,6 +726,38 @@ def test_exact_sweep_bounds_match_the_all_pairs_grams(monkeypatch, change):
         assert np.all(np.abs(a.frame_lower - b.frame_lower) <= allowed)
         assert np.all(np.abs(a.frame_upper - b.frame_upper) <= allowed)
         assert np.array_equal(a.at_floor, b.at_floor)
+
+
+@pytest.mark.parametrize("change", EXACT_CHANGES)
+def test_exact_route_samples_no_kernel(tmp_path, monkeypatch, change):
+    # the exact route reads the kernel's closed form alone: sweep-t
+    # normalizes nothing, and writes exact_route's bounds
+    doc = {**SWEEP_DOC, **change}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    calls = count_normalize(monkeypatch)
+    assert main(["sweep-t", "--config", str(path), "--out",
+                 str(tmp_path)]) == 0
+    assert calls == []
+    data = json.loads((tmp_path / f"sweep-t-{config_hash(doc)}" /
+                       "sweep.json").read_text())
+    assert data["route"] == "exact"
+    for name, reps in zip(("telegraph", "visco"), exact_route(doc)):
+        assert data[f"m_N_{name}"] == [r.m_N for r in reps], name
+
+
+def test_exact_route_refuses_an_overflowing_kernel(tmp_path, capsys):
+    # -100 exp(-t) gives gamma = 50: the memory rows grow like exp(100 t)
+    # and overflow before 2.5 pi.  The Gram's finite check stops the run
+    # with exit 3, as normalize's stops the march, and nothing is written
+    kernel = {"family": "exponential_sum", "coefficients": [-100.0],
+              "rates": [1.0]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SWEEP_DOC, "kernel": kernel}))
+    assert main(["sweep-t", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 3
+    assert "Gram of 'viscoelastic' is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_writes_no_bound_below_the_rounding_floor(tmp_path):
