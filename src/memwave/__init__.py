@@ -17,16 +17,14 @@ from .grid import TimeGrid, auto_step, make_grid, trapezoid_weights
 from .kernels import (KernelSpec, NormalizedKernel, convolve, convolve_end,
                       normalize, resolvent)
 from .riesz import (CONDITION_CAP, GramReport, SequenceFamily, gram,
-                    gram_reports, gram_sweep, paley_wiener_check,
-                    quadratic_closeness)
+                    gram_reports, gram_sweep)
 from .simulate import (SimResult, achieved_coefficients, mode_energies,
                        mode_gaps, route_gap, simulate_convolution,
                        simulate_march)
 from .spectral import (DomainSpec, Spectrum, compute_eigenpairs,
                        sturm_liouville_eigs, trace_diagnostics)
 from .volterra import (ModalResponses, asymptotic_residual,
-                       comparator_profile, compute_responses, march_modal,
-                       refined_S)
+                       compute_responses, march_modal)
 
 __version__ = "0.1.0"
 

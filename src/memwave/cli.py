@@ -60,9 +60,12 @@ and at_floor_visco list the [horizon, level] positions of such bounds in
 the frame_lower lists.  gram stops with exit 3 when m_N is at the floor:
 the Gram is singular to working precision and has no condition number.
 
-responses marches no mode: it takes the spectrum, normalizes the kernel
-and fits one refined_S batch (volterra) over the real-beta modes from
-mode 5 on; a mode whose refined S is not finite stops it with exit 3.
+responses fits the exact S-frame rows (exact.s_frame_rows, from the
+kernel's closed form) of the real-beta modes from mode 5 on and marches
+no mode; kernel.csv holds t, N and N' of the normalized kernel.  A
+tabulated kernel, which has no closed form, or fewer than 8 fitted modes
+is a config error (exit 2); modes exact.exact_modes refuses, or a row
+that is not finite, stop it with exit 3.
 
 Exit codes: 0 success, 2 config, 3 convergence, 4 not controllable,
 5 internal inconsistency.  Anything else crashing is a plain 1.
@@ -90,7 +93,8 @@ from .riesz import gram, gram_sweep
 from .simulate import (achieved_coefficients, mode_energies, mode_gaps,
                        route_gap, simulate_convolution, simulate_march)
 from .spectral import compute_eigenpairs, trace_diagnostics
-from .volterra import asymptotic_residual, compute_responses, refined_S
+from .volterra import (asymptotic_residual, check_fit_modes,
+                       compute_responses)
 
 DEFAULT_OUT = "memwave-out"
 ENV_OUT = "MEMWAVE_OUT"
@@ -250,6 +254,9 @@ def _run_spectrum(cfg):
 
 
 def _run_responses(cfg):
+    if cfg.kernel.family == "tabulated":
+        raise ConfigError("responses needs a closed-form kernel: a "
+                          "tabulated one has no exact S rows")
     modes, _, _ = _spectrum(cfg, cfg.N_modes)
     kernel = normalize(cfg.kernel, _grid_for(cfg, cfg.T, cfg.N_modes))
     # fit the real-beta modes of the asymptotic window only; the first
@@ -257,11 +264,20 @@ def _run_responses(cfg):
     fit_lo = 5
     fitted = modes.take((modes.index >= fit_lo) & (modes.beta.imag == 0)
                         & (modes.beta.real > 0))
-    fit = asymptotic_residual(fitted, refined_S(kernel, fitted), kernel.h)
+    check_fit_modes(fitted)
+    # imported here: no run but responses and sweep-t compiles the exact
+    # route
+    from .exact import s_frame_rows
+    S = s_frame_rows(kernel.terms, kernel.alpha, fitted, kernel.t)
+    if S is None:
+        raise ConvergenceError(
+            "exact S rows unavailable: exact_modes refuses the fitted "
+            "modes (roots that coincide, a failed certificate or a value "
+            "that is not finite)")
+    fit = asymptotic_residual(fitted, S, kernel.h)
     return 0, [
-        ("kernel.csv", ["t", "N", "Np", "N1", "L"],
-         np.column_stack([kernel.t, kernel.N, kernel.Np, kernel.N1,
-                          kernel.L])),
+        ("kernel.csv", ["t", "N", "Np"],
+         np.column_stack([kernel.t, kernel.N, kernel.Np])),
         ("residuals.csv", ["n", "beta", "sup_residual"],
          np.column_stack([fit["indices"], fit["beta"], fit["residuals"]])),
         ("responses.json", {

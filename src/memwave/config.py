@@ -28,8 +28,7 @@ EXPERIMENTS = ("spectrum", "responses", "gram", "synthesize", "verify", "sweep-T
 _SCHEMA = {
     "experiment": None,
     "domain": {"geometry", "lengths", "a", "q", "c", "gamma_subset"},
-    "kernel": {"family", "c", "coefficients", "rates",
-               "samples", "samples_d1", "samples_d2"},
+    "kernel": {"family", "c", "coefficients", "rates", "samples"},
     "T": None,
     "h": None,
     "K": None,
@@ -150,17 +149,14 @@ def _build_kernel(doc: dict, c: float) -> KernelSpec:
     if kc is not None and kc != c:
         raise ConfigError(
             f"kernel.c={kc} contradicts domain.c={c}; set it in one place")
-    def arr(key):
-        v = sec.get(key)
-        return None if v is None else np.asarray(
-            _numbers(v, f"kernel.{key}"), dtype=float)
+    samples = sec.get("samples")
+    if samples is not None:
+        samples = np.asarray(_numbers(samples, "kernel.samples"), dtype=float)
     return KernelSpec(sec["family"], c=c,
                       coefficients=_numbers(sec.get("coefficients", ()),
                                             "kernel.coefficients"),
                       rates=_numbers(sec.get("rates", ()), "kernel.rates"),
-                      samples=arr("samples"),
-                      samples_d1=arr("samples_d1"),
-                      samples_d2=arr("samples_d2"))
+                      samples=samples)
 
 
 def _build_target(doc: dict, K: int):

@@ -1,4 +1,4 @@
-"""The exact route of sweep-t for closed-form kernels.
+"""The exact route of sweep-t and responses for closed-form kernels.
 
 Both families of a closed-form kernel are finite exponential sums with
 a known Laplace form (Pruss, Evolutionary Integral Equations, 1993):
@@ -9,6 +9,10 @@ a known Laplace form (Pruss, Evolutionary Integral Equations, 1993):
 - the telegraph family: U = cos(beta t) + (c / beta) sin(beta t) and
   V = sin(beta t) / beta are two exponentials each
   (transformed_exponential_terms).
+
+The responses experiment reads the memory modes in the S frame,
+S = exp(-alpha t) (U + i beta V), on the rates roots - alpha
+(s_frame_rows), sampled on its grid: the same numbers on any grid.
 
 A family whose time profiles are exponential sums has its time Gram in
 closed form at any horizon, with no grid (_exponential_time_grams, the
@@ -31,8 +35,8 @@ too, which gives both families' reports at the levels
 riesz.nested_levels names; or it returns None, and the sweep marches,
 where the route does not apply or a mode is not certified.
 
-The CLI imports this module only when a sweep reaches it, so no other
-run compiles it.
+The CLI imports this module only when a sweep or a responses run
+reaches it, so no other run compiles it.
 """
 
 from __future__ import annotations
@@ -190,6 +194,33 @@ def exact_modes(terms: KernelTerms, alpha: float,
         if not (ok and np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
             return None
         return ExactModes(s, U, V)
+
+
+def s_frame_rows(terms: KernelTerms, alpha: float, modes: Spectrum,
+                 t: np.ndarray) -> Optional[np.ndarray]:
+    """S_n(t) = exp(-alpha t) (U_n + i beta_n V_n)(t) of every mode at
+    the times t, one (K, len(t)) complex row per mode, or None where
+    exact_modes refuses the modes.
+
+    Each row is the residue sum sum_k (U_nk + i beta_n V_nk)
+    exp((s_nk - alpha) t) on the S-frame rates s_nk - alpha, added one
+    root at a time into the result, so a (K, d, len(t)) array is never
+    formed.  An exponential that overflows leaves its row not finite,
+    which the caller refuses."""
+    exact = exact_modes(terms, alpha, modes)
+    if exact is None:
+        return None
+    weights = exact.U + 1j * modes.beta[:, None] * exact.V
+    rates = exact.roots - alpha
+    S = np.zeros((len(modes), len(t)), dtype=complex)
+    term = np.empty_like(S)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(rates.shape[1]):
+            np.multiply(rates[:, k, None], t, out=term)
+            np.exp(term, out=term)
+            term *= weights[:, k, None]
+            S += term
+    return S
 
 
 def transformed_exponential_terms(modes: Spectrum, c: float):

@@ -7,20 +7,14 @@ N(0) = 1 and N'(0) = 0.  Those two identities are load-bearing (the
 modal equations downstream simplify against them), so they are enforced
 analytically per kernel family rather than trusted to quadrature.
 
-Derivative chain used throughout, writing Nt for 1 + int_0^t M and
+N and its derivative, writing Nt for 1 + int_0^t M and
 E(t) = exp(2*gamma*t):
 
     N    = E * Nt
     N'   = E * (2g*Nt + M)            ->  N'(0)  = 2g + M(0) = 0
-    N''  = E * (4g^2*Nt + 4g*M + M')
-    N''' = E * (8g^3*Nt + 12g^2*M + 6g*M' + M'')
-    N1   = exp(-alpha t) * N'
-    N1'  = exp(-alpha t) * (N'' - alpha N')
-    N1'' = exp(-alpha t) * (N''' - 2 alpha N'' + alpha^2 N')
 
-The third derivative of N (hence M'' for tabulated input) is only
-needed by the refined closeness diagnostics; closed-form families
-supply it exactly.
+No stage reads a higher derivative of N, so a tabulated kernel supplies
+samples of M alone.
 
 For every closed-form family N is also known exactly as exp(2 gamma t)
 times a polynomial plus integrals of decaying exponentials
@@ -30,8 +24,7 @@ sums by recursion instead of re-summing the history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -50,7 +43,7 @@ class KernelSpec:
       zero             M = 0 (memoryless comparator system)
       exponential_sum  M(t) = sum_k coefficients[k] * exp(-rates[k] t)
       polynomial       M(t) = sum_j coefficients[j] * t**j
-      tabulated        samples of M (and optionally M', M'') on the run grid
+      tabulated        samples of M on the run grid
     """
 
     family: str
@@ -58,8 +51,6 @@ class KernelSpec:
     coefficients: tuple = ()
     rates: tuple = ()
     samples: Optional[np.ndarray] = None
-    samples_d1: Optional[np.ndarray] = None
-    samples_d2: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
@@ -84,46 +75,20 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class NormalizedKernel:
-    """Grid samples of the normalized kernel and its derived fields."""
+    """Grid samples of the normalized kernel and its derivative."""
 
     gamma: float
     alpha: float
     N: np.ndarray
     Np: np.ndarray      # N'
     grid: TimeGrid
-    spec: KernelSpec = field(repr=False, default=None)
     # exact closed form of N (kernel_terms); None for tabulated
     terms: Optional["KernelTerms"] = None
-    # the kernel this one restricts, which owns the resolvent and the N1
-    # fields
-    parent: Optional["NormalizedKernel"] = field(default=None, repr=False)
-
-    @cached_property
-    def _n1(self) -> tuple:
-        """(N1, N1', N1''), computed on first read (_n1_fields); a
-        restriction slices its parent's."""
-        if self.parent is not None:
-            return tuple(f[:self.grid.steps + 1] for f in self.parent._n1)
-        return _n1_fields(self)
-
-    N1 = property(lambda self: self._n1[0],
-                  doc="exp(-alpha t) N', computed on first read")
-    N1p = property(lambda self: self._n1[1], doc="N1'")
-    N1pp = property(lambda self: self._n1[2], doc="N1''")
-
-    @cached_property
-    def L(self) -> np.ndarray:
-        """Resolvent kernel of N1, one series division run on first read;
-        a restriction slices its parent's."""
-        if self.parent is not None:
-            return self.parent.L[:self.grid.steps + 1]
-        return resolvent(self.N1, self.grid)
 
     def check_finite(self, *names: str) -> None:
         """ConvergenceError at the first of the named fields that is not
         finite, naming it and its first such step: the exponential
-        rescaling overflowed there.  normalize checks N and N'; the
-        routes that read N1, N1' and N1'' check those."""
+        rescaling overflowed there; normalize checks N and N'."""
         for name in names:
             bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
             if bad.size:
@@ -144,16 +109,13 @@ class NormalizedKernel:
     def restrict(self, steps: int) -> "NormalizedKernel":
         """Restriction to the first `steps` intervals of the same grid.
 
-        All fields are pointwise in t and the terms do not depend on the
-        horizon, so restriction is exact.  The resolvent is causal too,
-        but its FFT division is not bit for bit: the restriction reads the
-        slice of the outermost parent's resolvent, and of its N1 fields,
-        so it is exact by construction.
+        Both fields are pointwise in t and the terms do not depend on
+        the horizon, so restriction is exact.
         """
         k = steps + 1
         return NormalizedKernel(self.gamma, self.alpha, self.N[:k],
                                 self.Np[:k], self.grid.restrict(steps),
-                                self.spec, self.terms, self.parent or self)
+                                self.terms)
 
 
 def decay_integral(b: float, t):
@@ -201,58 +163,40 @@ def kernel_terms(spec: KernelSpec, gamma: float) -> Optional[KernelTerms]:
     return None
 
 
-def _closed_form_m(spec: KernelSpec, t: np.ndarray, derivatives=False):
-    """M and int_0^t M for the closed-form families, or M' and M'' with
-    derivatives."""
+def _closed_form_m(spec: KernelSpec, t: np.ndarray):
+    """M and int_0^t M for the closed-form families."""
     if spec.family == "zero":
         return np.zeros_like(t), np.zeros_like(t)
     if spec.family == "exponential_sum":
-        first, second = np.zeros_like(t), np.zeros_like(t)
+        M, I = np.zeros_like(t), np.zeros_like(t)
         for a, b in zip(spec.coefficients, spec.rates):
-            e = np.exp(-b * t)
-            if derivatives:
-                first += -a * b * e
-                second += a * b * b * e
-            else:
-                first += a * e
-                second += a * decay_integral(b, t)
-        return first, second
+            M += a * np.exp(-b * t)
+            I += a * decay_integral(b, t)
+        return M, I
     if spec.family == "polynomial":
         poly = np.polynomial.polynomial
         cs = np.asarray(spec.coefficients, dtype=float)
-        if not derivatives:
-            return poly.polyval(t, cs), poly.polyval(t, poly.polyint(cs))
-        return tuple(poly.polyval(t, poly.polyder(cs, k))
-                     if len(cs) > k else np.zeros_like(t) for k in (1, 2))
+        return poly.polyval(t, cs), poly.polyval(t, poly.polyint(cs))
     raise ConfigError(f"no closed form for family {spec.family!r}")
 
 
 def _tabulated_m(spec: KernelSpec, grid: TimeGrid):
+    """M and its trapezoid integral from the samples of a tabulated
+    kernel, after a resolution check on them."""
     M = np.asarray(spec.samples, dtype=float)
     if M.shape != (grid.steps + 1,):
         raise ConfigError(f"tabulated samples shape {M.shape} does not match grid "
                           f"({grid.steps + 1} points)")
     h = grid.h
-    if spec.samples_d1 is not None:
-        Mp = np.asarray(spec.samples_d1, dtype=float)
-    else:
-        Mp = np.gradient(M, h, edge_order=2)
-        # a second-difference roughness test: if the sampled kernel is too
-        # coarse for stable differentiation the curvature estimate explodes
-        rough = np.max(np.abs(np.diff(M, 2))) / (h * h)
-        scale = max(1.0, np.max(np.abs(M)))
-        if rough * h > 10.0 * scale:
-            raise ConfigError("tabulated kernel too coarse to differentiate stably; "
-                              "supply samples_d1/samples_d2")
-    if spec.samples_d2 is not None:
-        Mpp = np.asarray(spec.samples_d2, dtype=float)
-    else:
-        Mpp = np.gradient(Mp, h, edge_order=2)
-    for name, arr in (("samples_d1", Mp), ("samples_d2", Mpp)):
-        if arr.shape != M.shape:
-            raise ConfigError(f"{name} shape {arr.shape} does not match samples")
+    # a second-difference roughness test: if the samples are too coarse to
+    # resolve the kernel, the curvature estimate explodes
+    rough = np.max(np.abs(np.diff(M, 2))) / (h * h)
+    scale = max(1.0, np.max(np.abs(M)))
+    if rough * h > 10.0 * scale:
+        raise ConfigError("tabulated kernel too rough for its grid; sample "
+                          "it more finely")
     I = np.concatenate(([0.0], np.cumsum(h * (M[1:] + M[:-1]) / 2.0)))
-    return M, Mp, Mpp, I
+    return M, I
 
 
 def _fast_len(n: int) -> int:
@@ -383,66 +327,42 @@ def convolve_end(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
                 - 0.5 * (f[..., 0] * g[..., -1] + g[..., 0] * f[..., -1]))
 
 
-def resolvent(N1: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Resolvent kernel L of N1: solves L + N1*L = N1.
+def resolvent(k: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Resolvent kernel L of a kernel k sampled on grid with k(0) = 0
+    (for example exp(-alpha t) N'): solves L + k*L = k.
 
-    N1(0) = 0 drops both trapezoid end weights, so the product-trapezoid
-    equation is the series division L (1 + h N1) = N1.
+    k(0) = 0 drops both trapezoid end weights, so the product-trapezoid
+    equation is the series division L (1 + h k) = k.
     """
-    if abs(N1[0]) > 1e-14:
-        raise ConfigError("resolvent requires N1(0) = 0")
-    den = grid.h * N1
+    if abs(k[0]) > 1e-14:
+        raise ConfigError("resolvent requires k(0) = 0")
+    den = grid.h * k
     den[0] = 1.0
-    return series_divide(N1, den)
+    return series_divide(k, den)
 
 
 def normalize(spec: KernelSpec, grid: TimeGrid) -> NormalizedKernel:
-    """Normalized kernel N and N' on the shared grid; the N1 fields
-    follow on first read (_n1_fields).
+    """Normalized kernel N and N' on the shared grid.
 
-    Closed-form families get exact derivatives; tabulated input falls
-    back to finite differences with a stability guard.
+    Closed-form families give M and its integral exactly; tabulated
+    input gives them from its samples, with a resolution guard.
     """
     if spec.family == "tabulated":
-        M, _, _, I = _tabulated_m(spec, grid)
+        M, I = _tabulated_m(spec, grid)
     else:
         M, I = _closed_form_m(spec, grid.t)
     gamma = -0.5 * spec.m0()
     alpha = spec.c + gamma
     # a large kernel coefficient overflows the exponentials (exp(-alpha t)
-    # with alpha ~ -M(0)/2); the finite checks report it instead, of N
-    # and N' here and of the N1 fields where they are read
+    # with alpha ~ -M(0)/2); the finite check reports it instead
     with np.errstate(over="ignore", invalid="ignore"):
         Nt = 1.0 + I
         E2 = np.exp(2.0 * gamma * grid.t)
         N = E2 * Nt
         # 2*gamma + M(0) = 0 exactly, so Np[0] is an exact zero
         Np = E2 * (2.0 * gamma * Nt + M)
-    kernel = NormalizedKernel(gamma, alpha, N, Np, grid, spec,
+    kernel = NormalizedKernel(gamma, alpha, N, Np, grid,
                               kernel_terms(spec, gamma))
     kernel.check_finite("N", "Np")
     return kernel
 
-
-def _n1_fields(kernel: NormalizedKernel) -> tuple:
-    """(N1, N1', N1'') of the kernel normalize made, from M, its
-    derivatives and its integral, which are computed again here."""
-    gamma, alpha, t = kernel.gamma, kernel.alpha, kernel.t
-    if kernel.spec.family == "tabulated":
-        M, Mp, Mpp, I = _tabulated_m(kernel.spec, kernel.grid)
-    else:
-        (M, I), (Mp, Mpp) = (_closed_form_m(kernel.spec, t, derivatives)
-                             for derivatives in (False, True))
-    Np = kernel.Np
-    with np.errstate(over="ignore", invalid="ignore"):
-        Nt = 1.0 + I
-        E2 = np.exp(2.0 * gamma * t)
-        Npp = E2 * (4.0 * gamma ** 2 * Nt + 4.0 * gamma * M + Mp)
-        Nppp = E2 * (8.0 * gamma ** 3 * Nt + 12.0 * gamma ** 2 * M
-                     + 6.0 * gamma * Mp + Mpp)
-        Em = np.exp(-alpha * t)
-        N1 = Em * Np
-        N1[0] = 0.0
-        N1p = Em * (Npp - alpha * Np)
-        N1pp = Em * (Nppp - 2.0 * alpha * Npp + alpha ** 2 * Np)
-    return N1, N1p, N1pp

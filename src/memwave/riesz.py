@@ -76,7 +76,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, InternalConsistencyError
-from .grid import TimeGrid, trapezoid_weights
+from .grid import TimeGrid
 
 CONDITION_CAP = 1e8
 # OpenBLAS (0.3, as numpy's wheels ship it) runs a real matrix product of
@@ -345,62 +345,3 @@ def gram(family: SequenceFamily) -> GramReport:
     """Gram matrix plus frame bounds at the nested truncation levels."""
     return gram_sweep([family], (family.grid.steps,))[0][0]
 
-
-def quadratic_closeness(a: SequenceFamily, b: SequenceFamily,
-                        block: int = 8) -> dict:
-    """Per-index squared distances and their tail block sums.
-
-    The block sums are the Cauchy diagnostic: summability of the
-    squared distances is the quadratic-closeness hypothesis of the
-    perturbation theorems, and decreasing blocks are its observable
-    finite-section form.
-    """
-    if a.index_set != b.index_set:
-        raise ConfigError("closeness needs identical index sets")
-    if a.grid.steps != b.grid.steps or a.profiles.shape != b.profiles.shape:
-        raise ConfigError("closeness needs identical grids and member shapes")
-    if not np.array_equal(a.psi, b.psi):
-        raise ConfigError("closeness needs identical boundary traces")
-    # |psi_k (x) (P_k - P'_k)|^2 = psi_k^2 (P_k - P'_k)^2: the profile
-    # difference is taken before squaring, so nothing cancels
-    d2 = ((a.psi ** 2 @ a.gamma_weights)
-          * ((a.profiles - b.profiles) ** 2 @ trapezoid_weights(a.grid)))
-    nblocks = len(d2) // block
-    blocks = [float(np.sum(d2[i * block:(i + 1) * block])) for i in range(nblocks)]
-    return {
-        "index_set": a.index_set,
-        "dist_sq": d2,
-        "block": block,
-        "block_sums": blocks,
-        "total": float(np.sum(d2)),
-    }
-
-
-def paley_wiener_check(family: SequenceFamily, comparator: SequenceFamily,
-                       start: int) -> dict:
-    """Quantitative perturbation bound on the tail families.
-
-    If the comparator tail (members from `start` on) has lower frame
-    bound m and the cumulative squared distance to the family tail is
-    rho < m, then the family tail's lower bound is at least
-    (sqrt(m) - sqrt(rho))^2.  Returns the measured quantities and
-    whether the hypothesis held; when it holds, the implication is
-    asserted against the directly computed bound.
-    """
-    pos = list(range(start, family.count))
-    fam_t = family.subfamily(pos)
-    comp_t = comparator.subfamily(pos)
-    rho = quadratic_closeness(fam_t, comp_t)["total"]
-    m_comp = gram(comp_t).m_N
-    result = {"start": start, "rho": rho, "m_comparator": m_comp,
-              "hypothesis": rho < m_comp}
-    if result["hypothesis"]:
-        predicted = (np.sqrt(m_comp) - np.sqrt(rho)) ** 2
-        measured = gram(fam_t).m_N
-        result["predicted_lower"] = float(predicted)
-        result["measured_lower"] = float(measured)
-        if measured < predicted * (1.0 - 1e-8):
-            raise InternalConsistencyError(
-                f"perturbation bound violated: measured m {measured:.3e} "
-                f"below predicted {predicted:.3e}")
-    return result

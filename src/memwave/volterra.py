@@ -59,19 +59,11 @@ batch keeps z, N*z and N'*z: the real rows U = z + N'*z and V = N*z of
 the memory family (control.viscoelastic_family) are read off them, and
 Z = U + i beta V is never formed.
 
-The refined small-residual route (refined_S / comparator_profile) exists
-because the marched phase error grows like T beta^3 h^2 / 12 and would
-bury the O(1/beta^2) closeness signal at high modes: it recasts S as a
-fixed-kernel integral equation whose quadrature error does not
-accumulate with beta.  It marches nothing and is a batch like the
-marches: transformed_exponential, refined_S and comparator_profile take
-a Spectrum batch (spectral) and return one (K, m+1) row per mode.
-refined_S builds and solves the S equations REFINED_ROWS modes at a
-time (one convolve per kernel field and one series division per chunk,
-each chunk a Spectrum.take of the batch), so no division holds the
-whole batch's spectra.  A row is its one-mode call bit for bit, in any
-batch or chunk: the per-mode scalars that involve a complex division
-are taken in Python complex arithmetic and stacked (_column).
+asymptotic_residual fits the distance of S = exp(-alpha t) Z from the
+pure oscillation exp(i beta t) over a batch of rows it is given; the
+responses experiment gives it the exact rows of exact.s_frame_rows, not
+marched ones, whose phase error grows like T beta^3 h^2 / 12 and would
+bury the O(1/beta) signal at high modes.
 """
 
 from __future__ import annotations
@@ -135,12 +127,6 @@ def growth_envelope(alpha: float, T: float) -> float:
 # Steps per block of the state-space march (fastest of 16..256 at K = 12
 # modes, 7854 steps).
 BLOCK = 64
-
-# Pairs per S equation solved at once in refined_S.  At m = 7854 one
-# chunk of 8 peaks at 11.6 MB (tracemalloc), the 36 fitted modes of a
-# responses run (N_modes 40, h = 1e-3) at 15 MB in chunks against 45 MB
-# in one batch, for ~8% more time (259 against 239 ms).
-REFINED_ROWS = 8
 
 
 def _step_map(terms: KernelTerms, h: float, A, B, Be0, D):
@@ -530,27 +516,6 @@ def compute_responses(kernel: NormalizedKernel,
     return ModalResponses(modes, z, Nz, Npz, ratios, TimeGrid(m * h, m, h))
 
 
-def _column(values) -> np.ndarray:
-    """A (K, 1) complex column of per-mode scalars.  The caller takes
-    each complex quotient in Python complex arithmetic, as a one-mode
-    call would: numpy's complex division rounds differently."""
-    return np.array(values, dtype=complex).reshape(-1, 1)
-
-
-def transformed_exponential(modes: Spectrum, a: float,
-                            t: np.ndarray) -> np.ndarray:
-    """exp(i beta t) + (a/beta) sin(beta t), or 1 + (a + i) t on the
-    degenerate set, one (K, m+1) row per mode: the base profiles of the
-    memoryless family with damping parameter a, and of the comparator
-    and S equations with a = alpha."""
-    beta = modes.beta[:, None]
-    ab = _column([0.0 if J else a / b
-                  for b, J in zip(modes.beta.tolist(), modes.in_J)])
-    out = np.exp(1j * beta * t) + ab * np.sin(beta * t)
-    out[modes.in_J] = 1.0 + (a + 1j) * t
-    return out
-
-
 def _finite_rows(modes: Spectrum, rows: np.ndarray, what: str) -> np.ndarray:
     """rows, or ConvergenceError naming the first mode whose row is not
     finite."""
@@ -561,94 +526,38 @@ def _finite_rows(modes: Spectrum, rows: np.ndarray, what: str) -> np.ndarray:
     return rows
 
 
-def _off_J(modes: Spectrum, what: str):
-    if modes.in_J.any():
-        raise ConfigError(f"{what} needs beta != 0")
+def check_fit_modes(modes: Spectrum) -> None:
+    """ConfigError unless modes are at least 8 modes of real positive
+    beta, the modes asymptotic_residual can fit."""
+    if np.any((modes.beta.imag != 0) | ~(modes.beta.real > 0)):
+        raise ConfigError("asymptotic fit needs real positive beta")
+    if len(modes) < 8:
+        raise ConfigError("asymptotic fit needs at least 8 real-beta modes")
 
 
-def refined_S(kernel: NormalizedKernel, modes: Spectrum) -> np.ndarray:
-    """Mode-uniform S of every mode, one (K, m+1) row each, via its
-    fixed-kernel integral equation.
-
-    S = G + W * S with W = -mu N1 + (mu/beta) Q, where mu is
-    lambda^2/beta^2 and Q = N1'(0) sin(beta t) + N1'' * sin(beta t).
-    W(0) = 0 drops the implicit weight, and the product trapezoid is one
-    series division (kernels.series_divide) per REFINED_ROWS modes, after
-    one convolve per kernel field.  The quadrature error here stays
-    O(h^2) uniformly in beta because the oscillatory factors sit inside
-    nonaccumulating convolutions.  Raises ConvergenceError naming the
-    first N1 field that is not finite (NormalizedKernel.check_finite)
-    before any convolution, and the first mode whose row is not finite
-    (the division spreads an overflow over the whole row, so no step is
-    named).
-    """
-    _off_J(modes, "refined route")
-    kernel.check_finite("N1", "N1p", "N1pp")
-    S = np.empty((len(modes), kernel.grid.steps + 1), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(modes), REFINED_ROWS):
-            rows = slice(start, start + REFINED_ROWS)
-            S[rows] = series_divide(*_S_equation(kernel, modes.take(rows)))
-    return _finite_rows(modes, S, "refined S")
-
-
-def _S_equation(kernel: NormalizedKernel, modes: Spectrum):
-    """The sides of S (1 - h W) = G - h W S(0) / 2, S(0) = G(0), as the
-    (numerator, denominator) of refined_S's series division; the
-    chunk's other fields are released on return."""
-    beta = modes.beta.tolist()
-    mu = [lam / (b * b) for lam, b in zip(modes.lambda_sq.tolist(), beta)]
-    t, h = kernel.t, kernel.h
-    sb = np.sin(modes.beta[:, None] * t)
-    base = transformed_exponential(modes, kernel.alpha, t)
-    G = base + convolve(kernel.N1, base, h)
-    Q = kernel.N1p[0] * sb + convolve(kernel.N1pp, sb, h)
-    W = -_column(mu) * kernel.N1 \
-        + _column([m / b for m, b in zip(mu, beta)]) * Q
-    den = -h * W
-    den[:, 0] = 1.0
-    return G - 0.5 * h * G[:, :1] * W, den
-
-
-def comparator_profile(kernel: NormalizedKernel,
-                       modes: Spectrum) -> np.ndarray:
-    """Transformed-exponential comparators, one (K, m+1) row per mode,
-    for the closeness study.
-
-    C = base + (1/2) R * (t E) with R = N1' - L * N1',
-    E = exp(i beta t) and base = E + (alpha/beta) sin(beta t)
-    (transformed_exponential).  R does not depend on the mode and is
-    formed once.  The sine correction in the base is what keeps S - C at
-    O(1/beta^2) when alpha != 0; with alpha = 0 the base degenerates to
-    the bare exponential.  An N1 field that is not finite raises
-    ConvergenceError before any convolution.
-    """
-    _off_J(modes, "comparator")
-    kernel.check_finite("N1", "N1p", "N1pp")
-    t, h = kernel.t, kernel.h
-    R = kernel.N1p - convolve(kernel.L, kernel.N1p, h)
-    E = np.exp(1j * modes.beta[:, None] * t)
-    return transformed_exponential(modes, kernel.alpha, t) \
-        + 0.5 * convolve(R, t * E, h)
+# Residuals at or below this many eps times (1 + beta T) max_t |S_n| are
+# rounding, the phase error of exp(i beta t) at t <= T, and count as zero
+FIT_FLOOR_EPS = 8
 
 
 def asymptotic_residual(modes: Spectrum, S: np.ndarray, h: float) -> dict:
     """Distance of each S_n from its pure oscillation, with a decay fit.
 
-    Row i of S, sampled at j h, belongs to row i of modes, a mode of real
-    positive beta.  r_n = sup norm of S_n - exp(i beta_n t); the log-log
-    slope against beta over the supplied modes is the headline number.
-    A row that is not finite raises ConvergenceError naming its mode.
+    Row i of S, sampled at j h, belongs to row i of modes
+    (check_fit_modes).  r_n = sup norm of S_n - exp(i beta_n t); the
+    log-log slope against beta over the modes whose r_n lies above its
+    rounding floor (FIT_FLOOR_EPS) is the headline number.  A row that
+    is not finite raises ConvergenceError naming its mode; fewer than
+    two residuals above the floor, a ConfigError.
     """
-    betas = modes.beta.real
-    if np.any((modes.beta.imag != 0) | ~(betas > 0)):
-        raise ConfigError("asymptotic fit needs real positive beta")
-    if len(modes) < 8:
-        raise ConfigError("asymptotic fit needs at least 8 real-beta modes")
+    check_fit_modes(modes)
     _finite_rows(modes, S, "S")
+    betas = modes.beta.real
     t = np.arange(S.shape[1]) * h
     sups = np.max(np.abs(S - np.exp(1j * betas[:, None] * t)), axis=1)
-    ok = sups > 0
+    floor = FIT_FLOOR_EPS * np.finfo(float).eps * (1.0 + betas * t[-1]) \
+        * np.max(np.abs(S), axis=1)
+    ok = sups > floor
     if int(ok.sum()) < 2:
         raise ConfigError(
             "asymptotic fit is degenerate: residuals vanish identically "

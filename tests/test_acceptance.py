@@ -21,12 +21,13 @@ import pytest
 from memwave import (DomainSpec, KernelSpec, NotControllableError,
                      SequenceFamily, TargetState, TimeGrid,
                      achieved_coefficients, asymptotic_residual,
-                     build_moment_problem, comparator_profile,
-                     compute_eigenpairs, compute_responses, gram, make_grid,
-                     march_modal, normalize, quadratic_closeness, refined_S,
-                     simulate_convolution, sturm_liouville_eigs, synthesize,
-                     telegraph_family, viscoelastic_family)
+                     build_moment_problem, compute_eigenpairs,
+                     compute_responses, gram, make_grid, march_modal,
+                     normalize, simulate_convolution, sturm_liouville_eigs,
+                     synthesize, telegraph_family, trapezoid_weights,
+                     viscoelastic_family)
 from memwave.cli import main
+from memwave.exact import s_frame_rows
 from memwave.riesz import CONDITION_CAP
 from memwave.volterra import _forcing_factors
 
@@ -131,42 +132,42 @@ def test_criterion_3_two_route_consistency():
             max(gaps.values()) < 1e-5)
 
 
+def _s_rows(kernel, modes):
+    return s_frame_rows(kernel.terms, kernel.alpha, modes, kernel.t)
+
+
 def test_criterion_4_residual_slope(master):
     ker_pi, _ = master.restrict(PI)
     usable = master.modes.take(slice(4, None))
-    fit = asymptotic_residual(usable, refined_S(ker_pi, usable), ker_pi.h)
+    fit = asymptotic_residual(usable, _s_rows(ker_pi, usable), ker_pi.h)
     slope = fit["slope"]
     _report(4, f"high-mode residual slope {slope:.4f} (want -1.0 +/- 0.15)",
             abs(slope + 1.0) <= 0.15)
 
 
 def test_criterion_5_quadratic_closeness(master):
+    # the memory family in the S frame, the real rows sqrt2 U / beta and
+    # sqrt2 V of exp(-alpha t) Z = exp(-alpha t) (U + i beta V), against
+    # the telegraph rows with damping alpha, whose U + i beta V is
+    # exp(i beta t) + (alpha / beta) sin(beta t): a member's squared
+    # distance is |psi|^2 times the squared distance of its profiles
     ker_pi, _ = master.restrict(PI)
     modes = master.modes
-    scale = 1.0 / modes.beta[:, None]
-    # the trace of mode n times the real and the imaginary part of
-    # S_n / beta_n and C_n / beta_n, as the rows (+n, -n): a mode's two
-    # squared distances sum to that of the complex profiles
-    idx = tuple(x for n in modes.index.tolist() for x in (n, -n))
-    psi = np.repeat(modes.trace, 2, axis=0)
-
-    def split(Z):
-        return np.stack([Z.real, Z.imag], axis=1).reshape(-1, Z.shape[1])
-    out = quadratic_closeness(
-        SequenceFamily(split(refined_S(ker_pi, modes) * scale), idx, "S",
-                       ker_pi.grid, psi=psi),
-        SequenceFamily(split(comparator_profile(ker_pi, modes) * scale), idx,
-                       "C", ker_pi.grid, psi=psi),
-        block=16)
-    d2 = np.asarray(out["dist_sq"])
+    tel = telegraph_family(modes, ker_pi.alpha, ker_pi.grid)
+    S = _s_rows(ker_pi, modes) * (np.sqrt(2.0) / modes.beta[:, None])
+    rows = np.stack([S.real, S.imag], axis=1).reshape(tel.profiles.shape)
+    d2 = ((tel.psi ** 2 @ tel.gamma_weights)
+          * ((rows - tel.profiles) ** 2 @ trapezoid_weights(ker_pi.grid)))
     dist = np.sqrt(d2[::2] + d2[1::2])
     ns = np.arange(1, 41.0)
     slope = _logfit(ns[ns >= 5], dist[ns >= 5])
-    blocks = np.asarray(out["block_sums"])
+    blocks = d2.reshape(-1, 16).sum(axis=1)
     decreasing = bool(np.all(np.diff(blocks) < 0))
     _report(5, f"per-index distance slope {slope:.4f} "
-               f"(want -2.0 +/- 0.3), blocks decreasing={decreasing}",
-            abs(slope + 2.0) <= 0.3 and decreasing)
+               f"(want -1.0 +/- 0.15), blocks of 16 "
+               f"{np.array2string(blocks, precision=3)} "
+               f"decreasing={decreasing}",
+            abs(slope + 1.0) <= 0.15 and decreasing)
 
 
 def test_criterion_6_plateau_collapse(master):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from memwave import ConfigError, SequenceFamily, make_grid
-from memwave import cli, control, exact, kernels, volterra
+from memwave import cli, control, exact, volterra
 from memwave.cli import _write_artifacts, main
 from memwave.config import EXPERIMENTS, config_hash, from_dict, load
 
@@ -34,8 +34,7 @@ def base(experiment="spectrum", **extra):
 def tabulated_exp(T, h):
     """M = exp(-t) as a tabulated kernel section on the grid of (T, h)."""
     m = np.exp(-make_grid(T, h).t)
-    return {"family": "tabulated", "samples": m.tolist(),
-            "samples_d1": (-m).tolist(), "samples_d2": m.tolist()}
+    return {"family": "tabulated", "samples": m.tolist()}
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -528,21 +527,19 @@ def test_cli_non_finite_artifact_exits_three(tmp_path, capsys):
 def test_cli_kernel_overflow_exits_three_at_normalize(tmp_path, capsys):
     # a huge negative kernel coefficient overflows the exponential
     # rescaling of N; the run stops in normalize, before any warning or
-    # artifact.  A huge positive one overflows only the N1 fields, which
-    # the refined route of responses reads: it stops there
-    for command, doc, coefficient, field in (
-            ("gram", base("gram", T=2.5 * PI, K=3), -1e6, "field N "),
-            ("responses", base("responses", T=2.5 * PI, N_modes=12), 1e6,
-             "field N1 ")):
+    # artifact, and responses, which writes N and N', stops there too
+    for command, doc in (("gram", base("gram", T=2.5 * PI, K=3)),
+                         ("responses", base("responses", T=2.5 * PI,
+                                            N_modes=12))):
         doc["kernel"] = {"family": "exponential_sum",
-                         "coefficients": [coefficient], "rates": [1.0]}
+                         "coefficients": [-1e6], "rates": [1.0]}
         store = tmp_path / command
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run(tmp_path, doc, out=store, grid_h=1e-2)
         assert code == 3
         err = capsys.readouterr().err
-        assert "normalize" in err and field in err and "step 1 " in err
+        assert "normalize" in err and "field N " in err and "step 1 " in err
         assert not store.exists()
 
 
@@ -999,7 +996,7 @@ def test_cli_gram_fails_closed(tmp_path, length, c, family, coefficients,
 
 
 def test_cli_responses_makes_no_march(tmp_path, monkeypatch):
-    # responses reads the refined S batch only: no mode is marched
+    # responses reads the exact S-frame rows only: no mode is marched
     def refuse(*args, **kwargs):
         raise AssertionError("responses marched")
     for module, name in ((volterra, "march_modal"),
@@ -1010,46 +1007,57 @@ def test_cli_responses_makes_no_march(tmp_path, monkeypatch):
     assert run(tmp_path, doc, out=tmp_path / "store", grid_h=2e-2) == 0
 
 
-def test_cli_runs_but_responses_compute_no_n1_field(tmp_path, monkeypatch):
-    # N1, N1' and N1'' are computed on first read, and only responses
-    # reads them: verify (interval, and a tabulated kernel), synthesize
-    # on the rectangle and both routes of sweep-t never do
-    calls = []
-    n1_fields = kernels._n1_fields
-    monkeypatch.setattr(kernels, "_n1_fields",
-                        lambda kernel: calls.append(1) or n1_fields(kernel))
-    sweep = {"T_min": 1.5 * PI, "T_max": 2.5 * PI, "steps": 3}
-    # exp(-t) on the sweep's own grid, which the exact route refuses
-    t = cli._sweep_grid(from_dict(base("sweep-T", sweep=sweep, h=0.02)))[0].t
-    tabulated = {"family": "tabulated", "samples": np.exp(-t).tolist()}
-    for doc in (base("verify", T=2.5 * PI, K=2, K_sim=3, target="random",
-                     seed=1, kernel=EXP),
-                base("verify", T=2.5 * PI, K=2, K_sim=3, target="random",
-                     seed=1, kernel=tabulated_exp(2.5 * PI, 0.02)),
-                base("synthesize", T=2.5 * PI, K=2, target="random", seed=1,
-                     kernel=EXP, domain={"geometry": "rectangle",
-                                         "lengths": [PI, PI],
-                                         "gamma_subset": ["right"]}),
-                base("sweep-T", K=3, kernel=EXP, sweep=sweep),
-                base("sweep-T", K=3, kernel=tabulated, sweep=sweep)):
-        command = doc["experiment"].lower()
-        assert run(tmp_path, doc, command=command, out=tmp_path / "store",
-                   grid_h=0.02) == 0, command
-    assert calls == []
-    doc = base("responses", T=2.5 * PI, N_modes=12, kernel=EXP)
-    assert run(tmp_path, doc, out=tmp_path / "store", grid_h=2e-2) == 0
-    assert calls == [1]
-
-
 def test_cli_responses_refuses_a_non_finite_S(tmp_path, capsys):
-    # the kernel overflows the S equation at this step: exit 3, no artifacts
-    doc = base("responses", T=6.42, N_modes=13,
-               kernel={"family": "polynomial", "coefficients": [-0.034, 4.2e7]},
-               domain={"geometry": "interval", "lengths": [2.11], "c": 0.03})
-    store = tmp_path / "store"
-    assert run(tmp_path, doc, out=store, grid_h=0.062) == 3
-    assert "refined S of mode 5 is not finite" in capsys.readouterr().err
-    assert not store.exists()
+    # S grows past the double range within the horizon: exit 3, no
+    # artifacts.  On the last two the grid S route wrote ~4e170 and
+    # exited 0 (the true S reaches e^705 in the first)
+    for length, c, coefficients, T, N_modes, h in (
+            (2.11, 0.03, [-0.034, 4.2e7], 6.42, 13, 0.062),
+            (0.7321692555645317, -0.604058312458915,
+             [2.311555764447383, 79333264.63565814], 2.2883474940884687, 16,
+             0.09200358528402697),
+            (2.7190176849375827, -0.8959566199253644,
+             [3.0440082459747035, -34885010.15044227], 3.9103225203401504,
+             12, 0.09022818704734627)):
+        doc = base("responses", T=T, N_modes=N_modes,
+                   kernel={"family": "polynomial",
+                           "coefficients": coefficients},
+                   domain={"geometry": "interval", "lengths": [length],
+                           "c": c})
+        store = tmp_path / "store"
+        assert run(tmp_path, doc, out=store, grid_h=h) == 3
+        assert "S of mode 5 is not finite" in capsys.readouterr().err
+        assert not store.exists()
+
+
+def test_cli_responses_exit_codes(tmp_path, capsys):
+    # the exact route's refusals, each with nothing written: a tabulated
+    # kernel has no closed form (exit 2); M = -exp(-t) normalises to
+    # N = 1, whose Den shares the root w = 0 with Q, so exact_modes
+    # refuses the modes (exit 3); the zero kernel leaves residuals at
+    # rounding, ~1e-14, which fit nothing (exit 2; they used to give a
+    # slope)
+    common = dict(T=2.5 * PI, N_modes=12)
+    for kernel, code, message in (
+            (tabulated_exp(2.5 * PI, 0.02), 2, "closed-form kernel"),
+            ({"family": "exponential_sum", "coefficients": [-1.0],
+              "rates": [1.0]}, 3, "exact_modes refuses"),
+            ({"family": "zero"}, 2, "residuals vanish identically")):
+        store = tmp_path / "store"
+        doc = base("responses", kernel=kernel, **common)
+        assert run(tmp_path, doc, out=store, grid_h=0.02) == code, message
+        assert message in capsys.readouterr().err
+        assert not store.exists()
+
+
+def test_cli_tabulated_derivative_keys_are_unknown(tmp_path, capsys):
+    # nothing reads M' or M'': a config that supplies them is refused
+    for key in ("samples_d1", "samples_d2"):
+        kernel = dict(tabulated_exp(2.5 * PI, 0.02), **{key: [0.0]})
+        doc = base("gram", T=2.5 * PI, K=2, kernel=kernel)
+        assert run(tmp_path, doc, out=tmp_path / "store", grid_h=0.02) == 2
+        assert f"kernel.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
 
 
 @settings(max_examples=25, deadline=None,
@@ -1061,12 +1069,21 @@ def test_cli_responses_refuses_a_non_finite_S(tmp_path, capsys):
                              min_size=1, max_size=2),
        rate=st.floats(0.0, 5.0), T=st.floats(0.5, 8.0),
        N_modes=st.integers(12, 20), h=st.floats(1e-2, 0.1))
-# a non-finite refined S (exit 3), and a config the modal march refused
-# although refined S resolves it
+# a non-finite S (exit 3), and a config the modal march refused although
+# the S rows resolve it
 @example(length=2.11, c=0.03, family="polynomial",
          coefficients=[-0.034, 4.2e7], rate=0.0, T=6.42, N_modes=13, h=0.062)
 @example(length=3.91, c=-1.57, family="exponential_sum", coefficients=[-4.82],
          rate=0.956, T=3.89, N_modes=15, h=0.031)
+# S grows past the double range (e^705 in the first), where the grid S
+# route wrote ~4e170 and exited 0: exit 3
+@example(length=0.7321692555645317, c=-0.604058312458915, family="polynomial",
+         coefficients=[2.311555764447383, 79333264.63565814], rate=0.0,
+         T=2.2883474940884687, N_modes=16, h=0.09200358528402697)
+@example(length=2.7190176849375827, c=-0.8959566199253644,
+         family="polynomial",
+         coefficients=[3.0440082459747035, -34885010.15044227], rate=0.0,
+         T=3.9103225203401504, N_modes=12, h=0.09022818704734627)
 def test_cli_responses_fails_closed(tmp_path, length, c, family, coefficients,
                                     rate, T, N_modes, h):
     # any small interval responses config ends in a documented exit code,

@@ -3,13 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
-                     NormalizedKernel, TimeGrid, comparator_profile,
-                     compute_eigenpairs, convolve, convolve_end, make_grid,
-                     normalize, refined_S, resolvent)
-from memwave.kernels import (_closed_form_m, _fast_len, _tabulated_m,
-                             decay_integral, kernel_terms, series_divide,
-                             series_product)
+from memwave import (ConfigError, ConvergenceError, KernelSpec,
+                     NormalizedKernel, TimeGrid, convolve, convolve_end,
+                     make_grid, normalize, resolvent)
+from memwave.kernels import (_fast_len, decay_integral, kernel_terms,
+                             series_divide, series_product)
 
 # closed forms used as oracles below (single decaying exponential M = e^{-t}):
 #   gamma = -1/2, N(t) = 2 e^{-t} - e^{-2t}
@@ -31,14 +29,12 @@ def test_zero_kernel_normalizes_to_one(grid):
     assert ker.gamma == 0.0
     assert np.array_equal(ker.N, np.ones(len(grid)))
     assert np.array_equal(ker.Np, np.zeros(len(grid)))
-    assert np.max(np.abs(ker.N1)) == 0.0
 
 
 def test_normalization_endpoint_identities(exp_kernel):
     # the rescaling is built to give N(0)=1 and N'(0)=0 exactly in floats
     assert exp_kernel.N[0] == 1.0
     assert exp_kernel.Np[0] == 0.0
-    assert exp_kernel.N1[0] == 0.0
     assert exp_kernel.gamma == -0.5
     assert exp_kernel.alpha == -0.5
 
@@ -48,8 +44,6 @@ def test_exponential_kernel_closed_form(exp_kernel, grid):
     assert np.max(np.abs(exp_kernel.N - (2 * np.exp(-t) - np.exp(-2 * t)))) < 1e-12
     expected_Np = -2 * np.exp(-t) + 2 * np.exp(-2 * t)
     assert np.max(np.abs(exp_kernel.Np - expected_Np)) < 1e-12
-    # N1 = e^{-alpha t} N' with alpha = -1/2
-    assert np.max(np.abs(exp_kernel.N1 - np.exp(0.5 * t) * expected_Np)) < 1e-12
 
 
 def test_polynomial_kernel_normalization():
@@ -248,6 +242,12 @@ def test_series_divide_matches_toeplitz_solve(m, dtype, shape):
                                                     at(den, row).copy()))
 
 
+def n1_of(kernel):
+    """N1 = exp(-alpha t) N', the kernel whose resolvent the tests take;
+    N'(0) = 0 exactly, so N1(0) is an exact zero."""
+    return np.exp(-kernel.alpha * kernel.t) * kernel.Np
+
+
 def direct_resolvent(N1, h):
     """Reference resolvent: the product-trapezoid march of L + N1*L = N1,
     O(m^2); N1(0) = 0 makes each step explicit."""
@@ -264,9 +264,10 @@ def direct_resolvent(N1, h):
 ])
 def test_resolvent_matches_direct_march(spec):
     grid = make_grid(2.5 * np.pi, 1e-3)
-    ker = normalize(spec, grid)
-    ref = direct_resolvent(ker.N1, grid.h)
-    assert np.max(np.abs(ker.L - ref)) <= 1e-12 * np.max(np.abs(ref))
+    N1 = n1_of(normalize(spec, grid))
+    ref = direct_resolvent(N1, grid.h)
+    assert np.max(np.abs(resolvent(N1, grid) - ref)) \
+        <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_resolvent_sine_oracle(grid):
@@ -277,15 +278,17 @@ def test_resolvent_sine_oracle(grid):
 
 def test_resolvent_identity_holds(exp_kernel, grid):
     # defining equation L + N1*L = N1 checked by substitution
-    L = exp_kernel.L
-    lhs = L + convolve(exp_kernel.N1, L, grid.h)
-    assert np.max(np.abs(lhs - exp_kernel.N1)) < 1e-8
+    N1 = n1_of(exp_kernel)
+    L = resolvent(N1, grid)
+    lhs = L + convolve(N1, L, grid.h)
+    assert np.max(np.abs(lhs - N1)) < 1e-8
 
 
 def test_restrict_slices_every_field(exp_kernel):
     r = exp_kernel.restrict(500)
     assert r.grid.steps == 500
-    for name in ("N", "Np", "N1", "N1p", "N1pp", "L"):
+    assert r.terms == exp_kernel.terms
+    for name in ("N", "Np", "t"):
         assert np.array_equal(getattr(r, name), getattr(exp_kernel, name)[:501]), name
 
 
@@ -325,71 +328,17 @@ def test_kernel_terms_families():
     assert kernel_terms(KernelSpec("tabulated", samples=np.ones(3)), 0.0) is None
 
 
-def test_resolvent_is_lazy(exp_kernel):
-    ker = exp_kernel.restrict(300)
-    assert "L" not in vars(ker)
-    assert np.array_equal(ker.L, exp_kernel.L[:301])
-
-
-def test_nested_restriction_reads_the_outermost_resolvent(exp_kernel):
-    inner = exp_kernel.restrict(700).restrict(200)
-    assert inner.parent is exp_kernel
-    assert np.array_equal(inner.L, exp_kernel.L[:201])
-
-
-def _eager_n1_fields(M, Mp, Mpp, I, gamma, alpha, t):
-    """N1, N1' and N1'' by the derivative chain of the module docstring,
-    each evaluated in the one expression normalize has always used."""
-    Nt = 1.0 + I
-    E2 = np.exp(2.0 * gamma * t)
-    Np = E2 * (2.0 * gamma * Nt + M)
-    Npp = E2 * (4.0 * gamma ** 2 * Nt + 4.0 * gamma * M + Mp)
-    Nppp = E2 * (8.0 * gamma ** 3 * Nt + 12.0 * gamma ** 2 * M
-                 + 6.0 * gamma * Mp + Mpp)
-    Em = np.exp(-alpha * t)
-    N1 = Em * Np
-    N1[0] = 0.0
-    return (N1, Em * (Npp - alpha * Np),
-            Em * (Nppp - 2.0 * alpha * Npp + alpha ** 2 * Np))
-
-
-@pytest.mark.parametrize("spec", [
-    KernelSpec("zero", c=0.3),
-    KernelSpec("exponential_sum", c=0.2, coefficients=(1.0, 0.5),
-               rates=(1.0, 3.0)),
-    KernelSpec("polynomial", coefficients=(1.0, -1.0, 0.25)),
-    KernelSpec("tabulated", samples=np.exp(-make_grid(2.0, 1e-3).t))])
-def test_n1_fields_are_computed_on_first_read_bit_for_bit(grid, spec):
-    # normalize makes N and N' alone; the N1 fields, read later, carry
-    # the bits of the eager derivative chain, and a restriction's are
-    # the slices of its parent's
-    ker = normalize(spec, grid)
-    assert "_n1" not in vars(ker)
-    t = grid.t
-    if spec.family == "tabulated":
-        M, Mp, Mpp, I = _tabulated_m(spec, grid)
-    else:
-        (M, I), (Mp, Mpp) = (_closed_form_m(spec, t, derivatives)
-                             for derivatives in (False, True))
-    want = _eager_n1_fields(M, Mp, Mpp, I, ker.gamma, ker.alpha, t)
-    inner = ker.restrict(700).restrict(200)
-    for name, field in zip(("N1", "N1p", "N1pp"), want):
-        assert np.array_equal(getattr(ker, name).view(np.uint64),
-                              field.view(np.uint64)), name
-        assert np.array_equal(getattr(inner, name), field[:201]), name
-    assert np.shares_memory(inner.N1, ker.N1)
-
-
 def test_tabulated_kernel_matches_closed_form(grid):
     t = grid.t
     m = np.exp(-t)
-    ker_tab = normalize(KernelSpec("tabulated", samples=m, samples_d1=-m,
-                                   samples_d2=m), grid)
+    ker_tab = normalize(KernelSpec("tabulated", samples=m), grid)
     ker_cf = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
                                   rates=(1.0,)), grid)
-    # exact derivative samples, but the running integral of M is O(h^2)
-    assert np.max(np.abs(ker_tab.N - ker_cf.N)) < 1e-7
-    assert np.max(np.abs(ker_tab.N1 - ker_cf.N1)) < 1e-7
+    # exact samples of M, but the running integral of M is O(h^2)
+    assert ker_tab.terms is None
+    for name in ("N", "Np"):
+        assert np.max(np.abs(getattr(ker_tab, name)
+                             - getattr(ker_cf, name))) < 1e-7, name
 
 
 def test_tabulated_without_derivatives_differentiates(grid):
@@ -403,7 +352,7 @@ def test_tabulated_rough_data_rejected():
     g = TimeGrid(1.0, 50)   # deliberately coarse
     rng = np.random.default_rng(0)
     noisy = np.exp(-g.t) + 50.0 * rng.standard_normal(len(g))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="too rough for its grid"):
         normalize(KernelSpec("tabulated", samples=noisy), g)
 
 
@@ -427,20 +376,13 @@ def test_normalize_overflow_fails_closed():
     assert err.value.exit_code == 3
     assert "normalize" in str(err.value) and "field N " in str(err.value)
     assert "step 1 " in str(err.value)
-    # M(0) = 1e6 overflows exp(-alpha t) only, so N1 and its derivatives:
-    # normalize passes, and the refined route, which reads them, stops
-    # before its first convolution
+    # M(0) = 1e6 makes exp(2 gamma t) underflow instead: N and N' are
+    # finite (zero from step 1 on), and normalize passes
     spec = KernelSpec("exponential_sum", coefficients=(1e6,), rates=(1.0,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         kernel = normalize(spec, make_grid(2.5 * np.pi, 1e-2))
-        modes = compute_eigenpairs(DomainSpec("interval", (np.pi,)), 3,
-                                   alpha=kernel.alpha)
-        for route in (refined_S, comparator_profile):
-            with pytest.raises(ConvergenceError) as err:
-                route(kernel, modes)
-            assert "field N1 " in str(err.value)
-            assert "step 1 " in str(err.value)
+    assert np.all(np.isfinite(kernel.N)) and np.all(np.isfinite(kernel.Np))
 
 
 def test_vanishing_rate_takes_rate_zero_limit():

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memwave import (ConfigError, InternalConsistencyError, SequenceFamily,
-                     TimeGrid, gram, gram_reports, gram_sweep,
-                     paley_wiener_check, quadratic_closeness)
+                     TimeGrid, gram, gram_reports, gram_sweep)
 from memwave.exact import _exponential_time_grams
 from memwave.riesz import cholesky_solve, nested_levels
 
@@ -302,40 +301,6 @@ def test_cosine_bound_vs_exponential_bound():
     m_exp = 2.0 * gram(fourier_family(12, 2 * PI)).m_N
     assert m_cos >= m_exp / 8.0
     assert m_cos == pytest.approx(m_exp / 4.0, rel=1e-6)
-
-
-# ------------------------------------------------------------ closeness
-
-
-def test_quadratic_closeness_exact_values():
-    fam = fourier_family(8, 2 * PI)
-    eps = np.array([1.0 / abs(n) ** 2 for n in fam.index_set])
-    other = SequenceFamily(fam.profiles + eps[:, None],
-                           fam.index_set, "shifted", fam.grid)
-    out = quadratic_closeness(fam, other, block=4)
-    expected = eps ** 2 * 2 * PI      # constant offset of norm |eps| each
-    assert np.max(np.abs(out["dist_sq"] - expected)) < 1e-10
-    sums = out["block_sums"]
-    assert all(sums[i] > sums[i + 1] for i in range(len(sums) - 1))
-    assert out["total"] == pytest.approx(float(np.sum(expected)), rel=1e-10)
-
-
-def test_closeness_requires_matching_index_sets():
-    a = fourier_family(3, 2 * PI)
-    b = fourier_family(4, 2 * PI)
-    with pytest.raises(ConfigError):
-        quadratic_closeness(a, b)
-
-
-def test_paley_wiener_tail_bound():
-    exact = fourier_family(10, 2 * PI)
-    wobble = np.array([0.02 / abs(n) for n in exact.index_set])
-    perturbed = SequenceFamily(exact.profiles + wobble[:, None],
-                               exact.index_set, "perturbed", exact.grid)
-    out = paley_wiener_check(perturbed, exact, start=4)
-    assert out["hypothesis"]
-    assert out["measured_lower"] >= out["predicted_lower"] * (1 - 1e-8)
-    assert out["rho"] < out["m_comparator"]
 
 
 # --------------------------------------------------------- decay checks

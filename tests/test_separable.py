@@ -11,8 +11,7 @@ import pytest
 from memwave import (ConfigError, DomainSpec, KernelSpec, SequenceFamily,
                      TargetState, build_moment_problem,
                      compute_eigenpairs, compute_responses, gram,
-                     make_grid, normalize, quadratic_closeness, synthesize,
-                     viscoelastic_family)
+                     make_grid, normalize, synthesize, viscoelastic_family)
 from memwave.control import _RealPasses
 from memwave.grid import trapezoid_weights
 
@@ -113,23 +112,6 @@ def test_restrict_and_subfamily_match_dense(rect_family):
     assert sub.index_set == tuple(fam.index_set[p] for p in pos)
     assert np.array_equal(sub.members, members[pos])
     assert rel_err(gram(sub).gram, dense_gram(members[pos], weights)) < 1e-12
-
-
-def test_quadratic_closeness_matches_dense(rect_family):
-    fam = rect_family
-    t = fam.grid.t
-    wobble = 1e-3 * np.exp(-t)[None, :] / np.arange(1, fam.count + 1)[:, None]
-    other = SequenceFamily(fam.profiles * (1.0 + wobble), fam.index_set,
-                           "wobbled", fam.grid, fam.gamma_weights, fam.psi)
-    a, weights = dense(fam)
-    b, _ = dense(other)
-    want = np.sum(np.abs(a - b) ** 2 * weights, axis=(1, 2))
-    out = quadratic_closeness(fam, other, block=2)
-    assert rel_err(out["dist_sq"], want) < 1e-12
-    moved = SequenceFamily(fam.profiles, fam.index_set, "moved", fam.grid,
-                           fam.gamma_weights, 2.0 * fam.psi)
-    with pytest.raises(ConfigError):
-        quadratic_closeness(fam, moved)
 
 
 def test_synthesized_control_matches_dense(rect_family, rect_modes):

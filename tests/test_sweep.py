@@ -122,8 +122,7 @@ def tabulated_on_sweep_grid(sec, h):
                                                "lengths": [PI]},
            "kernel": {"family": "zero"}, "K": 1, "sweep": sec, "h": h}
     m = np.exp(-_sweep_grid(from_dict(doc))[0].t)
-    return {"family": "tabulated", "samples": m.tolist(),
-            "samples_d1": (-m).tolist(), "samples_d2": m.tolist()}
+    return {"family": "tabulated", "samples": m.tolist()}
 
 
 SEC = {"T_min": 1.5 * PI, "T_max": 2.5 * PI, "steps": 3}

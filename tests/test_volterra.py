@@ -7,16 +7,16 @@ import pytest
 
 from memwave import volterra
 from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
-                     Spectrum, asymptotic_residual, comparator_profile,
-                     compute_eigenpairs, compute_responses, TimeGrid,
-                     convolve, make_grid, march_modal, normalize, refined_S)
+                     Spectrum, asymptotic_residual, compute_eigenpairs,
+                     compute_responses, TimeGrid, convolve, make_grid,
+                     march_modal, normalize, telegraph_family)
 from memwave import InternalConsistencyError
 from memwave.cli import main
 from memwave.kernels import kernel_terms
-from memwave.exact import exact_modes, transformed_exponential_terms
+from memwave.exact import (exact_modes, s_frame_rows,
+                           transformed_exponential_terms)
 from memwave.volterra import (BLOCK, _consistency_tol, _forcing_factors,
-                              _z_route_gaps, growth_envelope,
-                              transformed_exponential)
+                              _z_route_gaps, growth_envelope)
 
 from family_reference import S_of, Z_of
 
@@ -107,12 +107,12 @@ def test_degenerate_mode_closed_form():
     t = ker.t
     exactZ = np.exp(c * t) * (1.0 + (c + 1j) * t)
     assert np.max(np.abs(Z_of(r)[0] - exactZ)) < 2e-6
-    # S = e^{-alpha t} Z follows 1 + (c + i) t; with N1 = 0 the right-hand
-    # side G of the S equation is exactly its transformed-exponential base
+    # S = e^{-alpha t} Z follows 1 + (c + i) t, which is U + i V of the
+    # telegraph rows U = 1 + c t and V = t (each scaled by sqrt2 alone)
     exactS = 1.0 + (c + 1j) * t
     assert np.max(np.abs(S_of(r, ker.alpha)[0] - exactS)) < 2e-6
-    assert np.max(np.abs(transformed_exponential(modes, c, t)[0] - exactS)) \
-        < 1e-12
+    U, V = telegraph_family(modes, c, ker.grid).profiles / np.sqrt(2.0)
+    assert np.max(np.abs(U + 1j * V - exactS)) < 1e-12
 
 
 # ------------------------------------------------- cross-route consistency
@@ -258,7 +258,7 @@ def direct_march(kernel, lam_sq, alpha, y0=1.0, forcing=None):
 
 def _tabulated_exp(grid):
     m = np.exp(-grid.t)
-    return KernelSpec("tabulated", samples=m, samples_d1=-m, samples_d2=m)
+    return KernelSpec("tabulated", samples=m)
 
 
 ORACLE_KERNELS = {
@@ -497,85 +497,89 @@ def test_marched_Z_matches_the_complex_march(family):
         assert np.max(np.abs(Zm - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-# ------------------------------------------------------- refined S and G
+# ------------------------------------------------------ exact S-frame rows
 
 
-def test_refined_S_matches_direct_at_low_modes(memory_kernel):
+def s_rows(kernel, modes):
+    """The exact S-frame rows of modes on the kernel's grid."""
+    return s_frame_rows(kernel.terms, kernel.alpha, modes, kernel.t)
+
+
+def test_s_frame_rows_match_the_march_at_low_modes(memory_kernel):
     modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 5, alpha=-0.5)
     S = S_of(compute_responses(memory_kernel, modes), memory_kernel.alpha)
-    Sr = refined_S(memory_kernel, modes)
-    assert Sr.shape == S.shape
-    assert np.all(np.max(np.abs(Sr - S), axis=1) < 5e-5)
-
-
-def direct_refined_S(kernel, mode):
-    """Reference refined S of a one-mode batch: the product-trapezoid
-    march of S = G + W*S, O(m^2), on the same G and W as refined_S
-    (W(0) = 0 makes each step explicit)."""
-    (b,), (lam,) = mode.beta.tolist(), mode.lambda_sq.tolist()
-    mu = lam / (b * b)
-    t, h = kernel.t, kernel.h
-    sb = np.sin(b * t)
-    base = transformed_exponential(mode, kernel.alpha, t)[0]
-    G = base + convolve(kernel.N1, base, h)
-    Q = kernel.N1p[0] * sb + convolve(kernel.N1pp, sb, h)
-    W = -mu * kernel.N1 + (mu / b) * Q
-    S = np.empty(len(t), dtype=complex)
-    S[0] = G[0]
-    for j in range(1, len(t)):
-        acc = np.dot(W[j - 1:0:-1], S[1:j]) if j > 1 else 0.0
-        S[j] = G[j] + h * (0.5 * W[j] * S[0] + acc)
-    return S
+    Se = s_rows(memory_kernel, modes)
+    assert Se.shape == S.shape
+    assert np.all(np.max(np.abs(Se - S), axis=1) < 5e-5)
 
 
 @pytest.mark.parametrize("spec", [
     KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,)),
     KernelSpec("polynomial", coefficients=(1.0, -0.5, 0.2), c=0.3),
 ])
-def test_refined_S_matches_direct_march(spec):
+def test_s_frame_rows_are_the_residue_sums(spec):
+    # the root-by-root sum against the (K, d, m+1) sum of the residues
     ker = normalize(spec, make_grid(2.5 * PI, 1e-3))
     modes = compute_eigenpairs(DomainSpec("interval", (PI,), c=spec.c), 40,
-                               alpha=ker.alpha)
-    rows = [0, 9, 39]
-    for i, S in zip(rows, refined_S(ker, modes.take(rows))):
-        ref = direct_refined_S(ker, modes.take([i]))
-        assert np.max(np.abs(S - ref)) <= 1e-12 * np.max(np.abs(ref))
+                               alpha=ker.alpha).take([0, 9, 39])
+    exact = exact_modes(ker.terms, ker.alpha, modes)
+    ref = np.einsum("kd,kdt->kt",
+                    exact.U + 1j * modes.beta[:, None] * exact.V,
+                    np.exp((exact.roots - ker.alpha)[:, :, None] * ker.t))
+    assert np.max(np.abs(s_rows(ker, modes) - ref)) \
+        <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_refined_S_self_converges():
-    dom = DomainSpec("interval", (PI,))
-    spec = KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,))
-    mode = compute_eigenpairs(dom, 30, alpha=-0.5).take([29])
-    vals = []
-    for h in (2e-3, 1e-3, 5e-4):
-        ker = normalize(spec, make_grid(PI, h))
-        vals.append(refined_S(ker, mode)[0, -1])
-    assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[1]) / 3.0
+def test_s_frame_rows_do_not_depend_on_the_grid():
+    # the config on which the grid S route (an S integral equation on the
+    # kernel's grid) peaked at 2038 where S peaks at 1.004: the exact rows
+    # on a grid and on its 16-fold refinement are the same numbers at
+    # their shared samples, and the march reaches them at second order
+    spec = KernelSpec("exponential_sum", c=0.765, coefficients=(3.22, 3.24),
+                      rates=(4.18, 4.18))
+    rows, gaps = [], []
+    for n in (282, 16 * 282):
+        ker = normalize(spec, TimeGrid(7.35, n))
+        modes = compute_eigenpairs(DomainSpec("interval", (3.15,), c=0.765),
+                                   16, ker.alpha)
+        fitted = modes.take((modes.index >= 5) & (modes.beta.imag == 0))
+        assert len(fitted) == 12
+        rows.append(s_rows(ker, fitted))
+        gaps.append(np.max(np.abs(
+            rows[-1] - S_of(compute_responses(ker, fitted), ker.alpha))))
+    coarse, fine = rows
+    assert np.max(np.abs(coarse - fine[:, ::16])) \
+        <= 1e-14 * np.max(np.abs(fine))
+    assert 1.0 < np.max(np.abs(fine)) < 1.01
+    assert 0.8 * 256 < gaps[0] / gaps[1] < 1.25 * 256
 
 
-def test_refined_S_rejects_degenerate(memory_kernel):
+def test_s_frame_rows_refuse_the_degenerate_set():
     dom = DomainSpec("interval", (PI,), q=1 - 0.25, c=0.5)
     ker = zero_kernel(1.0, 1e-3, c=0.5)
     modes = compute_eigenpairs(dom, 3, alpha=0.5)
     assert modes.in_J[0]
-    with pytest.raises(ConfigError, match="refined route"):
-        refined_S(ker, modes)
-    with pytest.raises(ConfigError, match="comparator"):
-        comparator_profile(ker, modes)
+    assert s_rows(ker, modes) is None
+    assert s_rows(ker, modes.take(slice(1, None))) is not None
 
 
 def test_comparator_reduces_to_exponential_without_memory():
+    # without memory and damping the exact S rows and the telegraph
+    # comparator's U + i beta V are both exp(i n t)
     ker = zero_kernel(2.0, 1e-3)
     modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 4, alpha=0.0)
-    C = comparator_profile(ker, modes)
-    assert np.max(np.abs(C - np.exp(np.arange(1, 5)[:, None] * 1j * ker.t))) \
+    E = np.exp(np.arange(1, 5)[:, None] * 1j * ker.t)
+    assert np.max(np.abs(s_rows(ker, modes) - E)) < 1e-12
+    rows = telegraph_family(modes, 0.0, ker.grid).profiles / np.sqrt(2.0)
+    beta = modes.beta.real[:, None]
+    assert np.max(np.abs(rows[::2] * beta + 1j * beta * rows[1::2] - E)) \
         < 1e-12
 
 
 def test_asymptotic_residual_slope(memory_kernel):
     modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 40, alpha=-0.5)
     usable = modes.take(slice(4, None))
-    fit = asymptotic_residual(usable, refined_S(memory_kernel, usable),
+    fit = asymptotic_residual(usable, s_rows(memory_kernel, usable),
                               memory_kernel.h)
     assert fit["indices"] == list(range(5, 41))
     assert -1.15 < fit["slope"] < -0.85
@@ -594,7 +598,7 @@ def test_asymptotic_residual_refuses_a_non_finite_row(memory_kernel):
     # "residuals vanish identically" config error
     modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 12,
                                alpha=-0.5).take(slice(2, None))
-    S = refined_S(memory_kernel, modes)
+    S = s_rows(memory_kernel, modes)
     S[3, 100] = np.nan
     with pytest.raises(ConvergenceError, match="S of mode 6 is not finite"):
         asymptotic_residual(modes, S, memory_kernel.h)
@@ -602,67 +606,74 @@ def test_asymptotic_residual_refuses_a_non_finite_row(memory_kernel):
         asymptotic_residual(modes, np.full_like(S, np.nan), memory_kernel.h)
 
 
-def test_refined_S_refuses_a_non_finite_row():
-    # a kernel that overflows the S equation on a coarse grid; the FFT
-    # division spreads the overflow over the row, so only the mode is named
+def test_s_frame_rows_overflow_to_a_refused_row():
+    # the exponentials of this kernel's roots overflow within the horizon:
+    # the rows are not finite, and the fit names the first mode
     ker = normalize(KernelSpec("polynomial", coefficients=(-0.034, 4.2e7),
                                c=0.03), make_grid(6.42, 0.062))
     modes = compute_eigenpairs(DomainSpec("interval", (2.11,), c=0.03), 13,
                                alpha=ker.alpha).take(slice(4, None))
-    with pytest.raises(ConvergenceError,
-                       match="refined S of mode 5 is not finite"):
-        refined_S(ker, modes)
+    S = s_rows(ker, modes)              # and no overflow warning
+    assert not np.isfinite(S).all()
+    with pytest.raises(ConvergenceError, match="S of mode 5 is not finite"):
+        asymptotic_residual(modes, S, ker.h)
+
+
+def test_asymptotic_residual_treats_rounding_as_zero():
+    # without memory and damping S is exp(i beta t): the residuals are
+    # rounding, up to ~1e-14 here, and fit nothing (a fit of them read a
+    # slope of 1.14)
+    ker = zero_kernel(2.5 * PI, 0.02)
+    modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 12,
+                               alpha=0.0).take(slice(4, None))
+    S = s_rows(ker, modes)
+    assert 0.0 < np.max(np.abs(S - np.exp(1j * modes.beta[:, None] * ker.t))) \
+        < 1e-13
+    with pytest.raises(ConfigError, match="vanish identically"):
+        asymptotic_residual(modes, S, ker.h)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5])
-def test_refined_batches_are_their_one_pair_calls(c):
+def test_s_frame_rows_batches_are_their_one_mode_calls(c):
     # every row of a batch equals the call on its mode alone, bit for bit
     ker = normalize(KernelSpec("exponential_sum", c=c, coefficients=(1.0,),
                                rates=(1.0,)), make_grid(2.0, 1e-3))
     modes = compute_eigenpairs(DomainSpec("interval", (PI,), c=c), 9,
                                alpha=ker.alpha)
-    for batch in (refined_S, comparator_profile):
-        rows = batch(ker, modes)
-        assert rows.shape == (9, ker.grid.steps + 1)
-        for i, row in enumerate(rows):
-            assert np.array_equal(batch(ker, modes.take([i]))[0], row)
-    # transformed_exponential on a batch with a mode on J (q = 1 - c^2)
+    rows = s_rows(ker, modes)
+    assert rows.shape == (9, ker.grid.steps + 1)
+    for i, row in enumerate(rows):
+        assert np.array_equal(s_rows(ker, modes.take([i]))[0], row)
+    # the telegraph rows of a batch with a mode on J (q = 1 - c^2)
     on_J = compute_eigenpairs(DomainSpec("interval", (PI,), q=0.75, c=0.5),
                               4, alpha=0.5)
     assert on_J.in_J.tolist() == [True, False, False, False]
     mixed = Spectrum(*(np.concatenate([getattr(modes, f.name)[:3],
                                        getattr(on_J, f.name)])
                        for f in dataclasses.fields(Spectrum)))
-    rows = transformed_exponential(mixed, 0.7, ker.t)
-    for i, row in enumerate(rows):
-        assert np.array_equal(
-            transformed_exponential(mixed.take([i]), 0.7, ker.t)[0], row)
+    rows = telegraph_family(mixed, 0.7, ker.grid).profiles
+    for i in range(len(mixed)):
+        assert np.array_equal(telegraph_family(mixed.take([i]), 0.7,
+                                               ker.grid).profiles,
+                              rows[2 * i:2 * i + 2])
 
 
-def test_refined_S_memory_grows_by_its_rows_alone():
-    # chunks of REFINED_ROWS modes: a batch three chunks long peaks
-    # above a one-chunk batch by little more than its extra output rows
-    # (one division over the whole batch held every row's spectra and
-    # peaked ~3x higher)
-    ker = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
-                               rates=(1.0,)), make_grid(2.5 * PI, 2e-3))
+def test_s_frame_rows_hold_one_work_row_per_mode():
+    # the rows are summed one root at a time: the peak is the result and
+    # one work array, where the (K, d, m+1) exponentials of all d = 4
+    # roots at once would add four result arrays
+    ker = normalize(KernelSpec("exponential_sum", coefficients=(1.0, 0.5),
+                               rates=(1.0, 3.0)), make_grid(2.5 * PI, 2e-3))
     modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 28,
                                alpha=ker.alpha).take(slice(4, None))
-    assert len(modes) == 3 * volterra.REFINED_ROWS
-
-    def peak(batch):
-        tracemalloc.start()
-        try:
-            refined_S(ker, batch)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    one = peak(modes.take(slice(volterra.REFINED_ROWS)))
-    three = peak(modes)
-    row_bytes = 16 * (ker.grid.steps + 1)
-    assert three - one <= 1.25 * (len(modes) - volterra.REFINED_ROWS) \
-        * row_bytes
+    assert exact_modes(ker.terms, ker.alpha, modes).roots.shape == (24, 4)
+    tracemalloc.start()
+    try:
+        s_rows(ker, modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 16 * len(modes) * (ker.grid.steps + 1)
 
 
 # ------------------------------------------------------------- guards
@@ -765,15 +776,21 @@ def test_march_converges_to_exact_modes_at_order_two(name):
 
 
 def test_exact_telegraph_terms_are_the_transformed_exponential():
-    t = np.linspace(0.0, 2.0, 41)
+    # the two exponentials of each telegraph row against the rows
+    # telegraph_family samples, sqrt2 U / |beta| and sqrt2 V
+    grid = TimeGrid(2.0, 40)
     for c in (0.0, 0.7, 1.5):               # 1.5: mode 1 overdamped
         modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, c)
         rates, U, V = transformed_exponential_terms(modes, c)
-        # U + i beta V, the transformed exponential
-        closed = np.einsum("kd,kdt->kt", U + 1j * modes.beta[:, None] * V,
-                           np.exp(rates[:, :, None] * t))
-        assert np.max(np.abs(closed - transformed_exponential(modes, c, t))) \
-            <= 1e-13
+        E = np.exp(rates[:, :, None] * grid.t)
+        scale = np.sqrt(2.0) / np.abs(modes.beta)[:, None]
+        rows = telegraph_family(modes, c, grid).profiles
+        for closed, row in ((np.einsum("kd,kdt->kt", U, E) * scale,
+                             rows[::2]),
+                            (np.einsum("kd,kdt->kt", V, E) * np.sqrt(2.0),
+                             rows[1::2])):
+            assert np.max(np.abs(closed - row)) \
+                <= 1e-13 * max(1.0, np.max(np.abs(row)))
 
 
 def test_trailing_zero_polynomial_terms_change_nothing():
