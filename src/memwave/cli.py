@@ -202,10 +202,10 @@ def _alpha_of(cfg):
 
 def _beta_max_estimate(cfg, count):
     # crude upper bound on the fastest retained frequency; only feeds
-    # the auto step rule, so an overestimate merely refines the grid
-    a_max = cfg.domain.a if not callable(cfg.domain.a) else 2.0
-    l_min = min(cfg.domain.lengths)
-    return np.sqrt(max(a_max, 1.0)) * (count + 1) * np.pi / l_min
+    # the auto step rule, so an overestimate merely refines the grid; a
+    # config's a is a constant (config._build_domain)
+    return np.sqrt(max(cfg.domain.a, 1.0)) * (count + 1) * np.pi \
+        / min(cfg.domain.lengths)
 
 
 def _grid_for(cfg, T, count):

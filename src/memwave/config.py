@@ -28,7 +28,7 @@ EXPERIMENTS = ("spectrum", "responses", "gram", "synthesize", "verify", "sweep-T
 _SCHEMA = {
     "experiment": None,
     "domain": {"geometry", "lengths", "a", "q", "c", "gamma_subset"},
-    "kernel": {"family", "c", "coefficients", "rates", "samples"},
+    "kernel": {"family", "coefficients", "rates", "samples"},
     "T": None,
     "h": None,
     "K": None,
@@ -145,10 +145,6 @@ def _build_kernel(doc: dict, c: float) -> KernelSpec:
         return KernelSpec("zero", c=c)
     if not isinstance(sec, dict) or "family" not in sec:
         raise ConfigError("kernel section needs a 'family'")
-    kc = _number(sec, "c", default=None)
-    if kc is not None and kc != c:
-        raise ConfigError(
-            f"kernel.c={kc} contradicts domain.c={c}; set it in one place")
     samples = sec.get("samples")
     if samples is not None:
         samples = np.asarray(_numbers(samples, "kernel.samples"), dtype=float)

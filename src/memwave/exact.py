@@ -82,19 +82,18 @@ def _horner(coefficients: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _rational_form(terms: KernelTerms):
-    """(Q, NQ, the polynomial terms kept, the roots of Q) in w = s - rate,
-    highest power first, with N-hat = NQ / Q.
+    """(Q, NQ, the roots of Q) in w = s - rate, highest power first,
+    with N-hat = NQ / Q in lowest terms at w = 0.
 
     Laplace takes exp(rate t) t^p to p! / w^(p+1) and exp(rate t) phi_b
     to 1 / (w (w + b)), so Q = w^(P+1) prod_i (w + b_i) and NQ, of
-    degree deg Q - 1, is the sum of the terms over Q.  Trailing zero
-    polynomial terms are dropped first: they would give Q and NQ a
-    common root at w = 0 that N does not have.
+    degree deg Q - 1, is the sum of the terms over Q.  While both
+    trailing coefficients are exactly 0, one factor w is cancelled from
+    each: a common root at w = 0 that N does not have, from a zero top
+    polynomial term or from decays that sum to a polynomial (M = -exp(-t)
+    gives N = 1, NQ / Q = w / (w (w + 1))).
     """
-    poly = list(terms.poly)
-    while len(poly) > 1 and poly[-1] == 0.0:
-        poly.pop()
-    P = len(poly) - 1
+    P = len(terms.poly) - 1
     factors = [np.array([1.0, b]) for _, b in terms.decays]
 
     def product(fs, power):
@@ -106,20 +105,23 @@ def _rational_form(terms: KernelTerms):
 
     Q = product(factors, P + 1)
     NQ = np.zeros(len(Q) - 1)
-    for p, a in enumerate(poly):
+    for p, a in enumerate(terms.poly):
         NQ[p:] += math.factorial(p) * a * product(factors, P - p)
     for i, (a, _) in enumerate(terms.decays):
         NQ[1:] += a * product(factors[:i] + factors[i + 1:], P)
     roots = np.array([0.0] * (P + 1) + [-b for _, b in terms.decays])
-    return Q, NQ, poly, roots
+    while Q[-1] == 0.0 and NQ[-1] == 0.0:
+        Q, NQ, roots = Q[:-1], NQ[:-1], roots[1:]
+    return Q, NQ, roots
 
 
-def _reproduces_kernel(terms: KernelTerms, poly, Q, NQ) -> bool:
+def _reproduces_kernel(terms: KernelTerms, Q, NQ) -> bool:
     """Certificate (a): NQ / Q equals N-hat, summed term by term, at
     points of the right half plane clear of every root of Q."""
     rho = 1.0 + max([b for _, b in terms.decays], default=0.0)
     w = rho * np.array([[1.0, 1.0 + 1.0j, 1.0 - 1.0j, 2.0 + 1.0j]])
-    parts = [math.factorial(p) * a / w ** (p + 1) for p, a in enumerate(poly)]
+    parts = [math.factorial(p) * a / w ** (p + 1)
+             for p, a in enumerate(terms.poly)]
     parts += [a / (w * (w + b)) for a, b in terms.decays]
     scale = np.sum(np.abs(parts), axis=0)
     gap = np.abs(_horner(NQ, w) / _horner(Q, w) - np.sum(parts, axis=0))
@@ -165,8 +167,8 @@ def exact_modes(terms: KernelTerms, alpha: float,
         return None
     # every overflow or NaN below ends in a refusal, not in a warning
     with np.errstate(all="ignore"):
-        Q, NQ, poly, q_roots = _rational_form(terms)
-        if not _reproduces_kernel(terms, poly, Q, NQ):
+        Q, NQ, q_roots = _rational_form(terms)
+        if not _reproduces_kernel(terms, Q, NQ):
             return None
         lam = modes.lambda_sq
         K, d = len(modes), len(Q)

@@ -260,9 +260,11 @@ def series_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     correct terms of 1/den each round (Brent & Kung, J. ACM 25, 1978),
     and q = num / den is one last product.  Coefficients run along the
     last axis; every product is a series_product, batched over leading
-    axes like it; den[..., 0] must not vanish.
+    axes like it, and 1/den is found on den's rows as one (rows, m+1)
+    batch; den[..., 0] must not vanish.
     """
-    n = num.shape[-1]
+    n, shape = num.shape[-1], den.shape
+    den = den.reshape(-1, shape[-1])
     inv = 1.0 / den[..., :1]
     k = 1
     while k < n:
@@ -271,7 +273,7 @@ def series_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         e = series_product(den, inv, k2)[..., k:]
         inv = np.concatenate([inv, -series_product(inv, e, k2 - k)], axis=-1)
         k = k2
-    return series_product(num, inv, n)
+    return series_product(num, inv.reshape(shape[:-1] + (-1,)), n)
 
 
 def _convolvable(f: np.ndarray, g: np.ndarray):

@@ -66,10 +66,6 @@ class DomainSpec:
         if not callable(self.a) and self.a <= 0:
             raise ConfigError("diffusion coefficient must be positive")
 
-    @property
-    def dim(self) -> int:
-        return 1 if self.geometry == "interval" else 2
-
     def gamma_weights(self) -> np.ndarray:
         """Quadrature weights for the controlled boundary part.
 

@@ -27,17 +27,16 @@ product-trapezoid history sum is carried exactly by a handful of states
 per mode, and one step is a fixed linear map on d = 2 + (polynomial
 terms) + (decay rates) numbers.  The march applies it BLOCK = B steps
 at a time with batched matrix products (_march_blocks), the map and its
-powers built once for every column: O(m K (1 + r) (B + d)) flops,
-ceil(m/B) Python iterations for the response to y0 and log2(m/B)
-doubling passes for the rows.  A tabulated kernel has no closed form;
-eliminating the memory integral turns its whole march into one
-power-series division over all modes and columns (_march_series,
+powers built once for every column: O(m K (1 + r) (B + d)) flops and
+log2(m/B) doubling passes for every column.  A tabulated kernel has no
+closed form; eliminating the memory integral turns its whole march into
+one power-series division over all modes and columns (_march_series,
 kernels.series_divide), O(K (1 + r) m log m) by Newton iteration with
 FFT products, each mode's 1/den found once.  On closed forms that
-division is ~14x slower than the block march (~43 ms against ~3 ms for
-the march of 12 modes with the rows N' and N at h = 1e-3), so they keep
-the block march.  The discretisation is the same either way; only the
-rounding differs.
+division is ~10x slower than the block march (~25 ms against ~2.5 ms
+for the march of 12 modes with the rows N' and N at h = 1e-3, T =
+2.5 pi, on a 2-core host), so they keep the block march.  The
+discretisation is the same either way; only the rounding differs.
 
 Layout.  A batch of K modes is (K, m+1), time on the last axis, as
 everywhere else in memwave (family profiles, the control, the
@@ -181,86 +180,76 @@ def _march_blocks(kernel: NormalizedKernel, A, B, Be0, D, y0: float,
                   G) -> np.ndarray:
     """y_0..y_m of x_j = M x_{j-1} + b G_{j-1} (_step_map), BLOCK steps
     per product: the response to y0 and the zero-state response to each
-    row of G, (1 + r, K, m+1).
+    row of G, (K, 1 + r, m+1).
 
     From a block start state x_s,
         y_{s+i} = e_0 M^i x_s + sum_{l<i} e_0 M^(i-1-l) b G_{s+l},
     a zero-input part and a lower-triangular Toeplitz zero-state part,
-    each one batched matrix product over every block at once; only the
-    block start states are carried.  The response to y0 carries them by
-    a loop of ceil(m/BLOCK) tiny updates and has a zero-input product of
-    its own, in the shapes of a march without rows, so it gets the same
-    bits with rows or without; it is zero, and not marched, when y0 is.
-    The rows are G (r, m), shared by every mode, or (K, r, m): matmul
-    broadcasts either against the per-mode matrices, so shared rows get
-    the bits of the same rows given per mode.  Blocks are rows: BLAS
-    gives a row the same bits whatever the row count, so a march
-    restricted to k steps equals a fresh k-step march; a one-row product
-    would go through gemv, which sums in another order, hence at least
-    two blocks.  The zero-state product takes BLOCK rows at a time (a
-    lone last row joins the chunk before it, for the same reason): a
-    (BLOCK, BLOCK) @ (BLOCK, BLOCK) product runs on the calling thread,
-    where all rows at once, on a long grid, wake OpenBLAS's worker pool
-    to spin on the other cores (see riesz.node_blocks).
+    each one batched matrix product over every block of every column at
+    once; only the block start states are carried, every column's by
+    one doubling prefix scan.  The response to y0 is the column that
+    starts at x_0 = (y0, 0, -y0/2, 0, ...) with no drive; it is zero,
+    and not carried, when y0 is.  The rows are G (r, m), shared by every
+    mode, or (K, r, m): matmul broadcasts either against the per-mode
+    matrices, so shared rows get the bits of the same rows given per
+    mode.  Blocks are rows: BLAS gives a row the same bits whatever the
+    row count, so a column gets the same bits whatever the other
+    columns, and a march restricted to k steps equals a fresh k-step
+    march; a one-row product would go through gemv, which sums in
+    another order, hence at least two blocks.  The zero-state product
+    takes BLOCK rows at a time (a lone last row joins the chunk before
+    it, for the same reason): a (BLOCK, BLOCK) @ (BLOCK, BLOCK) product
+    runs on the calling thread, where all rows at once, on a long grid,
+    wake OpenBLAS's worker pool to spin on the other cores (see
+    riesz.node_blocks).
     """
     M, b = _step_map(kernel.terms, kernel.h, A, B, Be0, D)
     m = kernel.grid.steps
     K, d, _ = M.shape
-    r = 0 if G is None else G.shape[-2]
-    nb = max(-(-m // BLOCK), 2)
+    G = np.zeros((0, m)) if G is None else G
+    r = G.shape[-2]
+    c0 = int(y0 != 0.0)                          # the carried y0 column
+    nc, nb = c0 + r, max(-(-m // BLOCK), 2)
     Mi = np.empty((BLOCK + 1, K, d, d))          # Mi[i] = M^i
     Mi[0] = np.eye(d)
     for i in range(1, BLOCK + 1):
         Mi[i] = Mi[i - 1] @ M
-    # zero-input rows e_0 M^i (i = 1..B) as (K, d, B)
-    R = np.ascontiguousarray(Mi[1:, :, 0, :].transpose(1, 2, 0))
-    MBT = np.ascontiguousarray(Mi[BLOCK].transpose(0, 2, 1))
-    out = np.empty((1 + r, K, m + 1))
-    out[:, :, 0] = 0.0
-    if y0 == 0.0:
-        out[0] = 0.0
-    else:
-        X = np.zeros((nb, K, 1, d))              # block start states
-        X[0, :, 0, 0] = y0
-        X[0, :, 0, 2] = -0.5 * y0
-        for k in range(nb - 1):
-            np.matmul(X[k], MBT, out=X[k + 1])
-        Y = np.ascontiguousarray(X.transpose(1, 2, 0, 3)).reshape(
-            K, nb, d) @ R
-        out[0, :, 0] = y0
-        out[0, :, 1:] = Y.reshape(K, nb * BLOCK)[:, :m]
-    if r == 0:
-        return out
+    # the result before the temporaries, whose freed space the caller's
+    # next arrays reuse: fewer fresh heap pages per operation
+    out = np.zeros((K, 1 + r, m + 1))
     lead = G.shape[:-2]                          # () shared, (K,) per mode
     Gb = np.zeros(lead + (r, nb * BLOCK))
     Gb[..., :m] = G
     Gb = Gb.reshape(lead + (r * nb, BLOCK))
-    # zero-state: T[l, i] = e_0 M^(i-l) b for i >= l, else 0, from the
-    # drives M^i b (i < B)
-    Mb = np.einsum("ikde,ke->kid", Mi[:BLOCK], b)
+    Mb = np.einsum("ikde,ke->kid", Mi[:BLOCK], b)   # the drives M^i b
+    # block start states x_k = sum_{j<=k} E_j (M^B)^(k-j), E_0 = x_0 for
+    # the y0 column and, for the rows, E_0 = 0 and the block-end state
+    # drives E_{k+1} = sum_{l<B} M^(B-1-l) b G_{kB+l}, as a prefix scan
+    # by doubling: after the pass of shift s, x_k holds the terms
+    # j > k - 2s.  Each pass multiplies every block (at least two rows),
+    # so a block's bits do not depend on the block count
+    X = np.zeros((K, nc, nb, d))
+    X[:, :c0, 0, 0] = y0
+    X[:, :c0, 0, 2] = -0.5 * y0
+    X[:, c0:, 1:] = (Gb @ np.ascontiguousarray(Mb[:, ::-1])).reshape(
+        K, r, nb, d)[:, :, :-1]
+    P, s = np.ascontiguousarray(Mi[BLOCK].transpose(0, 2, 1)), 1
+    while s < nb:
+        X[:, :, s:] += (X.reshape(K, nc * nb, d) @ P).reshape(
+            K, nc, nb, d)[:, :, :nb - s]
+        P, s = P @ P, 2 * s
+    # zero-input part, the rows e_0 M^i (i = 1..B) as (K, d, B)
+    Y = X.reshape(K, nc * nb, d) @ np.ascontiguousarray(
+        Mi[1:, :, 0, :].transpose(1, 2, 0))
+    # zero-state part: T[l, i] = e_0 M^(i-l) b for i >= l, else 0
     padded = np.concatenate([np.zeros((K, BLOCK - 1)), Mb[:, :, 0]], axis=1)
     T = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(
         padded, BLOCK, axis=1)[:, ::-1])
-    Y = np.empty((K, r * nb, BLOCK))
     stops = list(range(BLOCK, r * nb - 1, BLOCK)) + [r * nb]
     for start, stop in zip([0] + stops, stops):
-        np.matmul(Gb[..., start:stop, :], T, out=Y[:, start:stop])
-    # block-end state drive sum_l M^(B-1-l) b G_{s+l}
-    GF = (Gb @ np.ascontiguousarray(Mb[:, ::-1])).reshape(K, r, nb, d)
-    del Gb, T   # freed before the zero-input product: peak memory
-    # block start states x_k = sum_{j<k} GF_j (M^B)^(k-1-j) as a prefix
-    # scan by doubling: after the pass of shift s, x_k holds the terms
-    # j >= k - 2s.  Each pass multiplies every block (at least two rows),
-    # so a block's bits do not depend on the block count
-    X = np.zeros((K, r, nb, d))
-    X[:, :, 1:] = GF[:, :, :-1]
-    P, s = MBT, 1
-    while s < nb:
-        X[:, :, s:] += (X.reshape(K, r * nb, d) @ P).reshape(
-            K, r, nb, d)[:, :, :nb - s]
-        P, s = P @ P, 2 * s
-    Y += X.reshape(K, r * nb, d) @ R
-    out[1:, :, 1:] = Y.reshape(K, r, nb * BLOCK)[..., :m].transpose(1, 0, 2)
+        Y[:, c0 * nb + start:c0 * nb + stop] += Gb[..., start:stop, :] @ T
+    out[:, 1 - c0:, 1:] = Y.reshape(K, nc, nb * BLOCK)[..., :m]
+    out[:, 0, 0] = y0
     return out
 
 
@@ -268,7 +257,7 @@ def _march_series(kernel: NormalizedKernel, A, B, Be0, D, y0: float, G,
                   steps: int = None) -> np.ndarray:
     """The same march for kernels without a closed form, as one series
     division (kernels.series_divide) over all modes and columns,
-    O(K (1 + r) m log m); (1 + r, K, steps+1) like _march_blocks.
+    O(K (1 + r) m log m); (K, 1 + r, steps+1) like _march_blocks.
 
     With Nt the series of N with Nt_0 = 0, the history part is
     P = B h (Nt y - Nt y_0 / 2) and the memory integral
@@ -282,32 +271,33 @@ def _march_series(kernel: NormalizedKernel, A, B, Be0, D, y0: float, G,
     """
     n = (steps or kernel.grid.steps) + 1
     Nt = np.concatenate([[0.0], kernel.N[1:n]])
-    # B h (1 + x) Nt, one row per mode
-    den = (B * kernel.h)[:, None] * (Nt + np.concatenate([[0.0], Nt[:-1]]))
+    # B h (1 + x) Nt, one row per mode, (K, 1, n)
+    den = (B * kernel.h)[:, None, None] * (
+        Nt + np.concatenate([[0.0], Nt[:-1]]))
     r = 0 if G is None else G.shape[-2]
-    num = np.zeros((1 + r, len(A), n))
-    num[0] = (0.5 * y0) * den
-    num[0, :, 0] = y0
-    num[0, :, 1] += y0 * Be0
+    num = np.zeros((len(A), 1 + r, n))
+    num[:, :1] = (0.5 * y0) * den
+    num[:, 0, 0] = y0
+    num[:, 0, 1] += y0 * Be0
     if r:
-        rows = np.broadcast_to(G, (len(A),) + G.shape[-2:])
-        num[1:, :, 1:] = rows[..., :n - 1].transpose(1, 0, 2) / D[:, None]
-    den[:, 0] = 1.0
-    den[:, 1] -= A - Be0
+        num[:, 1:, 1:] = G[..., :n - 1] / D[:, None, None]
+    den[..., 0] = 1.0
+    den[..., 1] -= (A - Be0)[:, None]
     return series_divide(num, den)
 
 
 def _series_overflow(kernel: NormalizedKernel, A, B, Be0, D, y0: float, G,
                      bound: float, Y: np.ndarray):
     """(step, column, mode, value) of the first step at which the series
-    march Y (1 + r, K, m+1) leaves the envelope bound, its start y0
+    march Y (K, 1 + r, m+1) leaves the envelope bound, its start y0
     lying inside.
 
     One FFT division spreads an overflow to every step, so Y cannot say
     where it began.  Bisection on the cut divisions of _march_series
     finds the k whose k-step march leaves the envelope while the
     (k-1)-step march stays inside: log2 m divisions, run only on the
-    failure path.
+    failure path.  At that step the first column, and in it the first
+    mode, outside the envelope is named.
     """
     lo, hi = 0, kernel.grid.steps    # the lo-step march stays inside, Y not
     with np.errstate(over="ignore", invalid="ignore"):
@@ -318,9 +308,9 @@ def _series_overflow(kernel: NormalizedKernel, A, B, Be0, D, y0: float, G,
                 lo = mid
             else:
                 hi, Y = mid, cut
-    mask = ~(np.abs(Y[..., hi]) <= bound)
+    mask = ~(np.abs(Y[..., hi].T) <= bound)
     col, row = np.unravel_index(int(np.argmax(mask)), mask.shape)
-    return hi, int(col), int(row), Y[col, row, hi]
+    return hi, int(col), int(row), Y[row, col, hi]
 
 
 def _first(bad: np.ndarray):
@@ -373,14 +363,17 @@ def march_modal(kernel: NormalizedKernel, lam_sq, alpha: float,
     (1 + r, m+1) or (K, 1 + r, m+1): column 0 the response to y0, column
     1 + i the zero-state response (y(0) = 0) to row i, so the response
     to y0 and a sum of rows is, by linearity, the sum of its columns.
-    Time is the last axis.  A row of a batch is its one-mode march bit
-    for bit, shared rows get the bits of the same rows given per mode,
-    and the response to y0 gets the same bits with rows or without.  A
-    single mode is a batch of one.  Raises ConvergenceError at the first
-    step whose forcing is not finite, and at the first step whose value
-    is not finite or leaves the Gronwall envelope, which at these grids
-    only happens for invalid input (a non-normalized kernel or a
-    degenerate step); both name the batch row and the forcing row.
+    Time is the last axis; the march builds its result in this layout,
+    and a single mode's is the batch of one reshaped.  A row of a batch is
+    its one-mode march bit for bit, shared rows get the bits of the same
+    rows given per mode, and the response to y0 gets the same bits with
+    rows or without.  Raises ConvergenceError at the first step whose
+    forcing is not finite, and at the first step whose value is not
+    finite or leaves the Gronwall envelope, which at these grids only
+    happens for invalid input (a non-normalized kernel or a degenerate
+    step); both name the batch row and the forcing row, at the envelope
+    the first forcing row (the response to y0 first) and in it the
+    first batch row.
     """
     h = kernel.h
     m = kernel.grid.steps
@@ -413,12 +406,13 @@ def march_modal(kernel: NormalizedKernel, lam_sq, alpha: float,
     G = None if forcing is None else _trapezoid_forcing(forcing, h, label)
     march = _march_series if kernel.terms is None else _march_blocks
     with np.errstate(over="ignore", invalid="ignore"):
-        Y = march(kernel, A, B, Be0, D, y0, G)       # (1 + r, K, m+1)
+        Y = march(kernel, A, B, Be0, D, y0, G)       # (K, 1 + r, m+1)
 
     # max and min carry a NaN through: it fails the comparison
     if not (Y.max() <= bound and -Y.min() <= bound):
-        j, col, row = _first(~(np.abs(Y) <= bound))
-        y = Y[col, row, j]
+        # the first column, then the first mode, at the first step out
+        j, col, row = _first(~(np.abs(Y.transpose(1, 0, 2)) <= bound))
+        y = Y[row, col, j]
         if kernel.terms is None and abs(y0) <= bound:
             j, col, row, y = _series_overflow(kernel, A, B, Be0, D, y0, G,
                                               bound, Y)
@@ -428,7 +422,7 @@ def march_modal(kernel: NormalizedKernel, lam_sq, alpha: float,
             f"{_where(row if batch else None, col - 1 if col else None)}"
             f": |y|={abs(y):.3e}, bound {bound:.3e}; non-finite input or "
             f"step too large {label}")
-    Y = Y.transpose(1, 0, 2).reshape(batch + Y.shape[:1] + Y.shape[2:])
+    Y = Y.reshape(batch + Y.shape[1:])
     return Y if forcing is not None else Y[..., 0, :]
 
 

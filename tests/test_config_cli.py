@@ -231,16 +231,6 @@ def test_target_validation():
     assert np.allclose(cfg.target["xi"], [1, 0])
 
 
-def test_kernel_c_must_match_domain_c():
-    doc = base(kernel={"family": "zero", "c": 0.25})
-    doc["domain"]["c"] = 0.5
-    with pytest.raises(ConfigError) as err:
-        from_dict(doc)
-    assert "one place" in str(err.value)
-    doc["kernel"]["c"] = 0.5
-    assert from_dict(doc).kernel.c == 0.5
-
-
 def test_experiment_resolution():
     cfg = from_dict({"domain": dict(DOM)}, experiment="spectrum")
     assert cfg.experiment == "spectrum"
@@ -1032,15 +1022,15 @@ def test_cli_responses_refuses_a_non_finite_S(tmp_path, capsys):
 
 def test_cli_responses_exit_codes(tmp_path, capsys):
     # the exact route's refusals, each with nothing written: a tabulated
-    # kernel has no closed form (exit 2); M = -exp(-t) normalises to
-    # N = 1, whose Den shares the root w = 0 with Q, so exact_modes
+    # kernel has no closed form (exit 2); M = -0.999999999 exp(-t) puts
+    # a root of Den within ROOT_GAP of Q's root w = 0, so exact_modes
     # refuses the modes (exit 3); the zero kernel leaves residuals at
     # rounding, ~1e-14, which fit nothing (exit 2; they used to give a
     # slope)
     common = dict(T=2.5 * PI, N_modes=12)
     for kernel, code, message in (
             (tabulated_exp(2.5 * PI, 0.02), 2, "closed-form kernel"),
-            ({"family": "exponential_sum", "coefficients": [-1.0],
+            ({"family": "exponential_sum", "coefficients": [-0.999999999],
               "rates": [1.0]}, 3, "exact_modes refuses"),
             ({"family": "zero"}, 2, "residuals vanish identically")):
         store = tmp_path / "store"
@@ -1048,6 +1038,31 @@ def test_cli_responses_exit_codes(tmp_path, capsys):
         assert run(tmp_path, doc, out=store, grid_h=0.02) == code, message
         assert message in capsys.readouterr().err
         assert not store.exists()
+
+
+def test_cli_cancelled_common_factor_takes_the_exact_route(tmp_path):
+    # M = -exp(-t) normalises to N = 1, NQ / Q = 1 / (w + 1) once the
+    # common factor w cancels: responses fits its exact rows, and sweep-t
+    # reads its exact Grams
+    minus = {"family": "exponential_sum", "coefficients": [-1.0],
+             "rates": [1.0]}
+    doc = base("responses", kernel=minus, T=2.5 * PI, N_modes=12)
+    assert run(tmp_path, doc, out=tmp_path / "a", grid_h=0.02) == 0
+    doc = base("sweep-t", kernel=minus, K=3,
+               sweep={"T_min": 1.5 * PI, "T_max": 2.5 * PI, "steps": 3})
+    out = tmp_path / "b"
+    assert run(tmp_path, doc, out=out, grid_h=2e-2) == 0
+    data = json.loads((adir_of(out, "sweep-t", doc, 2e-2) /
+                       "sweep.json").read_text())
+    assert data["route"] == "exact"
+
+
+def test_cli_kernel_c_key_is_unknown(tmp_path, capsys):
+    # c is the domain's: a kernel section that repeats it is refused
+    doc = base("gram", T=2.5 * PI, K=2, kernel={"family": "zero", "c": 0.0})
+    assert run(tmp_path, doc, out=tmp_path / "store", grid_h=0.02) == 2
+    assert "kernel.c" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
 
 
 def test_cli_tabulated_derivative_keys_are_unknown(tmp_path, capsys):

@@ -143,9 +143,9 @@ def count_normalize(monkeypatch):
     (tabulated_on_sweep_grid(SEC, 2e-2), 0.0),
     (KERNEL, 1.0),                 # telegraph mode 1 on J: alpha = c = 1
     (KERNEL, 1.5),                 # memory mode 1 on J: alpha = c - 1/2 = 1
-    # M = -exp(-t) normalises to N = 1: a root of Den meets one of Q
-    ({"family": "exponential_sum", "coefficients": [-1.0], "rates": [1.0]},
-     0.0),
+    # M = -0.999999999 exp(-t): a root of Den within ROOT_GAP of one of Q
+    ({"family": "exponential_sum", "coefficients": [-0.999999999],
+      "rates": [1.0]}, 0.0),
     (KERNEL, 1.2018347375208056),  # a double root of mode 1's Den
 ], ids=["tabulated", "telegraph-J", "memory-J", "Q-root", "double-root"])
 def test_fallbacks_take_the_march_route(tmp_path, monkeypatch, kernel, c):

@@ -13,7 +13,7 @@ from memwave import (ConfigError, ConvergenceError, DomainSpec, KernelSpec,
 from memwave import InternalConsistencyError
 from memwave.cli import main
 from memwave.kernels import kernel_terms
-from memwave.exact import (exact_modes, s_frame_rows,
+from memwave.exact import (_rational_form, exact_modes, s_frame_rows,
                            transformed_exponential_terms)
 from memwave.volterra import (BLOCK, _consistency_tol, _forcing_factors,
                               _z_route_gaps, growth_envelope)
@@ -376,6 +376,46 @@ def test_tabulated_march_overflow_fails_closed():
                            match="in batch row 1, forcing row [01]:"):
             march_modal(kernel, lams, kernel.alpha, y0=0.0,
                         forcing=np.stack([kernel.N, kernel.Np]))
+
+
+@pytest.mark.parametrize("tabulated", [False, True])
+def test_envelope_tie_names_the_first_column_then_mode(tabulated):
+    # mode 0 leaves through forcing row 1 and mode 1 through forcing row
+    # 0, at the same step: the error names the first column, then the
+    # first mode in it, on the block march and on the series march
+    grid = make_grid(2.0, 1e-3)
+    ker = normalize(_tabulated_exp(grid) if tabulated else
+                    KernelSpec("exponential_sum", coefficients=(1.0,),
+                               rates=(1.0,)), grid)
+    zero = np.zeros_like(ker.N)
+    forcing = np.array([[zero, ker.N], [ker.N, zero]])
+    with pytest.raises(ConvergenceError) as err:
+        march_modal(ker, np.array([-1e6, -1e6]), ker.alpha, y0=0.0,
+                    forcing=forcing)
+    assert str(err.value) == (
+        "modal march left the Gronwall envelope at step 11 (t=0.011) in "
+        "batch row 1, forcing row 0: |y|=8.793e+01, bound 5.460e+01; "
+        "non-finite input or step too large ")
+
+
+def test_y0_column_matches_direct_sum_over_many_blocks():
+    # 103 blocks, carried by 7 doubling passes
+    grid = make_grid(2.5 * PI, 1.2e-3)
+    ker = normalize(ORACLE_KERNELS["exponential_sum"](grid), grid)
+    assert -(-grid.steps // BLOCK) == 103
+    for lam in (1.0, 9.0):
+        z = march_modal(ker, lam, ker.alpha, forcing=Z_rows(ker))[0]
+        ref = direct_march(ker, lam, ker.alpha)
+        assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("family", ["exponential_sum", "tabulated"])
+def test_y0_column_from_rest_is_zero(family):
+    ker, lams, forcing = _oracle_batch(family, 3 * BLOCK + 9)
+    assert not np.any(march_modal(ker, lams, ker.alpha, y0=0.0))
+    for f in (forcing, forcing[0]):
+        Y = march_modal(ker, lams, ker.alpha, y0=0.0, forcing=f)
+        assert not np.any(Y[:, 0]) and np.all(np.any(Y[:, 1:], axis=-1))
 
 
 def test_assembled_convolutions_are_the_one_kernel_calls(memory_kernel):
@@ -801,6 +841,32 @@ def test_trailing_zero_polynomial_terms_change_nothing():
         assert np.array_equal(a, b)
 
 
+def test_common_factor_w_cancels_and_the_modes_certify():
+    # M = -exp(-t) normalises to N = 1: NQ / Q = w / (w (w + 1)) is
+    # 1 / (w + 1) in lowest terms, and the march converges to the exact
+    # rows at order two
+    spec = KernelSpec("exponential_sum", coefficients=(-1.0,), rates=(1.0,))
+    ker = normalize(spec, make_grid(PI, 0.1))
+    assert np.max(np.abs(ker.N - 1.0)) <= 1e-14
+    Q, NQ, roots = _rational_form(ker.terms)
+    assert Q.tolist() == [1.0, 1.0] and NQ.tolist() == [1.0]
+    assert roots.tolist() == [-1.0]
+    errors = []
+    for n in (200, 400, 800):
+        ker = normalize(spec, TimeGrid(PI, n, PI / n))
+        modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 4,
+                                   ker.alpha)
+        exact = exact_modes(ker.terms, ker.alpha, modes)
+        assert exact is not None and exact.roots.shape == (4, 2)
+        resp = compute_responses(ker, modes)
+        E = np.exp(exact.roots[:, :, None] * ker.t)
+        U, V = (np.einsum("kd,kdt->kt", r, E) for r in (exact.U, exact.V))
+        errors.append([np.max(np.abs(x - y)) for x, y in
+                       ((resp.z + resp.Npz, U), (resp.Nz, V))])
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all(np.abs(ratios - 4.0) < 0.1), ratios
+
+
 def test_exact_modes_refuse_what_they_cannot_certify():
     exp = KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,))
     terms = kernel_terms(exp, -0.5)
@@ -813,10 +879,12 @@ def test_exact_modes_refuse_what_they_cannot_certify():
     modes = compute_eigenpairs(DomainSpec("interval", (PI,)), 3, -0.5)
     assert exact_modes(terms, 1e308, modes) is None
     assert exact_modes(terms, -0.5, modes) is not None
-    # a root of Den meets one of Q: M = -exp(-t) normalises to N = 1, so
-    # NQ / Q = w / (w (w + 1)) and Den vanishes at w = 0
-    minus = KernelSpec("exponential_sum", coefficients=(-1.0,), rates=(1.0,))
-    assert exact_of(minus, 3)[0] is None
+    # a root of Den meets one of Q: M = -0.999999999 exp(-t) gives
+    # NQ / Q = (w + 1e-9) / (w (w + 1)), which does not cancel, and Den
+    # has a root within ROOT_GAP of w = 0
+    near = KernelSpec("exponential_sum", coefficients=(-0.999999999,),
+                      rates=(1.0,))
+    assert exact_of(near, 3)[0] is None
     # a double root of mode 1's Den, (w - 1 - 2 alpha)(w^2 + w) + (w + 2)
     # for exp(-t) at alpha = c - 1/2 = 0.7018347375208056
     double = KernelSpec("exponential_sum", c=1.2018347375208056,
