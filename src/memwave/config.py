@@ -13,8 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,8 +40,7 @@ _SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     T_min: float
     T_max: float
     steps: int
@@ -51,8 +49,7 @@ class SweepSpec:
         return np.linspace(self.T_min, self.T_max, self.steps)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     experiment: str
     domain: DomainSpec
     kernel: KernelSpec
@@ -65,7 +62,7 @@ class RunConfig:
     sweep: Optional[SweepSpec]
     out: Optional[str]
     seed: int
-    raw: dict = field(repr=False, default_factory=dict)
+    raw: dict                   # the document, canonicalized into hash
 
     @property
     def hash(self) -> str:

@@ -77,7 +77,7 @@ NaN propagates through max and min, and abs makes a zero +0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +93,13 @@ FACTOR_GAP_TOL = 1e-12
 SQRT2 = np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class TargetState:
+class _TargetStateFields(NamedTuple):
+    xi: np.ndarray
+    eta: np.ndarray
+    K: int
+
+
+class TargetState(_TargetStateFields):
     """Target position/velocity coefficients over the first K modes.
 
     xi pairs with the eigenfunction basis of the position space; eta
@@ -103,27 +108,22 @@ class TargetState:
     is read directly).
     """
 
-    xi: np.ndarray
-    eta: np.ndarray
-    K: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
-        if xi.shape != (self.K,) or eta.shape != (self.K,):
-            raise ConfigError(f"targets need shape ({self.K},)")
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "eta", eta)
+    def __new__(cls, xi, eta, K: int):
+        xi = np.asarray(xi, dtype=float)
+        eta = np.asarray(eta, dtype=float)
+        if xi.shape != (K,) or eta.shape != (K,):
+            raise ConfigError(f"targets need shape ({K},)")
+        return super().__new__(cls, xi, eta, K)
 
 
-@dataclass(frozen=True)
-class MomentProblem:
+class MomentProblem(NamedTuple):
     family: SequenceFamily
     rhs: np.ndarray              # real, aligned with family.index_set
 
 
-@dataclass(frozen=True)
-class ControlSignal:
+class ControlSignal(NamedTuple):
     """The control f = traces.T @ profiles on the boundary cylinder, one
     row per mode in each factor; profiles run in the control's time t,
     the reverse of the family's."""

@@ -11,8 +11,7 @@ times bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,22 +21,28 @@ from .errors import ConfigError
 MAX_STEPS = 20_000_000
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class _TimeGridFields(NamedTuple):
     T: float
     steps: int
-    h: Optional[float] = None    # defaults to T / steps
+    h: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise ConfigError(f"horizon must be positive and finite, got {self.T}")
-        if not (2 <= self.steps <= MAX_STEPS):
-            raise ConfigError(f"step count {self.steps} outside [2, {MAX_STEPS}]")
-        if self.h is None:
-            object.__setattr__(self, "h", self.T / self.steps)
-        elif not abs(self.h * self.steps - self.T) <= 1e-12 * self.T:
-            raise ConfigError(f"step {self.h!r} does not divide horizon "
-                              f"{self.T!r} into {self.steps} steps")
+
+class TimeGrid(_TimeGridFields):
+    """The grid of steps + 1 samples j*h on [0, T]; h defaults to T / steps."""
+
+    __slots__ = ()
+
+    def __new__(cls, T: float, steps: int, h: Optional[float] = None):
+        if not (math.isfinite(T) and T > 0):
+            raise ConfigError(f"horizon must be positive and finite, got {T}")
+        if not (2 <= steps <= MAX_STEPS):
+            raise ConfigError(f"step count {steps} outside [2, {MAX_STEPS}]")
+        if h is None:
+            h = T / steps
+        elif not abs(h * steps - T) <= 1e-12 * T:
+            raise ConfigError(f"step {h!r} does not divide horizon "
+                              f"{T!r} into {steps} steps")
+        return super().__new__(cls, T, steps, h)
 
     @property
     def t(self) -> np.ndarray:

@@ -24,7 +24,6 @@ sums by recursion instead of re-summing the history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -35,8 +34,15 @@ from .grid import TimeGrid
 KERNEL_FAMILIES = ("zero", "exponential_sum", "polynomial", "tabulated")
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class _KernelSpecFields(NamedTuple):
+    family: str
+    c: float
+    coefficients: tuple
+    rates: tuple
+    samples: Optional[np.ndarray]
+
+
+class KernelSpec(_KernelSpecFields):
     """Relaxation kernel M(t) plus the velocity coefficient it pairs with.
 
     family one of:
@@ -46,22 +52,20 @@ class KernelSpec:
       tabulated        samples of M on the run grid
     """
 
-    family: str
-    c: float = 0.0
-    coefficients: tuple = ()
-    rates: tuple = ()
-    samples: Optional[np.ndarray] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in KERNEL_FAMILIES:
-            raise ConfigError(f"unknown kernel family {self.family!r}")
-        if self.family == "exponential_sum":
-            if len(self.coefficients) != len(self.rates):
+    def __new__(cls, family: str, c: float = 0.0, coefficients: tuple = (),
+                rates: tuple = (), samples: Optional[np.ndarray] = None):
+        if family not in KERNEL_FAMILIES:
+            raise ConfigError(f"unknown kernel family {family!r}")
+        if family == "exponential_sum":
+            if len(coefficients) != len(rates):
                 raise ConfigError("exponential_sum needs matching coefficients and rates")
-            if any(b < 0 for b in self.rates):
+            if any(b < 0 for b in rates):
                 raise ConfigError("exponential_sum rates must be nonnegative")
-        if self.family == "tabulated" and self.samples is None:
+        if family == "tabulated" and samples is None:
             raise ConfigError("tabulated kernel needs samples of M")
+        return super().__new__(cls, family, c, coefficients, rates, samples)
 
     def m0(self) -> float:
         if self.family == "zero":
@@ -73,8 +77,7 @@ class KernelSpec:
         return float(self.samples[0])
 
 
-@dataclass(frozen=True)
-class NormalizedKernel:
+class NormalizedKernel(NamedTuple):
     """Grid samples of the normalized kernel and its derivative."""
 
     gamma: float

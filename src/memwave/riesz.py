@@ -70,8 +70,7 @@ submatrices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,8 +103,16 @@ def _blocked(X, Y) -> np.ndarray:
                for c in node_blocks(len(Y), len(X) * Y.shape[1]))
 
 
-@dataclass(frozen=True)
-class SequenceFamily:
+class _SequenceFamilyFields(NamedTuple):
+    profiles: np.ndarray         # (count, steps+1) real time profiles
+    index_set: tuple             # signed indices aligned with the rows
+    label: str
+    grid: TimeGrid
+    gamma_weights: np.ndarray    # (nodes,)
+    psi: np.ndarray              # (count, nodes) real boundary traces
+
+
+class SequenceFamily(_SequenceFamilyFields):
     """Indexed family of separable Gamma-valued grid functions on [0, T].
 
     Member k is psi[k] (x) profiles[k], both real; psi defaults to ones
@@ -114,36 +121,31 @@ class SequenceFamily:
     (ones by default).
     """
 
-    profiles: np.ndarray         # (count, steps+1) real time profiles
-    index_set: tuple             # signed indices aligned with the rows
-    label: str
-    grid: TimeGrid
-    gamma_weights: np.ndarray = None
-    psi: np.ndarray = None       # (count, nodes) real boundary traces
+    __slots__ = ()
 
-    def __post_init__(self):
-        if np.iscomplexobj(self.profiles):
+    def __new__(cls, profiles: np.ndarray, index_set: tuple, label: str,
+                grid: TimeGrid, gamma_weights: np.ndarray = None,
+                psi: np.ndarray = None):
+        if np.iscomplexobj(profiles):
             raise ConfigError("time profiles must be real: a family is "
                               "the real rows U_n and V_n of each mode")
-        z = np.asarray(self.profiles, dtype=float)
-        if z.ndim != 2 or z.shape[1] != self.grid.steps + 1:
+        z = np.asarray(profiles, dtype=float)
+        if z.ndim != 2 or z.shape[1] != grid.steps + 1:
             raise ConfigError(f"profile array shape {z.shape} does not match grid")
-        if z.shape[0] != len(self.index_set):
+        if z.shape[0] != len(index_set):
             raise ConfigError("index_set length does not match member count")
-        if np.iscomplexobj(self.psi):
+        if np.iscomplexobj(psi):
             raise ConfigError("boundary traces must be real")
-        psi = (np.ones((z.shape[0], 1)) if self.psi is None
-               else np.asarray(self.psi, dtype=float))
+        psi = (np.ones((z.shape[0], 1)) if psi is None
+               else np.asarray(psi, dtype=float))
         if psi.ndim != 2 or psi.shape[0] != z.shape[0]:
             raise ConfigError(f"trace array shape {psi.shape} does not match "
                               f"{z.shape[0]} members")
-        gw = self.gamma_weights
-        gw = np.ones(psi.shape[1]) if gw is None else np.asarray(gw, dtype=float)
+        gw = (np.ones(psi.shape[1]) if gamma_weights is None
+              else np.asarray(gamma_weights, dtype=float))
         if gw.shape != (psi.shape[1],):
             raise ConfigError("gamma_weights shape does not match member nodes")
-        object.__setattr__(self, "profiles", z)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "gamma_weights", gw)
+        return super().__new__(cls, z, index_set, label, grid, gw, psi)
 
     @property
     def count(self) -> int:
@@ -157,12 +159,6 @@ class SequenceFamily:
         """
         return self.psi[:, :, None] * self.profiles[:, None, :]
 
-    def subfamily(self, positions: Sequence[int], label: str = None) -> "SequenceFamily":
-        pos = list(positions)
-        return SequenceFamily(self.profiles[pos], tuple(self.index_set[p] for p in pos),
-                              label or self.label, self.grid, self.gamma_weights,
-                              self.psi[pos])
-
     def restrict(self, steps: int) -> "SequenceFamily":
         """The family on [0, steps*h] of the same grid.  Profiles are causal
         in t (marched responses, or closed forms sampled on the grid), so
@@ -172,8 +168,7 @@ class SequenceFamily:
                               self.label, grid, self.gamma_weights, self.psi)
 
 
-@dataclass(frozen=True)
-class GramReport:
+class GramReport(NamedTuple):
     gram: np.ndarray
     frame_lower: np.ndarray      # m_k for every k of levels, 0 at the floor
     frame_upper: np.ndarray      # M_k

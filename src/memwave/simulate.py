@@ -60,7 +60,7 @@ same energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +73,7 @@ from .spectral import Spectrum
 from .volterra import ModalResponses, march_modal, _consistency_tol
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     theta_T: np.ndarray          # per simulated mode, value at the final time
     theta_t_T: np.ndarray
     tail_energy: float           # spillover into modes K+1..K_sim, summed in

@@ -22,8 +22,7 @@ is its one row selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -41,30 +40,36 @@ _EDGE_NODES = 257
 EPS_TRACE = 1e-10
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class _DomainSpecFields(NamedTuple):
     geometry: str                    # "interval" | "rectangle"
     lengths: tuple                   # (l,) or (lx, ly)
-    a: Coefficient = 1.0
-    q: Coefficient = 0.0
-    c: float = 0.0
-    gamma_subset: tuple = ("right",)
+    a: Coefficient
+    q: Coefficient
+    c: float
+    gamma_subset: tuple
 
-    def __post_init__(self):
-        if self.geometry not in ("interval", "rectangle"):
-            raise ConfigError(f"unknown geometry {self.geometry!r}")
-        want = 1 if self.geometry == "interval" else 2
-        if len(self.lengths) != want or any(l <= 0 for l in self.lengths):
-            raise ConfigError(f"{self.geometry} needs {want} positive length(s)")
-        allowed = ("left", "right") if self.geometry == "interval" \
+
+class DomainSpec(_DomainSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, geometry: str, lengths: tuple, a: Coefficient = 1.0,
+                q: Coefficient = 0.0, c: float = 0.0,
+                gamma_subset: tuple = ("right",)):
+        if geometry not in ("interval", "rectangle"):
+            raise ConfigError(f"unknown geometry {geometry!r}")
+        want = 1 if geometry == "interval" else 2
+        if len(lengths) != want or any(l <= 0 for l in lengths):
+            raise ConfigError(f"{geometry} needs {want} positive length(s)")
+        allowed = ("left", "right") if geometry == "interval" \
             else ("left", "right", "bottom", "top")
-        if not self.gamma_subset or any(s not in allowed for s in self.gamma_subset):
+        if not gamma_subset or any(s not in allowed for s in gamma_subset):
             raise ConfigError(f"gamma_subset must be a nonempty subset of {allowed}")
-        if self.geometry == "rectangle":
-            if callable(self.a) or callable(self.q):
+        if geometry == "rectangle":
+            if callable(a) or callable(q):
                 raise ConfigError("rectangle geometry requires constant a and q")
-        if not callable(self.a) and self.a <= 0:
+        if not callable(a) and a <= 0:
             raise ConfigError("diffusion coefficient must be positive")
+        return super().__new__(cls, geometry, lengths, a, q, c, gamma_subset)
 
     def gamma_weights(self) -> np.ndarray:
         """Quadrature weights for the controlled boundary part.
@@ -84,9 +89,13 @@ class DomainSpec:
         return np.concatenate(ws)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """The modes 1..K, one row per mode in ascending lambda_sq."""
+class Spectrum(NamedTuple):
+    """The modes 1..K, one row per mode in ascending lambda_sq.
+
+    len is the mode count, not the field count, so _replace and _make,
+    which check len against the field count, do not serve a Spectrum: a
+    changed copy is a new Spectrum, or take's row selection.
+    """
 
     index: np.ndarray        # (K,) int, the mode numbers
     lambda_sq: np.ndarray    # (K,)
@@ -100,7 +109,7 @@ class Spectrum:
 
     def take(self, rows) -> "Spectrum":
         """The batch of rows: a slice, an index array or a boolean mask."""
-        return Spectrum(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return Spectrum(*(field[rows] for field in self))
 
 
 def _spectrum(lambda_sq, trace, alpha: float) -> Spectrum:

@@ -68,7 +68,7 @@ bury the O(1/beta) signal at high modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +83,7 @@ from .spectral import Spectrum
 _ROWS = ("z", "Nz", "Npz")
 
 
-@dataclass(frozen=True)
-class ModalResponses:
+class ModalResponses(NamedTuple):
     """The modal responses of a batch of modes, time on the last axis.
 
     Row i of z, Nz and Npz, and entry i of z_gap_ratio, belong to row i
@@ -103,9 +102,9 @@ class ModalResponses:
 
     def head(self, k: int) -> "ModalResponses":
         """The batch of the first k modes."""
-        return replace(self, modes=self.modes.take(slice(k)),
-                       z_gap_ratio=self.z_gap_ratio[:k],
-                       **{f: getattr(self, f)[:k] for f in _ROWS})
+        return self._replace(modes=self.modes.take(slice(k)),
+                             z_gap_ratio=self.z_gap_ratio[:k],
+                             **{f: getattr(self, f)[:k] for f in _ROWS})
 
     def restrict(self, steps: int) -> "ModalResponses":
         """Exact restriction to [0, steps h] on the same step.
@@ -114,8 +113,9 @@ class ModalResponses:
         same computation on the shorter grid.  z_gap_ratio is not recomputed: it stays the full
         horizon's gap over the full horizon's allowance.
         """
-        return replace(self, grid=self.grid.restrict(steps),
-                       **{f: getattr(self, f)[:, :steps + 1] for f in _ROWS})
+        return self._replace(grid=self.grid.restrict(steps),
+                             **{f: getattr(self, f)[:, :steps + 1]
+                                for f in _ROWS})
 
 
 def growth_envelope(alpha: float, T: float) -> float:

@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -68,7 +67,7 @@ def test_cli_import_skips_scipy_signal_and_integrate():
 # what a fresh `import memwave.cli` adds to `import numpy`, besides
 # memwave's own modules: the standard library modules the CLI uses
 _CLI_STDLIB = {"__future__", "_blake2", "_hashlib", "_json", "argparse",
-               "cmath", "copy", "dataclasses", "gettext", "hashlib", "json",
+               "cmath", "gettext", "hashlib", "json",
                "json.decoder", "json.encoder", "json.scanner"}
 
 
@@ -677,7 +676,7 @@ def test_cli_synthesize_non_finite_control_exits_three(tmp_path, capsys,
             ctrl = synthesize(problem)
             values = getattr(ctrl, factor).copy()
             values[0, -1] = np.inf
-            return dataclasses.replace(ctrl, **{factor: values})
+            return ctrl._replace(**{factor: values})
         monkeypatch.setattr(cli, "synthesize", broken)
         store = tmp_path / factor
         assert run(tmp_path, doc, out=store, grid_h=1e-2) == 3
@@ -701,17 +700,17 @@ _LAST_ARTIFACT_NAN = {
                   lambda fit: dict(fit, slope=np.nan)),
     "gram": (base("gram", T=2.5 * PI, K=2, kernel=EXP), "gram_abs.csv",
              cli, "gram",
-             lambda rep: dataclasses.replace(rep, gram=_nan_first(rep.gram))),
+             lambda rep: rep._replace(gram=_nan_first(rep.gram))),
     # the first level's bound: sweep.csv holds the last level's, m_N
     "sweep-t": (base("sweep-T", K=2, kernel=EXP,
                      sweep={"T_min": 2.0 * PI, "T_max": 2.5 * PI,
                             "steps": 2}), "sweep.json", exact, "exact_sweep",
                 lambda reps: (reps[0], [
-                    dataclasses.replace(r, frame_lower=_nan_first(
-                        r.frame_lower)) for r in reps[1]])),
+                    r._replace(frame_lower=_nan_first(r.frame_lower))
+                    for r in reps[1]])),
     "synthesize": (base("synthesize", T=2.5 * PI, K=2, target="random",
                         kernel=EXP), "synthesis.json", cli, "synthesize",
-                   lambda ctrl: dataclasses.replace(ctrl, norm=np.nan)),
+                   lambda ctrl: ctrl._replace(norm=np.nan)),
 }
 
 

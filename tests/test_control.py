@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,10 +5,10 @@ import pytest
 
 from memwave import (ConfigError, DomainSpec, InternalConsistencyError,
                      KernelSpec, NotControllableError, SequenceFamily,
-                     TargetState, TimeGrid, assemble_rhs, build_moment_problem,
-                     compute_eigenpairs, compute_responses, gram, make_grid,
-                     normalize, synthesize, telegraph_family,
-                     viscoelastic_family)
+                     Spectrum, TargetState, TimeGrid, assemble_rhs,
+                     build_moment_problem, compute_eigenpairs,
+                     compute_responses, gram, make_grid, normalize,
+                     synthesize, telegraph_family, viscoelastic_family)
 from memwave.control import (_RealPasses, _factor_form, _min_norm_spot_check,
                               _spot_direction, _spot_terms)
 from memwave.grid import trapezoid_weights
@@ -60,7 +59,10 @@ def test_moment_problem_alignment():
     # the data follow the index set: +n takes eta_n, -n takes xi_n
     target = TargetState(np.array([1.0, 2.0, 3.0]),
                          np.array([4.0, 5.0, 6.0]), 3)
-    sub = fam.subfamily([3, 0, 4])
+    pos = [3, 0, 4]
+    sub = SequenceFamily(fam.profiles[pos],
+                         tuple(fam.index_set[p] for p in pos), fam.label,
+                         fam.grid, fam.gamma_weights, fam.psi[pos])
     assert sub.index_set == (-2, 1, 3)
     assert np.array_equal(build_moment_problem(sub, target).rhs,
                           -R2 * np.array([2.0, 4.0, 6.0]))
@@ -210,7 +212,7 @@ def test_nan_rhs_fails_closed(case):
     rhs = prob.rhs.copy()
     rhs[2] = np.nan
     with pytest.raises(InternalConsistencyError, match="moment residual"):
-        synthesize(dataclasses.replace(prob, rhs=rhs))
+        synthesize(prob._replace(rhs=rhs))
 
 
 def test_short_horizon_fails_closed(modes12):
@@ -295,13 +297,14 @@ def test_control_factors_refuse_complex_trace():
     for case in ("interval", "overdamped"):
         fam, modes = _factor_case(case)
         assert fam.psi.dtype == float
-        bad = dataclasses.replace(modes, trace=modes.trace * (1 + 1j))
+        bad = Spectrum(modes.index, modes.lambda_sq, modes.beta,
+                       modes.trace * (1 + 1j), modes.in_J, modes.in_O)
         grid = fam.grid
         responses = compute_responses(normalize(KernelSpec("zero"), grid),
                                       modes)
         for build in (lambda: telegraph_family(bad, 0.0, grid),
                       lambda: viscoelastic_family(
-                          dataclasses.replace(responses, modes=bad))):
+                          responses._replace(modes=bad))):
             with pytest.raises(ConfigError,
                                match="boundary traces must be real") as err:
                 build()
@@ -511,7 +514,7 @@ def test_spot_check_fails_closed_on_nan(case):
 def test_spot_check_catches_a_wrong_gram(case):
     # a Gram scaled by 2 removes half of the span component
     fam, rep, A, B, norm = _solved(case)
-    wrong = dataclasses.replace(rep, gram=2.0 * rep.gram)
+    wrong = rep._replace(gram=2.0 * rep.gram)
     with pytest.raises(InternalConsistencyError,
                        match="span projection left residual moments"):
         _spot_check(fam, wrong, A, B, norm)

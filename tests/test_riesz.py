@@ -119,7 +119,8 @@ def test_truncation_selects_leading_block():
     fam = ramped_fourier(6)
     rep = gram(fam)
     for k in range(1, fam.count + 1):
-        sub = gram(fam.subfamily(range(k)))
+        sub = gram(SequenceFamily(fam.profiles[:k], fam.index_set[:k],
+                                  fam.label, fam.grid))
         assert np.max(np.abs(sub.gram - rep.gram[:k, :k])) \
             <= 1e-14 * np.max(np.abs(rep.gram))
         assert sub.m_N == pytest.approx(rep.frame_lower[k - 1], rel=1e-12)
@@ -344,14 +345,6 @@ def test_scalar_members_promote_to_one_node():
     fam = SequenceFamily(np.ones((2, 101)), (1, 2), "flat", grid)
     assert fam.members.shape == (2, 1, 101)
     assert fam.psi.shape == (2, 1) and np.all(fam.psi == 1)
-
-
-def test_subfamily_keeps_grid_and_labels():
-    fam = fourier_family(5, 2 * PI)
-    sub = fam.subfamily([0, 3, 4])
-    assert sub.count == 3
-    assert sub.index_set == (1, -2, 3)
-    assert sub.grid is fam.grid
 
 
 def test_restrict_slices_members_and_keeps_step():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -116,14 +115,14 @@ def test_two_routes_converge_at_order_two():
 
 def test_route_gap_check_trips_on_corruption():
     _, a, b, ke = two_route_gap(2e-3)
-    bad = dataclasses.replace(a, theta_T=a.theta_T + 1.0)
+    bad = a._replace(theta_T=a.theta_T + 1.0)
     with pytest.raises(InternalConsistencyError):
         route_gap(bad, b, ke)
     # a NaN end state fails closed: the gap is NaN, not below the allowance
     theta_T = a.theta_T.copy()
     theta_T[1] = np.nan
     with pytest.raises(InternalConsistencyError):
-        route_gap(dataclasses.replace(a, theta_T=theta_T), b, ke)
+        route_gap(a._replace(theta_T=theta_T), b, ke)
 
 
 def test_planted_forcing_defect_trips_the_route_gap(monkeypatch):
@@ -133,7 +132,7 @@ def test_planted_forcing_defect_trips_the_route_gap(monkeypatch):
     # sample, G_{m-1} = h (f_{m-1} / 2 + f_m); c = 0.5 makes alpha = 0,
     # where the allowance carries no growth factor
     grid = make_grid(2.5 * PI, 2e-3)
-    ke = normalize(dataclasses.replace(EXP_KERNEL, c=0.5), grid)
+    ke = normalize(EXP_KERNEL._replace(c=0.5), grid)
     resp = compute_responses(ke, compute_eigenpairs(
         DomainSpec("interval", (PI,), c=0.5), 8, alpha=ke.alpha))
     rng = np.random.default_rng(1)
@@ -445,8 +444,8 @@ def test_control_on_another_boundary_rejected():
     xi, _ = achieved_coefficients(simulate_convolution(resp, ke, ctrl))
     assert abs(xi[0] - 1.0) <= 1e-8
     grid, kz, modes = zero_setup(2.0, 2e-3, 2)
-    ctrl = dataclasses.replace(manual_control(grid, np.sin(grid.t), modes),
-                               traces=np.ones((1, 2)))
+    ctrl = manual_control(grid, np.sin(grid.t), modes)._replace(
+        traces=np.ones((1, 2)))
     resp = compute_responses(kz, modes)
     for run in (lambda: simulate_convolution(resp, kz, ctrl),
                 lambda: simulate_march(kz, modes, ctrl)):

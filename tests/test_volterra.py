@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 
@@ -526,7 +525,7 @@ def test_marched_Z_matches_the_complex_march(family):
     spec = (_tabulated_exp(grid) if family == "tabulated" else
             KernelSpec("exponential_sum", coefficients=(1.0,), rates=(1.0,)))
     for c, mode_1 in ((0.0, "real"), (2.0, "overdamped"), (1.5, "J")):
-        ker = normalize(dataclasses.replace(spec, c=c), grid)
+        ker = normalize(spec._replace(c=c), grid)
         modes = compute_eigenpairs(DomainSpec("interval", (PI,), c=c), 6,
                                    alpha=ker.alpha)
         assert {"real": modes.beta[0].imag == 0 and not modes.in_J[0],
@@ -688,9 +687,9 @@ def test_s_frame_rows_batches_are_their_one_mode_calls(c):
     on_J = compute_eigenpairs(DomainSpec("interval", (PI,), q=0.75, c=0.5),
                               4, alpha=0.5)
     assert on_J.in_J.tolist() == [True, False, False, False]
-    mixed = Spectrum(*(np.concatenate([getattr(modes, f.name)[:3],
-                                       getattr(on_J, f.name)])
-                       for f in dataclasses.fields(Spectrum)))
+    mixed = Spectrum(*(np.concatenate([getattr(modes, f)[:3],
+                                       getattr(on_J, f)])
+                       for f in Spectrum._fields))
     rows = telegraph_family(mixed, 0.7, ker.grid).profiles
     for i in range(len(mixed)):
         assert np.array_equal(telegraph_family(mixed.take([i]), 0.7,
