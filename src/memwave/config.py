@@ -10,12 +10,20 @@ collisions between different configs visible.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import sys
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+try:        # CPython's own sha256: hashlib loads OpenSSL's (~3 ms)
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .errors import ConfigError
 from .kernels import KernelSpec
@@ -71,7 +79,7 @@ class RunConfig(NamedTuple):
 
 def config_hash(raw: dict) -> str:
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+    return sha256(canon.encode()).hexdigest()[:12]
 
 
 def _unknown_keys(doc: dict) -> list:

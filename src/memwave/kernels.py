@@ -24,6 +24,7 @@ sums by recursion instead of re-summing the history.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -218,10 +219,78 @@ def _fast_len(n: int) -> int:
     return best
 
 
-# Rows per inverse transform in series_product: 24 real inverse rows of
+# Rows per chunk of series_product's transforms: 24 real inverse rows of
 # size 16000 (verify's assembly) take 2.4 ms four at a time against 3.7 ms
 # one at a time, and larger chunks gain little more
 INVERSE_ROWS = 4
+
+
+def _fft_products(f: np.ndarray, g: np.ndarray, n: int,
+                  h: Optional[float] = None) -> np.ndarray:
+    """First n coefficients of f g over the broadcast leading axes, and
+    with h given the product trapezoid h (f g - (f_0 g + g_0 f) / 2)
+    (convolve before its pinned zero).
+
+    The work runs through chunks of the last broadcast axis (the one an
+    (m+1,) kernel broadcasts against a (K, m+1) batch), at most
+    INVERSE_ROWS product rows at a time: an operand with one row on that
+    axis is transformed once, the other chunk by chunk into one reused
+    spectrum buffer; the product spectra of a chunk are formed in a
+    second and inverted into the first, then copied into the result, or
+    with h corrected into it in cache, the second buffer holding the
+    g_0 f term.  So a call holds the result, the once-transformed
+    spectrum and two chunk-sized buffers, and every transform runs
+    along a contiguous row.
+    """
+    f, g = f[..., :n], g[..., :n]
+    shape = np.broadcast_shapes(f.shape[:-1], g.shape[:-1])
+    lead = shape or (1,)
+    f, g = (a.reshape((1,) * (len(lead) + 1 - a.ndim) + a.shape)
+            for a in (f, g))
+    real = not (np.iscomplexobj(f) or np.iscomplexobj(g))
+    dtype = float if real else complex
+    fft, ifft = ((np.fft.rfft, np.fft.irfft) if real
+                 else (np.fft.fft, np.fft.ifft))
+    size = _fast_len(f.shape[-1] + g.shape[-1] - 1)
+    width = size // 2 + 1 if real else size
+    out = np.empty(lead + (n,), dtype)
+    outer, last = lead[:-1], lead[-1]
+    rows = min(last, max(1, INVERSE_ROWS // math.prod(outer)))
+    # a chunk's spectra are dead once its products are formed, and its
+    # inverse is written after that: they share one complex work array,
+    # the chunk spectra of each operand with more than one row on the
+    # last axis one after the other, the inverse over its start
+    shapes = [a.shape[:-2] + (rows, width) for a in (f, g)
+              if a.shape[-2] > 1]
+    ends = np.cumsum([0] + [math.prod(s) for s in shapes])
+    inverse = outer + (rows, size)
+    work = np.empty(max(ends[-1], math.prod(inverse) // (2 if real else 1)
+                        + 1), complex)
+    buffers = iter(work[a:b].reshape(s)
+                   for a, b, s in zip(ends, ends[1:], shapes))
+    spectra = [fft(a, size) if a.shape[-2] == 1 else next(buffers)
+               for a in (f, g)]
+    inverse = work.view(dtype)[:math.prod(inverse)].reshape(inverse)
+    product = np.empty(outer + (rows, width), complex)
+    for start in range(0, last, rows):
+        chunk = slice(start, min(start + rows, last))
+        k = chunk.stop - start
+        fc, gc = (a if a.shape[-2] == 1 else a[..., chunk, :] for a in (f, g))
+        F, G = (spec if a.shape[-2] == 1 else
+                fft(a[..., chunk, :], size, out=spec[..., :k, :])
+                for a, spec in zip((f, g), spectra))
+        P = np.multiply(F, G, out=product[..., :k, :])
+        fg = ifft(P, size, out=inverse[..., :k, :])[..., :n]
+        block = out[..., chunk, :]
+        if h is None:
+            block[...] = fg
+            continue
+        np.multiply(fc[..., :1], gc, out=block)
+        block += np.multiply(gc[..., :1], fc, out=P.view(dtype)[..., :n])
+        block *= 0.5
+        np.subtract(fg, block, out=block)
+        block *= h
+    return out.reshape(shape + (n,))
 
 
 def series_product(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
@@ -231,28 +300,13 @@ def series_product(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     as in convolve.  Each operand is cut to n terms and transformed once
     on numpy.fft (rfft, or fft when either is complex), at the 5-smooth
     size _fast_len(len f + len g - 1) that keeps the circular product
-    free of wrap-around.  The spectra are multiplied and transformed back
-    INVERSE_ROWS broadcast rows at a time, straight into the result, so
-    only that many rows of the product spectrum and of its full-length
-    inverse are ever held.  Every transform runs along a contiguous row,
-    and a row gets the same bits whatever batch or chunk it is in.
+    free of wrap-around.  The transforms run through chunks of the last
+    broadcast axis, INVERSE_ROWS product rows at a time, straight into
+    the result (_fft_products), so only chunk-sized buffers are held
+    beside it.  A row gets the same bits whatever batch or chunk it is
+    in.
     """
-    f, g = f[..., :n], g[..., :n]
-    real = not (np.iscomplexobj(f) or np.iscomplexobj(g))
-    fft, ifft = ((np.fft.rfft, np.fft.irfft) if real
-                 else (np.fft.fft, np.fft.ifft))
-    size = _fast_len(f.shape[-1] + g.shape[-1] - 1)
-    F, G = fft(f, size), fft(g, size)
-    if F.ndim == G.ndim == 1:       # one row: its inverse is the result
-        return ifft(F * G, size)[:n]
-    lead = np.broadcast_shapes(F.shape[:-1], G.shape[:-1])
-    F, G = (np.broadcast_to(a, lead + a.shape[-1:]) for a in (F, G))
-    out = np.empty(lead + (n,), dtype=float if real else complex)
-    for outer in np.ndindex(lead[:-1]):
-        for start in range(0, lead[-1], INVERSE_ROWS):
-            rows = outer + (slice(start, start + INVERSE_ROWS),)
-            out[rows] = ifft(F[rows] * G[rows], size)[..., :n]
-    return out
+    return _fft_products(f, g, n)
 
 
 def series_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -298,18 +352,15 @@ def convolve(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
 
     Time is the last axis and the leading axes broadcast: an (m+1,)
     kernel convolves every row of a (K, m+1) batch.  The discrete
-    convolution is one series_product, which transforms each operand
-    once and each row of the result on its own, so a row equals its
-    one-row call bit for bit.  The boundary correction is applied in
-    place, in the order h (product - (f_0 g + g_0 f) / 2).
+    convolution is series_product's chunk loop (_fft_products), which
+    transforms each operand once and each row of the result on its own,
+    so a row equals its one-row call bit for bit.  The boundary
+    correction is applied to each chunk of rows while it is in cache, in
+    the order h (product - (f_0 g + g_0 f) / 2), with no full-length
+    temporary.
     """
     _convolvable(f, g)
-    out = series_product(f, g, f.shape[-1])
-    half = f[..., :1] * g
-    half += g[..., :1] * f
-    half *= 0.5
-    out -= half
-    out *= h
+    out = _fft_products(f, g, f.shape[-1], h)
     out[..., 0] = 0.0
     return out
 

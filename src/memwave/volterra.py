@@ -28,7 +28,11 @@ per mode, and one step is a fixed linear map on d = 2 + (polynomial
 terms) + (decay rates) numbers.  The march applies it BLOCK = B steps
 at a time with batched matrix products (_march_blocks), the map and its
 powers built once for every column: O(m K (1 + r) (B + d)) flops and
-log2(m/B) doubling passes for every column.  A tabulated kernel has no
+log2(m/B) doubling passes for every column.  Both products write
+straight into the result, so beside it the block march holds the
+Toeplitz matrix of the zero-state part and one chunk buffer, K B^2
+numbers each, and the smaller block states, powers of the map and
+trapezoided rows.  A tabulated kernel has no
 closed form; eliminating the memory integral turns its whole march into
 one power-series division over all modes and columns (_march_series,
 kernels.series_divide), O(K (1 + r) m log m) by Newton iteration with
@@ -43,7 +47,10 @@ everywhere else in memwave (family profiles, the control, the
 simulator): every column of march_modal's result, and every field of
 the ModalResponses batch that compute_responses returns.  Every FFT
 then runs along contiguous rows, and a row of a batch is its one-mode
-call bit for bit.
+call bit for bit.  The block march's columns run nb B + 1 samples, nb
+the block count, so that a column's blocks are a (nb, B) view of it;
+march_modal returns the view of the first m+1, whose rows are
+contiguous though the columns are not.
 
 Z is additionally assembled by the variation-of-constants identity
 Z = z + N'*z + i beta (N*z), and the two routes are cross-checked, on
@@ -52,11 +59,17 @@ are the ones the batch keeps because the forward simulator shares them,
 which keeps the synthesis / verification loop exactly consistent.  The
 assembly uses FFT convolutions of the sampled kernel, never the
 recurrence, so the check stays independent of the march; it convolves
-N and N' together against every mode of a batch in one call, which
-transforms z once and each of the 2K products back on its own.  The
-batch keeps z, N*z and N'*z: the real rows U = z + N'*z and V = N*z of
-the memory family (control.viscoelastic_family) are read off them, and
-Z = U + i beta V is never formed.
+N and N' together against the march's z column in one call, which
+transforms z once, a chunk of rows at a time, and each of the 2K
+products back on its own (kernels.series_product).  The route gaps are
+then formed in place on the march's columns.  The batch keeps z, N*z
+and N'*z: the real rows U = z + N'*z and V = N*z of the memory family
+(control.viscoelastic_family) are read off them, and Z = U + i beta V
+is never formed.  At its peak compute_responses holds the march result
+(K, 3, m+1), the (2, K, m+1) products and the convolution's chunk
+buffers, ~2.35 times the batch it returns (5.3 MB at 12 modes, h =
+1e-3, T = 2.5 pi, where a whole-batch spectrum, a product copy and
+their correction temporaries took it to 7.8 MB).
 
 asymptotic_residual fits the distance of S = exp(-alpha t) Z from the
 pure oscillation exp(i beta t) over a batch of rows it is given; the
@@ -185,7 +198,8 @@ def _march_blocks(kernel: NormalizedKernel, A, B, Be0, D, y0: float,
     From a block start state x_s,
         y_{s+i} = e_0 M^i x_s + sum_{l<i} e_0 M^(i-1-l) b G_{s+l},
     a zero-input part and a lower-triangular Toeplitz zero-state part,
-    each one batched matrix product over every block of every column at
+    batched matrix products written into the (nb, BLOCK) block views of
+    the result's columns, the first over every block of every column at
     once; only the block start states are carried, every column's by
     one doubling prefix scan.  The response to y0 is the column that
     starts at x_0 = (y0, 0, -y0/2, 0, ...) with no drive; it is zero,
@@ -197,7 +211,8 @@ def _march_blocks(kernel: NormalizedKernel, A, B, Be0, D, y0: float,
     columns, and a march restricted to k steps equals a fresh k-step
     march; a one-row product would go through gemv, which sums in
     another order, hence at least two blocks.  The zero-state product
-    takes BLOCK rows at a time (a lone last row joins the chunk before
+    takes BLOCK rows of a column at a time into one chunk buffer, added
+    to the result from there (a lone last row joins the chunk before
     it, for the same reason): a (BLOCK, BLOCK) @ (BLOCK, BLOCK) product
     runs on the calling thread, where all rows at once, on a long grid,
     wake OpenBLAS's worker pool to spin on the other cores (see
@@ -215,8 +230,11 @@ def _march_blocks(kernel: NormalizedKernel, A, B, Be0, D, y0: float,
     for i in range(1, BLOCK + 1):
         Mi[i] = Mi[i - 1] @ M
     # the result before the temporaries, whose freed space the caller's
-    # next arrays reuse: fewer fresh heap pages per operation
-    out = np.zeros((K, 1 + r, m + 1))
+    # next arrays reuse: fewer fresh heap pages per operation.  Its
+    # columns run nb BLOCK + 1 samples, so that their blocks are views
+    # the products write into; the caller gets the first m+1
+    out = np.zeros((K, 1 + r, nb * BLOCK + 1))
+    cols = out[..., 1:]
     lead = G.shape[:-2]                          # () shared, (K,) per mode
     Gb = np.zeros(lead + (r, nb * BLOCK))
     Gb[..., :m] = G
@@ -238,19 +256,26 @@ def _march_blocks(kernel: NormalizedKernel, A, B, Be0, D, y0: float,
         X[:, :, s:] += (X.reshape(K, nc * nb, d) @ P).reshape(
             K, nc, nb, d)[:, :, :nb - s]
         P, s = P @ P, 2 * s
-    # zero-input part, the rows e_0 M^i (i = 1..B) as (K, d, B)
-    Y = X.reshape(K, nc * nb, d) @ np.ascontiguousarray(
-        Mi[1:, :, 0, :].transpose(1, 2, 0))
-    # zero-state part: T[l, i] = e_0 M^(i-l) b for i >= l, else 0
+    # zero-input part, the rows e_0 M^i (i = 1..B) as (K, d, B), written
+    # into the blocks of the carried columns
+    np.matmul(X, np.ascontiguousarray(Mi[1:, :, 0, :].transpose(1, 2, 0))[
+        :, None], out=cols[:, 1 - c0:].reshape(K, nc, nb, BLOCK))
+    # zero-state part: T[l, i] = e_0 M^(i-l) b for i >= l, else 0, added
+    # column by column through one chunk buffer, as (K, samples) rows:
+    # an in-place sum on the (K, rows, BLOCK) view would copy it first
     padded = np.concatenate([np.zeros((K, BLOCK - 1)), Mb[:, :, 0]], axis=1)
     T = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(
         padded, BLOCK, axis=1)[:, ::-1])
-    stops = list(range(BLOCK, r * nb - 1, BLOCK)) + [r * nb]
-    for start, stop in zip([0] + stops, stops):
-        Y[:, c0 * nb + start:c0 * nb + stop] += Gb[..., start:stop, :] @ T
-    out[:, 1 - c0:, 1:] = Y.reshape(K, nc, nb * BLOCK)[..., :m]
+    Gb = Gb.reshape(lead + (r, nb, BLOCK))
+    stops = list(range(BLOCK, nb - 1, BLOCK)) + [nb]
+    chunk = np.empty((K, max(np.diff([0] + stops)), BLOCK))
+    for i in range(r):
+        for start, stop in zip([0] + stops, stops):
+            cols[:, 1 + i, start * BLOCK:stop * BLOCK] += np.matmul(
+                Gb[..., i, start:stop, :], T,
+                out=chunk[:, :stop - start]).reshape(K, -1)
     out[:, 0, 0] = y0
-    return out
+    return out[..., :m + 1]
 
 
 def _march_series(kernel: NormalizedKernel, A, B, Be0, D, y0: float, G,
@@ -447,28 +472,35 @@ def _consistency_tol(kernel: NormalizedKernel, beta) -> np.ndarray:
     return 10.0 * C * kernel.h ** 2
 
 
-def _z_route_gaps(kernel: NormalizedKernel, modes: Spectrum, dNp: np.ndarray,
-                  dN: np.ndarray, z: np.ndarray, Nz: np.ndarray,
+def _z_route_gaps(kernel: NormalizedKernel, modes: Spectrum, Y: np.ndarray,
+                  z: np.ndarray, Nz: np.ndarray,
                   Npz: np.ndarray) -> np.ndarray:
     """Each mode's two-route Z gap over its allowance, (K,).
 
     The marched Z is z + Y' + f Y and the assembled one z + N'*z + f N*z,
     with Y' and Y the marched responses to N' and N and f the forcing
     factor, so their difference is dNp + f dN, from the real differences
-    dNp = Y' - N'*z and dN = Y - N*z, (K, m+1).  A mode whose gap passes
-    its allowance (or is NaN) flags a quadrature bug, unless the gap is
-    within 1e-10 of the mode's max_t |Z|: then the allowance lies below
-    the rounding of the responses themselves (its growth factor is
-    capped), and the mode is not resolved to working precision.
+    dNp = Y' - N'*z and dN = Y - N*z, (K, m+1).  Y is the march result
+    (K, 3, m+1) of compute_responses, (z, Y', Y), and its work space: the
+    differences are formed in place on its columns 1 and 2 and |dNp +
+    f dN|^2 on its column 0, whose z the caller has copied out.  A mode
+    whose gap passes its allowance (or is NaN) flags a quadrature bug,
+    unless the gap is within 1e-10 of the mode's max_t |Z|: then the
+    allowance lies below the rounding of the responses themselves (its
+    growth factor is capped), and the mode is not resolved to working
+    precision.
     """
     f = _forcing_factors(modes)[:, None]
-    re = dN * f.real            # |dNp + f dN|^2, two temporaries
-    re += dNp
-    re *= re
-    im = dN * f.imag
-    im *= im
-    re += im
-    gaps = np.sqrt(np.max(re, axis=1))
+    sq, dNp, dN = Y[:, 0], Y[:, 1], Y[:, 2]
+    dNp -= Npz
+    dN -= Nz
+    np.multiply(dN, f.real, out=sq)     # |dNp + f dN|^2
+    sq += dNp
+    sq *= sq
+    dN *= f.imag
+    dN *= dN
+    sq += dN
+    gaps = np.sqrt(np.max(sq, axis=1))
     tols = _consistency_tol(kernel, modes.beta)
     bad = np.flatnonzero(~(gaps <= tols))
     if bad.size:
@@ -497,15 +529,13 @@ def compute_responses(kernel: NormalizedKernel,
     label = f"(modes {', '.join(map(str, modes.index.tolist()))})"
     Y = march_modal(kernel, modes.lambda_sq, kernel.alpha, y0=1.0,
                     forcing=np.stack([kernel.Np, kernel.N]), label=label)
+    # N and N' against every mode in one call, (2, K, m+1), read off the
+    # march's z column: z is transformed once, and each row is its
+    # one-row call bit for bit
+    Nz, Npz = convolve(np.stack([kernel.N, kernel.Np])[:, None], Y[:, 0],
+                       kernel.h)
     z = Y[:, 0].copy()          # the batch keeps z, not all three columns
-    # N and N' against every mode in one call, (2, K, m+1): z is
-    # transformed once, and each row is its one-row call bit for bit
-    Nz, Npz = convolve(np.stack([kernel.N, kernel.Np])[:, None], z, kernel.h)
-    # the real differences of the routes, over the marched columns
-    dNp, dN = Y[:, 1], Y[:, 2]
-    dNp -= Npz
-    dN -= Nz
-    ratios = _z_route_gaps(kernel, modes, dNp, dN, z, Nz, Npz)
+    ratios = _z_route_gaps(kernel, modes, Y, z, Nz, Npz)
     m, h = kernel.grid.steps, kernel.h
     return ModalResponses(modes, z, Nz, Npz, ratios, TimeGrid(m * h, m, h))
 

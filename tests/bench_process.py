@@ -9,7 +9,7 @@ interpreter that builds the calls of that domain and times them.
 
     worker = Worker()
     run = worker.prepare("test_module", "factory", *args)
-    seconds, summary = run()      # one timed call in the worker
+    call = run()                  # one timed call in the worker
     summary = timed(benchmark, run, rounds)     # under pytest-benchmark
     worker.close()
 
@@ -17,20 +17,34 @@ factory(*args) runs in the worker and returns the call to time; the call
 returns a JSON-able summary for the test's asserts.  The worker times
 each call with time.perf_counter and returns that time with the summary,
 so the figure leaves out the pipe's round trip, which pytest-benchmark's
-own timing of run() includes (0.15-0.3 ms on a 2-vCPU Xeon VM).  The
-worker's stdout is /dev/null, so the CLI's prints stay out of the pipe.
+own timing of run() includes (0.15-0.3 ms on a 2-vCPU Xeon VM).  With
+them come the call's minor page faults (the ru_minflt delta: fresh
+pages touched) and the worker's peak RSS after it (ru_maxrss), so a
+bench records memory per process too.  The worker's stdout is
+/dev/null, so the CLI's prints stay out of the pipe.
 """
 
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
 import time
 from importlib import import_module
 from pathlib import Path
+from typing import NamedTuple
 
 TESTS = Path(__file__).resolve().parent
+
+
+class Call(NamedTuple):
+    """One timed call in the worker."""
+
+    seconds: float      # time.perf_counter around the call
+    summary: object     # what the call returned
+    minflt: int         # the worker's ru_minflt during the call
+    maxrss_mb: float    # the worker's ru_maxrss after the call (Linux KiB)
 
 
 class Worker:
@@ -58,11 +72,11 @@ class Worker:
 
     def prepare(self, module, factory, *args):
         """The worker builds factory(*args); returns run(), which makes
-        one timed call there and gives (seconds, summary)."""
+        one timed call there and gives its Call."""
         key = self.calls
         self.calls += 1
         self._ask("prepare", key, module, factory, args)
-        return lambda: tuple(self._ask("run", key))
+        return lambda: Call(*self._ask("run", key))
 
     def close(self):
         self.proc.stdin.close()
@@ -71,17 +85,19 @@ class Worker:
 
 def timed(benchmark, run, rounds):
     """pytest-benchmark's rounds of run() after one warm-up, with the
-    worker's own median time of the calls in extra_info
-    ("in_process_median_s"); the last call's summary."""
-    seconds = []
+    worker's own median time and minor page faults of the calls and its
+    peak RSS after the last in extra_info ("in_process_median_s",
+    "minflt_median", "maxrss_mb"); the last call's summary."""
+    calls = []
 
     def once():
-        t, summary = run()
-        seconds.append(t)
-        return summary
+        calls.append(run())
+        return calls[-1].summary
     summary = benchmark.pedantic(once, rounds=rounds, warmup_rounds=1)
-    benchmark.extra_info["in_process_median_s"] = statistics.median(
-        seconds[1:])
+    benchmark.extra_info.update(
+        in_process_median_s=statistics.median(c.seconds for c in calls[1:]),
+        minflt_median=statistics.median(c.minflt for c in calls[1:]),
+        maxrss_mb=calls[-1].maxrss_mb)
     return summary
 
 
@@ -100,9 +116,13 @@ def serve():
                 value = None
             else:
                 call = calls[key]
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.perf_counter()
                 summary = call()
-                value = [time.perf_counter() - start, summary]
+                seconds = time.perf_counter() - start
+                usage = resource.getrusage(resource.RUSAGE_SELF)
+                value = [seconds, summary, usage.ru_minflt - faults,
+                         usage.ru_maxrss / 1024]
             reply.write(json.dumps(["ok", value]) + "\n")
         except Exception as exc:    # reported to the test, which fails
             reply.write(json.dumps(["error", repr(exc)]) + "\n")

@@ -66,8 +66,8 @@ def test_cli_import_skips_scipy_signal_and_integrate():
 
 # what a fresh `import memwave.cli` adds to `import numpy`, besides
 # memwave's own modules: the standard library modules the CLI uses
-_CLI_STDLIB = {"__future__", "_blake2", "_hashlib", "_json", "argparse",
-               "cmath", "gettext", "hashlib", "json",
+_CLI_STDLIB = {"__future__", "_json", "_sha2", "_sha256", "argparse",
+               "cmath", "gettext", "json",
                "json.decoder", "json.encoder", "json.scanner"}
 
 
@@ -88,6 +88,18 @@ def test_cli_import_loads_no_numpy_polynomial_and_no_new_modules():
         "memwave", "memwave.cli", "memwave.config", "memwave.control",
         "memwave.errors", "memwave.grid", "memwave.kernels", "memwave.riesz",
         "memwave.simulate", "memwave.spectral", "memwave.volterra"}
+
+
+def test_cli_import_hashes_without_openssl():
+    # config_hash takes sha256 from CPython's built-in module, where there
+    # is one: hashlib's OpenSSL backend (_hashlib) stays unloaded
+    code = ("import importlib.util, sys, numpy, memwave.cli\n"
+            "print(any(importlib.util.find_spec(m) for m in "
+            "('_sha2', '_sha256')), '_hashlib' in sys.modules)")
+    lean, openssl = _fresh_python(code).split()
+    if lean == "False":
+        pytest.skip("this interpreter has no built-in sha256 module")
+    assert openssl == "False"
 
 
 def test_cli_import_leaves_the_csv_formatter_to_the_first_write(tmp_path):
@@ -176,6 +188,14 @@ def test_hash_is_canonical():
     assert config_hash(a) == config_hash(b)
     assert len(config_hash(a)) == 12
     assert config_hash({"K": 4}) != config_hash({"K": 3})
+
+
+def test_hash_is_the_sha256_of_the_canonical_json():
+    import hashlib
+    doc = {"K": 3, "T": 2.5, "domain": {"geometry": "interval",
+                                         "lengths": [PI]}, "note": "\u00e9"}
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert config_hash(doc) == hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
 def test_numbers_reject_bools_and_fractions():

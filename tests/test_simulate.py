@@ -316,10 +316,11 @@ def test_verify_convolution_calls(tmp_path, monkeypatch):
     cfg.write_text(json.dumps(doc))
     assert main(["verify", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
-    # inverse transforms of up to four product rows, straight into the
-    # result: 2 x 3 chunks of the assembly's (2, 12) and one for H
-    assert calls == {"convolve": 2, "convolve_end": 4, "rfft": 4,
-                     "irfft": 7}
+    # the assembly's (2, 12) products run in six chunks of two z rows:
+    # N and N' are transformed once and each chunk's two z rows once, and
+    # its four product rows go back in one inverse; H is one chunk
+    assert calls == {"convolve": 2, "convolve_end": 4, "rfft": 1 + 6 + 2,
+                     "irfft": 6 + 1}
     assert rows == {"rfft": 14 + 2, "irfft": 24 + 1}
 
 

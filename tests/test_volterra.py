@@ -189,10 +189,9 @@ def test_nan_z_route_gap_fails_closed(memory_kernel):
     ker = memory_kernel
     Y = march_modal(ker, mode.lambda_sq, ker.alpha, forcing=Z_rows(ker))
     Nz, Npz = (convolve(k, Y[:, 0], ker.h) for k in (ker.N, ker.Np))
-    dN = Y[:, 2] - Nz
-    dN[0, dN.shape[1] // 2] = np.nan
+    Y[0, 2, Y.shape[2] // 2] = np.nan
     with pytest.raises(InternalConsistencyError, match="mode 2: gap nan"):
-        _z_route_gaps(ker, mode, Y[:, 1] - Npz, dN, Y[:, 0], Nz, Npz)
+        _z_route_gaps(ker, mode, Y, Y[:, 0].copy(), Nz, Npz)
 
 
 def test_restriction_matches_fresh_computation(memory_kernel):
@@ -713,6 +712,48 @@ def test_s_frame_rows_hold_one_work_row_per_mode():
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * 16 * len(modes) * (ker.grid.steps + 1)
+
+
+def _traced_peak(call, *args):
+    """call(*args) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = call(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def verify_batch():
+    # the verify_interval benchmark's march: 12 modes, exp(-t), T = 2.5 pi
+    ker = normalize(KernelSpec("exponential_sum", coefficients=(1.0,),
+                               rates=(1.0,)), make_grid(2.5 * PI, 1e-3))
+    return ker, compute_eigenpairs(DomainSpec("interval", (PI,)), 12,
+                                   alpha=ker.alpha)
+
+
+def test_march_writes_its_products_into_its_result(verify_batch):
+    # the zero-input product and the Toeplitz chunks go straight into the
+    # result's rows: beside it the march holds the Toeplitz matrix and
+    # one chunk buffer, K BLOCK^2 numbers each, and smaller work arrays
+    # (the map's powers, the block states, the trapezoided rows), where a
+    # product copy the size of the result would add 2.26 MB
+    ker, modes = verify_batch
+    rows = Z_rows(ker)
+    Y, peak = _traced_peak(march_modal, ker, modes.lambda_sq, ker.alpha,
+                           1.0, rows)
+    assert Y.shape == (len(modes), 3, ker.grid.steps + 1)
+    assert peak <= Y.nbytes + 4 * len(modes) * BLOCK ** 2 * 8
+
+
+def test_responses_hold_no_full_length_temporary(verify_batch):
+    # beside the march result (z, Y', Y) the assembly holds its (2, K,
+    # m+1) product and chunk-sized transform buffers; the route gaps are
+    # formed in place on the march's columns
+    resp, peak = _traced_peak(compute_responses, *verify_batch)
+    kept = sum(getattr(resp, f).nbytes for f in ("z", "Nz", "Npz"))
+    assert peak <= 2.4 * kept
 
 
 # ------------------------------------------------------------- guards
